@@ -40,11 +40,9 @@ __all__ = [
     'laplace_exponent',
     'laplace_exponent_exponential_closed',
     'marginal_exponent',
-    'upsilon',
     'rho_density',
     'tau',
     'kappa',
-    'g_rho',
     'levy_copula',
     'clayton_copula',
     'enumerate_moment_partitions',
@@ -111,12 +109,18 @@ class LevyIntensity:
     density                 : vectorised callable
     support                 : (lower, upper); upper may be numpy.inf
     singularity_exponents   : endpoint power behaviour (p_lower, p_upper),
-                              None where regular; used to build quadrature
-                              hints.  p_lower <= -1 encodes the infinite
-                              activity at the lower endpoint.
+                              None where regular (at an infinite upper
+                              end: decaying faster than any power); used
+                              to build quadrature hints.  p_lower <= -1
+                              encodes the infinite activity at the lower
+                              endpoint.
     tail_fn / inverse_fn    : optional closed forms for the tail integral
-                              U(x) = int_x^upper density and its inverse;
-                              quadrature / bisection otherwise.
+                              U(x) = int_x^upper density and its inverse.
+
+    integrate(weight, ...) evaluates int weight(z) density(z) dz; every
+    integral against the intensity goes through it.  tail_integral uses
+    it when there is no tail_fn, and inverse_tail, which accepts arrays
+    of levels, bisects on tail_integral when there is no inverse_fn.
     '''
 
     def __init__(self, density, support, singularity_exponents=(None, None),
@@ -129,9 +133,51 @@ class LevyIntensity:
         self.singularity_exponents = tuple(singularity_exponents)
         self._tail_fn = tail_fn
         self._inverse_fn = inverse_fn
+        # prior truncation (level, tail mass at the level) by tail_mass,
+        # filled by prior.sample_corm
+        self._truncations = {}
 
     def __call__(self, s):
         return self.density(s)
+
+    def integrate(self, weight, lower=None, upper=None, lower_power=0,
+                  tail_power=0, breaks=(), rel_tol=1e-9):
+        '''
+        int_lower^upper weight(z) density(z) dz, over the whole support by
+        default.  weight is vectorised; lower_power and tail_power are its
+        power behaviour as z -> 0 and z -> inf (None: it vanishes faster
+        than any power there).  Endpoint hints come from these and the
+        singularity exponents at the support's own endpoints only, as
+        interior limits are regular.  A ValueError is raised when the
+        integral diverges at either end.  The range is split at the
+        interior breaks, the scale transitions of the weight.
+        '''
+        lo, hi = self.support
+        a = lo if lower is None else float(lower)
+        b = hi if upper is None else float(upper)
+        if not lo <= a < b <= hi:
+            raise ValueError('integration range (%r, %r) is empty or '
+                             'outside the support' % (a, b))
+        p_lo, p_hi = self.singularity_exponents
+        hint_lo = hint_hi = None
+        if a == lo and p_lo is not None and lower_power is not None:
+            eff = p_lo + lower_power
+            if eff <= -1.0:
+                raise ValueError('integral diverges at the lower endpoint')
+            # fractional exponents (z^0.5 and the like) also benefit from
+            # the endpoint substitution: kinked derivatives slow bisection
+            if eff < 0.0 or eff != round(eff):
+                hint_lo = eff
+        if b == hi and p_hi is not None:
+            if not math.isinf(hi):
+                hint_hi = p_hi if p_hi != 0.0 else None
+            elif tail_power is not None:
+                hint_hi = p_hi + tail_power
+                if hint_hi >= -1.0:
+                    raise ValueError('integral diverges in the tail')
+        return _integrate_with_breaks(
+            lambda z: weight(z) * self.density(z), a, b, (hint_lo, hint_hi),
+            breaks, rel_tol)
 
     def tail_integral(self, x):
         '''U(x) = integral of the density over (x, upper).'''
@@ -143,35 +189,25 @@ class LevyIntensity:
             return 0.0
         if self._tail_fn is not None:
             return float(self._tail_fn(x))
-        p_hi = self.singularity_exponents[1]
+        # the lower stretch can span many decades; split it off, so it is
+        # integrated in log space where the density is tame
         mid = lo + 1.0 if math.isinf(hi) else lo + 0.5 * (hi - lo)
-        total = 0.0
-        if x < mid:
-            # the lower stretch can span many decades; integrate it in
-            # log space where the density is tame
-            if x > 0.0 and mid > 100.0 * x:
-                def in_log(t):
-                    z = np.exp(np.asarray(t, dtype=float))
-                    return self.density(z) * z
-
-                spec = QuadratureSpec(math.log(x), math.log(mid),
-                                      relative_tolerance=1e-10)
-                total += integrate(in_log, spec).value
-            else:
-                spec = QuadratureSpec(x, mid, relative_tolerance=1e-10)
-                total += integrate(self.density, spec).value
-            x = mid
-        spec = QuadratureSpec(x, hi, relative_tolerance=1e-10,
-                              singularity_hints=(None, p_hi))
-        return total + integrate(self.density, spec).value
+        return self.integrate(np.ones_like, lower=x, breaks=(mid,),
+                              rel_tol=1e-10)
 
     def inverse_tail(self, level):
-        '''Solve U(x) = level for x; U is strictly decreasing.'''
-        level = float(level)
-        if not level > 0.0:
+        '''Solve U(x) = level for x, elementwise over an array of
+        levels; U is strictly decreasing.'''
+        levels = np.asarray(level, dtype=float)
+        if not np.all(levels > 0.0):
             raise ValueError('tail level must be positive')
         if self._inverse_fn is not None:
-            return float(self._inverse_fn(level))
+            x = np.asarray(self._inverse_fn(levels), dtype=float)
+        else:
+            x = np.vectorize(self._bisect_tail, otypes=[float])(levels)
+        return float(x) if x.ndim == 0 else x
+
+    def _bisect_tail(self, level):
         lo, hi = self.support
         # bracket the root, expanding geometrically toward the endpoints
         x = 1.0 if math.isinf(hi) else 0.5 * (lo + hi)
@@ -505,22 +541,17 @@ def marginal_from_directing(directing, shape, theta=None, sigma=None, a=None):
 
 def _mixture_marginal_density(directing, shape, s):
     '''Marginal intensity by direct mixing: int z^-1 f(s/z) nu*(z) dz.'''
-    lo, hi = directing.support
-    p_lo, p_hi = directing.singularity_exponents
     s = float(s)
 
-    def integrand(z):
-        z = np.asarray(z, dtype=float)
+    def weight(z):
         log_f = ((shape - 1.0) * (np.log(s) - np.log(z)) - s / z
                  - gammaln(shape))
-        return np.exp(log_f - np.log(z)) * directing.density(z)
+        return np.exp(log_f - np.log(z))
 
-    if math.isinf(hi):
-        # e^(-s/z) -> 1 at large z, leaving z^(-shape - 1 + p_hi + ...)
-        tail = p_hi - shape if p_hi is not None else None
-    else:
-        tail = p_hi if (p_hi is not None and p_hi != 0.0) else None
-    return _integrate_with_breaks(integrand, lo, hi, (None, tail), (s,), 1e-9)
+    # e^(-s/z) vanishes faster than any power at 0 and tends to 1 at large
+    # z, leaving z^-shape
+    return directing.integrate(weight, lower_power=None, tail_power=-shape,
+                               breaks=(s,))
 
 
 @dataclass(frozen=True)
@@ -583,18 +614,15 @@ def _integrate_with_breaks(integrand, lo, hi, hints, breaks, rel_tol):
     transitions so endpoint hints describe their piece correctly.'''
     pts = np.unique([b for b in np.atleast_1d(breaks)
                      if lo < b < hi and np.isfinite(b)])
-    if pts.size == 0:
-        q = QuadratureSpec(lo, hi, relative_tolerance=rel_tol,
-                           singularity_hints=hints)
-        return integrate(integrand, q).value
     edges = [lo] + list(pts) + [hi]
     total = 0.0
     for i in range(len(edges) - 1):
         a, b = edges[i], edges[i + 1]
         h = (hints[0] if i == 0 else None,
              hints[1] if i == len(edges) - 2 else None)
-        # pieces that start at a positive break: integrate in log space,
-        # where power-law stretches and tails become smooth and compact
+        # pieces that start at a positive, regular point: integrate in log
+        # space, where power-law stretches and tails become smooth and
+        # compact
         if h[0] is None and a > 0.0 and (
                 math.isinf(b) or (h[1] is None and b > 100.0 * a)):
             def logspaced(t, _f=integrand):
@@ -616,54 +644,34 @@ def _integrate_with_breaks(integrand, lo, hi, hints, breaks, rel_tol):
     return total
 
 
+def _psi_bracket(shape, lam):
+    '''The Laplace-exponent weight z -> 1 - prod_j (1 + lam_j z)^-shape.'''
+    def weight(z):
+        t = np.log1p(np.multiply.outer(lam, z)).sum(axis=0)
+        return -np.expm1(-shape * t)
+    return weight
+
+
 def _psi_quadrature(spec, lam, rel_tol=1e-10):
     lam = np.asarray(lam, dtype=float)
-    shape = spec.shape
-    nu = spec.directing
-    lo, hi = nu.support
-    p_lo, p_hi = nu.singularity_exponents
     active = lam[lam > 0.0]
     if active.size == 0:
         return 0.0
-
-    def integrand(z):
-        z = np.asarray(z, dtype=float)
-        t = np.log1p(np.multiply.outer(active, z)).sum(axis=0)
-        return -np.expm1(-shape * t) * nu.density(z)
-
     # the bracket vanishes linearly at 0, softening the endpoint by one power
-    hint_lo = None
-    if p_lo is not None and -1.0 < p_lo + 1.0 < 0.0:
-        hint_lo = p_lo + 1.0
-    if math.isinf(hi):
-        hint_hi = p_hi
-    else:
-        hint_hi = p_hi if (p_hi is not None and p_hi != 0.0) else None
-    return _integrate_with_breaks(integrand, lo, hi, (hint_lo, hint_hi),
-                                  1.0 / active, rel_tol)
+    return spec.directing.integrate(_psi_bracket(spec.shape, active),
+                                    lower_power=1, breaks=1.0 / active,
+                                    rel_tol=rel_tol)
 
 
 def laplace_exponent(spec, lam):
     '''psi(lam) = int (1 - prod_j (1 + lam_j z)^-shape) nu*(z) dz, the
-    exponent in the joint Laplace functional of the measure vector.'''
+    exponent in the joint Laplace functional of the measure vector.  At
+    distinct rates this is the paper's Upsilon_d(lam).'''
     lam = np.asarray(lam, dtype=float)
     if lam.ndim != 1 or lam.size != spec.dimension:
         raise ValueError('lam must be a vector of length %d' % spec.dimension)
     if np.any(lam < 0.0):
         raise ValueError('lam must be nonnegative')
-    return _psi_quadrature(spec, lam)
-
-
-def upsilon(spec, lam_tilde):
-    '''Laplace exponent evaluated on the distinct values lam_tilde (the
-    reduction of psi to the l <= d distinct coordinates).'''
-    lam = np.asarray(lam_tilde, dtype=float)
-    if np.any(lam < 0.0):
-        raise ValueError('lam_tilde must be nonnegative')
-    if np.all(lam == 0.0):
-        return 0.0
-    if np.unique(lam).size != lam.size:
-        raise ValueError('lam_tilde values must be distinct')
     return _psi_quadrature(spec, lam)
 
 
@@ -761,24 +769,17 @@ def rho_density(spec, s, method='auto'):
 def _rho_by_mixture(spec, s, rel_tol=1e-9):
     shape = spec.shape
     d = spec.dimension
-    nu = spec.directing
-    lo, hi = nu.support
-    p_lo, p_hi = nu.singularity_exponents
     total = float(np.sum(s))
     log_s = float(np.log(s).sum())
 
-    def integrand(z):
-        z = np.asarray(z, dtype=float)
+    def weight(z):
         log_f = ((shape - 1.0) * (log_s - d * np.log(z)) - total / z
                  - d * gammaln(shape))
-        return np.exp(log_f - d * np.log(z)) * nu.density(z)
+        return np.exp(log_f - d * np.log(z))
 
-    if math.isinf(hi):
-        tail = p_hi - d * shape if p_hi is not None else None
-    else:
-        tail = p_hi if (p_hi is not None and p_hi != 0.0) else None
-    return _integrate_with_breaks(integrand, lo, hi, (None, tail),
-                                  (total,), rel_tol)
+    return spec.directing.integrate(weight, lower_power=None,
+                                    tail_power=-d * shape, breaks=(total,),
+                                    rel_tol=rel_tol)
 
 
 def tau(a, z, v, shape):
@@ -795,46 +796,27 @@ def _kappa_quadrature(spec, a, v, rel_tol=1e-9):
     '''log of int z^{sum a} prod_j (1 + v_j z)^{-a_j - shape} nu*(z) dz,
     without the Gamma(a_j + shape)/Gamma(shape) coefficients.'''
     shape = spec.shape
-    nu = spec.directing
-    lo, hi = nu.support
-    p_lo, p_hi = nu.singularity_exponents
     total_a = float(np.sum(a))
     a_arr = np.asarray(a, dtype=float)
     v_arr = np.asarray(v, dtype=float)
     keep = v_arr > 0.0
     av, vv = a_arr[keep], v_arr[keep]
 
-    def integrand(z):
-        z = np.asarray(z, dtype=float)
+    def weight(z):
         t = ((av + shape)[:, None] * np.log1p(np.multiply.outer(vv, z))).sum(axis=0)
-        return np.exp(total_a * np.log(z) - t) * nu.density(z)
+        return np.exp(total_a * np.log(z) - t)
 
-    hint_lo = None
-    if p_lo is not None:
-        eff = p_lo + total_a
-        if eff <= -1.0:
-            raise ValueError('integral diverges at the lower endpoint')
-        if eff < 0.0 or eff != round(eff):
-            # fractional exponents (z^0.5 and the like) also benefit from
-            # the endpoint substitution: kinked derivatives slow bisection
-            hint_lo = eff
-    if math.isinf(hi):
-        eff = total_a - float((av + shape).sum())
-        eff = eff + p_hi if p_hi is not None else eff
-        if eff >= -1.0:
-            raise ValueError('integral diverges in the tail; '
-                             'some v_j must be positive')
-        hint_hi = eff
-    else:
-        hint_hi = p_hi if (p_hi is not None and p_hi != 0.0) else None
-    breaks = 1.0 / vv if vv.size else ()
-    return _integrate_with_breaks(integrand, lo, hi, (hint_lo, hint_hi),
-                                  breaks, rel_tol)
+    return spec.directing.integrate(
+        weight, lower_power=total_a,
+        tail_power=total_a - float((av + shape).sum()), breaks=1.0 / vv,
+        rel_tol=rel_tol)
 
 
 def kappa(spec, a, v):
     '''kappa_a(v) = int z^{sum a} prod_j tau_{a_j}(z, v_j) nu*(z) dz, the
-    marginal sampler's cluster weight integral.'''
+    marginal sampler's cluster weight integral.  At positive rates v it
+    is also the moment kernel int prod_j s_j^{a_j} e^{-v_j s_j} rho_d(s) ds,
+    a mixed v-derivative of the Laplace exponent up to sign.'''
     a = np.asarray(a)
     v = np.asarray(v, dtype=float)
     if a.shape != v.shape or a.ndim != 1:
@@ -846,22 +828,6 @@ def kappa(spec, a, v):
                          'the bare integral has infinite mass')
     lc = float(np.sum(gammaln(a + spec.shape) - gammaln(spec.shape)))
     return math.exp(lc) * _kappa_quadrature(spec, a, v)
-
-
-def g_rho(spec, q, lam):
-    '''Moment kernel g_rho(q; lam) = int prod_j s_j^{q_j} e^{-lam_j s_j}
-    rho_d(s) ds, the mixed lam-derivative of the Laplace exponent.'''
-    q = np.asarray(q)
-    lam = np.asarray(lam, dtype=float)
-    if q.shape != lam.shape or q.ndim != 1 or q.size != spec.dimension:
-        raise ValueError('q and lam must be vectors of length %d'
-                         % spec.dimension)
-    if np.any(lam <= 0.0):
-        raise ValueError('lam must be strictly positive')
-    if np.any(q < 0) or q.sum() < 1:
-        raise ValueError('q must be nonnegative with sum at least 1')
-    lc = float(np.sum(gammaln(q + spec.shape) - gammaln(spec.shape)))
-    return math.exp(lc) * _kappa_quadrature(spec, q, lam)
 
 
 def levy_copula(spec, y1, y2):
@@ -878,28 +844,19 @@ def levy_copula(spec, y1, y2):
     if y1 == 0.0 or y2 == 0.0:
         return 0.0
     marg = marginal_intensity(spec.marginal)
-    xs = [0.0 if math.isinf(y) else marg.inverse_tail(y) for y in (y1, y2)]
+    # an infinite tail mass has a survival factor identically 1
+    xs = [marg.inverse_tail(y) for y in (y1, y2) if not math.isinf(y)]
     shape = spec.shape
-    nu = spec.directing
-    lo, hi = nu.support
-    p_lo, p_hi = nu.singularity_exponents
 
-    def integrand(z):
-        z = np.asarray(z, dtype=float)
-        out = nu.density(z)
+    def weight(z):
+        out = np.ones_like(z)
         for x in xs:
-            if x > 0.0:
-                out = out * gammaincc(shape, x / z)
-            # x == 0: survival factor is identically 1
+            out = out * gammaincc(shape, x / z)
         return out
 
-    if math.isinf(hi):
-        hint_hi = p_hi
-    else:
-        hint_hi = p_hi if (p_hi is not None and p_hi != 0.0) else None
     # the score survival factors vanish faster than any power at z -> 0
-    return _integrate_with_breaks(integrand, lo, hi, (None, hint_hi),
-                                  [x for x in xs if x > 0.0], 1e-8)
+    return spec.directing.integrate(weight, lower_power=None, breaks=xs,
+                                    rel_tol=1e-8)
 
 
 def clayton_copula(gamma_par, y1, y2):
@@ -979,26 +936,8 @@ def enumerate_moment_partitions(q, k):
 
 def _directing_moment(spec, m, rel_tol=1e-10):
     '''int z^m nu*(z) dz for integer m >= 1.'''
-    nu = spec.directing
-    lo, hi = nu.support
-    p_lo, p_hi = nu.singularity_exponents
-    if math.isinf(hi):
-        tail = (p_hi + m) if p_hi is not None else None
-        if tail is None or tail >= -1.0:
-            raise ValueError('directing moment of order %d diverges' % m)
-    else:
-        tail = p_hi if (p_hi is not None and p_hi != 0.0) else None
-    hint_lo = None
-    if p_lo is not None and -1.0 < p_lo + m < 0.0:
-        hint_lo = p_lo + m
-
-    def integrand(z):
-        z = np.asarray(z, dtype=float)
-        return z ** m * nu.density(z)
-
-    q = QuadratureSpec(lo, hi, relative_tolerance=rel_tol,
-                       singularity_hints=(hint_lo, tail))
-    return integrate(integrand, q).value
+    return spec.directing.integrate(lambda z: z ** m, lower_power=m,
+                                    tail_power=m, rel_tol=rel_tol)
 
 
 def mixed_moment(spec, q, region_mass):
@@ -1126,4 +1065,7 @@ def covariance_normalized(spec, mass_a, mass_b, mass_ab, total_mass,
     var_a = (mass_a - mass_a ** 2 / total_mass) * var_kernel
     var_b = (mass_b - mass_b ** 2 / total_mass) * var_kernel
     corr = bracket * cross / math.sqrt(var_a * var_b)
-    return float(min(1.0, max(-1.0, corr)))
+    if not abs(corr) <= 1.0:
+        raise ValueError('correlation estimate %r lies outside [-1, 1]; '
+                         'tighten rel_tol' % corr)
+    return float(corr)

@@ -167,17 +167,6 @@ class KappaTable:
         return self.log_kappa(r)
 
 
-def kappa_ratio(spec, a_k, j, v):
-    '''kappa_{a_k+e_j}(v) / kappa_a_k(v) for one cluster.'''
-    return math.exp(KappaTable(spec, v).log_ratio(tuple(int(x) for x in a_k),
-                                                  j))
-
-
-def new_cluster_weight(spec, j, v):
-    '''kappa_r(v) with r = e_j; the urn's new-cluster integral.'''
-    return math.exp(KappaTable(spec, v).log_new_cluster(j))
-
-
 def _categorical(weights, rng):
     cum = np.cumsum(weights)
     u = rng.uniform() * cum[-1]

@@ -1,12 +1,13 @@
 '''Tests for the measure-level machinery: intensities, exponents,
 multivariate densities, copulas, and moments.
 
-Reference values are either exact closed forms or independent scipy
-quadratures (QUADPACK), never the package's own integrator.
+Reference values are either exact closed forms, independent scipy
+quadratures (QUADPACK) or mpmath, never the package's own integrator.
 '''
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate as sci
@@ -21,7 +22,6 @@ from corm.core import (
     covariance_normalized,
     directing_from_marginal,
     enumerate_moment_partitions,
-    g_rho,
     kappa,
     laplace_exponent,
     laplace_exponent_exponential_closed,
@@ -33,7 +33,6 @@ from corm.core import (
     mixed_moment,
     rho_density,
     tau,
-    upsilon,
 )
 
 
@@ -176,6 +175,16 @@ class TestMarginalIntensities:
             for x in (0.05, 0.5, 3.0):
                 assert nu.inverse_tail(nu.tail_integral(x)) == pytest.approx(
                     x, rel=1e-7)
+
+    def test_gg_tail_integral_vs_incomplete_gamma(self):
+        # no closed tail_fn: the tail comes from quadrature; exactly
+        # sigma a^sigma Gamma(-sigma, a x) / Gamma(1 - sigma)
+        sigma, a = 0.3, 1.0
+        nu = marginal_intensity(MarginalFamily.generalized_gamma(sigma, a))
+        for x in (1e-4, 0.05, 0.7, 3.0, 20.0):
+            want = float(sigma * a ** sigma * mpmath.gammainc(-sigma, a * x)
+                         / mpmath.gamma(1.0 - sigma))
+            assert nu.tail_integral(x) == pytest.approx(want, rel=1e-9)
 
     def test_gg_intensity_small_jump_asymptote(self):
         shape, sigma, a = 2.0, 0.3, 1.0
@@ -339,14 +348,11 @@ class TestLaplaceExponent:
         assert got == pytest.approx(math.log(2.0) + 0.5, rel=1e-9)
 
     def test_upsilon_stable_exact(self):
-        # sqrt exponent: a1 sqrt(1) + a2 sqrt(4) with a1 = -1/3, a2 = 4/3
+        # Upsilon_2 is psi at distinct rates; sqrt exponent:
+        # a1 sqrt(1) + a2 sqrt(4) with a1 = -1/3, a2 = 4/3
         sp = spec_stable(sigma=0.5)
-        assert upsilon(sp, [1.0, 4.0]) == pytest.approx(7.0 / 3.0, rel=1e-8)
-
-    def test_upsilon_rejects_repeats(self):
-        sp = spec_gamma()
-        with pytest.raises(ValueError):
-            upsilon(sp, [1.0, 1.0])
+        assert laplace_exponent(sp, [1.0, 4.0]) == pytest.approx(
+            7.0 / 3.0, rel=1e-8)
 
     def test_closed_form_matches_quadrature(self):
         import sympy
@@ -454,8 +460,9 @@ class TestKappaAndG:
             assert ratio == pytest.approx(float(n), rel=1e-8)
 
     def test_g_rho_simple(self):
+        # the moment kernel int s^q e^(-lam s) rho(s) ds is kappa_q(lam)
         sp = spec_gamma(dimension=1, shape=1.0)
-        assert g_rho(sp, [1], [1.0]) == pytest.approx(0.5, rel=1e-9)
+        assert kappa(sp, [1], [1.0]) == pytest.approx(0.5, rel=1e-9)
 
     def test_g_rho_matches_cross_derivative(self):
         # g(1,1; lam) = -d^2 psi / d lam1 d lam2
@@ -465,7 +472,7 @@ class TestKappaAndG:
               - laplace_exponent(sp, [l1 + h, l2 - h])
               - laplace_exponent(sp, [l1 - h, l2 + h])
               + laplace_exponent(sp, [l1 - h, l2 - h])) / (4.0 * h * h)
-        assert g_rho(sp, [1, 1], [l1, l2]) == pytest.approx(-fd, rel=1e-5)
+        assert kappa(sp, [1, 1], [l1, l2]) == pytest.approx(-fd, rel=1e-5)
 
     def test_kappa_quadrature_vs_scipy(self):
         sp = spec_gamma(shape=2.0)
@@ -486,11 +493,6 @@ class TestKappaAndG:
         with pytest.raises(ValueError):
             # stable directing has no moments without a tempering rate
             kappa(sp, [1], [0.0])
-
-    def test_g_rho_requires_positive_rates(self):
-        sp = spec_gamma()
-        with pytest.raises(ValueError):
-            g_rho(sp, [1, 1], [1.0, 0.0])
 
 
 class TestLevyCopula:
@@ -645,9 +647,93 @@ class TestCovariance:
         got = covariance_normalized(sp, 0.5, 0.5, 0.5, 1.0, rel_tol=1e-4)
         assert got == pytest.approx(0.7536397, abs=2e-4)
 
+    def test_estimate_outside_unit_interval_raises(self, monkeypatch):
+        # an inaccurate variance kernel pushes the estimate past 1; it
+        # must be reported, not clamped
+        from corm import core
+        second_moment = core._tilted_second_moment
+        monkeypatch.setattr(core, '_tilted_second_moment',
+                            lambda m, lam: 0.1 * second_moment(m, lam))
+        sp = spec_gamma(shape=1.0)
+        with pytest.raises(ValueError, match='rel_tol'):
+            covariance_normalized(sp, 0.5, 0.5, 0.5, 1.0, rel_tol=1e-3)
+
     def test_mass_validation(self):
         sp = spec_gamma()
         with pytest.raises(ValueError):
             covariance_normalized(sp, 0.5, 0.5, 0.6, 1.0)
         with pytest.raises(ValueError):
             covariance_normalized(sp, 1.5, 0.5, 0.5, 1.0)
+
+
+class TestIntegrate:
+    '''LevyIntensity.integrate on the generalized-gamma directing
+    intensity (sigma 0.3, a 1), against mpmath.quad.'''
+
+    SHAPE, SIGMA = 2.0, 0.3
+
+    @pytest.fixture(scope='class')
+    def nu(self):
+        return spec_gg(shape=self.SHAPE, sigma=self.SIGMA).directing
+
+    def _reference(self, weight, lower=0.0, upper=1.0):
+        # c z^(-1-sigma) (1 - z)^(sigma + shape - 1) on (0, 1)
+        shape, sigma = self.SHAPE, self.SIGMA
+        c = mpmath.exp(mpmath.log(sigma) + mpmath.loggamma(shape)
+                       - mpmath.loggamma(shape + sigma)
+                       - mpmath.loggamma(1 - sigma))
+        with mpmath.workdps(30):
+            val = mpmath.quad(
+                lambda z: weight(z) * c * z ** (-1 - sigma)
+                * (1 - z) ** (sigma + shape - 1), [lower, upper])
+        return float(val)
+
+    @pytest.mark.parametrize('m', [1, 2, 3])
+    def test_power_weights(self, nu, m):
+        got = nu.integrate(lambda z: z ** m, lower_power=m, tail_power=m)
+        assert got == pytest.approx(self._reference(lambda z: z ** m),
+                                    rel=1e-9)
+
+    def test_interior_limits(self, nu):
+        got = nu.integrate(lambda z: z, lower=0.1, upper=0.5)
+        want = self._reference(lambda z: z, 0.1, 0.5)
+        assert got == pytest.approx(want, rel=1e-9)
+
+    def test_psi_weight(self, nu):
+        lam, phi = (0.7, 2.5), self.SHAPE
+
+        def weight(z, power=np.power):
+            return 1 - power(1 + lam[0] * z, -phi) * power(1 + lam[1] * z, -phi)
+
+        want = self._reference(lambda z: weight(z, power=mpmath.power))
+        assert nu.integrate(weight, lower_power=1) == pytest.approx(
+            want, rel=1e-9)
+        sp = spec_gg(shape=self.SHAPE, sigma=self.SIGMA)
+        assert laplace_exponent(sp, list(lam)) == pytest.approx(want, rel=1e-9)
+
+    def test_kappa_weight(self, nu):
+        a, v, phi = (2, 3), (0.8, 1.4), self.SHAPE
+
+        def weight(z, power=np.power):
+            return (z ** 5 * power(1 + v[0] * z, -a[0] - phi)
+                    * power(1 + v[1] * z, -a[1] - phi))
+
+        want = self._reference(lambda z: weight(z, power=mpmath.power))
+        assert nu.integrate(weight, lower_power=5) == pytest.approx(
+            want, rel=1e-9)
+        coeff = math.exp(gammaln(a[0] + phi) + gammaln(a[1] + phi)
+                         - 2.0 * gammaln(phi))
+        sp = spec_gg(shape=self.SHAPE, sigma=self.SIGMA)
+        assert kappa(sp, list(a), list(v)) == pytest.approx(coeff * want,
+                                                             rel=1e-8)
+
+    def test_divergence_and_range_errors(self, nu):
+        stable = spec_stable(dimension=1, sigma=0.5).directing
+        with pytest.raises(ValueError, match='lower endpoint'):
+            stable.integrate(np.ones_like)
+        with pytest.raises(ValueError, match='tail'):
+            stable.integrate(lambda z: z, lower_power=1, tail_power=1)
+        with pytest.raises(ValueError, match='support'):
+            nu.integrate(lambda z: z, upper=2.0)
+        with pytest.raises(ValueError, match='support'):
+            nu.integrate(lambda z: z, lower=0.5, upper=0.5)

@@ -10,14 +10,15 @@ from scipy import stats
 
 from corm.core import (
     CoRMSpec,
+    LevyIntensity,
     MarginalFamily,
+    ScoreDistribution,
     covariance_normalized,
     mixed_moment,
 )
 from corm.prior import (
     STABLE_DEFAULT_JUMPS,
     CoRMRealization,
-    _inverse_tail,
     normalize,
     realization_to_csv,
     sample_corm,
@@ -82,6 +83,25 @@ class TestTruncation:
         with pytest.raises(ValueError, match='budget'):
             sample_corm(spec, rng, tail_mass=1e-9, max_jumps=10_000)
 
+    def test_truncation_follows_the_directing_intensity(self, gamma2_spec):
+        # a hand-built spec with the same family and shape but a directing
+        # intensity 50 times larger must not reuse the truncation of the
+        # unscaled one: the level stays, the expected count scales by 50
+        base = gamma2_spec.directing
+        scaled = LevyIntensity(
+            lambda z: 50.0 * base.density(z), base.support,
+            base.singularity_exponents,
+            tail_fn=lambda x: 50.0 * base.tail_integral(x),
+            inverse_fn=np.vectorize(lambda y: base.inverse_tail(y / 50.0)))
+        spec = CoRMSpec(2, ScoreDistribution(2.0), MarginalFamily.gamma(),
+                        scaled)
+        rng = np.random.default_rng(17)
+        sample_corm(gamma2_spec, rng)
+        r = sample_corm(spec, rng)
+        want = scaled.tail_integral(r.truncation_level)
+        assert want > 500.0
+        assert abs(r.jump_count - want) < 5.0 * math.sqrt(want)
+
     def test_stable_warns_and_truncates_by_count(self):
         spec = CoRMSpec.from_marginal(
             2, 1.0, MarginalFamily.sigma_stable(0.5))
@@ -95,16 +115,17 @@ class TestTruncation:
 class TestInverseTail:
     def test_unit_shape_inverse_is_exponential(self, gamma_spec):
         # shape 1: the directing tail is -log z, inverted in closed form
-        inverse = _inverse_tail(gamma_spec, 50.0)
         ys = np.array([0.5, 2.0, 10.0, 30.0])
-        np.testing.assert_allclose(inverse(ys), np.exp(-ys), rtol=1e-12)
+        np.testing.assert_allclose(gamma_spec.directing.inverse_tail(ys),
+                                   np.exp(-ys), rtol=1e-12)
 
-    def test_table_round_trip(self, gamma2_spec):
-        inverse = _inverse_tail(gamma2_spec, 120.0)
+    def test_inverse_round_trip(self, gamma2_spec):
+        directing = gamma2_spec.directing
         ys = np.array([0.01, 0.1, 1.0, 3.0, 10.0, 40.0, 100.0])
-        exact = np.array([gamma2_spec.directing.inverse_tail(float(y))
-                          for y in ys])
-        np.testing.assert_allclose(inverse(ys), exact, rtol=1e-3)
+        zs = directing.inverse_tail(ys)
+        assert zs.shape == ys.shape
+        np.testing.assert_allclose(
+            [directing.tail_integral(z) for z in zs], ys, rtol=1e-10)
 
     def test_mean_count_above_threshold(self, gamma_spec):
         # jumps above x arrive at Poisson rate equal to the directing
