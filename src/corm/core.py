@@ -20,6 +20,7 @@ from scipy.special import digamma, exp1, gammainc, gammaincc, gammaln, hyp2f1
 
 from .numerics import (
     IntegralResult,
+    QuadratureError,
     QuadratureSpec,
     bessel_k,
     integrate,
@@ -42,6 +43,8 @@ __all__ = [
     'marginal_exponent',
     'rho_density',
     'tau',
+    'TiltRule',
+    'log_kappa',
     'kappa',
     'levy_copula',
     'clayton_copula',
@@ -116,15 +119,21 @@ class LevyIntensity:
                               endpoint.
     tail_fn / inverse_fn    : optional closed forms for the tail integral
                               U(x) = int_x^upper density and its inverse.
+    log_density             : optional vectorised callable (z, gap) ->
+                              log density(z), where gap = upper - z is
+                              passed exactly, so a factor vanishing at a
+                              finite upper end keeps full precision there.
 
     integrate(weight, ...) evaluates int weight(z) density(z) dz; every
-    integral against the intensity goes through it.  tail_integral uses
-    it when there is no tail_fn, and inverse_tail, which accepts arrays
-    of levels, bisects on tail_integral when there is no inverse_fn.
+    adaptive integral against the intensity goes through it.
+    tail_integral uses it when there is no tail_fn, and inverse_tail,
+    which accepts arrays of levels, bisects on tail_integral when there
+    is no inverse_fn.  log_density(z, gap) feeds the TiltRule nodes; it
+    falls back to log(density(z)).
     '''
 
     def __init__(self, density, support, singularity_exponents=(None, None),
-                 tail_fn=None, inverse_fn=None):
+                 tail_fn=None, inverse_fn=None, log_density=None):
         lo, hi = support
         if math.isinf(lo) or not hi > lo:
             raise ValueError('support must be a nonempty interval with finite lower end')
@@ -133,12 +142,21 @@ class LevyIntensity:
         self.singularity_exponents = tuple(singularity_exponents)
         self._tail_fn = tail_fn
         self._inverse_fn = inverse_fn
+        self._log_density = log_density
         # prior truncation (level, tail mass at the level) by tail_mass,
         # filled by prior.sample_corm
         self._truncations = {}
 
     def __call__(self, s):
         return self.density(s)
+
+    def log_density(self, z, gap):
+        '''log density(z) at points z with gap = upper - z.'''
+        if self._log_density is None:
+            # a density rounding to 0 near an end is a zero weight there
+            with np.errstate(divide='ignore'):
+                return np.log(self.density(z))
+        return self._log_density(z, gap)
 
     def integrate(self, weight, lower=None, upper=None, lower_power=0,
                   tail_power=0, breaks=(), rel_tol=1e-9):
@@ -312,6 +330,9 @@ def directing_from_marginal(marginal, shape):
             w = np.maximum(1.0 - z, 0.0)
             return w ** (shape - 1.0) / z
 
+        def log_density(z, gap):
+            return (shape - 1.0) * np.log(gap) - np.log(z)
+
         offset = float(digamma(shape)) + np.euler_gamma
         # T(z) = -ln z - offset - sum_k (-1)^k C(shape-1, k) z^k / k near
         # zero; the hypergeometric form is kept away from its unstable
@@ -356,7 +377,8 @@ def directing_from_marginal(marginal, shape):
             inverse = _newton_tail_inverse(tail, density, start, 1.0)
         return LevyIntensity(density, (0.0, 1.0),
                              singularity_exponents=(-1.0, shape - 1.0),
-                             tail_fn=tail, inverse_fn=inverse)
+                             tail_fn=tail, inverse_fn=inverse,
+                             log_density=log_density)
     if marginal.kind == 'sigma-stable':
         sigma = marginal.sigma
         c = _stable_coefficient(shape, sigma)
@@ -368,7 +390,9 @@ def directing_from_marginal(marginal, shape):
             density, (0.0, np.inf),
             singularity_exponents=(-1.0 - sigma, -1.0 - sigma),
             tail_fn=lambda x: c / sigma * x ** -sigma,
-            inverse_fn=lambda y: (sigma * y / c) ** (-1.0 / sigma))
+            inverse_fn=lambda y: (sigma * y / c) ** (-1.0 / sigma),
+            log_density=lambda z, gap: (math.log(c)
+                                        - (1.0 + sigma) * np.log(z)))
     if marginal.kind == 'generalized-gamma':
         sigma, a = marginal.sigma, marginal.a
         c = _stable_coefficient(shape, sigma)
@@ -378,6 +402,11 @@ def directing_from_marginal(marginal, shape):
             z = np.asarray(z, dtype=float)
             w = np.maximum(1.0 - a * z, 0.0)
             return c * z ** (-1.0 - sigma) * w ** (beta - 1.0)
+
+        def log_density(z, gap):
+            # 1 - a z = a gap
+            return (math.log(c) - (1.0 + sigma) * np.log(z)
+                    + (beta - 1.0) * np.log(a * gap))
 
         # unit-variable tail G(x) = int_x^1 t^(-1-sigma) (1-t)^(beta-1) dt
         # as an anchored binomial series near zero and the incomplete-beta
@@ -431,7 +460,7 @@ def directing_from_marginal(marginal, shape):
         return LevyIntensity(
             density, (0.0, 1.0 / a),
             singularity_exponents=(-1.0 - sigma, beta - 1.0),
-            tail_fn=tail, inverse_fn=inverse)
+            tail_fn=tail, inverse_fn=inverse, log_density=log_density)
     raise ValueError('unknown marginal family %r' % (marginal.kind,))
 
 
@@ -465,8 +494,18 @@ def marginal_intensity(marginal):
             s = np.asarray(s, dtype=float)
             return c * s ** (-1.0 - sigma) * np.exp(-a * s)
 
+        g1 = math.gamma(1.0 - sigma)
+
+        def tail(x):
+            # sigma a^sigma Gamma(-sigma, y) / Gamma(1 - sigma) at y = a x,
+            # by Gamma(-sigma, y) sigma = y^-sigma e^-y - Gamma(1 - sigma, y)
+            y = a * np.asarray(x, dtype=float)
+            return a ** sigma * (y ** -sigma * np.exp(-y)
+                                 - g1 * gammaincc(1.0 - sigma, y)) / g1
+
         return LevyIntensity(density, (0.0, np.inf),
-                             singularity_exponents=(-1.0 - sigma, None))
+                             singularity_exponents=(-1.0 - sigma, None),
+                             tail_fn=tail)
     raise ValueError('unknown marginal family %r' % (marginal.kind,))
 
 
@@ -652,27 +691,164 @@ def _psi_bracket(shape, lam):
     return weight
 
 
-def _psi_quadrature(spec, lam, rel_tol=1e-10):
-    lam = np.asarray(lam, dtype=float)
-    active = lam[lam > 0.0]
-    if active.size == 0:
-        return 0.0
-    # the bracket vanishes linearly at 0, softening the endpoint by one power
-    return spec.directing.integrate(_psi_bracket(spec.shape, active),
-                                    lower_power=1, breaks=1.0 / active,
-                                    rel_tol=rel_tol)
+# the rule is cut where log1p(v z), 1 - z/upper and the like differ from
+# their leading power by less than this relative amount
+_PURE = 1e-17
+# the largest step of the rule in u
+_STEP = 0.125
+
+
+class TiltRule:
+    '''
+    One trapezoid node set for the integrals against nu* at a fixed tilt
+    vector v: log kappa_a(v) for any count tuple a, and psi(v).
+
+    The rule is uniform in u with step h = min(1/8, 0.2/sqrt(d shape)),
+    a fraction of the peak width of the kappa integrand in log z at
+    large counts.  On a finite support (0, U), z = U exp(-softplus(-u)):
+    z ~ U e^u as u -> -inf, and the gap U - z = U exp(-softplus(u)) is
+    exact near U.  On an infinite support z = e^u.  An integrand with
+    power behaviour at both ends decays exponentially in u, where the
+    trapezoid rule converges exponentially fast (Trefethen & Weideman
+    2014).  The nodes end where the integrand is a pure exponential in u
+    to double precision (v_max z <= 1e-17 and the like); the rule's terms
+    past each end are summed in closed form as geometric series.
+
+    Per node the rule stores log(h |dz/du| nu*(z)), log z and
+    log1p(v_j z).  Every value is checked against the every-other-node
+    sub-rule, and a disagreement above 1e-9 relative raises
+    QuadratureError.  The end behaviour comes from the directing
+    intensity's singularity exponents, which an infinite upper end must
+    give.
+    '''
+
+    def __init__(self, spec, v):
+        nu = spec.directing
+        v = np.asarray(v, dtype=float)
+        if v.ndim != 1 or v.size != spec.dimension:
+            raise ValueError('v must be a vector of length %d'
+                             % spec.dimension)
+        if np.any(v < 0.0):
+            raise ValueError('v must be nonnegative')
+        lo, upper = nu.support
+        if lo != 0.0:
+            raise ValueError('the tilt rule needs a support starting at 0')
+        p_lo, p_hi = nu.singularity_exponents
+        self.finite = not math.isinf(upper)
+        if not self.finite and p_hi is None:
+            raise ValueError('the tilt rule needs the power decay of the '
+                             'intensity at an infinite upper end')
+        self.spec = spec
+        self.v = v
+        self.positive = (v > 0.0).astype(float)
+        self.p_lo = 0.0 if p_lo is None else float(p_lo)
+        self.p_hi = 0.0 if p_hi is None else float(p_hi)
+        active = v[v > 0.0]
+        v_max = float(active.max()) if active.size else 1.0
+        v_min = float(active.min()) if active.size else 1.0
+        h = min(_STEP, 0.2 / math.sqrt(spec.dimension * spec.shape))
+        cut = -math.log(_PURE)
+        if self.finite:
+            u_lo = -cut - max(0.0, math.log(v_max * upper))
+            u_hi = cut
+        else:
+            u_lo = -cut - math.log(v_max)
+            u_hi = cut - math.log(v_min)
+        # an even number of steps, so both ends are sub-rule nodes
+        n = 2 * math.ceil(0.5 * (u_hi - u_lo) / h)
+        u = u_lo + h * np.arange(n + 1)
+        if self.finite:
+            log_z = math.log(upper) - np.logaddexp(0.0, -u)
+            log_gap = math.log(upper) - np.logaddexp(0.0, u)
+            z, gap = np.exp(log_z), np.exp(log_gap)
+            log_jac = log_z + log_gap - math.log(upper)
+        else:
+            log_z = log_jac = u
+            z, gap = np.exp(u), np.full_like(u, np.inf)
+        self.h = h
+        self.log_z = log_z
+        self.log_w = math.log(h) + log_jac + nu.log_density(z, gap)
+        self.log1p_vz = np.log1p(np.multiply.outer(v, z))
+
+    def _end_rates(self, lower_power, tail_power):
+        '''Decay rates in u of the integrand at the small-z and large-z
+        ends, for a weight ~ z^lower_power at 0 and ~ z^tail_power at an
+        infinite upper end (at a finite one the weight is regular).'''
+        rate_lo = self.p_lo + 1.0 + lower_power
+        if rate_lo <= 0.0:
+            raise ValueError('integral diverges at the lower endpoint')
+        if self.finite:
+            return rate_lo, self.p_hi + 1.0
+        rate_hi = -(self.p_hi + 1.0 + tail_power)
+        if rate_hi <= 0.0:
+            raise ValueError('integral diverges in the tail')
+        return rate_lo, rate_hi
+
+    def _rule_pair(self, f, ends):
+        '''The rule and its every-other-node sub-rule on the node terms
+        f, each with the series c sum_{m >= 1} e^(-m step r) past an end
+        added for each (c, r) in ends.'''
+        return [k * (f[::k].sum()
+                     + sum(c * math.exp(-k * self.h * r)
+                           / -math.expm1(-k * self.h * r) for c, r in ends))
+                for k in (1, 2)]
+
+    def log_kappa(self, a):
+        '''log kappa_a(v) = sum_j log(Gamma(a_j + shape)/Gamma(shape))
+        + log int z^(sum a) prod_j (1 + v_j z)^(-a_j - shape) nu*(z) dz.'''
+        a = np.asarray(a, dtype=float)
+        shape = self.spec.shape
+        total = float(a.sum())
+        tail_power = total - float((a + shape) @ self.positive)
+        rate_lo, rate_hi = self._end_rates(total, tail_power)
+        log_f = (self.log_w + total * self.log_z
+                 - (a + shape) @ self.log1p_vz)
+        top = log_f.max()
+        f = np.exp(log_f - top)
+        full, half = np.log(self._rule_pair(
+            f, [(f[0], rate_lo), (f[-1], rate_hi)]))
+        if not abs(full - half) <= 1e-9:
+            raise QuadratureError(
+                'log kappa_%s(%s): trapezoid rules disagree by %.3g'
+                % (tuple(a), self.v, full - half),
+                IntegralResult(top + full, abs(full - half), f.size))
+        return float(top + full
+                     + np.sum(gammaln(a + shape) - gammaln(shape)))
+
+    def psi(self):
+        '''psi(v) = int (1 - prod_j (1 + v_j z)^-shape) nu*(z) dz.'''
+        positive = int(self.positive.sum())
+        if positive == 0:
+            return 0.0
+        # the bracket 1 - p vanishes linearly at 0 and tends to 1 at
+        # infinity
+        rate_lo, rate_hi = self._end_rates(1.0, 0.0)
+        log_p = -self.spec.shape * self.log1p_vz.sum(axis=0)
+        w = np.exp(self.log_w)
+        f = -w * np.expm1(log_p)
+        ends = [(f[0], rate_lo)]
+        if self.finite:
+            ends.append((f[-1], rate_hi))
+        else:
+            # p ~ (v z)^-(d shape) falls off slowly at a small shape, so
+            # the two terms of the bracket are summed as separate series
+            ends += [(w[-1], rate_hi),
+                     (-w[-1] * math.exp(log_p[-1]),
+                      rate_hi + positive * self.spec.shape)]
+        full, half = self._rule_pair(f, ends)
+        if not abs(full - half) <= 1e-9 * full:
+            raise QuadratureError(
+                'psi(%s): trapezoid rules disagree by %.3g relative'
+                % (self.v, (full - half) / full),
+                IntegralResult(full, abs(full - half), f.size))
+        return float(full)
 
 
 def laplace_exponent(spec, lam):
     '''psi(lam) = int (1 - prod_j (1 + lam_j z)^-shape) nu*(z) dz, the
     exponent in the joint Laplace functional of the measure vector.  At
     distinct rates this is the paper's Upsilon_d(lam).'''
-    lam = np.asarray(lam, dtype=float)
-    if lam.ndim != 1 or lam.size != spec.dimension:
-        raise ValueError('lam must be a vector of length %d' % spec.dimension)
-    if np.any(lam < 0.0):
-        raise ValueError('lam must be nonnegative')
-    return _psi_quadrature(spec, lam)
+    return TiltRule(spec, lam).psi()
 
 
 def laplace_exponent_exponential_closed(psi1, lam_tilde, counts):
@@ -792,42 +968,29 @@ def tau(a, z, v, shape):
     return np.exp(lc - (a + shape) * np.log1p(v * z))
 
 
-def _kappa_quadrature(spec, a, v, rel_tol=1e-9):
-    '''log of int z^{sum a} prod_j (1 + v_j z)^{-a_j - shape} nu*(z) dz,
-    without the Gamma(a_j + shape)/Gamma(shape) coefficients.'''
-    shape = spec.shape
-    total_a = float(np.sum(a))
-    a_arr = np.asarray(a, dtype=float)
-    v_arr = np.asarray(v, dtype=float)
-    keep = v_arr > 0.0
-    av, vv = a_arr[keep], v_arr[keep]
-
-    def weight(z):
-        t = ((av + shape)[:, None] * np.log1p(np.multiply.outer(vv, z))).sum(axis=0)
-        return np.exp(total_a * np.log(z) - t)
-
-    return spec.directing.integrate(
-        weight, lower_power=total_a,
-        tail_power=total_a - float((av + shape).sum()), breaks=1.0 / vv,
-        rel_tol=rel_tol)
-
-
-def kappa(spec, a, v):
-    '''kappa_a(v) = int z^{sum a} prod_j tau_{a_j}(z, v_j) nu*(z) dz, the
-    marginal sampler's cluster weight integral.  At positive rates v it
-    is also the moment kernel int prod_j s_j^{a_j} e^{-v_j s_j} rho_d(s) ds,
-    a mixed v-derivative of the Laplace exponent up to sign.'''
+def log_kappa(spec, a, v):
+    '''log kappa_a(v), with kappa_a(v) = int z^{sum a} prod_j
+    tau_{a_j}(z, v_j) nu*(z) dz the marginal sampler's cluster weight
+    integral; finite for counts far beyond kappa's double range.'''
     a = np.asarray(a)
-    v = np.asarray(v, dtype=float)
-    if a.shape != v.shape or a.ndim != 1:
+    if a.shape != np.shape(v) or a.ndim != 1:
         raise ValueError('a and v must be vectors of equal length')
-    if np.any(a < 0) or np.any(v < 0.0):
-        raise ValueError('a and v must be nonnegative')
+    if np.any(a < 0):
+        raise ValueError('a must be nonnegative')
     if a.sum() < 1:
         raise ValueError('sum of a must be at least 1; '
                          'the bare integral has infinite mass')
-    lc = float(np.sum(gammaln(a + spec.shape) - gammaln(spec.shape)))
-    return math.exp(lc) * _kappa_quadrature(spec, a, v)
+    return TiltRule(spec, v).log_kappa(a)
+
+
+def kappa(spec, a, v):
+    '''kappa_a(v) = exp(log_kappa(spec, a, v)).  At positive rates v it
+    is also the moment kernel int prod_j s_j^{a_j} e^{-v_j s_j} rho_d(s) ds,
+    a mixed v-derivative of the Laplace exponent up to sign.  kappa grows
+    like prod_j Gamma(a_j + shape) and raises OverflowError past double
+    range: at v near 0, from about 100 members in each of two groups.
+    Use log_kappa there.'''
+    return math.exp(log_kappa(spec, a, v))
 
 
 def levy_copula(spec, y1, y2):
@@ -1022,8 +1185,6 @@ def covariance_normalized(spec, mass_a, mass_b, mass_ab, total_mass,
         return 0.0
     shape = spec.shape
     ones = np.array([1, 1])
-    kernel_tol = min(1e-7, rel_tol * 1e-1)
-    coeff = math.exp(2.0 * (gammaln(1.0 + shape) - gammaln(shape)))
 
     # the integrand is symmetric in (l1, l2), so integrate over the
     # wedge l2 < l1 and double
@@ -1039,10 +1200,9 @@ def covariance_normalized(spec, mass_a, mass_b, mass_ab, total_mass,
             def inner(l2_values):
                 vals = np.empty_like(np.asarray(l2_values, dtype=float))
                 for j, l2 in enumerate(np.atleast_1d(l2_values)):
-                    lam = np.array([float(l1), float(l2)])
-                    g = coeff * _kappa_quadrature(spec, ones, lam, kernel_tol)
-                    vals[j] = g * math.exp(
-                        -total_mass * _psi_quadrature(spec, lam, kernel_tol))
+                    rule = TiltRule(spec, [float(l1), float(l2)])
+                    vals[j] = math.exp(rule.log_kappa(ones)
+                                       - total_mass * rule.psi())
                 return vals
 
             out[i] = _integrate_with_breaks(inner, 0.0, float(l1),

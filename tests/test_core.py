@@ -177,14 +177,25 @@ class TestMarginalIntensities:
                     x, rel=1e-7)
 
     def test_gg_tail_integral_vs_incomplete_gamma(self):
-        # no closed tail_fn: the tail comes from quadrature; exactly
+        # the closed tail_fn against
         # sigma a^sigma Gamma(-sigma, a x) / Gamma(1 - sigma)
-        sigma, a = 0.3, 1.0
-        nu = marginal_intensity(MarginalFamily.generalized_gamma(sigma, a))
-        for x in (1e-4, 0.05, 0.7, 3.0, 20.0):
-            want = float(sigma * a ** sigma * mpmath.gammainc(-sigma, a * x)
-                         / mpmath.gamma(1.0 - sigma))
-            assert nu.tail_integral(x) == pytest.approx(want, rel=1e-9)
+        for sigma, a in ((0.3, 1.0), (0.6, 2.5)):
+            nu = marginal_intensity(
+                MarginalFamily.generalized_gamma(sigma, a))
+            for x in (1e-4, 0.05, 0.7, 3.0, 20.0):
+                want = float(sigma * a ** sigma
+                             * mpmath.gammainc(-sigma, a * x)
+                             / mpmath.gamma(1.0 - sigma))
+                assert nu.tail_integral(x) == pytest.approx(want, rel=1e-11)
+
+    def test_gg_inverse_tail_round_trip(self):
+        nu = marginal_intensity(MarginalFamily.generalized_gamma(0.3, 1.0))
+        levels = np.array([1e-6, 0.01, 0.5, 3.0, 40.0])
+        assert nu.tail_integral(float(nu.inverse_tail(1e-6))) == \
+            pytest.approx(1e-6, rel=1e-10)
+        x = nu.inverse_tail(levels)
+        got = [nu.tail_integral(xi) for xi in x]
+        assert np.allclose(got, levels, rtol=1e-10, atol=0.0)
 
     def test_gg_intensity_small_jump_asymptote(self):
         shape, sigma, a = 2.0, 0.3, 1.0
@@ -515,6 +526,21 @@ class TestLevyCopula:
 
         ref = sci.quad(integrand, 0.0, 1.0, limit=200)[0]
         assert levy_copula(sp, 1.0, 1.0) == pytest.approx(ref, rel=1e-8)
+
+    def test_gg_closed_tail_keeps_values(self, monkeypatch):
+        # the closed marginal tail against the quadrature tail it replaced
+        from corm import core as core_mod
+        sp = spec_gg(shape=2.0)
+        pairs = ((0.5, 1.0), (2.0, 0.2))
+        closed = [levy_copula(sp, y1, y2) for y1, y2 in pairs]
+        marginal = core_mod.marginal_intensity(sp.marginal)
+        monkeypatch.setattr(
+            core_mod, 'marginal_intensity',
+            lambda m: core_mod.LevyIntensity(
+                marginal.density, marginal.support,
+                marginal.singularity_exponents))
+        for (y1, y2), want in zip(pairs, closed):
+            assert levy_copula(sp, y1, y2) == pytest.approx(want, rel=1e-8)
 
     def test_two_increasing_and_bounded(self):
         sp = spec_gamma(shape=1.0)
