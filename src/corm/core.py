@@ -16,7 +16,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import digamma, exp1, gammainc, gammaincc, gammaln, hyp2f1
+from scipy.special import (boxcox, digamma, exp1, exprel, gammainc,
+                           gammaincc, gammaln, hyp2f1, inv_boxcox)
 
 from .numerics import (
     IntegralResult,
@@ -313,72 +314,31 @@ def mgf_score(z, lam, shape):
     return np.exp(-shape * np.log1p(np.asarray(z, dtype=float) * lam))
 
 
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+
+
 def _stable_coefficient(shape, sigma):
     # normalised so the induced marginal exponent is exactly lambda^sigma
     return math.exp(math.log(sigma) + gammaln(shape)
                     - gammaln(shape + sigma) - gammaln(1.0 - sigma))
 
 
+def _beta_type(marginal, shape):
+    '''(c, sigma, a, beta) of the directing intensity c z^(-1-sigma)
+    (1 - a z)^(beta-1) of a gamma or generalized-gamma marginal.'''
+    if marginal.kind == 'gamma':
+        return 1.0, 0.0, 1.0, shape
+    sigma = marginal.sigma
+    return _stable_coefficient(shape, sigma), sigma, marginal.a, sigma + shape
+
+
 def directing_from_marginal(marginal, shape):
     '''Directing intensity nu* whose compound with Ga(shape) scores has
-    the requested marginal process in every coordinate.'''
+    the requested marginal process in every coordinate.  Generalized gamma
+    gives c z^(-1-sigma) (1 - a z)^(beta-1) on (0, 1/a), beta = sigma +
+    shape, and gamma is its member sigma = 0, a = 1, c = 1.'''
     if not shape > 0.0:
         raise ValueError('score shape must be positive')
-    if marginal.kind == 'gamma':
-        def density(z):
-            z = np.asarray(z, dtype=float)
-            w = np.maximum(1.0 - z, 0.0)
-            return w ** (shape - 1.0) / z
-
-        def log_density(z, gap):
-            return (shape - 1.0) * np.log(gap) - np.log(z)
-
-        offset = float(digamma(shape)) + np.euler_gamma
-        # T(z) = -ln z - offset - sum_k (-1)^k C(shape-1, k) z^k / k near
-        # zero; the hypergeometric form is kept away from its unstable
-        # argument region near 1
-        n_terms = 60
-        signed_binom = np.empty(n_terms + 1)
-        signed_binom[0] = 1.0
-        for k in range(1, n_terms + 1):
-            signed_binom[k] = signed_binom[k - 1] * (k - shape) / k
-        series_coefs = signed_binom[1:] / np.arange(1.0, n_terms + 1.0)
-        z_switch = min(0.3, 8.0 / shape) if shape > 1.0 else 0.3
-
-        term_orders = np.arange(1.0, n_terms + 1.0)
-
-        def tail(z):
-            z = np.asarray(z, dtype=float)
-            safe = np.atleast_1d(np.minimum(np.maximum(z, 1e-300), 1.0))
-            low = safe <= z_switch
-            out = np.empty_like(safe)
-            if low.any():
-                zl = safe[low]
-                out[low] = -np.log(zl) - offset \
-                    - (zl[:, None] ** term_orders) @ series_coefs
-            if not low.all():
-                w = 1.0 - safe[~low]
-                out[~low] = w ** shape / shape \
-                    * hyp2f1(1.0, shape, shape + 1.0, w)
-            return out.reshape(z.shape)
-
-        if shape == 1.0:
-            inverse = lambda y: np.exp(-np.asarray(y, dtype=float))
-        else:
-            t_switch = float(tail(z_switch))
-
-            def start(y):
-                y = np.asarray(y, dtype=float)
-                z_small = np.exp(-np.minimum(y + offset, 745.0))
-                z_large = 1.0 - np.minimum(
-                    (shape * y) ** (1.0 / shape), 1.0 - 1e-16)
-                return np.where(y >= t_switch, z_small, z_large)
-
-            inverse = _newton_tail_inverse(tail, density, start, 1.0)
-        return LevyIntensity(density, (0.0, 1.0),
-                             singularity_exponents=(-1.0, shape - 1.0),
-                             tail_fn=tail, inverse_fn=inverse,
-                             log_density=log_density)
     if marginal.kind == 'sigma-stable':
         sigma = marginal.sigma
         c = _stable_coefficient(shape, sigma)
@@ -393,75 +353,81 @@ def directing_from_marginal(marginal, shape):
             inverse_fn=lambda y: (sigma * y / c) ** (-1.0 / sigma),
             log_density=lambda z, gap: (math.log(c)
                                         - (1.0 + sigma) * np.log(z)))
-    if marginal.kind == 'generalized-gamma':
-        sigma, a = marginal.sigma, marginal.a
-        c = _stable_coefficient(shape, sigma)
-        beta = sigma + shape
+    c, sigma, a, beta = _beta_type(marginal, shape)
+    scale = c * a ** sigma
 
-        def density(z):
-            z = np.asarray(z, dtype=float)
-            w = np.maximum(1.0 - a * z, 0.0)
-            return c * z ** (-1.0 - sigma) * w ** (beta - 1.0)
+    def density(z):
+        z = np.asarray(z, dtype=float)
+        w = np.maximum(1.0 - a * z, 0.0)
+        return c * z ** (-1.0 - sigma) * w ** (beta - 1.0)
 
-        def log_density(z, gap):
-            # 1 - a z = a gap
-            return (math.log(c) - (1.0 + sigma) * np.log(z)
-                    + (beta - 1.0) * np.log(a * gap))
+    def log_density(z, gap):
+        # 1 - a z = a gap
+        return (math.log(c) - (1.0 + sigma) * np.log(z)
+                + (beta - 1.0) * np.log(a * gap))
 
-        # unit-variable tail G(x) = int_x^1 t^(-1-sigma) (1-t)^(beta-1) dt
-        # as an anchored binomial series near zero and the incomplete-beta
-        # hypergeometric away from it; T(z) = c a^sigma G(a z)
-        n_terms = 60
-        signed_binom = np.empty(n_terms + 1)
-        signed_binom[0] = 1.0
-        for k in range(1, n_terms + 1):
-            signed_binom[k] = signed_binom[k - 1] * (k - beta) / k
-        exponents = np.arange(0.0, n_terms + 1.0) - sigma
-        series_coefs = signed_binom / exponents
-        x_switch = min(0.3, 8.0 / beta) if beta > 1.0 else 0.3
-        anchor_sum = float(series_coefs @ x_switch ** exponents)
-        q = QuadratureSpec(x_switch, 1.0, relative_tolerance=1e-12,
-                           singularity_hints=(None, beta - 1.0))
-        anchor = integrate(
-            lambda t: t ** (-1.0 - sigma) * (1.0 - t) ** (beta - 1.0),
-            q).value
-        scale = c * a ** sigma
+    # T(z) = scale G(a z) with G(x) = int_x^1 t^(-1-sigma) (1-t)^(beta-1) dt.
+    # Near zero G(x) = L(x) + k0 - sum_k c_k x^(k-sigma) / (k-sigma), with
+    # L(x) = (x^-sigma - 1)/sigma (-log x at sigma 0), the Box-Cox
+    # transform -boxcox(x, -sigma), and c_k = (-1)^k C(beta-1, k); away
+    # from zero it is the incomplete-beta hypergeometric.  Switching at
+    # x = 1/beta bounds the series terms by 1/k!, so they do not cancel.
+    ks = np.arange(1.0, 61.0)
+    exponents = ks - sigma
+    series_coefs = np.cumprod((ks - beta) / ks) / exponents
+    x_switch = min(0.3, 1.0 / beta)
+    # k0 = lim_{x->0} G(x) - L(x) = B(-sigma, beta) + 1/sigma = -expm1(E)/sigma
+    # with E = lnGamma(1-sigma) + lnGamma(beta) - lnGamma(beta-sigma) (DLMF
+    # 8.17), and -digamma(beta) - euler_gamma at sigma 0.  E/sigma is a
+    # difference of means of digamma over (t, t + sigma), by Gauss-Legendre
+    # where the interval keeps sigma away from the pole at 0: differences of
+    # lnGamma cancel at small sigma and large beta.
+    mean_beta, mean_one = (
+        0.5 * _GL_WEIGHTS @ digamma(t + 0.5 * sigma * (1.0 + _GL_NODES))
+        if sigma <= t else (gammaln(t + sigma) - gammaln(t)) / sigma
+        for t in (beta - sigma, 1.0 - sigma))
+    e_rate = mean_beta - mean_one
+    k0 = -exprel(sigma * e_rate) * e_rate
 
-        def tail(z):
-            z = np.asarray(z, dtype=float)
-            x = np.atleast_1d(np.clip(a * z, 1e-300, 1.0))
-            low = x <= x_switch
-            out = np.empty_like(x)
-            if low.any():
-                xl = x[low]
-                out[low] = anchor + anchor_sum \
-                    - (xl[:, None] ** exponents) @ series_coefs
-            if not low.all():
-                w = 1.0 - x[~low]
-                out[~low] = w ** beta / beta \
-                    * hyp2f1(beta, 1.0 + sigma, beta + 1.0, w)
-            return scale * out.reshape(z.shape)
+    def tail(z):
+        z = np.asarray(z, dtype=float)
+        x = np.atleast_1d(np.clip(a * z, 1e-300, 1.0))
+        low = x <= x_switch
+        out = np.empty_like(x)
+        if low.any():
+            xl = x[low]
+            out[low] = k0 - boxcox(xl, -sigma) \
+                - (xl[:, None] ** exponents) @ series_coefs
+        if not low.all():
+            # at sigma 0 (c = a + b) scipy's hyp2f1 is off by up to 7e-11
+            # for w > 0.9 and beta near 100; the mean of its values at
+            # sigma = +-1e-8 is off by about 1e-16 log(x)^2 instead
+            w = 1.0 - x[~low]
+            f = hyp2f1(beta, 1.0 + sigma, beta + 1.0, w) if sigma else 0.5 * (
+                hyp2f1(beta, 1.0 + 1e-8, beta + 1.0, w)
+                + hyp2f1(beta, 1.0 - 1e-8, beta + 1.0, w))
+            out[~low] = w ** beta / beta * f
+        return scale * out.reshape(z.shape)
 
-        g_switch = scale * anchor
-        # T(x)/scale -> x^-sigma / sigma + low_const as x -> 0
-        low_const = anchor + anchor_sum
+    if sigma == 0.0 and beta == 1.0:
+        inverse = lambda y: np.exp(-np.asarray(y, dtype=float))
+    else:
+        g_switch = float(tail(x_switch / a)) / scale
 
         def start(y):
+            # high levels invert L(x) + k0 (1 + sigma (G - k0) > 0, as
+            # B(-sigma, beta) < 0), low ones G(x) ~ (1 - x)^beta / beta
             yu = np.asarray(y, dtype=float) / scale
-            lead = np.maximum(yu - low_const, 0.01 * yu)
-            x_small = (sigma * lead) ** (-1.0 / sigma)
+            x_small = inv_boxcox(k0 - yu, -sigma)
             x_large = 1.0 - np.minimum((beta * yu) ** (1.0 / beta),
                                        1.0 - 1e-16)
-            x = np.where(np.asarray(y, dtype=float) >= g_switch,
-                         x_small, x_large)
-            return x / a
+            return np.where(yu >= g_switch, x_small, x_large) / a
 
         inverse = _newton_tail_inverse(tail, density, start, 1.0 / a)
-        return LevyIntensity(
-            density, (0.0, 1.0 / a),
-            singularity_exponents=(-1.0 - sigma, beta - 1.0),
-            tail_fn=tail, inverse_fn=inverse, log_density=log_density)
-    raise ValueError('unknown marginal family %r' % (marginal.kind,))
+    return LevyIntensity(density, (0.0, 1.0 / a),
+                         singularity_exponents=(-1.0 - sigma, beta - 1.0),
+                         tail_fn=tail, inverse_fn=inverse,
+                         log_density=log_density)
 
 
 def marginal_intensity(marginal):
@@ -861,8 +827,8 @@ def laplace_exponent_exponential_closed(psi1, lam_tilde, counts):
         Upsilon_l(lam) = sum_i a_i psi1(lam_i),
         a_i = lam_i^(l-1) / prod_{j != i} (lam_i - lam_j).
 
-    psi1 must be built from arithmetic and sympy functions so it can be
-    differentiated analytically (e.g. lambda x: sympy.log(1 + x)).
+    psi1 must be built from arithmetic and sympy functions (the `symbolic`
+    extra) to be differentiated analytically, e.g. lambda x: sympy.log(1 + x).
     '''
     import sympy as sp
 

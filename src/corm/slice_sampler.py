@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .core import _psi_bracket
+from .core import _beta_type, _psi_bracket
 # not called here: kept bound so the benchmark's tracer, which wraps
 # corm.slice_sampler.integrate, still finds it
 from .numerics import integrate  # noqa: F401
@@ -173,13 +173,8 @@ def sample_tilted_z(spec, lower, upper, v, rng):
         raise ValueError('need 0 < lower < upper <= 1')
     v = np.asarray(v, dtype=float)
     phi = spec.shape
-    m = spec.marginal
-    if m.kind == 'gamma':
-        power = 1.0
-        beta = phi
-    else:
-        power = 1.0 + m.sigma
-        beta = m.sigma + phi
+    _, sigma, _, beta = _beta_type(spec.marginal, phi)
+    power = 1.0 + sigma
     use_beta_envelope = beta < 1.0
     if use_beta_envelope:
         w_lo = (1.0 - lower) ** beta

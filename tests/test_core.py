@@ -155,6 +155,95 @@ class TestDirectingIntensities:
             directing_from_marginal(MarginalFamily.gamma(), 0.0)
 
 
+# (sigma, a) of the beta-type directing intensities c z^(-1-sigma)
+# (1 - a z)^(beta-1): gamma (sigma 0) and generalized gamma, a != 1 included
+BETA_TYPE_FAMILIES = ((0.0, 1.0), (1e-3, 0.5), (0.3, 2.5), (0.9, 1.0))
+BETA_TYPE_SHAPES = (1e-4, 0.5, 2.0, 19.7, 100.0)
+
+
+def beta_type_directing(sigma, a, shape):
+    fam = MarginalFamily.gamma() if sigma == 0.0 else \
+        MarginalFamily.generalized_gamma(sigma, a)
+    nu = directing_from_marginal(fam, shape)
+    # scale c a^sigma of T(z) = scale G(a z), c from its definition
+    c = 1.0 if sigma == 0.0 else mpmath.mpf(sigma) * mpmath.gamma(shape) \
+        / (mpmath.gamma(shape + sigma) * mpmath.gamma(1.0 - sigma))
+    return nu, c * mpmath.mpf(a) ** sigma, sigma + shape
+
+
+class TestBetaTypeTail:
+    '''The unit tail G(x) = int_x^1 t^(-1-sigma) (1-t)^(beta-1) dt of the
+    gamma and generalized-gamma directing intensities against mpmath's
+    w^beta/beta 2F1(beta, 1+sigma; beta+1; w), w = 1 - x, at 40 digits.'''
+
+    @staticmethod
+    def unit_tail(sigma, beta, x):
+        w = 1 - mpmath.mpf(x)
+        return w ** beta / beta * mpmath.hyp2f1(beta, 1 + sigma, beta + 1, w)
+
+    @pytest.mark.parametrize('sigma,a', BETA_TYPE_FAMILIES)
+    def test_tail_vs_hypergeometric(self, sigma, a):
+        with mpmath.workdps(40):
+            for shape in BETA_TYPE_SHAPES:
+                nu, scale, beta = beta_type_directing(sigma, a, shape)
+                x_switch = min(0.3, 1.0 / beta)
+                # both sides of the series/hypergeometric switch; at x =
+                # 0.08 and beta near 100 the series cancels and scipy's
+                # hyp2f1 loses digits at sigma 0
+                for x in (1e-10, 0.5 * x_switch, x_switch, 1.05 * x_switch,
+                          0.08, 0.5, 0.99):
+                    want = scale * self.unit_tail(sigma, beta, x)
+                    got = nu.tail_integral(x / a)
+                    assert abs(got - want) <= 1e-12 * want, (shape, x)
+
+    @pytest.mark.parametrize('sigma,a', BETA_TYPE_FAMILIES)
+    def test_tail_constant(self, sigma, a):
+        # k0 = lim_{x->0} G(x) - L(x), L(x) = (x^-sigma - 1)/sigma, which
+        # is B(-sigma, beta) + 1/sigma (-digamma(beta) - euler at sigma 0);
+        # the package's k0 is read off its series branch as
+        # G(x) - L(x) + sum_k (-1)^k C(beta-1, k) x^(k-sigma) / (k-sigma)
+        with mpmath.workdps(40):
+            for shape in BETA_TYPE_SHAPES:
+                nu, scale, beta = beta_type_directing(sigma, a, shape)
+                s, b = mpmath.mpf(sigma), mpmath.mpf(beta)
+                x = mpmath.mpf(0.5 * min(0.3, 1.0 / beta))
+                lead = -mpmath.log(x) if sigma == 0.0 \
+                    else (x ** -s - 1) / s
+                series = mpmath.fsum(
+                    (-1) ** k * mpmath.binomial(b - 1, k) * x ** (k - s)
+                    / (k - s) for k in range(1, 120))
+                got = nu.tail_integral(float(x) / a) / scale - lead + series
+                if sigma == 0.0:
+                    want = -mpmath.digamma(b) - mpmath.euler
+                else:
+                    want = mpmath.beta(-s, b) + 1 / s
+                assert abs(got - want) <= 1e-12 * max(1, abs(want)), shape
+
+    @pytest.mark.parametrize('sigma,a', BETA_TYPE_FAMILIES)
+    def test_inverse_round_trip(self, sigma, a):
+        for shape in (0.5, 2.0, 20.0):
+            nu, _, _ = beta_type_directing(sigma, a, shape)
+            # levels up to 100, within the tail's range over z >= 1e-300
+            # (below 1 at sigma 1e-3, where c is proportional to sigma)
+            top = min(100.0, 0.5 * nu.tail_integral(1e-300))
+            levels = np.geomspace(0.01, top, 9)
+            z = nu.inverse_tail(levels)
+            got = [nu.tail_integral(zi) for zi in z]
+            np.testing.assert_allclose(got, levels, rtol=1e-10, atol=0.0)
+
+    def test_with_shape_runs_no_quadrature(self, monkeypatch):
+        import corm.core as core_mod
+        spec = spec_gg(shape=1.0)
+
+        def no_quadrature(*args, **kwargs):
+            raise AssertionError('adaptive quadrature called')
+
+        monkeypatch.setattr(core_mod, 'integrate', no_quadrature)
+        spec2 = spec.with_shape(1.7)
+        assert spec2.shape == 1.7
+        assert spec2.directing.tail_integral(0.2) > 0.0
+
+
 class TestMarginalIntensities:
 
     def test_gamma_intensity(self):
