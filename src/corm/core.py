@@ -118,7 +118,7 @@ class LevyIntensity:
                               to build quadrature hints.  p_lower <= -1
                               encodes the infinite activity at the lower
                               endpoint.
-    tail_fn / inverse_fn    : optional closed forms for the tail integral
+    tail_fn / inverse_fn    : optional vectorised tail integral
                               U(x) = int_x^upper density and its inverse.
     log_density             : optional vectorised callable (z, gap) ->
                               log density(z), where gap = upper - z is
@@ -127,10 +127,11 @@ class LevyIntensity:
 
     integrate(weight, ...) evaluates int weight(z) density(z) dz; every
     adaptive integral against the intensity goes through it.
-    tail_integral uses it when there is no tail_fn, and inverse_tail,
-    which accepts arrays of levels, bisects on tail_integral when there
-    is no inverse_fn.  log_density(z, gap) feeds the TiltRule nodes; it
-    falls back to log(density(z)).
+    tail_integral uses it when there is no tail_fn.  tail_integral and
+    inverse_tail work on arrays; without an inverse_fn, inverse_tail
+    inverts U by _invert_monotone, and a level whose root lies below
+    z = 1e-300 raises ValueError.  log_density(z, gap) feeds the TiltRule
+    nodes; it falls back to log(density(z)).
     '''
 
     def __init__(self, density, support, singularity_exponents=(None, None),
@@ -199,20 +200,22 @@ class LevyIntensity:
             breaks, rel_tol)
 
     def tail_integral(self, x):
-        '''U(x) = integral of the density over (x, upper).'''
+        '''U(x) = integral of the density over (x, upper), elementwise
+        over an array of points.'''
         lo, hi = self.support
-        x = float(x)
-        if x <= lo:
-            return math.inf
-        if x >= hi:
-            return 0.0
+        x = np.asarray(x, dtype=float)
+        out = np.where(x <= lo, np.inf, 0.0)
+        inside = (x > lo) & (x < hi)
         if self._tail_fn is not None:
-            return float(self._tail_fn(x))
-        # the lower stretch can span many decades; split it off, so it is
-        # integrated in log space where the density is tame
-        mid = lo + 1.0 if math.isinf(hi) else lo + 0.5 * (hi - lo)
-        return self.integrate(np.ones_like, lower=x, breaks=(mid,),
-                              rel_tol=1e-10)
+            out[inside] = self._tail_fn(x[inside])
+        else:
+            # the lower stretch can span many decades; split it off, so it
+            # is integrated in log space where the density is tame
+            mid = lo + 1.0 if math.isinf(hi) else lo + 0.5 * (hi - lo)
+            out[inside] = [self.integrate(np.ones_like, lower=xi,
+                                          breaks=(mid,), rel_tol=1e-10)
+                           for xi in x[inside]]
+        return float(out) if out.ndim == 0 else out
 
     def inverse_tail(self, level):
         '''Solve U(x) = level for x, elementwise over an array of
@@ -223,86 +226,69 @@ class LevyIntensity:
         if self._inverse_fn is not None:
             x = np.asarray(self._inverse_fn(levels), dtype=float)
         else:
-            x = np.vectorize(self._bisect_tail, otypes=[float])(levels)
+            lo, hi = self.support
+            mid = 1.0 if math.isinf(hi) else 0.5 * (lo + hi)
+            x = _invert_monotone(self.tail_integral, self.density, levels,
+                                 lambda y: np.full_like(y, mid), hi)
         return float(x) if x.ndim == 0 else x
 
-    def _bisect_tail(self, level):
-        lo, hi = self.support
-        # bracket the root, expanding geometrically toward the endpoints
-        x = 1.0 if math.isinf(hi) else 0.5 * (lo + hi)
-        a = b = x
-        for _ in range(200):
-            if self.tail_integral(a) >= level:
-                break
-            a = lo + 0.01 * (a - lo)
-            if a <= lo:
-                raise RuntimeError('inverse tail level is below '
-                                   'floating-point resolution')
-        else:
-            raise RuntimeError('failed to bracket inverse tail from below')
-        for _ in range(200):
-            if self.tail_integral(b) <= level:
-                break
-            b = b * 2.0 if math.isinf(hi) else hi - 0.5 * (hi - b)
-        else:
-            raise RuntimeError('failed to bracket inverse tail from above')
-        for _ in range(200):
-            if lo == 0.0 and a > 0.0 and b / a > 4.0:
-                mid = math.exp(0.5 * (math.log(a) + math.log(b)))
-            else:
-                mid = 0.5 * (a + b)
-            if self.tail_integral(mid) >= level:
-                a = mid
-            else:
-                b = mid
-            if b - a <= 1e-12 * b:
-                break
-        return 0.5 * (a + b)
+
+_Z_FLOOR, _Z_CEIL = 1e-300, 1e300
+_SOLVER_STEPS = 100
 
 
-def _newton_tail_inverse(tail, density, start, upper):
-    '''Vectorized solver for tail(z) = y on (0, upper): Newton steps
-    (the tail derivative is -density) kept inside a maintained bracket,
-    with geometric bisection when a step escapes it.  Levels beyond
-    floating-point resolution clamp to the representable boundary.'''
-    hi_clamp = upper * (1.0 - 1e-16)
-
-    def inverse(y):
-        y = np.asarray(y, dtype=float)
-        yc = np.maximum(y, 1e-300)
-        z = np.clip(start(yc), 1e-300, hi_clamp)
-        lo = np.zeros_like(z)
-        hi = np.full_like(z, upper)
-        for _ in range(120):
-            f = tail(z) - yc
-            slope = np.maximum(density(z), 1e-300)
-            # freeze elements whose residual is small in level or whose
-            # Newton correction falls below the spacing of doubles at z,
-            # or whose bracket has collapsed; iterating them further only
-            # bounces them around the representable boundary
-            done = (np.abs(f) <= 1e-11 * yc) \
-                | (np.abs(f) <= 1e-13 * slope * z) \
-                | (hi - lo <= 1e-13 * hi) \
-                | ((z <= 1e-300) & (f < 0.0)) \
-                | ((z >= hi_clamp) & (f > 0.0))
-            if np.all(done):
-                break
-            above = f > 0.0
-            lo = np.where(~done & above, np.maximum(lo, z), lo)
-            hi = np.where(~done & ~above, np.minimum(hi, z), hi)
-            stepped = z + f / slope
-            bad = ~np.isfinite(stepped) | (stepped <= lo) | (stepped >= hi)
-            wide = (lo <= 0.0) | (hi > 4.0 * lo)
-            mid = np.where(wide, np.sqrt(np.maximum(lo, 1e-300) * hi),
-                           0.5 * (lo + hi))
-            # moves are capped to a bounded factor per iteration so a bad
-            # start cannot fling the iterate hundreds of decades away
-            move = np.clip(np.where(bad, mid, stepped),
-                           z / 16.0, z * 16.0)
-            z = np.where(done, z, np.clip(move, 1e-300, hi_clamp))
-        return z
-
-    return inverse
+def _invert_monotone(fn, slope, level, start, upper, increasing=False):
+    '''
+    Solve fn(z) = level elementwise on (0, upper), upper possibly
+    infinite, for a positive strictly monotone fn with |fn'| = slope.
+    Newton steps on log fn against log z, exact for a power law, inside a
+    bracket kept per element; a step that leaves the bracket is replaced
+    by geometric bisection.  Only unconverged elements are iterated.  A
+    root beyond the largest double below a finite upper end returns that
+    double.  A root below z = 1e-300 (or above 1e300 on an infinite
+    support) raises ValueError, and an element unconverged after
+    _SOLVER_STEPS steps raises RuntimeError.
+    '''
+    level = np.asarray(level, dtype=float)
+    y = level.ravel()
+    log_y = np.log(y)
+    finite = not math.isinf(upper)
+    top = np.nextafter(upper, 0.0) if finite else _Z_CEIL
+    z = np.clip(np.asarray(start(y), dtype=float), _Z_FLOOR, top)
+    todo = np.arange(z.size)
+    lo, hi = np.zeros_like(z), np.full_like(z, np.inf)
+    out = np.empty_like(z)
+    with np.errstate(divide='ignore', invalid='ignore', over='ignore'):
+        for _ in range(_SOLVER_STEPS):
+            f = np.asarray(fn(z), dtype=float)
+            g = np.log(f) - log_y[todo]
+            above = (g > 0.0) != increasing
+            # Newton correction of log z; f = 0 or slope = 0 give nan/inf
+            dt = (-g if increasing else g) * f / (z * slope(z))
+            lo = np.where(above, z, lo)
+            hi = np.where(above, hi, z)
+            # a steep fn (near a finite upper end) may never bring the
+            # level residual to 1e-11, but its steps shrink below 1e-13
+            done = (np.abs(g) <= 1e-11) | (np.abs(dt) <= 1e-13) \
+                | (hi <= lo * (1.0 + 1e-13)) | (above & (z >= top) & finite)
+            lost = ~done & ((~above & (z <= _Z_FLOOR)) | (above & (z >= top)))
+            if lost.any():
+                raise ValueError('level %r has its root outside (%g, %g)'
+                                 % (y[todo][lost][0], _Z_FLOOR, top))
+            if done.any():
+                out[todo[done]] = z[done]
+                if done.all():
+                    return out.reshape(level.shape)
+                keep = ~done
+                todo, z, dt, lo, hi = (x[keep] for x in (todo, z, dt, lo, hi))
+            # a step past the representable range stops at its edge
+            step = np.minimum(np.maximum(z * np.exp(dt), _Z_FLOOR), top)
+            bad = np.isnan(step) | (step <= lo) | (step >= hi)
+            mid = np.sqrt(np.maximum(lo, _Z_FLOOR)) \
+                * np.sqrt(np.minimum(hi, top))
+            z = np.where(bad, mid, step)
+    raise RuntimeError('%d of %d levels unconverged after %d steps'
+                       % (todo.size, out.size, _SOLVER_STEPS))
 
 
 def mgf_score(z, lam, shape):
@@ -416,14 +402,16 @@ def directing_from_marginal(marginal, shape):
 
         def start(y):
             # high levels invert L(x) + k0 (1 + sigma (G - k0) > 0, as
-            # B(-sigma, beta) < 0), low ones G(x) ~ (1 - x)^beta / beta
-            yu = np.asarray(y, dtype=float) / scale
+            # B(-sigma, beta) < 0), low ones G(x) ~ (1 - x)^beta / beta,
+            # in logs and kept above x_switch, where their roots lie
+            yu = y / scale
             x_small = inv_boxcox(k0 - yu, -sigma)
-            x_large = 1.0 - np.minimum((beta * yu) ** (1.0 / beta),
-                                       1.0 - 1e-16)
+            x_large = -np.expm1(np.minimum(np.log(beta * yu) / beta,
+                                           math.log1p(-x_switch)))
             return np.where(yu >= g_switch, x_small, x_large) / a
 
-        inverse = _newton_tail_inverse(tail, density, start, 1.0 / a)
+        def inverse(y):
+            return _invert_monotone(tail, density, y, start, 1.0 / a)
     return LevyIntensity(density, (0.0, 1.0 / a),
                          singularity_exponents=(-1.0 - sigma, beta - 1.0),
                          tail_fn=tail, inverse_fn=inverse,
@@ -503,10 +491,8 @@ def marginal_from_directing(directing, shape, theta=None, sigma=None, a=None):
     if directing == 'gamma':
         def density(s):
             s = np.asarray(s, dtype=float)
-            k = np.array([bessel_k(shape, 2.0 * math.sqrt(float(x)))
-                          for x in np.atleast_1d(s)])
-            k = k.reshape(s.shape) if s.shape else float(k[0])
-            return 2.0 / math.gamma(shape) * s ** (0.5 * shape - 1.0) * k
+            return 2.0 / math.gamma(shape) * s ** (0.5 * shape - 1.0) \
+                * bessel_k(shape, 2.0 * np.sqrt(s))
 
         return LevyIntensity(density, (0.0, np.inf),
                              singularity_exponents=(-1.0, None))
@@ -534,10 +520,8 @@ def marginal_from_directing(directing, shape, theta=None, sigma=None, a=None):
 
         def density(s):
             s = np.asarray(s, dtype=float)
-            k = np.array([bessel_k(sigma + shape, 2.0 * math.sqrt(a * float(x)))
-                          for x in np.atleast_1d(s)])
-            k = k.reshape(s.shape) if s.shape else float(k[0])
-            return np.exp(lc + (0.5 * (shape - sigma) - 1.0) * np.log(s)) * k
+            return np.exp(lc + (0.5 * (shape - sigma) - 1.0) * np.log(s)) \
+                * bessel_k(sigma + shape, 2.0 * np.sqrt(a * s))
 
         return LevyIntensity(density, (0.0, np.inf),
                              singularity_exponents=(-1.0 - sigma, None))

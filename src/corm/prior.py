@@ -9,9 +9,11 @@ import csv
 import math
 import warnings
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
+from .core import _invert_monotone
 # not called here: kept bound so the benchmark's tracer, which wraps
 # corm.prior.integrate, still finds it
 from .numerics import integrate  # noqa: F401
@@ -69,27 +71,16 @@ def _coverage_norm(directing):
 
 
 def _solve_residual_level(directing, target):
-    '''Largest z with int_lo^z s nu*(s) ds <= target, by bisection in
-    log z.'''
-    lo, hi = directing.support
-    upper = min(hi, 1.0) if math.isinf(hi) else hi
-    z_hi = upper * 0.5
-    if _weighted_mass(directing, z_hi) <= target:
-        return z_hi
-    z_lo = z_hi
-    for _ in range(200):
-        z_lo *= 0.125
-        if _weighted_mass(directing, z_lo) <= target:
-            break
-    else:
-        raise ValueError('cannot bracket the truncation level')
-    for _ in range(80):
-        mid = math.sqrt(z_lo * z_hi)
-        if _weighted_mass(directing, mid) <= target:
-            z_lo = mid
-        else:
-            z_hi = mid
-    return z_lo
+    '''z with W(z) = int_lo^z s nu*(s) ds = target, by the shared inverse
+    with W'(z) = z nu*(z); capped at half the support (half of 1 on an
+    infinite one).'''
+    hi = directing.support[1]
+    upper = 0.5 * (1.0 if math.isinf(hi) else hi)
+    weighted_mass = np.vectorize(partial(_weighted_mass, directing),
+                                 otypes=[float])
+    return float(_invert_monotone(
+        weighted_mass, lambda z: z * directing.density(z), target,
+        lambda y: np.full_like(y, upper), upper, increasing=True))
 
 
 def sample_corm(spec, rng, n_jumps=None, tail_mass=None, max_jumps=100_000):
@@ -146,8 +137,9 @@ def sample_corm(spec, rng, n_jumps=None, tail_mass=None, max_jumps=100_000):
         arrivals = np.sort(rng.uniform(0.0, arrival_cap, size=n))
         jumps = directing.inverse_tail(arrivals / alpha)
 
-    # the inverse clamps at the ends of the support, which can produce
-    # ties; nudge them so the ordering stays strict
+    # the inverse returns the largest double below a finite upper end for
+    # levels whose roots lie closer to it, and nearby levels can round to
+    # the same jump; nudge such ties so the ordering stays strict
     for i in range(1, jumps.size):
         if jumps[i] >= jumps[i - 1]:
             jumps[i] = jumps[i - 1] * (1.0 - 1e-12)

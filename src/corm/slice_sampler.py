@@ -7,10 +7,9 @@ reversible-jump birth/death move.  Auxiliary tilts v are updated by a
 two-stage interweaving scheme that alternates sufficient and ancillary
 parametrizations of the scores.
 
-Supported score marginals: gamma and unit-scale generalized gamma.  The
-sigma-stable family is excluded: its directing intensity has unbounded
-mass near zero controlled only by the threshold, and no rejection
-envelope is available for its tilted repopulation density.
+Supported score marginals: gamma and unit-scale generalized gamma, whose
+directing intensities live on (0, 1); the repopulation draw inverts the
+directing tail on an interval inside (0, 1] and accepts by the tilt.
 '''
 
 import math
@@ -19,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .core import _beta_type, _psi_bracket
+from .core import _psi_bracket
 # not called here: kept bound so the benchmark's tracer, which wraps
 # corm.slice_sampler.integrate, still finds it
 from .numerics import integrate  # noqa: F401
@@ -165,38 +164,20 @@ def _tilted_mass(spec, v, lo, hi):
 
 def sample_tilted_z(spec, lower, upper, v, rng):
     '''One draw from the repopulation density on (lower, upper):
-    nu*(z) prod_j (1+v_j z)^(-shape), by rejection with the analytic
-    envelopes for the gamma and unit-scale generalized-gamma families
-    and the monotone outer tilt bound.'''
+    nu*(z) prod_j (1+v_j z)^(-shape), by rejection: z is drawn from nu*
+    restricted to (lower, upper) by inverting its tail, and accepted with
+    the tilt relative to its largest value, at lower.'''
     _check_family(spec)
     if not 0.0 < lower < upper <= 1.0:
         raise ValueError('need 0 < lower < upper <= 1')
     v = np.asarray(v, dtype=float)
     phi = spec.shape
-    _, sigma, _, beta = _beta_type(spec.marginal, phi)
-    power = 1.0 + sigma
-    use_beta_envelope = beta < 1.0
-    if use_beta_envelope:
-        w_lo = (1.0 - lower) ** beta
-        w_hi = (1.0 - upper) ** beta
-    elif power == 1.0:
-        log_ratio = math.log(upper / lower)
-    else:
-        sig = power - 1.0
-        c_lo = lower ** -sig
-        c_hi = upper ** -sig
-    one_m_lo = 1.0 - lower
+    directing = spec.directing
+    tail_hi = directing.tail_integral(upper)
+    mass = directing.tail_integral(lower) - tail_hi
     for _ in range(MAX_REJECTION_TRIES):
-        if use_beta_envelope:
-            z = 1.0 - (w_lo - rng.uniform() * (w_lo - w_hi)) ** (1.0 / beta)
-            accept = (lower / z) ** power
-        elif power == 1.0:
-            z = lower * math.exp(rng.uniform() * log_ratio)
-            accept = ((1.0 - z) / one_m_lo) ** (beta - 1.0)
-        else:
-            z = (c_lo - rng.uniform() * (c_lo - c_hi)) ** (-1.0 / sig)
-            accept = ((1.0 - z) / one_m_lo) ** (beta - 1.0)
-        accept *= float(np.prod(((1.0 + v * lower) / (1.0 + v * z)) ** phi))
+        z = directing.inverse_tail(tail_hi + (1.0 - rng.uniform()) * mass)
+        accept = float(np.prod(((1.0 + v * lower) / (1.0 + v * z)) ** phi))
         if rng.uniform() < accept:
             return float(min(max(z, lower), upper))
     raise RuntimeError(

@@ -15,6 +15,7 @@ from scipy.special import exp1, gammaln, kv
 
 from corm.core import (
     CoRMSpec,
+    LevyIntensity,
     MarginalFamily,
     MomentPartition,
     ScoreDistribution,
@@ -242,6 +243,86 @@ class TestBetaTypeTail:
         spec2 = spec.with_shape(1.7)
         assert spec2.shape == 1.7
         assert spec2.directing.tail_integral(0.2) > 0.0
+
+    def test_start_above_switch_level(self, monkeypatch):
+        # levels in [scale/beta, scale g_switch) have their roots above
+        # x_switch; a start there converges in a few Newton steps, where
+        # a start at z = 1e-16 took about 30.  Every tail evaluation of
+        # one level calls boxcox (series branch) or hyp2f1 (above the
+        # switch) once, so the two counts add up to the steps
+        import corm.core as core_mod
+        marginal = MarginalFamily.generalized_gamma(0.3, 2.0)
+        nu = directing_from_marginal(marginal, 1.0)
+        c, sigma, a, beta = core_mod._beta_type(marginal, 1.0)
+        scale = c * a ** sigma
+        g_switch = nu.tail_integral(min(0.3, 1.0 / beta) / a) / scale
+        assert 1.0 / beta < g_switch
+        level = scale * 0.5 * (1.0 / beta + g_switch)
+        calls = []
+        for name in ('hyp2f1', 'boxcox'):
+            def counted(*args, _fn=getattr(core_mod, name)):
+                calls.append(1)
+                return _fn(*args)
+            monkeypatch.setattr(core_mod, name, counted)
+        z = nu.inverse_tail(level)
+        monkeypatch.undo()
+        assert len(calls) <= 10
+        assert nu.tail_integral(z) == pytest.approx(level, rel=1e-10)
+
+    @pytest.mark.parametrize('shape', [0.5, 2.0, 20.0])
+    def test_level_above_the_tail_range_raises(self, shape):
+        # c is proportional to sigma, so at sigma 1e-3 the whole tail
+        # above z = 1e-300 is below 1: level 1 has no representable root
+        nu, _, _ = beta_type_directing(1e-3, 0.5, shape)
+        assert nu.tail_integral(1e-300) < 1.0
+        with pytest.raises(ValueError, match='root outside'):
+            nu.inverse_tail(1.0)
+        with pytest.raises(ValueError, match='root outside'):
+            nu.inverse_tail(np.array([0.1, 1.0]))
+
+
+class TestInverseWithoutClosedForm:
+    '''inverse_tail of intensities without an inverse_fn: Newton steps on
+    the tail integral and the density.'''
+
+    LEVELS = np.geomspace(1e-8, 600.0, 50)
+
+    @pytest.mark.parametrize('marginal', [
+        MarginalFamily.gamma(), MarginalFamily.generalized_gamma(0.3, 1.0)])
+    def test_marginal_round_trip(self, marginal):
+        nu = marginal_intensity(marginal)
+        x = nu.inverse_tail(self.LEVELS)
+        assert x.shape == self.LEVELS.shape and np.all(np.diff(x) < 0.0)
+        np.testing.assert_allclose(nu.tail_integral(x), self.LEVELS,
+                                   rtol=1e-10, atol=0.0)
+
+    def test_quadrature_tail_level(self):
+        nu = marginal_from_directing('generalized-gamma', 2.0, sigma=0.3,
+                                     a=1.0)
+        x = nu.inverse_tail(1.0)
+        assert nu.tail_integral(x) == pytest.approx(1.0, rel=1e-10)
+        ref = sci.quad(lambda s: float(nu(s)), x, 1.0)[0] \
+            + sci.quad(lambda s: float(nu(s)), 1.0, np.inf)[0]
+        assert ref == pytest.approx(1.0, rel=1e-8)
+
+    def test_root_above_the_ceiling_raises(self):
+        # the sigma-stable tail z^(-1/2) / Gamma(1/2) without its closed
+        # inverse: level 1e-200 has its root near 3e399
+        nu = LevyIntensity(lambda s: 0.5 / math.sqrt(math.pi) * s ** -1.5,
+                           (0.0, np.inf), (-1.5, -1.5),
+                           tail_fn=lambda x: x ** -0.5 / math.sqrt(math.pi))
+        assert nu.inverse_tail(1e-100) == pytest.approx(1e200 / math.pi,
+                                                        rel=1e-10)
+        with pytest.raises(ValueError, match='root outside'):
+            nu.inverse_tail(1e-200)
+
+    def test_unconverged_level_raises(self):
+        # a density 1e6 times the tail's derivative shrinks every Newton
+        # step by 1e6, so the level is still unsolved when the steps run out
+        nu = LevyIntensity(lambda s: 1e6 * np.exp(-s) / s, (0.0, np.inf),
+                           (-1.0, None), tail_fn=exp1)
+        with pytest.raises(RuntimeError, match='unconverged'):
+            nu.inverse_tail(5.0)
 
 
 class TestMarginalIntensities:

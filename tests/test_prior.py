@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
 from corm.core import (
     CoRMSpec,
@@ -19,6 +19,8 @@ from corm.core import (
 from corm.prior import (
     STABLE_DEFAULT_JUMPS,
     CoRMRealization,
+    _coverage_norm,
+    _solve_residual_level,
     normalize,
     realization_to_csv,
     sample_corm,
@@ -110,6 +112,44 @@ class TestTruncation:
             r = sample_corm(spec, rng)
         assert r.jump_count == STABLE_DEFAULT_JUMPS
         assert np.all(np.diff(r.jumps) < 0.0)
+
+
+class TestResidualLevel:
+    '''The truncation level solves W(z) = int_0^z s nu*(s) ds = target,
+    checked against closed forms: (1 - (1 - z)^shape) / shape for the
+    gamma directing intensity z^-1 (1 - z)^(shape-1), and c a^(sigma-1)
+    B(a z; 1 - sigma, beta) for c z^(-1-sigma) (1 - a z)^(beta-1).'''
+
+    @pytest.mark.parametrize('marginal, shape', [
+        (MarginalFamily.gamma(), 2.0), (MarginalFamily.gamma(), 0.5),
+        (MarginalFamily.generalized_gamma(0.3, 1.0), 2.0),
+        (MarginalFamily.generalized_gamma(0.5, 2.5), 0.7)])
+    def test_level_solves_weighted_mass(self, monkeypatch, marginal, shape):
+        import corm.core as core_mod
+        spec = CoRMSpec.from_marginal(2, shape, marginal, verify=False)
+        directing = spec.directing
+        target = 1e-6 * _coverage_norm(directing)
+        calls = []
+        integrate = core_mod.integrate
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return integrate(*args, **kwargs)
+
+        monkeypatch.setattr(core_mod, 'integrate', counted)
+        z = _solve_residual_level(directing, target)
+        monkeypatch.undo()
+        assert len(calls) <= 20
+        if marginal.kind == 'gamma':
+            want = -math.expm1(shape * math.log1p(-z)) / shape
+        else:
+            sigma, a = marginal.sigma, marginal.a
+            c = sigma * math.exp(math.lgamma(shape) - math.lgamma(
+                shape + sigma) - math.lgamma(1.0 - sigma))
+            b = 1.0 - sigma, sigma + shape
+            want = c * a ** (sigma - 1.0) * special.betainc(*b, a * z) \
+                * special.beta(*b)
+        assert want == pytest.approx(target, rel=1e-9)
 
 
 class TestInverseTail:

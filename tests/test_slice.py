@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from corm.core import CoRMSpec, MarginalFamily
 from corm.kernels import Dataset, UnivariateNormalGamma
@@ -14,6 +15,7 @@ from corm.slice_sampler import (
     _tilted_mass,
     initial_slice_state,
     residual_laplace,
+    sample_tilted_z,
     slice_sweep,
 )
 
@@ -50,6 +52,49 @@ class TestSubThresholdIntegrals:
         # int_0^L (1 + v z)^-2 dz = L / (1 + v L)
         got = _residual_weight(unit_gamma_2d, [self.V1, 0.0], 0, L)
         assert got == pytest.approx(L / (1.0 + self.V1 * L), rel=1e-10)
+
+
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
+TILTED_CASES = [(marginal, phi, lo, hi)
+                for marginal in (MarginalFamily.gamma(),
+                                 MarginalFamily.generalized_gamma(0.3, 1.0))
+                for phi in (0.4, 2.0)
+                for lo, hi in ((1e-4, 1e-2), (0.2, 0.9), (0.1, 0.101))]
+
+
+class TestTiltedDraw:
+    '''sample_tilted_z against the CDF of nu*(z) prod_j (1 + v_j z)^-phi
+    on (lo, hi): a Kolmogorov-Smirnov test on 2,000 draws per case.'''
+
+    V = np.array([0.5, 2.0])
+
+    @staticmethod
+    def tilted_cdf(spec, v, lo, hi, xs):
+        # 16-point Gauss-Legendre in log z between consecutive sorted
+        # draws; the total is checked against _tilted_mass
+        ends = np.log(np.concatenate([[lo], xs, [hi]]))
+        half = 0.5 * np.diff(ends)[:, None]
+        z = np.exp(ends[:-1, None] + half * (1.0 + _GL_X))
+        tilt = np.prod((1.0 + v[:, None, None] * z) ** -spec.shape, axis=0)
+        cum = np.cumsum(half[:, 0] * ((spec.directing.density(z) * z
+                                       * tilt) @ _GL_W))
+        assert cum[-1] == pytest.approx(_tilted_mass(spec, v, lo, hi),
+                                        rel=1e-8)
+        return cum[:-1] / cum[-1]
+
+    @pytest.mark.parametrize('case', range(len(TILTED_CASES)))
+    def test_kolmogorov_smirnov(self, case):
+        marginal, phi, lo, hi = TILTED_CASES[case]
+        spec = CoRMSpec.from_marginal(2, phi, marginal, verify=False)
+        rng = np.random.default_rng(1000 + case)
+        xs = np.sort([sample_tilted_z(spec, lo, hi, self.V, rng)
+                      for _ in range(2000)])
+        assert lo <= xs[0] and xs[-1] <= hi
+        cdf = self.tilted_cdf(spec, self.V, lo, hi, xs)
+        n = xs.size
+        k = np.arange(1, n + 1)
+        d = max(np.max(k / n - cdf), np.max(cdf - (k - 1) / n))
+        assert stats.kstwo.sf(d, n) > 0.01
 
 
 def _two_groups(rng, per_group):
