@@ -6,13 +6,30 @@ the conjugate urn sampler) and a non-conjugate multivariate normal with
 normal-inverse-Wishart centring (atom draws only).  A flat kernel with
 unit density supports prior-recovery and joint-correctness checks.
 Posterior predictive density estimation averages per-sweep mixtures.
+
+Array shapes.  An observation is a scalar or a (p,) row; a batch is an
+(n, p) array, as in a Dataset group.  ``stack_atoms`` turns a list of K
+atoms into one stacked atom:
+
+    UnivariateNormalGamma   (mu, tau), each of shape (K,)
+    MultivariateNormalNIW   (mu, cov) of shapes (K, p) and (K, p, p)
+    FlatKernel              an array of shape (K,)
+
+``log_density(y, atoms)`` returns one value per (observation, atom)
+pair, of shape obs + atom: obs is () for one observation and (n,) for a
+batch, atom is () for one atom and (K,) for stacked atoms.  A conjugate
+kernel scores a new observation against a cluster through the cluster's
+predictive row, ``predictive_row(stats)``, of shape (r,); K rows stack
+into a (K, r) array, and ``log_predictive(y, rows)`` has shape
+obs + rows.shape[:-1].  The normal-gamma row is (location,
+1/(df scale^2), (df + 1)/2, log normaliser) of its Student-t predictive;
+the flat kernel's row is (0,).
 '''
 
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_triangular
 from scipy.special import gammaln
 from scipy.stats import invwishart
 
@@ -27,6 +44,19 @@ __all__ = [
 ]
 
 LOG_2PI = math.log(2.0 * math.pi)
+
+
+def _univariate(y, stacked):
+    '''A univariate observation as a scalar, or a batch (n, 1) as an (n,)
+    vector with a trailing axis when it meets stacked atoms or rows.'''
+    y = np.asarray(y, dtype=float)
+    if y.ndim == 2:
+        return y[:, :1] if stacked else y[:, 0]
+    return y.reshape(())
+
+
+def _batch_shape(y):
+    return np.shape(y)[:1] if np.ndim(y) == 2 else ()
 
 
 @dataclass
@@ -167,15 +197,22 @@ class UnivariateNormalGamma:
     def marginal_likelihood(self, rows):
         return math.exp(self.log_marginal(rows))
 
-    def log_predictive(self, y, stats):
-        '''Student-t posterior predictive of y given a cluster's stats.'''
+    def predictive_row(self, stats):
+        '''The cluster's Student-t posterior predictive as (location,
+        1/(df scale^2), (df + 1)/2, log normaliser).'''
         mn, kn, an, bn = self._posterior(stats)
         scale_sq = bn * (kn + 1.0) / (an * kn)
         df = 2.0 * an
-        z_sq = (float(y) - mn) ** 2 / scale_sq
-        return (gammaln(0.5 * (df + 1.0)) - gammaln(0.5 * df)
-                - 0.5 * math.log(df * math.pi * scale_sq)
-                - 0.5 * (df + 1.0) * math.log1p(z_sq / df))
+        return np.array([mn, 1.0 / (df * scale_sq), 0.5 * (df + 1.0),
+                         math.lgamma(0.5 * (df + 1.0)) - math.lgamma(an)
+                         - 0.5 * math.log(df * math.pi * scale_sq)])
+
+    def log_predictive(self, y, rows):
+        '''Student-t log predictive of y under a (4,) predictive row or a
+        (K, 4) stack of them.'''
+        loc, inv, half, log_norm = rows.T
+        diff = _univariate(y, loc.ndim) - loc
+        return log_norm - half * np.log1p(diff * diff * inv)
 
     def atom_posterior_draw(self, rows, rng):
         rows = np.asarray(rows, dtype=float).ravel()
@@ -185,10 +222,14 @@ class UnivariateNormalGamma:
         mu = rng.normal(mn, 1.0 / math.sqrt(kn * tau))
         return (mu, tau)
 
-    def log_density(self, y, atom):
-        mu, tau = atom
-        return 0.5 * (math.log(tau) - LOG_2PI) \
-            - 0.5 * tau * (float(y) - mu) ** 2
+    def stack_atoms(self, atoms):
+        mu, tau = np.asarray(atoms, dtype=float).reshape(-1, 2).T
+        return mu, tau
+
+    def log_density(self, y, atoms):
+        mu, tau = atoms
+        y = _univariate(y, np.ndim(mu))
+        return 0.5 * (np.log(tau) - LOG_2PI) - 0.5 * tau * (y - mu) ** 2
 
     def density_on_grid(self, atom, points):
         mu, tau = atom
@@ -198,8 +239,8 @@ class UnivariateNormalGamma:
 
     def prior_predictive_on_grid(self, points):
         points = np.asarray(points, dtype=float).ravel()
-        empty = self.stats_empty()
-        return np.exp([self.log_predictive(x, empty) for x in points])
+        row = self.predictive_row(self.stats_empty())
+        return np.exp(self.log_predictive(points[:, None], row))
 
 
 class MultivariateNormalNIW:
@@ -266,17 +307,27 @@ class MultivariateNormalNIW:
         mu = rng.multivariate_normal(mn, cov / ln, method='cholesky')
         return (mu, cov)
 
-    def log_density(self, y, atom):
-        mu, cov = atom
-        diff = np.asarray(y, dtype=float).ravel() - mu
+    def stack_atoms(self, atoms):
+        p = self.m0.size
+        mu = np.array([a[0] for a in atoms], dtype=float).reshape(-1, p)
+        cov = np.array([a[1] for a in atoms], dtype=float).reshape(-1, p, p)
+        return mu, cov
+
+    def log_density(self, y, atoms):
+        mu, cov = atoms
+        y = np.asarray(y, dtype=float)
+        if y.ndim == 2 and np.ndim(mu) == 2:
+            y = y[:, None, :]
+        diff = y - mu
         chol = np.linalg.cholesky(cov)
-        white = solve_triangular(chol, diff, lower=True)
-        return -0.5 * (diff.size * LOG_2PI + float(white @ white)) \
-            - float(np.log(np.diag(chol)).sum())
+        white = np.linalg.solve(chol, diff[..., None])[..., 0]
+        return -0.5 * (self.m0.size * LOG_2PI
+                       + np.sum(white * white, axis=-1)) \
+            - np.log(np.diagonal(chol, axis1=-2, axis2=-1)).sum(axis=-1)
 
     def density_on_grid(self, atom, points):
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        return np.exp([self.log_density(x, atom) for x in points])
+        return np.exp(self.log_density(points, atom))
 
     def prior_predictive_on_grid(self, points, rng=None, draws=200):
         '''Monte Carlo prior predictive from fixed quasi-draws of the
@@ -315,14 +366,20 @@ class FlatKernel:
     def marginal_likelihood(self, rows):
         return 1.0
 
-    def log_predictive(self, y, stats):
-        return 0.0
+    def predictive_row(self, stats):
+        return np.zeros(1)
+
+    def log_predictive(self, y, rows):
+        return np.zeros(_batch_shape(y) + np.shape(rows)[:-1])
 
     def atom_posterior_draw(self, rows, rng):
         return float(rng.uniform())
 
-    def log_density(self, y, atom):
-        return 0.0
+    def stack_atoms(self, atoms):
+        return np.asarray(atoms, dtype=float)
+
+    def log_density(self, y, atoms):
+        return np.zeros(_batch_shape(y) + np.shape(atoms))
 
     def density_on_grid(self, atom, points):
         return np.ones(np.atleast_1d(points).shape[0])

@@ -82,48 +82,45 @@ class MarginalState:
         return np.array([len(c) for c in self.allocations])
 
     def check(self):
-        K, d = self.counts.shape
-        tally = np.zeros((K, d), dtype=int)
-        for j, c in enumerate(self.allocations):
-            for k in c:
-                tally[k, j] += 1
+        tally = _tally(self.allocations, self.n_clusters)
         assert np.array_equal(tally, self.counts), 'counts out of sync'
         assert np.all(self.counts.sum(axis=1) > 0), 'empty cluster kept'
         assert np.all(self.v > 0.0), 'auxiliaries must be positive'
 
 
+def _tally(allocations, n_labels):
+    '''(n_labels, d) table of how many observations of each group carry
+    each label.'''
+    return np.stack([np.bincount(c, minlength=n_labels)
+                     for c in allocations], axis=1)
+
+
+def _members(data, allocations, n_labels):
+    '''The rows carrying each label 0..n_labels-1, from one argsort and
+    bincount pass: group by group, in data order within a group.'''
+    labels = np.concatenate(allocations)
+    order = np.argsort(labels, kind='stable')
+    ends = np.cumsum(np.bincount(labels, minlength=n_labels))
+    return np.split(data.stacked()[order], ends[:-1])
+
+
 def initial_state(data, spec, kernel, rng, n_start=1):
     '''All observations in n_start clusters split round-robin.'''
-    d = data.n_groups
-    allocations = []
-    for j in range(d):
-        n_j = data.groups[j].shape[0]
-        allocations.append(np.arange(n_j) % n_start)
-    counts = np.zeros((n_start, d), dtype=int)
-    for j, c in enumerate(allocations):
-        for k in c:
-            counts[k, j] += 1
-    state = MarginalState(allocations, counts, np.ones(d), spec.shape)
+    allocations = [np.arange(y.shape[0]) % n_start for y in data.groups]
+    state = MarginalState(allocations, _tally(allocations, n_start),
+                          np.ones(data.n_groups), spec.shape)
+    members = _members(data, allocations, n_start)
     if kernel.conjugate:
         state.stats = []
-        for k in range(n_start):
+        for rows in members:
             stats = kernel.stats_empty()
-            for j in range(d):
-                for i, lab in enumerate(allocations[j]):
-                    if lab == k:
-                        stats = kernel.stats_add(stats, data.groups[j][i, 0])
+            for y in rows[:, 0]:
+                stats = kernel.stats_add(stats, y)
             state.stats.append(stats)
     else:
-        state.atoms = [
-            kernel.atom_posterior_draw(_members(data, state, k), rng)
-            for k in range(n_start)]
+        state.atoms = [kernel.atom_posterior_draw(rows, rng)
+                       for rows in members]
     return state
-
-
-def _members(data, state, k):
-    rows = [data.groups[j][state.allocations[j] == k]
-            for j in range(data.n_groups)]
-    return np.concatenate(rows, axis=0)
 
 
 class KappaTable:
@@ -181,117 +178,178 @@ class KappaTable:
         return self.log_kappa(r)
 
 
+def _add_log_kappa(total, table, counts):
+    '''total plus log kappa at every cluster's count vector, added one
+    cluster at a time: the rounding reaches the adaptive step sizes
+    through the acceptance probabilities, so the order is kept fixed.'''
+    for a in counts.tolist():
+        total += table.log_kappa(tuple(a))
+    return total
+
+
+class _UrnRows:
+    '''The inputs of group j's allocations at one (spec, v), one row per
+    cluster: the log kappa ratio log kappa(a_k + e_j) - log kappa(a_k)
+    and, when the state carries kernel statistics, the cluster's
+    predictive row.  The last row stands for a new cluster:
+    log M + log kappa(e_j) and the empty cluster's predictive row.
+    _detach, _attach and _open_cluster keep the rows in step with the
+    state, refreshing only the clusters they touch (Neal 2000,
+    Algorithm 3).  Ratios for other groups are not kept: each needs a
+    kappa at a count vector the chain may never reach.'''
+
+    def __init__(self, state, spec, kernel, table, j):
+        self.table = table
+        self.kernel = kernel
+        self.group = j
+        K = state.n_clusters
+        self.log_ratios = np.empty(K + 1)
+        self.log_ratios[K] = math.log(spec.centring_mass) \
+            + table.log_new_cluster(j)
+        self.predictive = None
+        if state.stats is not None:
+            empty = kernel.predictive_row(kernel.stats_empty())
+            self.predictive = np.tile(empty, (K + 1, 1))
+        for k in range(K):
+            self.refresh(state, k)
+
+    def refresh(self, state, k):
+        self.log_ratios[k] = self.table.log_ratio(
+            tuple(state.counts[k].tolist()), self.group)
+        if self.predictive is not None:
+            self.predictive[k] = self.kernel.predictive_row(state.stats[k])
+
+    def open(self):
+        '''Add a row for a cluster opened at the end.'''
+        self.log_ratios = np.concatenate([self.log_ratios,
+                                          self.log_ratios[-1:]])
+        if self.predictive is not None:
+            self.predictive = np.concatenate([self.predictive,
+                                              self.predictive[-1:]])
+
+    def drop(self, k):
+        self.log_ratios = np.delete(self.log_ratios, k, axis=0)
+        if self.predictive is not None:
+            self.predictive = np.delete(self.predictive, k, axis=0)
+
+
 def _categorical(weights, rng):
-    cum = np.cumsum(weights)
-    u = rng.uniform() * cum[-1]
-    return min(int(np.searchsorted(cum, u, side='right')), weights.size - 1)
+    # rng.random() is the double rng.uniform() gives, at a third the cost
+    cum = weights.cumsum()
+    u = rng.random() * cum[-1]
+    return min(int(cum.searchsorted(u, side='right')), weights.size - 1)
 
 
-def _detach(state, data, kernel, j, i):
+def _detach(state, data, kernel, j, i, rows):
     '''Remove observation (j, i) from its cluster; drop the cluster if
     it empties, returning its recycled atom (if any).'''
     k = int(state.allocations[j][i])
-    y = data.groups[j][i, 0] if kernel.conjugate else data.groups[j][i]
+    state.allocations[j][i] = -1
     state.counts[k, j] -= 1
     if state.stats is not None:
-        state.stats[k] = kernel.stats_remove(state.stats[k], y)
+        state.stats[k] = kernel.stats_remove(state.stats[k],
+                                             data.groups[j][i, 0])
+    if state.counts[k, j] or state.counts[k].any():
+        if rows is not None:
+            rows.refresh(state, k)
+        return None
     recycled = None
-    if state.counts[k].sum() == 0:
-        if state.atoms is not None:
-            recycled = state.atoms.pop(k)
-        else:
-            state.stats.pop(k)
-        state.counts = np.delete(state.counts, k, axis=0)
-        for c in state.allocations:
-            c[c > k] -= 1
-        state.allocations[j][i] = -1
+    if state.atoms is not None:
+        recycled = state.atoms.pop(k)
     else:
-        state.allocations[j][i] = -1
+        state.stats.pop(k)
+    state.counts = np.delete(state.counts, k, axis=0)
+    for c in state.allocations:
+        c[c > k] -= 1
+    if rows is not None:
+        rows.drop(k)
     return recycled
 
 
-def _attach(state, data, kernel, j, i, k):
+def _open_cluster(state, spec, kernel, rows, atom=None):
+    '''Append an empty cluster, with the given atom when non-conjugate.'''
+    state.counts = np.vstack([state.counts,
+                              np.zeros(spec.dimension, dtype=int)])
+    if state.stats is not None:
+        state.stats.append(kernel.stats_empty())
+    else:
+        state.atoms.append(atom)
+    if rows is not None:
+        rows.open()
+
+
+def _attach(state, data, kernel, j, i, k, rows):
     state.allocations[j][i] = k
     state.counts[k, j] += 1
     if state.stats is not None:
         state.stats[k] = kernel.stats_add(state.stats[k],
                                           data.groups[j][i, 0])
+    if rows is not None:
+        rows.refresh(state, k)
 
 
-def allocation_weights(state, data, spec, kernel, j, i, table):
+def allocation_weights(state, data, spec, kernel, j, i, table, rows=None):
     '''Unnormalized urn weights for observation (j, i): one entry per
     existing cluster plus one for a fresh cluster.  The observation must
-    already be detached.'''
-    K = state.n_clusters
-    y = data.groups[j][i, 0]
-    logs = np.empty(K + 1)
-    for k in range(K):
-        a = tuple(int(x) for x in state.counts[k])
-        logs[k] = table.log_ratio(a, j) + kernel.log_predictive(
-            y, state.stats[k])
-    logs[K] = math.log(spec.centring_mass) + table.log_new_cluster(j) \
-        + kernel.log_predictive(y, kernel.stats_empty())
+    already be detached.  rows, the _UrnRows of group j kept for the
+    state at this table, is built here when not given.'''
+    if rows is None:
+        rows = _UrnRows(state, spec, kernel, table, j)
+    logs = rows.log_ratios + kernel.log_predictive(
+        data.groups[j][i, 0], rows.predictive)
     logs -= logs.max()
     return np.exp(logs)
 
 
-def update_allocation_conjugate(state, data, spec, kernel, j, i, table, rng):
-    '''Gibbs reassignment of c_{j,i} in the conjugate variant.'''
-    _detach(state, data, kernel, j, i)
-    weights = allocation_weights(state, data, spec, kernel, j, i, table)
+def update_allocation_conjugate(state, data, spec, kernel, j, i, table, rng,
+                                rows=None):
+    '''Gibbs reassignment of c_{j,i} in the conjugate variant; rows as
+    in allocation_weights.'''
+    _detach(state, data, kernel, j, i, rows)
+    weights = allocation_weights(state, data, spec, kernel, j, i, table,
+                                 rows)
     k = _categorical(weights, rng)
     if k == state.n_clusters:
-        state.counts = np.vstack([state.counts,
-                                  np.zeros(spec.dimension, dtype=int)])
-        state.stats.append(kernel.stats_empty())
-    _attach(state, data, kernel, j, i, k)
+        _open_cluster(state, spec, kernel, rows)
+    _attach(state, data, kernel, j, i, k, rows)
 
 
 def update_allocation_nonconjugate(state, data, spec, kernel, j, i, table,
-                                   rng, n_aux=3):
+                                   rng, n_aux=3, rows=None):
     '''Auxiliary-atom reassignment of c_{j,i}: existing clusters compete
     with n_aux fresh atoms, a removed singleton recycling its atom into
-    the first slot.'''
-    recycled = _detach(state, data, kernel, j, i)
+    the first slot; rows as in allocation_weights.'''
+    recycled = _detach(state, data, kernel, j, i, rows)
+    if rows is None:
+        rows = _UrnRows(state, spec, kernel, table, j)
     y = data.groups[j][i]
     aux = [kernel.atom_posterior_draw(np.empty((0, y.size)), rng)
            for _ in range(n_aux)]
     if recycled is not None:
         aux[0] = recycled
     K = state.n_clusters
-    logs = np.empty(K + n_aux)
-    for k in range(K):
-        a = tuple(int(x) for x in state.counts[k])
-        logs[k] = table.log_ratio(a, j) + kernel.log_density(
-            y, state.atoms[k])
     base = math.log(spec.centring_mass / n_aux) + table.log_new_cluster(j)
-    for m in range(n_aux):
-        logs[K + m] = base + kernel.log_density(y, aux[m])
+    logs = np.concatenate([rows.log_ratios[:K], np.full(n_aux, base)]) \
+        + kernel.log_density(y, kernel.stack_atoms(state.atoms + aux))
     logs -= logs.max()
     k = _categorical(np.exp(logs), rng)
     if k >= K:
-        state.counts = np.vstack([state.counts,
-                                  np.zeros(spec.dimension, dtype=int)])
-        state.atoms.append(aux[k - K])
+        _open_cluster(state, spec, kernel, rows, aux[k - K])
         k = K
-    state.allocations[j][i] = k
-    state.counts[k, j] += 1
+    _attach(state, data, kernel, j, i, k, rows)
 
 
 def update_atoms(state, data, kernel, rng):
     '''Conjugate redraw of every cluster atom given its members.'''
-    state.atoms = [
-        kernel.atom_posterior_draw(_members(data, state, k), rng)
-        for k in range(state.n_clusters)]
+    state.atoms = [kernel.atom_posterior_draw(rows, rng) for rows in
+                   _members(data, state.allocations, state.n_clusters)]
 
 
 def _log_target_v(state, spec, table, n_sizes):
     v = table.v
     total = float(np.sum((n_sizes - 1.0) * np.log(v)))
     total -= spec.centring_mass * table.psi
-    for k in range(state.n_clusters):
-        total += table.log_kappa(tuple(int(x) for x in state.counts[k]))
-    return total
+    return _add_log_kappa(total, table, state.counts)
 
 
 def update_v_marginal(state, spec, j, step, rng, table):
@@ -320,10 +378,8 @@ def update_shape_marginal(state, spec, log_prior, step, rng, table):
     phi_new = state.shape * math.exp(step.step * rng.normal())
 
     def log_target(sp, tab, phi):
-        total = log_prior(phi) - sp.centring_mass * tab.psi
-        for k in range(state.n_clusters):
-            total += tab.log_kappa(tuple(int(x) for x in state.counts[k]))
-        return total
+        return _add_log_kappa(log_prior(phi) - sp.centring_mass * tab.psi,
+                              tab, state.counts)
 
     try:
         spec_new = spec.with_shape(phi_new)
@@ -351,13 +407,14 @@ def marginal_sweep(state, data, spec, kernel, rng, v_steps, shape_step=None,
         table = KappaTable(spec, state.v)
     for j in range(data.n_groups):
         n_j = data.groups[j].shape[0]
+        rows = _UrnRows(state, spec, kernel, table, j)
         for i in range(n_j):
             if kernel.conjugate:
                 update_allocation_conjugate(state, data, spec, kernel, j, i,
-                                            table, rng)
+                                            table, rng, rows)
             else:
                 update_allocation_nonconjugate(state, data, spec, kernel, j,
-                                               i, table, rng, n_aux)
+                                               i, table, rng, n_aux, rows)
     if not kernel.conjugate:
         update_atoms(state, data, kernel, rng)
     for j in range(data.n_groups):

@@ -19,6 +19,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .core import _psi_bracket
+from .marginal_sampler import _members, _tally
 # not called here: kept bound so the benchmark's tracer, which wraps
 # corm.slice_sampler.integrate, still finds it
 from .numerics import integrate  # noqa: F401
@@ -78,11 +79,8 @@ class SliceState:
         K, d = self.counts.shape
         assert self.jumps.shape == (K,) and self.scores.shape == (K, d)
         assert len(self.atoms) == K
-        tally = np.zeros((K, d), dtype=int)
-        for j, c in enumerate(self.allocations):
-            for k in c:
-                tally[k, j] += 1
-        assert np.array_equal(tally, self.counts), 'counts out of sync'
+        assert np.array_equal(_tally(self.allocations, K), self.counts), \
+            'counts out of sync'
         assert np.all(self.scores > 0.0) and np.all(self.v > 0.0)
 
 
@@ -112,10 +110,7 @@ def initial_slice_state(data, spec, kernel, rng, n_start=1):
     d = data.n_groups
     directing = spec.directing
     allocations = [np.arange(g.shape[0]) % n_start for g in data.groups]
-    counts = np.zeros((n_start, d), dtype=int)
-    for j, c in enumerate(allocations):
-        for k in c:
-            counts[k, j] += 1
+    counts = _tally(allocations, n_start)
     jumps = np.array([directing.inverse_tail(1.0 - rng.uniform())
                       for _ in range(n_start)])
     scores = rng.gamma(spec.shape, size=(n_start, d))
@@ -355,47 +350,50 @@ def update_v_interweaving(state, spec, j, steps, rng):
     return state
 
 
+def _log_scores(state):
+    '''log of the score table; a score that has underflowed to 0.0
+    raises instead of turning into -inf.'''
+    zero = np.argwhere(~(state.scores > 0.0))
+    if zero.size:
+        k, j = zero[0]
+        raise FloatingPointError(
+            'score of jump %d (height %.3g) in group %d is %r at score '
+            'shape %.3g' % (k, state.jumps[k], j + 1, state.scores[k, j],
+                            state.shape))
+    return np.log(state.scores)
+
+
 def update_allocations_slice(state, data, kernel, rng):
     '''Reassign every observation among the jumps above its slice,
-    with weights score times kernel density at the jump's atom.'''
+    with weights score times kernel density at the jump's atom.  Each
+    group is scored at once: an (n_j, K) log-weight matrix, -inf where
+    the jump is not above the slice, one uniform per row, and the
+    inverse-CDF pick of np.searchsorted(..., side='right').  A row's
+    u * total stays below total, so the pick is an eligible jump.'''
     K = state.n_jumps
-    log_density = kernel.log_density
-    for j in range(data.n_groups):
-        rows = data.groups[j]
-        alloc = state.allocations[j]
-        for i in range(rows.shape[0]):
-            eligible = np.flatnonzero(state.jumps > state.u[j][i])
-            if eligible.size == 0:
-                raise RuntimeError('no jump above a slice latent; '
-                                   'state invariant violated')
-            y = rows[i, 0] if rows.shape[1] == 1 else rows[i]
-            logs = np.array([
-                math.log(state.scores[k, j]) + log_density(y, state.atoms[k])
-                for k in eligible])
-            logs -= logs.max()
-            weights = np.exp(logs)
-            cum = np.cumsum(weights)
-            pick = min(int(np.searchsorted(cum, rng.uniform() * cum[-1],
-                                           side='right')),
-                       eligible.size - 1)
-            alloc[i] = eligible[pick]
-    counts = np.zeros((K, data.n_groups), dtype=int)
-    for j, c in enumerate(state.allocations):
-        counts[:, j] = np.bincount(c, minlength=K)
-    state.counts = counts
+    log_scores = _log_scores(state)
+    atoms = kernel.stack_atoms(state.atoms)
+    for j, rows in enumerate(data.groups):
+        eligible = state.jumps > state.u[j][:, None]
+        if not eligible.any(axis=1).all():
+            raise RuntimeError('no jump above a slice latent; '
+                               'state invariant violated')
+        logs = np.where(eligible, log_scores[:, j]
+                        + kernel.log_density(rows, atoms), -np.inf)
+        logs -= logs.max(axis=1, keepdims=True)
+        cum = np.cumsum(np.exp(logs), axis=1)
+        target = rng.uniform(size=rows.shape[0]) * cum[:, -1]
+        state.allocations[j] = np.count_nonzero(cum <= target[:, None],
+                                                axis=1)
+    state.counts = _tally(state.allocations, K)
     return state
 
 
 def update_atoms_slice(state, data, kernel, rng):
     '''Posterior redraw of every atom from its members (the prior for
     pool jumps).'''
-    p = data.dimension
-    for k in range(state.n_jumps):
-        rows = [data.groups[j][state.allocations[j] == k]
-                for j in range(data.n_groups)]
-        members = np.concatenate(rows, axis=0) if rows else \
-            np.empty((0, p))
-        state.atoms[k] = kernel.atom_posterior_draw(members, rng)
+    state.atoms = [kernel.atom_posterior_draw(rows, rng) for rows in
+                   _members(data, state.allocations, state.n_jumps)]
     return state
 
 
@@ -406,7 +404,7 @@ def update_hyperparameters_slice(state, spec, log_prior, step, rng):
     spec.'''
     L = state.threshold
     mass = spec.centring_mass
-    log_m_sum = float(np.log(state.scores).sum())
+    log_m_sum = float(_log_scores(state).sum())
     m_sum = float(state.scores.sum())
     n_scores = state.scores.size
 
@@ -439,12 +437,11 @@ def update_hyperparameters_slice(state, spec, log_prior, step, rng):
 
 def slice_deviance(state, data, kernel):
     '''-2 sum of log kernel densities at the allocated atoms.'''
+    atoms = kernel.stack_atoms(state.atoms)
     total = 0.0
-    for j in range(data.n_groups):
-        rows = data.groups[j]
-        for i, k in enumerate(state.allocations[j]):
-            y = rows[i, 0] if rows.shape[1] == 1 else rows[i]
-            total += kernel.log_density(y, state.atoms[int(k)])
+    for rows, alloc in zip(data.groups, state.allocations):
+        dens = kernel.log_density(rows, atoms)
+        total += float(dens[np.arange(alloc.size), alloc].sum())
     return -2.0 * total
 
 

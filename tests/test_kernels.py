@@ -108,8 +108,49 @@ def test_predictive_is_marginal_ratio():
         stats_now = KERN.stats_add(stats_now, y)
     for y in (-2.0, 0.0, 0.9):
         want = KERN.log_marginal(rows + [y]) - KERN.log_marginal(rows)
-        assert KERN.log_predictive(y, stats_now) == pytest.approx(
-            want, rel=1e-10)
+        row = KERN.predictive_row(stats_now)
+        assert KERN.log_predictive(y, row) == pytest.approx(want, rel=1e-10)
+
+
+def _stats_of(values):
+    stats_now = KERN.stats_empty()
+    for y in values:
+        stats_now = KERN.stats_add(stats_now, y)
+    return stats_now
+
+
+def ng_student_t(kernel, rows):
+    '''Degrees of freedom, location and scale of the normal-gamma
+    posterior predictive after the observations in rows.'''
+    rows = np.asarray(rows, dtype=float)
+    n = rows.size
+    kn = kernel.kappa0 + n
+    an = kernel.a0 + 0.5 * n
+    mean = rows.mean() if n else 0.0
+    bn = kernel.b0 + 0.5 * np.sum((rows - mean) ** 2) \
+        + 0.5 * kernel.kappa0 * n * (mean - kernel.m0) ** 2 / kn
+    loc = (kernel.kappa0 * kernel.m0 + rows.sum()) / kn
+    return 2.0 * an, loc, math.sqrt(bn * (kn + 1.0) / (an * kn))
+
+
+def test_predictive_rows_match_student_t():
+    # K = 4 clusters, the empty one included, against a batch of 5
+    clusters = [[], [0.2], [0.2, -0.7, 1.1], [3.0, 3.4, 2.9, 3.1]]
+    rows = np.stack([KERN.predictive_row(_stats_of(c)) for c in clusters])
+    assert rows.shape == (4, 4)
+    y = np.array([-2.0, 0.0, 0.9, 3.2, 7.5])
+    got = KERN.log_predictive(y[:, None], rows)
+    assert got.shape == (5, 4)
+    for k, c in enumerate(clusters):
+        df, loc, scale = ng_student_t(KERN, c)
+        want = stats.t.logpdf(y, df, loc=loc, scale=scale)
+        assert np.allclose(got[:, k], want, rtol=1e-12, atol=0.0)
+        # one observation against the stack, and one row against the
+        # batch
+        assert np.allclose(KERN.log_predictive(y[1], rows)[k], want[1],
+                           rtol=1e-12, atol=0.0)
+        assert np.allclose(KERN.log_predictive(y[:, None], rows[k]), want,
+                           rtol=1e-12, atol=0.0)
 
 
 def test_stats_add_remove_roundtrip():
@@ -141,6 +182,19 @@ def test_log_density_matches_norm():
         want = stats.norm.logpdf(y, mu, 1.0 / math.sqrt(tau))
         assert KERN.log_density(y, (mu, tau)) == pytest.approx(want,
                                                                rel=1e-12)
+    # a batch (n, 1) against K stacked atoms gives (n, K)
+    atoms = [(0.7, 2.5), (-1.2, 0.3), (4.0, 11.0)]
+    stacked = KERN.stack_atoms(atoms)
+    y = np.array([[-1.0], [0.7], [3.0], [5.5]])
+    want = np.stack([stats.norm.logpdf(y[:, 0], m, 1.0 / math.sqrt(t))
+                     for m, t in atoms], axis=1)
+    got = KERN.log_density(y, stacked)
+    assert got.shape == (4, 3)
+    assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+    assert np.allclose(KERN.log_density(y[2], stacked), want[2],
+                       rtol=1e-12, atol=0.0)
+    assert np.allclose(KERN.log_density(y, atoms[1]), want[:, 1],
+                       rtol=1e-12, atol=0.0)
 
 
 def test_density_on_grid_consistent_with_log_density():
@@ -236,6 +290,21 @@ def test_niw_log_density_matches_scipy():
         want = stats.multivariate_normal.logpdf(y, mu, cov)
         assert kern.log_density(y, (mu, cov)) == pytest.approx(want,
                                                                rel=1e-10)
+    # a batch (n, 2) against K stacked atoms gives (n, K)
+    atoms = [(mu, cov), (np.array([2.0, 1.0]), np.diag([0.5, 3.0])),
+             (np.zeros(2), np.array([[2.0, -0.9], [-0.9, 0.6]]))]
+    stacked = kern.stack_atoms(atoms)
+    assert stacked[0].shape == (3, 2) and stacked[1].shape == (3, 2, 2)
+    y = np.array([[0.0, 0.0], [1.0, -2.0], [2.5, 0.4], [-3.0, 1.0]])
+    want = np.stack([stats.multivariate_normal.logpdf(y, m, c)
+                     for m, c in atoms], axis=1)
+    got = kern.log_density(y, stacked)
+    assert got.shape == (4, 3)
+    assert np.allclose(got, want, rtol=1e-10, atol=0.0)
+    assert np.allclose(kern.log_density(y[3], stacked), want[3],
+                       rtol=1e-10, atol=0.0)
+    assert np.allclose(kern.log_density(y, atoms[2]), want[:, 2],
+                       rtol=1e-10, atol=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -250,6 +319,16 @@ def test_flat_kernel_is_unit():
     assert kern.log_density(1.0, 0.5) == 0.0
     assert kern.marginal_likelihood([1.0, 2.0]) == 1.0
     assert np.all(kern.density_on_grid(0.5, np.zeros(4)) == 1.0)
+    # zeros of the broadcast shape: obs shape + atom (or row) shape
+    stacked = kern.stack_atoms([0.1, 0.5, 0.9])
+    rows = np.stack([kern.predictive_row(stats_now)] * 4)
+    batch = np.ones((5, 2))
+    for got, shape in ((kern.log_density(batch, stacked), (5, 3)),
+                       (kern.log_density(batch[0], stacked), (3,)),
+                       (kern.log_density(batch, 0.5), (5,)),
+                       (kern.log_predictive(batch, rows), (5, 4)),
+                       (kern.log_predictive(1.0, rows), (4,))):
+        assert got.shape == shape and np.all(got == 0.0)
 
 
 # ---------------------------------------------------------------------------

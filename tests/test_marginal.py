@@ -412,6 +412,59 @@ class TestUrnWeights:
         assert np.all(np.abs(freq - probs) < 5.0 * se)
 
 
+class TestUrnRows:
+
+    def test_rows_match_fresh_after_every_allocation(self):
+        # a 3-sweep 30+30 conjugate chain run through the sweep's loop
+        # by hand: after every allocation the kept rows equal rows built
+        # afresh from the state, whose ratios are the kappa ratios
+        rng = np.random.default_rng(17)
+        data = Dataset([np.concatenate([rng.normal(-2.0, 0.5, 15),
+                                        rng.normal(2.0, 0.5, 15)]),
+                        rng.normal(2.0, 0.5, 30)])
+        kernel = UnivariateNormalGamma.from_data(data.stacked())
+        spec = CoRMSpec.from_marginal(
+            2, 1.0, MarginalFamily.generalized_gamma(0.3, 1.0))
+        state = initial_state(data, spec, kernel, rng, n_start=4)
+        v_steps = [AdaptiveStepSize(), AdaptiveStepSize()]
+        table = KappaTable(spec, state.v)
+        for _ in range(3):
+            for j in range(2):
+                rows = ms._UrnRows(state, spec, kernel, table, j)
+                for i in range(30):
+                    update_allocation_conjugate(state, data, spec, kernel,
+                                                j, i, table, rng, rows)
+                    fresh = ms._UrnRows(state, spec, kernel, table, j)
+                    assert np.allclose(rows.log_ratios, fresh.log_ratios,
+                                       rtol=1e-12, atol=0.0)
+                    assert np.allclose(rows.predictive, fresh.predictive,
+                                       rtol=1e-12, atol=0.0)
+                K = state.n_clusters
+                e_j = np.eye(2, dtype=int)[j]
+                want = [table.log_kappa(tuple(a + e_j))
+                        - table.log_kappa(tuple(a)) for a in state.counts]
+                want.append(math.log(spec.centring_mass)
+                            + table.log_kappa(tuple(e_j)))
+                assert rows.log_ratios.shape == (K + 1,)
+                assert np.allclose(rows.log_ratios, want, rtol=1e-12,
+                                   atol=0.0)
+            for j in range(2):
+                table = update_v_marginal(state, spec, j, v_steps[j], rng,
+                                          table)
+            state.check()
+
+    def test_members_group_rows_by_label(self):
+        rng = np.random.default_rng(3)
+        data = Dataset([rng.normal(size=(7, 2)), rng.normal(size=(5, 2))])
+        allocations = [rng.integers(4, size=7), rng.integers(4, size=5)]
+        got = ms._members(data, allocations, 5)
+        assert len(got) == 5
+        for k in range(5):
+            want = np.concatenate([g[c == k] for g, c in
+                                   zip(data.groups, allocations)])
+            assert np.array_equal(got[k], want)
+
+
 class TestAuxiliaryUpdate:
 
     def test_log_target_matches_closed_form(self):

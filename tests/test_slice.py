@@ -11,12 +11,17 @@ from corm.core import CoRMSpec, MarginalFamily
 from corm.kernels import Dataset, UnivariateNormalGamma
 from corm.marginal_sampler import AdaptiveStepSize
 from corm.slice_sampler import (
+    SliceState,
     _residual_weight,
     _tilted_mass,
     initial_slice_state,
     residual_laplace,
     sample_tilted_z,
+    slice_deviance,
+    slice_snapshots,
     slice_sweep,
+    update_allocations_slice,
+    update_hyperparameters_slice,
 )
 
 
@@ -126,3 +131,104 @@ def test_sweeps_keep_invariants(marginal):
         state.check()
         assert spec.shape == state.shape
         assert state.counts.sum() == 60
+
+
+def _hand_state(scores=(0.8, 1.5, 0.3)):
+    '''One group of four observations on three jumps; the third jump
+    is an unallocated pool jump just above the threshold 0.04.'''
+    data = Dataset([np.array([-1.0, 0.2, 1.5, 2.0])])
+    kernel = UnivariateNormalGamma(0.0, 0.5, 2.0, 1.0)
+    state = SliceState(
+        allocations=[np.array([0, 1, 1, 0])],
+        counts=np.array([[2], [2], [0]]),
+        jumps=np.array([0.6, 0.3, 0.05]),
+        scores=np.array(scores, dtype=float)[:, None],
+        atoms=[(-1.0, 2.0), (1.0, 0.5), (2.0, 4.0)],
+        u=[np.array([0.1, 0.2, 0.04, 0.5])],
+        v=np.array([0.7]), shape=1.0)
+    return state, data, kernel
+
+
+def test_underflowed_score_raises_a_typed_error():
+    # a Ga(shape) score at a small shape can underflow to 0.0; its log
+    # must not silently become -inf
+    state, data, kernel = _hand_state(scores=(0.8, 0.0, 0.3))
+    spec = CoRMSpec.from_marginal(1, 1.0, MarginalFamily.gamma())
+    with pytest.raises(FloatingPointError, match='jump 1 .* shape 1'):
+        update_allocations_slice(state, data, kernel,
+                                 np.random.default_rng(0))
+    with pytest.raises(FloatingPointError, match='jump 1 .* shape 1'):
+        update_hyperparameters_slice(state, spec, lambda phi: -phi,
+                                     AdaptiveStepSize(),
+                                     np.random.default_rng(0))
+
+
+def test_slice_deviance_matches_norm():
+    state, data, kernel = _hand_state()
+    state.check()
+    y = data.groups[0][:, 0]
+    mu = np.array([a[0] for a in state.atoms])[state.allocations[0]]
+    tau = np.array([a[1] for a in state.atoms])[state.allocations[0]]
+    want = -2.0 * stats.norm.logpdf(y, mu, 1.0 / np.sqrt(tau)).sum()
+    assert slice_deviance(state, data, kernel) == pytest.approx(want,
+                                                                rel=1e-12)
+
+
+def test_slice_snapshots_weights_and_residual():
+    # unit-shape gamma, d = 1: the sub-threshold mass of the group is
+    # M int_0^L (1 + v z)^-2 dz = M L / (1 + v L)
+    state, _, _ = _hand_state()
+    state.check()
+    mass = 2.5
+    spec = CoRMSpec.from_marginal(1, 1.0, MarginalFamily.gamma(),
+                                  centring_mass=mass)
+    (snap,) = slice_snapshots(state, spec)
+    assert np.allclose(snap.weights, state.scores[:, 0] * state.jumps,
+                       rtol=1e-15, atol=0.0)
+    assert snap.atoms == state.atoms
+    L, v = state.threshold, state.v[0]
+    assert snap.residual == pytest.approx(mass * L / (1.0 + v * L),
+                                          rel=1e-12)
+
+
+def scalar_allocations(state, data, kernel, rng):
+    '''The allocation step one observation at a time: scalar scores
+    over the eligible jumps and np.searchsorted(..., side='right').'''
+    out = []
+    for j, rows in enumerate(data.groups):
+        alloc = np.empty(rows.shape[0], dtype=int)
+        for i in range(rows.shape[0]):
+            eligible = np.flatnonzero(state.jumps > state.u[j][i])
+            logs = np.array([math.log(state.scores[k, j])
+                             + kernel.log_density(rows[i, 0], state.atoms[k])
+                             for k in eligible])
+            cum = np.cumsum(np.exp(logs - logs.max()))
+            pick = np.searchsorted(cum, rng.uniform() * cum[-1],
+                                   side='right')
+            alloc[i] = eligible[min(int(pick), eligible.size - 1)]
+        out.append(alloc)
+    return out
+
+
+def test_batched_allocations_match_scalar_loop():
+    # one uniform per observation, drawn in one call per group, gives the
+    # draws of the scalar loop: same allocations, same stream position
+    rng = np.random.default_rng(5)
+    data = _two_groups(rng, 40)
+    kernel = UnivariateNormalGamma.from_data(data.stacked())
+    spec = CoRMSpec.from_marginal(2, 1.0, MarginalFamily.gamma())
+    state = initial_slice_state(data, spec, kernel, rng, n_start=4)
+    v_steps = [(AdaptiveStepSize(), AdaptiveStepSize()) for _ in range(2)]
+    for sweep in range(4):
+        spec = slice_sweep(state, data, spec, kernel, rng, v_steps)
+        assert state.n_jumps > 1
+        want = scalar_allocations(state, data, kernel,
+                                  np.random.default_rng(sweep))
+        batch_rng = np.random.default_rng(sweep)
+        update_allocations_slice(state, data, kernel, batch_rng)
+        for got, ref in zip(state.allocations, want):
+            assert np.array_equal(got, ref)
+        reference_rng = np.random.default_rng(sweep)
+        reference_rng.uniform(size=data.counts.sum())
+        assert batch_rng.uniform() == reference_rng.uniform()
+        state.check()
