@@ -232,10 +232,8 @@ class UnivariateNormalGamma:
         return 0.5 * (np.log(tau) - LOG_2PI) - 0.5 * tau * (y - mu) ** 2
 
     def density_on_grid(self, atom, points):
-        mu, tau = atom
         points = np.asarray(points, dtype=float).ravel()
-        return np.sqrt(tau / (2.0 * math.pi)) \
-            * np.exp(-0.5 * tau * (points - mu) ** 2)
+        return np.exp(self.log_density(points[:, None], atom))
 
     def prior_predictive_on_grid(self, points):
         points = np.asarray(points, dtype=float).ravel()

@@ -328,8 +328,8 @@ def update_allocation_nonconjugate(state, data, spec, kernel, j, i, table,
     if recycled is not None:
         aux[0] = recycled
     K = state.n_clusters
-    base = math.log(spec.centring_mass / n_aux) + table.log_new_cluster(j)
-    logs = np.concatenate([rows.log_ratios[:K], np.full(n_aux, base)]) \
+    fresh = np.full(n_aux, rows.log_ratios[K] - math.log(n_aux))
+    logs = np.concatenate([rows.log_ratios[:K], fresh]) \
         + kernel.log_density(y, kernel.stack_atoms(state.atoms + aux))
     logs -= logs.max()
     k = _categorical(np.exp(logs), rng)
