@@ -243,20 +243,28 @@ def _invert_monotone(fn, slope, level, start, upper, increasing=False):
     infinite, for a positive strictly monotone fn with |fn'| = slope.
     Newton steps on log fn against log z, exact for a power law, inside a
     bracket kept per element; a step that leaves the bracket is replaced
-    by geometric bisection.  Only unconverged elements are iterated.  A
-    root beyond the largest double below a finite upper end returns that
-    double.  A root below z = 1e-300 (or above 1e300 on an infinite
-    support) raises ValueError, and an element unconverged after
-    _SOLVER_STEPS steps raises RuntimeError.
+    by geometric bisection.  In the upper half of a finite support the
+    steps (and the bisections of a bracket there) are taken on
+    log(upper - z) instead, so a root close to the upper end is resolved
+    relative to its gap, down to adjacent doubles; of the two bracket
+    ends the one with the smaller level residual is returned.  Only
+    unconverged elements are iterated.  A root beyond the largest double
+    below a finite upper end returns that double.  A root below
+    z = 1e-300 (or above 1e300 on an infinite support) raises ValueError,
+    and an element unconverged after _SOLVER_STEPS steps raises
+    RuntimeError.
     '''
     level = np.asarray(level, dtype=float)
     y = level.ravel()
     log_y = np.log(y)
     finite = not math.isinf(upper)
     top = np.nextafter(upper, 0.0) if finite else _Z_CEIL
+    half = 0.5 * upper
     z = np.clip(np.asarray(start(y), dtype=float), _Z_FLOOR, top)
     todo = np.arange(z.size)
     lo, hi = np.zeros_like(z), np.full_like(z, np.inf)
+    # level residuals |g| at the bracket ends
+    r_lo, r_hi = np.full_like(z, np.inf), np.full_like(z, np.inf)
     out = np.empty_like(z)
     with np.errstate(divide='ignore', invalid='ignore', over='ignore'):
         for _ in range(_SOLVER_STEPS):
@@ -265,27 +273,48 @@ def _invert_monotone(fn, slope, level, start, upper, increasing=False):
             above = (g > 0.0) != increasing
             # Newton correction of log z; f = 0 or slope = 0 give nan/inf
             dt = (-g if increasing else g) * f / (z * slope(z))
+            # the same correction of log(upper - z), whose gap is exact
+            # (Sterbenz) above upper/2; taken where it stays there
+            gap = upper - z
+            dt_gap = -dt * z / gap
+            step_gap = upper - gap * np.exp(dt_gap)
+            on_gap = (z > half) & (step_gap > half)
+            dt = np.where(on_gap, dt_gap, dt)
+            # a step past the representable range stops at its edge
+            step = np.minimum(np.maximum(
+                np.where(on_gap, step_gap, z * np.exp(dt)), _Z_FLOOR), top)
             lo = np.where(above, z, lo)
             hi = np.where(above, hi, z)
+            r_lo = np.where(above, np.abs(g), r_lo)
+            r_hi = np.where(above, r_hi, np.abs(g))
             # a steep fn (near a finite upper end) may never bring the
-            # level residual to 1e-11, but its steps shrink below 1e-13
-            done = (np.abs(g) <= 1e-11) | (np.abs(dt) <= 1e-13) \
-                | (hi <= lo * (1.0 + 1e-13)) | (above & (z >= top) & finite)
+            # level residual to 1e-11, but its steps shrink below 1e-13,
+            # or its bracket closes on two adjacent doubles
+            upper_half = lo > half
+            closed = np.where(upper_half,
+                              upper - lo <= (upper - hi) * (1.0 + 1e-13),
+                              hi <= lo * (1.0 + 1e-13)) \
+                | (hi <= np.nextafter(lo, np.inf))
+            done = (np.abs(g) <= 1e-11) | (np.abs(dt) <= 1e-13) | closed \
+                | (above & (z >= top) & finite)
             lost = ~done & ((~above & (z <= _Z_FLOOR)) | (above & (z >= top)))
             if lost.any():
                 raise ValueError('level %r has its root outside (%g, %g)'
                                  % (y[todo][lost][0], _Z_FLOOR, top))
             if done.any():
-                out[todo[done]] = z[done]
+                # z is one end of the bracket; keep the closer end
+                out[todo[done]] = np.where(r_lo < r_hi, lo, hi)[done]
                 if done.all():
                     return out.reshape(level.shape)
                 keep = ~done
-                todo, z, dt, lo, hi = (x[keep] for x in (todo, z, dt, lo, hi))
-            # a step past the representable range stops at its edge
-            step = np.minimum(np.maximum(z * np.exp(dt), _Z_FLOOR), top)
+                todo, step, lo, hi, r_lo, r_hi, upper_half = (
+                    x[keep] for x in (todo, step, lo, hi, r_lo, r_hi,
+                                      upper_half))
             bad = np.isnan(step) | (step <= lo) | (step >= hi)
-            mid = np.sqrt(np.maximum(lo, _Z_FLOOR)) \
-                * np.sqrt(np.minimum(hi, top))
+            lo_c, hi_c = np.maximum(lo, _Z_FLOOR), np.minimum(hi, top)
+            gap_mid = np.sqrt(upper - lo_c) * np.sqrt(upper - hi_c)
+            mid = np.where(upper_half, upper - gap_mid,
+                           np.sqrt(lo_c) * np.sqrt(hi_c))
             z = np.where(bad, mid, step)
     raise RuntimeError('%d of %d levels unconverged after %d steps'
                        % (todo.size, out.size, _SOLVER_STEPS))

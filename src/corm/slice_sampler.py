@@ -8,8 +8,13 @@ two-stage interweaving scheme that alternates sufficient and ancillary
 parametrizations of the scores.
 
 Supported score marginals: gamma and unit-scale generalized gamma, whose
-directing intensities live on (0, 1); the repopulation draw inverts the
-directing tail on an interval inside (0, 1] and accepts by the tilt.
+directing intensities live on (0, 1).  The jump heights and the
+repopulation births are rejection draws from nu* restricted to an
+interval inside (0, 1], proposed by inverting the directing tail and
+accepted by the tilt.  They are batched: in each round every pending
+draw gets m proposals from one array inverse_tail call, keeps its first
+accepted one (the sequential rejection sampler's draw, as proposals are
+i.i.d.), and m doubles for the draws still pending.
 '''
 
 import math
@@ -43,6 +48,9 @@ __all__ = [
 ]
 
 MAX_REJECTION_TRIES = 10_000
+# proposals one rejection round holds at most: the tail's series branch
+# builds a (proposals, 60) array, so a round stays within about 30 MB
+_ROUND_PROPOSALS = 1 << 16
 
 
 @dataclass
@@ -111,8 +119,7 @@ def initial_slice_state(data, spec, kernel, rng, n_start=1):
     directing = spec.directing
     allocations = [np.arange(g.shape[0]) % n_start for g in data.groups]
     counts = _tally(allocations, n_start)
-    jumps = np.array([directing.inverse_tail(1.0 - rng.uniform())
-                      for _ in range(n_start)])
+    jumps = directing.inverse_tail(1.0 - rng.uniform(size=n_start))
     scores = rng.gamma(spec.shape, size=(n_start, d))
     state = SliceState(allocations, counts, jumps, scores, atoms=[None] *
                        n_start, u=[], v=np.ones(d), shape=spec.shape)
@@ -157,11 +164,47 @@ def _tilted_mass(spec, v, lo, hi):
         lower=lo, upper=hi, rel_tol=1e-8)
 
 
-def sample_tilted_z(spec, lower, upper, v, rng):
-    '''One draw from the repopulation density on (lower, upper):
+def _first_accepted(directing, tail_hi, mass, accept, describe, rng):
+    '''Rejection draws z_i from nu* restricted to the tail band
+    U(z) in (tail_hi[i], tail_hi[i] + mass[i]), accepting a proposal z
+    for draw i with probability accept(z, i) (arrays of proposals and
+    their draw indices).  Each round proposes m draws for every pending
+    index through one array inverse_tail call, with one uniform array
+    for the levels and one for the acceptances; an index keeps its
+    first accepted proposal in order, which is the rejection sampler
+    itself, and m doubles for the indices still pending (while a round
+    stays within _ROUND_PROPOSALS).  Raises RuntimeError, naming
+    describe(i), once a draw has used MAX_REJECTION_TRIES proposals.'''
+    out = np.empty(np.shape(mass))
+    pending = np.arange(out.size)
+    used, m = 0, 1
+    while pending.size:
+        if used >= MAX_REJECTION_TRIES:
+            raise RuntimeError('%s exceeded %d rejection tries'
+                               % (describe(pending[0]), MAX_REJECTION_TRIES))
+        m = max(1, min(m, MAX_REJECTION_TRIES - used,
+                       _ROUND_PROPOSALS // pending.size))
+        idx = np.repeat(pending, m)
+        levels = np.maximum(tail_hi[idx] + (1.0 - rng.uniform(size=idx.size))
+                            * mass[idx], 1e-300)
+        z = directing.inverse_tail(levels)
+        ok = (rng.uniform(size=idx.size) < accept(z, idx)).reshape(-1, m)
+        hit = ok.any(axis=1)
+        first = ok.argmax(axis=1)
+        out[pending[hit]] = z.reshape(-1, m)[hit, first[hit]]
+        pending = pending[~hit]
+        used += m
+        m *= 2
+    return out
+
+
+def sample_tilted_z(spec, lower, upper, v, rng, size=None):
+    '''Draws from the repopulation density on (lower, upper):
     nu*(z) prod_j (1+v_j z)^(-shape), by rejection: z is drawn from nu*
     restricted to (lower, upper) by inverting its tail, and accepted with
-    the tilt relative to its largest value, at lower.'''
+    the tilt relative to its largest value, at lower.  All size draws
+    share the rounds of _first_accepted.  Returns a float when size is
+    None, else an array of that shape.'''
     _check_family(spec)
     if not 0.0 < lower < upper <= 1.0:
         raise ValueError('need 0 < lower < upper <= 1')
@@ -170,14 +213,17 @@ def sample_tilted_z(spec, lower, upper, v, rng):
     directing = spec.directing
     tail_hi = directing.tail_integral(upper)
     mass = directing.tail_integral(lower) - tail_hi
-    for _ in range(MAX_REJECTION_TRIES):
-        z = directing.inverse_tail(tail_hi + (1.0 - rng.uniform()) * mass)
-        accept = float(np.prod(((1.0 + v * lower) / (1.0 + v * z)) ** phi))
-        if rng.uniform() < accept:
-            return float(min(max(z, lower), upper))
-    raise RuntimeError(
-        'tilted repopulation sampler exceeded %d rejection tries on '
-        '(%.3g, %.3g)' % (MAX_REJECTION_TRIES, lower, upper))
+    n = 1 if size is None else int(np.prod(size))
+
+    def accept(z, _):
+        return np.prod(((1.0 + v * lower) / (1.0 + np.outer(z, v))) ** phi,
+                       axis=1)
+
+    z = _first_accepted(directing, np.full(n, tail_hi), np.full(n, mass),
+                        accept, lambda _: 'tilted repopulation sampler on '
+                        '(%.3g, %.3g)' % (lower, upper), rng)
+    z = np.clip(z, lower, upper)
+    return float(z[0]) if size is None else z.reshape(size)
 
 
 def _remove_jumps(state, drop):
@@ -196,19 +242,24 @@ def _remove_jumps(state, drop):
     state.allocations = [remap[c] for c in state.allocations]
 
 
-def _append_jump(state, z, scores, atom):
+def _append_jumps(state, z, scores, atoms):
+    '''Add unallocated jumps: heights z, an (n, d) score table and
+    their atoms.'''
     state.jumps = np.append(state.jumps, z)
     state.scores = np.vstack([state.scores, scores])
     state.counts = np.vstack(
-        [state.counts, np.zeros(state.counts.shape[1], dtype=int)])
-    state.atoms.append(atom)
+        [state.counts, np.zeros((len(atoms), state.counts.shape[1]),
+                                dtype=int)])
+    state.atoms.extend(atoms)
 
 
 def update_u_and_repopulate(state, spec, kernel, rng):
     '''Redraw every slice latent uniform on (0, allocated jump height),
     then reconcile the unallocated pool with the new threshold: a
     Poisson number of tilted births fills (new, old) when the threshold
-    drops, and pool jumps below it are deleted when it rises.'''
+    drops, and pool jumps below it are deleted when it rises.  The
+    births' heights come from one sample_tilted_z call, then their
+    scores and atoms.'''
     old = state.threshold
     state.u = [_slice_draw(rng, c.size) * state.jumps[c]
                for c in state.allocations]
@@ -218,37 +269,37 @@ def update_u_and_repopulate(state, spec, kernel, rng):
         _remove_jumps(state, np.flatnonzero(free & (state.jumps < new)))
     elif new < old:
         mean = spec.centring_mass * _tilted_mass(spec, state.v, new, old)
-        phi = spec.shape
-        for _ in range(rng.poisson(mean)):
-            z = sample_tilted_z(spec, new, old, state.v, rng)
-            scores = rng.gamma(phi, size=state.v.size) / (1.0 + state.v * z)
-            _append_jump(state, z, scores, _prior_atom(kernel, rng))
+        births = rng.poisson(mean)
+        if births:
+            z = sample_tilted_z(spec, new, old, state.v, rng, size=births)
+            scores = rng.gamma(spec.shape, size=(births, state.v.size)) \
+                / (1.0 + np.outer(z, state.v))
+            _append_jumps(state, z, scores,
+                          [_prior_atom(kernel, rng) for _ in range(births)])
     return state
 
 
 def update_jump_heights(state, spec, rng):
-    '''Redraw each active jump from nu* restricted above its members'
-    largest slice (the threshold for pool jumps), exponentially tilted
-    by the jump's total tilted score mass.'''
-    directing = spec.directing
+    '''Redraw each active jump k from nu* restricted above its members'
+    largest slice low_k (the threshold for pool jumps), exponentially
+    tilted by the jump's total tilted score mass w_k: a proposal from
+    nu* above low_k, by the tail inverse at level
+    max((1 - u) U(low_k), 1e-300), is accepted with probability
+    exp(-(z - low_k) w_k).  All jumps share the rounds of
+    _first_accepted, each keeping its first accepted proposal.'''
     lows = np.full(state.n_jumps, state.threshold)
     for j, c in enumerate(state.allocations):
         np.maximum.at(lows, c, state.u[j])
     weights = state.scores @ state.v
-    for k in range(state.n_jumps):
-        tail_lo = directing.tail_integral(lows[k])
-        w = weights[k]
-        for _ in range(MAX_REJECTION_TRIES):
-            level = max((1.0 - rng.uniform()) * tail_lo, 1e-300)
-            z = directing.inverse_tail(level)
-            if rng.uniform() < math.exp(-(z - lows[k]) * w):
-                state.jumps[k] = z
-                break
-        else:
-            raise RuntimeError(
-                'jump-height rejection sampler exceeded %d tries '
-                '(lower %.3g, tilt %.3g)' % (MAX_REJECTION_TRIES,
-                                             lows[k], w))
+    tail_lo = spec.directing.tail_integral(lows)
+
+    def accept(z, k):
+        return np.exp(-(z - lows[k]) * weights[k])
+
+    state.jumps = _first_accepted(
+        spec.directing, np.zeros_like(tail_lo), tail_lo, accept,
+        lambda k: 'jump-height rejection sampler (lower %.3g, tilt %.3g)'
+        % (lows[k], weights[k]), rng)
     return state
 
 
@@ -291,7 +342,8 @@ def birth_death_move(state, spec, kernel, rng, cache=None):
         log_alpha = -z * float(scores @ state.v) + log_const \
             - math.log(pool.size + 1.0)
         if math.log(rng.uniform()) < log_alpha:
-            _append_jump(state, z, scores, _prior_atom(kernel, rng))
+            _append_jumps(state, [z], scores[None],
+                          [_prior_atom(kernel, rng)])
     elif pool.size > 0:
         k = int(pool[rng.integers(pool.size)])
         log_alpha = _log_tilt(state, k) + math.log(pool.size) - log_const

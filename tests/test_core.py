@@ -232,6 +232,28 @@ class TestBetaTypeTail:
             got = [nu.tail_integral(zi) for zi in z]
             np.testing.assert_allclose(got, levels, rtol=1e-10, atol=0.0)
 
+    @pytest.mark.parametrize('marginal, shape', [
+        (MarginalFamily.gamma(), 0.5), (MarginalFamily.gamma(), 2.0),
+        (MarginalFamily.generalized_gamma(0.3, 1.0), 0.5),
+        (MarginalFamily.generalized_gamma(0.3, 1.0), 1.0)])
+    def test_round_trip_near_the_upper_end(self, marginal, shape):
+        # the lowest levels have their roots within 1e-4 to 2.5e-13 of
+        # the upper end 1, which must be resolved relative to the gap.
+        # Where one ulp of z moves the tail by more than 2e-10 relative
+        # (gamma at shape 0.5 below level 1e-5: the doubles next to 1 are
+        # 1.1e-16 apart), the level must lie between the tails at the
+        # neighbouring doubles of the returned z instead
+        nu = directing_from_marginal(marginal, shape)
+        top = min(1e3, 0.5 * nu.tail_integral(1e-300))
+        levels = np.geomspace(1e-6, top, 28)
+        z = nu.inverse_tail(levels)
+        rel = np.abs(nu.tail_integral(z) / levels - 1.0)
+        tail_below = nu.tail_integral(np.nextafter(z, 0.0))
+        tail_above = nu.tail_integral(np.nextafter(z, 2.0))
+        within_ulp = (tail_above <= levels) & (levels <= tail_below)
+        coarse = tail_below - tail_above > 2e-10 * levels
+        assert np.all((rel <= 1e-10) | (coarse & within_ulp))
+
     def test_with_shape_runs_no_quadrature(self, monkeypatch):
         import corm.core as core_mod
         spec = spec_gg(shape=1.0)

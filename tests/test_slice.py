@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from corm.core import CoRMSpec, MarginalFamily
+from corm import slice_sampler
+from corm.core import CoRMSpec, LevyIntensity, MarginalFamily
 from corm.kernels import Dataset, UnivariateNormalGamma
 from corm.marginal_sampler import AdaptiveStepSize
 from corm.slice_sampler import (
@@ -22,6 +23,7 @@ from corm.slice_sampler import (
     slice_sweep,
     update_allocations_slice,
     update_hyperparameters_slice,
+    update_jump_heights,
 )
 
 
@@ -60,6 +62,29 @@ class TestSubThresholdIntegrals:
 
 
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
+
+
+def _cdf_at_draws(spec, weight, lo, hi, xs):
+    '''CDF of nu*(z) weight(z) on (lo, hi) at the sorted draws xs, and
+    its total: 16-point Gauss-Legendre in log z between consecutive
+    draws.'''
+    ends = np.log(np.concatenate([[lo], xs, [hi]]))
+    half = 0.5 * np.diff(ends)[:, None]
+    z = np.exp(ends[:-1, None] + half * (1.0 + _GL_X))
+    cum = np.cumsum(half[:, 0] * ((spec.directing.density(z) * z
+                                   * weight(z)) @ _GL_W))
+    return cum[:-1] / cum[-1], cum[-1]
+
+
+def _ks_p_value(cdf):
+    '''Kolmogorov-Smirnov p-value of sorted draws with the given CDF
+    values.'''
+    n = cdf.size
+    k = np.arange(1, n + 1)
+    d = max(np.max(k / n - cdf), np.max(cdf - (k - 1) / n))
+    return stats.kstwo.sf(d, n)
+
+
 TILTED_CASES = [(marginal, phi, lo, hi)
                 for marginal in (MarginalFamily.gamma(),
                                  MarginalFamily.generalized_gamma(0.3, 1.0))
@@ -69,37 +94,109 @@ TILTED_CASES = [(marginal, phi, lo, hi)
 
 class TestTiltedDraw:
     '''sample_tilted_z against the CDF of nu*(z) prod_j (1 + v_j z)^-phi
-    on (lo, hi): a Kolmogorov-Smirnov test on 2,000 draws per case.'''
+    on (lo, hi): a Kolmogorov-Smirnov test on 2,000 draws per case, made
+    by one sized call.'''
 
     V = np.array([0.5, 2.0])
 
-    @staticmethod
-    def tilted_cdf(spec, v, lo, hi, xs):
-        # 16-point Gauss-Legendre in log z between consecutive sorted
-        # draws; the total is checked against _tilted_mass
-        ends = np.log(np.concatenate([[lo], xs, [hi]]))
-        half = 0.5 * np.diff(ends)[:, None]
-        z = np.exp(ends[:-1, None] + half * (1.0 + _GL_X))
-        tilt = np.prod((1.0 + v[:, None, None] * z) ** -spec.shape, axis=0)
-        cum = np.cumsum(half[:, 0] * ((spec.directing.density(z) * z
-                                       * tilt) @ _GL_W))
-        assert cum[-1] == pytest.approx(_tilted_mass(spec, v, lo, hi),
-                                        rel=1e-8)
-        return cum[:-1] / cum[-1]
+    @classmethod
+    def tilted_cdf(cls, spec, lo, hi, xs):
+        # the total is checked against _tilted_mass
+        cdf, total = _cdf_at_draws(
+            spec, lambda z: np.prod((1.0 + cls.V[:, None, None] * z)
+                                    ** -spec.shape, axis=0), lo, hi, xs)
+        assert total == pytest.approx(_tilted_mass(spec, cls.V, lo, hi),
+                                      rel=1e-8)
+        return cdf
 
     @pytest.mark.parametrize('case', range(len(TILTED_CASES)))
     def test_kolmogorov_smirnov(self, case):
         marginal, phi, lo, hi = TILTED_CASES[case]
         spec = CoRMSpec.from_marginal(2, phi, marginal, verify=False)
         rng = np.random.default_rng(1000 + case)
-        xs = np.sort([sample_tilted_z(spec, lo, hi, self.V, rng)
-                      for _ in range(2000)])
+        xs = sample_tilted_z(spec, lo, hi, self.V, rng, size=2000)
+        assert xs.shape == (2000,)
+        xs = np.sort(xs)
         assert lo <= xs[0] and xs[-1] <= hi
-        cdf = self.tilted_cdf(spec, self.V, lo, hi, xs)
-        n = xs.size
-        k = np.arange(1, n + 1)
-        d = max(np.max(k / n - cdf), np.max(cdf - (k - 1) / n))
-        assert stats.kstwo.sf(d, n) > 0.01
+        assert _ks_p_value(self.tilted_cdf(spec, lo, hi, xs)) > 0.01
+
+    def test_size_none_returns_a_float(self):
+        marginal, phi, lo, hi = TILTED_CASES[0]
+        spec = CoRMSpec.from_marginal(2, phi, marginal, verify=False)
+        z = sample_tilted_z(spec, lo, hi, self.V, np.random.default_rng(0))
+        assert isinstance(z, float) and lo <= z <= hi
+
+
+def _pool_state(n_jumps, low, w):
+    '''One observation with slice low on jump 0 and n_jumps - 1 pool
+    jumps, so every jump is redrawn above low; unit scores and v = w
+    give every jump the tilt w.'''
+    return SliceState(
+        allocations=[np.array([0])],
+        counts=np.vstack([[1], np.zeros((n_jumps - 1, 1), dtype=int)]),
+        jumps=np.full(n_jumps, 0.5 * (1.0 + low)),
+        scores=np.ones((n_jumps, 1)),
+        atoms=[None] * n_jumps,
+        u=[np.array([low])], v=np.array([w]), shape=1.0)
+
+
+JUMP_HEIGHT_CASES = [(marginal, phi, w)
+                     for marginal, phi in ((MarginalFamily.gamma(), 2.0),
+                                           (MarginalFamily.generalized_gamma(
+                                               0.3, 1.0), 1.0))
+                     for w in (0.1, 10.0, 1e3)]
+
+
+class TestJumpHeights:
+    '''update_jump_heights: the redrawn heights follow the conditional
+    nu*(z) e^(-w z) on (low, 1), the rejection budget still raises, and
+    all jumps share a bounded number of array inverse-tail calls.'''
+
+    LOW = 0.05
+
+    @pytest.mark.parametrize('case', range(len(JUMP_HEIGHT_CASES)))
+    def test_kolmogorov_smirnov(self, case):
+        marginal, phi, w = JUMP_HEIGHT_CASES[case]
+        spec = CoRMSpec.from_marginal(1, phi, marginal, verify=False)
+        state = _pool_state(2000, self.LOW, w)
+        update_jump_heights(state, spec, np.random.default_rng(2000 + case))
+        xs = np.sort(state.jumps)
+        assert self.LOW < xs[0] and xs[-1] < 1.0
+        tilt = lambda z: np.exp(-w * (z - self.LOW))
+        cdf, total = _cdf_at_draws(spec, tilt, self.LOW, 1.0, xs)
+        # one 16-point panel covers (largest draw, 1), where the tilt at
+        # w = 1e3 falls by e^-900 and (1 - z)^0.3 has its kink: the
+        # total is good to about 1e-5 there, far below the KS resolution
+        assert total == pytest.approx(spec.directing.integrate(
+            tilt, lower=self.LOW, rel_tol=1e-10), rel=1e-4)
+        assert _ks_p_value(cdf) > 0.01
+
+    def test_rejection_budget_raises(self, monkeypatch):
+        monkeypatch.setattr(slice_sampler, 'MAX_REJECTION_TRIES', 20)
+        spec = CoRMSpec.from_marginal(1, 1.0, MarginalFamily.gamma())
+        state = _pool_state(5, 0.5, 1e9)
+        with pytest.raises(RuntimeError,
+                           match='exceeded 20'):
+            update_jump_heights(state, spec, np.random.default_rng(0))
+
+    def test_inverse_tail_calls_are_rounds(self, monkeypatch):
+        # one call per round, and the proposals per pending jump double
+        # from round to round: at most ceil(log2(budget)) + 1 calls
+        calls = []
+        original = LevyIntensity.inverse_tail
+
+        def counted(self, level):
+            calls.append(np.size(level))
+            return original(self, level)
+
+        monkeypatch.setattr(LevyIntensity, 'inverse_tail', counted)
+        spec = CoRMSpec.from_marginal(
+            1, 1.0, MarginalFamily.generalized_gamma(0.3, 1.0))
+        state = _pool_state(50, self.LOW, 1e3)
+        update_jump_heights(state, spec, np.random.default_rng(3))
+        assert 1 < len(calls) <= math.ceil(
+            math.log2(slice_sampler.MAX_REJECTION_TRIES)) + 1
+        assert calls[0] == 50
 
 
 def _two_groups(rng, per_group):
