@@ -118,6 +118,11 @@ class LevyIntensity:
                               to build quadrature hints.  p_lower <= -1
                               encodes the infinite activity at the lower
                               endpoint.
+    upper_rate              : p_upper + 1, the TiltRule's end-series rate
+                              at the upper end; defaults to that sum.
+                              Given where p_upper is a rounded double and
+                              the rate is exact (the beta-type
+                              intensities give beta).
     tail_fn / inverse_fn    : optional vectorised tail integral
                               U(x) = int_x^upper density and its inverse.
     log_density             : optional vectorised callable (z, gap) ->
@@ -135,13 +140,18 @@ class LevyIntensity:
     '''
 
     def __init__(self, density, support, singularity_exponents=(None, None),
-                 tail_fn=None, inverse_fn=None, log_density=None):
+                 tail_fn=None, inverse_fn=None, log_density=None,
+                 upper_rate=None):
         lo, hi = support
         if math.isinf(lo) or not hi > lo:
             raise ValueError('support must be a nonempty interval with finite lower end')
         self.density = density
         self.support = (float(lo), float(hi))
         self.singularity_exponents = tuple(singularity_exponents)
+        p_hi = self.singularity_exponents[1]
+        if upper_rate is None and p_hi is not None:
+            upper_rate = p_hi + 1.0
+        self.upper_rate = upper_rate
         self._tail_fn = tail_fn
         self._inverse_fn = inverse_fn
         self._log_density = log_density
@@ -347,6 +357,27 @@ def _beta_type(marginal, shape):
     return _stable_coefficient(shape, sigma), sigma, marginal.a, sigma + shape
 
 
+def _beta_series(sigma, beta, x_switch):
+    '''Exponents k - sigma and coefficients c_k / (k - sigma), c_k =
+    (-1)^k C(beta-1, k), of the series sum_k c_k x^(k-sigma) / (k-sigma)
+    in the beta-type unit tail, cut to the terms that count at x <=
+    x_switch.'''
+    # Cut once, at x_switch, the largest x the series is evaluated at,
+    # where a term falls below 1e-22 of the first (32 of 60 terms at
+    # sigma 0.3, beta 2.3; one at sigma 0 and beta 2, where the series is
+    # a polynomial).  A term below 1e-17 of the first cannot move the
+    # rounded sum, but the matrix product keeps partial sums of the later,
+    # smaller terms, whose last bits terms near 1e-18 still move: cut
+    # there, the tail differed from the 60-term one in the last bit at
+    # about 2e-4 of the points near x_switch; cut at 1e-22, at none tried.
+    ks = np.arange(1.0, 61.0)
+    exponents = ks - sigma
+    coefs = np.cumprod((ks - beta) / ks) / exponents
+    sizes = np.abs(coefs) * x_switch ** exponents
+    n = np.flatnonzero(sizes > 1e-22 * sizes[0]).max(initial=-1) + 1
+    return exponents[:n], coefs[:n]
+
+
 def directing_from_marginal(marginal, shape):
     '''Directing intensity nu* whose compound with Ga(shape) scores has
     the requested marginal process in every coordinate.  Generalized gamma
@@ -387,10 +418,12 @@ def directing_from_marginal(marginal, shape):
     # transform -boxcox(x, -sigma), and c_k = (-1)^k C(beta-1, k); away
     # from zero it is the incomplete-beta hypergeometric.  Switching at
     # x = 1/beta bounds the series terms by 1/k!, so they do not cancel.
-    ks = np.arange(1.0, 61.0)
-    exponents = ks - sigma
-    series_coefs = np.cumprod((ks - beta) / ks) / exponents
+    # The series keeps only the terms that count at x_switch (about 30,
+    # not 60).  Uncut, the power matrix x^(k-sigma) underflows in its
+    # last columns at the jumps near 1e-9 of a prior draw, where pow takes
+    # its slow subnormal path: that was most of a draw's time.
     x_switch = min(0.3, 1.0 / beta)
+    exponents, series_coefs = _beta_series(sigma, beta, x_switch)
     # k0 = lim_{x->0} G(x) - L(x) = B(-sigma, beta) + 1/sigma = -expm1(E)/sigma
     # with E = lnGamma(1-sigma) + lnGamma(beta) - lnGamma(beta-sigma) (DLMF
     # 8.17), and -digamma(beta) - euler_gamma at sigma 0.  E/sigma is a
@@ -444,7 +477,7 @@ def directing_from_marginal(marginal, shape):
     return LevyIntensity(density, (0.0, 1.0 / a),
                          singularity_exponents=(-1.0 - sigma, beta - 1.0),
                          tail_fn=tail, inverse_fn=inverse,
-                         log_density=log_density)
+                         log_density=log_density, upper_rate=beta)
 
 
 def marginal_intensity(marginal):
@@ -557,21 +590,6 @@ def marginal_from_directing(directing, shape, theta=None, sigma=None, a=None):
     raise ValueError('unsupported directing family %r' % (directing,))
 
 
-def _mixture_marginal_density(directing, shape, s):
-    '''Marginal intensity by direct mixing: int z^-1 f(s/z) nu*(z) dz.'''
-    s = float(s)
-
-    def weight(z):
-        log_f = ((shape - 1.0) * (np.log(s) - np.log(z)) - s / z
-                 - gammaln(shape))
-        return np.exp(log_f - np.log(z))
-
-    # e^(-s/z) vanishes faster than any power at 0 and tends to 1 at large
-    # z, leaving z^-shape
-    return directing.integrate(weight, lower_power=None, tail_power=-shape,
-                               breaks=(s,))
-
-
 @dataclass(frozen=True)
 class CoRMSpec:
     '''
@@ -582,9 +600,9 @@ class CoRMSpec:
     below never touch it.
 
     Build with from_marginal(), which derives the directing intensity and
-    verifies the marginal consistency numerically.  with_shape() rebuilds
-    for a new score shape without the (costly) re-verification, for use
-    inside samplers.
+    verifies it numerically: the Laplace exponent of one coordinate must
+    match the marginal's closed form.  with_shape() rebuilds for a new
+    score shape without the re-verification, for use inside samplers.
     '''
     dimension: int
     score: ScoreDistribution
@@ -606,15 +624,17 @@ class CoRMSpec:
         spec = cls(dimension, ScoreDistribution(shape), marginal, directing,
                    centring_mass, base)
         if verify:
-            target = marginal_intensity(marginal)
-            for s in (0.3, 1.0, 3.0):
-                got = _mixture_marginal_density(directing, shape, s)
-                want = float(target.density(s))
-                if abs(got - want) > 1e-4 * abs(want):
+            # one coordinate's Laplace exponent, by the tilt rule on the
+            # directing intensity, against the marginal's closed form
+            single = cls(1, spec.score, marginal, directing)
+            for lam in (0.1, 1.0, 10.0):
+                got = TiltRule(single, [lam]).psi()
+                want = float(marginal_exponent(marginal, lam))
+                if not abs(got - want) <= 1e-9 * want:
                     raise ValueError(
                         'directing intensity is inconsistent with the '
-                        'requested marginal at s=%g (%g vs %g)'
-                        % (s, got, want))
+                        'requested marginal at lam=%g (%.17g vs %.17g)'
+                        % (lam, got, want))
         return spec
 
     def with_shape(self, shape):
@@ -721,7 +741,8 @@ class TiltRule:
         self.v = v
         self.positive = (v > 0.0).astype(float)
         self.p_lo = 0.0 if p_lo is None else float(p_lo)
-        self.p_hi = 0.0 if p_hi is None else float(p_hi)
+        # p_hi + 1, exact where the intensity gives it
+        self.upper_rate = 1.0 if p_hi is None else float(nu.upper_rate)
         active = v[v > 0.0]
         v_max = float(active.max()) if active.size else 1.0
         v_min = float(active.min()) if active.size else 1.0
@@ -757,8 +778,8 @@ class TiltRule:
         if rate_lo <= 0.0:
             raise ValueError('integral diverges at the lower endpoint')
         if self.finite:
-            return rate_lo, self.p_hi + 1.0
-        rate_hi = -(self.p_hi + 1.0 + tail_power)
+            return rate_lo, self.upper_rate
+        rate_hi = -(self.upper_rate + tail_power)
         if rate_hi <= 0.0:
             raise ValueError('integral diverges in the tail')
         return rate_lo, rate_hi

@@ -83,6 +83,22 @@ def _solve_residual_level(directing, target):
         lambda y: np.full_like(y, upper), upper, increasing=True))
 
 
+def _break_ties(jumps):
+    '''Make decreasing jumps strictly decreasing in place: each jump not
+    below its predecessor becomes the predecessor times 1 - 1e-12, in
+    order, so a nudge can cascade to the jumps after it.'''
+    # the inverse returns the largest double below a finite upper end for
+    # levels whose roots lie closer to it, and nearby levels can round to
+    # the same jump.  Ties are rare, so the sequential pass starts at the
+    # first one, found by one array comparison
+    ties = np.flatnonzero(jumps[1:] >= jumps[:-1])
+    if ties.size:
+        for i in range(ties[0] + 1, jumps.size):
+            if jumps[i] >= jumps[i - 1]:
+                jumps[i] = jumps[i - 1] * (1.0 - 1e-12)
+    return jumps
+
+
 def sample_corm(spec, rng, n_jumps=None, tail_mass=None, max_jumps=100_000):
     '''
     Draw a truncated realization.  Exactly one truncation rule applies:
@@ -137,13 +153,7 @@ def sample_corm(spec, rng, n_jumps=None, tail_mass=None, max_jumps=100_000):
         arrivals = np.sort(rng.uniform(0.0, arrival_cap, size=n))
         jumps = directing.inverse_tail(arrivals / alpha)
 
-    # the inverse returns the largest double below a finite upper end for
-    # levels whose roots lie closer to it, and nearby levels can round to
-    # the same jump; nudge such ties so the ordering stays strict
-    for i in range(1, jumps.size):
-        if jumps[i] >= jumps[i - 1]:
-            jumps[i] = jumps[i - 1] * (1.0 - 1e-12)
-
+    _break_ties(jumps)
     base = spec.base
     if base is None:
         locations = rng.uniform(size=jumps.size)

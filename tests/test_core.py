@@ -13,6 +13,7 @@ import pytest
 from scipy import integrate as sci
 from scipy.special import exp1, gammaln, kv
 
+from corm import core
 from corm.core import (
     CoRMSpec,
     LevyIntensity,
@@ -196,6 +197,38 @@ class TestBetaTypeTail:
                     want = scale * self.unit_tail(sigma, beta, x)
                     got = nu.tail_integral(x / a)
                     assert abs(got - want) <= 1e-12 * want, (shape, x)
+
+    @pytest.mark.parametrize('sigma,a', BETA_TYPE_FAMILIES)
+    def test_series_branch_on_a_log_grid(self, sigma, a):
+        # the whole series branch, x from 1e-12 to x_switch; the cut
+        # series must be as accurate as the 60-term one, whose worst
+        # error over these cases is 5.64e-14 (sigma 0.9)
+        worst = 0.0
+        with mpmath.workdps(40):
+            for shape in BETA_TYPE_SHAPES:
+                nu, scale, beta = beta_type_directing(sigma, a, shape)
+                z = np.geomspace(1e-12, min(0.3, 1.0 / beta), 30) / a
+                for zi, got in zip(z, nu.tail_integral(z)):
+                    want = scale * self.unit_tail(sigma, beta, a * zi)
+                    worst = max(worst, abs(got - want) / want)
+        assert worst <= 5.7e-14
+
+    @pytest.mark.parametrize('sigma,a', BETA_TYPE_FAMILIES)
+    def test_series_cut_drops_only_terms_below_an_ulp(self, sigma, a):
+        # every term past the cut, at x_switch where it is largest, is
+        # below half an ulp of the tail there
+        with mpmath.workdps(40):
+            for shape in BETA_TYPE_SHAPES:
+                _, _, beta = beta_type_directing(sigma, a, shape)
+                x_switch = min(0.3, 1.0 / beta)
+                exponents, _ = core._beta_series(sigma, beta, x_switch)
+                n = exponents.size
+                assert n <= 40, shape
+                s, b, x = (mpmath.mpf(t) for t in (sigma, beta, x_switch))
+                dropped = max(abs(mpmath.binomial(b - 1, k) * x ** (k - s)
+                                  / (k - s)) for k in range(n + 1, 121))
+                tail = self.unit_tail(sigma, beta, x_switch)
+                assert dropped < 2.0 ** -53 * tail, shape
 
     @pytest.mark.parametrize('sigma,a', BETA_TYPE_FAMILIES)
     def test_tail_constant(self, sigma, a):
@@ -478,19 +511,23 @@ class TestSpecConstruction:
             assert sp.directing is not None
 
     def test_consistency_check_catches_mismatch(self, monkeypatch):
-        import corm.core as core_mod
-        # force the closed marginal target off by 1%; the mixture check in
+        # force the closed marginal exponent off by 1%; the check in
         # from_marginal must notice
-        real = core_mod.marginal_intensity
+        real = core.marginal_exponent
+        monkeypatch.setattr(core, 'marginal_exponent',
+                            lambda marginal, lam: 1.01 * real(marginal, lam))
+        with pytest.raises(ValueError, match='inconsistent'):
+            core.CoRMSpec.from_marginal(2, 1.0, MarginalFamily.gamma())
 
-        def skewed(marginal):
-            nu = real(marginal)
-            return type(nu)(lambda s: 1.01 * nu.density(s), nu.support,
-                            nu.singularity_exponents)
-
-        monkeypatch.setattr(core_mod, 'marginal_intensity', skewed)
-        with pytest.raises(ValueError):
-            core_mod.CoRMSpec.from_marginal(2, 1.0, MarginalFamily.gamma())
+    @pytest.mark.parametrize('marginal', [
+        MarginalFamily.gamma(), MarginalFamily.generalized_gamma(0.3, 1.0),
+        MarginalFamily.sigma_stable(0.5)], ids=['gamma', 'gg', 'stable'])
+    @pytest.mark.parametrize('shape', [1e-5, 1e-3, 0.5, 2.0, 100.0])
+    def test_consistency_check_accepts_valid_specs(self, marginal, shape):
+        # small shapes made the former mixture-density check's integrand
+        # non-finite, and shape 100 failed its 1e-4 comparison
+        sp = CoRMSpec.from_marginal(2, shape, marginal)
+        assert sp.shape == shape
 
     def test_with_shape(self):
         sp = spec_gamma(shape=1.0)

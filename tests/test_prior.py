@@ -19,6 +19,7 @@ from corm.core import (
 from corm.prior import (
     STABLE_DEFAULT_JUMPS,
     CoRMRealization,
+    _break_ties,
     _coverage_norm,
     _solve_residual_level,
     normalize,
@@ -52,6 +53,27 @@ class TestTruncation:
         assert r.jump_count > 5
         assert np.all(np.diff(r.jumps) < 0.0)
         assert np.all(r.jumps > 0.0)
+
+    @pytest.mark.parametrize('jumps', [
+        [], [0.5], [3.0, 2.0, 1.0, 0.5], [1.0, 1.0, 1.0, 0.5, 0.2],
+        [1.0, 1.0, 1.0 - 1e-13], [0.5, 0.7, 0.3, 0.3],
+        [0.9, 0.4, 0.4, 0.4 * (1.0 - 5e-13), 0.1]],
+        ids=['empty', 'single', 'no-ties', 'leading-run', 'cascade',
+             'rise-and-tail-tie', 'inner-cascade'])
+    def test_break_ties_matches_the_sequential_pass(self, jumps):
+        def sequential(x):
+            x = x.copy()
+            for i in range(1, x.size):
+                if x[i] >= x[i - 1]:
+                    x[i] = x[i - 1] * (1.0 - 1e-12)
+            return x
+
+        x = np.array(jumps, dtype=float)
+        want = sequential(x)
+        got = _break_ties(x)
+        assert got is x
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert np.all(np.diff(got) < 0.0)
 
     def test_count_mode_draws_exactly_n(self, gamma_spec):
         rng = np.random.default_rng(2)
