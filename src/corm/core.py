@@ -45,6 +45,7 @@ __all__ = [
     'rho_density',
     'tau',
     'TiltRule',
+    'RuleNodes',
     'log_kappa',
     'kappa',
     'levy_copula',
@@ -682,25 +683,132 @@ def _integrate_with_breaks(integrand, lo, hi, hints, breaks, rel_tol):
     return total
 
 
-def _psi_bracket(shape, lam):
-    '''The Laplace-exponent weight z -> 1 - prod_j (1 + lam_j z)^-shape.'''
-    def weight(z):
-        t = np.log1p(np.multiply.outer(lam, z)).sum(axis=0)
-        return -np.expm1(-shape * t)
-    return weight
-
-
 # the rule is cut where log1p(v z), 1 - z/upper and the like differ from
 # their leading power by less than this relative amount
 _PURE = 1e-17
 # the largest step of the rule in u
 _STEP = 0.125
+# the nodes a RuleNodes lattice adds at a time past its first block
+_BLOCK = 256
+
+
+def _rule_step(spec):
+    return min(_STEP, 0.2 / math.sqrt(spec.dimension * spec.shape))
+
+
+def _sigmoid_terms(nu, h, u, upper):
+    '''(log z, z, log(h |dz/du| nu*(z))) at the nodes u of the map
+    z = upper exp(-softplus(-u)) onto (0, upper).  The gap upper - z =
+    upper exp(-softplus(u)) is exact, and nu* is given the gap to the
+    end of its support as (end - upper) + (upper - z).'''
+    log_upper = math.log(upper)
+    log_z = log_upper - np.logaddexp(0.0, -u)
+    log_gap = log_upper - np.logaddexp(0.0, u)
+    z = np.exp(log_z)
+    gap = (nu.support[1] - upper) + np.exp(log_gap)
+    log_jac = log_z + log_gap - log_upper
+    return log_z, z, math.log(h) + log_jac + nu.log_density(z, gap)
+
+
+def _log_sigmoid_terms(nu, h, u, lower, upper):
+    '''The same on (lower, upper), lower > 0, with the map taken in
+    log z: log(z / lower) = D exp(-softplus(-u)) and log(upper / z) =
+    D exp(-softplus(u)), D = log(upper / lower).  Each half of the
+    nodes takes z from its nearer end, so both ends are exact.'''
+    span = math.log1p((upper - lower) / lower)
+    log_above = -np.logaddexp(0.0, -u)
+    log_below = -np.logaddexp(0.0, u)
+    above = span * np.exp(log_above)
+    below = span * np.exp(log_below)
+    low = u < 0.0
+    z = np.where(low, lower * np.exp(above), upper * np.exp(-below))
+    log_z = np.where(low, math.log(lower) + above, math.log(upper) - below)
+    gap = (nu.support[1] - upper) - upper * np.expm1(-below)
+    log_jac = log_z + math.log(span) + log_above + log_below
+    return log_z, z, math.log(h) + log_jac + nu.log_density(z, gap)
+
+
+class RuleNodes:
+    '''
+    The v-independent node terms of the TiltRules on one finite stretch
+    of a support (0, U): (0, upper) below a truncation level upper <= U,
+    or (lower, upper) with lower > 0.  Built once and shared by the rules
+    at every tilt v there; see TiltRule for the layout.
+
+    The nodes u_k = top - k h (k = 0, 1, ...) are anchored at the upper
+    cut and computed in blocks, as far down as the largest v_max asked
+    for so far: one block for the tilts with v_max upper <= 1, then
+    _BLOCK nodes at a time.  terms(v_max) hands out exactly the nodes
+    v_max calls for, and a node's terms do not depend on the blocks
+    computed before it, so a rule's value does not depend on which tilts
+    came first.
+    '''
+
+    def __init__(self, spec, upper, lower=0.0):
+        nu = spec.directing
+        start, end = nu.support
+        if start != 0.0:
+            raise ValueError('the tilt rule needs a support starting at 0')
+        if not 0.0 <= lower < upper <= end or math.isinf(upper):
+            raise ValueError('(%r, %r) is not a finite stretch of the '
+                             'support' % (lower, upper))
+        self.spec = spec
+        self.lower, self.upper = float(lower), float(upper)
+        self.h = _rule_step(spec)
+        p_hi = nu.singularity_exponents[1]
+        # the integrand keeps nu*'s power at its own end only
+        self.upper_rate = float(nu.upper_rate) if (
+            upper == end and p_hi is not None) else 1.0
+        cut = -math.log(_PURE)
+        if lower > 0.0:
+            # log z moves from either end by D e^-|u|, D = log(upper /
+            # lower): past D e^-|u| = _PURE the terms are pure
+            # exponentials in u
+            span = math.log1p((upper - lower) / lower)
+            self.top = cut + max(0.0, math.log(span))
+            self.bottom = -self.top
+        else:
+            # past the top the gap upper - z is below _PURE of upper and
+            # of end - upper, so nu*'s factor in end - z is constant
+            self.top = cut if upper == end else cut + max(
+                0.0, math.log(upper) - math.log(end - upper))
+            self.bottom = -cut
+        self._log_z = self._z = self._log_w = np.empty(0)
+
+    def _steps(self, depth):
+        # an even number, so both ends are sub-rule nodes
+        return 2 * math.ceil(0.5 * (self.top - self.bottom + depth) / self.h)
+
+    def terms(self, v_max):
+        '''(log z, z, log(h |dz/du| nu*(z))) in increasing u at the nodes
+        k = n, ..., 0 for tilts up to v_max, where n is the even step
+        count from top to bottom, and below (0, upper) further down by
+        log(v_max upper) once v_max upper > 1.  The first block holds the
+        nodes of v_max upper <= 1.'''
+        depth = 0.0
+        if self.lower == 0.0:
+            depth = max(0.0, math.log(v_max * self.upper))
+        n = self._steps(depth)
+        nu = self.spec.directing
+        while self._z.size <= n:
+            size = _BLOCK if self._z.size else self._steps(0.0) + 1
+            u = self.top - self.h * (self._z.size + np.arange(size))
+            if self.lower > 0.0:
+                block = _log_sigmoid_terms(nu, self.h, u, self.lower,
+                                           self.upper)
+            else:
+                block = _sigmoid_terms(nu, self.h, u, self.upper)
+            self._log_z, self._z, self._log_w = (
+                np.concatenate(pair) for pair in zip(
+                    (self._log_z, self._z, self._log_w), block))
+        return self._log_z[n::-1], self._z[n::-1], self._log_w[n::-1]
 
 
 class TiltRule:
     '''
     One trapezoid node set for the integrals against nu* at a fixed tilt
-    vector v: log kappa_a(v) for any count tuple a, and psi(v).
+    vector v: log kappa_a(v) for any count tuple a, psi(v) and its
+    gradient.
 
     The rule is uniform in u with step h = min(1/8, 0.2/sqrt(d shape)),
     a fraction of the peak width of the kappa integrand in log z at
@@ -713,15 +821,27 @@ class TiltRule:
     to double precision (v_max z <= 1e-17 and the like); the rule's terms
     past each end are summed in closed form as geometric series.
 
+    Given nodes (a RuleNodes of the same spec), the rule runs over a
+    stretch of a finite support instead:
+
+    - a truncated end, (0, L) with L <= U: z = L exp(-softplus(-u)), and
+      nu* reads its gap as (U - L) + (L - z).  The end series at 0 keeps
+      its rate; at L it has rate 1 when L < U (the integrand is regular
+      there) and nu*'s rate at U when L = U.
+    - an interval (lo, hi), lo > 0: the same map in log z between
+      log lo and log hi, with rate 1 at both ends (at hi = U, nu*'s rate
+      there).  A map linear in z would need about hi / lo times the
+      nodes when lo << hi.
+
     Per node the rule stores log(h |dz/du| nu*(z)), log z and
-    log1p(v_j z).  Every value is checked against the every-other-node
-    sub-rule, and a disagreement above 1e-9 relative raises
-    QuadratureError.  The end behaviour comes from the directing
-    intensity's singularity exponents, which an infinite upper end must
-    give.
+    log1p(v_j z); only the last depends on v.  Every value is checked
+    against the every-other-node sub-rule, and a disagreement above
+    1e-9 relative raises QuadratureError.  The end behaviour comes from
+    the directing intensity's singularity exponents, which an infinite
+    upper end must give.
     '''
 
-    def __init__(self, spec, v):
+    def __init__(self, spec, v, nodes=None):
         nu = spec.directing
         v = np.asarray(v, dtype=float)
         if v.ndim != 1 or v.size != spec.dimension:
@@ -729,11 +849,13 @@ class TiltRule:
                              % spec.dimension)
         if np.any(v < 0.0):
             raise ValueError('v must be nonnegative')
+        if nodes is not None and nodes.spec is not spec:
+            raise ValueError('the nodes belong to another spec')
         lo, upper = nu.support
         if lo != 0.0:
             raise ValueError('the tilt rule needs a support starting at 0')
         p_lo, p_hi = nu.singularity_exponents
-        self.finite = not math.isinf(upper)
+        self.finite = nodes is not None or not math.isinf(upper)
         if not self.finite and p_hi is None:
             raise ValueError('the tilt rule needs the power decay of the '
                              'intensity at an infinite upper end')
@@ -741,12 +863,20 @@ class TiltRule:
         self.v = v
         self.positive = (v > 0.0).astype(float)
         self.p_lo = 0.0 if p_lo is None else float(p_lo)
-        # p_hi + 1, exact where the intensity gives it
-        self.upper_rate = 1.0 if p_hi is None else float(nu.upper_rate)
         active = v[v > 0.0]
         v_max = float(active.max()) if active.size else 1.0
         v_min = float(active.min()) if active.size else 1.0
-        h = min(_STEP, 0.2 / math.sqrt(spec.dimension * spec.shape))
+        if nodes is not None:
+            self.lower = nodes.lower
+            self.upper_rate = nodes.upper_rate
+            self.h = nodes.h
+            self.log_z, z, self.log_w = nodes.terms(v_max)
+            self.log1p_vz = np.log1p(np.multiply.outer(v, z))
+            return
+        self.lower = 0.0
+        # p_hi + 1, exact where the intensity gives it
+        self.upper_rate = 1.0 if p_hi is None else float(nu.upper_rate)
+        h = _rule_step(spec)
         cut = -math.log(_PURE)
         if self.finite:
             u_lo = -cut - max(0.0, math.log(v_max * upper))
@@ -758,22 +888,23 @@ class TiltRule:
         n = 2 * math.ceil(0.5 * (u_hi - u_lo) / h)
         u = u_lo + h * np.arange(n + 1)
         if self.finite:
-            log_z = math.log(upper) - np.logaddexp(0.0, -u)
-            log_gap = math.log(upper) - np.logaddexp(0.0, u)
-            z, gap = np.exp(log_z), np.exp(log_gap)
-            log_jac = log_z + log_gap - math.log(upper)
+            log_z, z, self.log_w = _sigmoid_terms(nu, h, u, upper)
         else:
-            log_z = log_jac = u
-            z, gap = np.exp(u), np.full_like(u, np.inf)
+            log_z = u
+            z = np.exp(u)
+            self.log_w = math.log(h) + u + nu.log_density(
+                z, np.full_like(u, np.inf))
         self.h = h
         self.log_z = log_z
-        self.log_w = math.log(h) + log_jac + nu.log_density(z, gap)
         self.log1p_vz = np.log1p(np.multiply.outer(v, z))
 
     def _end_rates(self, lower_power, tail_power):
         '''Decay rates in u of the integrand at the small-z and large-z
         ends, for a weight ~ z^lower_power at 0 and ~ z^tail_power at an
         infinite upper end (at a finite one the weight is regular).'''
+        if self.lower > 0.0:
+            # an interval inside the support: the weight is regular at lo
+            return 1.0, self.upper_rate
         rate_lo = self.p_lo + 1.0 + lower_power
         if rate_lo <= 0.0:
             raise ValueError('integral diverges at the lower endpoint')
@@ -842,6 +973,28 @@ class TiltRule:
                 % (self.v, (full - half) / full),
                 IntegralResult(full, abs(full - half), f.size))
         return float(full)
+
+    def psi_gradient(self):
+        '''d psi / d v_j = int shape z (1 + v_j z)^-1
+        prod_l (1 + v_l z)^-shape nu*(z) dz, for every j.'''
+        shape = self.spec.shape
+        log_g = (self.log_w + math.log(shape) + self.log_z
+                 - shape * self.log1p_vz.sum(axis=0))
+        decay = shape * self.positive.sum()
+        out = np.empty(self.v.size)
+        for j, log1p_vjz in enumerate(self.log1p_vz):
+            rate_lo, rate_hi = self._end_rates(
+                1.0, 1.0 - decay - self.positive[j])
+            f = np.exp(log_g - log1p_vjz)
+            full, half = self._rule_pair(f, [(f[0], rate_lo),
+                                             (f[-1], rate_hi)])
+            if not abs(full - half) <= 1e-9 * full:
+                raise QuadratureError(
+                    'd psi / d v_%d at %s: trapezoid rules disagree by '
+                    '%.3g relative' % (j, self.v, (full - half) / full),
+                    IntegralResult(full, abs(full - half), f.size))
+            out[j] = full
+        return out
 
 
 def laplace_exponent(spec, lam):
@@ -1150,7 +1303,9 @@ def marginal_exponent(marginal, lam):
         return lam ** marginal.sigma
     if marginal.kind == 'generalized-gamma':
         s, a = marginal.sigma, marginal.a
-        return (a + lam) ** s - a ** s
+        # (a + lam)^s - a^s, without the cancellation of the difference
+        # at small s or small lam / a
+        return a ** s * np.expm1(s * np.log1p(lam / a))
     raise ValueError('unknown marginal family %r' % (marginal.kind,))
 
 

@@ -15,6 +15,14 @@ accepted by the tilt.  They are batched: in each round every pending
 draw gets m proposals from one array inverse_tail call, keeps its first
 accepted one (the sequential rejection sampler's draw, as proposals are
 i.i.d.), and m doubles for the draws still pending.
+
+The integrals against nu* that the kept jumps leave out are trapezoid
+rules (core.TiltRule): the residual Laplace exponent below L and its
+v-gradient (the snapshots' residual mass) on the rule truncated at L,
+and the repopulation mass on the rule over (L_new, L_old).  L stays
+fixed from repopulation to the end of a sweep, so the v and shape moves
+share one RuleNodes per spec, and each MH ratio reuses the residual at
+the current state: 2d + 2 residual evaluations a sweep.
 '''
 
 import math
@@ -23,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .core import _psi_bracket
+from .core import RuleNodes, TiltRule
 from .marginal_sampler import _members, _tally
 # not called here: kept bound so the benchmark's tracer, which wraps
 # corm.slice_sampler.integrate, still finds it
@@ -133,35 +141,49 @@ def _slice_draw(rng, size):
     return np.maximum(rng.uniform(size=size), 2.3e-16)
 
 
-def residual_laplace(spec, v, L):
+def residual_laplace(spec, v, L, nodes=None):
     '''Contribution of jumps below L to the Laplace exponent at v:
-    integral over (0, L) of (1 - prod_j (1+v_j z)^(-shape)) nu*(z) dz.'''
+    integral over (0, L) of (1 - prod_j (1+v_j z)^(-shape)) nu*(z) dz,
+    the psi of a TiltRule truncated at L.  nodes, the RuleNodes(spec, L)
+    of that rule, is built here when not given.'''
     v = np.asarray(v, dtype=float)
-    active = v[v > 0.0]
-    if L == 0.0 or active.size == 0:
+    if L == 0.0 or not np.any(v > 0.0):
         return 0.0
-    lo, hi = spec.directing.support
-    if not lo <= L <= hi:
-        raise ValueError('truncation level outside the directing support')
-    if spec.marginal.kind == 'gamma' and spec.shape == 1.0 and v.size == 1:
-        return math.log1p(float(v[0]) * L)
-    return spec.directing.integrate(_psi_bracket(spec.shape, active),
-                                    upper=L, lower_power=1,
-                                    breaks=1.0 / active, rel_tol=1e-8)
+    if nodes is None:
+        nodes = RuleNodes(spec, L)
+    elif nodes.upper != L or nodes.lower != 0.0:
+        raise ValueError('the nodes are not truncated at L = %r' % L)
+    return TiltRule(spec, v, nodes).psi()
+
+
+class _Residuals:
+    '''residual_laplace at the threshold L of the moves that follow
+    repopulation in a sweep, which leave L fixed: the node terms are
+    built once per spec and each value once per (spec, v).  A value
+    depends on (spec, v, L) alone, so reusing it changes no draw.'''
+
+    def __init__(self, L):
+        self.L = L
+        self._nodes = {}
+        self._values = {}
+
+    def __call__(self, spec, v):
+        v = np.asarray(v, dtype=float)
+        key = (spec, v.tobytes())
+        if key not in self._values:
+            if spec not in self._nodes:
+                self._nodes[spec] = RuleNodes(spec, self.L)
+            self._values[key] = residual_laplace(spec, v, self.L,
+                                                 self._nodes[spec])
+        return self._values[key]
 
 
 def _tilted_mass(spec, v, lo, hi):
-    '''Integral over (lo, hi) of nu*(z) prod_j (1+v_j z)^(-shape) dz;
-    closed form for one unit-shape gamma group.'''
+    '''Integral over (lo, hi) of nu*(z) prod_j (1+v_j z)^(-shape) dz:
+    kappa_0(v) of a TiltRule on the interval.'''
     v = np.asarray(v, dtype=float)
-    phi = spec.shape
-    if spec.marginal.kind == 'gamma' and phi == 1.0 and v.size == 1 \
-            and hi < 1.0:
-        vj = float(v[0])
-        return math.log(hi * (1.0 + vj * lo) / (lo * (1.0 + vj * hi)))
-    return spec.directing.integrate(
-        lambda z: np.prod(np.power(1.0 + np.outer(v, z), -phi), axis=0),
-        lower=lo, upper=hi, rel_tol=1e-8)
+    rule = TiltRule(spec, v, RuleNodes(spec, hi, lower=lo))
+    return math.exp(rule.log_kappa(np.zeros(v.size)))
 
 
 def _first_accepted(directing, tail_hi, mass, accept, describe, rng):
@@ -352,13 +374,16 @@ def birth_death_move(state, spec, kernel, rng, cache=None):
     return state
 
 
-def update_v_interweaving(state, spec, j, steps, rng):
+def update_v_interweaving(state, spec, j, steps, rng, residual=None):
     '''Two-stage update of v_j: a move holding the rescaled scores
     m~ = v_j m fixed (ancillary stage), then a move holding the scores
     themselves fixed (sufficient stage).  Each stage is a log-scale
-    random walk against its exact conditional.'''
+    random walk against its exact conditional.  residual, a _Residuals at
+    the state's threshold, carries the residual values of earlier moves
+    at the same L; a fresh one is made when None.'''
     stage1, stage2 = steps
-    L = state.threshold
+    if residual is None:
+        residual = _Residuals(state.threshold)
     mass = spec.centring_mass
     n_j = float(state.allocations[j].size)
     phi = spec.shape
@@ -367,7 +392,7 @@ def update_v_interweaving(state, spec, j, steps, rng):
     def residual_at(vj):
         v = state.v.copy()
         v[j] = vj
-        return residual_laplace(spec, v, L)
+        return residual(spec, v)
 
     if K > 0:
         score_sum = float(state.scores[:, j].sum())
@@ -449,25 +474,30 @@ def update_atoms_slice(state, data, kernel, rng):
     return state
 
 
-def update_hyperparameters_slice(state, spec, log_prior, step, rng):
+def update_hyperparameters_slice(state, spec, log_prior, step, rng,
+                                 residual=None):
     '''Log-scale MH on the score shape against the full truncated-state
     target: score densities, jump intensities, the untilted tail mass,
-    and the sub-threshold residual.  Returns the possibly updated
-    spec.'''
+    and the sub-threshold residual, read from residual (a _Residuals at
+    the state's threshold, fresh when None).  Returns the possibly
+    updated spec.'''
     L = state.threshold
+    if residual is None:
+        residual = _Residuals(L)
     mass = spec.centring_mass
     log_m_sum = float(_log_scores(state).sum())
     m_sum = float(state.scores.sum())
     n_scores = state.scores.size
+    gaps = spec.directing.support[1] - state.jumps
 
     def log_target(sp, phi):
         total = log_prior(phi)
         total += (phi - 1.0) * log_m_sum - m_sum \
             - n_scores * gammaln(phi)
         if state.n_jumps:
-            total += float(np.log(sp.directing.density(state.jumps)).sum())
+            total += float(sp.directing.log_density(state.jumps, gaps).sum())
         total -= mass * sp.directing.tail_integral(L)
-        total -= mass * residual_laplace(sp, state.v, L)
+        total -= mass * residual(sp, state.v)
         return total
 
     phi_new = state.shape * math.exp(step.step * rng.normal())
@@ -497,40 +527,25 @@ def slice_deviance(state, data, kernel):
     return -2.0 * total
 
 
-def _residual_weight(spec, v, j, L):
-    '''Expected group-j mass carried by jumps below L given the tilts:
-    integral of z E[m e^(-v_j m z)] prod_{l!=j} (1+v_l z)^(-shape)
-    nu*(z) dz over (0, L).'''
+def _residual_weights(spec, v, L):
+    '''Expected mass of each group j carried by jumps below L given the
+    tilts: integral over (0, L) of z E[m e^(-v_j m z)] prod_{l!=j}
+    (1+v_l z)^(-shape) nu*(z) dz, which is d residual_laplace / d v_j.'''
     v = np.asarray(v, dtype=float)
     if L <= 0.0:
-        return 0.0
-    phi = spec.shape
-    if spec.marginal.kind == 'gamma' and phi == 1.0 and v.size == 1:
-        return L / (1.0 + float(v[0]) * L)
-
-    def weight(z):
-        out = phi * z * np.power(1.0 + v[j] * z, -phi - 1.0)
-        for l, vl in enumerate(v):
-            if l != j:
-                out = out * np.power(1.0 + vl * z, -phi)
-        return out
-
-    return spec.directing.integrate(weight, upper=L, lower_power=1,
-                                    rel_tol=1e-8)
+        return np.zeros(v.size)
+    return TiltRule(spec, v, RuleNodes(spec, L)).psi_gradient()
 
 
 def slice_snapshots(state, spec):
     '''Per-group predictive snapshots: active weights score*jump plus
     the expected sub-threshold mass as residual.'''
     from .kernels import PredictiveSnapshot
-    L = state.threshold
-    out = []
-    for j in range(state.v.size):
-        weights = state.scores[:, j] * state.jumps
-        residual = spec.centring_mass * _residual_weight(
-            spec, state.v, j, L)
-        out.append(PredictiveSnapshot(weights, list(state.atoms), residual))
-    return out
+    residuals = spec.centring_mass * _residual_weights(
+        spec, state.v, state.threshold)
+    return [PredictiveSnapshot(state.scores[:, j] * state.jumps,
+                               list(state.atoms), float(residual))
+            for j, residual in enumerate(residuals)]
 
 
 def slice_sweep(state, data, spec, kernel, rng, v_steps, shape_step=None,
@@ -543,9 +558,10 @@ def slice_sweep(state, data, spec, kernel, rng, v_steps, shape_step=None,
     update_scores(state, spec, rng)
     birth_death_move(state, spec, kernel, rng, cache)
     update_u_and_repopulate(state, spec, kernel, rng)
+    residual = _Residuals(state.threshold)
     for j in range(data.n_groups):
-        update_v_interweaving(state, spec, j, v_steps[j], rng)
+        update_v_interweaving(state, spec, j, v_steps[j], rng, residual)
     if shape_step is not None:
         spec = update_hyperparameters_slice(state, spec, log_prior,
-                                            shape_step, rng)
+                                            shape_step, rng, residual)
     return spec

@@ -10,7 +10,13 @@ import sys
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1]
                        / 'perfbench'))
 
+import numpy as np  # noqa: E402
+
 import tracing  # noqa: E402
+from corm import slice_sampler  # noqa: E402
+from corm.core import CoRMSpec, MarginalFamily  # noqa: E402
+from corm.kernels import Dataset, UnivariateNormalGamma  # noqa: E402
+from corm.marginal_sampler import AdaptiveStepSize  # noqa: E402
 
 
 def test_install_wraps_and_uninstall_restores():
@@ -25,3 +31,26 @@ def test_install_wraps_and_uninstall_restores():
     assert all(w is not o for w, o in zip(wrapped, originals))
     assert all(owner.__dict__[attr] is o
                for (owner, attr), o in zip(targets, originals))
+
+
+def test_traced_slice_sweep_counts_residual_calls():
+    # the sweep reaches residual_laplace through the module attribute the
+    # tracer wraps; a rewrite that bound the function elsewhere (say, in
+    # a closure) would leave the probe reading 0
+    rng = np.random.default_rng(3)
+    data = Dataset([rng.normal(size=12), rng.normal(2.0, 1.0, size=12)])
+    kernel = UnivariateNormalGamma.from_data(data.stacked())
+    spec = CoRMSpec.from_marginal(
+        2, 1.0, MarginalFamily.generalized_gamma(0.3, 1.0))
+    state = slice_sampler.initial_slice_state(data, spec, kernel, rng,
+                                              n_start=3)
+    v_steps = [(AdaptiveStepSize(), AdaptiveStepSize()) for _ in range(2)]
+    tracer = tracing.Tracer()
+    uninstall = tracing.install(tracer)
+    try:
+        slice_sampler.slice_sweep(state, data, spec, kernel, rng, v_steps,
+                                  AdaptiveStepSize(), lambda phi: -phi, {})
+    finally:
+        uninstall()
+    assert tracer.calls['slice_sampler.sweep'] == 1
+    assert tracer.calls['slice_sampler.residual_laplace'] > 0

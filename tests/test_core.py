@@ -625,6 +625,20 @@ class TestLaplaceExponent:
             MarginalFamily.generalized_gamma(0.4, 2.0), 3.0) == pytest.approx(
             5.0 ** 0.4 - 2.0 ** 0.4, rel=1e-13)
 
+    @pytest.mark.parametrize('sigma, a, lam', [
+        (1e-3, 0.5, 1e-3), (1e-6, 1.0, 1e-8), (1e-3, 2.0, 10.0),
+        (0.3, 1.0, 1e-9), (0.9, 1e3, 1e-2)])
+    def test_generalized_gamma_exponent_vs_mpmath(self, sigma, a, lam):
+        # (a + lam)^sigma - a^sigma cancels at small sigma or lam / a;
+        # the difference as written lost digits to 7e-12 at the first
+        # point
+        with mpmath.workdps(40):
+            s, am, x = (mpmath.mpf(t) for t in (sigma, a, lam))
+            want = float((am + x) ** s - am ** s)
+        got = marginal_exponent(MarginalFamily.generalized_gamma(sigma, a),
+                                lam)
+        assert got == pytest.approx(want, rel=1e-14)
+
 
 class TestRhoDensity:
 

@@ -13,7 +13,7 @@ from corm.kernels import Dataset, UnivariateNormalGamma
 from corm.marginal_sampler import AdaptiveStepSize
 from corm.slice_sampler import (
     SliceState,
-    _residual_weight,
+    _residual_weights,
     _tilted_mass,
     initial_slice_state,
     residual_laplace,
@@ -34,8 +34,8 @@ def unit_gamma_2d():
 
 class TestSubThresholdIntegrals:
     '''With v = (v1, 0) the second group drops out, so the d = 2
-    quadratures must equal the unit-shape gamma d = 1 closed forms: the
-    directing density is 1/z on (0, 1).'''
+    trapezoid rules must equal the unit-shape gamma d = 1 closed forms:
+    the directing density is 1/z on (0, 1).'''
 
     V1 = 1.7
 
@@ -43,7 +43,7 @@ class TestSubThresholdIntegrals:
     def test_residual_laplace(self, unit_gamma_2d, L):
         # int_0^L (1 - 1/(1 + v z)) / z dz = log(1 + v L)
         got = residual_laplace(unit_gamma_2d, [self.V1, 0.0], L)
-        assert got == pytest.approx(math.log1p(self.V1 * L), rel=1e-10)
+        assert got == pytest.approx(math.log1p(self.V1 * L), rel=1e-13)
 
     @pytest.mark.parametrize('lo, hi', [(1e-7, 1e-3), (0.01, 0.02),
                                         (0.2, 0.9)])
@@ -52,13 +52,13 @@ class TestSubThresholdIntegrals:
         v = self.V1
         want = math.log(hi * (1.0 + v * lo) / (lo * (1.0 + v * hi)))
         got = _tilted_mass(unit_gamma_2d, [v, 0.0], lo, hi)
-        assert got == pytest.approx(want, rel=1e-10)
+        assert got == pytest.approx(want, rel=1e-13)
 
     @pytest.mark.parametrize('L', [1e-6, 0.01, 0.4, 1.0])
     def test_residual_weight(self, unit_gamma_2d, L):
         # int_0^L (1 + v z)^-2 dz = L / (1 + v L)
-        got = _residual_weight(unit_gamma_2d, [self.V1, 0.0], 0, L)
-        assert got == pytest.approx(L / (1.0 + self.V1 * L), rel=1e-10)
+        got = _residual_weights(unit_gamma_2d, [self.V1, 0.0], L)[0]
+        assert got == pytest.approx(L / (1.0 + self.V1 * L), rel=1e-13)
 
 
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
@@ -230,6 +230,33 @@ def test_sweeps_keep_invariants(marginal):
         assert state.counts.sum() == 60
 
 
+def test_residual_evaluations_per_sweep(monkeypatch):
+    # the v and shape moves after repopulation share the threshold, so
+    # each MH ratio reuses the residual at the current state: 2d + 2
+    # evaluations a sweep, where each ratio used to make two (10 at d = 2)
+    calls = []
+    original = slice_sampler.residual_laplace
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(slice_sampler, 'residual_laplace', counted)
+    rng = np.random.default_rng(21)
+    data = _two_groups(rng, 30)
+    kernel = UnivariateNormalGamma.from_data(np.concatenate(data.groups))
+    spec = CoRMSpec.from_marginal(
+        2, 1.0, MarginalFamily.generalized_gamma(0.3, 1.0))
+    state = initial_slice_state(data, spec, kernel, rng, n_start=4)
+    v_steps = [(AdaptiveStepSize(), AdaptiveStepSize()) for _ in range(2)]
+    shape_step = AdaptiveStepSize()
+    for _ in range(5):
+        before = len(calls)
+        spec = slice_sweep(state, data, spec, kernel, rng, v_steps,
+                           shape_step, lambda phi: -phi, {})
+        assert 0 < len(calls) - before <= 2 * 2 + 2
+
+
 def _hand_state(scores=(0.8, 1.5, 0.3)):
     '''One group of four observations on three jumps; the third jump
     is an unallocated pool jump just above the threshold 0.04.'''
@@ -258,6 +285,25 @@ def test_underflowed_score_raises_a_typed_error():
         update_hyperparameters_slice(state, spec, lambda phi: -phi,
                                      AdaptiveStepSize(),
                                      np.random.default_rng(0))
+
+
+def test_shape_move_with_a_jump_one_ulp_below_one():
+    # at score shape 20 the gamma directing density (1 - z)^19 / z of a
+    # jump one ulp below 1 (1e-16 from it) is 2^-1007, and at the
+    # proposed shape 28.3 it underflows to 0.0, whose log warned (an
+    # error here) while the shape target summed log(density).  In logs
+    # it is about -36.7 (shape - 1), and the move is rejected.
+    state, _, _ = _hand_state()
+    state.jumps[0] = np.nextafter(1.0, 0.0)
+    state.shape = 20.0
+    state.check()
+    spec = CoRMSpec.from_marginal(1, 20.0, MarginalFamily.gamma())
+    step = AdaptiveStepSize(log_step=0.0)
+    assert 20.0 * math.exp(np.random.default_rng(1).normal()) > 28.0
+    got = update_hyperparameters_slice(state, spec, lambda phi: -phi, step,
+                                       np.random.default_rng(1))
+    assert got is spec and state.shape == 20.0
+    assert step.proposed == 1 and step.accepted < 1e-20
 
 
 def test_slice_deviance_matches_norm():

@@ -6,6 +6,11 @@ one), with the directing densities written out here from their
 formulas.  The range is broken at the integrand's peak plus and minus
 powers of two times its width: a fixed breakpoint list silently loses
 digits on a sharp peak that falls between two of its points.
+
+The rules on a stretch of the support (the slice sampler's integrals
+below its threshold and over its repopulation band) have their own
+oracle, stretch_oracle: mpmath.quad's tanh-sinh claimed 1e-53 on such
+bands while off by 1e-12.
 '''
 
 import math
@@ -21,12 +26,18 @@ from corm.core import (
     CoRMSpec,
     LevyIntensity,
     MarginalFamily,
+    RuleNodes,
     TiltRule,
     directing_from_marginal,
     log_kappa,
 )
 from corm.kernels import Dataset, UnivariateNormalGamma
 from corm.numerics import QuadratureError
+from corm.slice_sampler import (
+    _residual_weights,
+    _tilted_mass,
+    residual_laplace,
+)
 
 FAMILIES = {
     'gamma': MarginalFamily.gamma(),
@@ -204,6 +215,148 @@ class TestTiltRuleOracle:
         got = nu.log_density(z, upper - z)
         assert np.allclose(got, np.log(nu.density(z)), rtol=1e-13,
                            atol=1e-13)
+
+
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
+
+
+def stretch_oracle(spec, v, lo, hi, weights):
+    '''int_lo^hi w(z) nu*(z) dz for each w in weights(z), 0 <= lo < hi
+    < U, with the integrands in mpmath at 30 digits: 20-point
+    Gauss-Legendre in s = log(z / hi) on pieces of width at most 4 over
+    which the log of an integrand moves by at most about 4 (at 8 the
+    oracle itself was off by 2e-13).  Below (0, hi) the pieces
+    stop where the tilts and nu*'s factor at U move the integrand from
+    a power of z, z^(1 - sigma) for the weights used here, by under
+    1e-12, and the rest is summed as that power.  weights(z) takes an
+    mpmath number and returns a list of them.'''
+    upper, log_nu = directing_log_density(spec.marginal, spec.shape)
+    shape = spec.shape
+    rate = 1.0 - (spec.marginal.sigma or 0.0)
+    reach = (len(v) + 1.0) * shape + 2.0
+
+    def width(s):
+        z = hi * math.exp(s)
+        slope = (1.0 + shape * sum(vj * z / (1.0 + vj * z) for vj in v)
+                 + (shape + 1.0) * z / (upper - z))
+        return min(4.0, 4.0 / slope)
+
+    with mpmath.workdps(30):
+        s_lo = (mpmath.log(mpmath.mpf(lo) / hi) if lo > 0.0 else
+                math.log(1e-12 / (reach * max(1.0, *v) * hi)))
+        ends = [mpmath.mpf(0)]
+        while ends[-1] > s_lo:
+            ends.append(max(ends[-1] - width(float(ends[-1])), s_lo))
+
+        def f(s):
+            z = hi * mpmath.exp(s)
+            density = z * mpmath.exp(log_nu(z, upper - z, mpmath))
+            return np.array([density * w for w in weights(z)])
+
+        total = 0
+        for b, a in zip(ends, ends[1:]):
+            half = (b - a) / 2
+            total = total + half * sum(w * f(a + half * (1 + x))
+                                       for x, w in zip(_GL_NODES,
+                                                       _GL_WEIGHTS))
+        if lo == 0.0:
+            total = total + f(ends[-1]) / rate
+        return [float(t) for t in total]
+
+
+def _log_tilt(v, shape, z):
+    return -shape * mpmath.fsum(mpmath.log1p(vj * z) for vj in v)
+
+
+SUB_SHAPES = [0.05, 1.0, 2.0, 20.0]
+SUB_TILTS = [(0.5, 2.0), (30.0, 100.0), (1e-3, 5.0)]
+SUB_LEVELS = [1e-6, 1e-3, 0.05, 0.9]
+# the repopulation band (new threshold, old threshold); lo / hi = 1e-4
+SUB_BANDS = [(5e-5, 0.5), (0.2, 0.9), (0.1, 0.101)]
+
+
+class TestSubThresholdRule:
+    '''The slice sampler's integrals over (0, L) and (lo, hi), each one
+    TiltRule on RuleNodes, against stretch_oracle.'''
+
+    @pytest.mark.parametrize('family', ['gamma', 'gg1'])
+    @pytest.mark.parametrize('shape', SUB_SHAPES)
+    def test_residual_and_weights(self, family, shape):
+        spec = make_spec(family, shape)
+        def weights(z):
+            # the residual's bracket, then each group's weight
+            log_tilt = _log_tilt(v, shape, z)
+            tilted = shape * z * mpmath.exp(log_tilt)
+            return [-mpmath.expm1(log_tilt)] + [tilted / (1 + vj * z)
+                                                for vj in v]
+
+        for v in SUB_TILTS:
+            for L in SUB_LEVELS:
+                want = stretch_oracle(spec, v, 0.0, L, weights)
+                got = [residual_laplace(spec, v, L)]
+                got += list(_residual_weights(spec, v, L))
+                assert got == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize('family', ['gamma', 'gg1'])
+    @pytest.mark.parametrize('shape', SUB_SHAPES)
+    def test_tilted_mass(self, family, shape):
+        spec = make_spec(family, shape)
+        for v in SUB_TILTS:
+            for lo, hi in SUB_BANDS:
+                (want,) = stretch_oracle(
+                    spec, v, lo, hi,
+                    lambda z: [mpmath.exp(_log_tilt(v, shape, z))])
+                assert _tilted_mass(spec, v, lo, hi) == pytest.approx(
+                    want, rel=1e-12)
+
+    @pytest.mark.parametrize('family', ['gamma', 'gg1'])
+    @pytest.mark.parametrize('shape', [0.05, 2.0])
+    def test_truncated_at_the_support_end_is_psi(self, family, shape):
+        # at L = U the upper end has nu*'s own rate: the residual is the
+        # whole-support psi, by a rule with its nodes laid out from the
+        # other end
+        spec = make_spec(family, shape)
+        v = (30.0, 100.0)
+        assert residual_laplace(spec, v, 1.0) == pytest.approx(
+            TiltRule(spec, v).psi(), rel=1e-13)
+
+    def test_value_does_not_depend_on_earlier_tilts(self):
+        # a large v_max grows the shared lattice; a smaller v evaluated
+        # afterwards takes only its own nodes and gives the same double
+        # as on fresh nodes
+        spec = make_spec('gg1', 1.0)
+        L = 0.05
+        shared = RuleNodes(spec, L)
+        large, small = (1e6, 3e6), (0.5, 2.0)
+        assert shared.terms(max(large))[0].size \
+            > shared.terms(max(small))[0].size
+        for v in (large, small):
+            assert residual_laplace(spec, v, L, shared) \
+                == residual_laplace(spec, v, L)
+            assert np.array_equal(
+                TiltRule(spec, v, shared).psi_gradient(),
+                _residual_weights(spec, v, L))
+
+    def test_coarse_step_raises(self, monkeypatch):
+        monkeypatch.setattr(core, '_STEP', 4.0)
+        spec = make_spec('gg1', 0.01)
+        v = (300.0, 500.0)
+        with pytest.raises(QuadratureError):
+            residual_laplace(spec, v, 0.05)
+        with pytest.raises(QuadratureError):
+            _residual_weights(spec, v, 0.05)
+        with pytest.raises(QuadratureError):
+            _tilted_mass(spec, v, 1e-4, 0.05)
+
+    def test_nodes_must_match(self):
+        spec = make_spec('gg1', 1.0)
+        nodes = RuleNodes(spec, 0.05)
+        with pytest.raises(ValueError, match='another spec'):
+            TiltRule(make_spec('gg1', 1.0), [1.0, 2.0], nodes)
+        with pytest.raises(ValueError, match='not truncated'):
+            residual_laplace(spec, [1.0, 2.0], 0.04, nodes)
+        with pytest.raises(ValueError, match='stretch'):
+            RuleNodes(spec, 1.5)
 
 
 class TestChainRegimes:
