@@ -8,13 +8,18 @@ two-stage interweaving scheme that alternates sufficient and ancillary
 parametrizations of the scores.
 
 Supported score marginals: gamma and unit-scale generalized gamma, whose
-directing intensities live on (0, 1).  The jump heights and the
-repopulation births are rejection draws from nu* restricted to an
-interval inside (0, 1], proposed by inverting the directing tail and
-accepted by the tilt.  They are batched: in each round every pending
-draw gets m proposals from one array inverse_tail call, keeps its first
-accepted one (the sequential rejection sampler's draw, as proposals are
-i.i.d.), and m doubles for the draws still pending.
+directing intensities c z^(-1-sigma) (1 - z)^(beta-1) live on (0, 1).
+Jump k is redrawn from nu*(z) e^(-w_k z) on (low_k, 1) (Griffin & Walker
+2011) by rejection from the cheaper of two exact envelopes, chosen per
+jump by envelope mass: nu* itself, proposed by inverting the directing
+tail and accepted by the tilt, or a truncated exponential of rate w_k
+times a bound on nu*, proposed in closed form and accepted by nu* over
+its bound (Devroye 1986, ch. II).  The repopulation births are drawn
+from nu* on (L_new, L_old) through the tail and accepted by their tilt.
+All rejection draws are batched: in each round every pending draw gets
+m proposals, the tail ones from one array inverse_tail call, keeps its
+first accepted one (the sequential rejection sampler's draw, as
+proposals are i.i.d.), and m doubles for the draws still pending.
 
 The integrals against nu* that the kept jumps leave out are trapezoid
 rules (core.TiltRule): the residual Laplace exponent below L and its
@@ -29,9 +34,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import expit, exprel, gammaln
 
-from .core import RuleNodes, TiltRule
+from .core import RuleNodes, TiltRule, _beta_type
 from .marginal_sampler import _members, _tally
 # not called here: kept bound so the benchmark's tracer, which wraps
 # corm.slice_sampler.integrate, still finds it
@@ -56,8 +61,9 @@ __all__ = [
 ]
 
 MAX_REJECTION_TRIES = 10_000
-# proposals one rejection round holds at most: the tail's series branch
-# builds a (proposals, 60) array, so a round stays within about 30 MB
+# proposals a rejection round holds at most, unless more draws than this
+# are pending (each pending draw gets at least one proposal): the tail's
+# series branch builds a (proposals, 40 or fewer) array, about 20 MB
 _ROUND_PROPOSALS = 1 << 16
 
 
@@ -186,19 +192,19 @@ def _tilted_mass(spec, v, lo, hi):
     return math.exp(rule.log_kappa(np.zeros(v.size)))
 
 
-def _first_accepted(directing, tail_hi, mass, accept, describe, rng):
-    '''Rejection draws z_i from nu* restricted to the tail band
-    U(z) in (tail_hi[i], tail_hi[i] + mass[i]), accepting a proposal z
-    for draw i with probability accept(z, i) (arrays of proposals and
-    their draw indices).  Each round proposes m draws for every pending
-    index through one array inverse_tail call, with one uniform array
-    for the levels and one for the acceptances; an index keeps its
-    first accepted proposal in order, which is the rejection sampler
-    itself, and m doubles for the indices still pending (while a round
-    stays within _ROUND_PROPOSALS).  Raises RuntimeError, naming
-    describe(i), once a draw has used MAX_REJECTION_TRIES proposals.'''
-    out = np.empty(np.shape(mass))
-    pending = np.arange(out.size)
+def _first_accepted(n, propose, describe, rng):
+    '''n independent rejection draws.  propose(idx) returns one
+    proposal for each draw index in the array idx, and the probability
+    of accepting it for that draw (0 rejects it outright, as for a
+    proposal outside the draw's support, which is never clamped).  Each
+    round gives every pending index m proposals through one propose call
+    and one uniform array for the acceptances; an index keeps its first
+    accepted proposal in order, which is the rejection sampler itself,
+    and m doubles for the indices still pending (while a round stays
+    within _ROUND_PROPOSALS).  Raises RuntimeError, naming describe(i),
+    once a draw has used MAX_REJECTION_TRIES proposals.'''
+    out = np.empty(n)
+    pending = np.arange(n)
     used, m = 0, 1
     while pending.size:
         if used >= MAX_REJECTION_TRIES:
@@ -206,11 +212,8 @@ def _first_accepted(directing, tail_hi, mass, accept, describe, rng):
                                % (describe(pending[0]), MAX_REJECTION_TRIES))
         m = max(1, min(m, MAX_REJECTION_TRIES - used,
                        _ROUND_PROPOSALS // pending.size))
-        idx = np.repeat(pending, m)
-        levels = np.maximum(tail_hi[idx] + (1.0 - rng.uniform(size=idx.size))
-                            * mass[idx], 1e-300)
-        z = directing.inverse_tail(levels)
-        ok = (rng.uniform(size=idx.size) < accept(z, idx)).reshape(-1, m)
+        z, p = propose(np.repeat(pending, m))
+        ok = (rng.uniform(size=z.size) < p).reshape(-1, m)
         hit = ok.any(axis=1)
         first = ok.argmax(axis=1)
         out[pending[hit]] = z.reshape(-1, m)[hit, first[hit]]
@@ -225,8 +228,9 @@ def sample_tilted_z(spec, lower, upper, v, rng, size=None):
     nu*(z) prod_j (1+v_j z)^(-shape), by rejection: z is drawn from nu*
     restricted to (lower, upper) by inverting its tail, and accepted with
     the tilt relative to its largest value, at lower.  All size draws
-    share the rounds of _first_accepted.  Returns a float when size is
-    None, else an array of that shape.'''
+    share the rounds of _first_accepted.  A draw outside [lower, upper]
+    (lost accuracy in the tail inverse) raises FloatingPointError.
+    Returns a float when size is None, else an array of that shape.'''
     _check_family(spec)
     if not 0.0 < lower < upper <= 1.0:
         raise ValueError('need 0 < lower < upper <= 1')
@@ -237,14 +241,20 @@ def sample_tilted_z(spec, lower, upper, v, rng, size=None):
     mass = directing.tail_integral(lower) - tail_hi
     n = 1 if size is None else int(np.prod(size))
 
-    def accept(z, _):
-        return np.prod(((1.0 + v * lower) / (1.0 + np.outer(z, v))) ** phi,
-                       axis=1)
+    def propose(idx):
+        levels = np.maximum(tail_hi + (1.0 - rng.uniform(size=idx.size))
+                            * mass, 1e-300)
+        z = directing.inverse_tail(levels)
+        return z, np.prod(((1.0 + v * lower) / (1.0 + np.outer(z, v)))
+                          ** phi, axis=1)
 
-    z = _first_accepted(directing, np.full(n, tail_hi), np.full(n, mass),
-                        accept, lambda _: 'tilted repopulation sampler on '
-                        '(%.3g, %.3g)' % (lower, upper), rng)
-    z = np.clip(z, lower, upper)
+    z = _first_accepted(n, propose, lambda _: 'tilted repopulation sampler '
+                        'on (%.3g, %.3g)' % (lower, upper), rng)
+    outside = (z < lower) | (z > upper)
+    if outside.any():
+        raise FloatingPointError(
+            'tilted repopulation draw %r outside [%r, %r]'
+            % (z[outside][0], lower, upper))
     return float(z[0]) if size is None else z.reshape(size)
 
 
@@ -301,25 +311,124 @@ def update_u_and_repopulate(state, spec, kernel, rng):
     return state
 
 
+class _JumpHeightProposals:
+    '''Proposals for the jump-height conditionals nu*(z) e^(-w_k (z -
+    low_k)) on (low_k, 1), from the cheaper of two exact envelopes per
+    jump.  Both cover the same target, so the one of smaller mass has
+    the higher acceptance rate, and comparing masses is the whole rule.
+
+    tail: nu* itself, of mass U(low_k); z by the tail inverse at level
+    (1 - u) U(low_k), accepted with e^(-w_k (z - low_k)).
+
+    exponential: the truncated exponential of rate w_k on (low_k, s_k)
+    times the bound c low_k^(-1-sigma) (1 - b_k)^(beta-1) of nu* there,
+    z in closed form, accepted with nu*(z) e^(-w_k (z - low_k)) over the
+    envelope.  With beta >= 1, s_k = 1 and b_k = low_k.  With beta < 1,
+    (1 - z)^(beta-1) is unbounded at 1: b_k = s_k, and (s_k, 1) gets the
+    piece c s_k^(-1-sigma) e^(-w_k (s_k - low_k)) (1 - z)^(beta-1), drawn
+    in closed form and accepted with (z/s_k)^(-1-sigma) e^(-w_k (z -
+    s_k)); each proposal picks a piece with probability proportional to
+    its mass.
+
+    Calling it with draw indices (and rng) returns proposals and their
+    acceptance probabilities, 0 outside (low_k, 1), for
+    _first_accepted; the tail proposals of a call share one array
+    inverse_tail call.'''
+
+    def __init__(self, spec, lows, weights, rng):
+        c, sigma, _, beta = _beta_type(spec.marginal, spec.shape)
+        self.directing = spec.directing
+        self.lows, self.weights, self.rng = lows, weights, rng
+        self.sigma, self.beta = sigma, beta
+        self.tail_mass = self.directing.tail_integral(lows)
+        gaps = 1.0 - lows
+        if beta >= 1.0:
+            widths = self.bound_gaps = gaps
+            self.splits = np.ones_like(lows)
+        else:
+            # s - low = log1p(x^2 / (beta (1 - beta))) / w, x = w (1 - low),
+            # minimises the lower piece's excess mass (1 - beta) w (s - low)
+            # / x over its bound plus the upper piece's relative mass
+            # x e^(-w (s - low)) / beta once x is large; at most the gap's
+            # midpoint, a cap that binds at moderate x, where that
+            # expansion does not hold
+            log_x = np.log(weights * gaps)
+            widths = np.minimum(0.5 * gaps, np.logaddexp(
+                0.0, 2.0 * log_x - math.log(beta * (1.0 - beta))) / weights)
+            self.splits = lows + widths
+            self.bound_gaps = gaps - widths
+        # the lower piece's mass is its bound times (1 - e^(-w (s - low))) / w,
+        # the upper piece's its factor times (1 - s)^beta / beta
+        rates = weights * widths
+        self.exp_scale = -np.expm1(-rates)
+        log_lower = (math.log(c) - (1.0 + sigma) * np.log(lows)
+                     + (beta - 1.0) * np.log(self.bound_gaps)
+                     + np.log(widths * exprel(-rates)))
+        if beta < 1.0:
+            log_upper = (math.log(c) - (1.0 + sigma) * np.log(self.splits)
+                         - rates + beta * np.log(self.bound_gaps)
+                         - math.log(beta))
+            self.upper_share = expit(log_upper - log_lower)
+            log_mass = np.logaddexp(log_lower, log_upper)
+        else:
+            self.upper_share = np.zeros_like(lows)
+            log_mass = log_lower
+        self.on_tail = np.log(self.tail_mass) <= log_mass
+
+    def _exponential(self, k, u):
+        lows, weights = self.lows[k], self.weights[k]
+        z = lows - np.log1p(-u * self.exp_scale[k]) / weights
+        if self.beta < 1.0:
+            upper = self.rng.uniform(size=k.size) < self.upper_share[k]
+            z[upper] = 1.0 - self.bound_gaps[k][upper] \
+                * (1.0 - u[upper]) ** (1.0 / self.beta)
+        return z
+
+    def _exponential_accept(self, z, k):
+        # piece by where z lies: the envelope is a function of z alone
+        lows, splits = self.lows[k], self.splits[k]
+        lower = -(1.0 + self.sigma) * np.log(z / lows) + (self.beta - 1.0) \
+            * np.log((1.0 - z) / self.bound_gaps[k])
+        upper = -(1.0 + self.sigma) * np.log(z / splits) \
+            - self.weights[k] * (z - splits)
+        return np.exp(np.where(z <= splits, lower, upper))
+
+    def __call__(self, idx):
+        u = self.rng.uniform(size=idx.size)
+        tail = self.on_tail[idx]
+        z = np.empty(idx.size)
+        if tail.any():
+            k = idx[tail]
+            z[tail] = self.directing.inverse_tail(
+                np.maximum((1.0 - u[tail]) * self.tail_mass[k], 1e-300))
+        if not tail.all():
+            z[~tail] = self._exponential(idx[~tail], u[~tail])
+        p = np.zeros(idx.size)
+        inside = (z > self.lows[idx]) & (z < 1.0)
+        k, zk = idx[inside], z[inside]
+        p[inside] = np.where(
+            tail[inside], np.exp(-(zk - self.lows[k]) * self.weights[k]),
+            self._exponential_accept(zk, k))
+        return z, p
+
+
 def update_jump_heights(state, spec, rng):
     '''Redraw each active jump k from nu* restricted above its members'
     largest slice low_k (the threshold for pool jumps), exponentially
-    tilted by the jump's total tilted score mass w_k: a proposal from
-    nu* above low_k, by the tail inverse at level
-    max((1 - u) U(low_k), 1e-300), is accepted with probability
-    exp(-(z - low_k) w_k).  All jumps share the rounds of
-    _first_accepted, each keeping its first accepted proposal.'''
+    tilted by the jump's total tilted score mass w_k: the conditional
+    nu*(z) e^(-w_k z) on (low_k, 1).  Each jump is drawn by rejection
+    from the cheaper of two exact envelopes (_JumpHeightProposals): nu*
+    through the tail inverse, accepted by the tilt, where w_k (1 - low_k)
+    is small, or a truncated exponential times a bound on nu*, accepted
+    by nu* over its bound, where it is large.  All jumps share the
+    rounds of _first_accepted, each keeping its first accepted proposal,
+    and every redrawn jump lies strictly inside (low_k, 1).'''
     lows = np.full(state.n_jumps, state.threshold)
     for j, c in enumerate(state.allocations):
         np.maximum.at(lows, c, state.u[j])
     weights = state.scores @ state.v
-    tail_lo = spec.directing.tail_integral(lows)
-
-    def accept(z, k):
-        return np.exp(-(z - lows[k]) * weights[k])
-
     state.jumps = _first_accepted(
-        spec.directing, np.zeros_like(tail_lo), tail_lo, accept,
+        lows.size, _JumpHeightProposals(spec, lows, weights, rng),
         lambda k: 'jump-height rejection sampler (lower %.3g, tilt %.3g)'
         % (lows[k], weights[k]), rng)
     return state

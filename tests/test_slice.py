@@ -140,48 +140,113 @@ def _pool_state(n_jumps, low, w):
         u=[np.array([low])], v=np.array([w]), shape=1.0)
 
 
-JUMP_HEIGHT_CASES = [(marginal, phi, w)
-                     for marginal, phi in ((MarginalFamily.gamma(), 2.0),
-                                           (MarginalFamily.generalized_gamma(
-                                               0.3, 1.0), 1.0))
-                     for w in (0.1, 10.0, 1e3)]
+GAMMA, GEN_GAMMA = (MarginalFamily.gamma(),
+                    MarginalFamily.generalized_gamma(0.3, 1.0))
+# (marginal, shape, low, w); beta = sigma + shape is 2 and 1.3 in the
+# first two specs, 0.4 and 0.7 in the last two, where (1 - z)^(beta-1)
+# is unbounded at 1.  low = 0.5 gives the upper piece of the beta < 1
+# exponential envelope a sizeable share of the proposals.
+JUMP_HEIGHT_CASES = (
+    [(marginal, phi, 0.05, w) for marginal, phi in ((GAMMA, 2.0),
+                                                    (GEN_GAMMA, 1.0))
+     for w in (0.1, 10.0, 1e3)]
+    + [(marginal, phi, 0.05, w) for marginal, phi in ((GAMMA, 0.4),
+                                                      (GEN_GAMMA, 0.4))
+       for w in (0.1, 10.0, 1e3)]
+    + [(marginal, phi, 1e-3, w) for marginal, phi in (
+        (GAMMA, 2.0), (GEN_GAMMA, 1.0), (GAMMA, 0.4), (GEN_GAMMA, 0.4))
+       for w in (0.1, 10.0, 1e3)]
+    + [(marginal, 0.4, 0.5, 10.0) for marginal in (GAMMA, GEN_GAMMA)])
+
+
+def _proposals(marginal, phi, low, w):
+    spec = CoRMSpec.from_marginal(1, phi, marginal, verify=False)
+    return slice_sampler._JumpHeightProposals(
+        spec, np.array([low]), np.array([w]), np.random.default_rng(0))
 
 
 class TestJumpHeights:
     '''update_jump_heights: the redrawn heights follow the conditional
-    nu*(z) e^(-w z) on (low, 1), the rejection budget still raises, and
-    all jumps share a bounded number of array inverse-tail calls.'''
+    nu*(z) e^(-w z) on (low, 1) whichever envelope draws them, the
+    rejection budget still raises, proposals per jump stay bounded, and
+    tail-envelope jumps share one array inverse-tail call per round.'''
 
     LOW = 0.05
 
     @pytest.mark.parametrize('case', range(len(JUMP_HEIGHT_CASES)))
     def test_kolmogorov_smirnov(self, case):
-        marginal, phi, w = JUMP_HEIGHT_CASES[case]
+        marginal, phi, low, w = JUMP_HEIGHT_CASES[case]
         spec = CoRMSpec.from_marginal(1, phi, marginal, verify=False)
-        state = _pool_state(2000, self.LOW, w)
+        state = _pool_state(2000, low, w)
         update_jump_heights(state, spec, np.random.default_rng(2000 + case))
         xs = np.sort(state.jumps)
-        assert self.LOW < xs[0] and xs[-1] < 1.0
-        tilt = lambda z: np.exp(-w * (z - self.LOW))
-        cdf, total = _cdf_at_draws(spec, tilt, self.LOW, 1.0, xs)
+        assert low < xs[0] and xs[-1] < 1.0
+        tilt = lambda z: np.exp(-w * (z - low))
+        cdf, total = _cdf_at_draws(spec, tilt, low, 1.0, xs)
         # one 16-point panel covers (largest draw, 1), where the tilt at
-        # w = 1e3 falls by e^-900 and (1 - z)^0.3 has its kink: the
-        # total is good to about 1e-5 there, far below the KS resolution
+        # w = 1e3 falls by e^-900 and (1 - z)^(beta-1) has its kink or
+        # pole: the total is good to about 1e-5 there, far below the KS
+        # resolution
         assert total == pytest.approx(spec.directing.integrate(
-            tilt, lower=self.LOW, rel_tol=1e-10), rel=1e-4)
+            tilt, lower=low, rel_tol=1e-10), rel=1e-4)
         assert _ks_p_value(cdf) > 0.01
 
+    def test_cases_cover_both_envelopes_and_pieces(self):
+        # the KS cases draw from the tail envelope and from the
+        # exponential one, and at beta < 1 from both exponential pieces
+        tail, exponential, upper_shares = set(), set(), []
+        for marginal, phi, low, w in JUMP_HEIGHT_CASES:
+            proposals = _proposals(marginal, phi, low, w)
+            below_one = phi + (marginal.sigma or 0.0) < 1.0
+            (tail if proposals.on_tail[0] else exponential).add(below_one)
+            if below_one and not proposals.on_tail[0]:
+                upper_shares.append(float(proposals.upper_share[0]))
+        assert tail == exponential == {False, True}
+        assert max(upper_shares) > 0.1 and min(upper_shares) < 0.01
+
     def test_rejection_budget_raises(self, monkeypatch):
-        monkeypatch.setattr(slice_sampler, 'MAX_REJECTION_TRIES', 20)
+        # at w (1 - low) = 9.5 the better envelope accepts 46% of its
+        # proposals: 100 jumps are all drawn within 3 proposals each with
+        # probability (1 - 0.54^3)^100, about 4e-8
+        monkeypatch.setattr(slice_sampler, 'MAX_REJECTION_TRIES', 3)
         spec = CoRMSpec.from_marginal(1, 1.0, MarginalFamily.gamma())
-        state = _pool_state(5, 0.5, 1e9)
-        with pytest.raises(RuntimeError,
-                           match='exceeded 20'):
+        state = _pool_state(100, self.LOW, 10.0)
+        with pytest.raises(RuntimeError, match='exceeded 3 rejection tries'):
             update_jump_heights(state, spec, np.random.default_rng(0))
 
+    @pytest.mark.parametrize('marginal, phi', [
+        (GAMMA, 2.0), (GEN_GAMMA, 1.0), (GAMMA, 0.4), (GEN_GAMMA, 0.4)],
+        ids=['gamma-2', 'gg-1', 'gamma-0.4', 'gg-0.4'])
+    @pytest.mark.parametrize('low, bound', [(0.05, 1.15), (1e-3, 2.75)],
+                             ids=['low-0.05', 'low-0.001'])
+    def test_mean_proposals_per_jump(self, monkeypatch, marginal, phi, low,
+                                     bound):
+        # at w = 1e3 every jump takes the exponential envelope; at low =
+        # 0.05 it accepts 97-98% of its proposals, and at w low = 1, where
+        # nu* falls by 2^(1+sigma) over (low, 2 low), 52-60%.  Counted
+        # with the proposals a round draws past a jump's first
+        # acceptance, the expected means are about 1.06 and 2.1-2.45; the
+        # tail envelope alone needs 92-245 and 5-15 on average
+        proposed = []
+
+        def counted(n, propose, describe, rng):
+            def propose_counted(idx):
+                proposed.append(idx.size)
+                return propose(idx)
+            return first_accepted(n, propose_counted, describe, rng)
+
+        first_accepted = slice_sampler._first_accepted
+        monkeypatch.setattr(slice_sampler, '_first_accepted', counted)
+        spec = CoRMSpec.from_marginal(1, phi, marginal, verify=False)
+        assert not _proposals(marginal, phi, low, 1e3).on_tail[0]
+        state = _pool_state(2000, low, 1e3)
+        update_jump_heights(state, spec, np.random.default_rng(4))
+        assert sum(proposed) / 2000 <= bound
+
     def test_inverse_tail_calls_are_rounds(self, monkeypatch):
-        # one call per round, and the proposals per pending jump double
-        # from round to round: at most ceil(log2(budget)) + 1 calls
+        # tail-envelope jumps: one array inverse_tail call per round, and
+        # the proposals per pending jump double from round to round: at
+        # most ceil(log2(budget)) + 1 calls
         calls = []
         original = LevyIntensity.inverse_tail
 
@@ -190,9 +255,9 @@ class TestJumpHeights:
             return original(self, level)
 
         monkeypatch.setattr(LevyIntensity, 'inverse_tail', counted)
-        spec = CoRMSpec.from_marginal(
-            1, 1.0, MarginalFamily.generalized_gamma(0.3, 1.0))
-        state = _pool_state(50, self.LOW, 1e3)
+        assert _proposals(GEN_GAMMA, 1.0, self.LOW, 10.0).on_tail[0]
+        spec = CoRMSpec.from_marginal(1, 1.0, GEN_GAMMA)
+        state = _pool_state(50, self.LOW, 10.0)
         update_jump_heights(state, spec, np.random.default_rng(3))
         assert 1 < len(calls) <= math.ceil(
             math.log2(slice_sampler.MAX_REJECTION_TRIES)) + 1
@@ -228,6 +293,47 @@ def test_sweeps_keep_invariants(marginal):
         state.check()
         assert spec.shape == state.shape
         assert state.counts.sum() == 60
+
+
+@pytest.mark.parametrize('marginal', [GAMMA, GEN_GAMMA],
+                         ids=['gamma', 'generalized-gamma'])
+def test_sweeps_at_a_small_shape_keep_jumps_inside(monkeypatch, marginal):
+    # at shape 0.3, beta = 0.3 or 0.6 < 1: every redrawn jump lies
+    # strictly between its largest slice latent (or the threshold) and 1
+    redraw = slice_sampler.update_jump_heights
+    redrawn = []
+
+    def checked(state, spec, rng):
+        lows = np.full(state.n_jumps, state.threshold)
+        for j, c in enumerate(state.allocations):
+            np.maximum.at(lows, c, state.u[j])
+        redraw(state, spec, rng)
+        assert np.all((lows < state.jumps) & (state.jumps < 1.0))
+        redrawn.append(state.n_jumps)
+        return state
+
+    monkeypatch.setattr(slice_sampler, 'update_jump_heights', checked)
+    rng = np.random.default_rng(23)
+    data = _two_groups(rng, 30)
+    kernel = UnivariateNormalGamma.from_data(data.stacked())
+    spec = CoRMSpec.from_marginal(2, 0.3, marginal)
+    state = initial_slice_state(data, spec, kernel, rng, n_start=4)
+    v_steps = [(AdaptiveStepSize(), AdaptiveStepSize()) for _ in range(2)]
+    for _ in range(10):
+        slice_sweep(state, data, spec, kernel, rng, v_steps)
+        state.check()
+    assert len(redrawn) == 10 and sum(redrawn) > 10
+
+
+def test_tilted_draw_outside_its_band_raises(monkeypatch):
+    # a tail inverse that lost its accuracy returns a root below lower;
+    # the draw raises instead of being clamped to lower
+    monkeypatch.setattr(LevyIntensity, 'inverse_tail',
+                        lambda self, level: np.full(np.shape(level), 0.01))
+    spec = CoRMSpec.from_marginal(2, 1.0, GAMMA)
+    with pytest.raises(FloatingPointError, match='outside'):
+        sample_tilted_z(spec, 0.02, 0.5, [0.5, 2.0],
+                        np.random.default_rng(0), size=5)
 
 
 def test_residual_evaluations_per_sweep(monkeypatch):
