@@ -22,7 +22,6 @@ from scipy.special import (boxcox, digamma, exp1, exprel, gammainc,
 from .numerics import (
     IntegralResult,
     QuadratureError,
-    QuadratureSpec,
     bessel_k,
     integrate,
     kummer_u,
@@ -115,10 +114,11 @@ class LevyIntensity:
     support                 : (lower, upper); upper may be numpy.inf
     singularity_exponents   : endpoint power behaviour (p_lower, p_upper),
                               None where regular (at an infinite upper
-                              end: decaying faster than any power); used
-                              to build quadrature hints.  p_lower <= -1
-                              encodes the infinite activity at the lower
-                              endpoint.
+                              end: decaying faster than any power).  They
+                              give the TiltRule's end-series rates, p + 1
+                              at each end; p_lower <= -1 encodes the
+                              infinite activity at the lower endpoint, and
+                              an infinite upper end needs p_upper.
     upper_rate              : p_upper + 1, the TiltRule's end-series rate
                               at the upper end; defaults to that sum.
                               Given where p_upper is a rounded double and
@@ -131,13 +131,12 @@ class LevyIntensity:
                               passed exactly, so a factor vanishing at a
                               finite upper end keeps full precision there.
 
-    integrate(weight, ...) evaluates int weight(z) density(z) dz; every
-    adaptive integral against the intensity goes through it.
-    tail_integral uses it when there is no tail_fn.  tail_integral and
-    inverse_tail work on arrays; without an inverse_fn, inverse_tail
-    inverts U by _invert_monotone, and a level whose root lies below
-    z = 1e-300 raises ValueError.  log_density(z, gap) feeds the TiltRule
-    nodes; it falls back to log(density(z)).
+    Integrals against the intensity run on TiltRule nodes.  tail_integral
+    and inverse_tail work on arrays.  Without a tail_fn, tail_integral is
+    a QUADPACK integral in log z (numerics.integrate); without an
+    inverse_fn, inverse_tail inverts U by _invert_monotone, and a level
+    whose root lies below z = 1e-300 raises ValueError.  log_density(z,
+    gap) feeds the TiltRule nodes; it falls back to log(density(z)).
     '''
 
     def __init__(self, density, support, singularity_exponents=(None, None),
@@ -171,45 +170,6 @@ class LevyIntensity:
                 return np.log(self.density(z))
         return self._log_density(z, gap)
 
-    def integrate(self, weight, lower=None, upper=None, lower_power=0,
-                  tail_power=0, breaks=(), rel_tol=1e-9):
-        '''
-        int_lower^upper weight(z) density(z) dz, over the whole support by
-        default.  weight is vectorised; lower_power and tail_power are its
-        power behaviour as z -> 0 and z -> inf (None: it vanishes faster
-        than any power there).  Endpoint hints come from these and the
-        singularity exponents at the support's own endpoints only, as
-        interior limits are regular.  A ValueError is raised when the
-        integral diverges at either end.  The range is split at the
-        interior breaks, the scale transitions of the weight.
-        '''
-        lo, hi = self.support
-        a = lo if lower is None else float(lower)
-        b = hi if upper is None else float(upper)
-        if not lo <= a < b <= hi:
-            raise ValueError('integration range (%r, %r) is empty or '
-                             'outside the support' % (a, b))
-        p_lo, p_hi = self.singularity_exponents
-        hint_lo = hint_hi = None
-        if a == lo and p_lo is not None and lower_power is not None:
-            eff = p_lo + lower_power
-            if eff <= -1.0:
-                raise ValueError('integral diverges at the lower endpoint')
-            # fractional exponents (z^0.5 and the like) also benefit from
-            # the endpoint substitution: kinked derivatives slow bisection
-            if eff < 0.0 or eff != round(eff):
-                hint_lo = eff
-        if b == hi and p_hi is not None:
-            if not math.isinf(hi):
-                hint_hi = p_hi if p_hi != 0.0 else None
-            elif tail_power is not None:
-                hint_hi = p_hi + tail_power
-                if hint_hi >= -1.0:
-                    raise ValueError('integral diverges in the tail')
-        return _integrate_with_breaks(
-            lambda z: weight(z) * self.density(z), a, b, (hint_lo, hint_hi),
-            breaks, rel_tol)
-
     def tail_integral(self, x):
         '''U(x) = integral of the density over (x, upper), elementwise
         over an array of points.'''
@@ -220,11 +180,14 @@ class LevyIntensity:
         if self._tail_fn is not None:
             out[inside] = self._tail_fn(x[inside])
         else:
-            # the lower stretch can span many decades; split it off, so it
-            # is integrated in log space where the density is tame
-            mid = lo + 1.0 if math.isinf(hi) else lo + 0.5 * (hi - lo)
-            out[inside] = [self.integrate(np.ones_like, lower=xi,
-                                          breaks=(mid,), rel_tol=1e-10)
+            # in log z, where a power-law density is tame over the many
+            # decades above a small x
+            def g(t):
+                return float(self.density(math.exp(t))) * math.exp(t) \
+                    if t < 700.0 else 0.0
+
+            top = hi if math.isinf(hi) else math.log(hi)
+            out[inside] = [integrate(g, math.log(xi), top).value
                            for xi in x[inside]]
         return float(out) if out.ndim == 0 else out
 
@@ -648,41 +611,6 @@ class CoRMSpec:
         return self.score.shape
 
 
-def _integrate_with_breaks(integrand, lo, hi, hints, breaks, rel_tol):
-    '''Piecewise adaptive quadrature, splitting at interior scale
-    transitions so endpoint hints describe their piece correctly.'''
-    pts = np.unique([b for b in np.atleast_1d(breaks)
-                     if lo < b < hi and np.isfinite(b)])
-    edges = [lo] + list(pts) + [hi]
-    total = 0.0
-    for i in range(len(edges) - 1):
-        a, b = edges[i], edges[i + 1]
-        h = (hints[0] if i == 0 else None,
-             hints[1] if i == len(edges) - 2 else None)
-        # pieces that start at a positive, regular point: integrate in log
-        # space, where power-law stretches and tails become smooth and
-        # compact
-        if h[0] is None and a > 0.0 and (
-                math.isinf(b) or (h[1] is None and b > 100.0 * a)):
-            def logspaced(t, _f=integrand):
-                t = np.asarray(t, dtype=float)
-                out = np.zeros_like(t)
-                ok = t < 700.0
-                z = np.exp(t[ok])
-                out[ok] = _f(z) * z
-                return out
-
-            q = QuadratureSpec(math.log(a),
-                               b if math.isinf(b) else math.log(b),
-                               relative_tolerance=rel_tol)
-            total += integrate(logspaced, q).value
-            continue
-        q = QuadratureSpec(a, b, relative_tolerance=rel_tol,
-                           singularity_hints=h)
-        total += integrate(integrand, q).value
-    return total
-
-
 # the rule is cut where log1p(v z), 1 - z/upper and the like differ from
 # their leading power by less than this relative amount
 _PURE = 1e-17
@@ -808,7 +736,9 @@ class TiltRule:
     '''
     One trapezoid node set for the integrals against nu* at a fixed tilt
     vector v: log kappa_a(v) for any count tuple a, psi(v) and its
-    gradient.
+    gradient, and log_integral, the integral of a general weight.  Every
+    integral against a directing intensity in the package runs on these
+    nodes.
 
     The rule is uniform in u with step h = min(1/8, 0.2/sqrt(d shape)),
     a fraction of the peak width of the kappa integrand in log z at
@@ -839,6 +769,12 @@ class TiltRule:
     1e-9 relative raises QuadratureError.  The end behaviour comes from
     the directing intensity's singularity exponents, which an infinite
     upper end must give.
+
+    A general weight z^p exp(g(log z)) (log_integral) declares its power
+    p at 0 and its power at an infinite upper end, which add to nu*'s in
+    the end rates.  The tilt v sets how far the nodes reach, so a weight
+    with a scale s of its own (a survival factor Q(shape, x/z), a density
+    peaking at z = s) is integrated by a rule built at a tilt of 1/s.
     '''
 
     def __init__(self, spec, v, nodes=None):
@@ -900,14 +836,17 @@ class TiltRule:
 
     def _end_rates(self, lower_power, tail_power):
         '''Decay rates in u of the integrand at the small-z and large-z
-        ends, for a weight ~ z^lower_power at 0 and ~ z^tail_power at an
+        ends, for a weight ~ z^lower_power at 0 (None: vanishing faster
+        than any power, no end series, rate None) and ~ z^tail_power at an
         infinite upper end (at a finite one the weight is regular).'''
         if self.lower > 0.0:
             # an interval inside the support: the weight is regular at lo
             return 1.0, self.upper_rate
-        rate_lo = self.p_lo + 1.0 + lower_power
-        if rate_lo <= 0.0:
-            raise ValueError('integral diverges at the lower endpoint')
+        rate_lo = None
+        if lower_power is not None:
+            rate_lo = self.p_lo + 1.0 + lower_power
+            if rate_lo <= 0.0:
+                raise ValueError('integral diverges at the lower endpoint')
         if self.finite:
             return rate_lo, self.upper_rate
         rate_hi = -(self.upper_rate + tail_power)
@@ -924,6 +863,36 @@ class TiltRule:
                            / -math.expm1(-k * self.h * r) for c, r in ends))
                 for k in (1, 2)]
 
+    def log_integral(self, log_weight, lower_power, tail_power=0.0):
+        '''
+        log int z^lower_power exp(log_weight(log z)) nu*(z) dz over the
+        rule's range.  log_weight is vectorised over the nodes' log z and
+        tends to a constant as z -> 0; lower_power None instead declares a
+        weight exp(log_weight) that vanishes faster than any power there,
+        and the rule then ends without a series at 0.  tail_power is the
+        power of the whole weight at an infinite upper end; at a finite one
+        the weight must be regular.  The rule's nodes must resolve the
+        weight: a weight with its own small scale s needs a rule built at
+        a tilt v_max >= 1/s, which extends the nodes to z = 1e-17 s.
+        '''
+        rate_lo, rate_hi = self._end_rates(lower_power, tail_power)
+        log_f = self.log_w
+        if lower_power is not None:
+            log_f = log_f + lower_power * self.log_z
+        log_f = log_f + log_weight(self.log_z)
+        top = log_f.max()
+        f = np.exp(log_f - top)
+        ends = [(f[-1], rate_hi)]
+        if rate_lo is not None:
+            ends.insert(0, (f[0], rate_lo))
+        full, half = np.log(self._rule_pair(f, ends))
+        if not abs(full - half) <= 1e-9:
+            raise QuadratureError(
+                'log integral at v = %s: trapezoid rules disagree by %.3g'
+                % (self.v, full - half),
+                IntegralResult(top + full, abs(full - half), f.size))
+        return float(top + full)
+
     def log_kappa(self, a):
         '''log kappa_a(v) = sum_j log(Gamma(a_j + shape)/Gamma(shape))
         + log int z^(sum a) prod_j (1 + v_j z)^(-a_j - shape) nu*(z) dz.'''
@@ -931,20 +900,9 @@ class TiltRule:
         shape = self.spec.shape
         total = float(a.sum())
         tail_power = total - float((a + shape) @ self.positive)
-        rate_lo, rate_hi = self._end_rates(total, tail_power)
-        log_f = (self.log_w + total * self.log_z
-                 - (a + shape) @ self.log1p_vz)
-        top = log_f.max()
-        f = np.exp(log_f - top)
-        full, half = np.log(self._rule_pair(
-            f, [(f[0], rate_lo), (f[-1], rate_hi)]))
-        if not abs(full - half) <= 1e-9:
-            raise QuadratureError(
-                'log kappa_%s(%s): trapezoid rules disagree by %.3g'
-                % (tuple(a), self.v, full - half),
-                IntegralResult(top + full, abs(full - half), f.size))
-        return float(top + full
-                     + np.sum(gammaln(a + shape) - gammaln(shape)))
+        log_tilt = -((a + shape) @ self.log1p_vz)
+        return (self.log_integral(lambda log_z: log_tilt, total, tail_power)
+                + float(np.sum(gammaln(a + shape) - gammaln(shape))))
 
     def psi(self):
         '''psi(v) = int (1 - prod_j (1 + v_j z)^-shape) nu*(z) dz.'''
@@ -1095,20 +1053,21 @@ def rho_density(spec, s, method='auto'):
     raise ValueError('no closed multivariate intensity for %r' % (kind,))
 
 
-def _rho_by_mixture(spec, s, rel_tol=1e-9):
+def _rho_by_mixture(spec, s):
+    '''int z^-d prod_j f(s_j / z) nu*(z) dz, f the Ga(shape) density.'''
     shape = spec.shape
     d = spec.dimension
     total = float(np.sum(s))
     log_s = float(np.log(s).sum())
 
-    def weight(z):
-        log_f = ((shape - 1.0) * (log_s - d * np.log(z)) - total / z
-                 - d * gammaln(shape))
-        return np.exp(log_f - d * np.log(z))
+    def log_weight(log_z):
+        return ((shape - 1.0) * log_s - d * shape * log_z
+                - total * np.exp(-log_z) - d * gammaln(shape))
 
-    return spec.directing.integrate(weight, lower_power=None,
-                                    tail_power=-d * shape, breaks=(total,),
-                                    rel_tol=rel_tol)
+    # the weight z^(-d shape) e^(-total/z) peaks at z = total / (d shape)
+    # and vanishes faster than any power below it
+    rule = TiltRule(spec, np.full(d, d * shape / total))
+    return math.exp(rule.log_integral(log_weight, None, -d * shape))
 
 
 def tau(a, z, v, shape):
@@ -1161,18 +1120,38 @@ def levy_copula(spec, y1, y2):
         return 0.0
     marg = marginal_intensity(spec.marginal)
     # an infinite tail mass has a survival factor identically 1
-    xs = [marg.inverse_tail(y) for y in (y1, y2) if not math.isinf(y)]
+    xs = [float(marg.inverse_tail(y)) for y in (y1, y2) if not math.isinf(y)]
+    if not xs:
+        return math.inf
     shape = spec.shape
 
-    def weight(z):
-        out = np.ones_like(z)
-        for x in xs:
-            out = out * gammaincc(shape, x / z)
-        return out
+    def log_weight(log_z):
+        # a survival factor underflowing to 0 is a zero weight
+        with np.errstate(divide='ignore'):
+            return sum(np.log(gammaincc(shape, x * np.exp(-log_z)))
+                       for x in xs)
 
-    # the score survival factors vanish faster than any power at z -> 0
-    return spec.directing.integrate(weight, lower_power=None, breaks=xs,
-                                    rel_tol=1e-8)
+    # the survival factors vanish faster than any power below their
+    # scales x_j; the nodes reach 1e-17 of the smallest
+    v = np.full(2, 1.0 / min(xs))
+    nu = spec.directing
+    if not math.isinf(nu.support[1]):
+        return math.exp(TiltRule(spec, v).log_integral(log_weight, None))
+    # Past top = 1e17 max x_j, 1 - Q(shape, x/z) = (x/z)^shape /
+    # Gamma(shape + 1) to double precision, a correction that falls off
+    # slowly at a small shape: the rule stops at top, and the tail
+    # int_top^inf nu* prod_j (1 - q_j (top/z)^shape) dz, nu* ~ z^(-rate-1),
+    # is summed term by term
+    top = max(xs) / _PURE
+    rule = TiltRule(spec, v, RuleNodes(spec, top))
+    rate = -nu.upper_rate
+    coefs = np.ones(1)
+    for x in xs:
+        q = math.exp(shape * math.log(x / top) - gammaln(shape + 1.0))
+        coefs = np.convolve(coefs, [1.0, -q])
+    tail = float(nu.density(top)) * top * float(
+        coefs @ (1.0 / (rate + shape * np.arange(coefs.size))))
+    return math.exp(rule.log_integral(log_weight, None)) + tail
 
 
 def clayton_copula(gamma_par, y1, y2):
@@ -1250,10 +1229,11 @@ def enumerate_moment_partitions(q, k):
     return results
 
 
-def _directing_moment(spec, m, rel_tol=1e-10):
-    '''int z^m nu*(z) dz for integer m >= 1.'''
-    return spec.directing.integrate(lambda z: z ** m, lower_power=m,
-                                    tail_power=m, rel_tol=rel_tol)
+def _directing_moment(spec, m):
+    '''int z^m nu*(z) dz for integer m >= 1, kappa at v = 0 without its
+    score factor.'''
+    rule = TiltRule(spec, np.zeros(spec.dimension))
+    return math.exp(rule.log_integral(lambda log_z: 0.0, m, m))
 
 
 def mixed_moment(spec, q, region_mass):
@@ -1328,7 +1308,9 @@ def covariance_normalized(spec, mass_a, mass_b, mass_ab, total_mass,
     '''
     Correlation of the two normalised coordinate measures over regions A
     and B with centring masses mass_a, mass_b, intersection mass_ab, and
-    total space mass total_mass.
+    total space mass total_mass.  The cross term is a double integral over
+    the tilts (l1, l2) by nested QUADPACK rules (numerics.integrate);
+    rel_tol is their relative tolerance, QUADPACK's epsrel.
     '''
     if spec.dimension != 2:
         raise ValueError('defined for dimension 2')
@@ -1343,40 +1325,25 @@ def covariance_normalized(spec, mass_a, mass_b, mass_ab, total_mass,
 
     # the integrand is symmetric in (l1, l2), so integrate over the
     # wedge l2 < l1 and double
-    def outer(l1_values):
-        out = np.empty_like(np.asarray(l1_values, dtype=float))
-        for i, l1 in enumerate(np.atleast_1d(l1_values)):
-            # psi(l1, l2) >= psi1(l1), so once the tilt underflows the
-            # whole inner integral is numerically zero
-            if total_mass * marginal_exponent(spec.marginal, float(l1)) > 745.0:
-                out[i] = 0.0
-                continue
+    def outer(l1):
+        # psi(l1, l2) >= psi1(l1), so once the tilt underflows the whole
+        # inner integral is numerically zero
+        if total_mass * marginal_exponent(spec.marginal, l1) > 745.0:
+            return 0.0
 
-            def inner(l2_values):
-                vals = np.empty_like(np.asarray(l2_values, dtype=float))
-                for j, l2 in enumerate(np.atleast_1d(l2_values)):
-                    rule = TiltRule(spec, [float(l1), float(l2)])
-                    vals[j] = math.exp(rule.log_kappa(ones)
-                                       - total_mass * rule.psi())
-                return vals
+        def inner(l2):
+            rule = TiltRule(spec, [l1, l2])
+            return math.exp(rule.log_kappa(ones) - total_mass * rule.psi())
 
-            out[i] = _integrate_with_breaks(inner, 0.0, float(l1),
-                                            (None, None), (1.0,), rel_tol)
-        return out
+        return integrate(inner, 0.0, l1, rel_tol).value
 
-    cross = 2.0 * _integrate_with_breaks(outer, 0.0, np.inf,
-                                         (None, -1.0 - shape), (1.0,), rel_tol)
+    cross = 2.0 * integrate(outer, 0.0, np.inf, rel_tol).value
 
     def variance_integrand(lam):
-        lam = np.asarray(lam, dtype=float)
         return (lam * _tilted_second_moment(spec.marginal, lam)
-                * np.exp(-total_mass * marginal_exponent(spec.marginal, lam)))
+                * math.exp(-total_mass * marginal_exponent(spec.marginal, lam)))
 
-    hint_lo = (spec.marginal.sigma - 1.0
-               if spec.marginal.kind == 'sigma-stable' else None)
-    qv = QuadratureSpec(0.0, np.inf, relative_tolerance=1e-10,
-                        singularity_hints=(hint_lo, -1.0 - 0.9 * total_mass))
-    var_kernel = integrate(variance_integrand, qv).value
+    var_kernel = integrate(variance_integrand, 0.0, np.inf).value
     var_a = (mass_a - mass_a ** 2 / total_mass) * var_kernel
     var_b = (mass_b - mass_b ** 2 / total_mass) * var_kernel
     corr = bracket * cross / math.sqrt(var_a * var_b)

@@ -1,94 +1,26 @@
 '''
-Adaptive quadrature and the special functions needed by the intensity
-formulas.
+One-dimensional quadrature that is not against a directing intensity, and
+the special functions needed by the intensity formulas.
 
-The quadrature is Gauss-Kronrod 15(7) with global bisection.  Endpoint
-singularities of known algebraic order are removed by a power substitution
-before any panel is evaluated, and infinite upper limits are mapped to (0,1)
-with z = lower + t/(1-t).  Integrands must accept numpy arrays (they are
-evaluated 15 points at a time).
+Integrals against a directing intensity nu* run on the trapezoid nodes of
+core.TiltRule.  Everything else (the lambda integrals of
+core.covariance_normalized, the exponential integral behind kummer_u, and
+the tail of an intensity given without a closed tail) goes through
+integrate, a thin wrapper of QUADPACK's adaptive rules (scipy.integrate.quad)
+that turns its warnings into QuadratureError.
 '''
 
-import heapq
 import math
+from dataclasses import dataclass
 
 import numpy as np
-from dataclasses import dataclass
 from scipy import special as _sp
+from scipy.integrate import quad
 
 __all__ = [
-    'QuadratureSpec', 'IntegralResult', 'QuadratureError',
+    'IntegralResult', 'QuadratureError',
     'integrate', 'bessel_k', 'kummer_u', 'whittaker_w',
 ]
-
-# ---------------------------------------------------------------------------
-# Gauss-Kronrod 15 point rule (7 point Gauss embedded at the odd indices)
-# ---------------------------------------------------------------------------
-
-_XGK = np.array([
-    -0.991455371120813, -0.949107912342759, -0.864864423359769,
-    -0.741531185599394, -0.586087235467691, -0.405845151377397,
-    -0.207784955007898, 0.0, 0.207784955007898, 0.405845151377397,
-    0.586087235467691, 0.741531185599394, 0.864864423359769,
-    0.949107912342759, 0.991455371120813,
-])
-_WGK = np.array([
-    0.022935322010529, 0.063092092629979, 0.104790010322250,
-    0.140653259715525, 0.169004726639267, 0.190350578064785,
-    0.204432940075298, 0.209482141084728, 0.204432940075298,
-    0.190350578064785, 0.169004726639267, 0.140653259715525,
-    0.104790010322250, 0.063092092629979, 0.022935322010529,
-])
-_WG = np.array([
-    0.129484966168870, 0.279705391489277, 0.381830050505119,
-    0.417959183673469, 0.381830050505119, 0.279705391489277,
-    0.129484966168870,
-])
-
-_EPS = np.finfo(float).eps
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    '''
-    Description of one definite integral.
-
-    lower, upper        : interval endpoints; upper may be numpy.inf
-    relative_tolerance,
-    absolute_tolerance  : the run stops once the summed panel error estimate
-                          drops below max(abs_tol, rel_tol * |value|)
-    singularity_hints   : pair (p_lower, p_upper) of endpoint exponents, or
-                          None where the integrand is regular.  p_lower means
-                          integrand ~ (z - lower)^p near the lower endpoint;
-                          for a finite upper endpoint, ~ (upper - z)^p; for an
-                          infinite upper endpoint, ~ z^p as z -> inf (p < -1).
-    max_evaluations     : budget of integrand evaluations.
-    '''
-    lower: float
-    upper: float
-    relative_tolerance: float = 1e-9
-    absolute_tolerance: float = 1e-12
-    singularity_hints: tuple = (None, None)
-    max_evaluations: int = 100_000
-
-    def __post_init__(self):
-        self.validate()
-
-    def validate(self):
-        if math.isinf(self.lower):
-            raise ValueError('infinite lower endpoints are not supported')
-        if not self.upper > self.lower:
-            raise ValueError(
-                'empty or inverted interval (%r, %r)' % (self.lower, self.upper))
-        p_lo, p_hi = self.singularity_hints
-        if p_lo is not None and p_lo <= -1.0:
-            raise ValueError('singularity hint %r is not integrable' % p_lo)
-        if p_hi is not None:
-            if math.isinf(self.upper):
-                if p_hi >= -1.0:
-                    raise ValueError('tail decay hint %r is not integrable' % p_hi)
-            elif p_hi <= -1.0:
-                raise ValueError('singularity hint %r is not integrable' % p_hi)
 
 
 @dataclass(frozen=True)
@@ -99,181 +31,36 @@ class IntegralResult:
 
 
 class QuadratureError(RuntimeError):
-    '''Raised when the evaluation budget is exhausted before convergence.
-    Carries the best estimate reached so far in .best.'''
+    '''Raised when a quadrature cannot meet its accuracy check.  Carries
+    the best estimate reached in .best (an IntegralResult).'''
 
     def __init__(self, message, best):
         super().__init__(message)
         self.best = best
 
 
-def _panel(f, a, b):
-    '''One GK15 evaluation on [a, b]. Returns (value, error_estimate).'''
-    c = 0.5 * (a + b)
-    h = 0.5 * (b - a)
-    x = c + h * _XGK
-    y = np.asarray(f(x), dtype=float)
-    if not np.all(np.isfinite(y)):
-        bad = x[~np.isfinite(y)][0]
-        raise ValueError('integrand returned a non-finite value at %r' % bad)
-    resk = h * float(y @ _WGK)
-    resg = h * float(y[1::2] @ _WG)
-    resabs = abs(h) * float(np.abs(y) @ _WGK)
-    mean = resk / (b - a) if b != a else 0.0
-    resasc = abs(h) * float(np.abs(y - mean) @ _WGK)
-    err = abs(resk - resg)
-    if resasc != 0.0 and err != 0.0:
-        err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
-    err = max(err, 50.0 * _EPS * resabs)
-    return resk, err
-
-
-def _power_lower(g, a, b, p):
-    '''Substitute z = a + u^gamma so a (z-a)^p endpoint becomes regular.
-    When u^gamma rounds below the float spacing at a, the evaluation
-    point is pulled one ulp inside and the (z-a)^p factor is rescaled to
-    the exactly-known distance u^gamma, so g is never evaluated at its
-    singular endpoint.'''
-    gamma = 1.0 / (1.0 + p)
-    top = (b - a) ** (1.0 / gamma)
-    inner = np.nextafter(a, b)
-
-    def h(u):
-        u = np.asarray(u, dtype=float)
-        w = u ** gamma
-        t = a + w
-        wf = t - a
-        t = np.where(wf > 0.0, t, inner)
-        wf = t - a
-        corr = np.where(w == wf, 1.0, (w / wf) ** p)
-        return g(t) * corr * (gamma * u ** (gamma - 1.0))
-
-    return h, 0.0, top
-
-
-def _power_upper(g, a, b, p):
-    gamma = 1.0 / (1.0 + p)
-    top = (b - a) ** (1.0 / gamma)
-    inner = np.nextafter(b, a)
-
-    def h(u):
-        u = np.asarray(u, dtype=float)
-        w = u ** gamma
-        t = b - w
-        wf = b - t
-        t = np.where(wf > 0.0, t, inner)
-        wf = b - t
-        corr = np.where(w == wf, 1.0, (w / wf) ** p)
-        return g(t) * corr * (gamma * u ** (gamma - 1.0))
-
-    return h, 0.0, top
-
-
-def _build_pieces(f, spec):
-    '''Apply the infinite-domain map and any power substitutions, returning
-    a list of (integrand, a, b) with regular endpoints.'''
-    lo, hi = float(spec.lower), float(spec.upper)
-    p_lo, p_hi = spec.singularity_hints
-
-    if math.isinf(hi):
-        base = f
-        if p_hi is not None:
-            # split off the tail at a finite point and fold the decay
-            # exponent into the map, so no small quantity is reconstructed
-            # by cancellation
-            zc = lo + 1.0
-            q = -p_hi - 2.0  # exponent at s = 0 of f(zc + (1-s)/s) / s^2
-            if q != 0.0:
-                gamma = 1.0 / (1.0 + q)
-
-                def tail(w):
-                    s = w ** gamma
-                    return (base(zc + (1.0 - s) / s) / (s * s)
-                            * (gamma * w ** (gamma - 1.0)))
-            else:
-                def tail(s):
-                    return base(zc + (1.0 - s) / s) / (s * s)
-
-            pieces = _build_pieces(base, QuadratureSpec(
-                lo, zc, singularity_hints=(p_lo, None)))
-            pieces.append((tail, 0.0, 1.0))
-            return pieces
-
-        def g(t):
-            s = 1.0 - t
-            return base(lo + t / s) / (s * s)
-
-        f, a, b = g, 0.0, 1.0
-        p_hi = None
-    else:
-        a, b = lo, hi
-
-    sub_lo = p_lo is not None and p_lo != 0.0
-    sub_hi = p_hi is not None and p_hi != 0.0
-    if sub_lo and sub_hi:
-        mid = 0.5 * (a + b)
-        return [_power_lower(f, a, mid, p_lo), _power_upper(f, mid, b, p_hi)]
-    if sub_lo:
-        return [_power_lower(f, a, b, p_lo)]
-    if sub_hi:
-        return [_power_upper(f, a, b, p_hi)]
-    return [(f, a, b)]
-
-
-def integrate(f, spec):
+def integrate(f, lower, upper, rel_tol=1e-10):
     '''
-    Evaluate the integral described by `spec`.
+    int_lower^upper f(z) dz for a scalar integrand f, upper possibly
+    numpy.inf, by scipy.integrate.quad at relative tolerance rel_tol (its
+    epsrel) and no absolute floor (epsabs = 0), so a small integral is
+    resolved relative to its own size.
 
-    Returns an IntegralResult.  Raises ValueError if the integrand produces
-    non-finite values or the spec is malformed, and QuadratureError (carrying
-    the best estimate) if the evaluation budget runs out first.
+    Returns an IntegralResult.  Raises ValueError on an empty interval and
+    QuadratureError, carrying the result, when QUADPACK reports trouble
+    (subdivision limit, roundoff, divergence) or the value is not finite.
     '''
-    pieces = _build_pieces(f, spec)
-    heap = []
-    count = 0
-    evals = 0
-    total = 0.0
-    total_err = 0.0
-    done_val = 0.0   # panels too narrow to split further
-    done_err = 0.0
-    for g, a, b in pieces:
-        val, err = _panel(g, a, b)
-        evals += 15
-        heapq.heappush(heap, (-err, count, a, b, val, err, g))
-        count += 1
-        total += val
-        total_err += err
-
-    while True:
-        tol = max(spec.absolute_tolerance,
-                  spec.relative_tolerance * abs(total + done_val))
-        if total_err + done_err <= tol or not heap:
-            break
-        if evals + 30 > spec.max_evaluations:
-            best = IntegralResult(total + done_val, total_err + done_err, evals)
-            raise QuadratureError(
-                'no convergence within %d evaluations (estimate %r, error %r)'
-                % (spec.max_evaluations, best.value, best.error_estimate), best)
-        neg_err, _, a, b, val, err, g = heapq.heappop(heap)
-        total -= val
-        total_err -= err
-        mid = 0.5 * (a + b)
-        # panels narrower than float spacing or whose error estimate sits
-        # at the roundoff floor cannot improve; retire them as they are
-        if mid - a <= 32.0 * _EPS * max(abs(a), abs(b), 1.0) \
-                or err <= 64.0 * _EPS * abs(val):
-            done_val += val
-            done_err += err
-            continue
-        for (aa, bb) in ((a, mid), (mid, b)):
-            v, e = _panel(g, aa, bb)
-            evals += 15
-            heapq.heappush(heap, (-e, count, aa, bb, v, e, g))
-            count += 1
-            total += v
-            total_err += e
-
-    return IntegralResult(total + done_val, total_err + done_err, evals)
+    if not upper > lower:
+        raise ValueError('empty or inverted interval (%r, %r)' % (lower, upper))
+    out = quad(f, lower, upper, epsabs=0.0, epsrel=rel_tol, full_output=1)
+    result = IntegralResult(out[0], out[1], out[2]['neval'])
+    # with full_output quad returns its warning as a fourth item
+    if len(out) > 3 or not math.isfinite(result.value):
+        raise QuadratureError(
+            'quadrature on (%r, %r) failed (estimate %r, error %r): %s'
+            % (lower, upper, result.value, result.error_estimate,
+               out[3] if len(out) > 3 else 'non-finite value'), result)
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -288,17 +75,28 @@ def bessel_k(order, x):
 
 
 def _kummer_u_integral(a, b, x, rel_tol=1e-11):
-    '''U(a,b,x) for a > 0 from its exponential integral representation.'''
+    '''U(a,b,x) for a > 0 from its exponential integral representation
+    int_0^inf t^(a-1) (1+t)^(b-a-1) e^(-x t) dt / Gamma(a).'''
     la = _sp.gammaln(a)
 
-    def g(t):
-        return np.exp(-x * t + (a - 1.0) * np.log(t)
-                      + (b - a - 1.0) * np.log1p(t) - la)
+    def rest(t):
+        return math.exp(-x * t + (b - a - 1.0) * math.log1p(t) - la)
 
-    spec = QuadratureSpec(0.0, np.inf, relative_tolerance=rel_tol,
-                          absolute_tolerance=0.0,
-                          singularity_hints=(a - 1.0 if a < 1.0 else None, None))
-    return integrate(g, spec).value
+    if a < 1.0:
+        # t = s^(1/a) takes up the t^(a-1) pole on (0, 1)
+        head = integrate(lambda s: rest(s ** (1.0 / a)), 0.0, 1.0,
+                         rel_tol).value / a
+    else:
+        head = integrate(lambda t: rest(t) * t ** (a - 1.0), 0.0, 1.0,
+                         rel_tol).value
+
+    def tail(s):
+        # t = s / x, which puts the peak of the integrand near s = b - 2
+        t = s / x
+        return math.exp((a - 1.0) * math.log(t) + (b - a - 1.0) * math.log1p(t)
+                        - s - la) / x
+
+    return head + integrate(tail, x, math.inf, rel_tol).value
 
 
 def kummer_u(a, b, x):

@@ -13,7 +13,7 @@ from functools import partial
 
 import numpy as np
 
-from .core import _invert_monotone
+from .core import RuleNodes, TiltRule, _invert_monotone
 # not called here: kept bound so the benchmark's tracer, which wraps
 # corm.prior.integrate, still finds it
 from .numerics import integrate  # noqa: F401
@@ -55,28 +55,30 @@ class NormalizedWeights:
     pi: np.ndarray
 
 
-def _weighted_mass(directing, x):
-    '''int_lo^x z nu*(z) dz.'''
-    return directing.integrate(lambda z: z, upper=x, lower_power=1)
+def _weighted_mass(spec, x):
+    '''W(x) = int_0^x z nu*(z) dz, on the tilt rule truncated at x.'''
+    rule = TiltRule(spec, np.zeros(spec.dimension), RuleNodes(spec, x))
+    return math.exp(rule.log_integral(lambda log_z: 0.0, 1))
 
 
-def _coverage_norm(directing):
+def _coverage_norm(spec):
     '''int min(1, z) nu*(z) dz, the scale the tail-mass threshold is
     relative to.'''
-    lo, hi = directing.support
-    total = _weighted_mass(directing, min(1.0, hi))
+    hi = spec.directing.support[1]
+    total = _weighted_mass(spec, min(1.0, hi))
     if hi > 1.0:
-        total += directing.tail_integral(1.0)
+        total += spec.directing.tail_integral(1.0)
     return total
 
 
-def _solve_residual_level(directing, target):
-    '''z with W(z) = int_lo^z s nu*(s) ds = target, by the shared inverse
+def _solve_residual_level(spec, target):
+    '''z with W(z) = int_0^z s nu*(s) ds = target, by the shared inverse
     with W'(z) = z nu*(z); capped at half the support (half of 1 on an
     infinite one).'''
+    directing = spec.directing
     hi = directing.support[1]
     upper = 0.5 * (1.0 if math.isinf(hi) else hi)
-    weighted_mass = np.vectorize(partial(_weighted_mass, directing),
+    weighted_mass = np.vectorize(partial(_weighted_mass, spec),
                                  otypes=[float])
     return float(_invert_monotone(
         weighted_mass, lambda z: z * directing.density(z), target,
@@ -136,8 +138,8 @@ def sample_corm(spec, rng, n_jumps=None, tail_mass=None, max_jumps=100_000):
             raise ValueError('tail_mass must be positive')
         cached = directing._truncations.get(eps)
         if cached is None:
-            target = eps * _coverage_norm(directing)
-            level = _solve_residual_level(directing, target)
+            target = eps * _coverage_norm(spec)
+            level = _solve_residual_level(spec, target)
             cached = (level, directing.tail_integral(level))
             directing._truncations[eps] = cached
         level, unit_cap = cached

@@ -19,7 +19,9 @@ from corm.core import (
     LevyIntensity,
     MarginalFamily,
     MomentPartition,
+    RuleNodes,
     ScoreDistribution,
+    TiltRule,
     clayton_copula,
     covariance_normalized,
     directing_from_marginal,
@@ -936,14 +938,22 @@ class TestCovariance:
 
 
 class TestIntegrate:
-    '''LevyIntensity.integrate on the generalized-gamma directing
-    intensity (sigma 0.3, a 1), against mpmath.quad.'''
+    '''TiltRule.log_integral, the rule behind every integral against a
+    directing intensity, on the generalized-gamma one (sigma 0.3, a 1),
+    against mpmath.quad.'''
 
     SHAPE, SIGMA = 2.0, 0.3
 
     @pytest.fixture(scope='class')
-    def nu(self):
-        return spec_gg(shape=self.SHAPE, sigma=self.SIGMA).directing
+    def spec(self):
+        return spec_gg(shape=self.SHAPE, sigma=self.SIGMA)
+
+    @staticmethod
+    def _integral(spec, log_weight, lower_power, tail_power=0.0,
+                  nodes=None):
+        rule = TiltRule(spec, np.zeros(spec.dimension), nodes)
+        return math.exp(rule.log_integral(log_weight, lower_power,
+                                          tail_power))
 
     def _reference(self, weight, lower=0.0, upper=1.0):
         # c z^(-1-sigma) (1 - z)^(sigma + shape - 1) on (0, 1)
@@ -958,51 +968,62 @@ class TestIntegrate:
         return float(val)
 
     @pytest.mark.parametrize('m', [1, 2, 3])
-    def test_power_weights(self, nu, m):
-        got = nu.integrate(lambda z: z ** m, lower_power=m, tail_power=m)
+    def test_power_weights(self, spec, m):
+        got = self._integral(spec, lambda log_z: 0.0, m, m)
         assert got == pytest.approx(self._reference(lambda z: z ** m),
                                     rel=1e-9)
 
-    def test_interior_limits(self, nu):
-        got = nu.integrate(lambda z: z, lower=0.1, upper=0.5)
+    def test_interior_limits(self, spec):
+        got = self._integral(spec, lambda log_z: log_z, 0, 0,
+                             RuleNodes(spec, 0.5, lower=0.1))
         want = self._reference(lambda z: z, 0.1, 0.5)
         assert got == pytest.approx(want, rel=1e-9)
 
-    def test_psi_weight(self, nu):
+    def test_psi_weight(self, spec):
         lam, phi = (0.7, 2.5), self.SHAPE
 
         def weight(z, power=np.power):
             return 1 - power(1 + lam[0] * z, -phi) * power(1 + lam[1] * z, -phi)
 
-        want = self._reference(lambda z: weight(z, power=mpmath.power))
-        assert nu.integrate(weight, lower_power=1) == pytest.approx(
-            want, rel=1e-9)
-        sp = spec_gg(shape=self.SHAPE, sigma=self.SIGMA)
-        assert laplace_exponent(sp, list(lam)) == pytest.approx(want, rel=1e-9)
+        def log_weight(log_z):
+            # the weight over z, which tends to lam_1 + lam_2 at 0
+            z = np.exp(log_z)
+            return np.log(-np.expm1(-phi * (np.log1p(lam[0] * z)
+                                            + np.log1p(lam[1] * z))) / z)
 
-    def test_kappa_weight(self, nu):
+        want = self._reference(lambda z: weight(z, power=mpmath.power))
+        assert self._integral(spec, log_weight, 1) == pytest.approx(
+            want, rel=1e-9)
+        assert laplace_exponent(spec, list(lam)) == pytest.approx(want,
+                                                                  rel=1e-9)
+
+    def test_kappa_weight(self, spec):
         a, v, phi = (2, 3), (0.8, 1.4), self.SHAPE
 
         def weight(z, power=np.power):
             return (z ** 5 * power(1 + v[0] * z, -a[0] - phi)
                     * power(1 + v[1] * z, -a[1] - phi))
 
+        def log_weight(log_z):
+            z = np.exp(log_z)
+            return (-(a[0] + phi) * np.log1p(v[0] * z)
+                    - (a[1] + phi) * np.log1p(v[1] * z))
+
         want = self._reference(lambda z: weight(z, power=mpmath.power))
-        assert nu.integrate(weight, lower_power=5) == pytest.approx(
+        assert self._integral(spec, log_weight, 5) == pytest.approx(
             want, rel=1e-9)
         coeff = math.exp(gammaln(a[0] + phi) + gammaln(a[1] + phi)
                          - 2.0 * gammaln(phi))
-        sp = spec_gg(shape=self.SHAPE, sigma=self.SIGMA)
-        assert kappa(sp, list(a), list(v)) == pytest.approx(coeff * want,
-                                                             rel=1e-8)
+        assert kappa(spec, list(a), list(v)) == pytest.approx(coeff * want,
+                                                               rel=1e-8)
 
-    def test_divergence_and_range_errors(self, nu):
-        stable = spec_stable(dimension=1, sigma=0.5).directing
+    def test_divergence_and_range_errors(self, spec):
+        stable = spec_stable(dimension=1, sigma=0.5)
         with pytest.raises(ValueError, match='lower endpoint'):
-            stable.integrate(np.ones_like)
+            self._integral(stable, lambda log_z: 0.0, 0)
         with pytest.raises(ValueError, match='tail'):
-            stable.integrate(lambda z: z, lower_power=1, tail_power=1)
+            self._integral(stable, lambda log_z: 0.0, 1, 1)
         with pytest.raises(ValueError, match='support'):
-            nu.integrate(lambda z: z, upper=2.0)
+            RuleNodes(spec, 2.0)
         with pytest.raises(ValueError, match='support'):
-            nu.integrate(lambda z: z, lower=0.5, upper=0.5)
+            RuleNodes(spec, 0.5, lower=0.5)

@@ -147,19 +147,18 @@ class TestResidualLevel:
         (MarginalFamily.generalized_gamma(0.3, 1.0), 2.0),
         (MarginalFamily.generalized_gamma(0.5, 2.5), 0.7)])
     def test_level_solves_weighted_mass(self, monkeypatch, marginal, shape):
-        import corm.core as core_mod
+        import corm.prior as prior_mod
         spec = CoRMSpec.from_marginal(2, shape, marginal, verify=False)
-        directing = spec.directing
-        target = 1e-6 * _coverage_norm(directing)
+        target = 1e-6 * _coverage_norm(spec)
         calls = []
-        integrate = core_mod.integrate
+        weighted_mass = prior_mod._weighted_mass
 
         def counted(*args, **kwargs):
             calls.append(1)
-            return integrate(*args, **kwargs)
+            return weighted_mass(*args, **kwargs)
 
-        monkeypatch.setattr(core_mod, 'integrate', counted)
-        z = _solve_residual_level(directing, target)
+        monkeypatch.setattr(prior_mod, '_weighted_mass', counted)
+        z = _solve_residual_level(spec, target)
         monkeypatch.undo()
         assert len(calls) <= 20
         if marginal.kind == 'gamma':

@@ -8,7 +8,8 @@ import pytest
 from scipy import stats
 
 from corm import slice_sampler
-from corm.core import CoRMSpec, LevyIntensity, MarginalFamily
+from corm.core import (CoRMSpec, LevyIntensity, MarginalFamily, RuleNodes,
+                       TiltRule)
 from corm.kernels import Dataset, UnivariateNormalGamma
 from corm.marginal_sampler import AdaptiveStepSize
 from corm.slice_sampler import (
@@ -187,8 +188,10 @@ class TestJumpHeights:
         # w = 1e3 falls by e^-900 and (1 - z)^(beta-1) has its kink or
         # pole: the total is good to about 1e-5 there, far below the KS
         # resolution
-        assert total == pytest.approx(spec.directing.integrate(
-            tilt, lower=low, rel_tol=1e-10), rel=1e-4)
+        rule = TiltRule(spec, [0.0], RuleNodes(spec, 1.0, lower=low))
+        want = math.exp(rule.log_integral(
+            lambda log_z: -w * (np.exp(log_z) - low), 0))
+        assert total == pytest.approx(want, rel=1e-4)
         assert _ks_p_value(cdf) > 0.01
 
     def test_cases_cover_both_envelopes_and_pieces(self):

@@ -18,7 +18,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from scipy.special import gammaln
+from scipy.special import gammaincc, gammaln
 
 from corm import core
 from corm import marginal_sampler as ms
@@ -181,6 +181,22 @@ class TestTiltRuleOracle:
             rule.log_kappa((60, 60))
         with pytest.raises(QuadratureError):
             rule.psi()
+
+    def test_coarse_step_general_weight_raises(self, monkeypatch):
+        # a score survival factor Q(shape, x/z), as in the Levy copula,
+        # on a rule built at the tilt 1/x that its scale x asks for
+        monkeypatch.setattr(core, '_STEP', 1.0)
+        spec = make_spec('gg1', 0.01)
+        x = 1e-3
+        rule = TiltRule(spec, [1.0 / x, 1.0 / x])
+
+        def log_weight(log_z):
+            with np.errstate(divide='ignore'):
+                return np.log(gammaincc(spec.shape, x * np.exp(-log_z)))
+
+        with pytest.raises(QuadratureError) as err:
+            rule.log_integral(log_weight, None)
+        assert err.value.best.evaluations == rule.log_z.size
 
     def test_divergence_errors(self):
         stable = make_spec('stable', 1.0)
