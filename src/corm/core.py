@@ -14,6 +14,7 @@ of the marginal sampler.
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.special import (boxcox, digamma, exp1, exprel, gammainc,
@@ -764,11 +765,14 @@ class TiltRule:
       nodes when lo << hi.
 
     Per node the rule stores log(h |dz/du| nu*(z)), log z and
-    log1p(v_j z); only the last depends on v.  Every value is checked
-    against the every-other-node sub-rule, and a disagreement above
-    1e-9 relative raises QuadratureError.  The end behaviour comes from
-    the directing intensity's singularity exponents, which an infinite
-    upper end must give.
+    log1p(v_j z); only the last depends on v.  log_kappa adds, on its
+    first call, the terms at zero counts and one slope in the counts per
+    group, so each later count vector costs an axpy per nonzero count
+    and one sum over the nodes.  Every value is checked against the
+    every-other-node sub-rule, and a disagreement above 1e-9 relative
+    raises QuadratureError.  The end behaviour comes from the directing
+    intensity's singularity exponents, which an infinite upper end must
+    give.
 
     A general weight z^p exp(g(log z)) (log_integral) declares its power
     p at 0 and its power at an infinite upper end, which add to nu*'s in
@@ -858,10 +862,15 @@ class TiltRule:
         '''The rule and its every-other-node sub-rule on the node terms
         f, each with the series c sum_{m >= 1} e^(-m step r) past an end
         added for each (c, r) in ends.'''
-        return [k * (f[::k].sum()
-                     + sum(c * math.exp(-k * self.h * r)
-                           / -math.expm1(-k * self.h * r) for c, r in ends))
-                for k in (1, 2)]
+        pair = []
+        for k in (1, 2):
+            step = k * self.h
+            series = 0.0
+            for c, r in ends:
+                series += float(c) * math.exp(-step * r) / -math.expm1(
+                    -step * r)
+            pair.append(k * (float(f[::k].sum()) + series))
+        return pair
 
     def log_integral(self, log_weight, lower_power, tail_power=0.0):
         '''
@@ -879,30 +888,66 @@ class TiltRule:
         log_f = self.log_w
         if lower_power is not None:
             log_f = log_f + lower_power * self.log_z
-        log_f = log_f + log_weight(self.log_z)
-        top = log_f.max()
-        f = np.exp(log_f - top)
+        return self._log_sum(log_f + log_weight(self.log_z), rate_lo,
+                             rate_hi)
+
+    def _log_sum(self, log_f, rate_lo, rate_hi):
+        '''log of the rule on the node terms exp(log_f), with the end
+        series of rates rate_lo (None: no series at 0) and rate_hi,
+        checked against the every-other-node sub-rule.'''
+        top = float(log_f.max())
+        f = log_f - top
+        np.exp(f, out=f)
         ends = [(f[-1], rate_hi)]
         if rate_lo is not None:
             ends.insert(0, (f[0], rate_lo))
-        full, half = np.log(self._rule_pair(f, ends))
+        full, half = self._rule_pair(f, ends)
+        full = math.log(full)
+        half = math.log(half) if half > 0.0 else -math.inf
         if not abs(full - half) <= 1e-9:
             raise QuadratureError(
                 'log integral at v = %s: trapezoid rules disagree by %.3g'
                 % (self.v, full - half),
                 IntegralResult(top + full, abs(full - half), f.size))
-        return float(top + full)
+        return top + full
+
+    @cached_property
+    def _kappa_terms(self):
+        '''The node terms of log_kappa at zero counts, log w - shape
+        sum_j log(1 + v_j z); the d slopes log z - log(1 + v_j z) by
+        which each count a_j moves them; and which v_j are positive.'''
+        shape = self.spec.shape
+        base = self.log_w - shape * self.log1p_vz.sum(axis=0)
+        return base, self.log_z - self.log1p_vz, self.positive.tolist()
 
     def log_kappa(self, a):
-        '''log kappa_a(v) = sum_j log(Gamma(a_j + shape)/Gamma(shape))
-        + log int z^(sum a) prod_j (1 + v_j z)^(-a_j - shape) nu*(z) dz.'''
-        a = np.asarray(a, dtype=float)
+        '''
+        log kappa_a(v) = sum_j log(Gamma(a_j + shape)/Gamma(shape))
+        + log int z^(sum a) prod_j (1 + v_j z)^(-a_j - shape) nu*(z) dz.
+
+        The node terms at counts a are base + sum_j a_j slope_j, with
+        base and the slopes (_kappa_terms) built on the first call: one
+        axpy per nonzero count, and the scalar bookkeeping in Python
+        floats.  A value depends on (spec, v, a) alone, not on which
+        counts were evaluated before.
+        '''
+        base, slopes, tilted = self._kappa_terms
+        if len(a) != len(tilted):
+            raise ValueError('a must be a vector of length %d'
+                             % len(tilted))
         shape = self.spec.shape
-        total = float(a.sum())
-        tail_power = total - float((a + shape) @ self.positive)
-        log_tilt = -((a + shape) @ self.log1p_vz)
-        return (self.log_integral(lambda log_z: log_tilt, total, tail_power)
-                + float(np.sum(gammaln(a + shape) - gammaln(shape))))
+        log_f = base
+        total = decay = log_gamma = 0.0
+        for a_j, slope, positive in zip(a, slopes, tilted):
+            a_j = float(a_j)
+            if a_j:
+                log_f = log_f + a_j * slope
+                total += a_j
+                log_gamma += math.lgamma(a_j + shape) - math.lgamma(shape)
+            if positive:
+                decay += a_j + shape
+        rate_lo, rate_hi = self._end_rates(total, total - decay)
+        return self._log_sum(log_f, rate_lo, rate_hi) + log_gamma
 
     def psi(self):
         '''psi(v) = int (1 - prod_j (1 + v_j z)^-shape) nu*(z) dz.'''

@@ -127,12 +127,18 @@ class KappaTable:
     '''Cache of log kappa integrals and of psi at fixed (spec, v).  One
     group with a gamma (or, at v > 0, a sigma-stable) marginal has closed
     log kappa forms, and one group has the closed marginal exponent as
-    psi; every other value comes from one TiltRule built for (spec, v).'''
+    psi; every other value comes from one TiltRule built for (spec, v).
+    A value is memoised by its count tuple.  The rule gives the same
+    double for a count tuple whatever it evaluated before, so a value
+    does not depend on the order in which the chain reaches the counts.
+    evaluations counts the memo misses: the log kappa values computed,
+    by the rule or in closed form.'''
 
     def __init__(self, spec, v):
         self.spec = spec
         self.v = np.asarray(v, dtype=float)
         self._memo = {}
+        self.evaluations = 0
         m = spec.marginal
         self._closed = None
         if spec.dimension == 1:
@@ -146,6 +152,7 @@ class KappaTable:
         '''log kappa_a(v) for a tuple of per-group counts.'''
         val = self._memo.get(a)
         if val is None:
+            self.evaluations += 1
             if self._closed == 'gamma':
                 # kappa_a(v) collapses to Gamma(a) (1+v)^(-a)
                 val = float(gammaln(a[0]) - a[0] * math.log1p(self.v[0]))
@@ -196,7 +203,14 @@ class _UrnRows:
     _detach, _attach and _open_cluster keep the rows in step with the
     state, refreshing only the clusters they touch (Neal 2000,
     Algorithm 3).  Ratios for other groups are not kept: each needs a
-    kappa at a count vector the chain may never reach.'''
+    kappa at a count vector the chain may never reach.
+
+    Most redraws put the observation back into its own cluster.  The
+    allocation updates save that cluster's row (save) before the detach
+    and put it back (restore) when the draw returns the observation to
+    a cluster the detach did not drop, together with the cluster's
+    statistics: the rows and the state are then what they were before
+    the detach, with no refresh.'''
 
     def __init__(self, state, spec, kernel, table, j):
         self.table = table
@@ -218,6 +232,16 @@ class _UrnRows:
             tuple(state.counts[k].tolist()), self.group)
         if self.predictive is not None:
             self.predictive[k] = self.kernel.predictive_row(state.stats[k])
+
+    def save(self, k):
+        '''Cluster k's ratio and predictive row, for restore.'''
+        row = None if self.predictive is None else self.predictive[k].copy()
+        return self.log_ratios[k], row
+
+    def restore(self, k, saved):
+        self.log_ratios[k], row = saved
+        if row is not None:
+            self.predictive[k] = row
 
     def open(self):
         '''Add a row for a cluster opened at the end.'''
@@ -288,6 +312,18 @@ def _attach(state, data, kernel, j, i, k, rows):
         rows.refresh(state, k)
 
 
+def _undo_detach(state, j, i, k, stats, rows, saved):
+    '''Put observation (j, i) back into cluster k, which its detach did
+    not drop, with the statistics (conjugate) and the rows' entries
+    (when kept) saved before the detach.'''
+    state.allocations[j][i] = k
+    state.counts[k, j] += 1
+    if stats is not None:
+        state.stats[k] = stats
+    if saved is not None:
+        rows.restore(k, saved)
+
+
 def allocation_weights(state, data, spec, kernel, j, i, table, rows=None):
     '''Unnormalized urn weights for observation (j, i): one entry per
     existing cluster plus one for a fresh cluster.  The observation must
@@ -305,10 +341,16 @@ def update_allocation_conjugate(state, data, spec, kernel, j, i, table, rng,
                                 rows=None):
     '''Gibbs reassignment of c_{j,i} in the conjugate variant; rows as
     in allocation_weights.'''
+    home, K = int(state.allocations[j][i]), state.n_clusters
+    stats = state.stats[home]
+    saved = None if rows is None else rows.save(home)
     _detach(state, data, kernel, j, i, rows)
     weights = allocation_weights(state, data, spec, kernel, j, i, table,
                                  rows)
     k = _categorical(weights, rng)
+    if k == home and state.n_clusters == K:
+        _undo_detach(state, j, i, k, stats, rows, saved)
+        return
     if k == state.n_clusters:
         _open_cluster(state, spec, kernel, rows)
     _attach(state, data, kernel, j, i, k, rows)
@@ -319,6 +361,8 @@ def update_allocation_nonconjugate(state, data, spec, kernel, j, i, table,
     '''Auxiliary-atom reassignment of c_{j,i}: existing clusters compete
     with n_aux fresh atoms, a removed singleton recycling its atom into
     the first slot; rows as in allocation_weights.'''
+    home = int(state.allocations[j][i])
+    saved = None if rows is None else rows.save(home)
     recycled = _detach(state, data, kernel, j, i, rows)
     if rows is None:
         rows = _UrnRows(state, spec, kernel, table, j)
@@ -333,6 +377,9 @@ def update_allocation_nonconjugate(state, data, spec, kernel, j, i, table,
         + kernel.log_density(y, kernel.stack_atoms(state.atoms + aux))
     logs -= logs.max()
     k = _categorical(np.exp(logs), rng)
+    if k == home and recycled is None:
+        _undo_detach(state, j, i, k, None, rows, saved)
+        return
     if k >= K:
         _open_cluster(state, spec, kernel, rows, aux[k - K])
         k = K

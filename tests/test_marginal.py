@@ -453,6 +453,116 @@ class TestUrnRows:
                                           table)
             state.check()
 
+    def test_redraw_into_own_cluster_restores_conjugate(self):
+        # a 2-sweep 30+30 chain: whenever an observation goes back to a
+        # cluster its detach kept, the cluster's statistics are the very
+        # tuple from before the detach (not a remove-then-add round
+        # trip) and the kept rows equal rows built afresh
+        rng = np.random.default_rng(23)
+        data = Dataset([np.concatenate([rng.normal(-2.0, 0.5, 15),
+                                        rng.normal(2.0, 0.5, 15)]),
+                        rng.normal(2.0, 0.5, 30)])
+        kernel = UnivariateNormalGamma.from_data(data.stacked())
+        spec = CoRMSpec.from_marginal(
+            2, 1.0, MarginalFamily.generalized_gamma(0.3, 1.0))
+        state = initial_state(data, spec, kernel, rng, n_start=4)
+        table = KappaTable(spec, state.v)
+        undone = 0
+        for _ in range(2):
+            for j in range(2):
+                rows = ms._UrnRows(state, spec, kernel, table, j)
+                for i in range(30):
+                    home, K = int(state.allocations[j][i]), state.n_clusters
+                    stats = state.stats[home]
+                    update_allocation_conjugate(state, data, spec, kernel,
+                                                j, i, table, rng, rows)
+                    if state.allocations[j][i] == home \
+                            and state.n_clusters == K:
+                        undone += 1
+                        assert state.stats[home] is stats
+                    fresh = ms._UrnRows(state, spec, kernel, table, j)
+                    assert np.array_equal(rows.log_ratios, fresh.log_ratios)
+                    assert np.array_equal(rows.predictive, fresh.predictive)
+                state.check()
+        assert undone > 20
+
+    def test_redraw_into_own_cluster_restores_nonconjugate(self):
+        rng = np.random.default_rng(29)
+        g0 = np.vstack([rng.normal(-1.5, 0.5, size=(8, 2)),
+                        rng.normal(1.5, 0.5, size=(8, 2))])
+        g1 = rng.normal(1.5, 0.5, size=(10, 2))
+        data = Dataset([g0, g1])
+        kernel = MultivariateNormalNIW.from_data(np.vstack([g0, g1]))
+        spec = gamma_spec(2, 1.0)
+        state = initial_state(data, spec, kernel, rng, n_start=3)
+        table = KappaTable(spec, state.v)
+        undone = 0
+        for j, n_j in enumerate((16, 10)):
+            rows = ms._UrnRows(state, spec, kernel, table, j)
+            for i in range(n_j):
+                home = int(state.allocations[j][i])
+                counts, atoms = state.counts.copy(), list(state.atoms)
+                update_allocation_nonconjugate(state, data, spec, kernel, j,
+                                               i, table, rng, rows=rows)
+                if state.allocations[j][i] == home \
+                        and len(state.atoms) == len(atoms):
+                    undone += 1
+                    assert np.array_equal(state.counts, counts)
+                    assert all(a is b for a, b in zip(state.atoms, atoms))
+                fresh = ms._UrnRows(state, spec, kernel, table, j)
+                assert np.array_equal(rows.log_ratios, fresh.log_ratios)
+            state.check()
+        assert undone > 5
+
+    @pytest.mark.parametrize('conjugate', [True, False])
+    def test_singleton_redrawn_as_new_cluster(self, conjugate,
+                                              monkeypatch):
+        # observation (0, 2) is the only member of the last cluster, so
+        # its new-cluster index after the drop is its old index; the
+        # update must still open a cluster: empty statistics plus the
+        # observation, or the recycled atom
+        y = np.array([-1.0, -1.2, 3.0])
+        if conjugate:
+            data = Dataset([y])
+            kernel = UnivariateNormalGamma.from_data(y)
+        else:
+            data = Dataset([y[:, None]])
+            kernel = MultivariateNormalNIW.from_data(y[:, None])
+        spec = gamma_spec(1, 1.0)
+        state = MarginalState([np.array([0, 0, 1])], np.array([[2], [1]]),
+                              np.array([1.0]), 1.0)
+        if conjugate:
+            state.stats = [kernel.stats_add(kernel.stats_add(
+                kernel.stats_empty(), y[0]), y[1]),
+                kernel.stats_add(kernel.stats_empty(), y[2])]
+        else:
+            state.atoms = [(np.array([-1.1]), np.eye(1)),
+                           (np.array([3.0]), np.eye(1))]
+        singleton = state.stats[1] if conjugate else state.atoms[1]
+        table = KappaTable(spec, state.v)
+        rows = ms._UrnRows(state, spec, kernel, table, 0)
+        # the first new-cluster slot: index 1 once the singleton's
+        # cluster is dropped
+        monkeypatch.setattr(ms, '_categorical', lambda weights, rng: 1)
+        rng = np.random.default_rng(1)
+        if conjugate:
+            update_allocation_conjugate(state, data, spec, kernel, 0, 2,
+                                        table, rng, rows)
+            want = kernel.stats_add(kernel.stats_empty(), y[2])
+            assert state.stats[1] == want
+            assert state.stats[1] is not singleton
+        else:
+            update_allocation_nonconjugate(state, data, spec, kernel, 0, 2,
+                                           table, rng, rows=rows)
+            assert state.atoms[1] is singleton
+        assert state.allocations[0].tolist() == [0, 0, 1]
+        assert state.counts.tolist() == [[2], [1]]
+        fresh = ms._UrnRows(state, spec, kernel, table, 0)
+        assert np.array_equal(rows.log_ratios, fresh.log_ratios)
+        if conjugate:
+            assert np.array_equal(rows.predictive, fresh.predictive)
+        state.check()
+
     def test_members_group_rows_by_label(self):
         rng = np.random.default_rng(3)
         data = Dataset([rng.normal(size=(7, 2)), rng.normal(size=(5, 2))])

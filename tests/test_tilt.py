@@ -233,6 +233,7 @@ class TestTiltRuleOracle:
                            atol=1e-13)
 
 
+
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
 
 
@@ -373,6 +374,117 @@ class TestSubThresholdRule:
             residual_laplace(spec, [1.0, 2.0], 0.04, nodes)
         with pytest.raises(ValueError, match='stretch'):
             RuleNodes(spec, 1.5)
+
+
+def log_kappa_as_weight(rule, a):
+    '''log kappa by the rule's general weight: the tilt prod_j (1 +
+    v_j z)^(-a_j - shape) as one log_integral weight, the formula
+    TiltRule.log_kappa used before its slope form.'''
+    a = np.asarray(a, dtype=float)
+    shape = rule.spec.shape
+    total = float(a.sum())
+    tail_power = total - float((a + shape) @ rule.positive)
+    log_tilt = -((a + shape) @ rule.log1p_vz)
+    return (rule.log_integral(lambda log_z: log_tilt, total, tail_power)
+            + float(np.sum(gammaln(a + shape) - gammaln(shape))))
+
+
+def slope_form_tolerance(rule, a, value):
+    '''1e-12 absolute up to the urn's counts (a few hundred).  At
+    counts of 1e4, log Gamma(a_j + shape) and the log integral are each
+    about 1e5 and cancel, and one ulp of either is 1.5e-11: the two
+    formulas round them apart by a few ulp, so the bound there is 8 ulp
+    of the largest term.'''
+    if max(a) <= 400:
+        return 1e-12
+    log_gamma = float(np.sum(gammaln(np.asarray(a) + rule.spec.shape)))
+    return 8.0 * np.spacing(abs(log_gamma) + abs(value))
+
+
+# counts of marginal-400-sized clusters (200 + 200 observations)
+URN_COUNTS = [(200, 150), (400, 0), (1, 199)]
+
+
+class TestSlopeForm:
+    '''TiltRule.log_kappa builds its node terms from the zero-count
+    terms and one slope per group; it must give what the general weight
+    gives, whatever it evaluated before.'''
+
+    @pytest.mark.parametrize('family, shape, v, a', CORNERS)
+    def test_corners_match_general_weight(self, family, shape, v, a):
+        rule = TiltRule(make_spec(family, shape), v)
+        got = rule.log_kappa(a)
+        assert abs(got - log_kappa_as_weight(rule, a)) \
+            <= slope_form_tolerance(rule, a, got)
+
+    @pytest.mark.parametrize('v', [1e-3, 1.0, 80.0])
+    def test_urn_counts_match_general_weight(self, v):
+        spec = CoRMSpec.from_marginal(
+            2, 1.0, MarginalFamily.generalized_gamma(0.3, 1.0))
+        rule = TiltRule(spec, (v, v))
+        for a in URN_COUNTS:
+            assert abs(rule.log_kappa(a) - log_kappa_as_weight(rule, a)) \
+                <= 1e-12
+
+    @pytest.mark.parametrize('family', ['gamma', 'gg1'])
+    @pytest.mark.parametrize('shape', [0.05, 2.0])
+    def test_interval_rule_matches_general_weight(self, family, shape):
+        # kappa_0 on (lo, hi), the slice sampler's _tilted_mass
+        spec = make_spec(family, shape)
+        for v in SUB_TILTS:
+            for lo, hi in SUB_BANDS:
+                rule = TiltRule(spec, v, RuleNodes(spec, hi, lower=lo))
+                zero = np.zeros(2)
+                assert abs(rule.log_kappa(zero)
+                           - log_kappa_as_weight(rule, zero)) <= 1e-12
+                assert _tilted_mass(spec, v, lo, hi) \
+                    == math.exp(rule.log_kappa(zero))
+
+    def test_counts_must_match_the_dimension(self):
+        rule = TiltRule(make_spec('gg1', 1.0), (1.0, 2.0))
+        with pytest.raises(ValueError, match='length 2'):
+            rule.log_kappa((3,))
+
+    def test_value_does_not_depend_on_earlier_counts(self):
+        spec = make_spec('gg1', 1.0)
+        v = (300.0, 500.0)
+        rng = np.random.default_rng(11)
+        walk = [tuple(int(x) for x in rng.integers(0, 400, size=2))
+                for _ in range(48)] + [(0, 1), (10000, 10000)]
+        targets = [(1, 0), (60, 45), (200, 150), (0, 399)]
+        fresh = [TiltRule(spec, v).log_kappa(a) for a in targets]
+        rule = TiltRule(spec, v)
+        table = ms.KappaTable(spec, v)
+        for a in walk:
+            rule.log_kappa(a)
+            table.log_kappa(a)
+        assert [rule.log_kappa(a) for a in targets] == fresh
+        assert [table.log_kappa(a) for a in targets] == fresh
+        assert [ms.KappaTable(spec, v).log_kappa(a) for a in targets] \
+            == fresh
+
+    def test_table_counts_rule_evaluations(self):
+        # a hand-built walk: every count tuple the table has not seen is
+        # one evaluation, a repeat is a memo hit
+        spec = make_spec('gg1', 1.0)
+        table = ms.KappaTable(spec, (3.0, 5.0))
+        assert table.evaluations == 0
+        table.log_new_cluster(0)              # (1, 0)
+        assert table.evaluations == 1
+        table.log_ratio((1, 0), 1)            # (1, 1); (1, 0) seen
+        assert table.evaluations == 2
+        table.log_ratio((1, 1), 0)            # (2, 1); (1, 1) seen
+        table.log_ratio((1, 0), 1)
+        table.log_kappa((2, 1))
+        assert table.evaluations == 3
+        table.log_new_cluster(1)              # (0, 1)
+        assert table.evaluations == 4
+        assert table.evaluations == len(table._memo)
+        # a one-group gamma table evaluates its closed form instead
+        closed = ms.KappaTable(make_spec('gamma', 1.0, dimension=1), (2.0,))
+        closed.log_ratio((3,), 0)
+        closed.log_ratio((3,), 0)
+        assert closed.evaluations == 2
 
 
 class TestChainRegimes:
