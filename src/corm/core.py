@@ -33,6 +33,8 @@ __all__ = [
     'ScoreDistribution',
     'MarginalFamily',
     'LevyIntensity',
+    'PowerEnvelope',
+    'EnvelopeBand',
     'CoRMSpec',
     'MomentPartition',
     'mgf_score',
@@ -131,6 +133,13 @@ class LevyIntensity:
                               log density(z), where gap = upper - z is
                               passed exactly, so a factor vanishing at a
                               finite upper end keeps full precision there.
+    envelope                : optional PowerEnvelope bounding the density
+                              with closed-form tails and inverses.  The
+                              prior and the slice sampler draw the
+                              intensity's points by thinning the
+                              envelope's; without one, prior.sample_corm
+                              inverts tail_integral instead, and the
+                              slice sampler does not run.
 
     Integrals against the intensity run on TiltRule nodes.  tail_integral
     and inverse_tail work on arrays.  Without a tail_fn, tail_integral is
@@ -142,7 +151,7 @@ class LevyIntensity:
 
     def __init__(self, density, support, singularity_exponents=(None, None),
                  tail_fn=None, inverse_fn=None, log_density=None,
-                 upper_rate=None):
+                 upper_rate=None, envelope=None):
         lo, hi = support
         if math.isinf(lo) or not hi > lo:
             raise ValueError('support must be a nonempty interval with finite lower end')
@@ -156,8 +165,9 @@ class LevyIntensity:
         self._tail_fn = tail_fn
         self._inverse_fn = inverse_fn
         self._log_density = log_density
-        # prior truncation (level, tail mass at the level) by tail_mass,
-        # filled by prior.sample_corm
+        self.envelope = envelope
+        # prior truncation by tail_mass (the level and what a draw needs
+        # there), filled by prior.sample_corm
         self._truncations = {}
 
     def __call__(self, s):
@@ -343,11 +353,201 @@ def _beta_series(sigma, beta, x_switch):
     return exponents[:n], coefs[:n]
 
 
+# candidate splits of a band, uniform in log t
+_SPLIT_GRID = np.linspace(0.0, 1.0, 33)
+
+
+class PowerEnvelope:
+    '''
+    A closed-form envelope of the directing intensity nu*(z) = c
+    z^(-1-sigma) (1 - a z)^(beta-1) on (0, 1/a), or of the sigma-stable
+    c z^(-1-sigma) on (0, inf) (a = 0, beta = 1), for drawing points of
+    nu* by thinning (Lewis & Shedler 1979): the points of a Poisson
+    process of intensity g >= nu*, each kept with probability nu*/g, are
+    a Poisson process of intensity nu*.
+
+    On a band (lower, upper) with a split t in [lower, upper], g has two
+    pieces, each with a closed-form tail and inverse:
+
+    - power: c (1 - a b)^(beta-1) z^(-1-sigma) on (lower, t), kept with
+      probability ((1 - a z) / (1 - a b))^(beta-1), where b is the end at
+      which (1 - a z)^(beta-1) is largest: lower at beta >= 1, t at
+      beta < 1.  Its tail is a Box-Cox transform of z / t, and its
+      inverse one power.
+    - beta: c t^(-1-sigma) (1 - a z)^(beta-1) on (t, upper), kept with
+      probability (z / t)^(-1-sigma).  Its tail is c t^(-1-sigma)
+      ((1 - a z)^beta - (1 - a upper)^beta) / (a beta).
+
+    At beta >= 1, t = upper and only the power piece is left; for
+    sigma-stable it is nu* itself.  At beta < 1, (1 - a z)^(beta-1) is
+    unbounded at 1/a: a larger t tightens the beta piece's bound
+    t^(-1-sigma) on z^(-1-sigma) and loosens the power piece's bound
+    (1 - a t)^(beta-1), and split picks the t of least mass.
+    '''
+
+    def __init__(self, c, sigma, a, beta):
+        self.c, self.sigma = float(c), float(sigma)
+        self.a, self.beta = float(a), float(beta)
+        self.top = 1.0 / self.a if self.a > 0.0 else math.inf
+        if math.isinf(self.top) and (self.beta != 1.0 or not sigma > 0.0):
+            raise ValueError('an envelope on (0, inf) needs beta = 1 and '
+                             'sigma > 0')
+
+    def _integral(self, lower, t):
+        '''int_lower^t z^(-1-sigma) dz, with t = inf on (0, inf).'''
+        if math.isinf(self.top):
+            return lower ** -self.sigma / self.sigma
+        return -t ** -self.sigma * boxcox(lower / t, -self.sigma)
+
+    def _inverse(self, y, t):
+        '''z with int_z^t s^(-1-sigma) ds = y: t (1 + sigma y
+        t^sigma)^(-1/sigma), t e^-y at sigma = 0 (scipy's inv_boxcox
+        computes the same about seven times slower).'''
+        sigma = self.sigma
+        if math.isinf(self.top):
+            return (sigma * y) ** (-1.0 / sigma)
+        if sigma == 0.0:
+            return t * np.exp(-y)
+        return t * np.exp(np.log1p(sigma * y * t ** sigma) / -sigma)
+
+    def _pieces(self, lower, upper, t):
+        '''(power coefficient, power mass, beta coefficient, beta mass)
+        of the envelope on (lower, upper) split at t.'''
+        c, sigma, a, beta = self.c, self.sigma, self.a, self.beta
+        with np.errstate(divide='ignore', invalid='ignore', over='ignore'):
+            if beta >= 1.0:
+                coef = c * (1.0 - a * lower) ** (beta - 1.0)
+                return coef, coef * self._integral(lower, t), 0.0, 0.0
+            gap = 1.0 - a * t
+            coef = c * gap ** (beta - 1.0)
+            beta_coef = c * t ** (-1.0 - sigma)
+            # (1 - a t)^beta - (1 - a upper)^beta, free of cancellation in
+            # a narrow band; 0 where the piece is empty
+            ratio = np.maximum(1.0 - a * upper, 0.0) / gap
+            beta_mass = np.where(t < upper, beta_coef * gap ** beta
+                                 * -np.expm1(beta * np.log(ratio))
+                                 / (a * beta), 0.0)
+            return coef, coef * self._integral(lower, t), beta_coef, beta_mass
+
+    def split(self, lower, upper):
+        '''The split t in [lower, upper] of least envelope mass on each
+        band (lower, upper), lower > 0: the best of 33 points uniform in
+        log t.  Any t gives an exact envelope; the search only sets the
+        acceptance rate, and the mass is flat near its minimum: on the
+        prior's band (1e-9, 1) at generalized gamma (0.3, 1), shape 0.4,
+        the grid's t has 0.8% more mass than the best t.'''
+        lower, upper = np.broadcast_arrays(np.asarray(lower, dtype=float),
+                                           np.asarray(upper, dtype=float))
+        if self.beta >= 1.0:
+            return upper
+        lo, hi = lower.reshape(-1, 1), upper.reshape(-1, 1)
+        t = np.minimum(lo * (hi / lo) ** _SPLIT_GRID, hi)
+        _, power_mass, _, beta_mass = self._pieces(lo, hi, t)
+        best = np.argmin(power_mass + beta_mass, axis=1)
+        return t[np.arange(t.shape[0]), best].reshape(lower.shape)
+
+    def band(self, lower, upper=None, split=None):
+        '''The envelope on the bands (lower, upper), upper defaulting to
+        the end of the support, split at split (by default, the split
+        of least mass; lower = 0 needs one given at beta < 1).'''
+        if upper is None:
+            upper = self.top
+        if split is None:
+            split = self.split(lower, upper)
+        return EnvelopeBand(self, lower, upper, split)
+
+    def power_level(self, y):
+        '''z with int_z^top c s^(-1-sigma) ds = y: where the pure power
+        law c z^(-1-sigma) has mass y above z.'''
+        return self._inverse(np.asarray(y, dtype=float) / self.c, self.top)
+
+
+class EnvelopeBand:
+    '''
+    A PowerEnvelope on the bands (lower, upper) split at t: arrays of
+    one shape, one entry per band.  mass is the envelope's mass on each
+    band (infinite at lower = 0).  points(y) maps levels y in (0, mass],
+    the envelope's mass above the point, to the points, decreasing in y:
+    uniform levels give its normalised law (propose) and the arrival
+    times of a unit-rate Poisson process its points in decreasing order.
+    keep(z) is nu*(z) over the envelope, the thinning probability, and
+    0 outside the open band: a point that lands on or past an end,
+    rounding to 1/a for one, is rejected, never clamped.  Both take the
+    band of each entry from k, an index array into the bands (all bands,
+    elementwise, when None).
+    '''
+
+    def __init__(self, envelope, lower, upper, split):
+        self.envelope = e = envelope
+        self.lower, self.upper, self.split = np.broadcast_arrays(
+            *(np.asarray(x, dtype=float) for x in (lower, upper, split)))
+        self.power_coef, power_mass, self.beta_coef, self.beta_mass = \
+            e._pieces(self.lower, self.upper, self.split)
+        self.mass = power_mass + self.beta_mass
+        # 1 - a b at the power piece's bound point b, and, for the beta
+        # piece, (1 - a upper)^beta
+        bound_at = self.lower if e.beta >= 1.0 else self.split
+        self.bound_gap = 1.0 - e.a * bound_at
+        if e.beta < 1.0:
+            self.upper_power = np.maximum(1.0 - e.a * self.upper,
+                                          0.0) ** e.beta
+
+    def _take(self, k, *names):
+        return [getattr(self, name) if k is None else getattr(self, name)[k]
+                for name in names]
+
+    def points(self, y, k=None):
+        e = self.envelope
+        y = np.asarray(y, dtype=float)
+        coef, split = self._take(k, 'power_coef', 'split')
+        if e.beta >= 1.0:
+            return e._inverse(y / coef, split)
+        beta_mass, beta_coef, upper_power = (np.broadcast_to(
+            x, y.shape) for x in self._take(
+                k, 'beta_mass', 'beta_coef', 'upper_power'))
+        coef, split = (np.broadcast_to(x, y.shape) for x in (coef, split))
+        on_beta = y < beta_mass
+        on_power = ~on_beta
+        z = np.empty_like(y)
+        z[on_power] = e._inverse((y - beta_mass)[on_power]
+                                 / coef[on_power], split[on_power])
+        # (1 - a z)^beta = (1 - a upper)^beta + y a beta / coef: its
+        # 1/beta power underflows to 0 for a tiny y at a small beta,
+        # which puts z at 1/a, outside the band
+        gap = (upper_power[on_beta] + y[on_beta] * (e.a * e.beta)
+               / beta_coef[on_beta]) ** (1.0 / e.beta)
+        z[on_beta] = (1.0 - gap) / e.a
+        return z
+
+    def propose(self, u, k=None):
+        '''Points of the envelope's normalised law at uniforms u in
+        [0, 1), and their thinning probabilities.'''
+        mass = self.mass if k is None else self.mass[k]
+        z = self.points((1.0 - u) * mass, k)
+        return z, self.keep(z, k)
+
+    def keep(self, z, k=None):
+        e = self.envelope
+        z = np.asarray(z, dtype=float)
+        lower, upper = self._take(k, 'lower', 'upper')
+        inside = (z > lower) & (z < upper)
+        if e.beta == 1.0:
+            return inside.astype(float)
+        (bound_gap,) = self._take(k, 'bound_gap')
+        with np.errstate(divide='ignore', invalid='ignore', over='ignore'):
+            p = ((1.0 - e.a * z) / bound_gap) ** (e.beta - 1.0)
+            if e.beta < 1.0:
+                (split,) = self._take(k, 'split')
+                p = np.where(z <= split, p, (z / split) ** (-1.0 - e.sigma))
+        return np.where(inside, p, 0.0)
+
+
 def directing_from_marginal(marginal, shape):
     '''Directing intensity nu* whose compound with Ga(shape) scores has
     the requested marginal process in every coordinate.  Generalized gamma
     gives c z^(-1-sigma) (1 - a z)^(beta-1) on (0, 1/a), beta = sigma +
-    shape, and gamma is its member sigma = 0, a = 1, c = 1.'''
+    shape, and gamma is its member sigma = 0, a = 1, c = 1.  Each
+    intensity carries its PowerEnvelope.'''
     if not shape > 0.0:
         raise ValueError('score shape must be positive')
     if marginal.kind == 'sigma-stable':
@@ -363,7 +563,8 @@ def directing_from_marginal(marginal, shape):
             tail_fn=lambda x: c / sigma * x ** -sigma,
             inverse_fn=lambda y: (sigma * y / c) ** (-1.0 / sigma),
             log_density=lambda z, gap: (math.log(c)
-                                        - (1.0 + sigma) * np.log(z)))
+                                        - (1.0 + sigma) * np.log(z)),
+            envelope=PowerEnvelope(c, sigma, 0.0, 1.0))
     c, sigma, a, beta = _beta_type(marginal, shape)
     scale = c * a ** sigma
 
@@ -442,7 +643,8 @@ def directing_from_marginal(marginal, shape):
     return LevyIntensity(density, (0.0, 1.0 / a),
                          singularity_exponents=(-1.0 - sigma, beta - 1.0),
                          tail_fn=tail, inverse_fn=inverse,
-                         log_density=log_density, upper_rate=beta)
+                         log_density=log_density, upper_rate=beta,
+                         envelope=PowerEnvelope(c, sigma, a, beta))
 
 
 def marginal_intensity(marginal):

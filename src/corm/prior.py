@@ -1,8 +1,20 @@
 '''Prior simulation of compound random measures.
 
-Jumps of the directing measure are generated largest-first by inverting
-its tail integral at unit-rate Poisson arrival times, then each
-coordinate perturbs them with independent gamma scores.
+The jumps of the directing measure above a truncation level are the
+points of a Poisson process of intensity alpha nu*.  They are drawn by
+thinning (Lewis & Shedler 1979) the process of the directing
+intensity's PowerEnvelope, a power law c z^(-1-sigma) (at beta < 1, a
+power piece and a beta piece split at t) whose tail has a closed-form
+inverse, as in Rosinski's (2001) series for stable-type processes:
+arrival times of a unit-rate process, divided by alpha, map to the
+envelope's points in decreasing order by one power each, and a point z
+is kept with probability nu*(z) over the envelope.  Truncation is by
+a residual mass, which fixes the level and a Poisson number of sorted
+uniform arrivals, or by a jump count n, where arrivals are drawn until
+n points are kept and the n-th is the level.  An intensity without an
+envelope (a hand-built LevyIntensity) has its tail inverted at the
+arrival times instead.  Each coordinate then perturbs the jumps with
+independent Ga(shape) scores.
 '''
 
 import csv
@@ -89,10 +101,10 @@ def _break_ties(jumps):
     '''Make decreasing jumps strictly decreasing in place: each jump not
     below its predecessor becomes the predecessor times 1 - 1e-12, in
     order, so a nudge can cascade to the jumps after it.'''
-    # the inverse returns the largest double below a finite upper end for
-    # levels whose roots lie closer to it, and nearby levels can round to
-    # the same jump.  Ties are rare, so the sequential pass starts at the
-    # first one, found by one array comparison
+    # the points of distinct arrival times are distinct in exact
+    # arithmetic, so ties come only from rounding: two nearby levels whose
+    # point rounds to the same double.  They are rare, so the sequential
+    # pass starts at the first one, found by one array comparison
     ties = np.flatnonzero(jumps[1:] >= jumps[:-1])
     if ties.size:
         for i in range(ties[0] + 1, jumps.size):
@@ -101,18 +113,104 @@ def _break_ties(jumps):
     return jumps
 
 
+def _thin(band, levels, rng):
+    '''The points of band at the given levels that survive thinning:
+    one uniform per point against its thinning probability.'''
+    z = band.points(levels)
+    return z[rng.uniform(size=z.size) < band.keep(z)]
+
+
+def _count_truncation(spec, n, rng, max_jumps):
+    '''The n largest jumps of the directing process and the n-th as the
+    level: unit-rate arrival times, scaled by the centring mass, run
+    down the envelope's points in decreasing order, and thinning keeps
+    nu*'s; arrivals are drawn in batches until n points are kept.'''
+    directing = spec.directing
+    alpha = spec.centring_mass
+    envelope = directing.envelope
+    if envelope is None:
+        arrivals = np.cumsum(rng.exponential(size=n))
+        jumps = directing.inverse_tail(arrivals / alpha)
+        return jumps, float(jumps[-1])
+    split = None
+    if envelope.beta < 1.0:
+        # the split of least mass above where the power law c z^(-1-sigma)
+        # has mass n / alpha, near the level the n-th jump reaches
+        split = envelope.split(envelope.power_level(n / alpha),
+                               envelope.top)
+    band = envelope.band(0.0, split=split)
+    kept, count, proposals, last = [], 0, 0, 0.0
+    batch = n + 8
+    while count < n:
+        batch = min(batch, max_jumps - proposals)
+        if batch <= 0:
+            raise ValueError(
+                'n_jumps %d needs over %d proposals, the budget, before '
+                'thinning; raise max_jumps' % (n, max_jumps))
+        arrivals = last + np.cumsum(rng.exponential(size=batch))
+        last = float(arrivals[-1])
+        proposals += batch
+        kept.append(_thin(band, arrivals / alpha, rng))
+        count += kept[-1].size
+        # the acceptance so far sets the next batch, which is kept small
+        # once few jumps are missing
+        batch = int(1.25 * (n - count) * proposals / max(count, 1)) + 8
+    jumps = np.concatenate(kept)[:n]
+    return jumps, float(jumps[-1])
+
+
+def _truncation(spec, eps):
+    '''(level, band, mass) of the tail_mass truncation eps, solved once
+    per directing intensity: the envelope on (level, end of the support)
+    with its split and its mass there, or, for an intensity without an
+    envelope, None and the tail mass above the level.'''
+    directing = spec.directing
+    cached = directing._truncations.get(eps)
+    if cached is None:
+        level = _solve_residual_level(spec, eps * _coverage_norm(spec))
+        if directing.envelope is None:
+            cached = level, None, float(directing.tail_integral(level))
+        else:
+            band = directing.envelope.band(level)
+            cached = level, band, float(band.mass)
+        directing._truncations[eps] = cached
+    return cached
+
+
+def _mass_truncation(spec, eps, rng, max_jumps):
+    '''All jumps above the tail_mass level, and the level.  The arrival
+    times of a unit-rate process on (0, alpha mass), over alpha: a
+    Poisson(alpha mass) number of sorted uniform levels on (0, mass),
+    thinned on the envelope, or, without one, inverted on the tail.'''
+    level, band, mass = _truncation(spec, eps)
+    expected = spec.centring_mass * mass
+    if expected > max_jumps:
+        raise ValueError(
+            'tail_mass %g needs about %.0f proposals before thinning, '
+            'over the budget %d; loosen it or raise max_jumps'
+            % (eps, expected, max_jumps))
+    n = int(rng.poisson(expected))
+    if n > max_jumps:
+        raise ValueError('%d proposals exceed the budget %d'
+                         % (n, max_jumps))
+    levels = np.sort(rng.uniform(0.0, mass, size=n))
+    if band is None:
+        return spec.directing.inverse_tail(levels), level
+    return _thin(band, levels, rng), level
+
+
 def sample_corm(spec, rng, n_jumps=None, tail_mass=None, max_jumps=100_000):
     '''
     Draw a truncated realization.  Exactly one truncation rule applies:
     a fixed jump count n_jumps, or a residual directing mass tail_mass
     relative to int min(1,z) nu* (default 1e-6).  Stable-type directing
     measures keep infinite expected mass near zero, so they always
-    truncate by count.
+    truncate by count.  max_jumps bounds the points a draw proposes
+    before thinning, which can be several times the jumps it keeps; a
+    draw that would propose more raises ValueError.
     '''
     if n_jumps is not None and tail_mass is not None:
         raise ValueError('give either n_jumps or tail_mass, not both')
-    directing = spec.directing
-    alpha = spec.centring_mass
 
     if spec.marginal.kind == 'sigma-stable' and n_jumps is None:
         warnings.warn('stable directing has no finite residual-mass '
@@ -125,35 +223,17 @@ def sample_corm(spec, rng, n_jumps=None, tail_mass=None, max_jumps=100_000):
         if n < 0:
             raise ValueError('n_jumps must be nonnegative')
         if n > max_jumps:
-            raise ValueError('n_jumps exceeds the jump budget %d' % max_jumps)
+            raise ValueError('n_jumps exceeds the proposal budget %d'
+                             % max_jumps)
         if n == 0:
             return CoRMRealization(
                 np.empty(0), np.empty(0), np.empty((spec.dimension, 0)), 0.0)
-        arrivals = np.cumsum(rng.exponential(size=n))
-        jumps = directing.inverse_tail(arrivals / alpha)
-        level = float(jumps[-1])
+        jumps, level = _count_truncation(spec, n, rng, max_jumps)
     else:
         eps = DEFAULT_TAIL_MASS if tail_mass is None else float(tail_mass)
         if not eps > 0.0:
             raise ValueError('tail_mass must be positive')
-        cached = directing._truncations.get(eps)
-        if cached is None:
-            target = eps * _coverage_norm(spec)
-            level = _solve_residual_level(spec, target)
-            cached = (level, directing.tail_integral(level))
-            directing._truncations[eps] = cached
-        level, unit_cap = cached
-        arrival_cap = alpha * unit_cap
-        expected = arrival_cap
-        if expected > max_jumps:
-            raise ValueError(
-                'tail_mass %g needs about %.0f jumps, over the budget %d; '
-                'loosen it or raise max_jumps' % (eps, expected, max_jumps))
-        n = int(rng.poisson(arrival_cap))
-        if n > max_jumps:
-            raise ValueError('jump budget %d exceeded' % max_jumps)
-        arrivals = np.sort(rng.uniform(0.0, arrival_cap, size=n))
-        jumps = directing.inverse_tail(arrivals / alpha)
+        jumps, level = _mass_truncation(spec, eps, rng, max_jumps)
 
     _break_ties(jumps)
     base = spec.base

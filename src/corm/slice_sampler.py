@@ -9,15 +9,20 @@ parametrizations of the scores.
 
 Supported score marginals: gamma and unit-scale generalized gamma, whose
 directing intensities c z^(-1-sigma) (1 - z)^(beta-1) live on (0, 1).
-Jump k is redrawn from nu*(z) e^(-w_k z) on (low_k, 1) (Griffin & Walker
-2011) by rejection from the cheaper of two exact envelopes, chosen per
-jump by envelope mass: nu* itself, proposed by inverting the directing
-tail and accepted by the tilt, or a truncated exponential of rate w_k
-times a bound on nu*, proposed in closed form and accepted by nu* over
-its bound (Devroye 1986, ch. II).  The repopulation births are drawn
-from nu* on (L_new, L_old) through the tail and accepted by their tilt.
-All rejection draws are batched: in each round every pending draw gets
-m proposals, the tail ones from one array inverse_tail call, keeps its
+Every draw from nu* on a band is a rejection draw from the directing
+intensity's PowerEnvelope (core.PowerEnvelope): a power law c
+z^(-1-sigma), at beta < 1 a power piece and a beta piece split at the
+t of least mass on the band, whose tails have closed-form inverses, so
+a proposal costs a uniform and a power and no tail inversion.  Jump k
+is redrawn from nu*(z) e^(-w_k z) on (low_k, 1) (Griffin & Walker 2011)
+from the cheaper of two exact envelopes, chosen per jump by envelope
+mass: the power envelope, accepted by nu* over it times the tilt, or a
+truncated exponential of rate w_k times a bound on nu*, accepted by nu*
+over its bound (Devroye 1986, ch. II).  The repopulation births on
+(L_new, L_old) come from the power envelope on that band, accepted by
+nu* over it times their tilt, and the birth of the birth/death move
+from it on (L, 1), accepted by nu* over it.  All rejection draws are
+batched: in each round every pending draw gets m proposals, keeps its
 first accepted one (the sequential rejection sampler's draw, as
 proposals are i.i.d.), and m doubles for the draws still pending.
 
@@ -36,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit, exprel, gammaln
 
-from .core import RuleNodes, TiltRule, _beta_type
+from .core import RuleNodes, TiltRule
 from .marginal_sampler import _members, _tally
 # not called here: kept bound so the benchmark's tracer, which wraps
 # corm.slice_sampler.integrate, still finds it
@@ -62,8 +67,8 @@ __all__ = [
 
 MAX_REJECTION_TRIES = 10_000
 # proposals a rejection round holds at most, unless more draws than this
-# are pending (each pending draw gets at least one proposal): the tail's
-# series branch builds a (proposals, 40 or fewer) array, about 20 MB
+# are pending (each pending draw gets at least one proposal): a round
+# holds a few float arrays of this length, about 0.5 MB each
 _ROUND_PROPOSALS = 1 << 16
 
 
@@ -108,6 +113,9 @@ class SliceState:
 
 def _check_family(spec):
     m = spec.marginal
+    if spec.directing.envelope is None:
+        raise ValueError('slice sampling draws through the directing '
+                         'intensity\'s power envelope, and this one has none')
     if m.kind == 'gamma':
         return
     if m.kind == 'generalized-gamma' and m.a == 1.0:
@@ -225,36 +233,29 @@ def _first_accepted(n, propose, describe, rng):
 
 def sample_tilted_z(spec, lower, upper, v, rng, size=None):
     '''Draws from the repopulation density on (lower, upper):
-    nu*(z) prod_j (1+v_j z)^(-shape), by rejection: z is drawn from nu*
-    restricted to (lower, upper) by inverting its tail, and accepted with
-    the tilt relative to its largest value, at lower.  All size draws
-    share the rounds of _first_accepted.  A draw outside [lower, upper]
-    (lost accuracy in the tail inverse) raises FloatingPointError.
-    Returns a float when size is None, else an array of that shape.'''
+    nu*(z) prod_j (1+v_j z)^(-shape), by rejection from the directing
+    intensity's power envelope on the band (split at the t of least mass
+    at beta < 1): z comes from the envelope's closed-form inverse at a
+    uniform level, and is accepted with nu* over the envelope times the
+    tilt relative to its largest value, at lower.  A proposal on or
+    outside an end of the band is rejected, never clamped.  All size
+    draws share the rounds of _first_accepted.  Returns a float when
+    size is None, else an array of that shape.'''
     _check_family(spec)
     if not 0.0 < lower < upper <= 1.0:
         raise ValueError('need 0 < lower < upper <= 1')
     v = np.asarray(v, dtype=float)
     phi = spec.shape
-    directing = spec.directing
-    tail_hi = directing.tail_integral(upper)
-    mass = directing.tail_integral(lower) - tail_hi
+    band = spec.directing.envelope.band(lower, upper)
     n = 1 if size is None else int(np.prod(size))
 
     def propose(idx):
-        levels = np.maximum(tail_hi + (1.0 - rng.uniform(size=idx.size))
-                            * mass, 1e-300)
-        z = directing.inverse_tail(levels)
-        return z, np.prod(((1.0 + v * lower) / (1.0 + np.outer(z, v)))
-                          ** phi, axis=1)
+        z, keep = band.propose(rng.uniform(size=idx.size))
+        return z, keep * np.prod(
+            ((1.0 + v * lower) / (1.0 + np.outer(z, v))) ** phi, axis=1)
 
     z = _first_accepted(n, propose, lambda _: 'tilted repopulation sampler '
                         'on (%.3g, %.3g)' % (lower, upper), rng)
-    outside = (z < lower) | (z > upper)
-    if outside.any():
-        raise FloatingPointError(
-            'tilted repopulation draw %r outside [%r, %r]'
-            % (z[outside][0], lower, upper))
     return float(z[0]) if size is None else z.reshape(size)
 
 
@@ -317,8 +318,10 @@ class _JumpHeightProposals:
     jump.  Both cover the same target, so the one of smaller mass has
     the higher acceptance rate, and comparing masses is the whole rule.
 
-    tail: nu* itself, of mass U(low_k); z by the tail inverse at level
-    (1 - u) U(low_k), accepted with e^(-w_k (z - low_k)).
+    power: the directing intensity's PowerEnvelope on (low_k, 1), split
+    at beta < 1 at the t_k of least mass; z by its closed-form inverse
+    at level (1 - u) times its mass, accepted with nu* over the
+    envelope times e^(-w_k (z - low_k)).
 
     exponential: the truncated exponential of rate w_k on (low_k, s_k)
     times the bound c low_k^(-1-sigma) (1 - b_k)^(beta-1) of nu* there,
@@ -332,15 +335,14 @@ class _JumpHeightProposals:
 
     Calling it with draw indices (and rng) returns proposals and their
     acceptance probabilities, 0 outside (low_k, 1), for
-    _first_accepted; the tail proposals of a call share one array
-    inverse_tail call.'''
+    _first_accepted: one uniform and one power per proposal, and one
+    more uniform for an exponential one at beta < 1.'''
 
     def __init__(self, spec, lows, weights, rng):
-        c, sigma, _, beta = _beta_type(spec.marginal, spec.shape)
-        self.directing = spec.directing
+        envelope = spec.directing.envelope
+        c, sigma, beta = envelope.c, envelope.sigma, envelope.beta
         self.lows, self.weights, self.rng = lows, weights, rng
         self.sigma, self.beta = sigma, beta
-        self.tail_mass = self.directing.tail_integral(lows)
         gaps = 1.0 - lows
         if beta >= 1.0:
             widths = self.bound_gaps = gaps
@@ -373,7 +375,8 @@ class _JumpHeightProposals:
         else:
             self.upper_share = np.zeros_like(lows)
             log_mass = log_lower
-        self.on_tail = np.log(self.tail_mass) <= log_mass
+        self.power = envelope.band(lows, 1.0)
+        self.on_power = np.log(self.power.mass) <= log_mass
 
     def _exponential(self, k, u):
         lows, weights = self.lows[k], self.weights[k]
@@ -395,20 +398,21 @@ class _JumpHeightProposals:
 
     def __call__(self, idx):
         u = self.rng.uniform(size=idx.size)
-        tail = self.on_tail[idx]
+        power = self.on_power[idx]
         z = np.empty(idx.size)
-        if tail.any():
-            k = idx[tail]
-            z[tail] = self.directing.inverse_tail(
-                np.maximum((1.0 - u[tail]) * self.tail_mass[k], 1e-300))
-        if not tail.all():
-            z[~tail] = self._exponential(idx[~tail], u[~tail])
         p = np.zeros(idx.size)
-        inside = (z > self.lows[idx]) & (z < 1.0)
-        k, zk = idx[inside], z[inside]
-        p[inside] = np.where(
-            tail[inside], np.exp(-(zk - self.lows[k]) * self.weights[k]),
-            self._exponential_accept(zk, k))
+        if power.any():
+            k = idx[power]
+            zk, keep = self.power.propose(u[power], k)
+            z[power] = zk
+            p[power] = keep * np.exp(-(zk - self.lows[k]) * self.weights[k])
+        if not power.all():
+            k = idx[~power]
+            zk = self._exponential(k, u[~power])
+            z[~power] = zk
+            inside = (zk > self.lows[k]) & (zk < 1.0)
+            p[np.flatnonzero(~power)[inside]] = self._exponential_accept(
+                zk[inside], k[inside])
         return z, p
 
 
@@ -417,12 +421,13 @@ def update_jump_heights(state, spec, rng):
     largest slice low_k (the threshold for pool jumps), exponentially
     tilted by the jump's total tilted score mass w_k: the conditional
     nu*(z) e^(-w_k z) on (low_k, 1).  Each jump is drawn by rejection
-    from the cheaper of two exact envelopes (_JumpHeightProposals): nu*
-    through the tail inverse, accepted by the tilt, where w_k (1 - low_k)
-    is small, or a truncated exponential times a bound on nu*, accepted
-    by nu* over its bound, where it is large.  All jumps share the
-    rounds of _first_accepted, each keeping its first accepted proposal,
-    and every redrawn jump lies strictly inside (low_k, 1).'''
+    from the cheaper of two exact envelopes (_JumpHeightProposals): the
+    directing intensity's power envelope, accepted by nu* over it times
+    the tilt, where w_k (1 - low_k) is small, or a truncated exponential
+    times a bound on nu*, accepted by nu* over its bound, where it is
+    large.  Both propose in closed form.  All jumps share the rounds of
+    _first_accepted, each keeping its first accepted proposal, and every
+    redrawn jump lies strictly inside (low_k, 1).'''
     lows = np.full(state.n_jumps, state.threshold)
     for j, c in enumerate(state.allocations):
         np.maximum.at(lows, c, state.u[j])
@@ -451,24 +456,28 @@ def _log_tilt(state, k):
 
 def birth_death_move(state, spec, kernel, rng, cache=None):
     '''One reversible-jump move on the unallocated pool: a birth draws
-    a jump from nu* above the threshold with fresh prior scores, a
+    a jump from nu* above the threshold L with fresh prior scores, a
     death removes a uniformly chosen pool member; both use the untilted
-    tail mass as the reference constant.'''
+    tail mass U(L) as the reference constant.  The birth's height comes
+    from the directing intensity's power envelope on (L, 1), accepted by
+    nu* over it, so it follows nu* restricted above L exactly.  cache,
+    a dict, keeps U(L) and that envelope while (L, shape) is unchanged.'''
     L = state.threshold
     phi = spec.shape
     key = (L, phi)
     if cache is not None and cache.get('key') == key:
-        tail_mass = cache['tail_mass']
+        tail_mass, band = cache['tail_mass'], cache['band']
     else:
         tail_mass = spec.directing.tail_integral(L)
+        band = spec.directing.envelope.band(L, 1.0)
         if cache is not None:
-            cache['key'] = key
-            cache['tail_mass'] = tail_mass
+            cache.update(key=key, tail_mass=tail_mass, band=band)
     log_const = math.log(spec.centring_mass * tail_mass)
     pool = np.flatnonzero(state.counts.sum(axis=1) == 0)
     if rng.uniform() < 0.5:
-        level = max((1.0 - rng.uniform()) * tail_mass, 1e-300)
-        z = spec.directing.inverse_tail(level)
+        z = float(_first_accepted(
+            1, lambda idx: band.propose(rng.uniform(size=idx.size)),
+            lambda _: 'birth above %.3g' % L, rng)[0])
         scores = rng.gamma(phi, size=state.v.size)
         log_alpha = -z * float(scores @ state.v) + log_const \
             - math.log(pool.size + 1.0)

@@ -13,7 +13,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1]
 import numpy as np  # noqa: E402
 
 import tracing  # noqa: E402
-from corm import slice_sampler  # noqa: E402
+from corm import prior, slice_sampler  # noqa: E402
 from corm.core import CoRMSpec, MarginalFamily  # noqa: E402
 from corm.kernels import Dataset, UnivariateNormalGamma  # noqa: E402
 from corm.marginal_sampler import AdaptiveStepSize  # noqa: E402
@@ -54,3 +54,36 @@ def test_traced_slice_sweep_counts_residual_calls():
         uninstall()
     assert tracer.calls['slice_sampler.sweep'] == 1
     assert tracer.calls['slice_sampler.residual_laplace'] > 0
+
+
+def test_draws_and_sweeps_never_invert_the_tail():
+    # prior draws and slice sweeps thin the power envelope: a traced
+    # prior-gg draw (d = 2, generalized gamma (0.3, 1), shape 2, centring
+    # mass 10) and a traced slice sweep call core.inverse_tail 0 times.
+    # The slice start state, made before tracing, still inverts the tail
+    rng = np.random.default_rng(5)
+    prior_spec = CoRMSpec.from_marginal(
+        2, 2.0, MarginalFamily.generalized_gamma(0.3, 1.0),
+        centring_mass=10.0)
+    data = Dataset([rng.normal(size=12), rng.normal(2.0, 1.0, size=12)])
+    kernel = UnivariateNormalGamma.from_data(data.stacked())
+    spec = CoRMSpec.from_marginal(
+        2, 0.5, MarginalFamily.generalized_gamma(0.3, 1.0))
+    state = slice_sampler.initial_slice_state(data, spec, kernel, rng,
+                                              n_start=3)
+    v_steps = [(AdaptiveStepSize(), AdaptiveStepSize()) for _ in range(2)]
+    tracer = tracing.Tracer()
+    uninstall = tracing.install(tracer)
+    try:
+        for _ in range(3):
+            prior.sample_corm(prior_spec, rng)
+            spec = slice_sampler.slice_sweep(
+                state, data, spec, kernel, rng, v_steps, AdaptiveStepSize(),
+                lambda phi: -phi, {})
+    finally:
+        uninstall()
+    assert tracer.calls['prior.sample_corm'] == 3
+    assert tracer.calls['slice_sampler.sweep'] == 3
+    assert tracer.calls['slice_sampler.jump_heights'] == 3
+    assert tracer.calls['slice_sampler.sample_tilted_z'] > 0
+    assert tracer.calls['core.inverse_tail'] == 0

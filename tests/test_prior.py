@@ -136,6 +136,119 @@ class TestTruncation:
         assert np.all(np.diff(r.jumps) < 0.0)
 
 
+# beta = sigma + shape below, at and above 1, at sigma 0 and 0.3
+LAW_CASES = [(MarginalFamily.gamma(), 0.3), (MarginalFamily.gamma(), 1.0),
+             (MarginalFamily.gamma(), 2.0),
+             (MarginalFamily.generalized_gamma(0.3, 1.0), 0.4),
+             (MarginalFamily.generalized_gamma(0.3, 1.0), 2.0)]
+LAW_IDS = ['gamma-0.3', 'gamma-1', 'gamma-2', 'gg-0.4', 'gg-2']
+
+
+class TestThinnedLaw:
+    '''The jumps drawn by thinning the power envelope follow the
+    directing Poisson process: above a tail_mass level they are i.i.d.
+    with tail U(z) / U(level), the k-th largest of a count draw has
+    alpha U(J_k) ~ Gamma(k), and the inversion path of an intensity
+    without an envelope draws the same law.'''
+
+    @pytest.mark.parametrize('marginal, shape', LAW_CASES, ids=LAW_IDS)
+    def test_tail_mass_jumps_are_uniform_in_the_tail(self, marginal,
+                                                     shape):
+        spec = CoRMSpec.from_marginal(2, shape, marginal, centring_mass=50.0,
+                                      verify=False)
+        directing = spec.directing
+        rng = np.random.default_rng(31)
+        draws = [sample_corm(spec, rng) for _ in range(8)]
+        level = draws[0].truncation_level
+        top = directing.support[1]
+        for r in draws:
+            assert r.truncation_level == level
+            assert np.all(np.diff(r.jumps) < 0.0)
+            assert level < r.jumps[-1] and r.jumps[0] < top
+        ratios = directing.tail_integral(
+            np.concatenate([r.jumps for r in draws])) \
+            / directing.tail_integral(level)
+        assert ratios.size > 3000
+        assert stats.kstest(ratios, 'uniform').pvalue > 0.01
+
+    @pytest.mark.parametrize('marginal, shape', LAW_CASES, ids=LAW_IDS)
+    def test_count_jumps_have_gamma_arrival_times(self, marginal, shape):
+        n, draws = 12, 800
+        spec = CoRMSpec.from_marginal(2, shape, marginal, centring_mass=3.0,
+                                      verify=False)
+        directing = spec.directing
+        rng = np.random.default_rng(32)
+        first, last = np.empty(draws), np.empty(draws)
+        for i in range(draws):
+            r = sample_corm(spec, rng, n_jumps=n)
+            assert r.jump_count == n
+            assert np.all(np.diff(r.jumps) < 0.0)
+            assert r.truncation_level == r.jumps[-1]
+            assert r.jumps[0] < directing.support[1]
+            first[i], last[i] = r.jumps[0], r.jumps[-1]
+        alpha = spec.centring_mass
+        for jumps, k in ((first, 1), (last, n)):
+            times = alpha * directing.tail_integral(jumps)
+            assert stats.kstest(times, stats.gamma(k).cdf).pvalue > 0.01
+
+    def test_inversion_path_draws_the_same_law(self, gamma2_spec):
+        # the hand-built intensity 50 nu* has no envelope, so its jumps
+        # come from the inverted tail; nu* with centring mass 50 is the
+        # same Poisson process, drawn by thinning
+        base = gamma2_spec.directing
+        scaled = LevyIntensity(
+            lambda z: 50.0 * base.density(z), base.support,
+            base.singularity_exponents,
+            tail_fn=lambda x: 50.0 * base.tail_integral(x),
+            inverse_fn=lambda y: base.inverse_tail(np.asarray(y) / 50.0))
+        assert scaled.envelope is None
+        inverted = CoRMSpec(2, ScoreDistribution(2.0), MarginalFamily.gamma(),
+                            scaled)
+        thinned = CoRMSpec.from_marginal(2, 2.0, MarginalFamily.gamma(),
+                                         centring_mass=50.0)
+        rng = np.random.default_rng(33)
+        summaries = []
+        for spec in (inverted, thinned):
+            rs = [sample_corm(spec, rng) for _ in range(300)]
+            assert all(np.all(np.diff(r.jumps) < 0.0) for r in rs)
+            summaries.append(np.array([[r.jump_count, r.total_masses()[0]]
+                                       for r in rs]))
+        means = [x.mean(axis=0) for x in summaries]
+        ses = [x.std(axis=0, ddof=1) / math.sqrt(x.shape[0])
+               for x in summaries]
+        z = (means[0] - means[1]) / np.hypot(*ses)
+        assert np.all(np.abs(z) < 4.0)
+        assert means[1][0] > 500.0
+
+    def test_proposal_budget_counts_thinned_points(self):
+        # gamma at shape 0.05: beta = 0.05, and the envelope proposes
+        # about 56 points above the default level to keep about 31 jumps.
+        # A budget between the two is too small: it bounds proposals
+        spec = CoRMSpec.from_marginal(2, 0.05, MarginalFamily.gamma(),
+                                      verify=False)
+        rng = np.random.default_rng(34)
+        r = sample_corm(spec, rng)
+        want = spec.directing.tail_integral(r.truncation_level)
+        assert 25.0 < want < 40.0
+        with pytest.raises(ValueError, match='proposals before thinning'):
+            sample_corm(spec, rng, max_jumps=45)
+        with pytest.raises(ValueError, match='proposals'):
+            sample_corm(spec, rng, n_jumps=40, max_jumps=45)
+        assert sample_corm(spec, rng, n_jumps=40, max_jumps=1000) \
+            .jump_count == 40
+
+    def test_beta_piece_underflow_is_rejected(self):
+        # at beta = 0.05 the beta piece's gap (y a beta / coef)^(1/beta)
+        # underflows to 0 for the smallest levels: the point lands on 1/a,
+        # outside the band, and thinning rejects it
+        spec = CoRMSpec.from_marginal(2, 0.05, MarginalFamily.gamma(),
+                                      verify=False)
+        band = spec.directing.envelope.band(1e-3)
+        z = band.points(np.array([1e-300, 1e-30, 0.5 * band.beta_mass]))
+        assert z[0] == 1.0 and z[1] == 1.0 and band.split < z[2] < 1.0
+        np.testing.assert_array_equal(band.keep(z)[:2], 0.0)
+
+
 class TestResidualLevel:
     '''The truncation level solves W(z) = int_0^z s nu*(s) ds = target,
     checked against closed forms: (1 - (1 - z)^shape) / shape for the

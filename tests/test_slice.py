@@ -8,7 +8,8 @@ import pytest
 from scipy import stats
 
 from corm import slice_sampler
-from corm.core import (CoRMSpec, LevyIntensity, MarginalFamily, RuleNodes,
+from corm.core import (CoRMSpec, EnvelopeBand, LevyIntensity,
+                       MarginalFamily, RuleNodes, ScoreDistribution,
                        TiltRule)
 from corm.kernels import Dataset, UnivariateNormalGamma
 from corm.marginal_sampler import AdaptiveStepSize
@@ -170,7 +171,7 @@ class TestJumpHeights:
     '''update_jump_heights: the redrawn heights follow the conditional
     nu*(z) e^(-w z) on (low, 1) whichever envelope draws them, the
     rejection budget still raises, proposals per jump stay bounded, and
-    tail-envelope jumps share one array inverse-tail call per round.'''
+    power-envelope jumps share one array points call per round.'''
 
     LOW = 0.05
 
@@ -195,16 +196,16 @@ class TestJumpHeights:
         assert _ks_p_value(cdf) > 0.01
 
     def test_cases_cover_both_envelopes_and_pieces(self):
-        # the KS cases draw from the tail envelope and from the
+        # the KS cases draw from the power envelope and from the
         # exponential one, and at beta < 1 from both exponential pieces
-        tail, exponential, upper_shares = set(), set(), []
+        power, exponential, upper_shares = set(), set(), []
         for marginal, phi, low, w in JUMP_HEIGHT_CASES:
             proposals = _proposals(marginal, phi, low, w)
             below_one = phi + (marginal.sigma or 0.0) < 1.0
-            (tail if proposals.on_tail[0] else exponential).add(below_one)
-            if below_one and not proposals.on_tail[0]:
+            (power if proposals.on_power[0] else exponential).add(below_one)
+            if below_one and not proposals.on_power[0]:
                 upper_shares.append(float(proposals.upper_share[0]))
-        assert tail == exponential == {False, True}
+        assert power == exponential == {False, True}
         assert max(upper_shares) > 0.1 and min(upper_shares) < 0.01
 
     def test_rejection_budget_raises(self, monkeypatch):
@@ -229,7 +230,7 @@ class TestJumpHeights:
         # nu* falls by 2^(1+sigma) over (low, 2 low), 52-60%.  Counted
         # with the proposals a round draws past a jump's first
         # acceptance, the expected means are about 1.06 and 2.1-2.45; the
-        # tail envelope alone needs 92-245 and 5-15 on average
+        # power envelope alone needs 100-350 and 5.5-22 on average
         proposed = []
 
         def counted(n, propose, describe, rng):
@@ -241,30 +242,105 @@ class TestJumpHeights:
         first_accepted = slice_sampler._first_accepted
         monkeypatch.setattr(slice_sampler, '_first_accepted', counted)
         spec = CoRMSpec.from_marginal(1, phi, marginal, verify=False)
-        assert not _proposals(marginal, phi, low, 1e3).on_tail[0]
+        assert not _proposals(marginal, phi, low, 1e3).on_power[0]
         state = _pool_state(2000, low, 1e3)
         update_jump_heights(state, spec, np.random.default_rng(4))
         assert sum(proposed) / 2000 <= bound
 
-    def test_inverse_tail_calls_are_rounds(self, monkeypatch):
-        # tail-envelope jumps: one array inverse_tail call per round, and
-        # the proposals per pending jump double from round to round: at
-        # most ceil(log2(budget)) + 1 calls
+    def test_power_proposals_are_rounds(self, monkeypatch):
+        # power-envelope jumps: one array points call per round, and the
+        # proposals per pending jump double from round to round: at most
+        # ceil(log2(budget)) + 1 calls; the tail is never inverted
         calls = []
-        original = LevyIntensity.inverse_tail
+        original = EnvelopeBand.points
 
-        def counted(self, level):
-            calls.append(np.size(level))
-            return original(self, level)
+        def counted(self, y, k=None):
+            calls.append(np.size(y))
+            return original(self, y, k)
 
-        monkeypatch.setattr(LevyIntensity, 'inverse_tail', counted)
-        assert _proposals(GEN_GAMMA, 1.0, self.LOW, 10.0).on_tail[0]
+        def inverse_tail(self, level):
+            raise AssertionError('inverse_tail called')
+
+        monkeypatch.setattr(EnvelopeBand, 'points', counted)
+        monkeypatch.setattr(LevyIntensity, 'inverse_tail', inverse_tail)
+        assert _proposals(GEN_GAMMA, 1.0, self.LOW, 10.0).on_power[0]
         spec = CoRMSpec.from_marginal(1, 1.0, GEN_GAMMA)
         state = _pool_state(50, self.LOW, 10.0)
         update_jump_heights(state, spec, np.random.default_rng(3))
         assert 1 < len(calls) <= math.ceil(
             math.log2(slice_sampler.MAX_REJECTION_TRIES)) + 1
         assert calls[0] == 50
+
+
+def _piece_p_values(xs, pieces, mass):
+    '''For each piece (lo, hi) of an envelope's band: the KS p-value of
+    the draws inside it against the target restricted to it, whose CDF
+    is mass(lo, x) / mass(lo, hi), and the z-score of their count
+    against the piece's share of the band's mass (0 for one piece).'''
+    masses = [mass(lo, hi) for lo, hi in pieces]
+    out = []
+    for (lo, hi), m in zip(pieces, masses):
+        inside = np.sort(xs[(lo < xs) & (xs <= hi)])
+        cdf = np.array([mass(lo, x) for x in inside]) / m
+        share = m / sum(masses)
+        spread = math.sqrt(xs.size * share * (1.0 - share)) or 1.0
+        out.append((_ks_p_value(cdf), (inside.size - xs.size * share)
+                    / spread))
+    return out
+
+
+def _pieces(spec, lo, hi):
+    split = float(spec.directing.envelope.split(lo, hi))
+    return [(lo, hi)] if split == hi else [(lo, split), (split, hi)]
+
+
+# (marginal, shape, low, w): the power envelope draws every jump; beta =
+# 2 and 1.3 give one power piece, 0.4 and 0.7 a power and a beta piece
+POWER_CASES = [(GAMMA, 2.0, 0.05, 1.0), (GEN_GAMMA, 1.0, 1e-3, 1.0),
+               (GAMMA, 0.4, 0.05, 1.0), (GEN_GAMMA, 0.4, 1e-3, 0.1)]
+# (marginal, shape, lo, hi) of sample_tilted_z, likewise
+TILTED_POWER_CASES = [(GAMMA, 2.0, 0.01, 0.5), (GAMMA, 0.4, 0.05, 1.0),
+                      (GEN_GAMMA, 0.4, 1e-3, 0.95)]
+
+
+class TestPowerEnvelopePieces:
+    '''Every piece of the power envelope draws the target restricted to
+    it, in the share of the target's mass it covers: KS tests per piece,
+    with the CDF from TiltRule integrals over sub-intervals, through
+    update_jump_heights on a pool and through sample_tilted_z.'''
+
+    @pytest.mark.parametrize('case', range(len(POWER_CASES)))
+    def test_jump_heights(self, case):
+        marginal, phi, low, w = POWER_CASES[case]
+        spec = CoRMSpec.from_marginal(1, phi, marginal, verify=False)
+        assert _proposals(marginal, phi, low, w).on_power[0]
+        state = _pool_state(2000, low, w)
+        update_jump_heights(state, spec, np.random.default_rng(3000 + case))
+
+        def mass(lo, hi):
+            rule = TiltRule(spec, [0.0], RuleNodes(spec, hi, lower=lo))
+            return math.exp(rule.log_integral(
+                lambda log_z: -w * (np.exp(log_z) - low), 0))
+
+        pieces = _pieces(spec, low, 1.0)
+        assert len(pieces) == (1 if phi + (marginal.sigma or 0.0) >= 1.0
+                               else 2)
+        for p_value, z in _piece_p_values(state.jumps, pieces, mass):
+            assert p_value > 0.01 and abs(z) < 4.0
+
+    @pytest.mark.parametrize('case', range(len(TILTED_POWER_CASES)))
+    def test_tilted_draws(self, case):
+        marginal, phi, lo, hi = TILTED_POWER_CASES[case]
+        spec = CoRMSpec.from_marginal(2, phi, marginal, verify=False)
+        v = TestTiltedDraw.V
+        xs = sample_tilted_z(spec, lo, hi, v, np.random.default_rng(
+            3100 + case), size=2000)
+        pieces = _pieces(spec, lo, hi)
+        assert len(pieces) == (1 if phi + (marginal.sigma or 0.0) >= 1.0
+                               else 2)
+        for p_value, z in _piece_p_values(
+                xs, pieces, lambda a, b: _tilted_mass(spec, v, a, b)):
+            assert p_value > 0.01 and abs(z) < 4.0
 
 
 def _two_groups(rng, per_group):
@@ -328,15 +404,36 @@ def test_sweeps_at_a_small_shape_keep_jumps_inside(monkeypatch, marginal):
     assert len(redrawn) == 10 and sum(redrawn) > 10
 
 
-def test_tilted_draw_outside_its_band_raises(monkeypatch):
-    # a tail inverse that lost its accuracy returns a root below lower;
-    # the draw raises instead of being clamped to lower
-    monkeypatch.setattr(LevyIntensity, 'inverse_tail',
-                        lambda self, level: np.full(np.shape(level), 0.01))
-    spec = CoRMSpec.from_marginal(2, 1.0, GAMMA)
-    with pytest.raises(FloatingPointError, match='outside'):
-        sample_tilted_z(spec, 0.02, 0.5, [0.5, 2.0],
-                        np.random.default_rng(0), size=5)
+def test_tilted_draw_rejects_proposals_outside_its_band(monkeypatch):
+    # envelope points that lost their accuracy land on or past an end of
+    # the band; they are rejected, never clamped to it, and the draws
+    # come from the proposals inside
+    lower, upper = 0.02, 0.5
+    original = EnvelopeBand.points
+    outside = np.array([0.01, lower, upper, 0.7, 1.0])
+
+    def spoiled(self, y, k=None):
+        z = original(self, y, k)
+        z[::2] = outside[np.arange(z[::2].size) % outside.size]
+        return z
+
+    monkeypatch.setattr(EnvelopeBand, 'points', spoiled)
+    spec = CoRMSpec.from_marginal(2, 0.4, GAMMA, verify=False)
+    z = sample_tilted_z(spec, lower, upper, [0.5, 2.0],
+                        np.random.default_rng(0), size=500)
+    assert np.all((lower < z) & (z < upper))
+    assert not np.isin(z, outside).any()
+
+
+def test_intensity_without_an_envelope_is_refused():
+    # a hand-built directing intensity has no power envelope to draw from
+    nu = CoRMSpec.from_marginal(2, 1.0, GAMMA).directing
+    bare = LevyIntensity(nu.density, nu.support, nu.singularity_exponents,
+                         tail_fn=nu.tail_integral,
+                         inverse_fn=nu.inverse_tail)
+    spec = CoRMSpec(2, ScoreDistribution(1.0), GAMMA, bare)
+    with pytest.raises(ValueError, match='power envelope'):
+        sample_tilted_z(spec, 0.1, 0.5, [0.5, 2.0], np.random.default_rng(0))
 
 
 def test_residual_evaluations_per_sweep(monkeypatch):
