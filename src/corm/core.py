@@ -470,10 +470,11 @@ class EnvelopeBand:
     the envelope's mass above the point, to the points, decreasing in y:
     uniform levels give its normalised law (propose) and the arrival
     times of a unit-rate Poisson process its points in decreasing order.
-    keep(z) is nu*(z) over the envelope, the thinning probability, and
-    0 outside the open band: a point that lands on or past an end,
-    rounding to 1/a for one, is rejected, never clamped.  Both take the
-    band of each entry from k, an index array into the bands (all bands,
+    A beta-piece point lies below upper exactly; one that rounds up to
+    upper becomes the largest double below it.  keep(z) is nu*(z) over
+    the envelope, the thinning probability, and 0 outside the open
+    band, so a point on or past an end is rejected.  Both take the band
+    of each entry from k, an index array into the bands (all bands,
     elementwise, when None).
     '''
 
@@ -502,21 +503,26 @@ class EnvelopeBand:
         coef, split = self._take(k, 'power_coef', 'split')
         if e.beta >= 1.0:
             return e._inverse(y / coef, split)
-        beta_mass, beta_coef, upper_power = (np.broadcast_to(
+        beta_mass, beta_coef, upper_power, upper = (np.broadcast_to(
             x, y.shape) for x in self._take(
-                k, 'beta_mass', 'beta_coef', 'upper_power'))
+                k, 'beta_mass', 'beta_coef', 'upper_power', 'upper'))
         coef, split = (np.broadcast_to(x, y.shape) for x in (coef, split))
         on_beta = y < beta_mass
         on_power = ~on_beta
         z = np.empty_like(y)
         z[on_power] = e._inverse((y - beta_mass)[on_power]
                                  / coef[on_power], split[on_power])
-        # (1 - a z)^beta = (1 - a upper)^beta + y a beta / coef: its
-        # 1/beta power underflows to 0 for a tiny y at a small beta,
-        # which puts z at 1/a, outside the band
+        # (1 - a z)^beta = (1 - a upper)^beta + y a beta / coef, so z <
+        # upper at y > 0.  At a small beta the 1/beta power underflows
+        # for a tiny y, or 1 - gap rounds to 1, and z rounds to upper:
+        # such a point is the largest double below upper.  Rejecting it
+        # would drop the nu* mass within half an ulp of 1/a, (2^-54)^beta
+        # / beta at a = c = 1 and sigma = 0: 3.1 jumps of height near 1
+        # a prior draw at beta 0.05
         gap = (upper_power[on_beta] + y[on_beta] * (e.a * e.beta)
                / beta_coef[on_beta]) ** (1.0 / e.beta)
-        z[on_beta] = (1.0 - gap) / e.a
+        z[on_beta] = np.minimum((1.0 - gap) / e.a,
+                                np.nextafter(upper[on_beta], 0.0))
         return z
 
     def propose(self, u, k=None):

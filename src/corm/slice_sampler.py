@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit, exprel, gammaln
 
-from .core import RuleNodes, TiltRule
+from .core import PowerEnvelope, RuleNodes, TiltRule, _beta_type
 from .marginal_sampler import _members, _tally
 # not called here: kept bound so the benchmark's tracer, which wraps
 # corm.slice_sampler.integrate, still finds it
@@ -70,6 +70,7 @@ MAX_REJECTION_TRIES = 10_000
 # are pending (each pending draw gets at least one proposal): a round
 # holds a few float arrays of this length, about 0.5 MB each
 _ROUND_PROPOSALS = 1 << 16
+_BELOW_ONE = np.nextafter(1.0, 0.0)
 
 
 @dataclass
@@ -113,15 +114,22 @@ class SliceState:
 
 def _check_family(spec):
     m = spec.marginal
-    if spec.directing.envelope is None:
-        raise ValueError('slice sampling draws through the directing '
-                         'intensity\'s power envelope, and this one has none')
     if m.kind == 'gamma':
         return
     if m.kind == 'generalized-gamma' and m.a == 1.0:
         return
     raise ValueError('slice sampling supports gamma and unit-scale '
                      'generalized-gamma score marginals only')
+
+
+def _envelope(spec):
+    '''The directing intensity's PowerEnvelope, or, for a hand-built
+    intensity without one, the envelope of the beta-type nu* that the
+    spec's marginal and shape give, which the sampler assumes it is.'''
+    envelope = spec.directing.envelope
+    if envelope is None:
+        envelope = PowerEnvelope(*_beta_type(spec.marginal, spec.shape))
+    return envelope
 
 
 def _obs_dimension(kernel):
@@ -238,15 +246,15 @@ def sample_tilted_z(spec, lower, upper, v, rng, size=None):
     at beta < 1): z comes from the envelope's closed-form inverse at a
     uniform level, and is accepted with nu* over the envelope times the
     tilt relative to its largest value, at lower.  A proposal on or
-    outside an end of the band is rejected, never clamped.  All size
-    draws share the rounds of _first_accepted.  Returns a float when
-    size is None, else an array of that shape.'''
+    outside an end of the band is rejected.  All size draws share the
+    rounds of _first_accepted.  Returns a float when size is None, else
+    an array of that shape.'''
     _check_family(spec)
     if not 0.0 < lower < upper <= 1.0:
         raise ValueError('need 0 < lower < upper <= 1')
     v = np.asarray(v, dtype=float)
     phi = spec.shape
-    band = spec.directing.envelope.band(lower, upper)
+    band = _envelope(spec).band(lower, upper)
     n = 1 if size is None else int(np.prod(size))
 
     def propose(idx):
@@ -339,7 +347,7 @@ class _JumpHeightProposals:
     more uniform for an exponential one at beta < 1.'''
 
     def __init__(self, spec, lows, weights, rng):
-        envelope = spec.directing.envelope
+        envelope = _envelope(spec)
         c, sigma, beta = envelope.c, envelope.sigma, envelope.beta
         self.lows, self.weights, self.rng = lows, weights, rng
         self.sigma, self.beta = sigma, beta
@@ -383,8 +391,11 @@ class _JumpHeightProposals:
         z = lows - np.log1p(-u * self.exp_scale[k]) / weights
         if self.beta < 1.0:
             upper = self.rng.uniform(size=k.size) < self.upper_share[k]
-            z[upper] = 1.0 - self.bound_gaps[k][upper] \
-                * (1.0 - u[upper]) ** (1.0 / self.beta)
+            # 1 - z rounds to 0 at a small beta: such a z is the largest
+            # double below 1, as in EnvelopeBand.points
+            z[upper] = np.minimum(1.0 - self.bound_gaps[k][upper]
+                                  * (1.0 - u[upper]) ** (1.0 / self.beta),
+                                  _BELOW_ONE)
         return z
 
     def _exponential_accept(self, z, k):
@@ -469,7 +480,7 @@ def birth_death_move(state, spec, kernel, rng, cache=None):
         tail_mass, band = cache['tail_mass'], cache['band']
     else:
         tail_mass = spec.directing.tail_integral(L)
-        band = spec.directing.envelope.band(L, 1.0)
+        band = _envelope(spec).band(L, 1.0)
         if cache is not None:
             cache.update(key=key, tail_mass=tail_mass, band=band)
     log_const = math.log(spec.centring_mass * tail_mass)

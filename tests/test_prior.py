@@ -237,16 +237,37 @@ class TestThinnedLaw:
         assert sample_corm(spec, rng, n_jumps=40, max_jumps=1000) \
             .jump_count == 40
 
-    def test_beta_piece_underflow_is_rejected(self):
+    def test_beta_piece_underflow_stays_in_the_band(self):
         # at beta = 0.05 the beta piece's gap (y a beta / coef)^(1/beta)
-        # underflows to 0 for the smallest levels: the point lands on 1/a,
-        # outside the band, and thinning rejects it
+        # underflows to 0 for the smallest levels: the point, below 1/a
+        # exactly, becomes the largest double below it and is kept
         spec = CoRMSpec.from_marginal(2, 0.05, MarginalFamily.gamma(),
                                       verify=False)
         band = spec.directing.envelope.band(1e-3)
         z = band.points(np.array([1e-300, 1e-30, 0.5 * band.beta_mass]))
-        assert z[0] == 1.0 and z[1] == 1.0 and band.split < z[2] < 1.0
-        np.testing.assert_array_equal(band.keep(z)[:2], 0.0)
+        top = np.nextafter(1.0, 0.0)
+        assert z[0] == top and z[1] == top and band.split < z[2] < top
+        assert np.all(band.keep(z) > 0.0)
+
+    def test_mass_near_the_top_is_kept(self):
+        # gamma at shape 0.05: nu*(z) = z^-1 (1 - z)^-0.95 puts 3.1 of
+        # its 30.7 expected jumps above the default level within half an
+        # ulp of 1, each of height about 1.  The mean count is U(level)
+        # and the mean total mass int_level^1 z nu*(z) dz = (1 - level)^phi
+        # / phi, both within 4 standard errors over 2,000 draws
+        phi = 0.05
+        spec = CoRMSpec.from_marginal(2, phi, MarginalFamily.gamma(),
+                                      verify=False)
+        rng = np.random.default_rng(35)
+        rs = [sample_corm(spec, rng) for _ in range(2000)]
+        level = rs[0].truncation_level
+        x = np.array([[r.jump_count, r.jumps.sum()] for r in rs])
+        want = np.array([float(spec.directing.tail_integral(level)),
+                         (1.0 - level) ** phi / phi])
+        z = (x.mean(axis=0) - want) \
+            / (x.std(axis=0, ddof=1) / math.sqrt(x.shape[0]))
+        assert np.all(np.abs(z) < 4.0)
+        assert max(r.jumps[0] for r in rs) == np.nextafter(1.0, 0.0)
 
 
 class TestResidualLevel:

@@ -343,6 +343,44 @@ class TestPowerEnvelopePieces:
             assert p_value > 0.01 and abs(z) < 4.0
 
 
+class TestMassNearOne:
+    '''At beta = 0.05, nu*(z) = z^-1 (1 - z)^-0.95 puts a quarter of its
+    mass on (0.5, 1) above 1 - 1e-12 and 15% within half an ulp of 1:
+    draws from either envelope keep those points as the largest double
+    below 1.  Their share above 1 - 1e-12 is checked against the
+    target's within 4 standard errors.'''
+
+    PHI, LOW, EPS = 0.05, 0.5, 1e-12
+
+    @pytest.mark.parametrize('w, on_power', [(0.1, True), (10.0, False)])
+    def test_jump_heights(self, w, on_power):
+        spec = CoRMSpec.from_marginal(1, self.PHI, GAMMA, verify=False)
+        assert _proposals(GAMMA, self.PHI, self.LOW, w).on_power[0] \
+            == on_power
+        state = _pool_state(4000, self.LOW, w)
+        update_jump_heights(state, spec, np.random.default_rng(3200))
+        rule = TiltRule(spec, [0.0], RuleNodes(spec, 1.0, lower=self.LOW))
+        mass = math.exp(rule.log_integral(
+            lambda log_z: -w * (np.exp(log_z) - self.LOW), 0))
+        # e^(-w (z - low)) is e^(-w (1 - low)) within 1e-11 above 1 - eps
+        want = math.exp(-w * (1.0 - self.LOW)) \
+            * float(spec.directing.tail_integral(1.0 - self.EPS)) / mass
+        self._check_share(state.jumps, want)
+
+    def test_tilted_draws(self):
+        spec = CoRMSpec.from_marginal(2, self.PHI, GAMMA, verify=False)
+        xs = sample_tilted_z(spec, self.LOW, 1.0, [0.0, 0.0],
+                             np.random.default_rng(3201), size=4000)
+        tail = spec.directing.tail_integral
+        self._check_share(xs, float(tail(1.0 - self.EPS) / tail(self.LOW)))
+
+    def _check_share(self, xs, want):
+        assert np.all((self.LOW < xs) & (xs < 1.0))
+        assert np.any(xs == np.nextafter(1.0, 0.0))
+        spread = math.sqrt(want * (1.0 - want) / xs.size)
+        assert abs(np.mean(xs > 1.0 - self.EPS) - want) < 4.0 * spread
+
+
 def _two_groups(rng, per_group):
     groups = []
     for means in ((-2.0, 2.0), (2.0, 5.0)):
@@ -405,9 +443,8 @@ def test_sweeps_at_a_small_shape_keep_jumps_inside(monkeypatch, marginal):
 
 
 def test_tilted_draw_rejects_proposals_outside_its_band(monkeypatch):
-    # envelope points that lost their accuracy land on or past an end of
-    # the band; they are rejected, never clamped to it, and the draws
-    # come from the proposals inside
+    # envelope points on or past an end of the band are rejected, never
+    # clamped to it, and the draws come from the proposals inside
     lower, upper = 0.02, 0.5
     original = EnvelopeBand.points
     outside = np.array([0.01, lower, upper, 0.7, 1.0])
@@ -425,15 +462,31 @@ def test_tilted_draw_rejects_proposals_outside_its_band(monkeypatch):
     assert not np.isin(z, outside).any()
 
 
-def test_intensity_without_an_envelope_is_refused():
-    # a hand-built directing intensity has no power envelope to draw from
-    nu = CoRMSpec.from_marginal(2, 1.0, GAMMA).directing
+@pytest.mark.parametrize('marginal', [GAMMA, GEN_GAMMA],
+                         ids=['gamma', 'generalized-gamma'])
+def test_intensity_without_an_envelope_draws_from_its_marginals(marginal):
+    # a hand-built directing intensity has no power envelope; the
+    # sampler takes the one of the nu* its marginal and shape give, so
+    # its draws are those of the built intensity, and sweeps run
+    built = CoRMSpec.from_marginal(2, 0.3, marginal, verify=False)
+    nu = built.directing
     bare = LevyIntensity(nu.density, nu.support, nu.singularity_exponents,
                          tail_fn=nu.tail_integral,
                          inverse_fn=nu.inverse_tail)
-    spec = CoRMSpec(2, ScoreDistribution(1.0), GAMMA, bare)
-    with pytest.raises(ValueError, match='power envelope'):
-        sample_tilted_z(spec, 0.1, 0.5, [0.5, 2.0], np.random.default_rng(0))
+    spec = CoRMSpec(2, ScoreDistribution(0.3), marginal, bare)
+    assert bare.envelope is None
+    draws = [sample_tilted_z(s, 0.1, 0.5, [0.5, 2.0],
+                             np.random.default_rng(0), size=200)
+             for s in (built, spec)]
+    np.testing.assert_array_equal(draws[0], draws[1])
+    rng = np.random.default_rng(24)
+    data = _two_groups(rng, 20)
+    kernel = UnivariateNormalGamma.from_data(data.stacked())
+    state = initial_slice_state(data, spec, kernel, rng, n_start=4)
+    v_steps = [(AdaptiveStepSize(), AdaptiveStepSize()) for _ in range(2)]
+    for _ in range(3):
+        slice_sweep(state, data, spec, kernel, rng, v_steps)
+        state.check()
 
 
 def test_residual_evaluations_per_sweep(monkeypatch):
