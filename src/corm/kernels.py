@@ -17,13 +17,18 @@ atoms into one stacked atom:
 
 ``log_density(y, atoms)`` returns one value per (observation, atom)
 pair, of shape obs + atom: obs is () for one observation and (n,) for a
-batch, atom is () for one atom and (K,) for stacked atoms.  A conjugate
-kernel scores a new observation against a cluster through the cluster's
-predictive row, ``predictive_row(stats)``, of shape (r,); K rows stack
-into a (K, r) array, and ``log_predictive(y, rows)`` has shape
-obs + rows.shape[:-1].  The normal-gamma row is (location,
-1/(df scale^2), (df + 1)/2, log normaliser) of its Student-t predictive;
-the flat kernel's row is (0,).
+batch, atom is () for one atom and (K,) for stacked atoms.
+
+A conjugate kernel scores a new observation against a cluster through
+the cluster's predictive row, ``predictive_row(stats)``, a tuple of
+floats.  ``log_predictive(y, rows)`` takes one observation y (a float,
+or a numpy scalar that float() converts) and a sequence of K rows, and
+returns a list of K floats.  Rows and values are Python floats, not
+arrays, because the urn sampler scores one observation at a time
+against the K + 1 rows of its clusters, about ten, where numpy's fixed
+cost per call outweighs the arithmetic.  The normal-gamma row is
+(location, 1/(df scale^2), (df + 1)/2, log normaliser) of its Student-t
+predictive; the flat kernel's row is (0.0,).
 '''
 
 import math
@@ -48,7 +53,7 @@ LOG_2PI = math.log(2.0 * math.pi)
 
 def _univariate(y, stacked):
     '''A univariate observation as a scalar, or a batch (n, 1) as an (n,)
-    vector with a trailing axis when it meets stacked atoms or rows.'''
+    vector with a trailing axis when it meets stacked atoms.'''
     y = np.asarray(y, dtype=float)
     if y.ndim == 2:
         return y[:, :1] if stacked else y[:, 0]
@@ -203,16 +208,16 @@ class UnivariateNormalGamma:
         mn, kn, an, bn = self._posterior(stats)
         scale_sq = bn * (kn + 1.0) / (an * kn)
         df = 2.0 * an
-        return np.array([mn, 1.0 / (df * scale_sq), 0.5 * (df + 1.0),
-                         math.lgamma(0.5 * (df + 1.0)) - math.lgamma(an)
-                         - 0.5 * math.log(df * math.pi * scale_sq)])
+        return (mn, 1.0 / (df * scale_sq), 0.5 * (df + 1.0),
+                math.lgamma(0.5 * (df + 1.0)) - math.lgamma(an)
+                - 0.5 * math.log(df * math.pi * scale_sq))
 
     def log_predictive(self, y, rows):
-        '''Student-t log predictive of y under a (4,) predictive row or a
-        (K, 4) stack of them.'''
-        loc, inv, half, log_norm = rows.T
-        diff = _univariate(y, loc.ndim) - loc
-        return log_norm - half * np.log1p(diff * diff * inv)
+        '''Student-t log predictive of one observation y under each
+        predictive row in rows, as a list.'''
+        y = float(y)
+        return [log_norm - half * math.log1p((y - loc) * (y - loc) * inv)
+                for loc, inv, half, log_norm in rows]
 
     def atom_posterior_draw(self, rows, rng):
         rows = np.asarray(rows, dtype=float).ravel()
@@ -237,8 +242,9 @@ class UnivariateNormalGamma:
 
     def prior_predictive_on_grid(self, points):
         points = np.asarray(points, dtype=float).ravel()
-        row = self.predictive_row(self.stats_empty())
-        return np.exp(self.log_predictive(points[:, None], row))
+        rows = [self.predictive_row(self.stats_empty())]
+        return np.exp([self.log_predictive(y, rows)[0]
+                       for y in points.tolist()])
 
 
 class MultivariateNormalNIW:
@@ -365,10 +371,10 @@ class FlatKernel:
         return 1.0
 
     def predictive_row(self, stats):
-        return np.zeros(1)
+        return (0.0,)
 
     def log_predictive(self, y, rows):
-        return np.zeros(_batch_shape(y) + np.shape(rows)[:-1])
+        return [0.0] * len(rows)
 
     def atom_posterior_draw(self, rows, rng):
         return float(rng.uniform())

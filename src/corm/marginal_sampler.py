@@ -8,8 +8,10 @@ marginal in one group reduces them to the classic urn weights.
 '''
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 from scipy.special import gammaln
@@ -210,20 +212,25 @@ class _UrnRows:
     and put it back (restore) when the draw returns the observation to
     a cluster the detach did not drop, together with the cluster's
     statistics: the rows and the state are then what they were before
-    the detach, with no refresh.'''
+    the detach, with no refresh.
+
+    The rows are Python lists: log_ratios of floats, predictive of the
+    kernel's row tuples.  A redraw reads all K + 1 rows, about ten, and
+    rewrites one or two, and at that size the fixed cost of a numpy call
+    (or of an array's copy, concatenate or delete) outweighs its
+    arithmetic.'''
 
     def __init__(self, state, spec, kernel, table, j):
         self.table = table
         self.kernel = kernel
         self.group = j
         K = state.n_clusters
-        self.log_ratios = np.empty(K + 1)
-        self.log_ratios[K] = math.log(spec.centring_mass) \
-            + table.log_new_cluster(j)
+        self.log_ratios = [0.0] * K + [math.log(spec.centring_mass)
+                                       + table.log_new_cluster(j)]
         self.predictive = None
         if state.stats is not None:
             empty = kernel.predictive_row(kernel.stats_empty())
-            self.predictive = np.tile(empty, (K + 1, 1))
+            self.predictive = [empty] * (K + 1)
         for k in range(K):
             self.refresh(state, k)
 
@@ -235,7 +242,7 @@ class _UrnRows:
 
     def save(self, k):
         '''Cluster k's ratio and predictive row, for restore.'''
-        row = None if self.predictive is None else self.predictive[k].copy()
+        row = None if self.predictive is None else self.predictive[k]
         return self.log_ratios[k], row
 
     def restore(self, k, saved):
@@ -245,23 +252,37 @@ class _UrnRows:
 
     def open(self):
         '''Add a row for a cluster opened at the end.'''
-        self.log_ratios = np.concatenate([self.log_ratios,
-                                          self.log_ratios[-1:]])
+        self.log_ratios.append(self.log_ratios[-1])
         if self.predictive is not None:
-            self.predictive = np.concatenate([self.predictive,
-                                              self.predictive[-1:]])
+            self.predictive.append(self.predictive[-1])
 
     def drop(self, k):
-        self.log_ratios = np.delete(self.log_ratios, k, axis=0)
+        del self.log_ratios[k]
         if self.predictive is not None:
-            self.predictive = np.delete(self.predictive, k, axis=0)
+            del self.predictive[k]
+
+
+def _relative_weights(logs, j, i):
+    '''exp(l - max) for each log weight l in the list logs of observation
+    i of group j.  max() passes over a NaN that is not first, so the
+    total is checked too: a NaN anywhere, or a largest log weight that
+    is not finite, makes it NaN.'''
+    top = max(logs)
+    weights = [math.exp(l - top) for l in logs]
+    total = sum(weights)
+    if not (math.isfinite(top) and 0.0 < total < math.inf):
+        raise FloatingPointError(
+            'urn weights of observation %d of group %d: largest log weight '
+            '%r, total weight %r' % (i + 1, j + 1, top, total))
+    return weights
 
 
 def _categorical(weights, rng):
+    '''Index k drawn with probability weights[k] / sum(weights), by
+    bisection on the running sums.'''
     # rng.random() is the double rng.uniform() gives, at a third the cost
-    cum = weights.cumsum()
-    u = rng.random() * cum[-1]
-    return min(int(cum.searchsorted(u, side='right')), weights.size - 1)
+    cum = list(accumulate(weights))
+    return min(bisect_right(cum, rng.random() * cum[-1]), len(cum) - 1)
 
 
 def _detach(state, data, kernel, j, i, rows):
@@ -326,15 +347,21 @@ def _undo_detach(state, j, i, k, stats, rows, saved):
 
 def allocation_weights(state, data, spec, kernel, j, i, table, rows=None):
     '''Unnormalized urn weights for observation (j, i): one entry per
-    existing cluster plus one for a fresh cluster.  The observation must
-    already be detached.  rows, the _UrnRows of group j kept for the
-    state at this table, is built here when not given.'''
+    existing cluster plus one for a fresh cluster, the largest 1.  The
+    observation must already be detached.  rows, the _UrnRows of group j
+    kept for the state at this table, is built here when not given.
+    A NaN weight, or a largest log weight that is not finite, raises
+    FloatingPointError.'''
     if rows is None:
         rows = _UrnRows(state, spec, kernel, table, j)
-    logs = rows.log_ratios + kernel.log_predictive(
-        data.groups[j][i, 0], rows.predictive)
-    logs -= logs.max()
-    return np.exp(logs)
+    return np.array(_urn_weights(data, kernel, j, i, rows))
+
+
+def _urn_weights(data, kernel, j, i, rows):
+    '''allocation_weights as a list, from kept rows.'''
+    logs = [r + p for r, p in zip(rows.log_ratios, kernel.log_predictive(
+        data.groups[j][i, 0], rows.predictive))]
+    return _relative_weights(logs, j, i)
 
 
 def update_allocation_conjugate(state, data, spec, kernel, j, i, table, rng,
@@ -345,9 +372,9 @@ def update_allocation_conjugate(state, data, spec, kernel, j, i, table, rng,
     stats = state.stats[home]
     saved = None if rows is None else rows.save(home)
     _detach(state, data, kernel, j, i, rows)
-    weights = allocation_weights(state, data, spec, kernel, j, i, table,
-                                 rows)
-    k = _categorical(weights, rng)
+    if rows is None:
+        rows = _UrnRows(state, spec, kernel, table, j)
+    k = _categorical(_urn_weights(data, kernel, j, i, rows), rng)
     if k == home and state.n_clusters == K:
         _undo_detach(state, j, i, k, stats, rows, saved)
         return
@@ -372,11 +399,10 @@ def update_allocation_nonconjugate(state, data, spec, kernel, j, i, table,
     if recycled is not None:
         aux[0] = recycled
     K = state.n_clusters
-    fresh = np.full(n_aux, rows.log_ratios[K] - math.log(n_aux))
-    logs = np.concatenate([rows.log_ratios[:K], fresh]) \
-        + kernel.log_density(y, kernel.stack_atoms(state.atoms + aux))
-    logs -= logs.max()
-    k = _categorical(np.exp(logs), rng)
+    fresh = [rows.log_ratios[K] - math.log(n_aux)] * n_aux
+    logs = np.add(rows.log_ratios[:K] + fresh, kernel.log_density(
+        y, kernel.stack_atoms(state.atoms + aux)))
+    k = _categorical(_relative_weights(logs.tolist(), j, i), rng)
     if k == home and recycled is None:
         _undo_detach(state, j, i, k, None, rows, saved)
         return
@@ -390,6 +416,15 @@ def update_atoms(state, data, kernel, rng):
     '''Conjugate redraw of every cluster atom given its members.'''
     state.atoms = [kernel.atom_posterior_draw(rows, rng) for rows in
                    _members(data, state.allocations, state.n_clusters)]
+
+
+def _accept_probability(log_alpha):
+    '''min(1, exp(log_alpha)) for a Metropolis-Hastings log ratio.  A NaN
+    ratio raises FloatingPointError: min() would pass it through and
+    the move would always be accepted.'''
+    if math.isnan(log_alpha):
+        raise FloatingPointError('the log acceptance ratio is nan')
+    return math.exp(min(log_alpha, 0.0))
 
 
 def _log_target_v(state, spec, table, n_sizes):
@@ -410,7 +445,7 @@ def update_v_marginal(state, spec, j, step, rng, table):
     candidate = _log_target_v(state, spec, new_table, n_sizes)
     log_alpha = candidate - current \
         + math.log(proposal[j]) - math.log(state.v[j])
-    accept = min(1.0, math.exp(min(log_alpha, 0.0)))
+    accept = _accept_probability(log_alpha)
     if rng.uniform() < accept:
         state.v = proposal
         table = new_table
@@ -437,7 +472,7 @@ def update_shape_marginal(state, spec, log_prior, step, rng, table):
     log_alpha = log_target(spec_new, table_new, phi_new) \
         - log_target(spec, table, state.shape) \
         + math.log(phi_new) - math.log(state.shape)
-    accept = min(1.0, math.exp(min(log_alpha, 0.0)))
+    accept = _accept_probability(log_alpha)
     if rng.uniform() < accept:
         state.shape = phi_new
         spec, table = spec_new, table_new

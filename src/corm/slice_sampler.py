@@ -42,7 +42,7 @@ import numpy as np
 from scipy.special import expit, exprel, gammaln
 
 from .core import PowerEnvelope, RuleNodes, TiltRule, _beta_type
-from .marginal_sampler import _members, _tally
+from .marginal_sampler import _accept_probability, _members, _tally
 # not called here: kept bound so the benchmark's tracer, which wraps
 # corm.slice_sampler.integrate, still finds it
 from .numerics import integrate  # noqa: F401
@@ -534,7 +534,7 @@ def update_v_interweaving(state, spec, j, steps, rng, residual=None):
         vj_new = state.v[j] * math.exp(stage1.step * rng.normal())
         log_alpha = log_target1(vj_new) - log_target1(state.v[j]) \
             + math.log(vj_new) - math.log(state.v[j])
-        accept = min(1.0, math.exp(min(log_alpha, 0.0)))
+        accept = _accept_probability(log_alpha)
         if rng.uniform() < accept:
             state.scores[:, j] *= state.v[j] / vj_new
             state.v[j] = vj_new
@@ -549,7 +549,7 @@ def update_v_interweaving(state, spec, j, steps, rng, residual=None):
     vj_new = state.v[j] * math.exp(stage2.step * rng.normal())
     log_alpha = log_target2(vj_new) - log_target2(state.v[j]) \
         + math.log(vj_new) - math.log(state.v[j])
-    accept = min(1.0, math.exp(min(log_alpha, 0.0)))
+    accept = _accept_probability(log_alpha)
     if rng.uniform() < accept:
         state.v[j] = vj_new
     stage2.record(accept)
@@ -638,7 +638,7 @@ def update_hyperparameters_slice(state, spec, log_prior, step, rng,
     log_alpha = log_target(spec_new, phi_new) \
         - log_target(spec, state.shape) \
         + math.log(phi_new) - math.log(state.shape)
-    accept = min(1.0, math.exp(min(log_alpha, 0.0)))
+    accept = _accept_probability(log_alpha)
     if rng.uniform() < accept:
         state.shape = phi_new
         spec = spec_new

@@ -13,7 +13,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1]
 import numpy as np  # noqa: E402
 
 import tracing  # noqa: E402
-from corm import prior, slice_sampler  # noqa: E402
+from corm import marginal_sampler, prior, slice_sampler  # noqa: E402
 from corm.core import CoRMSpec, MarginalFamily  # noqa: E402
 from corm.kernels import Dataset, UnivariateNormalGamma  # noqa: E402
 from corm.marginal_sampler import AdaptiveStepSize  # noqa: E402
@@ -54,6 +54,31 @@ def test_traced_slice_sweep_counts_residual_calls():
         uninstall()
     assert tracer.calls['slice_sampler.sweep'] == 1
     assert tracer.calls['slice_sampler.residual_laplace'] > 0
+
+
+def test_traced_marginal_sweep_counts_log_predictive():
+    # each of the 24 conjugate redraws scores its observation through
+    # one call of the class attribute the tracer wraps; a bound-method
+    # shortcut or a rename would leave the kernel probe reading 0
+    rng = np.random.default_rng(3)
+    data = Dataset([rng.normal(size=12), rng.normal(2.0, 1.0, size=12)])
+    kernel = UnivariateNormalGamma.from_data(data.stacked())
+    spec = CoRMSpec.from_marginal(
+        2, 1.0, MarginalFamily.generalized_gamma(0.3, 1.0))
+    state = marginal_sampler.initial_state(data, spec, kernel, rng,
+                                           n_start=3)
+    tracer = tracing.Tracer()
+    uninstall = tracing.install(tracer)
+    try:
+        marginal_sampler.marginal_sweep(
+            state, data, spec, kernel, rng,
+            [AdaptiveStepSize(), AdaptiveStepSize()])
+    finally:
+        uninstall()
+    assert tracer.calls['marginal_sampler.sweep'] == 1
+    assert tracer.calls['marginal_sampler.allocation'] == 24
+    assert tracer.calls['kernels.log_predictive'] == 24
+    assert tracer.counts['marginal_sampler.kappa_table.log_kappa_calls'] > 0
 
 
 def test_draws_and_sweeps_never_invert_the_tail():

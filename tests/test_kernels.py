@@ -109,7 +109,8 @@ def test_predictive_is_marginal_ratio():
     for y in (-2.0, 0.0, 0.9):
         want = KERN.log_marginal(rows + [y]) - KERN.log_marginal(rows)
         row = KERN.predictive_row(stats_now)
-        assert KERN.log_predictive(y, row) == pytest.approx(want, rel=1e-10)
+        got, = KERN.log_predictive(y, [row])
+        assert got == pytest.approx(want, rel=1e-10)
 
 
 def _stats_of(values):
@@ -134,23 +135,23 @@ def ng_student_t(kernel, rows):
 
 
 def test_predictive_rows_match_student_t():
-    # K = 4 clusters, the empty one included, against a batch of 5
+    # K = 4 clusters, the empty one included, against 5 observations
     clusters = [[], [0.2], [0.2, -0.7, 1.1], [3.0, 3.4, 2.9, 3.1]]
-    rows = np.stack([KERN.predictive_row(_stats_of(c)) for c in clusters])
-    assert rows.shape == (4, 4)
+    rows = [KERN.predictive_row(_stats_of(c)) for c in clusters]
+    assert all(len(row) == 4 and all(type(x) is float for x in row)
+               for row in rows)
     y = np.array([-2.0, 0.0, 0.9, 3.2, 7.5])
-    got = KERN.log_predictive(y[:, None], rows)
-    assert got.shape == (5, 4)
+    # one list of K values per observation, a float or a numpy scalar
+    got = np.array([KERN.log_predictive(yi, rows) for yi in y])
+    assert np.array_equal(got, [KERN.log_predictive(yi, rows)
+                                for yi in y.tolist()])
     for k, c in enumerate(clusters):
         df, loc, scale = ng_student_t(KERN, c)
         want = stats.t.logpdf(y, df, loc=loc, scale=scale)
         assert np.allclose(got[:, k], want, rtol=1e-12, atol=0.0)
-        # one observation against the stack, and one row against the
-        # batch
-        assert np.allclose(KERN.log_predictive(y[1], rows)[k], want[1],
-                           rtol=1e-12, atol=0.0)
-        assert np.allclose(KERN.log_predictive(y[:, None], rows[k]), want,
-                           rtol=1e-12, atol=0.0)
+        # one row alone
+        alone = [KERN.log_predictive(yi, [rows[k]])[0] for yi in y]
+        assert np.allclose(alone, want, rtol=1e-12, atol=0.0)
 
 
 def test_stats_add_remove_roundtrip():
@@ -315,20 +316,21 @@ def test_flat_kernel_is_unit():
     kern = FlatKernel()
     stats_now = kern.stats_add(kern.stats_empty(), 3.0)
     assert kern.log_marginal_stats(stats_now) == 0.0
-    assert kern.log_predictive(1.0, stats_now) == 0.0
+    assert kern.log_predictive(1.0, [kern.predictive_row(stats_now)]) \
+        == [0.0]
     assert kern.log_density(1.0, 0.5) == 0.0
     assert kern.marginal_likelihood([1.0, 2.0]) == 1.0
     assert np.all(kern.density_on_grid(0.5, np.zeros(4)) == 1.0)
-    # zeros of the broadcast shape: obs shape + atom (or row) shape
+    # zeros of the broadcast shape: obs shape + atom shape, and one
+    # zero per predictive row
     stacked = kern.stack_atoms([0.1, 0.5, 0.9])
-    rows = np.stack([kern.predictive_row(stats_now)] * 4)
     batch = np.ones((5, 2))
     for got, shape in ((kern.log_density(batch, stacked), (5, 3)),
                        (kern.log_density(batch[0], stacked), (3,)),
-                       (kern.log_density(batch, 0.5), (5,)),
-                       (kern.log_predictive(batch, rows), (5, 4)),
-                       (kern.log_predictive(1.0, rows), (4,))):
+                       (kern.log_density(batch, 0.5), (5,))):
         assert got.shape == shape and np.all(got == 0.0)
+    rows = [kern.predictive_row(stats_now)] * 4
+    assert kern.log_predictive(1.0, rows) == [0.0] * 4
 
 
 # ---------------------------------------------------------------------------

@@ -331,6 +331,52 @@ class TestUrnWeights:
         ])
         assert np.allclose(w, joint / joint.sum(), rtol=1e-6)
 
+    def test_weights_with_many_clusters_match_student_t(self):
+        # 6 clusters over two groups, cluster 4 occupied only in group 1:
+        # each weight is the KappaTable ratio plus the Student-t log
+        # predictive that scipy gives for the cluster's members
+        from test_kernels import ng_student_t
+        rng = np.random.default_rng(31)
+        y0 = rng.normal(-1.0, 1.0, size=10)
+        y1 = rng.normal(1.0, 1.0, size=7)
+        data = Dataset([y0, y1])
+        kernel = UnivariateNormalGamma.from_data(data.stacked())
+        spec = CoRMSpec.from_marginal(
+            2, 1.3, MarginalFamily.generalized_gamma(0.3, 1.0),
+            centring_mass=1.7)
+        labels = [np.array([0, 0, 1, 2, 2, 2, 3, 1, 5, -1]),
+                  np.array([4, 4, 0, 3, 4, 1, 5])]
+        counts = np.array([[np.sum(c == k) for c in labels]
+                           for k in range(6)])
+        assert counts[4].tolist() == [0, 3]
+        state = MarginalState(labels, counts, np.array([0.7, 1.9]), 1.3)
+        members = [np.concatenate([g[c == k] for g, c in
+                                   zip(data.groups, labels)])
+                   for k in range(6)]
+        state.stats = []
+        for rows in members:
+            stats_now = kernel.stats_empty()
+            for y in rows[:, 0]:
+                stats_now = kernel.stats_add(stats_now, y)
+            state.stats.append(stats_now)
+        table = KappaTable(spec, state.v)
+        w = allocation_weights(state, data, spec, kernel, 0, 9, table)
+        assert isinstance(w, np.ndarray) and w.shape == (7,)
+        y = y0[9]
+        want = []
+        for k, rows in enumerate(members + [np.empty((0, 1))]):
+            df, loc, scale = ng_student_t(kernel, rows[:, 0])
+            if k < 6:
+                log_kappa = table.log_ratio(tuple(counts[k].tolist()), 0)
+            else:
+                log_kappa = math.log(spec.centring_mass) \
+                    + table.log_kappa((1, 0))
+            want.append(log_kappa
+                        + stats.t.logpdf(y, df, loc=loc, scale=scale))
+        want = np.array(want)
+        assert np.allclose(w, np.exp(want - want.max()), rtol=1e-12,
+                           atol=0.0)
+
     def test_gibbs_update_frequencies_match_conditional(self):
         # repeated single-site updates are iid draws from the urn
         # conditional; hold the rest of the partition fixed
@@ -412,6 +458,54 @@ class TestUrnWeights:
         assert np.all(np.abs(freq - probs) < 5.0 * se)
 
 
+class _NaNAtRow(FlatKernel):
+    '''Flat kernel whose log predictive is NaN against one row.'''
+
+    def __init__(self, bad):
+        self.bad = bad
+
+    def log_predictive(self, y, rows):
+        out = super().log_predictive(y, rows)
+        out[self.bad] = math.nan
+        return out
+
+
+class TestNonFiniteWeights:
+
+    @pytest.mark.parametrize('bad', [0, 1, 2])
+    def test_nan_predictive_raises(self, bad):
+        # max() over a list passes over a NaN that is not first, and a
+        # draw on NaN running sums picks an index silently; either way
+        # the redraw must stop with the observation named
+        kernel = _NaNAtRow(bad)
+        data = Dataset([np.zeros(6)])
+        spec = gamma_spec(1, 1.0)
+        state = make_state_d1([0, 0, 0, 1, 1, 1], 1.0, 1.0, kernel, data)
+        table = KappaTable(spec, state.v)
+        with pytest.raises(FloatingPointError,
+                           match='observation 6 of group 1'):
+            update_allocation_conjugate(state, data, spec, kernel, 0, 5,
+                                        table, np.random.default_rng(0))
+        state = make_state_d1([0, 0, 0, 1, 1, -1], 1.0, 1.0, kernel, data)
+        with pytest.raises(FloatingPointError,
+                           match='observation 6 of group 1'):
+            allocation_weights(state, data, spec, kernel, 0, 5, table)
+
+    def test_infinite_log_weight_raises(self):
+        kernel = FlatKernel()
+        data = Dataset([np.zeros(3)])
+        spec = gamma_spec(1, 1.0)
+        state = make_state_d1([0, 1, -1], 1.0, 1.0, kernel, data)
+        table = KappaTable(spec, state.v)
+        rows = ms._UrnRows(state, spec, kernel, table, 0)
+        for value in (math.inf, -math.inf):
+            rows.log_ratios = [value] * 3
+            with pytest.raises(FloatingPointError,
+                               match='observation 3 of group 1'):
+                allocation_weights(state, data, spec, kernel, 0, 2, table,
+                                   rows)
+
+
 class TestUrnRows:
 
     def test_rows_match_fresh_after_every_allocation(self):
@@ -445,7 +539,7 @@ class TestUrnRows:
                         - table.log_kappa(tuple(a)) for a in state.counts]
                 want.append(math.log(spec.centring_mass)
                             + table.log_kappa(tuple(e_j)))
-                assert rows.log_ratios.shape == (K + 1,)
+                assert len(rows.log_ratios) == K + 1
                 assert np.allclose(rows.log_ratios, want, rtol=1e-12,
                                    atol=0.0)
             for j in range(2):
@@ -685,6 +779,30 @@ class TestShapeUpdate:
             assert spec.shape == state.shape
             assert table.spec is spec
         assert step.proposed == 50
+
+
+    def test_nan_log_ratio_raises(self):
+        # min(1, exp(min(nan, 0))) is 1.0: a NaN target used to accept
+        # the move and record it as accepted
+        spec = gamma_spec(1, 1.5)
+        kernel = FlatKernel()
+        data = Dataset([np.zeros(4)])
+        state = make_state_d1([0, 1, 0, 1], 1.0, 1.5, kernel, data)
+        table = KappaTable(spec, state.v)
+        step = AdaptiveStepSize()
+        with pytest.raises(FloatingPointError, match='nan'):
+            update_shape_marginal(state, spec, lambda phi: math.nan, step,
+                                  np.random.default_rng(2), table)
+        assert state.shape == 1.5 and step.proposed == 0
+
+
+def test_accept_probability_is_min_one_exp():
+    for log_alpha in (-math.inf, -800.0, -3.25, -1e-300, 0.0, 1e-300,
+                      2.5, 800.0, math.inf):
+        assert ms._accept_probability(log_alpha) \
+            == min(1.0, math.exp(min(log_alpha, 0.0)))
+    with pytest.raises(FloatingPointError):
+        ms._accept_probability(math.nan)
 
 
 class TestAdaptiveStepSize:

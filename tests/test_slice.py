@@ -565,6 +565,17 @@ def test_shape_move_with_a_jump_one_ulp_below_one():
     assert step.proposed == 1 and step.accepted < 1e-20
 
 
+def test_shape_move_with_nan_prior_raises():
+    # a NaN log ratio used to accept the move
+    state, _, _ = _hand_state()
+    spec = CoRMSpec.from_marginal(1, 1.0, MarginalFamily.gamma())
+    step = AdaptiveStepSize()
+    with pytest.raises(FloatingPointError, match='nan'):
+        update_hyperparameters_slice(state, spec, lambda phi: math.nan,
+                                     step, np.random.default_rng(1))
+    assert state.shape == 1.0 and step.proposed == 0
+
+
 def test_slice_deviance_matches_norm():
     state, data, kernel = _hand_state()
     state.check()
