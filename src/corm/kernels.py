@@ -29,6 +29,12 @@ against the K + 1 rows of its clusters, about ten, where numpy's fixed
 cost per call outweighs the arithmetic.  The normal-gamma row is
 (location, 1/(df scale^2), (df + 1)/2, log normaliser) of its Student-t
 predictive; the flat kernel's row is (0.0,).
+
+The non-conjugate urn scores against atoms instead, which a kernel
+draws: ``atom_posterior_draw(rows, rng)`` one atom given a cluster's
+rows, and ``prior_draws(size, rng)`` a list of size independent atoms
+from the centring, drawn as one batch.  The NIW kernel and the flat
+kernel give both.
 '''
 
 import math
@@ -36,7 +42,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import gammaln
-from scipy.stats import invwishart
 
 __all__ = [
     'Dataset',
@@ -250,7 +255,18 @@ class UnivariateNormalGamma:
 class MultivariateNormalNIW:
     '''Multivariate normal kernel with normal-inverse-Wishart centring,
     used through explicit atom draws (the urn treats it as
-    non-conjugate).'''
+    non-conjugate).
+
+    An atom is (mu, cov) with cov ~ IW(nu, Psi) and mu | cov ~ N(m,
+    cov / lambda).  atom_posterior_draw draws one atom given a cluster's
+    rows; prior_draws(size, rng) draws size independent atoms from the
+    centring, as the auxiliary atoms of a non-conjugate urn redraw.  Both
+    go through one routine, which draws every cov of the batch in one
+    scipy.stats.invwishart call and every mu from one batched Cholesky
+    factor times standard normals.  scipy.stats is imported there, on the
+    first draw, not with the module: it takes about 0.3 s, most of a
+    fresh corm process's start, and nothing else in corm uses it.
+    '''
 
     conjugate = False
 
@@ -289,27 +305,41 @@ class MultivariateNormalNIW:
 
     marginal_likelihood = log_marginal
 
-    def atom_posterior_draw(self, rows, rng):
+    def _posterior(self, rows):
+        '''(m_n, lambda_n, nu_n, Psi_n) given the (n, p) rows.'''
         rows = np.atleast_2d(np.asarray(rows, dtype=float))
         if rows.size == 0:
-            rows = rows.reshape(0, self.m0.size)
+            return self.m0, self.lambda0, self.nu0, self.psi0
         n = rows.shape[0]
         ln = self.lambda0 + n
-        nun = self.nu0 + n
-        if n > 0:
-            ybar = rows.mean(axis=0)
-            mn = (self.lambda0 * self.m0 + n * ybar) / ln
-            centred = rows - ybar
-            scatter = centred.T @ centred
-            drift = np.outer(ybar - self.m0, ybar - self.m0)
-            psin = self.psi0 + scatter + (self.lambda0 * n / ln) * drift
-        else:
-            mn = self.m0
-            psin = self.psi0
-        cov = invwishart.rvs(df=nun, scale=psin, random_state=rng)
-        cov = np.atleast_2d(cov)
-        mu = rng.multivariate_normal(mn, cov / ln, method='cholesky')
-        return (mu, cov)
+        ybar = rows.mean(axis=0)
+        centred = rows - ybar
+        drift = np.outer(ybar - self.m0, ybar - self.m0)
+        psin = self.psi0 + centred.T @ centred \
+            + (self.lambda0 * n / ln) * drift
+        return (self.lambda0 * self.m0 + n * ybar) / ln, ln, self.nu0 + n, psin
+
+    @staticmethod
+    def _draws(mean, lam, df, scale, size, rng):
+        '''size independent atoms (mu, cov) from NIW(mean, lam, df,
+        scale): one inverse-Wishart call for every cov, then each mu is
+        mean + chol(cov) z / sqrt(lam) with z standard normal.'''
+        from scipy.stats import invwishart  # on first use: see the class
+
+        p = mean.size
+        cov = invwishart.rvs(df=df, scale=scale, size=size,
+                             random_state=rng).reshape(size, p, p)
+        white = rng.standard_normal((size, p, 1))
+        mu = mean + (np.linalg.cholesky(cov) @ white)[..., 0] / math.sqrt(lam)
+        return list(zip(mu, cov))
+
+    def atom_posterior_draw(self, rows, rng):
+        return self._draws(*self._posterior(rows), 1, rng)[0]
+
+    def prior_draws(self, size, rng):
+        '''size independent atoms from the centring, as a list.'''
+        return self._draws(self.m0, self.lambda0, self.nu0, self.psi0, size,
+                           rng)
 
     def stack_atoms(self, atoms):
         p = self.m0.size
@@ -337,13 +367,8 @@ class MultivariateNormalNIW:
         '''Monte Carlo prior predictive from fixed quasi-draws of the
         centring; exact enough for residual-mass plumbing.'''
         rng = np.random.default_rng(0) if rng is None else rng
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        acc = np.zeros(points.shape[0])
-        for _ in range(draws):
-            atom = self.atom_posterior_draw(
-                np.empty((0, self.m0.size)), rng)
-            acc += self.density_on_grid(atom, points)
-        return acc / draws
+        atoms = self.stack_atoms(self.prior_draws(draws, rng))
+        return self.density_on_grid(atoms, points).mean(axis=1)
 
 
 class FlatKernel:
@@ -378,6 +403,9 @@ class FlatKernel:
 
     def atom_posterior_draw(self, rows, rng):
         return float(rng.uniform())
+
+    def prior_draws(self, size, rng):
+        return rng.uniform(size=size).tolist()
 
     def stack_atoms(self, atoms):
         return np.asarray(atoms, dtype=float)

@@ -394,8 +394,7 @@ def update_allocation_nonconjugate(state, data, spec, kernel, j, i, table,
     if rows is None:
         rows = _UrnRows(state, spec, kernel, table, j)
     y = data.groups[j][i]
-    aux = [kernel.atom_posterior_draw(np.empty((0, y.size)), rng)
-           for _ in range(n_aux)]
+    aux = kernel.prior_draws(n_aux, rng)
     if recycled is not None:
         aux[0] = recycled
     K = state.n_clusters

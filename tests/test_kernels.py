@@ -283,6 +283,78 @@ def test_niw_posterior_draw_moments():
     assert np.all(np.abs(mus.mean(axis=0) - mn) < 5.0 * se)
 
 
+def _niw_law_case(p, posterior, rng):
+    '''A p-dimensional NIW kernel and its parameters (m, lambda, nu,
+    Psi) for a posterior given 20 rows, or for the centring.'''
+    a = np.tril(0.3 * np.ones((p, p))) + np.diag(np.arange(1.0, p + 1.0))
+    kern = MultivariateNormalNIW(np.linspace(-1.0, 1.0, p), 2.0, p + 9.0,
+                                 a @ a.T)
+    if not posterior:
+        return kern, None, (kern.m0, kern.lambda0, kern.nu0, kern.psi0)
+    rows = rng.normal(0.5, 1.5, size=(20, p))
+    n = rows.shape[0]
+    ln = kern.lambda0 + n
+    ybar = rows.mean(axis=0)
+    centred = rows - ybar
+    drift = ybar - kern.m0
+    psin = kern.psi0 + centred.T @ centred \
+        + (kern.lambda0 * n / ln) * np.outer(drift, drift)
+    mn = (kern.lambda0 * kern.m0 + n * ybar) / ln
+    return kern, rows, (mn, ln, kern.nu0 + n, psin)
+
+
+@pytest.mark.parametrize('p', [1, 2, 3])
+@pytest.mark.parametrize('posterior', [True, False],
+                         ids=['posterior', 'prior_batch'])
+def test_niw_draw_law(p, posterior):
+    # Sigma ~ IW(nu, Psi): its mean is Psi / (nu - p - 1) and Sigma_11 is
+    # inverse gamma ((nu - p + 1)/2, Psi_11 / 2); mu | Sigma ~ N(m,
+    # Sigma / lambda), so sqrt(lambda) L^-1 (mu - m) is standard normal
+    # for L the Cholesky factor of the drawn Sigma
+    rng = np.random.default_rng(40 + p)
+    kern, rows, (m, lam, nu, psi) = _niw_law_case(p, posterior, rng)
+    if posterior:
+        atoms = [kern.atom_posterior_draw(rows, rng) for _ in range(3000)]
+    else:
+        batches = [kern.prior_draws(3, rng) for _ in range(1500)]
+        assert all(len(b) == 3 for b in batches)
+        atoms = [atom for b in batches for atom in b]
+    mu, cov = kern.stack_atoms(atoms)
+    n = len(atoms)
+
+    se = cov.std(axis=0) / math.sqrt(n)
+    assert np.all(np.abs(cov.mean(axis=0) - psi / (nu - p - 1.0)) < 4.0 * se)
+
+    law = stats.invgamma(0.5 * (nu - p + 1.0), scale=0.5 * psi[0, 0])
+    assert stats.kstest(cov[:, 0, 0], law.cdf).pvalue > 1e-3
+
+    white = np.linalg.solve(np.linalg.cholesky(cov),
+                            (mu - m)[..., None])[..., 0] * math.sqrt(lam)
+    assert stats.kstest(white.ravel(), stats.norm.cdf).pvalue > 1e-3
+
+    if not posterior:
+        # the atoms of one batch are independent: rank correlation of
+        # Sigma_11 between each batch's first and second atom
+        first = np.array([b[0][1][0, 0] for b in batches])
+        second = np.array([b[1][1][0, 0] for b in batches])
+        r = stats.spearmanr(first, second).statistic
+        assert abs(r) < 4.0 / math.sqrt(len(batches) - 1)
+
+
+def test_niw_prior_predictive_is_multivariate_t():
+    # the centring's predictive is t with nu - p + 1 degrees of freedom
+    # and shape Psi (lambda + 1) / (lambda (nu - p + 1))
+    kern = MultivariateNormalNIW(np.array([0.5, -1.0]), 2.0, 8.0,
+                                 np.array([[1.5, 0.4], [0.4, 0.8]]))
+    df = kern.nu0 - 1.0
+    shape = kern.psi0 * (kern.lambda0 + 1.0) / (kern.lambda0 * df)
+    points = np.array([[0.5, -1.0], [1.2, -0.6], [-0.4, -1.5]])
+    got = kern.prior_predictive_on_grid(points, np.random.default_rng(3),
+                                        draws=20000)
+    want = stats.multivariate_t(kern.m0, shape, df=df).pdf(points)
+    assert np.allclose(got, want, rtol=0.06)
+
+
 def test_niw_log_density_matches_scipy():
     kern = MultivariateNormalNIW(np.zeros(2), 1.0, 5.0, np.eye(2))
     cov = np.array([[0.8, 0.2], [0.2, 1.1]])
