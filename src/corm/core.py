@@ -13,7 +13,7 @@ of the marginal sampler.
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -83,11 +83,18 @@ class MarginalFamily:
     sigma: float = None
     a: float = None
 
-    _KINDS = ('gamma', 'sigma-stable', 'generalized-gamma')
+    # the parameters each kind takes
+    _KINDS = {'gamma': (), 'sigma-stable': ('sigma',),
+              'generalized-gamma': ('sigma', 'a')}
 
     def __post_init__(self):
         if self.kind not in self._KINDS:
             raise ValueError('unknown marginal family %r' % (self.kind,))
+        for name in ('sigma', 'a'):
+            if name not in self._KINDS[self.kind] \
+                    and getattr(self, name) is not None:
+                raise ValueError('the %s family takes no parameter %s'
+                                 % (self.kind, name))
         if self.kind != 'gamma':
             if self.sigma is None or not 0.0 < self.sigma < 1.0:
                 raise ValueError('sigma must lie in (0, 1)')
@@ -137,9 +144,9 @@ class LevyIntensity:
                               with closed-form tails and inverses.  The
                               prior and the slice sampler draw the
                               intensity's points by thinning the
-                              envelope's; without one, prior.sample_corm
-                              inverts tail_integral instead, and the
-                              slice sampler does not run.
+                              envelope's, so the directing intensities
+                              (directing_from_marginal) all carry one;
+                              the marginals' own intensities do not.
 
     Integrals against the intensity run on TiltRule nodes.  tail_integral
     and inverse_tail work on arrays.  Without a tail_fn, tail_integral is
@@ -767,41 +774,45 @@ def marginal_from_directing(directing, shape, theta=None, sigma=None, a=None):
 class CoRMSpec:
     '''
     Full specification of a compound random measure: dimension, score law,
-    marginal family, the directing intensity, and the centring measure's
-    total mass.  `base` optionally carries the centring base distribution
-    (an object the mixture layer understands); the measure-level operations
-    below never touch it.
+    marginal family, and the centring measure's total mass.  The directing
+    intensity is not a parameter: the marginal and the score shape fix it,
+    and __post_init__ derives it (directing_from_marginal).  It is compared,
+    and each derivation is a new object, so a spec equals only itself.
+    `base` optionally carries the centring base distribution (an object the
+    mixture layer understands); the measure-level operations below never
+    touch it.
 
-    Build with from_marginal(), which derives the directing intensity and
-    verifies it numerically: the Laplace exponent of one coordinate must
-    match the marginal's closed form.  with_shape() rebuilds for a new
-    score shape without the re-verification, for use inside samplers.
+    from_marginal() also verifies the directing intensity numerically: the
+    Laplace exponent of one coordinate must match the marginal's closed
+    form.  with_shape() rebuilds for a new score shape without the
+    re-verification, for use inside samplers.
     '''
     dimension: int
     score: ScoreDistribution
     marginal: MarginalFamily
-    directing: LevyIntensity
     centring_mass: float = 1.0
     base: object = field(default=None, compare=False)
+    directing: LevyIntensity = field(init=False)
 
     def __post_init__(self):
         if self.dimension < 1:
             raise ValueError('dimension must be at least 1')
         if not self.centring_mass > 0.0:
             raise ValueError('centring mass must be positive')
+        object.__setattr__(self, 'directing',
+                           directing_from_marginal(self.marginal, self.shape))
 
     @classmethod
     def from_marginal(cls, dimension, shape, marginal, centring_mass=1.0,
                       base=None, verify=True):
-        directing = directing_from_marginal(marginal, shape)
-        spec = cls(dimension, ScoreDistribution(shape), marginal, directing,
+        spec = cls(dimension, ScoreDistribution(shape), marginal,
                    centring_mass, base)
         if verify:
-            # one coordinate's Laplace exponent, by the tilt rule on the
-            # directing intensity, against the marginal's closed form
-            single = cls(1, spec.score, marginal, directing)
+            # the first coordinate's Laplace exponent, by the tilt rule on
+            # the directing intensity, against the marginal's closed form
+            first = np.eye(dimension)[0]
             for lam in (0.1, 1.0, 10.0):
-                got = TiltRule(single, [lam]).psi()
+                got = TiltRule(spec, lam * first).psi()
                 want = float(marginal_exponent(marginal, lam))
                 if not abs(got - want) <= 1e-9 * want:
                     raise ValueError(
@@ -811,9 +822,7 @@ class CoRMSpec:
         return spec
 
     def with_shape(self, shape):
-        return type(self).from_marginal(
-            self.dimension, shape, self.marginal, self.centring_mass,
-            self.base, verify=False)
+        return replace(self, score=ScoreDistribution(shape))
 
     @property
     def shape(self):

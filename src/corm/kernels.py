@@ -204,9 +204,6 @@ class UnivariateNormalGamma:
         stats = (rows.size, float(rows.sum()), float(np.square(rows).sum()))
         return self.log_marginal_stats(stats)
 
-    def marginal_likelihood(self, rows):
-        return math.exp(self.log_marginal(rows))
-
     def predictive_row(self, stats):
         '''The cluster's Student-t posterior predictive as (location,
         1/(df scale^2), (df + 1)/2, log normaliser).'''
@@ -299,12 +296,6 @@ class MultivariateNormalNIW:
         cov = np.cov(rows, rowvar=False, ddof=1).reshape(p, p)
         return cls(rows.mean(axis=0), lambda0, p + 10, (4.0 / 9.0) * cov)
 
-    def log_marginal(self, rows):
-        raise TypeError('marginal likelihood unsupported: use the '
-                        'auxiliary-atom (non-conjugate) scheme')
-
-    marginal_likelihood = log_marginal
-
     def _posterior(self, rows):
         '''(m_n, lambda_n, nu_n, Psi_n) given the (n, p) rows.'''
         rows = np.atleast_2d(np.asarray(rows, dtype=float))
@@ -391,9 +382,6 @@ class FlatKernel:
 
     def log_marginal(self, rows):
         return 0.0
-
-    def marginal_likelihood(self, rows):
-        return 1.0
 
     def predictive_row(self, stats):
         return (0.0,)

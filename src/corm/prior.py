@@ -11,10 +11,8 @@ envelope's points in decreasing order by one power each, and a point z
 is kept with probability nu*(z) over the envelope.  Truncation is by
 a residual mass, which fixes the level and a Poisson number of sorted
 uniform arrivals, or by a jump count n, where arrivals are drawn until
-n points are kept and the n-th is the level.  An intensity without an
-envelope (a hand-built LevyIntensity) has its tail inverted at the
-arrival times instead.  Each coordinate then perturbs the jumps with
-independent Ga(shape) scores.
+n points are kept and the n-th is the level.  Each coordinate then
+perturbs the jumps with independent Ga(shape) scores.
 '''
 
 import csv
@@ -125,13 +123,8 @@ def _count_truncation(spec, n, rng, max_jumps):
     level: unit-rate arrival times, scaled by the centring mass, run
     down the envelope's points in decreasing order, and thinning keeps
     nu*'s; arrivals are drawn in batches until n points are kept.'''
-    directing = spec.directing
     alpha = spec.centring_mass
-    envelope = directing.envelope
-    if envelope is None:
-        arrivals = np.cumsum(rng.exponential(size=n))
-        jumps = directing.inverse_tail(arrivals / alpha)
-        return jumps, float(jumps[-1])
+    envelope = spec.directing.envelope
     split = None
     if envelope.beta < 1.0:
         # the split of least mass above where the power law c z^(-1-sigma)
@@ -162,17 +155,13 @@ def _count_truncation(spec, n, rng, max_jumps):
 def _truncation(spec, eps):
     '''(level, band, mass) of the tail_mass truncation eps, solved once
     per directing intensity: the envelope on (level, end of the support)
-    with its split and its mass there, or, for an intensity without an
-    envelope, None and the tail mass above the level.'''
+    with its split and its mass there.'''
     directing = spec.directing
     cached = directing._truncations.get(eps)
     if cached is None:
         level = _solve_residual_level(spec, eps * _coverage_norm(spec))
-        if directing.envelope is None:
-            cached = level, None, float(directing.tail_integral(level))
-        else:
-            band = directing.envelope.band(level)
-            cached = level, band, float(band.mass)
+        band = directing.envelope.band(level)
+        cached = level, band, float(band.mass)
         directing._truncations[eps] = cached
     return cached
 
@@ -181,7 +170,7 @@ def _mass_truncation(spec, eps, rng, max_jumps):
     '''All jumps above the tail_mass level, and the level.  The arrival
     times of a unit-rate process on (0, alpha mass), over alpha: a
     Poisson(alpha mass) number of sorted uniform levels on (0, mass),
-    thinned on the envelope, or, without one, inverted on the tail.'''
+    thinned on the envelope.'''
     level, band, mass = _truncation(spec, eps)
     expected = spec.centring_mass * mass
     if expected > max_jumps:
@@ -194,8 +183,6 @@ def _mass_truncation(spec, eps, rng, max_jumps):
         raise ValueError('%d proposals exceed the budget %d'
                          % (n, max_jumps))
     levels = np.sort(rng.uniform(0.0, mass, size=n))
-    if band is None:
-        return spec.directing.inverse_tail(levels), level
     return _thin(band, levels, rng), level
 
 
@@ -203,19 +190,26 @@ def sample_corm(spec, rng, n_jumps=None, tail_mass=None, max_jumps=100_000):
     '''
     Draw a truncated realization.  Exactly one truncation rule applies:
     a fixed jump count n_jumps, or a residual directing mass tail_mass
-    relative to int min(1,z) nu* (default 1e-6).  Stable-type directing
-    measures keep infinite expected mass near zero, so they always
-    truncate by count.  max_jumps bounds the points a draw proposes
-    before thinning, which can be several times the jumps it keeps; a
-    draw that would propose more raises ValueError.
+    relative to int min(1,z) nu* (default 1e-6).  A sigma-stable spec
+    given neither rule truncates at STABLE_DEFAULT_JUMPS jumps, with a
+    warning: its count above the tail_mass level grows as
+    tail_mass^(-sigma/(1-sigma)), and the default 1e-6 needs about 3.2e5
+    proposals at sigma 0.5, shape 1, over the default max_jumps.
+    max_jumps bounds the points a draw proposes before thinning, which
+    can be several times the jumps it keeps; a draw that would propose
+    more raises ValueError.
     '''
     if n_jumps is not None and tail_mass is not None:
         raise ValueError('give either n_jumps or tail_mass, not both')
 
-    if spec.marginal.kind == 'sigma-stable' and n_jumps is None:
-        warnings.warn('stable directing has no finite residual-mass '
-                      'criterion; truncating at %d jumps'
-                      % STABLE_DEFAULT_JUMPS, stacklevel=2)
+    if (spec.marginal.kind == 'sigma-stable' and n_jumps is None
+            and tail_mass is None):
+        warnings.warn('the jump count of a sigma-stable spec above the '
+                      'tail_mass level grows as tail_mass^(-sigma/(1 - '
+                      'sigma)), too many at the default %g; truncating at '
+                      '%d jumps'
+                      % (DEFAULT_TAIL_MASS, STABLE_DEFAULT_JUMPS),
+                      stacklevel=2)
         n_jumps = STABLE_DEFAULT_JUMPS
 
     if n_jumps is not None:

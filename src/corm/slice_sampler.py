@@ -10,7 +10,7 @@ parametrizations of the scores.
 Supported score marginals: gamma and unit-scale generalized gamma, whose
 directing intensities c z^(-1-sigma) (1 - z)^(beta-1) live on (0, 1).
 Every draw from nu* on a band is a rejection draw from the directing
-intensity's PowerEnvelope (core.PowerEnvelope): a power law c
+intensity's power envelope (spec.directing.envelope): a power law c
 z^(-1-sigma), at beta < 1 a power piece and a beta piece split at the
 t of least mass on the band, whose tails have closed-form inverses, so
 a proposal costs a uniform and a power and no tail inversion.  Jump k
@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit, exprel, gammaln
 
-from .core import PowerEnvelope, RuleNodes, TiltRule, _beta_type
+from .core import RuleNodes, TiltRule
 from .marginal_sampler import _accept_probability, _members, _tally
 # not called here: kept bound so the benchmark's tracer, which wraps
 # corm.slice_sampler.integrate, still finds it
@@ -120,16 +120,6 @@ def _check_family(spec):
         return
     raise ValueError('slice sampling supports gamma and unit-scale '
                      'generalized-gamma score marginals only')
-
-
-def _envelope(spec):
-    '''The directing intensity's PowerEnvelope, or, for a hand-built
-    intensity without one, the envelope of the beta-type nu* that the
-    spec's marginal and shape give, which the sampler assumes it is.'''
-    envelope = spec.directing.envelope
-    if envelope is None:
-        envelope = PowerEnvelope(*_beta_type(spec.marginal, spec.shape))
-    return envelope
 
 
 def _obs_dimension(kernel):
@@ -254,7 +244,7 @@ def sample_tilted_z(spec, lower, upper, v, rng, size=None):
         raise ValueError('need 0 < lower < upper <= 1')
     v = np.asarray(v, dtype=float)
     phi = spec.shape
-    band = _envelope(spec).band(lower, upper)
+    band = spec.directing.envelope.band(lower, upper)
     n = 1 if size is None else int(np.prod(size))
 
     def propose(idx):
@@ -326,7 +316,7 @@ class _JumpHeightProposals:
     jump.  Both cover the same target, so the one of smaller mass has
     the higher acceptance rate, and comparing masses is the whole rule.
 
-    power: the directing intensity's PowerEnvelope on (low_k, 1), split
+    power: the directing intensity's power envelope on (low_k, 1), split
     at beta < 1 at the t_k of least mass; z by its closed-form inverse
     at level (1 - u) times its mass, accepted with nu* over the
     envelope times e^(-w_k (z - low_k)).
@@ -347,7 +337,7 @@ class _JumpHeightProposals:
     more uniform for an exponential one at beta < 1.'''
 
     def __init__(self, spec, lows, weights, rng):
-        envelope = _envelope(spec)
+        envelope = spec.directing.envelope
         c, sigma, beta = envelope.c, envelope.sigma, envelope.beta
         self.lows, self.weights, self.rng = lows, weights, rng
         self.sigma, self.beta = sigma, beta
@@ -480,7 +470,7 @@ def birth_death_move(state, spec, kernel, rng, cache=None):
         tail_mass, band = cache['tail_mass'], cache['band']
     else:
         tail_mass = spec.directing.tail_integral(L)
-        band = _envelope(spec).band(L, 1.0)
+        band = spec.directing.envelope.band(L, 1.0)
         if cache is not None:
             cache.update(key=key, tail_mass=tail_mass, band=band)
     log_const = math.log(spec.centring_mass * tail_mass)

@@ -112,3 +112,19 @@ def test_draws_and_sweeps_never_invert_the_tail():
     assert tracer.calls['slice_sampler.jump_heights'] == 3
     assert tracer.calls['slice_sampler.sample_tilted_z'] > 0
     assert tracer.calls['core.inverse_tail'] == 0
+
+
+def test_traced_spec_builds_count_directing_derivations():
+    # a spec derives nu* in __post_init__ through the core module's
+    # attribute the tracer wraps: from_marginal and with_shape each build
+    # one spec, so the probe reads 2, and would read 0 if the derivation
+    # were bound elsewhere
+    tracer = tracing.Tracer()
+    uninstall = tracing.install(tracer)
+    try:
+        spec = CoRMSpec.from_marginal(
+            2, 1.0, MarginalFamily.generalized_gamma(0.3, 1.0))
+        spec.with_shape(0.5)
+    finally:
+        uninstall()
+    assert tracer.calls['core.directing_from_marginal'] == 2

@@ -527,15 +527,67 @@ class TestSpecConstruction:
     @pytest.mark.parametrize('shape', [1e-5, 1e-3, 0.5, 2.0, 100.0])
     def test_consistency_check_accepts_valid_specs(self, marginal, shape):
         # small shapes made the former mixture-density check's integrand
-        # non-finite, and shape 100 failed its 1e-4 comparison
-        sp = CoRMSpec.from_marginal(2, shape, marginal)
-        assert sp.shape == shape
+        # non-finite, and shape 100 failed its 1e-4 comparison.  The check
+        # runs the d-dimensional rule, whose step shrinks with d
+        for dimension in (1, 2, 3):
+            sp = CoRMSpec.from_marginal(dimension, shape, marginal)
+            assert sp.shape == shape
 
     def test_with_shape(self):
-        sp = spec_gamma(shape=1.0)
-        sp2 = sp.with_shape(2.0)
-        assert sp2.shape == 2.0
-        assert sp.shape == 1.0
+        # a new score shape keeps the dimension, centring mass and base,
+        # and the directing envelope's (c, sigma, a, beta) become those
+        # of the new shape: c z^(-1-sigma) (1 - a z)^(beta-1) with beta =
+        # sigma + shape, and c z^(-1-sigma) (a = 0, beta = 1) for stable
+        base = object()
+
+        def stable_c(shape, sigma):
+            return sigma * math.gamma(shape) / (
+                math.gamma(shape + sigma) * math.gamma(1.0 - sigma))
+
+        cases = [
+            (MarginalFamily.gamma(), lambda phi: (1.0, 0.0, 1.0, phi)),
+            (MarginalFamily.generalized_gamma(0.3, 2.0),
+             lambda phi: (stable_c(phi, 0.3), 0.3, 2.0, 0.3 + phi)),
+            (MarginalFamily.sigma_stable(0.5),
+             lambda phi: (stable_c(phi, 0.5), 0.5, 0.0, 1.0))]
+        for marginal, params in cases:
+            sp = CoRMSpec.from_marginal(3, 1.0, marginal, centring_mass=4.0,
+                                        base=base)
+            sp2 = sp.with_shape(2.0)
+            assert (sp.shape, sp2.shape) == (1.0, 2.0)
+            assert sp2.dimension == 3 and sp2.centring_mass == 4.0
+            assert sp2.marginal == marginal and sp2.base is base
+            assert sp2 != sp
+            for spec, phi in ((sp, 1.0), (sp2, 2.0)):
+                e = spec.directing.envelope
+                assert (e.c, e.sigma, e.a, e.beta) == pytest.approx(
+                    params(phi), rel=1e-13)
+
+    def test_spec_takes_no_directing_intensity(self):
+        # nu* is derived from the marginal and the shape; each derivation
+        # is a new intensity, so equal inputs give distinct specs
+        nu = directing_from_marginal(MarginalFamily.gamma(), 1.0)
+        with pytest.raises(TypeError):
+            CoRMSpec(2, ScoreDistribution(1.0), MarginalFamily.gamma(), nu)
+        with pytest.raises(TypeError):
+            CoRMSpec(2, ScoreDistribution(1.0), MarginalFamily.gamma(),
+                     directing=nu)
+        sp = CoRMSpec(2, ScoreDistribution(1.0), MarginalFamily.gamma())
+        assert sp == sp
+        assert sp != CoRMSpec(2, ScoreDistribution(1.0),
+                              MarginalFamily.gamma())
+
+    def test_marginal_family_rejects_stray_parameters(self):
+        for stray in ({'sigma': 0.5}, {'a': 3.0}, {'sigma': 0.5, 'a': 3.0}):
+            with pytest.raises(ValueError, match='takes no parameter'):
+                MarginalFamily('gamma', **stray)
+        with pytest.raises(ValueError, match='takes no parameter a'):
+            MarginalFamily('sigma-stable', sigma=0.5, a=3.0)
+        assert MarginalFamily('gamma') == MarginalFamily.gamma()
+        assert MarginalFamily('sigma-stable', sigma=0.5) \
+            == MarginalFamily.sigma_stable(0.5)
+        assert MarginalFamily('generalized-gamma', sigma=0.5, a=3.0) \
+            == MarginalFamily.generalized_gamma(0.5, 3.0)
 
     def test_validates_masses_and_dimension(self):
         with pytest.raises(ValueError):

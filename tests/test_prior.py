@@ -3,6 +3,7 @@ normalisation, and Monte Carlo agreement with closed-form moments.'''
 
 import csv
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,9 +11,7 @@ from scipy import special, stats
 
 from corm.core import (
     CoRMSpec,
-    LevyIntensity,
     MarginalFamily,
-    ScoreDistribution,
     covariance_normalized,
     mixed_moment,
 )
@@ -107,22 +106,16 @@ class TestTruncation:
         with pytest.raises(ValueError, match='budget'):
             sample_corm(spec, rng, tail_mass=1e-9, max_jumps=10_000)
 
-    def test_truncation_follows_the_directing_intensity(self, gamma2_spec):
-        # a hand-built spec with the same family and shape but a directing
-        # intensity 50 times larger must not reuse the truncation of the
-        # unscaled one: the level stays, the expected count scales by 50
-        base = gamma2_spec.directing
-        scaled = LevyIntensity(
-            lambda z: 50.0 * base.density(z), base.support,
-            base.singularity_exponents,
-            tail_fn=lambda x: 50.0 * base.tail_integral(x),
-            inverse_fn=np.vectorize(lambda y: base.inverse_tail(y / 50.0)))
-        spec = CoRMSpec(2, ScoreDistribution(2.0), MarginalFamily.gamma(),
-                        scaled)
+    def test_count_scales_with_centring_mass(self, gamma2_spec):
+        # nu* with centring mass 50: the level is the unit-mass spec's,
+        # as it depends on nu* alone, and the count is Poisson(50 U(level))
+        spec = CoRMSpec.from_marginal(2, 2.0, MarginalFamily.gamma(),
+                                      centring_mass=50.0)
         rng = np.random.default_rng(17)
-        sample_corm(gamma2_spec, rng)
+        level = sample_corm(gamma2_spec, rng).truncation_level
         r = sample_corm(spec, rng)
-        want = scaled.tail_integral(r.truncation_level)
+        assert r.truncation_level == level
+        want = 50.0 * spec.directing.tail_integral(level)
         assert want > 500.0
         assert abs(r.jump_count - want) < 5.0 * math.sqrt(want)
 
@@ -134,6 +127,28 @@ class TestTruncation:
             r = sample_corm(spec, rng)
         assert r.jump_count == STABLE_DEFAULT_JUMPS
         assert np.all(np.diff(r.jumps) < 0.0)
+
+    def test_stable_honours_an_explicit_tail_mass(self):
+        # sigma 0.5, shape 1: nu*(z) = z^(-3/2) / pi and W(z) / int min(1,
+        # z) nu* = sigma z^(1-sigma), so tail_mass 1e-3 puts the level at
+        # (1e-3 / sigma)^2 = 4e-6, with U(4e-6) = 1000 / pi expected jumps
+        # above it; no warning, no count default
+        spec = CoRMSpec.from_marginal(
+            2, 1.0, MarginalFamily.sigma_stable(0.5))
+        rng = np.random.default_rng(8)
+        with warnings.catch_warnings():
+            warnings.simplefilter('error')
+            draws = [sample_corm(spec, rng, tail_mass=1e-3)
+                     for _ in range(20)]
+        level = draws[0].truncation_level
+        assert level == pytest.approx(4e-6, rel=1e-9)
+        want = spec.directing.tail_integral(level)
+        assert want == pytest.approx(1000.0 / math.pi, rel=1e-9)
+        for r in draws:
+            assert r.truncation_level == level
+            assert np.all(np.diff(r.jumps) < 0.0) and r.jumps[-1] > level
+        counts = np.array([r.jump_count for r in draws])
+        assert abs(counts.mean() - want) < 4.0 * math.sqrt(want / 20)
 
 
 # beta = sigma + shape below, at and above 1, at sigma 0 and 0.3
@@ -148,8 +163,7 @@ class TestThinnedLaw:
     '''The jumps drawn by thinning the power envelope follow the
     directing Poisson process: above a tail_mass level they are i.i.d.
     with tail U(z) / U(level), the k-th largest of a count draw has
-    alpha U(J_k) ~ Gamma(k), and the inversion path of an intensity
-    without an envelope draws the same law.'''
+    alpha U(J_k) ~ Gamma(k).'''
 
     @pytest.mark.parametrize('marginal, shape', LAW_CASES, ids=LAW_IDS)
     def test_tail_mass_jumps_are_uniform_in_the_tail(self, marginal,
@@ -190,35 +204,6 @@ class TestThinnedLaw:
         for jumps, k in ((first, 1), (last, n)):
             times = alpha * directing.tail_integral(jumps)
             assert stats.kstest(times, stats.gamma(k).cdf).pvalue > 0.01
-
-    def test_inversion_path_draws_the_same_law(self, gamma2_spec):
-        # the hand-built intensity 50 nu* has no envelope, so its jumps
-        # come from the inverted tail; nu* with centring mass 50 is the
-        # same Poisson process, drawn by thinning
-        base = gamma2_spec.directing
-        scaled = LevyIntensity(
-            lambda z: 50.0 * base.density(z), base.support,
-            base.singularity_exponents,
-            tail_fn=lambda x: 50.0 * base.tail_integral(x),
-            inverse_fn=lambda y: base.inverse_tail(np.asarray(y) / 50.0))
-        assert scaled.envelope is None
-        inverted = CoRMSpec(2, ScoreDistribution(2.0), MarginalFamily.gamma(),
-                            scaled)
-        thinned = CoRMSpec.from_marginal(2, 2.0, MarginalFamily.gamma(),
-                                         centring_mass=50.0)
-        rng = np.random.default_rng(33)
-        summaries = []
-        for spec in (inverted, thinned):
-            rs = [sample_corm(spec, rng) for _ in range(300)]
-            assert all(np.all(np.diff(r.jumps) < 0.0) for r in rs)
-            summaries.append(np.array([[r.jump_count, r.total_masses()[0]]
-                                       for r in rs]))
-        means = [x.mean(axis=0) for x in summaries]
-        ses = [x.std(axis=0, ddof=1) / math.sqrt(x.shape[0])
-               for x in summaries]
-        z = (means[0] - means[1]) / np.hypot(*ses)
-        assert np.all(np.abs(z) < 4.0)
-        assert means[1][0] > 500.0
 
     def test_proposal_budget_counts_thinned_points(self):
         # gamma at shape 0.05: beta = 0.05, and the envelope proposes

@@ -9,8 +9,7 @@ from scipy import stats
 
 from corm import slice_sampler
 from corm.core import (CoRMSpec, EnvelopeBand, LevyIntensity,
-                       MarginalFamily, RuleNodes, ScoreDistribution,
-                       TiltRule)
+                       MarginalFamily, RuleNodes, TiltRule)
 from corm.kernels import Dataset, UnivariateNormalGamma
 from corm.marginal_sampler import AdaptiveStepSize
 from corm.slice_sampler import (
@@ -460,33 +459,6 @@ def test_tilted_draw_rejects_proposals_outside_its_band(monkeypatch):
                         np.random.default_rng(0), size=500)
     assert np.all((lower < z) & (z < upper))
     assert not np.isin(z, outside).any()
-
-
-@pytest.mark.parametrize('marginal', [GAMMA, GEN_GAMMA],
-                         ids=['gamma', 'generalized-gamma'])
-def test_intensity_without_an_envelope_draws_from_its_marginals(marginal):
-    # a hand-built directing intensity has no power envelope; the
-    # sampler takes the one of the nu* its marginal and shape give, so
-    # its draws are those of the built intensity, and sweeps run
-    built = CoRMSpec.from_marginal(2, 0.3, marginal, verify=False)
-    nu = built.directing
-    bare = LevyIntensity(nu.density, nu.support, nu.singularity_exponents,
-                         tail_fn=nu.tail_integral,
-                         inverse_fn=nu.inverse_tail)
-    spec = CoRMSpec(2, ScoreDistribution(0.3), marginal, bare)
-    assert bare.envelope is None
-    draws = [sample_tilted_z(s, 0.1, 0.5, [0.5, 2.0],
-                             np.random.default_rng(0), size=200)
-             for s in (built, spec)]
-    np.testing.assert_array_equal(draws[0], draws[1])
-    rng = np.random.default_rng(24)
-    data = _two_groups(rng, 20)
-    kernel = UnivariateNormalGamma.from_data(data.stacked())
-    state = initial_slice_state(data, spec, kernel, rng, n_start=4)
-    v_steps = [(AdaptiveStepSize(), AdaptiveStepSize()) for _ in range(2)]
-    for _ in range(3):
-        slice_sweep(state, data, spec, kernel, rng, v_steps)
-        state.check()
 
 
 def test_residual_evaluations_per_sweep(monkeypatch):

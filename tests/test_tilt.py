@@ -24,12 +24,12 @@ from corm import core
 from corm import marginal_sampler as ms
 from corm.core import (
     CoRMSpec,
-    LevyIntensity,
     MarginalFamily,
     RuleNodes,
     TiltRule,
     directing_from_marginal,
     log_kappa,
+    marginal_intensity,
 )
 from corm.kernels import Dataset, UnivariateNormalGamma
 from corm.numerics import QuadratureError
@@ -211,16 +211,24 @@ class TestTiltRuleOracle:
 
     @pytest.mark.parametrize('family', ['gamma', 'gg1', 'stable'])
     def test_intensity_without_log_density(self, family):
-        # a hand-built intensity falls back to log(density)
-        spec = make_spec(family, 1.5)
-        nu = spec.directing
-        bare = CoRMSpec(2, spec.score, spec.marginal, LevyIntensity(
-            nu.density, nu.support, nu.singularity_exponents))
-        v = [3.0, 0.5]
-        assert TiltRule(bare, v).psi() == pytest.approx(
-            TiltRule(spec, v).psi(), rel=1e-12)
-        assert TiltRule(bare, v).log_kappa((4, 2)) == pytest.approx(
-            TiltRule(spec, v).log_kappa((4, 2)), abs=1e-12)
+        # an intensity without a log_density (the marginals' own) falls
+        # back to log(density): the closed form where the density is a
+        # normal double, and -inf, silently, where it rounds to 0
+        marginal = FAMILIES[family]
+        nu = marginal_intensity(marginal)
+        s = np.geomspace(1e-6, 1e2, 30)
+        if marginal.kind == 'gamma':
+            want = -s - np.log(s)
+        else:
+            sigma = marginal.sigma
+            want = (math.log(sigma) - gammaln(1.0 - sigma)
+                    - (1.0 + sigma) * np.log(s) - (marginal.a or 0.0) * s)
+        gap = np.full_like(s, np.inf)
+        np.testing.assert_allclose(nu.log_density(s, gap), want, rtol=1e-13)
+        if marginal.kind != 'sigma-stable':
+            with np.errstate(divide='raise', invalid='raise'):
+                assert nu.log_density(np.array([800.0]), gap[:1])[0] \
+                    == -math.inf
 
     @pytest.mark.parametrize('family', sorted(FAMILIES))
     def test_log_density_matches_density(self, family):
