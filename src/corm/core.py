@@ -1114,6 +1114,9 @@ class TiltRule:
         checked against the every-other-node sub-rule.'''
         top = float(log_f.max())
         f = log_f - top
+        # a term below e^-700 (1e-304) cannot move a sum holding the top
+        # term 1.0, and one that underflows sends exp down its slow path
+        np.maximum(f, -700.0, out=f)
         np.exp(f, out=f)
         ends = [(f[-1], rate_hi)]
         if rate_lo is not None:

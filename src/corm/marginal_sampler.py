@@ -5,6 +5,15 @@ c, auxiliary tilts v (one per group), the score shape, and cluster atoms
 in the non-conjugate variant.  Allocation weights are ratios of kappa
 integrals times marginal-likelihood ratios; a unit-score-shape gamma
 marginal in one group reduces them to the classic urn weights.
+
+A sweep redraws each group's allocations in one pass on a working copy
+of the state, _UrnRows: the count table, the group's labels, the
+cluster statistics or atoms, and the group's observations, as Python
+lists, ints and floats.  The copy is written back into the
+MarginalState once, when the group's pass ends, so the state is not
+current during a pass.  An allocation update called without a pass's
+copy makes its own and writes it back, so the state is current after
+every public call.
 '''
 
 import math
@@ -88,6 +97,13 @@ class MarginalState:
         assert np.array_equal(tally, self.counts), 'counts out of sync'
         assert np.all(self.counts.sum(axis=1) > 0), 'empty cluster kept'
         assert np.all(self.v > 0.0), 'auxiliaries must be positive'
+        per_cluster = self.stats if self.stats is not None else self.atoms
+        assert len(per_cluster) == self.n_clusters, \
+            'statistics or atoms out of sync with the clusters'
+        if self.stats is not None:
+            # a conjugate kernel's statistics hold the count first
+            assert [s[0] for s in self.stats] == \
+                self.counts.sum(axis=1).tolist(), 'statistics out of sync'
 
 
 def _tally(allocations, n_labels):
@@ -197,69 +213,138 @@ def _add_log_kappa(total, table, counts):
 
 
 class _UrnRows:
-    '''The inputs of group j's allocations at one (spec, v), one row per
-    cluster: the log kappa ratio log kappa(a_k + e_j) - log kappa(a_k)
-    and, when the state carries kernel statistics, the cluster's
-    predictive row.  The last row stands for a new cluster:
-    log M + log kappa(e_j) and the empty cluster's predictive row.
-    _detach, _attach and _open_cluster keep the rows in step with the
-    state, refreshing only the clusters they touch (Neal 2000,
-    Algorithm 3).  Ratios for other groups are not kept: each needs a
-    kappa at a count vector the chain may never reach.
+    '''The working copy of group j's allocation pass at one (spec, v).
+
+    On construction the view copies the state's count table into a list
+    of lists of ints, group j's labels into a list of ints, the cluster
+    statistics (or atoms) into a list, and group j's observations into
+    Python floats (rows of the group's array for a kernel without
+    statistics).  The redraws read and write the view alone.  write_back
+    puts the counts, the group's labels and the statistics or atoms back
+    into the state, which is current only after it: marginal_sweep writes
+    back once, when the group's pass ends, and a one-off redraw
+    (rows=None) after its one redraw.  In between, only a cluster drop
+    reaches the state: it relabels the other groups' label arrays in
+    place.  write_back leaves the view usable, so a pass may go on.
+
+    Per cluster the view keeps the log kappa ratio log kappa(a_k + e_j) -
+    log kappa(a_k) and, with kernel statistics, the cluster's predictive
+    row.  The last row stands for a new cluster: log M + log kappa(e_j)
+    and the empty cluster's predictive row.  detach, attach and open keep
+    the rows in step with the counts, refreshing only the clusters they
+    touch (Neal 2000, Algorithm 3).  Ratios for other groups are not
+    kept: each needs a kappa at a count vector the chain may never reach.
 
     Most redraws put the observation back into its own cluster.  The
-    allocation updates save that cluster's row (save) before the detach
-    and put it back (restore) when the draw returns the observation to
-    a cluster the detach did not drop, together with the cluster's
-    statistics: the rows and the state are then what they were before
-    the detach, with no refresh.
+    allocation updates save that cluster's row and statistics before the
+    detach and put them back (undo) when the draw returns the observation
+    to a cluster the detach did not drop: the view is then what it was
+    before the detach, with no refresh.
 
-    The rows are Python lists: log_ratios of floats, predictive of the
-    kernel's row tuples.  A redraw reads all K + 1 rows, about ten, and
-    rewrites one or two, and at that size the fixed cost of a numpy call
-    (or of an array's copy, concatenate or delete) outweighs its
-    arithmetic.'''
+    A redraw reads all K + 1 rows, about ten, and rewrites one or two; at
+    that size the fixed cost of a numpy call, or of reading and writing
+    numpy scalars, outweighs the arithmetic, so everything here is a
+    Python list, int or float.'''
 
-    def __init__(self, state, spec, kernel, table, j):
-        self.table = table
+    def __init__(self, state, data, spec, kernel, table, j):
+        self.state = state
         self.kernel = kernel
+        self.table = table
         self.group = j
-        K = state.n_clusters
+        self.dimension = spec.dimension
+        self.counts = state.counts.tolist()
+        self.labels = state.allocations[j].tolist()
+        self.stats = self.atoms = self.predictive = None
+        K = len(self.counts)
         self.log_ratios = [0.0] * K + [math.log(spec.centring_mass)
                                        + table.log_new_cluster(j)]
-        self.predictive = None
         if state.stats is not None:
+            self.stats = list(state.stats)
+            self.ys = data.groups[j][:, 0].tolist()
             empty = kernel.predictive_row(kernel.stats_empty())
             self.predictive = [empty] * (K + 1)
+        else:
+            self.atoms = list(state.atoms)
+            self.ys = list(data.groups[j])
         for k in range(K):
-            self.refresh(state, k)
+            self.refresh(k)
 
-    def refresh(self, state, k):
-        self.log_ratios[k] = self.table.log_ratio(
-            tuple(state.counts[k].tolist()), self.group)
+    def write_back(self):
+        '''Make the state current: the view's counts, group j's labels,
+        and the statistics or atoms.'''
+        state = self.state
+        state.counts = np.array(self.counts, dtype=int)
+        state.allocations[self.group][:] = self.labels
+        if self.stats is not None:
+            state.stats = list(self.stats)
+        else:
+            state.atoms = list(self.atoms)
+
+    def refresh(self, k):
+        self.log_ratios[k] = self.table.log_ratio(tuple(self.counts[k]),
+                                                  self.group)
         if self.predictive is not None:
-            self.predictive[k] = self.kernel.predictive_row(state.stats[k])
+            self.predictive[k] = self.kernel.predictive_row(self.stats[k])
 
     def save(self, k):
-        '''Cluster k's ratio and predictive row, for restore.'''
-        row = None if self.predictive is None else self.predictive[k]
-        return self.log_ratios[k], row
+        '''Cluster k's ratio, predictive row and statistics, for undo.'''
+        if self.stats is None:
+            return self.log_ratios[k], None, None
+        return self.log_ratios[k], self.predictive[k], self.stats[k]
 
-    def restore(self, k, saved):
-        self.log_ratios[k], row = saved
-        if row is not None:
+    def detach(self, i):
+        '''Take observation i out of its cluster, which is dropped if that
+        empties it; returns the dropped cluster's atom, if any, for
+        recycling.  The observation keeps its label until attach or
+        undo.'''
+        k = self.labels[i]
+        row = self.counts[k]
+        row[self.group] -= 1
+        if self.stats is not None:
+            self.stats[k] = self.kernel.stats_remove(self.stats[k],
+                                                     self.ys[i])
+        if any(row):
+            self.refresh(k)
+            return None
+        del self.counts[k], self.log_ratios[k]
+        recycled = None
+        if self.atoms is not None:
+            recycled = self.atoms.pop(k)
+        else:
+            del self.stats[k], self.predictive[k]
+        self.labels = [c - (c > k) for c in self.labels]
+        for m, c in enumerate(self.state.allocations):
+            if m != self.group:
+                c[c > k] -= 1
+        return recycled
+
+    def undo(self, i, saved):
+        '''Put observation i back into its cluster, which its detach did
+        not drop, with what save returned before the detach.'''
+        k = self.labels[i]
+        self.counts[k][self.group] += 1
+        self.log_ratios[k], row, stats = saved
+        if stats is not None:
             self.predictive[k] = row
+            self.stats[k] = stats
 
-    def open(self):
-        '''Add a row for a cluster opened at the end.'''
+    def open(self, atom=None):
+        '''Add an empty cluster at the end, with the given atom when the
+        view keeps atoms.'''
+        self.counts.append([0] * self.dimension)
         self.log_ratios.append(self.log_ratios[-1])
-        if self.predictive is not None:
+        if self.stats is not None:
+            self.stats.append(self.kernel.stats_empty())
             self.predictive.append(self.predictive[-1])
+        else:
+            self.atoms.append(atom)
 
-    def drop(self, k):
-        del self.log_ratios[k]
-        if self.predictive is not None:
-            del self.predictive[k]
+    def attach(self, i, k):
+        self.labels[i] = k
+        self.counts[k][self.group] += 1
+        if self.stats is not None:
+            self.stats[k] = self.kernel.stats_add(self.stats[k], self.ys[i])
+        self.refresh(k)
 
 
 def _relative_weights(logs, j, i):
@@ -285,66 +370,6 @@ def _categorical(weights, rng):
     return min(bisect_right(cum, rng.random() * cum[-1]), len(cum) - 1)
 
 
-def _detach(state, data, kernel, j, i, rows):
-    '''Remove observation (j, i) from its cluster; drop the cluster if
-    it empties, returning its recycled atom (if any).'''
-    k = int(state.allocations[j][i])
-    state.allocations[j][i] = -1
-    state.counts[k, j] -= 1
-    if state.stats is not None:
-        state.stats[k] = kernel.stats_remove(state.stats[k],
-                                             data.groups[j][i, 0])
-    if state.counts[k, j] or state.counts[k].any():
-        if rows is not None:
-            rows.refresh(state, k)
-        return None
-    recycled = None
-    if state.atoms is not None:
-        recycled = state.atoms.pop(k)
-    else:
-        state.stats.pop(k)
-    state.counts = np.delete(state.counts, k, axis=0)
-    for c in state.allocations:
-        c[c > k] -= 1
-    if rows is not None:
-        rows.drop(k)
-    return recycled
-
-
-def _open_cluster(state, spec, kernel, rows, atom=None):
-    '''Append an empty cluster, with the given atom when non-conjugate.'''
-    state.counts = np.vstack([state.counts,
-                              np.zeros(spec.dimension, dtype=int)])
-    if state.stats is not None:
-        state.stats.append(kernel.stats_empty())
-    else:
-        state.atoms.append(atom)
-    if rows is not None:
-        rows.open()
-
-
-def _attach(state, data, kernel, j, i, k, rows):
-    state.allocations[j][i] = k
-    state.counts[k, j] += 1
-    if state.stats is not None:
-        state.stats[k] = kernel.stats_add(state.stats[k],
-                                          data.groups[j][i, 0])
-    if rows is not None:
-        rows.refresh(state, k)
-
-
-def _undo_detach(state, j, i, k, stats, rows, saved):
-    '''Put observation (j, i) back into cluster k, which its detach did
-    not drop, with the statistics (conjugate) and the rows' entries
-    (when kept) saved before the detach.'''
-    state.allocations[j][i] = k
-    state.counts[k, j] += 1
-    if stats is not None:
-        state.stats[k] = stats
-    if saved is not None:
-        rows.restore(k, saved)
-
-
 def allocation_weights(state, data, spec, kernel, j, i, table, rows=None):
     '''Unnormalized urn weights for observation (j, i): one entry per
     existing cluster plus one for a fresh cluster, the largest 1.  The
@@ -353,62 +378,67 @@ def allocation_weights(state, data, spec, kernel, j, i, table, rows=None):
     A NaN weight, or a largest log weight that is not finite, raises
     FloatingPointError.'''
     if rows is None:
-        rows = _UrnRows(state, spec, kernel, table, j)
-    return np.array(_urn_weights(data, kernel, j, i, rows))
+        rows = _UrnRows(state, data, spec, kernel, table, j)
+    return np.array(_urn_weights(rows, i))
 
 
-def _urn_weights(data, kernel, j, i, rows):
-    '''allocation_weights as a list, from kept rows.'''
-    logs = [r + p for r, p in zip(rows.log_ratios, kernel.log_predictive(
-        data.groups[j][i, 0], rows.predictive))]
-    return _relative_weights(logs, j, i)
+def _urn_weights(rows, i):
+    '''allocation_weights as a list, from a view.'''
+    logs = [r + p for r, p in zip(rows.log_ratios, rows.kernel.log_predictive(
+        rows.ys[i], rows.predictive))]
+    return _relative_weights(logs, rows.group, i)
 
 
 def update_allocation_conjugate(state, data, spec, kernel, j, i, table, rng,
                                 rows=None):
-    '''Gibbs reassignment of c_{j,i} in the conjugate variant; rows as
-    in allocation_weights.'''
-    home, K = int(state.allocations[j][i]), state.n_clusters
-    stats = state.stats[home]
-    saved = None if rows is None else rows.save(home)
-    _detach(state, data, kernel, j, i, rows)
+    '''Gibbs reassignment of c_{j,i} in the conjugate variant.  rows is
+    the _UrnRows of group j's pass, which the redraw reads and writes;
+    without it the call builds one and writes it back.'''
+    view = rows
+    if view is None:
+        view = _UrnRows(state, data, spec, kernel, table, j)
+    home, K = view.labels[i], len(view.counts)
+    saved = view.save(home)
+    view.detach(i)
+    k = _categorical(_urn_weights(view, i), rng)
+    if k == home and len(view.counts) == K:
+        view.undo(i, saved)
+    else:
+        if k == len(view.counts):
+            view.open()
+        view.attach(i, k)
     if rows is None:
-        rows = _UrnRows(state, spec, kernel, table, j)
-    k = _categorical(_urn_weights(data, kernel, j, i, rows), rng)
-    if k == home and state.n_clusters == K:
-        _undo_detach(state, j, i, k, stats, rows, saved)
-        return
-    if k == state.n_clusters:
-        _open_cluster(state, spec, kernel, rows)
-    _attach(state, data, kernel, j, i, k, rows)
+        view.write_back()
 
 
 def update_allocation_nonconjugate(state, data, spec, kernel, j, i, table,
                                    rng, n_aux=3, rows=None):
     '''Auxiliary-atom reassignment of c_{j,i}: existing clusters compete
     with n_aux fresh atoms, a removed singleton recycling its atom into
-    the first slot; rows as in allocation_weights.'''
-    home = int(state.allocations[j][i])
-    saved = None if rows is None else rows.save(home)
-    recycled = _detach(state, data, kernel, j, i, rows)
-    if rows is None:
-        rows = _UrnRows(state, spec, kernel, table, j)
-    y = data.groups[j][i]
+    the first slot; rows as in update_allocation_conjugate.'''
+    view = rows
+    if view is None:
+        view = _UrnRows(state, data, spec, kernel, table, j)
+    home = view.labels[i]
+    saved = view.save(home)
+    recycled = view.detach(i)
     aux = kernel.prior_draws(n_aux, rng)
     if recycled is not None:
         aux[0] = recycled
-    K = state.n_clusters
-    fresh = [rows.log_ratios[K] - math.log(n_aux)] * n_aux
-    logs = np.add(rows.log_ratios[:K] + fresh, kernel.log_density(
-        y, kernel.stack_atoms(state.atoms + aux)))
+    K = len(view.counts)
+    fresh = [view.log_ratios[K] - math.log(n_aux)] * n_aux
+    logs = np.add(view.log_ratios[:K] + fresh, kernel.log_density(
+        view.ys[i], kernel.stack_atoms(view.atoms + aux)))
     k = _categorical(_relative_weights(logs.tolist(), j, i), rng)
     if k == home and recycled is None:
-        _undo_detach(state, j, i, k, None, rows, saved)
-        return
-    if k >= K:
-        _open_cluster(state, spec, kernel, rows, aux[k - K])
-        k = K
-    _attach(state, data, kernel, j, i, k, rows)
+        view.undo(i, saved)
+    else:
+        if k >= K:
+            view.open(aux[k - K])
+            k = K
+        view.attach(i, k)
+    if rows is None:
+        view.write_back()
 
 
 def update_atoms(state, data, kernel, rng):
@@ -487,15 +517,15 @@ def marginal_sweep(state, data, spec, kernel, rng, v_steps, shape_step=None,
     if table is None:
         table = KappaTable(spec, state.v)
     for j in range(data.n_groups):
-        n_j = data.groups[j].shape[0]
-        rows = _UrnRows(state, spec, kernel, table, j)
-        for i in range(n_j):
+        rows = _UrnRows(state, data, spec, kernel, table, j)
+        for i in range(len(rows.labels)):
             if kernel.conjugate:
                 update_allocation_conjugate(state, data, spec, kernel, j, i,
                                             table, rng, rows)
             else:
                 update_allocation_nonconjugate(state, data, spec, kernel, j,
                                                i, table, rng, n_aux, rows)
+        rows.write_back()
     if not kernel.conjugate:
         update_atoms(state, data, kernel, rng)
     for j in range(data.n_groups):

@@ -497,7 +497,7 @@ class TestNonFiniteWeights:
         spec = gamma_spec(1, 1.0)
         state = make_state_d1([0, 1, -1], 1.0, 1.0, kernel, data)
         table = KappaTable(spec, state.v)
-        rows = ms._UrnRows(state, spec, kernel, table, 0)
+        rows = ms._UrnRows(state, data, spec, kernel, table, 0)
         for value in (math.inf, -math.inf):
             rows.log_ratios = [value] * 3
             with pytest.raises(FloatingPointError,
@@ -510,8 +510,9 @@ class TestUrnRows:
 
     def test_rows_match_fresh_after_every_allocation(self):
         # a 3-sweep 30+30 conjugate chain run through the sweep's loop
-        # by hand: after every allocation the kept rows equal rows built
-        # afresh from the state, whose ratios are the kappa ratios
+        # by hand: after every allocation, once written back, the kept
+        # rows equal rows built afresh from the state, whose ratios are
+        # the kappa ratios
         rng = np.random.default_rng(17)
         data = Dataset([np.concatenate([rng.normal(-2.0, 0.5, 15),
                                         rng.normal(2.0, 0.5, 15)]),
@@ -524,11 +525,12 @@ class TestUrnRows:
         table = KappaTable(spec, state.v)
         for _ in range(3):
             for j in range(2):
-                rows = ms._UrnRows(state, spec, kernel, table, j)
+                rows = ms._UrnRows(state, data, spec, kernel, table, j)
                 for i in range(30):
                     update_allocation_conjugate(state, data, spec, kernel,
                                                 j, i, table, rng, rows)
-                    fresh = ms._UrnRows(state, spec, kernel, table, j)
+                    rows.write_back()
+                    fresh = ms._UrnRows(state, data, spec, kernel, table, j)
                     assert np.allclose(rows.log_ratios, fresh.log_ratios,
                                        rtol=1e-12, atol=0.0)
                     assert np.allclose(rows.predictive, fresh.predictive,
@@ -564,17 +566,18 @@ class TestUrnRows:
         undone = 0
         for _ in range(2):
             for j in range(2):
-                rows = ms._UrnRows(state, spec, kernel, table, j)
+                rows = ms._UrnRows(state, data, spec, kernel, table, j)
                 for i in range(30):
                     home, K = int(state.allocations[j][i]), state.n_clusters
                     stats = state.stats[home]
                     update_allocation_conjugate(state, data, spec, kernel,
                                                 j, i, table, rng, rows)
+                    rows.write_back()
                     if state.allocations[j][i] == home \
                             and state.n_clusters == K:
                         undone += 1
                         assert state.stats[home] is stats
-                    fresh = ms._UrnRows(state, spec, kernel, table, j)
+                    fresh = ms._UrnRows(state, data, spec, kernel, table, j)
                     assert np.array_equal(rows.log_ratios, fresh.log_ratios)
                     assert np.array_equal(rows.predictive, fresh.predictive)
                 state.check()
@@ -592,18 +595,19 @@ class TestUrnRows:
         table = KappaTable(spec, state.v)
         undone = 0
         for j, n_j in enumerate((16, 10)):
-            rows = ms._UrnRows(state, spec, kernel, table, j)
+            rows = ms._UrnRows(state, data, spec, kernel, table, j)
             for i in range(n_j):
                 home = int(state.allocations[j][i])
                 counts, atoms = state.counts.copy(), list(state.atoms)
                 update_allocation_nonconjugate(state, data, spec, kernel, j,
                                                i, table, rng, rows=rows)
+                rows.write_back()
                 if state.allocations[j][i] == home \
                         and len(state.atoms) == len(atoms):
                     undone += 1
                     assert np.array_equal(state.counts, counts)
                     assert all(a is b for a, b in zip(state.atoms, atoms))
-                fresh = ms._UrnRows(state, spec, kernel, table, j)
+                fresh = ms._UrnRows(state, data, spec, kernel, table, j)
                 assert np.array_equal(rows.log_ratios, fresh.log_ratios)
             state.check()
         assert undone > 5
@@ -634,7 +638,7 @@ class TestUrnRows:
                            (np.array([3.0]), np.eye(1))]
         singleton = state.stats[1] if conjugate else state.atoms[1]
         table = KappaTable(spec, state.v)
-        rows = ms._UrnRows(state, spec, kernel, table, 0)
+        rows = ms._UrnRows(state, data, spec, kernel, table, 0)
         # the first new-cluster slot: index 1 once the singleton's
         # cluster is dropped
         monkeypatch.setattr(ms, '_categorical', lambda weights, rng: 1)
@@ -642,16 +646,18 @@ class TestUrnRows:
         if conjugate:
             update_allocation_conjugate(state, data, spec, kernel, 0, 2,
                                         table, rng, rows)
+            rows.write_back()
             want = kernel.stats_add(kernel.stats_empty(), y[2])
             assert state.stats[1] == want
             assert state.stats[1] is not singleton
         else:
             update_allocation_nonconjugate(state, data, spec, kernel, 0, 2,
                                            table, rng, rows=rows)
+            rows.write_back()
             assert state.atoms[1] is singleton
         assert state.allocations[0].tolist() == [0, 0, 1]
         assert state.counts.tolist() == [[2], [1]]
-        fresh = ms._UrnRows(state, spec, kernel, table, 0)
+        fresh = ms._UrnRows(state, data, spec, kernel, table, 0)
         assert np.array_equal(rows.log_ratios, fresh.log_ratios)
         if conjugate:
             assert np.array_equal(rows.predictive, fresh.predictive)
@@ -937,3 +943,145 @@ class TestStateAndSweep:
         update_atoms(state, data, kernel, rng)
         assert len(state.atoms) == 3
         assert all(new is not prev for new, prev in zip(state.atoms, old))
+
+
+def test_check_catches_desynced_statistics():
+    # the invariants a wrong write-back of a pass would break: one
+    # statistic or atom per cluster, and a conjugate cluster's count
+    # (the statistics' first entry) equal to its total count
+    kernel = UnivariateNormalGamma(0.0, 0.5, 2.0, 1.0)
+    data = Dataset([np.arange(5.0), np.arange(4.0)])
+    state = initial_state(data, gamma_spec(2, 1.0), kernel,
+                          np.random.default_rng(0), n_start=3)
+    state.check()
+    good = list(state.stats)
+    state.stats = good[:2]
+    with pytest.raises(AssertionError, match='out of sync with the clusters'):
+        state.check()
+    state.stats = [good[0], kernel.stats_add(good[1], 0.5), good[2]]
+    with pytest.raises(AssertionError, match='statistics out of sync'):
+        state.check()
+    state.stats = [good[1], good[0], good[2]]     # counts 4, 3, 2
+    with pytest.raises(AssertionError, match='statistics out of sync'):
+        state.check()
+    state.stats = None
+    state.atoms = [0.1, 0.2]
+    with pytest.raises(AssertionError, match='out of sync with the clusters'):
+        state.check()
+    state.atoms.append(0.3)
+    state.check()
+
+
+def _one_off_sweep(state, data, spec, kernel, rng, v_steps, shape_step,
+                   log_prior, table):
+    '''marginal_sweep with every allocation a one-off redraw (rows=None),
+    checking the state after each group's pass.'''
+    for j in range(data.n_groups):
+        for i in range(data.groups[j].shape[0]):
+            if kernel.conjugate:
+                update_allocation_conjugate(state, data, spec, kernel, j, i,
+                                            table, rng)
+            else:
+                update_allocation_nonconjugate(state, data, spec, kernel, j,
+                                               i, table, rng, n_aux=3)
+        state.check()
+    if not kernel.conjugate:
+        update_atoms(state, data, kernel, rng)
+    for j in range(data.n_groups):
+        table = update_v_marginal(state, spec, j, v_steps[j], rng, table)
+    if shape_step is not None:
+        spec, table = update_shape_marginal(state, spec, log_prior,
+                                            shape_step, rng, table)
+    return spec, table
+
+
+def _same_state(a, b):
+    assert np.array_equal(a.counts, b.counts)
+    assert all(np.array_equal(x, y)
+               for x, y in zip(a.allocations, b.allocations))
+    assert np.array_equal(a.v, b.v) and a.shape == b.shape
+    if a.stats is not None:
+        assert a.stats == b.stats
+    else:
+        assert len(a.atoms) == len(b.atoms)
+        for (mu_a, cov_a), (mu_b, cov_b) in zip(a.atoms, b.atoms):
+            assert np.array_equal(mu_a, mu_b)
+            assert np.array_equal(cov_a, cov_b)
+
+
+@pytest.mark.parametrize('conjugate', [True, False])
+def test_sweep_and_one_off_redraws_agree(conjugate, monkeypatch):
+    # marginal_sweep keeps one view per group's pass and writes it back
+    # at the end; a redraw with rows=None builds a view and writes it
+    # back at once.  Over 3 sweeps both give the same states, the same
+    # chain of v and shape, and leave the generators at the same place.
+    rng = np.random.default_rng(37)
+    if conjugate:
+        data = Dataset([np.concatenate([rng.normal(-2.0, 0.5, 15),
+                                        rng.normal(2.0, 0.5, 15)]),
+                        rng.normal(2.0, 0.5, 30)])
+        kernel = UnivariateNormalGamma.from_data(data.stacked())
+        spec = CoRMSpec.from_marginal(
+            2, 1.0, MarginalFamily.generalized_gamma(0.3, 1.0),
+            centring_mass=5.0)
+        n_start = 8
+    else:
+        data = Dataset([np.vstack([rng.normal(-1.5, 0.5, size=(8, 2)),
+                                   rng.normal(1.5, 0.5, size=(8, 2))]),
+                        rng.normal(1.5, 0.5, size=(10, 2))])
+        kernel = MultivariateNormalNIW.from_data(data.stacked())
+        spec = gamma_spec(2, 1.0)
+        n_start = 3
+
+    def log_prior(phi):
+        return -phi
+
+    chains = []
+    for _ in range(2):
+        chain_rng = np.random.default_rng(41)
+        chains.append({'rng': chain_rng, 'spec': spec, 'table': None,
+                       'state': initial_state(data, spec, kernel, chain_rng,
+                                              n_start=n_start),
+                       'v_steps': [AdaptiveStepSize(), AdaptiveStepSize()],
+                       'shape_step': AdaptiveStepSize() if conjugate
+                       else None})
+    sweep, one_off = chains
+    write_back = ms._UrnRows.write_back
+
+    def checked_write_back(rows):
+        write_back(rows)
+        rows.state.check()
+
+    # count the clusters the passes open and drop
+    moves = {'open': 0, 'drop': 0}
+    detach, open_cluster = ms._UrnRows.detach, ms._UrnRows.open
+
+    def counted_detach(rows, i):
+        before = len(rows.counts)
+        recycled = detach(rows, i)
+        moves['drop'] += len(rows.counts) < before
+        return recycled
+
+    def counted_open(rows, *atom):
+        moves['open'] += 1
+        open_cluster(rows, *atom)
+
+    monkeypatch.setattr(ms._UrnRows, 'write_back', checked_write_back)
+    monkeypatch.setattr(ms._UrnRows, 'detach', counted_detach)
+    monkeypatch.setattr(ms._UrnRows, 'open', counted_open)
+    for _ in range(3):
+        sweep['spec'], sweep['table'] = marginal_sweep(
+            sweep['state'], data, sweep['spec'], kernel, sweep['rng'],
+            sweep['v_steps'], sweep['shape_step'], log_prior,
+            table=sweep['table'])
+        table = one_off['table'] or KappaTable(one_off['spec'],
+                                               one_off['state'].v)
+        one_off['spec'], one_off['table'] = _one_off_sweep(
+            one_off['state'], data, one_off['spec'], kernel, one_off['rng'],
+            one_off['v_steps'], one_off['shape_step'], log_prior, table)
+        _same_state(sweep['state'], one_off['state'])
+        assert sweep['spec'].shape == one_off['spec'].shape
+        assert np.array_equal(sweep['table'].v, one_off['table'].v)
+        assert sweep['rng'].bit_generator.state \
+            == one_off['rng'].bit_generator.state
+    assert moves['drop'] > 0 and moves['open'] > 0

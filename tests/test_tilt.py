@@ -495,6 +495,47 @@ class TestSlopeForm:
         assert closed.evaluations == 2
 
 
+def unclamped_log_sum(rule, log_f, rate_lo, rate_hi, low):
+    '''TiltRule._log_sum without the clamp of the shifted log terms at
+    -700: every term goes through exp as it is.  low collects the
+    smallest shifted log term of each call.'''
+    top = float(log_f.max())
+    f = log_f - top
+    low.append(float(f.min()))
+    f = np.exp(f)
+    ends = [(f[-1], rate_hi)]
+    if rate_lo is not None:
+        ends.insert(0, (f[0], rate_lo))
+    full, half = rule._rule_pair(f, ends)
+    assert abs(math.log(full) - math.log(half)) <= 1e-9
+    return top + math.log(full)
+
+
+def test_clamped_terms_do_not_move_the_sum(monkeypatch):
+    # _log_sum clamps the shifted log terms at -700 before exp; a term
+    # below 1e-304 cannot move a sum that holds the top term 1.0, so
+    # log kappa and log_integral are the very doubles the unclamped
+    # formula gives, on a grid where terms underflow to 0
+    cases = []
+    for family, shape in (('gg1', 1.0), ('gg2', 0.3), ('gamma', 2.0),
+                          ('stable', 0.5)):
+        spec = make_spec(family, shape)
+        for v in ((0.5, 2.0), (5.0, 5.0), (80.0, 3900.0)):
+            rule = TiltRule(spec, v)
+            for a in URN_COUNTS + [(1, 0), (0, 1), (30, 2)]:
+                cases.append(lambda rule=rule, a=a: rule.log_kappa(a))
+            for scale in (1e-3, 1.0):
+                cases.append(lambda rule=rule, scale=scale: rule.log_integral(
+                    lambda log_z: -np.exp(log_z) / scale, 1.0))
+    clamped = [case() for case in cases]
+    low = []
+    monkeypatch.setattr(TiltRule, '_log_sum', lambda rule, *args:
+                        unclamped_log_sum(rule, *args, low))
+    assert [case() for case in cases] == clamped
+    # exp underflows to 0 below about -745
+    assert sum(x < -745.0 for x in low) > len(cases) // 2
+
+
 class TestChainRegimes:
     '''Values where the marginal sampler's chains go, on the benchmark
     model: two groups, generalized-gamma marginal (sigma 0.3, a 1),
