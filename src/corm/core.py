@@ -14,11 +14,9 @@ of the marginal sampler.
 import itertools
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
-from scipy.special import (boxcox, digamma, exp1, exprel, gammainc,
-                           gammaincc, gammaln, hyp2f1, inv_boxcox)
 
 from .numerics import (
     IntegralResult,
@@ -69,7 +67,7 @@ class ScoreDistribution:
 
     def log_density(self, m):
         m = np.asarray(m, dtype=float)
-        return (self.shape - 1.0) * np.log(m) - m - gammaln(self.shape)
+        return (self.shape - 1.0) * np.log(m) - m - math.lgamma(self.shape)
 
     def density(self, m):
         return np.exp(self.log_density(m))
@@ -324,10 +322,42 @@ def mgf_score(z, lam, shape):
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
 
+def _gamma_ratio(shape, sigma):
+    '''Gamma(shape) / Gamma(shape + sigma) for 0 <= sigma < 1, as a
+    quotient of math.gamma values, exact to a few ulp; a difference of
+    log-gammas cancels at large shapes (1.8e-13 at shape 150).  Past
+    math.gamma's range, at shape + sigma >= 170, it is that difference.'''
+    top = shape + sigma
+    # top - (shape + sigma) exactly (Knuth's two-sum); it moves
+    # Gamma(top) by the factor 1 + lost psi(top), 3e-14 at shape 100,
+    # and psi(t) = psi(t + 1) - 1/t ~ log(t + 1) - 1/(2 (t + 1)) - 1/t
+    # is exact enough for that
+    part = top - shape
+    lost = (shape - (top - part)) + (sigma - part)
+    psi = math.log1p(top) - 0.5 / (1.0 + top) - 1.0 / top
+    if top < 170.0:
+        ratio = math.gamma(shape) / math.gamma(top)
+    else:
+        ratio = math.exp(math.lgamma(shape) - math.lgamma(top))
+    return ratio * (1.0 - lost * psi)
+
+
 def _stable_coefficient(shape, sigma):
     # normalised so the induced marginal exponent is exactly lambda^sigma
-    return math.exp(math.log(sigma) + gammaln(shape)
-                    - gammaln(shape + sigma) - gammaln(1.0 - sigma))
+    return sigma * _gamma_ratio(shape, sigma) / math.gamma(1.0 - sigma)
+
+
+def _boxcox(x, lam):
+    '''The Box-Cox transform (x^lam - 1) / lam, log x at lam = 0,
+    elementwise over x >= 0; at x = 0 its limit, without a warning.'''
+    with np.errstate(divide='ignore'):
+        log_x = np.log(x)
+    return log_x if lam == 0.0 else np.expm1(lam * log_x) / lam
+
+
+def _inv_boxcox(y, lam):
+    '''The inverse of _boxcox in x: (1 + lam y)^(1/lam), e^y at lam = 0.'''
+    return np.exp(y) if lam == 0.0 else np.exp(np.log1p(lam * y) / lam)
 
 
 def _beta_type(marginal, shape):
@@ -337,6 +367,24 @@ def _beta_type(marginal, shape):
         return 1.0, 0.0, 1.0, shape
     sigma = marginal.sigma
     return _stable_coefficient(shape, sigma), sigma, marginal.a, sigma + shape
+
+
+def _beta_tail_constant(sigma, beta):
+    '''k0 = lim_{x->0} G(x) - L(x) of the beta-type unit tail (see
+    directing_from_marginal).'''
+    from scipy.special import digamma, exprel, gammaln  # see numerics
+    # k0 = B(-sigma, beta) + 1/sigma = -expm1(E)/sigma with E =
+    # lnGamma(1-sigma) + lnGamma(beta) - lnGamma(beta-sigma) (DLMF 8.17),
+    # and -digamma(beta) - euler_gamma at sigma 0.  E/sigma is a
+    # difference of means of digamma over (t, t + sigma), by Gauss-Legendre
+    # where the interval keeps sigma away from the pole at 0: differences of
+    # lnGamma cancel at small sigma and large beta.
+    mean_beta, mean_one = (
+        0.5 * _GL_WEIGHTS @ digamma(t + 0.5 * sigma * (1.0 + _GL_NODES))
+        if sigma <= t else (gammaln(t + sigma) - gammaln(t)) / sigma
+        for t in (beta - sigma, 1.0 - sigma))
+    e_rate = mean_beta - mean_one
+    return -exprel(sigma * e_rate) * e_rate
 
 
 def _beta_series(sigma, beta, x_switch):
@@ -404,18 +452,15 @@ class PowerEnvelope:
         '''int_lower^t z^(-1-sigma) dz, with t = inf on (0, inf).'''
         if math.isinf(self.top):
             return lower ** -self.sigma / self.sigma
-        return -t ** -self.sigma * boxcox(lower / t, -self.sigma)
+        return -t ** -self.sigma * _boxcox(lower / t, -self.sigma)
 
     def _inverse(self, y, t):
         '''z with int_z^t s^(-1-sigma) ds = y: t (1 + sigma y
-        t^sigma)^(-1/sigma), t e^-y at sigma = 0 (scipy's inv_boxcox
-        computes the same about seven times slower).'''
+        t^sigma)^(-1/sigma), t e^-y at sigma = 0.'''
         sigma = self.sigma
         if math.isinf(self.top):
             return (sigma * y) ** (-1.0 / sigma)
-        if sigma == 0.0:
-            return t * np.exp(-y)
-        return t * np.exp(np.log1p(sigma * y * t ** sigma) / -sigma)
+        return t * _inv_boxcox(-y * t ** sigma, -sigma)
 
     def _pieces(self, lower, upper, t):
         '''(power coefficient, power mass, beta coefficient, beta mass)
@@ -594,7 +639,7 @@ def directing_from_marginal(marginal, shape):
     # T(z) = scale G(a z) with G(x) = int_x^1 t^(-1-sigma) (1-t)^(beta-1) dt.
     # Near zero G(x) = L(x) + k0 - sum_k c_k x^(k-sigma) / (k-sigma), with
     # L(x) = (x^-sigma - 1)/sigma (-log x at sigma 0), the Box-Cox
-    # transform -boxcox(x, -sigma), and c_k = (-1)^k C(beta-1, k); away
+    # transform -_boxcox(x, -sigma), and c_k = (-1)^k C(beta-1, k); away
     # from zero it is the incomplete-beta hypergeometric.  Switching at
     # x = 1/beta bounds the series terms by 1/k!, so they do not cancel.
     # The series keeps only the terms that count at x_switch (about 30,
@@ -602,30 +647,26 @@ def directing_from_marginal(marginal, shape):
     # last columns at the jumps near 1e-9 of a prior draw, where pow takes
     # its slow subnormal path: that was most of a draw's time.
     x_switch = min(0.3, 1.0 / beta)
-    exponents, series_coefs = _beta_series(sigma, beta, x_switch)
-    # k0 = lim_{x->0} G(x) - L(x) = B(-sigma, beta) + 1/sigma = -expm1(E)/sigma
-    # with E = lnGamma(1-sigma) + lnGamma(beta) - lnGamma(beta-sigma) (DLMF
-    # 8.17), and -digamma(beta) - euler_gamma at sigma 0.  E/sigma is a
-    # difference of means of digamma over (t, t + sigma), by Gauss-Legendre
-    # where the interval keeps sigma away from the pole at 0: differences of
-    # lnGamma cancel at small sigma and large beta.
-    mean_beta, mean_one = (
-        0.5 * _GL_WEIGHTS @ digamma(t + 0.5 * sigma * (1.0 + _GL_NODES))
-        if sigma <= t else (gammaln(t + sigma) - gammaln(t)) / sigma
-        for t in (beta - sigma, 1.0 - sigma))
-    e_rate = mean_beta - mean_one
-    k0 = -exprel(sigma * e_rate) * e_rate
 
-    def tail(z):
-        z = np.asarray(z, dtype=float)
-        x = np.atleast_1d(np.clip(a * z, 1e-300, 1.0))
+    @cache
+    def terms():
+        # the series and k0, built on the first tail call below x_switch:
+        # a spec build (with_shape in every urn sweep) and a prior draw
+        # never read them
+        exponents, series_coefs = _beta_series(sigma, beta, x_switch)
+        return exponents, series_coefs, _beta_tail_constant(sigma, beta)
+
+    def unit_tail(x):
+        # G(x) at an array of x in [1e-300, 1]
         low = x <= x_switch
         out = np.empty_like(x)
         if low.any():
+            exponents, series_coefs, k0 = terms()
             xl = x[low]
-            out[low] = k0 - boxcox(xl, -sigma) \
+            out[low] = k0 - _boxcox(xl, -sigma) \
                 - (xl[:, None] ** exponents) @ series_coefs
         if not low.all():
+            from scipy.special import hyp2f1  # on first use: see numerics
             # at sigma 0 (c = a + b) scipy's hyp2f1 is off by up to 7e-11
             # for w > 0.9 and beta near 100; the mean of its values at
             # sigma = +-1e-8 is off by about 1e-16 log(x)^2 instead
@@ -634,22 +675,30 @@ def directing_from_marginal(marginal, shape):
                 hyp2f1(beta, 1.0 + 1e-8, beta + 1.0, w)
                 + hyp2f1(beta, 1.0 - 1e-8, beta + 1.0, w))
             out[~low] = w ** beta / beta * f
-        return scale * out.reshape(z.shape)
+        return out
+
+    def tail(z):
+        z = np.asarray(z, dtype=float)
+        x = np.atleast_1d(np.clip(a * z, 1e-300, 1.0))
+        return scale * unit_tail(x).reshape(z.shape)
 
     if sigma == 0.0 and beta == 1.0:
         inverse = lambda y: np.exp(-np.asarray(y, dtype=float))
     else:
-        g_switch = float(tail(x_switch / a)) / scale
+        @cache
+        def g_switch():
+            # G(x_switch), built on the first inverse call
+            return float(unit_tail(np.array([x_switch]))[0])
 
         def start(y):
             # high levels invert L(x) + k0 (1 + sigma (G - k0) > 0, as
             # B(-sigma, beta) < 0), low ones G(x) ~ (1 - x)^beta / beta,
             # in logs and kept above x_switch, where their roots lie
             yu = y / scale
-            x_small = inv_boxcox(k0 - yu, -sigma)
+            x_small = _inv_boxcox(terms()[2] - yu, -sigma)
             x_large = -np.expm1(np.minimum(np.log(beta * yu) / beta,
                                            math.log1p(-x_switch)))
-            return np.where(yu >= g_switch, x_small, x_large) / a
+            return np.where(yu >= g_switch(), x_small, x_large) / a
 
         def inverse(y):
             return _invert_monotone(tail, density, y, start, 1.0 / a)
@@ -662,6 +711,7 @@ def directing_from_marginal(marginal, shape):
 
 def marginal_intensity(marginal):
     '''Closed-form Levy intensity of the marginal process itself.'''
+    from scipy.special import exp1, gammaincc  # on first use: see numerics
     if marginal.kind == 'gamma':
         def density(s):
             s = np.asarray(s, dtype=float)
@@ -669,7 +719,7 @@ def marginal_intensity(marginal):
 
         return LevyIntensity(density, (0.0, np.inf),
                              singularity_exponents=(-1.0, None),
-                             tail_fn=lambda x: exp1(x))
+                             tail_fn=exp1)
     if marginal.kind == 'sigma-stable':
         sigma = marginal.sigma
         c = sigma / math.gamma(1.0 - sigma)
@@ -719,7 +769,7 @@ def marginal_from_directing(directing, shape, theta=None, sigma=None, a=None):
     if directing == 'beta':
         if theta is None or not theta > 0.0:
             raise ValueError('beta directing needs theta > 0')
-        lc = gammaln(theta) - gammaln(shape)
+        lc = math.lgamma(theta) - math.lgamma(shape)
 
         def density(s):
             s = np.asarray(s, dtype=float)
@@ -741,8 +791,7 @@ def marginal_from_directing(directing, shape, theta=None, sigma=None, a=None):
     if directing == 'sigma-stable':
         if sigma is None or not 0.0 < sigma < 1.0:
             raise ValueError('sigma must lie in (0, 1)')
-        c = math.exp(math.log(sigma) + gammaln(shape + sigma)
-                     - gammaln(shape) - gammaln(1.0 - sigma))
+        c = sigma / (_gamma_ratio(shape, sigma) * math.gamma(1.0 - sigma))
 
         def density(s):
             return c * np.asarray(s, dtype=float) ** (-1.0 - sigma)
@@ -757,7 +806,8 @@ def marginal_from_directing(directing, shape, theta=None, sigma=None, a=None):
             raise ValueError('sigma must lie in (0, 1)')
         if a is None or not a > 0.0:
             raise ValueError('rate a must be positive')
-        lc = (math.log(2.0 * sigma) - gammaln(1.0 - sigma) - gammaln(shape)
+        lc = (math.log(2.0 * sigma) - math.lgamma(1.0 - sigma)
+              - math.lgamma(shape)
               + 0.5 * (sigma + shape) * math.log(a))
 
         def density(s):
@@ -1295,13 +1345,13 @@ def rho_density(spec, s, method='auto'):
     d = spec.dimension
     total = float(s.sum())
     log_pref = ((shape - 1.0) * np.log(s).sum()
-                - (d - 1.0) * gammaln(shape))
+                - (d - 1.0) * math.lgamma(shape))
     if kind == 'gamma':
         if shape == 1.0:
             acc = 0.0
             for j in range(d):
                 acc += math.exp(
-                    gammaln(d) - gammaln(d - j)
+                    math.lgamma(d) - math.lgamma(d - j)
                     - (j + 1.0) * math.log(total) - total)
             return acc
         k = 0.5 * ((d - 2.0) * shape + 1.0)
@@ -1312,8 +1362,8 @@ def rho_density(spec, s, method='auto'):
     if kind == 'sigma-stable':
         sigma = spec.marginal.sigma
         return math.exp(
-            log_pref + math.log(sigma) + gammaln(sigma + d * shape)
-            - gammaln(shape + sigma) - gammaln(1.0 - sigma)
+            log_pref + math.log(sigma) + math.lgamma(sigma + d * shape)
+            - math.lgamma(shape + sigma) - math.lgamma(1.0 - sigma)
             - (sigma + d * shape) * math.log(total))
     raise ValueError('no closed multivariate intensity for %r' % (kind,))
 
@@ -1327,7 +1377,7 @@ def _rho_by_mixture(spec, s):
 
     def log_weight(log_z):
         return ((shape - 1.0) * log_s - d * shape * log_z
-                - total * np.exp(-log_z) - d * gammaln(shape))
+                - total * np.exp(-log_z) - d * math.lgamma(shape))
 
     # the weight z^(-d shape) e^(-total/z) peaks at z = total / (d shape)
     # and vanishes faster than any power below it
@@ -1340,7 +1390,7 @@ def tau(a, z, v, shape):
     (1 + v z)^(-a - shape) of one coordinate with a matched observations.'''
     if a < 0:
         raise ValueError('a must be nonnegative')
-    lc = gammaln(a + shape) - gammaln(shape)
+    lc = math.lgamma(a + shape) - math.lgamma(shape)
     z = np.asarray(z, dtype=float)
     return np.exp(lc - (a + shape) * np.log1p(v * z))
 
@@ -1383,6 +1433,7 @@ def levy_copula(spec, y1, y2):
             raise ValueError('tail masses must be nonnegative')
     if y1 == 0.0 or y2 == 0.0:
         return 0.0
+    from scipy.special import gammaincc  # on first use: see numerics
     marg = marginal_intensity(spec.marginal)
     # an infinite tail mass has a survival factor identically 1
     xs = [float(marg.inverse_tail(y)) for y in (y1, y2) if not math.isinf(y)]
@@ -1412,7 +1463,7 @@ def levy_copula(spec, y1, y2):
     rate = -nu.upper_rate
     coefs = np.ones(1)
     for x in xs:
-        q = math.exp(shape * math.log(x / top) - gammaln(shape + 1.0))
+        q = math.exp(shape * math.log(x / top) - math.lgamma(shape + 1.0))
         coefs = np.convolve(coefs, [1.0, -q])
     tail = float(nu.density(top)) * top * float(
         coefs @ (1.0 / (rate + shape * np.arange(coefs.size))))
@@ -1529,13 +1580,13 @@ def mixed_moment(spec, q, region_mass):
         for part in enumerate_moment_partitions(q, k):
             term = 1.0
             for vec, eta in zip(part.vectors, part.multiplicities):
-                log_c = float(sum(gammaln(shape + sl) - gammaln(shape)
-                                  - gammaln(sl + 1.0) for sl in vec))
+                log_c = sum(math.lgamma(shape + sl) - math.lgamma(shape)
+                            - math.lgamma(sl + 1.0) for sl in vec)
                 block = math.exp(log_c) * moments[sum(vec)]
                 term *= block ** eta / math.factorial(eta)
             level += term
         total += region_mass ** k * level
-    log_qfact = float(sum(gammaln(x + 1.0) for x in q))
+    log_qfact = sum(math.lgamma(x + 1.0) for x in q)
     return math.exp(log_qfact) * total
 
 

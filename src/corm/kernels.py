@@ -41,7 +41,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln
 
 __all__ = [
     'Dataset',
@@ -196,7 +195,7 @@ class UnivariateNormalGamma:
         _, kn, an, bn = self._posterior(stats)
         return (-0.5 * n * LOG_2PI
                 + 0.5 * (math.log(self.kappa0) - math.log(kn))
-                + gammaln(an) - gammaln(self.a0)
+                + math.lgamma(an) - math.lgamma(self.a0)
                 + self.a0 * math.log(self.b0) - an * math.log(bn))
 
     def log_marginal(self, rows):

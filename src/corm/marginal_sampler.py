@@ -23,7 +23,6 @@ from functools import cached_property
 from itertools import accumulate
 
 import numpy as np
-from scipy.special import gammaln
 
 from .core import TiltRule, marginal_exponent
 # not called here: kept bound so the benchmark's tracer, which wraps
@@ -173,12 +172,12 @@ class KappaTable:
             self.evaluations += 1
             if self._closed == 'gamma':
                 # kappa_a(v) collapses to Gamma(a) (1+v)^(-a)
-                val = float(gammaln(a[0]) - a[0] * math.log1p(self.v[0]))
+                val = math.lgamma(a[0]) - a[0] * math.log1p(self.v[0])
             elif self._closed == 'stable':
                 sigma = self.spec.marginal.sigma
-                val = float(math.log(sigma) + gammaln(a[0] - sigma)
-                            - gammaln(1.0 - sigma)
-                            + (sigma - a[0]) * math.log(self.v[0]))
+                val = (math.log(sigma) + math.lgamma(a[0] - sigma)
+                       - math.lgamma(1.0 - sigma)
+                       + (sigma - a[0]) * math.log(self.v[0]))
             else:
                 val = self._rule.log_kappa(a)
             self._memo[a] = val

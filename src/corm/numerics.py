@@ -9,18 +9,23 @@ the tail of an intensity given without a closed tail) goes through
 integrate, a thin wrapper of QUADPACK's adaptive rules (scipy.integrate.quad)
 that turns its warnings into QuadratureError.
 
-integrate imports scipy.integrate on its first call, not with the module.
-Importing it loads scipy.optimize, scipy.linalg and scipy.sparse too, about
-0.12 s on a 2-vCPU host (python -X importtime), as long as numpy and
-scipy.special together.  The samplers and prior draws never call integrate,
-so a process that only runs them never pays it.
+Importing corm loads numpy only.  scipy is imported inside the functions
+that call it, on their first call: scipy.integrate by integrate,
+scipy.stats by the inverse-Wishart draw of kernels, and scipy.special by
+bessel_k here, by the beta-type tail's hypergeometric branch and its
+constant k0, the marginals' own intensities and levy_copula in core, and
+by the slice sampler's jump-height envelopes.  On a 2-vCPU host (python
+-X importtime) numpy takes about 0.1 s to import, scipy.special about
+0.25 s more, and scipy.integrate, which loads scipy.optimize,
+scipy.linalg and scipy.sparse, more again.  A spec build, the marginal
+(urn) sampler and prior draws call none of them, so a process that only
+runs them pays for numpy alone.
 '''
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special as _sp
 
 __all__ = [
     'IntegralResult', 'QuadratureError',
@@ -77,13 +82,14 @@ def bessel_k(order, x):
     '''Modified Bessel function of the second kind, K_order(x), x > 0.'''
     if np.any(np.asarray(x) <= 0.0):
         raise ValueError('bessel_k requires x > 0')
-    return _sp.kv(abs(order), x)
+    from scipy.special import kv  # on first use: see the module notes
+    return kv(abs(order), x)
 
 
 def _kummer_u_integral(a, b, x, rel_tol=1e-11):
     '''U(a,b,x) for a > 0 from its exponential integral representation
     int_0^inf t^(a-1) (1+t)^(b-a-1) e^(-x t) dt / Gamma(a).'''
-    la = _sp.gammaln(a)
+    la = math.lgamma(a)
 
     def rest(t):
         return math.exp(-x * t + (b - a - 1.0) * math.log1p(t) - la)

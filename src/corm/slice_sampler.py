@@ -39,7 +39,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit, exprel, gammaln
 
 from .core import RuleNodes, TiltRule
 from .marginal_sampler import _accept_probability, _members, _tally
@@ -337,6 +336,7 @@ class _JumpHeightProposals:
     more uniform for an exponential one at beta < 1.'''
 
     def __init__(self, spec, lows, weights, rng):
+        from scipy.special import expit, exprel  # on first use: see numerics
         envelope = spec.directing.envelope
         c, sigma, beta = envelope.c, envelope.sigma, envelope.beta
         self.lows, self.weights, self.rng = lows, weights, rng
@@ -612,7 +612,7 @@ def update_hyperparameters_slice(state, spec, log_prior, step, rng,
     def log_target(sp, phi):
         total = log_prior(phi)
         total += (phi - 1.0) * log_m_sum - m_sum \
-            - n_scores * gammaln(phi)
+            - n_scores * math.lgamma(phi)
         if state.n_jumps:
             total += float(sp.directing.log_density(state.jumps, gaps).sum())
         total -= mass * sp.directing.tail_integral(L)

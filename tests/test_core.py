@@ -305,8 +305,10 @@ class TestBetaTypeTail:
         # levels in [scale/beta, scale g_switch) have their roots above
         # x_switch; a start there converges in a few Newton steps, where
         # a start at z = 1e-16 took about 30.  Every tail evaluation of
-        # one level calls boxcox (series branch) or hyp2f1 (above the
-        # switch) once, so the two counts add up to the steps
+        # one level calls _boxcox (series branch) or scipy's hyp2f1 (above
+        # the switch) once, so the two counts add up to the steps
+        import scipy.special
+
         import corm.core as core_mod
         marginal = MarginalFamily.generalized_gamma(0.3, 2.0)
         nu = directing_from_marginal(marginal, 1.0)
@@ -316,11 +318,11 @@ class TestBetaTypeTail:
         assert 1.0 / beta < g_switch
         level = scale * 0.5 * (1.0 / beta + g_switch)
         calls = []
-        for name in ('hyp2f1', 'boxcox'):
-            def counted(*args, _fn=getattr(core_mod, name)):
+        for owner, name in ((scipy.special, 'hyp2f1'), (core_mod, '_boxcox')):
+            def counted(*args, _fn=getattr(owner, name)):
                 calls.append(1)
                 return _fn(*args)
-            monkeypatch.setattr(core_mod, name, counted)
+            monkeypatch.setattr(owner, name, counted)
         z = nu.inverse_tail(level)
         monkeypatch.undo()
         assert len(calls) <= 10
@@ -336,6 +338,149 @@ class TestBetaTypeTail:
             nu.inverse_tail(1.0)
         with pytest.raises(ValueError, match='root outside'):
             nu.inverse_tail(np.array([0.1, 1.0]))
+
+
+class TestDeferredTail:
+    '''The beta-type tail's series and k0 are built on the first tail
+    call that needs them, and its switch level on the first inverse call,
+    not with the intensity.'''
+
+    def test_spec_builds_do_not_build_the_tail_terms(self, monkeypatch):
+        import scipy.special
+
+        def refuse(*args):
+            raise AssertionError('tail terms built')
+
+        monkeypatch.setattr(core, '_beta_series', refuse)
+        monkeypatch.setattr(scipy.special, 'digamma', refuse)
+        for marginal in (MarginalFamily.gamma(),
+                         MarginalFamily.generalized_gamma(0.3, 1.0)):
+            spec = CoRMSpec.from_marginal(2, 1.0, marginal)
+            spec.with_shape(2.5)
+            nu = directing_from_marginal(marginal, 0.7)
+            # the first tail call on the series branch does build them
+            with pytest.raises(AssertionError, match='tail terms built'):
+                nu.tail_integral(0.01)
+
+    @pytest.mark.parametrize('marginal', [
+        MarginalFamily.gamma(), MarginalFamily.generalized_gamma(0.3, 1.0),
+        MarginalFamily.generalized_gamma(0.9, 2.5)])
+    def test_call_order_does_not_change_the_doubles(self, marginal):
+        def build():
+            return directing_from_marginal(marginal, 1.3)
+
+        z = np.geomspace(1e-9, 0.99, 25) / build().support[1]
+        levels = np.geomspace(1e-3, 10.0, 9)
+        tail_first = build()
+        tails = [tail_first.tail_integral(z)]
+        inverses = [tail_first.inverse_tail(levels)]
+        inverse_first = build()
+        inverses.append(inverse_first.inverse_tail(levels))
+        tails.append(inverse_first.tail_integral(z))
+        tails.append(build().tail_integral(z))
+        inverses.append(build().inverse_tail(levels))
+        for got in tails[1:]:
+            np.testing.assert_array_equal(got, tails[0])
+        for got in inverses[1:]:
+            np.testing.assert_array_equal(got, inverses[0])
+
+
+# every sigma with shapes up to 150; shape + sigma < 170 throughout, the
+# math.gamma branch of core._gamma_ratio
+STABLE_SIGMAS = (0.001, 0.05, 0.3, 0.5, 0.9, 0.99)
+STABLE_SHAPES = (1e-4, 0.01, 0.5, 1.0, 2.5, 19.7, 100.0, 150.0)
+
+
+class TestStableConstants:
+    '''The directing constant sigma Gamma(shape) / (Gamma(shape + sigma)
+    Gamma(1 - sigma)) of a sigma-stable marginal, and the induced
+    marginal's sigma Gamma(shape + sigma) / (Gamma(shape) Gamma(1 -
+    sigma)), against 40-digit mpmath at the exact sum shape + sigma.'''
+
+    @staticmethod
+    def errors(sigma, shape):
+        with mpmath.workdps(40):
+            s, p = mpmath.mpf(sigma), mpmath.mpf(shape)
+            ratio = mpmath.gamma(p) / mpmath.gamma(p + s)
+            g1 = mpmath.gamma(1 - s)
+            # both densities are c z^(-1-sigma): c at z = 1
+            directing = directing_from_marginal(
+                MarginalFamily.sigma_stable(sigma), shape).density(1.0)
+            induced = marginal_from_directing(
+                'sigma-stable', shape, sigma=sigma).density(1.0)
+            return max(abs(directing / (s * ratio / g1) - 1),
+                       abs(induced / (s / (ratio * g1)) - 1))
+
+    @pytest.mark.parametrize('sigma', STABLE_SIGMAS)
+    def test_gamma_ratio_to_a_few_ulp(self, sigma):
+        # the log-gamma difference this replaced was off by up to 1.8e-13
+        # (sigma 0.5, shape 150); the worst case here is 5.8e-16
+        worst = max(self.errors(sigma, shape) for shape in STABLE_SHAPES)
+        assert worst <= 1e-15
+
+    @pytest.mark.parametrize('shape', [169.9, 175.0, 300.0])
+    def test_log_gamma_branch_past_170(self, shape):
+        # past 170 Gamma(shape + sigma) overflows near 171.6, and the
+        # ratio is a difference of log-gammas of 700 to 1,700, each
+        # rounded to about 1e-13: the worst case here is 3.9e-13
+        for sigma in (0.05, 0.5, 0.99):
+            assert self.errors(sigma, shape) <= 1e-12, sigma
+
+
+class TestBoxCox:
+    '''core._boxcox and core._inv_boxcox against scipy.special's boxcox
+    and inv_boxcox, which use the same formulas, and against mpmath.
+    Both are computed through log x: a relative error e of log x moves
+    the transform by |lam log x| e and the inverse by |log x| e, so the
+    bounds are in ulps times 1 + that factor (2 ulp where it is small).'''
+
+    X = np.concatenate([np.geomspace(1e-300, 1.0, 301),
+                        [0.5, 1.0 - 2.0 ** -53]])
+    LAMBDAS = (0.0, -1e-8, -0.3, -0.999)
+
+    @staticmethod
+    def ulps(got, want):
+        return np.abs(got - want) / np.spacing(np.abs(want))
+
+    @pytest.mark.parametrize('lam', LAMBDAS)
+    def test_matches_scipy(self, lam):
+        from scipy.special import boxcox, inv_boxcox
+        log_x = np.abs(np.log(self.X))
+        y = core._boxcox(self.X, lam)
+        assert np.all(self.ulps(y, boxcox(self.X, lam))
+                      <= 2.0 * (1.0 + abs(lam) * log_x))
+        assert np.all(self.ulps(core._inv_boxcox(y, lam), inv_boxcox(y, lam))
+                      <= 2.0 * (1.0 + log_x))
+
+    @pytest.mark.parametrize('lam', LAMBDAS)
+    def test_matches_mpmath(self, lam):
+        eps = 2.0 ** -52
+        y = core._boxcox(self.X, lam)
+        x_back = core._inv_boxcox(y, lam)
+        with mpmath.workdps(40):
+            lm = mpmath.mpf(lam)
+            for x, yi, xi in zip(self.X, y, x_back):
+                xm, ym = mpmath.mpf(x), mpmath.mpf(yi)
+                log_x = abs(math.log(x))
+                want = mpmath.log(xm) if lam == 0.0 else (xm ** lm - 1) / lm
+                if want:
+                    assert abs(yi / want - 1) \
+                        <= 4.0 * eps * (1.0 + abs(lam) * log_x), x
+                else:
+                    assert yi == 0.0
+                # the inverse at the double yi
+                want = mpmath.exp(ym) if lam == 0.0 \
+                    else (1 + lm * ym) ** (1 / lm)
+                assert abs(xi / want - 1) <= 4.0 * eps * (1.0 + log_x), x
+
+    @pytest.mark.parametrize('lam', LAMBDAS)
+    def test_limits_at_zero_without_a_warning(self, lam):
+        # the test session turns RuntimeWarnings into errors
+        y = core._boxcox(np.array([0.0, 0.5]), lam)
+        assert y[0] == -np.inf and np.isfinite(y[1])
+        assert core._boxcox(0.0, lam) == -np.inf
+        np.testing.assert_array_equal(
+            core._inv_boxcox(np.array([-np.inf]), lam), [0.0])
 
 
 class TestInverseWithoutClosedForm:

@@ -1,10 +1,13 @@
 '''The set of modules a fresh corm process loads.
 
-Importing corm loads numpy and scipy.special only.  scipy.integrate
-(QUADPACK) and scipy.stats (the inverse-Wishart draw) load on first use,
-because importing them takes longer than the rest of a fresh process's
-start.  The check runs in a fresh interpreter: pytest's warning filters
-import scipy.integrate into the test process.
+Importing corm loads numpy only.  A spec build, the marginal (urn)
+sampler and a prior draw load no scipy either.  scipy.special loads on
+the first call that needs one of its functions (tail inversion, the
+slice sampler, the analysis functions), scipy.integrate (QUADPACK) on
+the first numerics.integrate call and scipy.stats on the first
+inverse-Wishart draw, because importing them takes longer than the rest
+of a fresh process's start.  The checks run in a fresh interpreter:
+pytest's warning filters import scipy.integrate into the test process.
 '''
 
 import json
@@ -21,19 +24,52 @@ import corm
 SRC = str(Path(corm.__file__).resolve().parent.parent)
 
 PROGRAM = '''
-import json, math, sys
+import json, math, pkgutil, sys
 import numpy as np
-import corm.core, corm.kernels, corm.marginal_sampler, corm.numerics
-import corm.prior, corm.slice_sampler
-heavy = ('scipy.stats', 'scipy.integrate', 'scipy.optimize',
-         'scipy.interpolate', 'scipy.linalg', 'sympy', 'mpmath')
-loaded = [name for name in heavy if name in sys.modules]
-integral = corm.numerics.integrate(math.exp, 0.0, 1.0).value
-kernel = corm.kernels.MultivariateNormalNIW(np.zeros(2), 1.0, 5.0, np.eye(2))
-mu, cov = kernel.atom_posterior_draw(np.ones((3, 2)),
-                                     np.random.default_rng(0))
-print(json.dumps({'loaded': loaded, 'integral': integral,
-                  'mu': mu.tolist(), 'cov': cov.tolist()}))
+import corm
+for module in pkgutil.iter_modules(corm.__path__):
+    __import__('corm.' + module.name)
+from corm import core, kernels, marginal_sampler, numerics, prior
+from corm import slice_sampler
+
+
+def loaded(prefix):
+    return sorted(name for name in sys.modules
+                  if name == prefix or name.startswith(prefix + '.'))
+
+
+out = {'on_import': loaded('scipy') + loaded('sympy') + loaded('mpmath')}
+# a generalized-gamma spec, one urn sweep and one default prior draw
+rng = np.random.default_rng(3)
+data = kernels.Dataset([rng.normal(-1.0, 1.0, 15), rng.normal(1.0, 1.0, 15)])
+spec = core.CoRMSpec.from_marginal(
+    2, 1.0, core.MarginalFamily.generalized_gamma(0.3, 1.0))
+kernel = kernels.UnivariateNormalGamma.from_data(data.stacked())
+state = marginal_sampler.initial_state(data, spec, kernel, rng, n_start=4)
+marginal_sampler.marginal_sweep(
+    state, data, spec, kernel, rng,
+    [marginal_sampler.AdaptiveStepSize() for _ in range(2)],
+    marginal_sampler.AdaptiveStepSize(), lambda phi: -phi)
+state.check()
+draw = prior.sample_corm(spec, rng)
+out['urn_and_prior'] = loaded('scipy')
+out['jumps'] = int(draw.jump_count)
+# the first-use imports: a slice sweep, a Levy copula, a quadrature and
+# an inverse-Wishart draw
+slice_state = slice_sampler.initial_slice_state(data, spec, kernel, rng,
+                                                n_start=4)
+slice_sampler.slice_sweep(
+    slice_state, data, spec, kernel, rng,
+    [(marginal_sampler.AdaptiveStepSize(),
+      marginal_sampler.AdaptiveStepSize()) for _ in range(2)],
+    marginal_sampler.AdaptiveStepSize(), lambda phi: -phi, {})
+out['slice_jumps'] = int(slice_state.n_jumps)
+out['copula'] = core.levy_copula(spec, 0.5, 2.0)
+out['integral'] = numerics.integrate(math.exp, 0.0, 1.0).value
+niw = kernels.MultivariateNormalNIW(np.zeros(2), 1.0, 5.0, np.eye(2))
+mu, cov = niw.atom_posterior_draw(np.ones((3, 2)), np.random.default_rng(0))
+out['mu'], out['cov'] = mu.tolist(), cov.tolist()
+print(json.dumps(out))
 '''
 
 
@@ -42,11 +78,15 @@ def test_fresh_import_loads_no_heavy_scipy_subpackage():
     env['PYTHONPATH'] = os.pathsep.join(
         [SRC] + [p for p in [env.get('PYTHONPATH')] if p])
     out = subprocess.run([sys.executable, '-c', PROGRAM], env=env,
-                         capture_output=True, text=True, timeout=60)
+                         capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     got = json.loads(out.stdout)
-    assert got['loaded'] == []
-    # and the two deferred imports still work once used
+    assert got['on_import'] == []
+    assert got['urn_and_prior'] == []
+    assert got['jumps'] > 0
+    # and the deferred imports work once used
+    assert got['slice_jumps'] > 0
+    assert 0.0 < got['copula'] < 0.5
     assert abs(got['integral'] - (math.e - 1.0)) < 1e-14
     mu, cov = np.array(got['mu']), np.array(got['cov'])
     assert mu.shape == (2,) and np.all(np.isfinite(mu))
