@@ -319,9 +319,6 @@ def mgf_score(z, lam, shape):
     return np.exp(-shape * np.log1p(np.asarray(z, dtype=float) * lam))
 
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
-
-
 def _gamma_ratio(shape, sigma):
     '''Gamma(shape) / Gamma(shape + sigma) for 0 <= sigma < 1, as a
     quotient of math.gamma values, exact to a few ulp; a difference of
@@ -349,9 +346,15 @@ def _stable_coefficient(shape, sigma):
 
 def _boxcox(x, lam):
     '''The Box-Cox transform (x^lam - 1) / lam, log x at lam = 0,
-    elementwise over x >= 0; at x = 0 its limit, without a warning.'''
-    with np.errstate(divide='ignore'):
+    elementwise over x >= 0; at x = 0 its limit, without a warning.  A
+    single positive point skips np.errstate, which costs more than the
+    arithmetic; it keeps numpy's log and expm1, whose doubles differ from
+    math's.'''
+    if np.size(x) == 1 and x > 0.0:
         log_x = np.log(x)
+    else:
+        with np.errstate(divide='ignore'):
+            log_x = np.log(x)
     return log_x if lam == 0.0 else np.expm1(lam * log_x) / lam
 
 
@@ -369,22 +372,68 @@ def _beta_type(marginal, shape):
     return _stable_coefficient(shape, sigma), sigma, marginal.a, sigma + shape
 
 
+_LD = np.longdouble
+# _beta_tail_constant sums the first _K0_TERMS terms of its series and the
+# rest from Stirling's series, whose Bernoulli coefficients B_2j / (2j
+# (2j - 1)) of lnGamma and B_2j / 2j of digamma, j <= 7, it takes: the
+# next terms move k0 by below 1e-19 of itself
+_K0_TERMS = 16
+_K0_SHIFTS = np.arange(_K0_TERMS, dtype=_LD)
+_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188,
+             -691 / 360360, 1 / 156)
+_PSI_ASYMPTOTIC = (1 / 12, -1 / 120, 1 / 252, -1 / 240, 1 / 132,
+                   -691 / 32760, 1 / 12)
+
+
+def _stirling_difference(sigma, y):
+    '''lnGamma(y) - lnGamma(y - sigma) - sigma log y + (sigma + 1/2)
+    sigma / y at y >= 17, the part of Stirling's series free of
+    cancellation for a small sigma: (y - sigma - 1/2) (-log1p(-v) - v),
+    v = sigma / y, in extended precision, plus the Bernoulli terms c_j
+    y^(1-2j) (1 - (1 - v)^(1-2j)), at most 3e-4 of sigma, in doubles.'''
+    v = sigma / y
+    log_gap = np.log1p(-v)
+    gap, bernoulli, power = float(log_gap), 0.0, 1.0 / float(y)
+    for j, c in enumerate(_STIRLING):
+        bernoulli -= c * power * math.expm1(-(2 * j + 1) * gap)
+        power /= float(y) ** 2
+    return (y - sigma - 0.5) * (-log_gap - v) + bernoulli
+
+
 def _beta_tail_constant(sigma, beta):
     '''k0 = lim_{x->0} G(x) - L(x) of the beta-type unit tail (see
-    directing_from_marginal).'''
-    from scipy.special import digamma, exprel, gammaln  # see numerics
+    directing_from_marginal), to about half an ulp.'''
     # k0 = B(-sigma, beta) + 1/sigma = -expm1(E)/sigma with E =
     # lnGamma(1-sigma) + lnGamma(beta) - lnGamma(beta-sigma) (DLMF 8.17),
-    # and -digamma(beta) - euler_gamma at sigma 0.  E/sigma is a
-    # difference of means of digamma over (t, t + sigma), by Gauss-Legendre
-    # where the interval keeps sigma away from the pole at 0: differences of
-    # lnGamma cancel at small sigma and large beta.
-    mean_beta, mean_one = (
-        0.5 * _GL_WEIGHTS @ digamma(t + 0.5 * sigma * (1.0 + _GL_NODES))
-        if sigma <= t else (gammaln(t + sigma) - gammaln(t)) / sigma
-        for t in (beta - sigma, 1.0 - sigma))
-    e_rate = mean_beta - mean_one
-    return -exprel(sigma * e_rate) * e_rate
+    # and -digamma(beta) - euler_gamma at sigma 0.  By Gauss's product for
+    # Gamma, E = sum_k log1p(sigma c_k), c_k = (beta - 1) / ((1 - sigma +
+    # k)(beta + k)): every term has the sign of beta - 1, so the sum does
+    # not cancel, and E / sigma -> sum_k c_k = digamma(beta) + euler_gamma
+    # at sigma 0.  The first 16 terms are summed, and the rest is
+    # lnGamma(beta + 16) - lnGamma(beta - sigma + 16) less the same at
+    # beta = 1, by Stirling's series (digamma's at sigma 0).  In extended
+    # precision (64-bit significands on x86): near x_switch G(x) is k0
+    # less terms of about its size (G is 1% of k0 at sigma 0.9, beta
+    # 100.9), so an ulp of k0 is a hundred ulps of G there
+    s, b = _LD(sigma), _LD(beta)
+    y_beta, y_one = b + _K0_TERMS, _LD(1 + _K0_TERMS)
+    coefs = (b - 1) / ((1 - s + _K0_SHIFTS) * (b + _K0_SHIFTS))
+    lead = np.log1p((b - 1) / y_one)
+    if sigma == 0.0:
+        # digamma(y) = log y - 1/(2y) - sum_j (B_2j / 2j) y^(-2j), where
+        # y_beta^-m - y_one^-m = y_one^-m expm1(-m lead) keeps a k0 near
+        # beta = 1 to its last bits
+        rest = 0.5 * (beta - 1.0) / float(y_beta * y_one)
+        for j, c in enumerate(_PSI_ASYMPTOTIC, 1):
+            rest -= c * float(y_one) ** (-2 * j) * math.expm1(
+                -2 * j * float(lead))
+        return -float(coefs.sum() + lead + rest)
+    big_e = (np.log1p(s * coefs).sum() + s * lead
+             + (s + 0.5) * s * (b - 1) / (y_beta * y_one)
+             + _stirling_difference(s, y_beta) - _stirling_difference(s, y_one))
+    e_rate = big_e / s
+    # -expm1(E) / sigma as E's exprel (1 at E = 0) times e_rate
+    return float(-e_rate if big_e == 0 else -np.expm1(big_e) / big_e * e_rate)
 
 
 def _beta_series(sigma, beta, x_switch):
@@ -510,8 +559,10 @@ class PowerEnvelope:
 
     def power_level(self, y):
         '''z with int_z^top c s^(-1-sigma) ds = y: where the pure power
-        law c z^(-1-sigma) has mass y above z.'''
-        return self._inverse(np.asarray(y, dtype=float) / self.c, self.top)
+        law c z^(-1-sigma) has mass y above z.  A z that rounds up to top
+        (a small y / c) is the largest double below it.'''
+        z = self._inverse(np.asarray(y, dtype=float) / self.c, self.top)
+        return np.minimum(z, np.nextafter(self.top, 0.0))
 
 
 class EnvelopeBand:

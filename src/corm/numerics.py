@@ -12,14 +12,15 @@ that turns its warnings into QuadratureError.
 Importing corm loads numpy only.  scipy is imported inside the functions
 that call it, on their first call: scipy.integrate by integrate,
 scipy.stats by the inverse-Wishart draw of kernels, and scipy.special by
-bessel_k here, by the beta-type tail's hypergeometric branch and its
-constant k0, the marginals' own intensities and levy_copula in core, and
-by the slice sampler's jump-height envelopes.  On a 2-vCPU host (python
--X importtime) numpy takes about 0.1 s to import, scipy.special about
-0.25 s more, and scipy.integrate, which loads scipy.optimize,
-scipy.linalg and scipy.sparse, more again.  A spec build, the marginal
-(urn) sampler and prior draws call none of them, so a process that only
-runs them pays for numpy alone.
+bessel_k here, and by the beta-type tail's hypergeometric branch (above
+its series switch), the marginals' own intensities and levy_copula in
+core.  On a 2-vCPU host (python -X importtime) numpy takes about 0.1 s
+to import, scipy.special about 0.25 s more, and scipy.integrate, which
+loads scipy.optimize, scipy.linalg and scipy.sparse, more again.  A spec
+build, the marginal (urn) sampler, prior draws and the slice sampler
+(its start state and its sweeps, whose tail calls stay on the series
+branch) call none of them, so a process that only runs them pays for
+numpy alone.
 '''
 
 import math

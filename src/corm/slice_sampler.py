@@ -131,14 +131,20 @@ def _prior_atom(kernel, rng):
 
 
 def initial_slice_state(data, spec, kernel, rng, n_start=1):
-    '''Round-robin start with n_start active jumps drawn from the
-    directing tail, unit-mean scores, and consistent slice latents.'''
+    '''Round-robin start with n_start active jumps, Ga(shape) scores and
+    consistent slice latents.  Jump k lies where the power law c
+    z^(-1-sigma) of the directing intensity's envelope has mass 1 - U_k
+    above it, U_k uniform on [0, 1): z = (1 + sigma (1 - U_k) / c)^(-1 /
+    sigma), e^(-(1 - U_k)) at sigma 0 and c = 1, in closed form
+    (PowerEnvelope.power_level), so the start inverts no tail.  Every
+    jump lies strictly inside (0, 1): one that rounds up to 1 is the
+    largest double below it.'''
     _check_family(spec)
     d = data.n_groups
-    directing = spec.directing
     allocations = [np.arange(g.shape[0]) % n_start for g in data.groups]
     counts = _tally(allocations, n_start)
-    jumps = directing.inverse_tail(1.0 - rng.uniform(size=n_start))
+    jumps = spec.directing.envelope.power_level(
+        1.0 - rng.uniform(size=n_start))
     scores = rng.gamma(spec.shape, size=(n_start, d))
     state = SliceState(allocations, counts, jumps, scores, atoms=[None] *
                        n_start, u=[], v=np.ones(d), shape=spec.shape)
@@ -336,7 +342,6 @@ class _JumpHeightProposals:
     more uniform for an exponential one at beta < 1.'''
 
     def __init__(self, spec, lows, weights, rng):
-        from scipy.special import expit, exprel  # on first use: see numerics
         envelope = spec.directing.envelope
         c, sigma, beta = envelope.c, envelope.sigma, envelope.beta
         self.lows, self.weights, self.rng = lows, weights, rng
@@ -357,18 +362,22 @@ class _JumpHeightProposals:
                 0.0, 2.0 * log_x - math.log(beta * (1.0 - beta))) / weights)
             self.splits = lows + widths
             self.bound_gaps = gaps - widths
-        # the lower piece's mass is its bound times (1 - e^(-w (s - low))) / w,
-        # the upper piece's its factor times (1 - s)^beta / beta
+        # the lower piece's mass is its bound times (1 - e^(-w (s - low))) / w
+        # (s - low at w = 0), the upper piece's its factor times (1 - s)^beta
+        # / beta
         rates = weights * widths
         self.exp_scale = -np.expm1(-rates)
+        spans = np.divide(self.exp_scale, weights, out=widths.copy(),
+                          where=rates > 0.0)
         log_lower = (math.log(c) - (1.0 + sigma) * np.log(lows)
-                     + (beta - 1.0) * np.log(self.bound_gaps)
-                     + np.log(widths * exprel(-rates)))
+                     + (beta - 1.0) * np.log(self.bound_gaps) + np.log(spans))
         if beta < 1.0:
             log_upper = (math.log(c) - (1.0 + sigma) * np.log(self.splits)
                          - rates + beta * np.log(self.bound_gaps)
                          - math.log(beta))
-            self.upper_share = expit(log_upper - log_lower)
+            # 1 / (1 + e^(log_lower - log_upper)), free of overflow
+            self.upper_share = np.exp(
+                -np.logaddexp(0.0, log_lower - log_upper))
             log_mass = np.logaddexp(log_lower, log_upper)
         else:
             self.upper_share = np.zeros_like(lows)

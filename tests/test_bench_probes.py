@@ -82,10 +82,11 @@ def test_traced_marginal_sweep_counts_log_predictive():
 
 
 def test_draws_and_sweeps_never_invert_the_tail():
-    # prior draws and slice sweeps thin the power envelope: a traced
-    # prior-gg draw (d = 2, generalized gamma (0.3, 1), shape 2, centring
-    # mass 10) and a traced slice sweep call core.inverse_tail 0 times.
-    # The slice start state, made before tracing, still inverts the tail
+    # prior draws, the slice start state and slice sweeps take their
+    # points from the power envelope in closed form: a traced prior-gg
+    # draw (d = 2, generalized gamma (0.3, 1), shape 2, centring mass 10),
+    # a traced slice start state and traced slice sweeps call
+    # core.inverse_tail 0 times
     rng = np.random.default_rng(5)
     prior_spec = CoRMSpec.from_marginal(
         2, 2.0, MarginalFamily.generalized_gamma(0.3, 1.0),
@@ -94,12 +95,12 @@ def test_draws_and_sweeps_never_invert_the_tail():
     kernel = UnivariateNormalGamma.from_data(data.stacked())
     spec = CoRMSpec.from_marginal(
         2, 0.5, MarginalFamily.generalized_gamma(0.3, 1.0))
-    state = slice_sampler.initial_slice_state(data, spec, kernel, rng,
-                                              n_start=3)
     v_steps = [(AdaptiveStepSize(), AdaptiveStepSize()) for _ in range(2)]
     tracer = tracing.Tracer()
     uninstall = tracing.install(tracer)
     try:
+        state = slice_sampler.initial_slice_state(data, spec, kernel, rng,
+                                                  n_start=3)
         for _ in range(3):
             prior.sample_corm(prior_spec, rng)
             spec = slice_sampler.slice_sweep(
@@ -108,6 +109,7 @@ def test_draws_and_sweeps_never_invert_the_tail():
     finally:
         uninstall()
     assert tracer.calls['prior.sample_corm'] == 3
+    assert tracer.calls['slice_sampler.initial_state'] == 1
     assert tracer.calls['slice_sampler.sweep'] == 3
     assert tracer.calls['slice_sampler.jump_heights'] == 3
     assert tracer.calls['slice_sampler.sample_tilted_z'] > 0

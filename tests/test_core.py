@@ -346,13 +346,11 @@ class TestDeferredTail:
     not with the intensity.'''
 
     def test_spec_builds_do_not_build_the_tail_terms(self, monkeypatch):
-        import scipy.special
-
         def refuse(*args):
             raise AssertionError('tail terms built')
 
         monkeypatch.setattr(core, '_beta_series', refuse)
-        monkeypatch.setattr(scipy.special, 'digamma', refuse)
+        monkeypatch.setattr(core, '_beta_tail_constant', refuse)
         for marginal in (MarginalFamily.gamma(),
                          MarginalFamily.generalized_gamma(0.3, 1.0)):
             spec = CoRMSpec.from_marginal(2, 1.0, marginal)
@@ -383,6 +381,49 @@ class TestDeferredTail:
             np.testing.assert_array_equal(got, tails[0])
         for got in inverses[1:]:
             np.testing.assert_array_equal(got, inverses[0])
+
+
+class TestTailConstant:
+    '''k0 = B(-sigma, beta) + 1/sigma (-digamma(beta) - euler_gamma at
+    sigma 0) of the beta-type unit tail, against 40-digit mpmath at the
+    doubles sigma and beta.  G(x) is k0 less terms of about its size near
+    the series switch, so the tail's series branch is only as good as k0:
+    within an ulp of max(1, |k0|) here, where the scipy-based constant it
+    replaced was off by up to 5 (sigma 0.9, shape 0.2) and relative to a
+    tiny k0 by 5e-11 (sigma 1e-6, shape 1).'''
+
+    @pytest.mark.parametrize('sigma', [0.0, 1e-6, 0.01, 0.3, 0.5, 0.9])
+    def test_against_mpmath(self, sigma):
+        with mpmath.workdps(40):
+            for shape in (0.01, 0.05, 0.2, 0.5, 1.0, 2.0, 5.0, 19.7, 100.0):
+                beta = sigma + shape
+                s, b = mpmath.mpf(sigma), mpmath.mpf(beta)
+                want = -mpmath.digamma(b) - mpmath.euler if sigma == 0.0 \
+                    else mpmath.beta(-s, b) + 1 / s
+                got = core._beta_tail_constant(sigma, beta)
+                assert abs(got - want) <= 2.0 ** -52 * max(1, abs(want)), \
+                    shape
+
+    def test_gamma_case_against_digamma(self):
+        # at sigma 0 k0 = -digamma(beta) - euler_gamma: on (0.01, 200) and
+        # next to beta = 1, where it vanishes, within an ulp of its value,
+        # and no further off than scipy's digamma gives it
+        from scipy.special import digamma
+        beta = np.concatenate([np.geomspace(0.01, 200.0, 401),
+                               1.0 + np.arange(-20, 21) * 2.0 ** -40])
+        got = np.array([core._beta_tail_constant(0.0, b) for b in beta])
+        with mpmath.workdps(40):
+            want = [-mpmath.digamma(mpmath.mpf(b)) - mpmath.euler
+                    for b in beta]
+
+            def ulps(values):
+                return np.array([
+                    float(abs(v - w) / np.spacing(abs(float(w)))) if w
+                    else abs(v) for v, w in zip(values, want)])
+
+            ours = ulps(got)
+            scipy_way = ulps(-digamma(beta) - np.euler_gamma)
+        assert ours.max() <= min(1.0, scipy_way.max())
 
 
 # every sigma with shapes up to 150; shape + sigma < 170 throughout, the
@@ -472,6 +513,15 @@ class TestBoxCox:
                 want = mpmath.exp(ym) if lam == 0.0 \
                     else (1 + lm * ym) ** (1 / lm)
                 assert abs(xi / want - 1) <= 4.0 * eps * (1.0 + log_x), x
+
+    @pytest.mark.parametrize('lam', LAMBDAS)
+    def test_single_points_match_the_array(self, lam):
+        # a single positive point skips np.errstate but gives the same
+        # doubles as the array it came from
+        y = core._boxcox(self.X, lam)
+        for i in range(0, self.X.size, 7):
+            assert core._boxcox(self.X[i], lam) == y[i]
+            assert core._boxcox(self.X[i:i + 1], lam)[0] == y[i]
 
     @pytest.mark.parametrize('lam', LAMBDAS)
     def test_limits_at_zero_without_a_warning(self, lam):

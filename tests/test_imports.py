@@ -1,13 +1,14 @@
 '''The set of modules a fresh corm process loads.
 
 Importing corm loads numpy only.  A spec build, the marginal (urn)
-sampler and a prior draw load no scipy either.  scipy.special loads on
-the first call that needs one of its functions (tail inversion, the
-slice sampler, the analysis functions), scipy.integrate (QUADPACK) on
-the first numerics.integrate call and scipy.stats on the first
-inverse-Wishart draw, because importing them takes longer than the rest
-of a fresh process's start.  The checks run in a fresh interpreter:
-pytest's warning filters import scipy.integrate into the test process.
+sampler, a prior draw, and the slice sampler's start state and sweeps
+load no scipy either.  scipy.special loads on the first call that needs
+one of its functions (tail inversion, the analysis functions),
+scipy.integrate (QUADPACK) on the first numerics.integrate call and
+scipy.stats on the first inverse-Wishart draw, because importing them
+takes longer than the rest of a fresh process's start.  The checks run
+in a fresh interpreter: pytest's warning filters import scipy.integrate
+into the test process.
 '''
 
 import json
@@ -54,8 +55,7 @@ state.check()
 draw = prior.sample_corm(spec, rng)
 out['urn_and_prior'] = loaded('scipy')
 out['jumps'] = int(draw.jump_count)
-# the first-use imports: a slice sweep, a Levy copula, a quadrature and
-# an inverse-Wishart draw
+# a slice start state and one slice sweep
 slice_state = slice_sampler.initial_slice_state(data, spec, kernel, rng,
                                                 n_start=4)
 slice_sampler.slice_sweep(
@@ -63,7 +63,11 @@ slice_sampler.slice_sweep(
     [(marginal_sampler.AdaptiveStepSize(),
       marginal_sampler.AdaptiveStepSize()) for _ in range(2)],
     marginal_sampler.AdaptiveStepSize(), lambda phi: -phi, {})
+slice_state.check()
+out['slice'] = loaded('scipy')
 out['slice_jumps'] = int(slice_state.n_jumps)
+# the first-use imports: a Levy copula, a quadrature and an
+# inverse-Wishart draw
 out['copula'] = core.levy_copula(spec, 0.5, 2.0)
 out['integral'] = numerics.integrate(math.exp, 0.0, 1.0).value
 niw = kernels.MultivariateNormalNIW(np.zeros(2), 1.0, 5.0, np.eye(2))
@@ -84,8 +88,9 @@ def test_fresh_import_loads_no_heavy_scipy_subpackage():
     assert got['on_import'] == []
     assert got['urn_and_prior'] == []
     assert got['jumps'] > 0
-    # and the deferred imports work once used
+    assert got['slice'] == []
     assert got['slice_jumps'] > 0
+    # and the deferred imports work once used
     assert 0.0 < got['copula'] < 0.5
     assert abs(got['integral'] - (math.e - 1.0)) < 1e-14
     mu, cov = np.array(got['mu']), np.array(got['cov'])

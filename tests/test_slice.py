@@ -389,6 +389,69 @@ def _two_groups(rng, per_group):
     return Dataset(groups)
 
 
+class TestStartJumps:
+    '''The start jumps of initial_slice_state sit at uniform levels of the
+    power law c z^(-1-sigma) of the directing intensity's envelope
+    (PowerEnvelope.power_level), in closed form, strictly inside the
+    support (0, 1/a): a level that rounds up to 1/a gives the largest
+    double below it.'''
+
+    # the lowest level 1 - U takes, U uniform on [0, 1), and two more
+    LEVELS = np.concatenate([[2.0 ** -53, 2.0 ** -52, 1e-12],
+                             np.linspace(0.01, 1.0, 100)])
+
+    @pytest.mark.parametrize('marginal, shape, clamped', [
+        (MarginalFamily.gamma(), 0.05, False),
+        (MarginalFamily.generalized_gamma(0.3, 1.0), 1.0, False),
+        # c = 7.95: levels 2^-53 and 2^-52 round up to 1
+        (MarginalFamily.generalized_gamma(0.3, 1.0), 0.01, True),
+        (MarginalFamily.generalized_gamma(0.3, 2.0), 1.0, False),
+        (MarginalFamily.sigma_stable(0.5), 1.0, False),
+    ], ids=['gamma-0.05', 'gg-1', 'gg-0.01', 'gg-a2', 'stable'])
+    def test_power_levels_lie_inside_the_support(self, marginal, shape,
+                                                 clamped):
+        spec = CoRMSpec.from_marginal(1, shape, marginal)
+        envelope = spec.directing.envelope
+        c, sigma, top = envelope.c, envelope.sigma, envelope.top
+        z = envelope.power_level(self.LEVELS)
+        assert np.all((z > 0.0) & (z < top))
+        assert np.all(np.diff(z) <= 0.0)
+        if clamped:
+            assert z[0] == z[1] == np.nextafter(top, 0.0)
+        # away from the top the power law has mass level above z
+        z, levels = z[3:], self.LEVELS[3:]
+        if math.isinf(top):
+            mass = c * z ** -sigma / sigma
+        elif sigma == 0.0:
+            mass = c * np.log(top / z)
+        else:
+            mass = c * (z ** -sigma - top ** -sigma) / sigma
+        np.testing.assert_allclose(mass, levels, rtol=1e-12)
+
+    @pytest.mark.parametrize('marginal, shape', [
+        (MarginalFamily.gamma(), 0.05),
+        (MarginalFamily.generalized_gamma(0.3, 1.0), 1.0),
+        (MarginalFamily.generalized_gamma(0.3, 1.0), 0.01),
+    ], ids=['gamma-0.05', 'gg-1', 'gg-0.01'])
+    def test_initial_state_takes_the_power_levels(self, monkeypatch,
+                                                  marginal, shape):
+        def inverse_tail(self, level):
+            raise AssertionError('inverse_tail called')
+
+        monkeypatch.setattr(LevyIntensity, 'inverse_tail', inverse_tail)
+        data = _two_groups(np.random.default_rng(31), 30)
+        kernel = UnivariateNormalGamma.from_data(data.stacked())
+        spec = CoRMSpec.from_marginal(2, shape, marginal)
+        state = initial_slice_state(data, spec, kernel,
+                                    np.random.default_rng(32), n_start=40)
+        state.check()
+        # the start's first draws are the jumps' uniforms, one a jump
+        u = np.random.default_rng(32).uniform(size=40)
+        np.testing.assert_array_equal(
+            state.jumps, spec.directing.envelope.power_level(1.0 - u))
+        assert np.all((state.jumps > 0.0) & (state.jumps < 1.0))
+
+
 @pytest.mark.parametrize('marginal', [
     MarginalFamily.gamma(),
     MarginalFamily.generalized_gamma(0.3, 1.0),
