@@ -132,8 +132,8 @@ class LevyIntensity:
                               Given where p_upper is a rounded double and
                               the rate is exact (the beta-type
                               intensities give beta).
-    tail_fn / inverse_fn    : optional vectorised tail integral
-                              U(x) = int_x^upper density and its inverse.
+    tail_fn                 : optional vectorised tail integral
+                              U(x) = int_x^upper density.
     log_density             : optional vectorised callable (z, gap) ->
                               log density(z), where gap = upper - z is
                               passed exactly, so a factor vanishing at a
@@ -148,15 +148,16 @@ class LevyIntensity:
 
     Integrals against the intensity run on TiltRule nodes.  tail_integral
     and inverse_tail work on arrays.  Without a tail_fn, tail_integral is
-    a QUADPACK integral in log z (numerics.integrate); without an
-    inverse_fn, inverse_tail inverts U by _invert_monotone, and a level
-    whose root lies below z = 1e-300 raises ValueError.  log_density(z,
-    gap) feeds the TiltRule nodes; it falls back to log(density(z)).
+    a QUADPACK integral in log z (numerics.integrate).  inverse_tail
+    inverts U by _invert_monotone, on a support (0, inf) only: a level
+    whose root lies below z = 1e-300 or above 1e300 raises ValueError, and
+    so does a finite support.  log_density(z, gap) feeds the TiltRule
+    nodes; it falls back to log(density(z)).
     '''
 
     def __init__(self, density, support, singularity_exponents=(None, None),
-                 tail_fn=None, inverse_fn=None, log_density=None,
-                 upper_rate=None, envelope=None):
+                 tail_fn=None, log_density=None, upper_rate=None,
+                 envelope=None):
         lo, hi = support
         if math.isinf(lo) or not hi > lo:
             raise ValueError('support must be a nonempty interval with finite lower end')
@@ -168,7 +169,6 @@ class LevyIntensity:
             upper_rate = p_hi + 1.0
         self.upper_rate = upper_rate
         self._tail_fn = tail_fn
-        self._inverse_fn = inverse_fn
         self._log_density = log_density
         self.envelope = envelope
         # prior truncation by tail_mass (the level and what a draw needs
@@ -209,17 +209,17 @@ class LevyIntensity:
 
     def inverse_tail(self, level):
         '''Solve U(x) = level for x, elementwise over an array of
-        levels; U is strictly decreasing.'''
+        levels; U is strictly decreasing.  Only on a support (0, inf): the
+        points of a directing intensity on (0, 1/a) are drawn by thinning
+        its envelope, which inverts nothing.'''
+        if not math.isinf(self.support[1]):
+            raise ValueError('inverse_tail needs a support (0, inf), not '
+                             '%r' % (self.support,))
         levels = np.asarray(level, dtype=float)
         if not np.all(levels > 0.0):
             raise ValueError('tail level must be positive')
-        if self._inverse_fn is not None:
-            x = np.asarray(self._inverse_fn(levels), dtype=float)
-        else:
-            lo, hi = self.support
-            mid = 1.0 if math.isinf(hi) else 0.5 * (lo + hi)
-            x = _invert_monotone(self.tail_integral, self.density, levels,
-                                 lambda y: np.full_like(y, mid), hi)
+        x = _invert_monotone(self.tail_integral, self.density, levels,
+                             np.ones_like, math.inf)
         return float(x) if x.ndim == 0 else x
 
 
@@ -233,23 +233,18 @@ def _invert_monotone(fn, slope, level, start, upper, increasing=False):
     infinite, for a positive strictly monotone fn with |fn'| = slope.
     Newton steps on log fn against log z, exact for a power law, inside a
     bracket kept per element; a step that leaves the bracket is replaced
-    by geometric bisection.  In the upper half of a finite support the
-    steps (and the bisections of a bracket there) are taken on
-    log(upper - z) instead, so a root close to the upper end is resolved
-    relative to its gap, down to adjacent doubles; of the two bracket
-    ends the one with the smaller level residual is returned.  Only
-    unconverged elements are iterated.  A root beyond the largest double
-    below a finite upper end returns that double.  A root below
-    z = 1e-300 (or above 1e300 on an infinite support) raises ValueError,
-    and an element unconverged after _SOLVER_STEPS steps raises
-    RuntimeError.
+    by geometric bisection, and of the two bracket ends the one with the
+    smaller level residual is returned.  Only unconverged elements are
+    iterated.  A root beyond the largest double below a finite upper end
+    returns that double.  A root below z = 1e-300 (or above 1e300 on an
+    infinite support) raises ValueError, and an element unconverged after
+    _SOLVER_STEPS steps raises RuntimeError.
     '''
     level = np.asarray(level, dtype=float)
     y = level.ravel()
     log_y = np.log(y)
     finite = not math.isinf(upper)
     top = np.nextafter(upper, 0.0) if finite else _Z_CEIL
-    half = 0.5 * upper
     z = np.clip(np.asarray(start(y), dtype=float), _Z_FLOOR, top)
     todo = np.arange(z.size)
     lo, hi = np.zeros_like(z), np.full_like(z, np.inf)
@@ -263,30 +258,16 @@ def _invert_monotone(fn, slope, level, start, upper, increasing=False):
             above = (g > 0.0) != increasing
             # Newton correction of log z; f = 0 or slope = 0 give nan/inf
             dt = (-g if increasing else g) * f / (z * slope(z))
-            # the same correction of log(upper - z), whose gap is exact
-            # (Sterbenz) above upper/2; taken where it stays there
-            gap = upper - z
-            dt_gap = -dt * z / gap
-            step_gap = upper - gap * np.exp(dt_gap)
-            on_gap = (z > half) & (step_gap > half)
-            dt = np.where(on_gap, dt_gap, dt)
             # a step past the representable range stops at its edge
-            step = np.minimum(np.maximum(
-                np.where(on_gap, step_gap, z * np.exp(dt)), _Z_FLOOR), top)
+            step = np.minimum(np.maximum(z * np.exp(dt), _Z_FLOOR), top)
             lo = np.where(above, z, lo)
             hi = np.where(above, hi, z)
             r_lo = np.where(above, np.abs(g), r_lo)
             r_hi = np.where(above, r_hi, np.abs(g))
-            # a steep fn (near a finite upper end) may never bring the
-            # level residual to 1e-11, but its steps shrink below 1e-13,
-            # or its bracket closes on two adjacent doubles
-            upper_half = lo > half
-            closed = np.where(upper_half,
-                              upper - lo <= (upper - hi) * (1.0 + 1e-13),
-                              hi <= lo * (1.0 + 1e-13)) \
-                | (hi <= np.nextafter(lo, np.inf))
-            done = (np.abs(g) <= 1e-11) | (np.abs(dt) <= 1e-13) | closed \
-                | (above & (z >= top) & finite)
+            # a steep fn may never bring the level residual to 1e-11, but
+            # its steps shrink below 1e-13, or its bracket closes to 1e-13
+            done = (np.abs(g) <= 1e-11) | (np.abs(dt) <= 1e-13) \
+                | (hi <= lo * (1.0 + 1e-13)) | (above & (z >= top) & finite)
             lost = ~done & ((~above & (z <= _Z_FLOOR)) | (above & (z >= top)))
             if lost.any():
                 raise ValueError('level %r has its root outside (%g, %g)'
@@ -297,14 +278,11 @@ def _invert_monotone(fn, slope, level, start, upper, increasing=False):
                 if done.all():
                     return out.reshape(level.shape)
                 keep = ~done
-                todo, step, lo, hi, r_lo, r_hi, upper_half = (
-                    x[keep] for x in (todo, step, lo, hi, r_lo, r_hi,
-                                      upper_half))
+                todo, step, lo, hi, r_lo, r_hi = (
+                    x[keep] for x in (todo, step, lo, hi, r_lo, r_hi))
             bad = np.isnan(step) | (step <= lo) | (step >= hi)
-            lo_c, hi_c = np.maximum(lo, _Z_FLOOR), np.minimum(hi, top)
-            gap_mid = np.sqrt(upper - lo_c) * np.sqrt(upper - hi_c)
-            mid = np.where(upper_half, upper - gap_mid,
-                           np.sqrt(lo_c) * np.sqrt(hi_c))
+            mid = np.sqrt(np.maximum(lo, _Z_FLOOR)) \
+                * np.sqrt(np.minimum(hi, top))
             z = np.where(bad, mid, step)
     raise RuntimeError('%d of %d levels unconverged after %d steps'
                        % (todo.size, out.size, _SOLVER_STEPS))
@@ -670,7 +648,6 @@ def directing_from_marginal(marginal, shape):
             density, (0.0, np.inf),
             singularity_exponents=(-1.0 - sigma, -1.0 - sigma),
             tail_fn=lambda x: c / sigma * x ** -sigma,
-            inverse_fn=lambda y: (sigma * y / c) ** (-1.0 / sigma),
             log_density=lambda z, gap: (math.log(c)
                                         - (1.0 + sigma) * np.log(z)),
             envelope=PowerEnvelope(c, sigma, 0.0, 1.0))
@@ -733,30 +710,10 @@ def directing_from_marginal(marginal, shape):
         x = np.atleast_1d(np.clip(a * z, 1e-300, 1.0))
         return scale * unit_tail(x).reshape(z.shape)
 
-    if sigma == 0.0 and beta == 1.0:
-        inverse = lambda y: np.exp(-np.asarray(y, dtype=float))
-    else:
-        @cache
-        def g_switch():
-            # G(x_switch), built on the first inverse call
-            return float(unit_tail(np.array([x_switch]))[0])
-
-        def start(y):
-            # high levels invert L(x) + k0 (1 + sigma (G - k0) > 0, as
-            # B(-sigma, beta) < 0), low ones G(x) ~ (1 - x)^beta / beta,
-            # in logs and kept above x_switch, where their roots lie
-            yu = y / scale
-            x_small = _inv_boxcox(terms()[2] - yu, -sigma)
-            x_large = -np.expm1(np.minimum(np.log(beta * yu) / beta,
-                                           math.log1p(-x_switch)))
-            return np.where(yu >= g_switch(), x_small, x_large) / a
-
-        def inverse(y):
-            return _invert_monotone(tail, density, y, start, 1.0 / a)
     return LevyIntensity(density, (0.0, 1.0 / a),
                          singularity_exponents=(-1.0 - sigma, beta - 1.0),
-                         tail_fn=tail, inverse_fn=inverse,
-                         log_density=log_density, upper_rate=beta,
+                         tail_fn=tail, log_density=log_density,
+                         upper_rate=beta,
                          envelope=PowerEnvelope(c, sigma, a, beta))
 
 
@@ -781,8 +738,7 @@ def marginal_intensity(marginal):
         return LevyIntensity(
             density, (0.0, np.inf),
             singularity_exponents=(-1.0 - sigma, -1.0 - sigma),
-            tail_fn=lambda x: x ** -sigma / math.gamma(1.0 - sigma),
-            inverse_fn=lambda y: (math.gamma(1.0 - sigma) * y) ** (-1.0 / sigma))
+            tail_fn=lambda x: x ** -sigma / math.gamma(1.0 - sigma))
     if marginal.kind == 'generalized-gamma':
         sigma, a = marginal.sigma, marginal.a
         c = sigma / math.gamma(1.0 - sigma)
@@ -850,8 +806,7 @@ def marginal_from_directing(directing, shape, theta=None, sigma=None, a=None):
         return LevyIntensity(
             density, (0.0, np.inf),
             singularity_exponents=(-1.0 - sigma, -1.0 - sigma),
-            tail_fn=lambda x: c / sigma * x ** -sigma,
-            inverse_fn=lambda y: (sigma * y / c) ** (-1.0 / sigma))
+            tail_fn=lambda x: c / sigma * x ** -sigma)
     if directing == 'generalized-gamma':
         if sigma is None or not 0.0 < sigma < 1.0:
             raise ValueError('sigma must lie in (0, 1)')
@@ -929,6 +884,12 @@ class CoRMSpec:
     def shape(self):
         return self.score.shape
 
+    @cached_property
+    def rule_nodes(self):
+        '''The RuleNodes on the whole of a finite support, shared by
+        every TiltRule(spec, v) of this spec.'''
+        return RuleNodes(self, self.directing.support[1])
+
 
 # the rule is cut where log1p(v z), 1 - z/upper and the like differ from
 # their leading power by less than this relative amount
@@ -980,7 +941,8 @@ class RuleNodes:
     The v-independent node terms of the TiltRules on one finite stretch
     of a support (0, U): (0, upper) below a truncation level upper <= U,
     or (lower, upper) with lower > 0.  Built once and shared by the rules
-    at every tilt v there; see TiltRule for the layout.
+    at every tilt v there (CoRMSpec.rule_nodes holds the spec's own, on
+    the whole support); see TiltRule for the layout.
 
     The nodes u_k = top - k h (k = 0, 1, ...) are anchored at the upper
     cut and computed in blocks, as far down as the largest v_max asked
@@ -1070,8 +1032,11 @@ class TiltRule:
     to double precision (v_max z <= 1e-17 and the like); the rule's terms
     past each end are summed in closed form as geometric series.
 
-    Given nodes (a RuleNodes of the same spec), the rule runs over a
-    stretch of a finite support instead:
+    On a finite support the node terms always come from a RuleNodes of
+    the same spec.  Without given nodes they are the spec's own on the
+    whole support (CoRMSpec.rule_nodes), so the rules of one spec at
+    every v share one node computation.  Given nodes, the rule runs over
+    a stretch of a finite support instead:
 
     - a truncated end, (0, L) with L <= U: z = L exp(-softplus(-u)), and
       nu* reads its gap as (U - L) + (L - z).  The end series at 0 keeps
@@ -1107,13 +1072,15 @@ class TiltRule:
                              % spec.dimension)
         if np.any(v < 0.0):
             raise ValueError('v must be nonnegative')
-        if nodes is not None and nodes.spec is not spec:
-            raise ValueError('the nodes belong to another spec')
         lo, upper = nu.support
         if lo != 0.0:
             raise ValueError('the tilt rule needs a support starting at 0')
+        if nodes is None and not math.isinf(upper):
+            nodes = spec.rule_nodes
+        if nodes is not None and nodes.spec is not spec:
+            raise ValueError('the nodes belong to another spec')
         p_lo, p_hi = nu.singularity_exponents
-        self.finite = nodes is not None or not math.isinf(upper)
+        self.finite = nodes is not None
         if not self.finite and p_hi is None:
             raise ValueError('the tilt rule needs the power decay of the '
                              'intensity at an infinite upper end')
@@ -1123,37 +1090,26 @@ class TiltRule:
         self.p_lo = 0.0 if p_lo is None else float(p_lo)
         active = v[v > 0.0]
         v_max = float(active.max()) if active.size else 1.0
-        v_min = float(active.min()) if active.size else 1.0
-        if nodes is not None:
+        if self.finite:
             self.lower = nodes.lower
             self.upper_rate = nodes.upper_rate
             self.h = nodes.h
             self.log_z, z, self.log_w = nodes.terms(v_max)
-            self.log1p_vz = np.log1p(np.multiply.outer(v, z))
-            return
-        self.lower = 0.0
-        # p_hi + 1, exact where the intensity gives it
-        self.upper_rate = 1.0 if p_hi is None else float(nu.upper_rate)
-        h = _rule_step(spec)
-        cut = -math.log(_PURE)
-        if self.finite:
-            u_lo = -cut - max(0.0, math.log(v_max * upper))
-            u_hi = cut
         else:
+            # z = e^u from 1e-17 / v_max to 1e17 / v_min
+            v_min = float(active.min()) if active.size else 1.0
+            self.lower = 0.0
+            # p_hi + 1, exact where the intensity gives it
+            self.upper_rate = float(nu.upper_rate)
+            self.h = _rule_step(spec)
+            cut = -math.log(_PURE)
             u_lo = -cut - math.log(v_max)
-            u_hi = cut - math.log(v_min)
-        # an even number of steps, so both ends are sub-rule nodes
-        n = 2 * math.ceil(0.5 * (u_hi - u_lo) / h)
-        u = u_lo + h * np.arange(n + 1)
-        if self.finite:
-            log_z, z, self.log_w = _sigmoid_terms(nu, h, u, upper)
-        else:
-            log_z = u
-            z = np.exp(u)
-            self.log_w = math.log(h) + u + nu.log_density(
-                z, np.full_like(u, np.inf))
-        self.h = h
-        self.log_z = log_z
+            # an even number of steps, so both ends are sub-rule nodes
+            n = 2 * math.ceil(0.5 * (cut - math.log(v_min) - u_lo) / self.h)
+            self.log_z = u_lo + self.h * np.arange(n + 1)
+            z = np.exp(self.log_z)
+            self.log_w = math.log(self.h) + self.log_z + nu.log_density(
+                z, np.full_like(z, np.inf))
         self.log1p_vz = np.log1p(np.multiply.outer(v, z))
 
     def _end_rates(self, lower_power, tail_power):
@@ -1371,26 +1327,20 @@ def laplace_exponent_exponential_closed(psi1, lam_tilde, counts):
     return float(sp.N(value, 30))
 
 
-def rho_density(spec, s, method='auto'):
+def rho_density(spec, s):
     '''
     Multivariate Levy intensity rho_d at the positive vector s: the density
     of putting scaled scores s_j on the d coordinates of one shared jump.
-
-    method='closed' uses the closed forms (gamma and sigma-stable marginals),
-    'mixture' integrates int z^-d prod_j f(s_j / z) nu*(z) dz directly,
-    'auto' picks closed when available.
+    Gamma and sigma-stable marginals have it in closed form; generalized
+    gamma integrates int z^-d prod_j f(s_j / z) nu*(z) dz (_rho_by_mixture).
     '''
     s = np.asarray(s, dtype=float)
     if s.ndim != 1 or s.size != spec.dimension:
         raise ValueError('s must be a vector of length %d' % spec.dimension)
     if np.any(s <= 0.0):
         raise ValueError('all components of s must be positive')
-    if method not in ('auto', 'closed', 'mixture'):
-        raise ValueError('method must be auto, closed or mixture')
     kind = spec.marginal.kind
-    if method == 'auto':
-        method = 'mixture' if kind == 'generalized-gamma' else 'closed'
-    if method == 'mixture':
+    if kind == 'generalized-gamma':
         return _rho_by_mixture(spec, s)
     shape = spec.shape
     d = spec.dimension
@@ -1410,13 +1360,12 @@ def rho_density(spec, s, method='auto'):
         w = whittaker_w(k, mu, total)
         return math.exp(log_pref - 0.5 * (d * shape + 1.0) * math.log(total)
                         - 0.5 * total) * w
-    if kind == 'sigma-stable':
-        sigma = spec.marginal.sigma
-        return math.exp(
-            log_pref + math.log(sigma) + math.lgamma(sigma + d * shape)
-            - math.lgamma(shape + sigma) - math.lgamma(1.0 - sigma)
-            - (sigma + d * shape) * math.log(total))
-    raise ValueError('no closed multivariate intensity for %r' % (kind,))
+    # sigma-stable
+    sigma = spec.marginal.sigma
+    return math.exp(
+        log_pref + math.log(sigma) + math.lgamma(sigma + d * shape)
+        - math.lgamma(shape + sigma) - math.lgamma(1.0 - sigma)
+        - (sigma + d * shape) * math.log(total))
 
 
 def _rho_by_mixture(spec, s):

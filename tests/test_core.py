@@ -255,40 +255,6 @@ class TestBetaTypeTail:
                     want = mpmath.beta(-s, b) + 1 / s
                 assert abs(got - want) <= 1e-12 * max(1, abs(want)), shape
 
-    @pytest.mark.parametrize('sigma,a', BETA_TYPE_FAMILIES)
-    def test_inverse_round_trip(self, sigma, a):
-        for shape in (0.5, 2.0, 20.0):
-            nu, _, _ = beta_type_directing(sigma, a, shape)
-            # levels up to 100, within the tail's range over z >= 1e-300
-            # (below 1 at sigma 1e-3, where c is proportional to sigma)
-            top = min(100.0, 0.5 * nu.tail_integral(1e-300))
-            levels = np.geomspace(0.01, top, 9)
-            z = nu.inverse_tail(levels)
-            got = [nu.tail_integral(zi) for zi in z]
-            np.testing.assert_allclose(got, levels, rtol=1e-10, atol=0.0)
-
-    @pytest.mark.parametrize('marginal, shape', [
-        (MarginalFamily.gamma(), 0.5), (MarginalFamily.gamma(), 2.0),
-        (MarginalFamily.generalized_gamma(0.3, 1.0), 0.5),
-        (MarginalFamily.generalized_gamma(0.3, 1.0), 1.0)])
-    def test_round_trip_near_the_upper_end(self, marginal, shape):
-        # the lowest levels have their roots within 1e-4 to 2.5e-13 of
-        # the upper end 1, which must be resolved relative to the gap.
-        # Where one ulp of z moves the tail by more than 2e-10 relative
-        # (gamma at shape 0.5 below level 1e-5: the doubles next to 1 are
-        # 1.1e-16 apart), the level must lie between the tails at the
-        # neighbouring doubles of the returned z instead
-        nu = directing_from_marginal(marginal, shape)
-        top = min(1e3, 0.5 * nu.tail_integral(1e-300))
-        levels = np.geomspace(1e-6, top, 28)
-        z = nu.inverse_tail(levels)
-        rel = np.abs(nu.tail_integral(z) / levels - 1.0)
-        tail_below = nu.tail_integral(np.nextafter(z, 0.0))
-        tail_above = nu.tail_integral(np.nextafter(z, 2.0))
-        within_ulp = (tail_above <= levels) & (levels <= tail_below)
-        coarse = tail_below - tail_above > 2e-10 * levels
-        assert np.all((rel <= 1e-10) | (coarse & within_ulp))
-
     def test_with_shape_runs_no_quadrature(self, monkeypatch):
         import corm.core as core_mod
         spec = spec_gg(shape=1.0)
@@ -301,49 +267,11 @@ class TestBetaTypeTail:
         assert spec2.shape == 1.7
         assert spec2.directing.tail_integral(0.2) > 0.0
 
-    def test_start_above_switch_level(self, monkeypatch):
-        # levels in [scale/beta, scale g_switch) have their roots above
-        # x_switch; a start there converges in a few Newton steps, where
-        # a start at z = 1e-16 took about 30.  Every tail evaluation of
-        # one level calls _boxcox (series branch) or scipy's hyp2f1 (above
-        # the switch) once, so the two counts add up to the steps
-        import scipy.special
-
-        import corm.core as core_mod
-        marginal = MarginalFamily.generalized_gamma(0.3, 2.0)
-        nu = directing_from_marginal(marginal, 1.0)
-        c, sigma, a, beta = core_mod._beta_type(marginal, 1.0)
-        scale = c * a ** sigma
-        g_switch = nu.tail_integral(min(0.3, 1.0 / beta) / a) / scale
-        assert 1.0 / beta < g_switch
-        level = scale * 0.5 * (1.0 / beta + g_switch)
-        calls = []
-        for owner, name in ((scipy.special, 'hyp2f1'), (core_mod, '_boxcox')):
-            def counted(*args, _fn=getattr(owner, name)):
-                calls.append(1)
-                return _fn(*args)
-            monkeypatch.setattr(owner, name, counted)
-        z = nu.inverse_tail(level)
-        monkeypatch.undo()
-        assert len(calls) <= 10
-        assert nu.tail_integral(z) == pytest.approx(level, rel=1e-10)
-
-    @pytest.mark.parametrize('shape', [0.5, 2.0, 20.0])
-    def test_level_above_the_tail_range_raises(self, shape):
-        # c is proportional to sigma, so at sigma 1e-3 the whole tail
-        # above z = 1e-300 is below 1: level 1 has no representable root
-        nu, _, _ = beta_type_directing(1e-3, 0.5, shape)
-        assert nu.tail_integral(1e-300) < 1.0
-        with pytest.raises(ValueError, match='root outside'):
-            nu.inverse_tail(1.0)
-        with pytest.raises(ValueError, match='root outside'):
-            nu.inverse_tail(np.array([0.1, 1.0]))
-
 
 class TestDeferredTail:
     '''The beta-type tail's series and k0 are built on the first tail
-    call that needs them, and its switch level on the first inverse call,
-    not with the intensity.'''
+    call that needs them, not with the intensity, and the call that
+    builds them does not change the doubles.'''
 
     def test_spec_builds_do_not_build_the_tail_terms(self, monkeypatch):
         def refuse(*args):
@@ -368,19 +296,14 @@ class TestDeferredTail:
             return directing_from_marginal(marginal, 1.3)
 
         z = np.geomspace(1e-9, 0.99, 25) / build().support[1]
-        levels = np.geomspace(1e-3, 10.0, 9)
-        tail_first = build()
-        tails = [tail_first.tail_integral(z)]
-        inverses = [tail_first.inverse_tail(levels)]
-        inverse_first = build()
-        inverses.append(inverse_first.inverse_tail(levels))
-        tails.append(inverse_first.tail_integral(z))
-        tails.append(build().tail_integral(z))
-        inverses.append(build().inverse_tail(levels))
+        tails = [build().tail_integral(z)]
+        # a first call at one point, on the series branch or above it
+        for first in (z[0], z[-1]):
+            nu = build()
+            nu.tail_integral(first)
+            tails.append(nu.tail_integral(z))
         for got in tails[1:]:
             np.testing.assert_array_equal(got, tails[0])
-        for got in inverses[1:]:
-            np.testing.assert_array_equal(got, inverses[0])
 
 
 class TestTailConstant:
@@ -534,13 +457,14 @@ class TestBoxCox:
 
 
 class TestInverseWithoutClosedForm:
-    '''inverse_tail of intensities without an inverse_fn: Newton steps on
-    the tail integral and the density.'''
+    '''inverse_tail: Newton steps on the tail integral and the density,
+    on a support (0, inf) only.'''
 
     LEVELS = np.geomspace(1e-8, 600.0, 50)
 
     @pytest.mark.parametrize('marginal', [
-        MarginalFamily.gamma(), MarginalFamily.generalized_gamma(0.3, 1.0)])
+        MarginalFamily.gamma(), MarginalFamily.generalized_gamma(0.3, 1.0),
+        MarginalFamily.sigma_stable(0.7)])
     def test_marginal_round_trip(self, marginal):
         nu = marginal_intensity(marginal)
         x = nu.inverse_tail(self.LEVELS)
@@ -567,6 +491,15 @@ class TestInverseWithoutClosedForm:
                                                         rel=1e-10)
         with pytest.raises(ValueError, match='root outside'):
             nu.inverse_tail(1e-200)
+
+    def test_finite_support_raises(self):
+        # the directing intensities on (0, 1/a) have no inverse tail:
+        # their points are drawn by thinning the envelope
+        for marginal in (MarginalFamily.gamma(),
+                         MarginalFamily.generalized_gamma(0.3, 2.0)):
+            nu = directing_from_marginal(marginal, 0.5)
+            with pytest.raises(ValueError, match='support'):
+                nu.inverse_tail(0.01)
 
     def test_unconverged_level_raises(self):
         # a density 1e6 times the tail's derivative shrinks every Newton
@@ -912,14 +845,14 @@ class TestRhoDensity:
         for shape in (1.0, 2.0):
             sp = spec_gamma(shape=shape)
             for s in ([0.3, 0.9], [1.0, 2.0]):
-                closed = rho_density(sp, s, method='closed')
-                mix = rho_density(sp, s, method='mixture')
+                closed = rho_density(sp, s)
+                mix = core._rho_by_mixture(sp, np.asarray(s))
                 assert closed == pytest.approx(mix, rel=1e-7)
 
     def test_closed_matches_mixture_stable(self):
         sp = spec_stable(shape=1.0, sigma=0.5)
-        closed = rho_density(sp, [1.0, 1.0], method='closed')
-        mix = rho_density(sp, [1.0, 1.0], method='mixture')
+        closed = rho_density(sp, [1.0, 1.0])
+        mix = core._rho_by_mixture(sp, np.array([1.0, 1.0]))
         assert closed == pytest.approx(mix, rel=1e-7)
 
     def test_stable_closed_coefficient(self):
@@ -939,8 +872,6 @@ class TestRhoDensity:
             rho_density(sp, [1.0, -1.0])
         with pytest.raises(ValueError):
             rho_density(sp, [1.0])
-        with pytest.raises(ValueError):
-            rho_density(sp, [1.0, 1.0], method='magic')
 
 
 class TestKappaAndG:

@@ -24,6 +24,7 @@ from corm.core import (
     RuleNodes,
     TiltRule,
     _directing_moment,
+    _rho_by_mixture,
     levy_copula,
     marginal_intensity,
     rho_density,
@@ -46,9 +47,9 @@ class TestRhoMixture:
     @pytest.mark.parametrize('s', [(10.0, 10.0), (20.0, 30.0)])
     def test_mixture_matches_closed(self, marginal, shape, s):
         spec = make_spec(marginal, shape)
-        closed = rho_density(spec, s, method='closed')
+        closed = rho_density(spec, s)
         # abs=0: pytest.approx's default 1e-12 floor would pass anything
-        assert rho_density(spec, s, method='mixture') == pytest.approx(
+        assert _rho_by_mixture(spec, np.asarray(s)) == pytest.approx(
             closed, rel=1e-12, abs=0.0)
 
     def test_generalized_gamma_default_path(self):

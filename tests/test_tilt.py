@@ -338,8 +338,8 @@ class TestSubThresholdRule:
     @pytest.mark.parametrize('shape', [0.05, 2.0])
     def test_truncated_at_the_support_end_is_psi(self, family, shape):
         # at L = U the upper end has nu*'s own rate: the residual is the
-        # whole-support psi, by a rule with its nodes laid out from the
-        # other end
+        # whole-support psi, by a rule on its own RuleNodes(spec, U)
+        # rather than the spec's shared ones
         spec = make_spec(family, shape)
         v = (30.0, 100.0)
         assert residual_laplace(spec, v, 1.0) == pytest.approx(
@@ -361,6 +361,37 @@ class TestSubThresholdRule:
             assert np.array_equal(
                 TiltRule(spec, v, shared).psi_gradient(),
                 _residual_weights(spec, v, L))
+
+    @pytest.mark.parametrize('family', ['gamma', 'gg2'])
+    def test_whole_support_value_does_not_depend_on_earlier_tilts(
+            self, family):
+        # TiltRule(spec, v) runs on the spec's own whole-support nodes: a
+        # large v_max grows them, and a smaller v afterwards gives the
+        # same doubles as on a fresh, equal spec
+        spec, fresh = make_spec(family, 1.0), make_spec(family, 1.0)
+        large, small = (1e6, 3e6), (0.5, 2.0)
+        TiltRule(spec, large).psi()
+        assert spec.rule_nodes.terms(max(large))[0].size \
+            > fresh.rule_nodes.terms(max(small))[0].size
+        rule, fresh_rule = TiltRule(spec, small), TiltRule(fresh, small)
+        for a in ((1, 0), (3, 2), (40, 60)):
+            assert rule.log_kappa(a) == fresh_rule.log_kappa(a)
+        assert rule.psi() == fresh_rule.psi()
+
+    def test_rules_of_one_spec_share_the_node_terms(self, monkeypatch):
+        calls = []
+
+        def counted(*args, _terms=core._sigmoid_terms):
+            calls.append(args)
+            return _terms(*args)
+
+        monkeypatch.setattr(core, '_sigmoid_terms', counted)
+        spec = make_spec('gg1', 1.0)
+        # both tilts have v_max U <= 1, so the first block holds their
+        # nodes
+        first, second = TiltRule(spec, (0.5, 0.9)), TiltRule(spec, (0.2, 1.0))
+        assert len(calls) == 1
+        assert np.array_equal(first.log_w, second.log_w)
 
     def test_coarse_step_raises(self, monkeypatch):
         monkeypatch.setattr(core, '_STEP', 4.0)
