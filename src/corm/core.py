@@ -14,7 +14,7 @@ of the marginal sampler.
 import itertools
 import math
 from dataclasses import dataclass, field, replace
-from functools import cache, cached_property
+from functools import cache, cached_property, lru_cache, wraps
 
 import numpy as np
 
@@ -188,8 +188,11 @@ class LevyIntensity:
 
     def tail_integral(self, x):
         '''U(x) = integral of the density over (x, upper), elementwise
-        over an array of points.'''
+        over an array of points.  One float inside the support goes to
+        tail_fn as a float.'''
         lo, hi = self.support
+        if isinstance(x, float) and lo < x < hi and self._tail_fn:
+            return float(self._tail_fn(x))
         x = np.asarray(x, dtype=float)
         out = np.where(x <= lo, np.inf, 0.0)
         inside = (x > lo) & (x < hi)
@@ -647,7 +650,7 @@ def directing_from_marginal(marginal, shape):
         return LevyIntensity(
             density, (0.0, np.inf),
             singularity_exponents=(-1.0 - sigma, -1.0 - sigma),
-            tail_fn=lambda x: c / sigma * x ** -sigma,
+            tail_fn=lambda x: c / sigma * np.power(x, -sigma),
             log_density=lambda z, gap: (math.log(c)
                                         - (1.0 + sigma) * np.log(z)),
             envelope=PowerEnvelope(c, sigma, 0.0, 1.0))
@@ -684,31 +687,40 @@ def directing_from_marginal(marginal, shape):
         exponents, series_coefs = _beta_series(sigma, beta, x_switch)
         return exponents, series_coefs, _beta_tail_constant(sigma, beta)
 
-    def unit_tail(x):
-        # G(x) at an array of x in [1e-300, 1]
+    def series_tail(x):
+        # G(x) at x <= x_switch, an array of x or one float
+        exponents, series_coefs, k0 = terms()
+        return k0 - _boxcox(x, -sigma) \
+            - np.atleast_2d(np.power.outer(x, exponents)) @ series_coefs
+
+    def beta_tail(x):
+        # G(x) at x > x_switch, an array of x or one float
+        from scipy.special import hyp2f1  # on first use: see numerics
+        # at sigma 0 (c = a + b) scipy's hyp2f1 is off by up to 7e-11
+        # for w > 0.9 and beta near 100; the mean of its values at
+        # sigma = +-1e-8 is off by about 1e-16 log(x)^2 instead
+        w = np.subtract(1.0, x)
+        f = hyp2f1(beta, 1.0 + sigma, beta + 1.0, w) if sigma else 0.5 * (
+            hyp2f1(beta, 1.0 + 1e-8, beta + 1.0, w)
+            + hyp2f1(beta, 1.0 - 1e-8, beta + 1.0, w))
+        return np.power(w, beta) / beta * f
+
+    def tail(z):
+        if isinstance(z, float):
+            # the array path's numpy operations at one point (the same
+            # doubles) without its masks and copies
+            x = min(max(a * z, 1e-300), 1.0)
+            return scale * float(series_tail(x)[0] if x <= x_switch
+                                 else beta_tail(x))
+        z = np.asarray(z, dtype=float)
+        x = np.atleast_1d(np.clip(a * z, 1e-300, 1.0))
         low = x <= x_switch
         out = np.empty_like(x)
         if low.any():
-            exponents, series_coefs, k0 = terms()
-            xl = x[low]
-            out[low] = k0 - _boxcox(xl, -sigma) \
-                - (xl[:, None] ** exponents) @ series_coefs
+            out[low] = series_tail(x[low])
         if not low.all():
-            from scipy.special import hyp2f1  # on first use: see numerics
-            # at sigma 0 (c = a + b) scipy's hyp2f1 is off by up to 7e-11
-            # for w > 0.9 and beta near 100; the mean of its values at
-            # sigma = +-1e-8 is off by about 1e-16 log(x)^2 instead
-            w = 1.0 - x[~low]
-            f = hyp2f1(beta, 1.0 + sigma, beta + 1.0, w) if sigma else 0.5 * (
-                hyp2f1(beta, 1.0 + 1e-8, beta + 1.0, w)
-                + hyp2f1(beta, 1.0 - 1e-8, beta + 1.0, w))
-            out[~low] = w ** beta / beta * f
-        return out
-
-    def tail(z):
-        z = np.asarray(z, dtype=float)
-        x = np.atleast_1d(np.clip(a * z, 1e-300, 1.0))
-        return scale * unit_tail(x).reshape(z.shape)
+            out[~low] = beta_tail(x[~low])
+        return scale * out.reshape(z.shape)
 
     return LevyIntensity(density, (0.0, 1.0 / a),
                          singularity_exponents=(-1.0 - sigma, beta - 1.0),
@@ -738,7 +750,7 @@ def marginal_intensity(marginal):
         return LevyIntensity(
             density, (0.0, np.inf),
             singularity_exponents=(-1.0 - sigma, -1.0 - sigma),
-            tail_fn=lambda x: x ** -sigma / math.gamma(1.0 - sigma))
+            tail_fn=lambda x: np.power(x, -sigma) / math.gamma(1.0 - sigma))
     if marginal.kind == 'generalized-gamma':
         sigma, a = marginal.sigma, marginal.a
         c = sigma / math.gamma(1.0 - sigma)
@@ -806,7 +818,7 @@ def marginal_from_directing(directing, shape, theta=None, sigma=None, a=None):
         return LevyIntensity(
             density, (0.0, np.inf),
             singularity_exponents=(-1.0 - sigma, -1.0 - sigma),
-            tail_fn=lambda x: c / sigma * x ** -sigma)
+            tail_fn=lambda x: c / sigma * np.power(x, -sigma))
     if directing == 'generalized-gamma':
         if sigma is None or not 0.0 < sigma < 1.0:
             raise ValueError('sigma must lie in (0, 1)')
@@ -894,46 +906,43 @@ class CoRMSpec:
 # the rule is cut where log1p(v z), 1 - z/upper and the like differ from
 # their leading power by less than this relative amount
 _PURE = 1e-17
-# the largest step of the rule in u
+# the largest step in u of the rule on an infinite support
 _STEP = 0.125
-# the nodes a RuleNodes lattice adds at a time past its first block
-_BLOCK = 256
+# the step in t of the map u = s + sinh(t) on a finite support, halved
+# where a value fails its sub-rule check up to _DE_HALVINGS times, and
+# the least reach |t| of its nodes at either end
+_DE_STEP = 0.035
+_DE_HALVINGS = 3
+_DE_REACH = 5.0
 
 
-def _rule_step(spec):
-    return min(_STEP, 0.2 / math.sqrt(spec.dimension * spec.shape))
-
-
-def _sigmoid_terms(nu, h, u, upper):
-    '''(log z, z, log(h |dz/du| nu*(z))) at the nodes u of the map
-    z = upper exp(-softplus(-u)) onto (0, upper).  The gap upper - z =
-    upper exp(-softplus(u)) is exact, and nu* is given the gap to the
-    end of its support as (end - upper) + (upper - z).'''
-    log_upper = math.log(upper)
-    log_z = log_upper - np.logaddexp(0.0, -u)
-    log_gap = log_upper - np.logaddexp(0.0, u)
-    z = np.exp(log_z)
-    gap = (nu.support[1] - upper) + np.exp(log_gap)
-    log_jac = log_z + log_gap - log_upper
-    return log_z, z, math.log(h) + log_jac + nu.log_density(z, gap)
-
-
-def _log_sigmoid_terms(nu, h, u, lower, upper):
-    '''The same on (lower, upper), lower > 0, with the map taken in
-    log z: log(z / lower) = D exp(-softplus(-u)) and log(upper / z) =
-    D exp(-softplus(u)), D = log(upper / lower).  Each half of the
-    nodes takes z from its nearer end, so both ends are exact.'''
-    span = math.log1p((upper - lower) / lower)
+def _sigmoid_terms(nu, log_h, u, upper, lower=0.0):
+    '''(log z, z, log(h |dz/du| nu*(z))) at the nodes u, log h their log
+    weights in u, of the map onto (lower, upper).  On (0, upper) it is z =
+    upper exp(-softplus(-u)), with the gap upper - z = upper
+    exp(-softplus(u)) exact.  At lower > 0 it is taken in log z: log(z /
+    lower) = D exp(-softplus(-u)) and log(upper / z) = D exp(-softplus(u)),
+    D = log(upper / lower), and each half of the nodes takes z from its
+    nearer end, so both ends are exact.  nu* is given the gap to the end
+    of its support as (end - upper) + (upper - z).'''
     log_above = -np.logaddexp(0.0, -u)
     log_below = -np.logaddexp(0.0, u)
-    above = span * np.exp(log_above)
-    below = span * np.exp(log_below)
-    low = u < 0.0
-    z = np.where(low, lower * np.exp(above), upper * np.exp(-below))
-    log_z = np.where(low, math.log(lower) + above, math.log(upper) - below)
-    gap = (nu.support[1] - upper) - upper * np.expm1(-below)
-    log_jac = log_z + math.log(span) + log_above + log_below
-    return log_z, z, math.log(h) + log_jac + nu.log_density(z, gap)
+    if lower == 0.0:
+        log_z = math.log(upper) + log_above
+        z = np.exp(log_z)
+        gap = (nu.support[1] - upper) + np.exp(math.log(upper) + log_below)
+        log_jac = log_z + log_below
+    else:
+        span = math.log1p((upper - lower) / lower)
+        above = span * np.exp(log_above)
+        below = span * np.exp(log_below)
+        low = u < 0.0
+        z = np.where(low, lower * np.exp(above), upper * np.exp(-below))
+        log_z = np.where(low, math.log(lower) + above,
+                         math.log(upper) - below)
+        gap = (nu.support[1] - upper) - upper * np.expm1(-below)
+        log_jac = log_z + math.log(span) + log_above + log_below
+    return log_z, z, log_h + log_jac + nu.log_density(z, gap)
 
 
 class RuleNodes:
@@ -942,15 +951,16 @@ class RuleNodes:
     of a support (0, U): (0, upper) below a truncation level upper <= U,
     or (lower, upper) with lower > 0.  Built once and shared by the rules
     at every tilt v there (CoRMSpec.rule_nodes holds the spec's own, on
-    the whole support); see TiltRule for the layout.
+    the whole support); see TiltRule for the maps onto the stretch.
 
-    The nodes u_k = top - k h (k = 0, 1, ...) are anchored at the upper
-    cut and computed in blocks, as far down as the largest v_max asked
-    for so far: one block for the tilts with v_max upper <= 1, then
-    _BLOCK nodes at a time.  terms(v_max) hands out exactly the nodes
-    v_max calls for, and a node's terms do not depend on the blocks
-    computed before it, so a rule's value does not depend on which tilts
-    came first.
+    The nodes are double exponential (Takahasi & Mori 1974): u = s +
+    sinh(t) at t = k h, h = _DE_STEP / 2^level.  The integer shift s =
+    round(-log(v_max upper) / 2) on (0, upper) (0 at v_max upper <= 1 and
+    on an interval) puts the densest nodes between the tilt's scale
+    1/v_max and the upper end.  Each end reaches |t| = 5 (|u - s| = 74;
+    289 nodes at h = 0.035), or as far as the terms turn pure exponentials
+    in u, at a multiple of 2h, so both ends are sub-rule nodes.  terms
+    lays out each (shift, level) once: a value depends on spec and v only.
     '''
 
     def __init__(self, spec, upper, lower=0.0):
@@ -963,54 +973,67 @@ class RuleNodes:
                              'support' % (lower, upper))
         self.spec = spec
         self.lower, self.upper = float(lower), float(upper)
-        self.h = _rule_step(spec)
         p_hi = nu.singularity_exponents[1]
         # the integrand keeps nu*'s power at its own end only
         self.upper_rate = float(nu.upper_rate) if (
             upper == end and p_hi is not None) else 1.0
+        # the terms are pure exponentials in u below 2 s - pure_lo, where
+        # v_max z < _PURE (1 more for the rounding of s), and above pure_hi,
+        # where upper - z < _PURE of upper and of end - upper; an interval's
+        # ends are pure by |u| = cut + log log(upper / lower) < 46
         cut = -math.log(_PURE)
-        if lower > 0.0:
-            # log z moves from either end by D e^-|u|, D = log(upper /
-            # lower): past D e^-|u| = _PURE the terms are pure
-            # exponentials in u
-            span = math.log1p((upper - lower) / lower)
-            self.top = cut + max(0.0, math.log(span))
-            self.bottom = -self.top
-        else:
-            # past the top the gap upper - z is below _PURE of upper and
-            # of end - upper, so nu*'s factor in end - z is constant
-            self.top = cut if upper == end else cut + max(
-                0.0, math.log(upper) - math.log(end - upper))
-            self.bottom = -cut
-        self._log_z = self._z = self._log_w = np.empty(0)
+        self._pure = (cut + 1.0, cut if upper == end else cut + max(
+            0.0, math.log(upper) - math.log(end - upper)))
+        self._terms = {}
 
-    def _steps(self, depth):
-        # an even number, so both ends are sub-rule nodes
-        return 2 * math.ceil(0.5 * (self.top - self.bottom + depth) / self.h)
+    def terms(self, v_max, level=0):
+        '''(log z, z, log(h cosh(t) |dz/du| nu*(z)), h, ((T_lo, du_lo),
+        (T_hi, du_hi))) in increasing u at the nodes of the shift that
+        v_max calls for, with the reach |t| and the step in u of each end.'''
+        shift = 0 if self.lower else -round(
+            0.5 * math.log(max(v_max * self.upper, 1.0)))
+        key = shift, level
+        if key not in self._terms:
+            h = _DE_STEP / 2 ** level
+            n_lo, n_hi = (2 * math.ceil(
+                max(_DE_REACH, math.asinh(pure - shift)) / (2 * h))
+                for pure in self._pure)
+            t = h * np.arange(-n_lo, n_hi + 1)
+            u, log_h = shift + np.sinh(t), np.log(h * np.cosh(t))
+            self._terms[key] = (*_sigmoid_terms(
+                self.spec.directing, log_h, u, self.upper, self.lower), h,
+                tuple((n * h, h * math.cosh(n * h)) for n in (n_lo, n_hi)))
+        return self._terms[key]
 
-    def terms(self, v_max):
-        '''(log z, z, log(h |dz/du| nu*(z))) in increasing u at the nodes
-        k = n, ..., 0 for tilts up to v_max, where n is the even step
-        count from top to bottom, and below (0, upper) further down by
-        log(v_max upper) once v_max upper > 1.  The first block holds the
-        nodes of v_max upper <= 1.'''
-        depth = 0.0
-        if self.lower == 0.0:
-            depth = max(0.0, math.log(v_max * self.upper))
-        n = self._steps(depth)
-        nu = self.spec.directing
-        while self._z.size <= n:
-            size = _BLOCK if self._z.size else self._steps(0.0) + 1
-            u = self.top - self.h * (self._z.size + np.arange(size))
-            if self.lower > 0.0:
-                block = _log_sigmoid_terms(nu, self.h, u, self.lower,
-                                           self.upper)
-            else:
-                block = _sigmoid_terms(nu, self.h, u, self.upper)
-            self._log_z, self._z, self._log_w = (
-                np.concatenate(pair) for pair in zip(
-                    (self._log_z, self._z, self._log_w), block))
-        return self._log_z[n::-1], self._z[n::-1], self._log_w[n::-1]
+
+@lru_cache(maxsize=1024)
+def _past(reach, step, rate):
+    '''The terms of a TiltRule of step `step` past an end, over its end
+    term, where they fall off as e^(-rate |u - u_end|): sum_{m >= 1}
+    e^(-m step rate) on nodes uniform in u (reach None), and on double-
+    exponential ones sum_m cosh(t_m) / cosh(T) e^(-rate (sinh t_m -
+    sinh T)), t_m = T + m step, T = reach, until below e^-50.'''
+    if reach is None:
+        return math.exp(-step * rate) / -math.expm1(-step * rate)
+    top = math.asinh(math.sinh(reach) + 50.0 / rate)
+    t = reach + step * np.arange(1, math.ceil((top - reach) / step) + 1)
+    return float(np.sum(np.cosh(t) * np.exp(
+        -rate * (np.sinh(t) - math.sinh(reach))))) / math.cosh(reach)
+
+
+def _refined(method):
+    '''A TiltRule method whose value, where it fails its sub-rule check
+    on a finite support, is taken on the rule of half the step instead
+    (TiltRule.finer), up to _DE_HALVINGS times.'''
+    @wraps(method)
+    def refined(rule, *args, **kwargs):
+        try:
+            return method(rule, *args, **kwargs)
+        except QuadratureError:
+            if not rule.finite or rule.level == _DE_HALVINGS:
+                raise
+            return getattr(rule.finer, method.__name__)(*args, **kwargs)
+    return refined
 
 
 class TiltRule:
@@ -1021,38 +1044,33 @@ class TiltRule:
     integral against a directing intensity in the package runs on these
     nodes.
 
-    The rule is uniform in u with step h = min(1/8, 0.2/sqrt(d shape)),
-    a fraction of the peak width of the kappa integrand in log z at
-    large counts.  On a finite support (0, U), z = U exp(-softplus(-u)):
-    z ~ U e^u as u -> -inf, and the gap U - z = U exp(-softplus(u)) is
-    exact near U.  On an infinite support z = e^u.  An integrand with
-    power behaviour at both ends decays exponentially in u, where the
-    trapezoid rule converges exponentially fast (Trefethen & Weideman
-    2014).  The nodes end where the integrand is a pure exponential in u
-    to double precision (v_max z <= 1e-17 and the like); the rule's terms
-    past each end are summed in closed form as geometric series.
+    The rule is a trapezoid rule in a variable u in which an integrand
+    with power behaviour at both ends decays exponentially, where it
+    converges exponentially fast (Trefethen & Weideman 2014).  On a finite
+    support (0, U), z = U exp(-softplus(-u)): z ~ U e^u as u -> -inf, and
+    the gap U - z = U exp(-softplus(u)) is exact near U; the nodes are
+    double exponential in u (RuleNodes), densest between the tilt's scale
+    and U.  On an infinite support z = e^u, uniform in u with step h =
+    min(1/8, 0.2/sqrt(d shape)), a fraction of the peak width of the
+    kappa integrand in log z at large counts, from v_max z = 1e-17 to
+    v_min z = 1e17.  Past the nodes the integrand is a pure exponential
+    in u, and the rule's terms there are summed in closed form (_past).
 
-    On a finite support the node terms always come from a RuleNodes of
-    the same spec.  Without given nodes they are the spec's own on the
-    whole support (CoRMSpec.rule_nodes), so the rules of one spec at
-    every v share one node computation.  Given nodes, the rule runs over
-    a stretch of a finite support instead:
+    On a finite support the node terms come from a RuleNodes of the same
+    spec: the spec's own on the whole support (CoRMSpec.rule_nodes),
+    shared by its rules at every v, or given ones on a stretch: (0, L),
+    L <= U, z = L exp(-softplus(-u)) with nu*'s gap (U - L) + (L - z), or
+    (lo, hi), lo > 0, the same map in log z (one linear in z would need
+    about hi / lo times the nodes).  The integrand decays at rate 1 in u
+    at L < U and at lo, and at nu*'s own rate at U.
 
-    - a truncated end, (0, L) with L <= U: z = L exp(-softplus(-u)), and
-      nu* reads its gap as (U - L) + (L - z).  The end series at 0 keeps
-      its rate; at L it has rate 1 when L < U (the integrand is regular
-      there) and nu*'s rate at U when L = U.
-    - an interval (lo, hi), lo > 0: the same map in log z between
-      log lo and log hi, with rate 1 at both ends (at hi = U, nu*'s rate
-      there).  A map linear in z would need about hi / lo times the
-      nodes when lo << hi.
-
-    Per node the rule stores log(h |dz/du| nu*(z)), log z and
-    log1p(v_j z); only the last depends on v.  log_kappa adds, on its
-    first call, the terms at zero counts and one slope in the counts per
-    group, so each later count vector costs an axpy per nonzero count
+    Per node the rule stores log(w nu*(z)), w the node's weight in z, log
+    z and log1p(v_j z); only the last depends on v.  log_kappa adds, on
+    its first call, the terms at zero counts and one slope in the counts
+    per group, so each later count vector costs an axpy per nonzero count
     and one sum over the nodes.  Every value is checked against the
-    every-other-node sub-rule, and a disagreement above 1e-9 relative
+    every-other-node sub-rule: above 1e-9 relative, a finite rule takes
+    it again at half the step (finer), up to _DE_HALVINGS times, and then
     raises QuadratureError.  The end behaviour comes from the directing
     intensity's singularity exponents, which an infinite upper end must
     give.
@@ -1064,7 +1082,7 @@ class TiltRule:
     peaking at z = s) is integrated by a rule built at a tilt of 1/s.
     '''
 
-    def __init__(self, spec, v, nodes=None):
+    def __init__(self, spec, v, nodes=None, level=0):
         nu = spec.directing
         v = np.asarray(v, dtype=float)
         if v.ndim != 1 or v.size != spec.dimension:
@@ -1084,8 +1102,7 @@ class TiltRule:
         if not self.finite and p_hi is None:
             raise ValueError('the tilt rule needs the power decay of the '
                              'intensity at an infinite upper end')
-        self.spec = spec
-        self.v = v
+        self.spec, self.v, self.nodes, self.level = spec, v, nodes, level
         self.positive = (v > 0.0).astype(float)
         self.p_lo = 0.0 if p_lo is None else float(p_lo)
         active = v[v > 0.0]
@@ -1093,15 +1110,16 @@ class TiltRule:
         if self.finite:
             self.lower = nodes.lower
             self.upper_rate = nodes.upper_rate
-            self.h = nodes.h
-            self.log_z, z, self.log_w = nodes.terms(v_max)
+            self.log_z, z, self.log_w, self.h, self.ends = nodes.terms(
+                v_max, level)
         else:
             # z = e^u from 1e-17 / v_max to 1e17 / v_min
             v_min = float(active.min()) if active.size else 1.0
             self.lower = 0.0
             # p_hi + 1, exact where the intensity gives it
             self.upper_rate = float(nu.upper_rate)
-            self.h = _rule_step(spec)
+            self.h = min(_STEP, 0.2 / math.sqrt(spec.dimension * spec.shape))
+            self.ends = ((None, self.h),) * 2
             cut = -math.log(_PURE)
             u_lo = -cut - math.log(v_max)
             # an even number of steps, so both ends are sub-rule nodes
@@ -1111,6 +1129,11 @@ class TiltRule:
             self.log_w = math.log(self.h) + self.log_z + nu.log_density(
                 z, np.full_like(z, np.inf))
         self.log1p_vz = np.log1p(np.multiply.outer(v, z))
+
+    @cached_property
+    def finer(self):
+        '''The rule on the same nodes at half the step in t.'''
+        return TiltRule(self.spec, self.v, self.nodes, self.level + 1)
 
     def _end_rates(self, lower_power, tail_power):
         '''Decay rates in u of the integrand at the small-z and large-z
@@ -1132,20 +1155,22 @@ class TiltRule:
             raise ValueError('integral diverges in the tail')
         return rate_lo, rate_hi
 
-    def _rule_pair(self, f, ends):
+    def _rule_pair(self, f, rate_lo, rate_hi, extra=()):
         '''The rule and its every-other-node sub-rule on the node terms
-        f, each with the series c sum_{m >= 1} e^(-m step r) past an end
-        added for each (c, r) in ends.'''
-        pair = []
-        for k in (1, 2):
-            step = k * self.h
-            series = 0.0
-            for c, r in ends:
-                series += float(c) * math.exp(-step * r) / -math.expm1(
-                    -step * r)
-            pair.append(k * (float(f[::k].sum()) + series))
-        return pair
+        f, each with its terms past the ends (_past) for (f[0], rate_lo),
+        (f[-1], rate_hi) and each (c, rate, end) of extra, end 0 at small z
+        and 1 at large z (rate None: none), unless below _PURE of the rule:
+        at most c / (rate du), du the step in u at the end.'''
+        full, half = float(f.sum()), 2.0 * float(f[::2].sum())
+        cut = _PURE * full
+        for c, rate, end in ((f[0], rate_lo, 0), (f[-1], rate_hi, 1), *extra):
+            reach, du = self.ends[end]
+            if rate is not None and abs(c) > cut * rate * du:
+                full += c * _past(reach, self.h, rate)
+                half += 2.0 * c * _past(reach, 2.0 * self.h, rate)
+        return full, half
 
+    @_refined
     def log_integral(self, log_weight, lower_power, tail_power=0.0):
         '''
         log int z^lower_power exp(log_weight(log z)) nu*(z) dz over the
@@ -1175,10 +1200,7 @@ class TiltRule:
         # term 1.0, and one that underflows sends exp down its slow path
         np.maximum(f, -700.0, out=f)
         np.exp(f, out=f)
-        ends = [(f[-1], rate_hi)]
-        if rate_lo is not None:
-            ends.insert(0, (f[0], rate_lo))
-        full, half = self._rule_pair(f, ends)
+        full, half = self._rule_pair(f, rate_lo, rate_hi)
         full = math.log(full)
         half = math.log(half) if half > 0.0 else -math.inf
         if not abs(full - half) <= 1e-9:
@@ -1197,6 +1219,7 @@ class TiltRule:
         base = self.log_w - shape * self.log1p_vz.sum(axis=0)
         return base, self.log_z - self.log1p_vz, self.positive.tolist()
 
+    @_refined
     def log_kappa(self, a):
         '''
         log kappa_a(v) = sum_j log(Gamma(a_j + shape)/Gamma(shape))
@@ -1226,6 +1249,7 @@ class TiltRule:
         rate_lo, rate_hi = self._end_rates(total, total - decay)
         return self._log_sum(log_f, rate_lo, rate_hi) + log_gamma
 
+    @_refined
     def psi(self):
         '''psi(v) = int (1 - prod_j (1 + v_j z)^-shape) nu*(z) dz.'''
         positive = int(self.positive.sum())
@@ -1237,16 +1261,15 @@ class TiltRule:
         log_p = -self.spec.shape * self.log1p_vz.sum(axis=0)
         w = np.exp(self.log_w)
         f = -w * np.expm1(log_p)
-        ends = [(f[0], rate_lo)]
-        if self.finite:
-            ends.append((f[-1], rate_hi))
-        else:
+        extra = ()
+        if not self.finite:
             # p ~ (v z)^-(d shape) falls off slowly at a small shape, so
             # the two terms of the bracket are summed as separate series
-            ends += [(w[-1], rate_hi),
+            extra = ((w[-1], rate_hi, 1),
                      (-w[-1] * math.exp(log_p[-1]),
-                      rate_hi + positive * self.spec.shape)]
-        full, half = self._rule_pair(f, ends)
+                      rate_hi + positive * self.spec.shape, 1))
+            rate_hi = None
+        full, half = self._rule_pair(f, rate_lo, rate_hi, extra)
         if not abs(full - half) <= 1e-9 * full:
             raise QuadratureError(
                 'psi(%s): trapezoid rules disagree by %.3g relative'
@@ -1254,6 +1277,7 @@ class TiltRule:
                 IntegralResult(full, abs(full - half), f.size))
         return float(full)
 
+    @_refined
     def psi_gradient(self):
         '''d psi / d v_j = int shape z (1 + v_j z)^-1
         prod_l (1 + v_l z)^-shape nu*(z) dz, for every j.'''
@@ -1266,8 +1290,7 @@ class TiltRule:
             rate_lo, rate_hi = self._end_rates(
                 1.0, 1.0 - decay - self.positive[j])
             f = np.exp(log_g - log1p_vjz)
-            full, half = self._rule_pair(f, [(f[0], rate_lo),
-                                             (f[-1], rate_hi)])
+            full, half = self._rule_pair(f, rate_lo, rate_hi)
             if not abs(full - half) <= 1e-9 * full:
                 raise QuadratureError(
                     'd psi / d v_%d at %s: trapezoid rules disagree by '

@@ -306,6 +306,27 @@ class TestDeferredTail:
             np.testing.assert_array_equal(got, tails[0])
 
 
+class TestScalarTail:
+    '''tail_integral at one float takes a path of its own, without the
+    array path's masks and copies; it returns a float, the very double
+    the array path gives at that point.'''
+
+    @pytest.mark.parametrize('marginal', [
+        MarginalFamily.gamma(), MarginalFamily.generalized_gamma(0.3, 1.0)])
+    @pytest.mark.parametrize('z', [1e-4, 1e-2, 0.5])
+    def test_float_matches_array(self, marginal, z):
+        nu = directing_from_marginal(marginal, 1.3)
+        got = nu.tail_integral(z)
+        assert type(got) is float
+        assert got == nu.tail_integral(np.array([z]))[0]
+        assert got == nu.tail_integral(np.asarray(z))
+
+    def test_outside_the_support(self):
+        nu = directing_from_marginal(MarginalFamily.gamma(), 1.3)
+        assert nu.tail_integral(0.0) == math.inf
+        assert nu.tail_integral(1.5) == 0.0
+
+
 class TestTailConstant:
     '''k0 = B(-sigma, beta) + 1/sigma (-digamma(beta) - euler_gamma at
     sigma 0) of the beta-type unit tail, against 40-digit mpmath at the

@@ -44,6 +44,7 @@ FAMILIES = {
     'gg1': MarginalFamily.generalized_gamma(0.3, 1.0),
     'gg2': MarginalFamily.generalized_gamma(0.3, 2.0),
     'stable': MarginalFamily.sigma_stable(0.5),
+    'gg9': MarginalFamily.generalized_gamma(0.9, 1.0),
 }
 
 
@@ -173,7 +174,8 @@ class TestTiltRuleOracle:
                 v ** 0.5, rel=1e-12)
 
     def test_coarse_step_raises(self, monkeypatch):
-        monkeypatch.setattr(core, '_STEP', 1.0)
+        monkeypatch.setattr(core, '_DE_STEP', 1.0)
+        monkeypatch.setattr(core, '_DE_HALVINGS', 0)
         spec = make_spec('gg1', 0.01)
         rule = TiltRule(spec, [300.0, 500.0])
         assert rule.h == 1.0
@@ -185,7 +187,8 @@ class TestTiltRuleOracle:
     def test_coarse_step_general_weight_raises(self, monkeypatch):
         # a score survival factor Q(shape, x/z), as in the Levy copula,
         # on a rule built at the tilt 1/x that its scale x asks for
-        monkeypatch.setattr(core, '_STEP', 1.0)
+        monkeypatch.setattr(core, '_DE_STEP', 1.0)
+        monkeypatch.setattr(core, '_DE_HALVINGS', 0)
         spec = make_spec('gg1', 0.01)
         x = 1e-3
         rule = TiltRule(spec, [1.0 / x, 1.0 / x])
@@ -240,6 +243,57 @@ class TestTiltRuleOracle:
         assert np.allclose(got, np.log(nu.density(z)), rtol=1e-13,
                            atol=1e-13)
 
+
+
+# (shape, v, counts) of kappa misses from marginal-400 chains on the
+# generalized gamma (0.3, 1) whose peaks lie far from u = 0, where
+# double-exponential nodes centred there fail the sub-rule check
+HARD_KAPPA = [
+    (26.17, (2.1, 43.7), (0, 92)),
+    (26.17, (2.1, 43.7), (1, 21)),
+    (0.749, (1.5, 2046.5), (0, 106)),
+    (0.749, (1.5, 2046.5), (95, 0)),
+    (14.77, (190.1, 162.7), (62, 0)),
+    (1.20, (426.7, 1.4), (1, 124)),
+]
+
+# (family, shape) whose integrand decays slowly in u at an end: the
+# upper rate beta = shape of the gamma, shape + 0.3 at the smallest shape
+# of the marginal-400 chains, and psi's lower rate 1 - sigma = 0.1
+SLOW_ENDS = [('gamma', 0.02), ('gamma', 0.05), ('gg1', 0.013), ('gg9', 1.0)]
+
+
+class TestHardCases:
+    '''log kappa and psi where the node layout is tested hardest,
+    against mpmath.'''
+
+    @pytest.mark.parametrize('shape, v, a', HARD_KAPPA)
+    def test_chain_kappa(self, shape, v, a):
+        spec = make_spec('gg1', shape)
+        rule = TiltRule(spec, v)
+        assert abs(rule.log_kappa(a) - log_kappa_oracle(spec, a, v)) <= 1e-12
+        assert rule.psi() == pytest.approx(psi_oracle(spec, v), rel=1e-12)
+
+    def test_failed_check_halves_the_step(self):
+        # 400 members of the group at v = 1.5 put the peak near z = 1,
+        # far from the nodes' centre at the large v = 3000 of the other
+        spec = make_spec('gg1', 3.0)
+        v, a = (1.5, 3000.0), (400, 0)
+        rule = TiltRule(spec, v)
+        with pytest.raises(QuadratureError):
+            TiltRule.log_kappa.__wrapped__(rule, a)
+        assert abs(rule.log_kappa(a) - log_kappa_oracle(spec, a, v)) <= 1e-12
+        assert rule.finer.h == rule.h / 2
+
+    @pytest.mark.parametrize('family, shape', SLOW_ENDS)
+    def test_slow_end_rate(self, family, shape):
+        spec = make_spec(family, shape)
+        v = (30.0, 100.0)
+        rule = TiltRule(spec, v)
+        for a in ((1, 0), (60, 45)):
+            assert abs(rule.log_kappa(a)
+                       - log_kappa_oracle(spec, a, v)) <= 1e-12
+        assert rule.psi() == pytest.approx(psi_oracle(spec, v), rel=1e-12)
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
@@ -346,15 +400,15 @@ class TestSubThresholdRule:
             TiltRule(spec, v).psi(), rel=1e-13)
 
     def test_value_does_not_depend_on_earlier_tilts(self):
-        # a large v_max grows the shared lattice; a smaller v evaluated
-        # afterwards takes only its own nodes and gives the same double
-        # as on fresh nodes
+        # a large v_max lays out the shared nodes of another shift; a
+        # smaller v evaluated afterwards takes only its own nodes and
+        # gives the same double as on fresh nodes
         spec = make_spec('gg1', 1.0)
         L = 0.05
         shared = RuleNodes(spec, L)
         large, small = (1e6, 3e6), (0.5, 2.0)
-        assert shared.terms(max(large))[0].size \
-            > shared.terms(max(small))[0].size
+        assert not np.array_equal(shared.terms(max(large))[0],
+                                  shared.terms(max(small))[0])
         for v in (large, small):
             assert residual_laplace(spec, v, L, shared) \
                 == residual_laplace(spec, v, L)
@@ -366,13 +420,13 @@ class TestSubThresholdRule:
     def test_whole_support_value_does_not_depend_on_earlier_tilts(
             self, family):
         # TiltRule(spec, v) runs on the spec's own whole-support nodes: a
-        # large v_max grows them, and a smaller v afterwards gives the
-        # same doubles as on a fresh, equal spec
+        # large v_max lays out those of another shift, and a smaller v
+        # afterwards gives the same doubles as on a fresh, equal spec
         spec, fresh = make_spec(family, 1.0), make_spec(family, 1.0)
         large, small = (1e6, 3e6), (0.5, 2.0)
         TiltRule(spec, large).psi()
-        assert spec.rule_nodes.terms(max(large))[0].size \
-            > fresh.rule_nodes.terms(max(small))[0].size
+        assert not np.array_equal(spec.rule_nodes.terms(max(large))[0],
+                                  fresh.rule_nodes.terms(max(small))[0])
         rule, fresh_rule = TiltRule(spec, small), TiltRule(fresh, small)
         for a in ((1, 0), (3, 2), (40, 60)):
             assert rule.log_kappa(a) == fresh_rule.log_kappa(a)
@@ -387,14 +441,18 @@ class TestSubThresholdRule:
 
         monkeypatch.setattr(core, '_sigmoid_terms', counted)
         spec = make_spec('gg1', 1.0)
-        # both tilts have v_max U <= 1, so the first block holds their
-        # nodes
-        first, second = TiltRule(spec, (0.5, 0.9)), TiltRule(spec, (0.2, 1.0))
+        # v_max U = 30 and 40 both take the shift -round(log(v_max U) / 2)
+        # = -2, so the second rule reads the first one's node terms
+        first = TiltRule(spec, (20.0, 30.0))
+        second = TiltRule(spec, (40.0, 5.0))
         assert len(calls) == 1
         assert np.array_equal(first.log_w, second.log_w)
+        TiltRule(spec, (0.5, 0.9))
+        assert len(calls) == 2
 
     def test_coarse_step_raises(self, monkeypatch):
-        monkeypatch.setattr(core, '_STEP', 4.0)
+        monkeypatch.setattr(core, '_DE_STEP', 1.0)
+        monkeypatch.setattr(core, '_DE_HALVINGS', 0)
         spec = make_spec('gg1', 0.01)
         v = (300.0, 500.0)
         with pytest.raises(QuadratureError):
@@ -423,8 +481,14 @@ def log_kappa_as_weight(rule, a):
     shape = rule.spec.shape
     total = float(a.sum())
     tail_power = total - float((a + shape) @ rule.positive)
-    log_tilt = -((a + shape) @ rule.log1p_vz)
-    return (rule.log_integral(lambda log_z: log_tilt, total, tail_power)
+
+    def log_tilt(log_z):
+        # a function of log z, which the rule of half the step
+        # (TiltRule.finer) takes at its own nodes
+        return -((a + shape) @ np.log1p(np.multiply.outer(
+            rule.v, np.exp(log_z))))
+
+    return (rule.log_integral(log_tilt, total, tail_power)
             + float(np.sum(gammaln(a + shape) - gammaln(shape))))
 
 
@@ -534,10 +598,7 @@ def unclamped_log_sum(rule, log_f, rate_lo, rate_hi, low):
     f = log_f - top
     low.append(float(f.min()))
     f = np.exp(f)
-    ends = [(f[-1], rate_hi)]
-    if rate_lo is not None:
-        ends.insert(0, (f[0], rate_lo))
-    full, half = rule._rule_pair(f, ends)
+    full, half = rule._rule_pair(f, rate_lo, rate_hi)
     assert abs(math.log(full) - math.log(half)) <= 1e-9
     return top + math.log(full)
 
