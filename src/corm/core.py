@@ -426,7 +426,7 @@ def _beta_series(sigma, beta, x_switch):
     # where a term falls below 1e-22 of the first (32 of 60 terms at
     # sigma 0.3, beta 2.3; one at sigma 0 and beta 2, where the series is
     # a polynomial).  A term below 1e-17 of the first cannot move the
-    # rounded sum, but the matrix product keeps partial sums of the later,
+    # rounded sum, but the dot product keeps partial sums of the later,
     # smaller terms, whose last bits terms near 1e-18 still move: cut
     # there, the tail differed from the 60-term one in the last bit at
     # about 2e-4 of the points near x_switch; cut at 1e-22, at none tried.
@@ -688,10 +688,14 @@ def directing_from_marginal(marginal, shape):
         return exponents, series_coefs, _beta_tail_constant(sigma, beta)
 
     def series_tail(x):
-        # G(x) at x <= x_switch, an array of x or one float
+        # G(x) at x <= x_switch, an array of x or one float.  Each point's
+        # series is a dot product of its own (a stack of one-row
+        # matrices), so its value does not depend on the batch it is
+        # computed in: a matrix-vector product over the batch rounds
+        # differently from one row
         exponents, series_coefs, k0 = terms()
-        return k0 - _boxcox(x, -sigma) \
-            - np.atleast_2d(np.power.outer(x, exponents)) @ series_coefs
+        powers = np.power.outer(x, exponents)[..., None, :]
+        return k0 - _boxcox(x, -sigma) - (powers @ series_coefs)[..., 0]
 
     def beta_tail(x):
         # G(x) at x > x_switch, an array of x or one float
@@ -710,7 +714,7 @@ def directing_from_marginal(marginal, shape):
             # the array path's numpy operations at one point (the same
             # doubles) without its masks and copies
             x = min(max(a * z, 1e-300), 1.0)
-            return scale * float(series_tail(x)[0] if x <= x_switch
+            return scale * float(series_tail(x) if x <= x_switch
                                  else beta_tail(x))
         z = np.asarray(z, dtype=float)
         x = np.atleast_1d(np.clip(a * z, 1e-300, 1.0))

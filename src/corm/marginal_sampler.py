@@ -14,13 +14,20 @@ MarginalState once, when the group's pass ends, so the state is not
 current during a pass.  An allocation update called without a pass's
 copy makes its own and writes it back, so the state is current after
 every public call.
+
+A conjugate redraw is one _UrnRows.redraw at a uniform.  A pass draws
+its n_j uniforms with one rng.random(n_j), which gives the doubles of
+n_j rng.random() calls, so a sweep and one-off redraws make the same
+chain.  The log kappa ratios of the weights come from the KappaTable's
+ratio memo, one dict lookup each.
 '''
 
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, repeat
+from operator import add, sub
 
 import numpy as np
 
@@ -145,16 +152,18 @@ class KappaTable:
     group with a gamma (or, at v > 0, a sigma-stable) marginal has closed
     log kappa forms, and one group has the closed marginal exponent as
     psi; every other value comes from one TiltRule built for (spec, v).
-    A value is memoised by its count tuple.  The rule gives the same
-    double for a count tuple whatever it evaluated before, so a value
-    does not depend on the order in which the chain reaches the counts.
-    evaluations counts the memo misses: the log kappa values computed,
-    by the rule or in closed form.'''
+    A value is memoised by its count tuple, and a log kappa ratio by its
+    count tuple and group.  The rule gives the same double for a count
+    tuple whatever it evaluated before, so a value does not depend on the
+    order in which the chain reaches the counts.  evaluations counts the
+    log kappa memo misses: the values computed, by the rule or in closed
+    form.'''
 
     def __init__(self, spec, v):
         self.spec = spec
         self.v = np.asarray(v, dtype=float)
         self._memo = {}
+        self._ratios = {}
         self.evaluations = 0
         m = spec.marginal
         self._closed = None
@@ -191,10 +200,18 @@ class KappaTable:
         return self._rule.psi()
 
     def log_ratio(self, a, j):
-        '''log of kappa_{a+e_j}(v) / kappa_a(v).'''
-        plus = list(a)
-        plus[j] += 1
-        return self.log_kappa(tuple(plus)) - self.log_kappa(a)
+        '''log of kappa_{a+e_j}(v) / kappa_a(v) for a sequence a of
+        per-group counts, memoised by (a, j): the difference of the two
+        memoised log kappas, so the same double whether it is read before
+        or after them, and one dict lookup on a hit.'''
+        key = (*a, j)
+        val = self._ratios.get(key)
+        if val is None:
+            plus = list(a)
+            plus[j] += 1
+            val = self.log_kappa(tuple(plus)) - self.log_kappa(tuple(a))
+            self._ratios[key] = val
+        return val
 
     def log_new_cluster(self, j):
         '''log kappa_r(v) for r = e_j: the new-cluster integral.'''
@@ -227,18 +244,25 @@ class _UrnRows:
     place.  write_back leaves the view usable, so a pass may go on.
 
     Per cluster the view keeps the log kappa ratio log kappa(a_k + e_j) -
-    log kappa(a_k) and, with kernel statistics, the cluster's predictive
-    row.  The last row stands for a new cluster: log M + log kappa(e_j)
-    and the empty cluster's predictive row.  detach, attach and open keep
-    the rows in step with the counts, refreshing only the clusters they
-    touch (Neal 2000, Algorithm 3).  Ratios for other groups are not
-    kept: each needs a kappa at a count vector the chain may never reach.
+    log kappa(a_k), read from the table's ratio memo, and, with kernel
+    statistics, the cluster's predictive row.  The last row stands for a
+    new cluster: log M + log kappa(e_j) and the empty cluster's
+    predictive row.  detach, attach and open keep the rows in step with
+    the counts, refreshing only the clusters they touch (Neal 2000,
+    Algorithm 3).  Ratios for other groups are not kept: each needs a
+    kappa at a count vector the chain may never reach.
 
-    Most redraws put the observation back into its own cluster.  The
-    allocation updates save that cluster's row and statistics before the
-    detach and put them back (undo) when the draw returns the observation
-    to a cluster the detach did not drop: the view is then what it was
-    before the detach, with no refresh.
+    redraw is the whole Gibbs redraw of one observation under a kernel
+    with statistics, at a uniform u.  Most redraws put the observation
+    back into its own cluster: redraw takes it out by hand, keeping the
+    cluster's ratio, predictive row and statistics, and puts them back
+    if the pick returns it home, so the view is what it was before, with
+    no refresh.  A cluster that the removal empties goes through detach,
+    a new cluster through open, a move through attach.  A pass takes its
+    uniforms from uniform(rng), which draws the pass's n_j of them with
+    one rng.random(n_j): the same doubles, and the same generator state
+    after the n_j-th, as n_j calls of rng.random().  A pass cut short
+    leaves the generator past uniforms it did not use.
 
     A redraw reads all K + 1 rows, about ten, and rewrites one or two; at
     that size the fixed cost of a numpy call, or of reading and writing
@@ -253,6 +277,7 @@ class _UrnRows:
         self.dimension = spec.dimension
         self.counts = state.counts.tolist()
         self.labels = state.allocations[j].tolist()
+        self.uniforms = []
         self.stats = self.atoms = self.predictive = None
         K = len(self.counts)
         self.log_ratios = [0.0] * K + [math.log(spec.centring_mass)
@@ -279,23 +304,22 @@ class _UrnRows:
         else:
             state.atoms = list(self.atoms)
 
+    def uniform(self, rng):
+        '''The pass's next uniform; the n_j of a pass are drawn at once,
+        on the first call and again once they run out.'''
+        if not self.uniforms:
+            self.uniforms = rng.random(len(self.labels)).tolist()[::-1]
+        return self.uniforms.pop()
+
     def refresh(self, k):
-        self.log_ratios[k] = self.table.log_ratio(tuple(self.counts[k]),
-                                                  self.group)
+        self.log_ratios[k] = self.table.log_ratio(self.counts[k], self.group)
         if self.predictive is not None:
             self.predictive[k] = self.kernel.predictive_row(self.stats[k])
-
-    def save(self, k):
-        '''Cluster k's ratio, predictive row and statistics, for undo.'''
-        if self.stats is None:
-            return self.log_ratios[k], None, None
-        return self.log_ratios[k], self.predictive[k], self.stats[k]
 
     def detach(self, i):
         '''Take observation i out of its cluster, which is dropped if that
         empties it; returns the dropped cluster's atom, if any, for
-        recycling.  The observation keeps its label until attach or
-        undo.'''
+        recycling.  The observation keeps its label until attach.'''
         k = self.labels[i]
         row = self.counts[k]
         row[self.group] -= 1
@@ -317,16 +341,6 @@ class _UrnRows:
                 c[c > k] -= 1
         return recycled
 
-    def undo(self, i, saved):
-        '''Put observation i back into its cluster, which its detach did
-        not drop, with what save returned before the detach.'''
-        k = self.labels[i]
-        self.counts[k][self.group] += 1
-        self.log_ratios[k], row, stats = saved
-        if stats is not None:
-            self.predictive[k] = row
-            self.stats[k] = stats
-
     def open(self, atom=None):
         '''Add an empty cluster at the end, with the given atom when the
         view keeps atoms.'''
@@ -345,6 +359,39 @@ class _UrnRows:
             self.stats[k] = self.kernel.stats_add(self.stats[k], self.ys[i])
         self.refresh(k)
 
+    def redraw(self, i, u):
+        '''Gibbs redraw of observation i's cluster at the uniform u, for a
+        kernel with statistics.'''
+        j, home, y = self.group, self.labels[i], self.ys[i]
+        kernel, ratios = self.kernel, self.log_ratios
+        stats, predictive = self.stats, self.predictive
+        row = self.counts[home]
+        kept = sum(row) > 1         # the home cluster outlives the removal
+        if kept:
+            # the removal by hand, keeping what a return home restores
+            saved = ratios[home], predictive[home], stats[home]
+            row[j] -= 1
+            stats[home] = kernel.stats_remove(stats[home], y)
+            ratios[home] = self.table.log_ratio(row, j)
+            predictive[home] = kernel.predictive_row(stats[home])
+        else:
+            self.detach(i)
+        logs = list(map(add, ratios, kernel.log_predictive(y, predictive)))
+        k = _pick(logs, u, j, i)
+        if kept and k == home:
+            row[j] += 1
+            ratios[home], predictive[home], stats[home] = saved
+            return
+        if k == len(self.counts):
+            self.open()
+        self.attach(i, k)
+
+
+def _weights_error(j, i, top, total):
+    return FloatingPointError(
+        'urn weights of observation %d of group %d: largest log weight '
+        '%r, total weight %r' % (i + 1, j + 1, top, total))
+
 
 def _relative_weights(logs, j, i):
     '''exp(l - max) for each log weight l in the list logs of observation
@@ -355,18 +402,21 @@ def _relative_weights(logs, j, i):
     weights = [math.exp(l - top) for l in logs]
     total = sum(weights)
     if not (math.isfinite(top) and 0.0 < total < math.inf):
-        raise FloatingPointError(
-            'urn weights of observation %d of group %d: largest log weight '
-            '%r, total weight %r' % (i + 1, j + 1, top, total))
+        raise _weights_error(j, i, top, total)
     return weights
 
 
-def _categorical(weights, rng):
-    '''Index k drawn with probability weights[k] / sum(weights), by
-    bisection on the running sums.'''
-    # rng.random() is the double rng.uniform() gives, at a third the cost
-    cum = list(accumulate(weights))
-    return min(bisect_right(cum, rng.random() * cum[-1]), len(cum) - 1)
+def _pick(logs, u, j, i):
+    '''Index k drawn with probability proportional to exp(logs[k]) at the
+    uniform u, by bisection at u times the total on the running sums of
+    exp(l - max); the total, the last running sum, is checked as in
+    _relative_weights.'''
+    top = max(logs)
+    cum = list(accumulate(map(math.exp, map(sub, logs, repeat(top)))))
+    total = cum[-1]
+    if not (math.isfinite(top) and 0.0 < total < math.inf):
+        raise _weights_error(j, i, top, total)
+    return min(bisect_right(cum, u * total), len(cum) - 1)
 
 
 def allocation_weights(state, data, spec, kernel, j, i, table, rows=None):
@@ -378,48 +428,36 @@ def allocation_weights(state, data, spec, kernel, j, i, table, rows=None):
     FloatingPointError.'''
     if rows is None:
         rows = _UrnRows(state, data, spec, kernel, table, j)
-    return np.array(_urn_weights(rows, i))
-
-
-def _urn_weights(rows, i):
-    '''allocation_weights as a list, from a view.'''
-    logs = [r + p for r, p in zip(rows.log_ratios, rows.kernel.log_predictive(
+    logs = [r + p for r, p in zip(rows.log_ratios, kernel.log_predictive(
         rows.ys[i], rows.predictive))]
-    return _relative_weights(logs, rows.group, i)
+    return np.array(_relative_weights(logs, j, i))
 
 
 def update_allocation_conjugate(state, data, spec, kernel, j, i, table, rng,
                                 rows=None):
     '''Gibbs reassignment of c_{j,i} in the conjugate variant.  rows is
-    the _UrnRows of group j's pass, which the redraw reads and writes;
-    without it the call builds one and writes it back.'''
-    view = rows
-    if view is None:
-        view = _UrnRows(state, data, spec, kernel, table, j)
-    home, K = view.labels[i], len(view.counts)
-    saved = view.save(home)
-    view.detach(i)
-    k = _categorical(_urn_weights(view, i), rng)
-    if k == home and len(view.counts) == K:
-        view.undo(i, saved)
-    else:
-        if k == len(view.counts):
-            view.open()
-        view.attach(i, k)
+    the _UrnRows of group j's pass, which the redraw reads and writes and
+    whose uniform draws from rng; without it the call builds one, redraws
+    at one rng.random() and writes it back.'''
     if rows is None:
-        view.write_back()
+        rows = _UrnRows(state, data, spec, kernel, table, j)
+        rows.redraw(i, rng.random())
+        rows.write_back()
+    else:
+        rows.redraw(i, rows.uniform(rng))
 
 
 def update_allocation_nonconjugate(state, data, spec, kernel, j, i, table,
                                    rng, n_aux=3, rows=None):
     '''Auxiliary-atom reassignment of c_{j,i}: existing clusters compete
     with n_aux fresh atoms, a removed singleton recycling its atom into
-    the first slot; rows as in update_allocation_conjugate.'''
+    the first slot; rows as in update_allocation_conjugate, but every
+    pick draws its own rng.random() after the redraw's prior draws.'''
     view = rows
     if view is None:
         view = _UrnRows(state, data, spec, kernel, table, j)
     home = view.labels[i]
-    saved = view.save(home)
+    ratio = view.log_ratios[home]
     recycled = view.detach(i)
     aux = kernel.prior_draws(n_aux, rng)
     if recycled is not None:
@@ -428,9 +466,11 @@ def update_allocation_nonconjugate(state, data, spec, kernel, j, i, table,
     fresh = [view.log_ratios[K] - math.log(n_aux)] * n_aux
     logs = np.add(view.log_ratios[:K] + fresh, kernel.log_density(
         view.ys[i], kernel.stack_atoms(view.atoms + aux)))
-    k = _categorical(_relative_weights(logs.tolist(), j, i), rng)
+    k = _pick(logs.tolist(), rng.random(), j, i)
     if k == home and recycled is None:
-        view.undo(i, saved)
+        # back home: the detach moved only the count and the ratio
+        view.counts[home][j] += 1
+        view.log_ratios[home] = ratio
     else:
         if k >= K:
             view.open(aux[k - K])

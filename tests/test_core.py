@@ -321,6 +321,25 @@ class TestScalarTail:
         assert got == nu.tail_integral(np.array([z]))[0]
         assert got == nu.tail_integral(np.asarray(z))
 
+    @pytest.mark.parametrize('marginal,shape', [
+        (MarginalFamily.gamma(), 0.3), (MarginalFamily.gamma(), 2.3),
+        (MarginalFamily.generalized_gamma(0.3, 1.0), 1.0),
+        (MarginalFamily.generalized_gamma(0.3, 1.0), 0.02)])
+    def test_a_batch_matches_the_float_path(self, marginal, shape):
+        # 4,000 points, half of them packed near the series switch: each
+        # point of the batch is the very double of the point alone (one
+        # matrix-vector product over the batch rounded differently at
+        # 9-103 of them)
+        nu = directing_from_marginal(marginal, shape)
+        upper = nu.support[1]
+        rng = np.random.default_rng(0)
+        x_switch = min(0.3, 1.0 / ((marginal.sigma or 0.0) + shape))
+        z = np.concatenate([rng.uniform(0.0, upper, 1000),
+                            np.geomspace(1e-8, 0.999 * upper, 1000),
+                            upper * x_switch * rng.uniform(0.9, 1.1, 2000)])
+        got = nu.tail_integral(z)
+        assert got.tolist() == [nu.tail_integral(x) for x in z.tolist()]
+
     def test_outside_the_support(self):
         nu = directing_from_marginal(MarginalFamily.gamma(), 1.3)
         assert nu.tail_integral(0.0) == math.inf

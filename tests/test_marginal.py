@@ -191,17 +191,30 @@ class TestKappaTable:
             assert got == pytest.approx(oracle, rel=1e-7)
 
     def test_ratio_and_new_cluster_consistency(self):
+        # the ratio memo keeps the very difference of the two memoised
+        # log kappas, so the doubles are equal
         spec = gamma_spec(2, 1.3, mass=2.0)
         table = KappaTable(spec, np.array([0.8, 1.1]))
         a = (2, 1)
-        assert table.log_ratio(a, 0) == pytest.approx(
-            table.log_kappa((3, 1)) - table.log_kappa(a), rel=1e-12)
-        assert table.log_ratio(a, 1) == pytest.approx(
-            table.log_kappa((2, 2)) - table.log_kappa(a), rel=1e-12)
-        assert table.log_new_cluster(0) == pytest.approx(
-            table.log_kappa((1, 0)), rel=1e-12)
-        assert table.log_new_cluster(1) == pytest.approx(
-            table.log_kappa((0, 1)), rel=1e-12)
+        assert table.log_ratio(a, 0) == \
+            table.log_kappa((3, 1)) - table.log_kappa(a)
+        assert table.log_ratio(a, 1) == \
+            table.log_kappa((2, 2)) - table.log_kappa(a)
+        assert table.log_new_cluster(0) == table.log_kappa((1, 0))
+        assert table.log_new_cluster(1) == table.log_kappa((0, 1))
+        # read first, a ratio computes both ends; read after them, it
+        # takes them from the log kappa memo: the same double.  A list of
+        # counts reads the tuple's memo entry
+        first, second = (KappaTable(spec, np.array([0.8, 1.1]))
+                         for _ in range(2))
+        for a, j in (((0, 4), 0), ((5, 0), 1), ((3, 3), 1)):
+            plus = list(a)
+            plus[j] += 1
+            early = first.log_ratio(a, j)
+            want = second.log_kappa(tuple(plus)) - second.log_kappa(a)
+            assert second.log_ratio(a, j) == early == want
+            assert first.log_ratio(list(a), j) == early
+        assert first.evaluations == second.evaluations == len(first._memo)
 
     def test_memoization_returns_same_value(self):
         spec = gamma_spec(1, 1.0)
@@ -505,6 +518,20 @@ class TestNonFiniteWeights:
                 allocation_weights(state, data, spec, kernel, 0, 2, table,
                                    rows)
 
+    @pytest.mark.parametrize('bad', [0, 1, 2])
+    def test_nan_predictive_stops_a_sweep(self, bad):
+        # the pass path, with the pass's uniforms: the sweep's first
+        # redraw meets the NaN row and names its observation
+        kernel = _NaNAtRow(bad)
+        data = Dataset([np.zeros(6)])
+        spec = gamma_spec(1, 1.0)
+        rng = np.random.default_rng(0)
+        state = initial_state(data, spec, kernel, rng, n_start=2)
+        with pytest.raises(FloatingPointError,
+                           match='observation 1 of group 1'):
+            marginal_sweep(state, data, spec, kernel, rng,
+                           [AdaptiveStepSize()])
+
 
 class TestUrnRows:
 
@@ -641,7 +668,7 @@ class TestUrnRows:
         rows = ms._UrnRows(state, data, spec, kernel, table, 0)
         # the first new-cluster slot: index 1 once the singleton's
         # cluster is dropped
-        monkeypatch.setattr(ms, '_categorical', lambda weights, rng: 1)
+        monkeypatch.setattr(ms, '_pick', lambda logs, u, j, i: 1)
         rng = np.random.default_rng(1)
         if conjugate:
             update_allocation_conjugate(state, data, spec, kernel, 0, 2,
@@ -662,6 +689,37 @@ class TestUrnRows:
         if conjugate:
             assert np.array_equal(rows.predictive, fresh.predictive)
         state.check()
+
+    def test_pass_uniforms_run_on_past_a_pass(self):
+        # one group's 30 observations redrawn twice through the same
+        # view: the second round draws a second batch of uniforms, and
+        # the chain, and the generator at its end, equal per-redraw
+        # rng.random() calls (one-off redraws)
+        rng = np.random.default_rng(43)
+        data = Dataset([np.concatenate([rng.normal(-2.0, 0.5, 15),
+                                        rng.normal(2.0, 0.5, 15)]),
+                        rng.normal(2.0, 0.5, 30)])
+        kernel = UnivariateNormalGamma.from_data(data.stacked())
+        spec = CoRMSpec.from_marginal(
+            2, 1.0, MarginalFamily.generalized_gamma(0.3, 1.0))
+        table = KappaTable(spec, np.ones(2))
+        states = [initial_state(data, spec, kernel, rng, n_start=4)
+                  for _ in range(2)]
+        rngs = [np.random.default_rng(47) for _ in range(3)]
+        rows = ms._UrnRows(states[0], data, spec, kernel, table, 1)
+        for _ in range(2):
+            for i in range(30):
+                update_allocation_conjugate(states[0], data, spec, kernel,
+                                            1, i, table, rngs[0], rows)
+                update_allocation_conjugate(states[1], data, spec, kernel,
+                                            1, i, table, rngs[1])
+        rows.write_back()
+        _same_state(*states)
+        for _ in range(60):
+            rngs[2].random()
+        assert rngs[0].bit_generator.state == rngs[1].bit_generator.state \
+            == rngs[2].bit_generator.state
+        states[0].check()
 
     def test_members_group_rows_by_label(self):
         rng = np.random.default_rng(3)
