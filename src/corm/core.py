@@ -920,71 +920,53 @@ _DE_HALVINGS = 3
 _DE_REACH = 5.0
 
 
-def _sigmoid_terms(nu, log_h, u, upper, lower=0.0):
+def _sigmoid_terms(nu, log_h, u, upper):
     '''(log z, z, log(h |dz/du| nu*(z))) at the nodes u, log h their log
-    weights in u, of the map onto (lower, upper).  On (0, upper) it is z =
-    upper exp(-softplus(-u)), with the gap upper - z = upper
-    exp(-softplus(u)) exact.  At lower > 0 it is taken in log z: log(z /
-    lower) = D exp(-softplus(-u)) and log(upper / z) = D exp(-softplus(u)),
-    D = log(upper / lower), and each half of the nodes takes z from its
-    nearer end, so both ends are exact.  nu* is given the gap to the end
-    of its support as (end - upper) + (upper - z).'''
-    log_above = -np.logaddexp(0.0, -u)
+    weights in u, of the map z = upper exp(-softplus(-u)) onto (0, upper),
+    with the gap upper - z = upper exp(-softplus(u)) exact.  nu* is given
+    the gap to the end of its support as (end - upper) + (upper - z).'''
+    log_z = math.log(upper) - np.logaddexp(0.0, -u)
     log_below = -np.logaddexp(0.0, u)
-    if lower == 0.0:
-        log_z = math.log(upper) + log_above
-        z = np.exp(log_z)
-        gap = (nu.support[1] - upper) + np.exp(math.log(upper) + log_below)
-        log_jac = log_z + log_below
-    else:
-        span = math.log1p((upper - lower) / lower)
-        above = span * np.exp(log_above)
-        below = span * np.exp(log_below)
-        low = u < 0.0
-        z = np.where(low, lower * np.exp(above), upper * np.exp(-below))
-        log_z = np.where(low, math.log(lower) + above,
-                         math.log(upper) - below)
-        gap = (nu.support[1] - upper) - upper * np.expm1(-below)
-        log_jac = log_z + math.log(span) + log_above + log_below
-    return log_z, z, log_h + log_jac + nu.log_density(z, gap)
+    z = np.exp(log_z)
+    gap = (nu.support[1] - upper) + np.exp(math.log(upper) + log_below)
+    return log_z, z, log_h + (log_z + log_below) + nu.log_density(z, gap)
 
 
 class RuleNodes:
     '''
-    The v-independent node terms of the TiltRules on one finite stretch
-    of a support (0, U): (0, upper) below a truncation level upper <= U,
-    or (lower, upper) with lower > 0.  Built once and shared by the rules
-    at every tilt v there (CoRMSpec.rule_nodes holds the spec's own, on
-    the whole support); see TiltRule for the maps onto the stretch.
+    The v-independent node terms of the TiltRules on (0, upper), a
+    truncation level upper <= U of a finite support (0, U).  Built once
+    and shared by the rules at every tilt v there (CoRMSpec.rule_nodes
+    holds the spec's own, on the whole support); see TiltRule for the map
+    onto (0, upper).
 
     The nodes are double exponential (Takahasi & Mori 1974): u = s +
     sinh(t) at t = k h, h = _DE_STEP / 2^level.  The integer shift s =
-    round(-log(v_max upper) / 2) on (0, upper) (0 at v_max upper <= 1 and
-    on an interval) puts the densest nodes between the tilt's scale
-    1/v_max and the upper end.  Each end reaches |t| = 5 (|u - s| = 74;
-    289 nodes at h = 0.035), or as far as the terms turn pure exponentials
-    in u, at a multiple of 2h, so both ends are sub-rule nodes.  terms
-    lays out each (shift, level) once: a value depends on spec and v only.
+    round(-log(v_max upper) / 2) (0 at v_max upper <= 1) puts the densest
+    nodes between the tilt's scale 1/v_max and the upper end.  Each end
+    reaches |t| = 5 (|u - s| = 74; 289 nodes at h = 0.035), or as far as
+    the terms turn pure exponentials in u, at a multiple of 2h, so both
+    ends are sub-rule nodes.  terms lays out each (shift, level) once: a
+    value depends on spec and v only.
     '''
 
-    def __init__(self, spec, upper, lower=0.0):
+    def __init__(self, spec, upper):
         nu = spec.directing
         start, end = nu.support
         if start != 0.0:
             raise ValueError('the tilt rule needs a support starting at 0')
-        if not 0.0 <= lower < upper <= end or math.isinf(upper):
-            raise ValueError('(%r, %r) is not a finite stretch of the '
-                             'support' % (lower, upper))
+        if not 0.0 < upper <= end or math.isinf(upper):
+            raise ValueError('(0, %r) is not a finite stretch of the '
+                             'support' % upper)
         self.spec = spec
-        self.lower, self.upper = float(lower), float(upper)
+        self.upper = float(upper)
         p_hi = nu.singularity_exponents[1]
         # the integrand keeps nu*'s power at its own end only
         self.upper_rate = float(nu.upper_rate) if (
             upper == end and p_hi is not None) else 1.0
         # the terms are pure exponentials in u below 2 s - pure_lo, where
         # v_max z < _PURE (1 more for the rounding of s), and above pure_hi,
-        # where upper - z < _PURE of upper and of end - upper; an interval's
-        # ends are pure by |u| = cut + log log(upper / lower) < 46
+        # where upper - z < _PURE of upper and of end - upper
         cut = -math.log(_PURE)
         self._pure = (cut + 1.0, cut if upper == end else cut + max(
             0.0, math.log(upper) - math.log(end - upper)))
@@ -994,8 +976,7 @@ class RuleNodes:
         '''(log z, z, log(h cosh(t) |dz/du| nu*(z)), h, ((T_lo, du_lo),
         (T_hi, du_hi))) in increasing u at the nodes of the shift that
         v_max calls for, with the reach |t| and the step in u of each end.'''
-        shift = 0 if self.lower else -round(
-            0.5 * math.log(max(v_max * self.upper, 1.0)))
+        shift = -round(0.5 * math.log(max(v_max * self.upper, 1.0)))
         key = shift, level
         if key not in self._terms:
             h = _DE_STEP / 2 ** level
@@ -1005,7 +986,7 @@ class RuleNodes:
             t = h * np.arange(-n_lo, n_hi + 1)
             u, log_h = shift + np.sinh(t), np.log(h * np.cosh(t))
             self._terms[key] = (*_sigmoid_terms(
-                self.spec.directing, log_h, u, self.upper, self.lower), h,
+                self.spec.directing, log_h, u, self.upper), h,
                 tuple((n * h, h * math.cosh(n * h)) for n in (n_lo, n_hi)))
         return self._terms[key]
 
@@ -1040,6 +1021,17 @@ def _refined(method):
     return refined
 
 
+def _check_tilt(v, dimension):
+    '''v as a float array, which must be a finite, nonnegative vector of
+    length dimension.'''
+    v = np.asarray(v, dtype=float)
+    if v.shape != (dimension,):
+        raise ValueError('v must be a vector of length %d' % dimension)
+    if not ((v >= 0.0) & (v < math.inf)).all():
+        raise ValueError('v must be finite and nonnegative: %s' % v)
+    return v
+
+
 class TiltRule:
     '''
     One trapezoid node set for the integrals against nu* at a fixed tilt
@@ -1062,11 +1054,9 @@ class TiltRule:
 
     On a finite support the node terms come from a RuleNodes of the same
     spec: the spec's own on the whole support (CoRMSpec.rule_nodes),
-    shared by its rules at every v, or given ones on a stretch: (0, L),
-    L <= U, z = L exp(-softplus(-u)) with nu*'s gap (U - L) + (L - z), or
-    (lo, hi), lo > 0, the same map in log z (one linear in z would need
-    about hi / lo times the nodes).  The integrand decays at rate 1 in u
-    at L < U and at lo, and at nu*'s own rate at U.
+    shared by its rules at every v, or given ones truncated at L < U, z =
+    L exp(-softplus(-u)) with nu*'s gap (U - L) + (L - z).  The integrand
+    decays at rate 1 in u at L < U, and at nu*'s own rate at U.
 
     Per node the rule stores log(w nu*(z)), w the node's weight in z, log
     z and log1p(v_j z); only the last depends on v.  log_kappa adds, on
@@ -1084,16 +1074,13 @@ class TiltRule:
     the end rates.  The tilt v sets how far the nodes reach, so a weight
     with a scale s of its own (a survival factor Q(shape, x/z), a density
     peaking at z = s) is integrated by a rule built at a tilt of 1/s.
+
+    v must be a finite, nonnegative vector of length d.
     '''
 
     def __init__(self, spec, v, nodes=None, level=0):
         nu = spec.directing
-        v = np.asarray(v, dtype=float)
-        if v.ndim != 1 or v.size != spec.dimension:
-            raise ValueError('v must be a vector of length %d'
-                             % spec.dimension)
-        if np.any(v < 0.0):
-            raise ValueError('v must be nonnegative')
+        v = _check_tilt(v, spec.dimension)
         lo, upper = nu.support
         if lo != 0.0:
             raise ValueError('the tilt rule needs a support starting at 0')
@@ -1112,14 +1099,12 @@ class TiltRule:
         active = v[v > 0.0]
         v_max = float(active.max()) if active.size else 1.0
         if self.finite:
-            self.lower = nodes.lower
             self.upper_rate = nodes.upper_rate
             self.log_z, z, self.log_w, self.h, self.ends = nodes.terms(
                 v_max, level)
         else:
             # z = e^u from 1e-17 / v_max to 1e17 / v_min
             v_min = float(active.min()) if active.size else 1.0
-            self.lower = 0.0
             # p_hi + 1, exact where the intensity gives it
             self.upper_rate = float(nu.upper_rate)
             self.h = min(_STEP, 0.2 / math.sqrt(spec.dimension * spec.shape))
@@ -1144,9 +1129,6 @@ class TiltRule:
         ends, for a weight ~ z^lower_power at 0 (None: vanishing faster
         than any power, no end series, rate None) and ~ z^tail_power at an
         infinite upper end (at a finite one the weight is regular).'''
-        if self.lower > 0.0:
-            # an interval inside the support: the weight is regular at lo
-            return 1.0, self.upper_rate
         rate_lo = None
         if lower_power is not None:
             rate_lo = self.p_lo + 1.0 + lower_power

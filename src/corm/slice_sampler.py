@@ -19,17 +19,19 @@ from the cheaper of two exact envelopes, chosen per jump by envelope
 mass: the power envelope, accepted by nu* over it times the tilt, or a
 truncated exponential of rate w_k times a bound on nu*, accepted by nu*
 over its bound (Devroye 1986, ch. II).  The repopulation births on
-(L_new, L_old) come from the power envelope on that band, accepted by
-nu* over it times their tilt, and the birth of the birth/death move
-from it on (L, 1), accepted by nu* over it.  All rejection draws are
-batched: in each round every pending draw gets m proposals, keeps its
-first accepted one (the sequential rejection sampler's draw, as
-proposals are i.i.d.), and m doubles for the draws still pending.
+(L_new, L_old), a Poisson process of intensity M nu*(z) prod_j (1 +
+v_j z)^(-shape), thin the power envelope on that band times the tilt's
+value at L_new (Lewis & Shedler 1979): a Poisson number of envelope
+points, each kept with nu* over the envelope times the tilt relative to
+that value.  The birth of the birth/death move comes from the envelope
+on (L, 1), accepted by nu* over it.  The rejection draws are batched:
+in each round every pending draw gets m proposals, keeps its first
+accepted one (the sequential rejection sampler's draw, as proposals are
+i.i.d.), and m doubles for the draws still pending.
 
 The integrals against nu* that the kept jumps leave out are trapezoid
-rules (core.TiltRule): the residual Laplace exponent below L and its
-v-gradient (the snapshots' residual mass) on the rule truncated at L,
-and the repopulation mass on the rule over (L_new, L_old).  L stays
+rules (core.TiltRule) truncated at L: the residual Laplace exponent
+below L and its v-gradient (the snapshots' residual mass).  L stays
 fixed from repopulation to the end of a sweep, so the v and shape moves
 share one RuleNodes per spec, and each MH ratio reuses the residual at
 the current state: 2d + 2 residual evaluations a sweep.
@@ -40,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import RuleNodes, TiltRule
+from .core import RuleNodes, TiltRule, _check_tilt
 from .marginal_sampler import _accept_probability, _members, _tally
 # not called here: kept bound so the benchmark's tracer, which wraps
 # corm.slice_sampler.integrate, still finds it
@@ -154,7 +156,8 @@ def initial_slice_state(data, spec, kernel, rng, n_start=1):
 
 
 def _slice_draw(rng, size):
-    # uniform draws bounded away from 0 so tail levels stay finite
+    # uniform draws bounded away from 0, so the threshold is positive and
+    # the envelope mass of the repopulation births on (new, old) finite
     return np.maximum(rng.uniform(size=size), 2.3e-16)
 
 
@@ -168,7 +171,7 @@ def residual_laplace(spec, v, L, nodes=None):
         return 0.0
     if nodes is None:
         nodes = RuleNodes(spec, L)
-    elif nodes.upper != L or nodes.lower != 0.0:
+    elif nodes.upper != L:
         raise ValueError('the nodes are not truncated at L = %r' % L)
     return TiltRule(spec, v, nodes).psi()
 
@@ -193,14 +196,6 @@ class _Residuals:
             self._values[key] = residual_laplace(spec, v, self.L,
                                                  self._nodes[spec])
         return self._values[key]
-
-
-def _tilted_mass(spec, v, lo, hi):
-    '''Integral over (lo, hi) of nu*(z) prod_j (1+v_j z)^(-shape) dz:
-    kappa_0(v) of a TiltRule on the interval.'''
-    v = np.asarray(v, dtype=float)
-    rule = TiltRule(spec, v, RuleNodes(spec, hi, lower=lo))
-    return math.exp(rule.log_kappa(np.zeros(v.size)))
 
 
 def _first_accepted(n, propose, describe, rng):
@@ -234,32 +229,55 @@ def _first_accepted(n, propose, describe, rng):
     return out
 
 
+def _tilted_proposals(band, v, phi, u):
+    '''Points of one envelope band's normalised law at the uniforms u,
+    and their acceptances for nu*(z) prod_j (1+v_j z)^(-phi): the band's
+    thinning probability times the tilt over its largest value, at the
+    band's lower end.'''
+    z, keep = band.propose(u)
+    return z, keep * np.prod(
+        ((1.0 + v * band.lower) / (1.0 + np.outer(z, v))) ** phi, axis=1)
+
+
 def sample_tilted_z(spec, lower, upper, v, rng, size=None):
-    '''Draws from the repopulation density on (lower, upper):
+    '''Draws from the law of a repopulation birth on (lower, upper):
     nu*(z) prod_j (1+v_j z)^(-shape), by rejection from the directing
     intensity's power envelope on the band (split at the t of least mass
     at beta < 1): z comes from the envelope's closed-form inverse at a
     uniform level, and is accepted with nu* over the envelope times the
-    tilt relative to its largest value, at lower.  A proposal on or
-    outside an end of the band is rejected.  All size draws share the
-    rounds of _first_accepted.  Returns a float when size is None, else
-    an array of that shape.'''
+    tilt relative to its largest value, at lower (_tilted_proposals).  A
+    proposal on or outside an end of the band is rejected.  All size
+    draws share the rounds of _first_accepted.  v must be a finite,
+    nonnegative vector of length d.  Returns a float when size is None,
+    else an array of that shape.'''
     _check_family(spec)
     if not 0.0 < lower < upper <= 1.0:
         raise ValueError('need 0 < lower < upper <= 1')
-    v = np.asarray(v, dtype=float)
-    phi = spec.shape
+    v = _check_tilt(v, spec.dimension)
     band = spec.directing.envelope.band(lower, upper)
     n = 1 if size is None else int(np.prod(size))
-
-    def propose(idx):
-        z, keep = band.propose(rng.uniform(size=idx.size))
-        return z, keep * np.prod(
-            ((1.0 + v * lower) / (1.0 + np.outer(z, v))) ** phi, axis=1)
-
-    z = _first_accepted(n, propose, lambda _: 'tilted repopulation sampler '
-                        'on (%.3g, %.3g)' % (lower, upper), rng)
+    z = _first_accepted(
+        n, lambda idx: _tilted_proposals(band, v, spec.shape,
+                                         rng.uniform(size=idx.size)),
+        lambda _: 'tilted repopulation sampler on (%.3g, %.3g)'
+        % (lower, upper), rng)
     return float(z[0]) if size is None else z.reshape(size)
+
+
+def _tilted_births(spec, v, lower, upper, rng):
+    '''The points on (lower, upper), 0 < lower < upper, of a Poisson
+    process of intensity M nu*(z) prod_j (1+v_j z)^(-shape), M the
+    centring mass, by thinning (Lewis & Shedler 1979): a Poisson number
+    of the power envelope's points on the band, of mean M times its mass
+    times the tilt's value at lower, each kept with its acceptance from
+    _tilted_proposals.  v must be a finite, nonnegative vector of length
+    d.  Returns the kept points in the order drawn.'''
+    v = _check_tilt(v, spec.dimension)
+    band = spec.directing.envelope.band(lower, upper)
+    top = float(np.prod((1.0 + v * lower) ** -spec.shape))
+    n = rng.poisson(spec.centring_mass * float(band.mass) * top)
+    z, p = _tilted_proposals(band, v, spec.shape, rng.uniform(size=n))
+    return z[rng.uniform(size=n) < p]
 
 
 def _remove_jumps(state, drop):
@@ -291,11 +309,11 @@ def _append_jumps(state, z, scores, atoms):
 
 def update_u_and_repopulate(state, spec, kernel, rng):
     '''Redraw every slice latent uniform on (0, allocated jump height),
-    then reconcile the unallocated pool with the new threshold: a
-    Poisson number of tilted births fills (new, old) when the threshold
-    drops, and pool jumps below it are deleted when it rises.  The
-    births' heights come from one sample_tilted_z call, then their
-    scores and atoms.'''
+    then reconcile the unallocated pool with the new threshold: when it
+    drops, the births on (new, old) are the points of the Poisson process
+    of intensity M nu*(z) prod_j (1 + v_j z)^(-shape) there, thinned from
+    the power envelope in one pass (_tilted_births), with their scores and
+    atoms; when it rises, pool jumps below it are deleted.'''
     old = state.threshold
     state.u = [_slice_draw(rng, c.size) * state.jumps[c]
                for c in state.allocations]
@@ -304,14 +322,12 @@ def update_u_and_repopulate(state, spec, kernel, rng):
         free = state.counts.sum(axis=1) == 0
         _remove_jumps(state, np.flatnonzero(free & (state.jumps < new)))
     elif new < old:
-        mean = spec.centring_mass * _tilted_mass(spec, state.v, new, old)
-        births = rng.poisson(mean)
-        if births:
-            z = sample_tilted_z(spec, new, old, state.v, rng, size=births)
-            scores = rng.gamma(spec.shape, size=(births, state.v.size)) \
+        z = _tilted_births(spec, state.v, new, old, rng)
+        if z.size:
+            scores = rng.gamma(spec.shape, size=(z.size, state.v.size)) \
                 / (1.0 + np.outer(z, state.v))
             _append_jumps(state, z, scores,
-                          [_prior_atom(kernel, rng) for _ in range(births)])
+                          [_prior_atom(kernel, rng) for _ in range(z.size)])
     return state
 
 

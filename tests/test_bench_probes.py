@@ -86,7 +86,8 @@ def test_draws_and_sweeps_never_invert_the_tail():
     # points from the power envelope in closed form: a traced prior-gg
     # draw (d = 2, generalized gamma (0.3, 1), shape 2, centring mass 10),
     # a traced slice start state and traced slice sweeps call
-    # core.inverse_tail 0 times
+    # core.inverse_tail 0 times.  Each sweep repopulates once, where the
+    # births thin the envelope; sample_tilted_z is no longer on the path
     rng = np.random.default_rng(5)
     prior_spec = CoRMSpec.from_marginal(
         2, 2.0, MarginalFamily.generalized_gamma(0.3, 1.0),
@@ -112,7 +113,7 @@ def test_draws_and_sweeps_never_invert_the_tail():
     assert tracer.calls['slice_sampler.initial_state'] == 1
     assert tracer.calls['slice_sampler.sweep'] == 3
     assert tracer.calls['slice_sampler.jump_heights'] == 3
-    assert tracer.calls['slice_sampler.sample_tilted_z'] > 0
+    assert tracer.calls['slice_sampler.repopulate'] == 3
     assert tracer.calls['core.inverse_tail'] == 0
 
 

@@ -1192,9 +1192,10 @@ class TestIntegrate:
                                     rel=1e-9)
 
     def test_interior_limits(self, spec):
-        got = self._integral(spec, lambda log_z: log_z, 0, 0,
-                             RuleNodes(spec, 0.5, lower=0.1))
-        want = self._reference(lambda z: z, 0.1, 0.5)
+        # the rule truncated at an upper limit inside the support
+        got = self._integral(spec, lambda log_z: 0.0, 1, 0,
+                             RuleNodes(spec, 0.5))
+        want = self._reference(lambda z: z, 0.0, 0.5)
         assert got == pytest.approx(want, rel=1e-9)
 
     def test_psi_weight(self, spec):
@@ -1244,4 +1245,4 @@ class TestIntegrate:
         with pytest.raises(ValueError, match='support'):
             RuleNodes(spec, 2.0)
         with pytest.raises(ValueError, match='support'):
-            RuleNodes(spec, 0.5, lower=0.5)
+            RuleNodes(spec, 0.0)

@@ -21,8 +21,6 @@ from scipy.special import gammaincc
 from corm.core import (
     CoRMSpec,
     MarginalFamily,
-    RuleNodes,
-    TiltRule,
     _directing_moment,
     _rho_by_mixture,
     levy_copula,
@@ -31,6 +29,7 @@ from corm.core import (
 )
 from corm.numerics import kummer_u
 from corm.prior import _weighted_mass
+from corm.slice_sampler import SliceState, update_jump_heights
 
 
 def make_spec(marginal, shape, dimension=2):
@@ -165,26 +164,48 @@ class TestDirectingMoments:
 
 
 class TestSteepTilt:
-    '''int_low^1 nu*(z) e^(-w (z - low)) dz on the interval rule, the
-    slice sampler's jump-height normaliser, for gamma at shape 0.1 and
-    w = 1000: most of the mass lies within 1e-3 of low.'''
+    '''The slice sampler's jump-height conditional nu*(z) e^(-w (z -
+    low)) on (low, 1) for gamma at shape 0.1 and w = 1000, where most of
+    the mass lies within 1e-3 of low: its normaliser by QAWS against a
+    known value, and the mean and variance of 4,000 update_jump_heights
+    draws against the QAWS moments.'''
 
-    SHAPE, W = 0.1, 1000.0
+    SHAPE, W, N = 0.1, 1000.0, 4000
+
+    def _qaws(self, low, power):
+        # z^power z^-1 e^(-w (z - low)) against the QAWS weight
+        # (1 - z)^(shape-1)
+        return sci.quad(lambda z: z ** (power - 1.0)
+                        * math.exp(-self.W * (z - low)), low, 1.0,
+                        weight='alg', wvar=(0.0, self.SHAPE - 1.0),
+                        epsabs=0.0, epsrel=1e-13, limit=200)[0]
 
     @pytest.mark.parametrize('low, approx', [(1e-3, 0.597249),
                                              (0.05, 0.020561),
                                              (0.3, 0.00458572)])
     def test_against_qaws(self, low, approx):
         spec = make_spec(MarginalFamily.gamma(), self.SHAPE, dimension=1)
-        rule = TiltRule(spec, [0.0], RuleNodes(spec, 1.0, lower=low))
-        got = math.exp(rule.log_integral(
-            lambda log_z: -self.W * (np.exp(log_z) - low), 0))
-        # z^-1 e^(-w (z - low)) against the QAWS weight (1 - z)^(shape-1)
-        want = sci.quad(lambda z: math.exp(-self.W * (z - low)) / z, low,
-                        1.0, weight='alg', wvar=(0.0, self.SHAPE - 1.0),
-                        epsabs=0.0, epsrel=1e-13, limit=200)[0]
-        assert want == pytest.approx(approx, rel=1e-5, abs=0.0)
-        assert got == pytest.approx(want, rel=1e-10, abs=0.0)
+        mass = self._qaws(low, 0)
+        assert mass == pytest.approx(approx, rel=1e-5, abs=0.0)
+        mean = self._qaws(low, 1) / mass
+        var = self._qaws(low, 2) / mass - mean ** 2
+        # one member with slice low on jump 0, the rest a pool, unit
+        # scores and v = w: every jump is redrawn at tilt w above low
+        state = SliceState(
+            allocations=[np.array([0])],
+            counts=np.vstack([[1], np.zeros((self.N - 1, 1), dtype=int)]),
+            jumps=np.full(self.N, 0.5 * (1.0 + low)),
+            scores=np.ones((self.N, 1)), atoms=[None] * self.N,
+            u=[np.array([low])], v=np.array([self.W]), shape=self.SHAPE)
+        update_jump_heights(state, spec, np.random.default_rng(4200))
+        z = state.jumps
+        assert np.all((low < z) & (z < 1.0))
+        assert abs(z.mean() - mean) < 4.0 * math.sqrt(var / self.N)
+        # the sample variance's standard error, from the fourth moment
+        # about the mean
+        fourth = np.mean((z - mean) ** 4)
+        assert abs(z.var(ddof=1) - var) \
+            < 4.0 * math.sqrt((fourth - var ** 2) / self.N)
 
 
 def test_kummer_u_small_a_large_b():

@@ -5,17 +5,17 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate as sci
 from scipy import stats
 
 from corm import slice_sampler
-from corm.core import (CoRMSpec, EnvelopeBand, LevyIntensity,
-                       MarginalFamily, RuleNodes, TiltRule)
+from corm.core import CoRMSpec, EnvelopeBand, LevyIntensity, MarginalFamily
 from corm.kernels import Dataset, UnivariateNormalGamma
 from corm.marginal_sampler import AdaptiveStepSize
 from corm.slice_sampler import (
     SliceState,
     _residual_weights,
-    _tilted_mass,
+    _tilted_births,
     initial_slice_state,
     residual_laplace,
     sample_tilted_z,
@@ -35,8 +35,9 @@ def unit_gamma_2d():
 
 class TestSubThresholdIntegrals:
     '''With v = (v1, 0) the second group drops out, so the d = 2
-    trapezoid rules must equal the unit-shape gamma d = 1 closed forms:
-    the directing density is 1/z on (0, 1).'''
+    trapezoid rules and the repopulation births must match the
+    unit-shape gamma d = 1 closed forms: the directing density is 1/z on
+    (0, 1).'''
 
     V1 = 1.7
 
@@ -49,11 +50,21 @@ class TestSubThresholdIntegrals:
     @pytest.mark.parametrize('lo, hi', [(1e-7, 1e-3), (0.01, 0.02),
                                         (0.2, 0.9)])
     def test_tilted_mass(self, unit_gamma_2d, lo, hi):
-        # int_lo^hi 1 / (z (1 + v z)) dz
+        # the births on (lo, hi) are a Poisson process of intensity 1 / (z
+        # (1 + v z)): their count has mean and variance int_lo^hi 1 / (z
+        # (1 + v z)) dz, and their heights that density's law
         v = self.V1
         want = math.log(hi * (1.0 + v * lo) / (lo * (1.0 + v * hi)))
-        got = _tilted_mass(unit_gamma_2d, [v, 0.0], lo, hi)
-        assert got == pytest.approx(want, rel=1e-13)
+        rng = np.random.default_rng(4000)
+        births = [_tilted_births(unit_gamma_2d, [v, 0.0], lo, hi, rng)
+                  for _ in range(2000)]
+        _check_poisson_count([z.size for z in births], want)
+        xs = np.sort(np.concatenate(births))
+        assert lo < xs[0] and xs[-1] < hi
+        cdf, total = _cdf_at_draws(unit_gamma_2d,
+                                   lambda z: 1.0 / (1.0 + v * z), lo, hi, xs)
+        assert total == pytest.approx(want, rel=1e-8)
+        assert _ks_p_value(cdf) > 0.01
 
     @pytest.mark.parametrize('L', [1e-6, 0.01, 0.4, 1.0])
     def test_residual_weight(self, unit_gamma_2d, L):
@@ -75,6 +86,47 @@ def _cdf_at_draws(spec, weight, lo, hi, xs):
     cum = np.cumsum(half[:, 0] * ((spec.directing.density(z) * z
                                    * weight(z)) @ _GL_W))
     return cum[:-1] / cum[-1], cum[-1]
+
+
+def _check_poisson_count(counts, mean):
+    '''The sample mean and variance of Poisson counts of the given mean
+    each within 4 standard errors of it: the variance of the sample
+    variance is about (mean + 2 mean^2) / n.'''
+    counts = np.asarray(counts, dtype=float)
+    n = counts.size
+    assert abs(counts.mean() - mean) < 4.0 * math.sqrt(mean / n)
+    assert abs(counts.var(ddof=1) - mean) \
+        < 4.0 * math.sqrt((mean + 2.0 * mean ** 2) / n)
+
+
+def _directing_constants(spec):
+    '''(c, sigma, beta) of nu*(z) = c z^(-1-sigma) (1 - z)^(beta-1) on
+    (0, 1) for a gamma or unit generalized-gamma marginal, from their
+    formulas.'''
+    phi, marginal = spec.shape, spec.marginal
+    if marginal.kind == 'gamma':
+        return 1.0, 0.0, phi
+    sigma = marginal.sigma
+    return (sigma * math.exp(math.lgamma(phi) - math.lgamma(phi + sigma)
+                             - math.lgamma(1.0 - sigma)), sigma, sigma + phi)
+
+
+def _quadpack_mass(spec, weight, lo, hi):
+    '''int_lo^hi nu*(z) weight(z) dz by QUADPACK, weight taking a float:
+    QAWS with the algebraic weight (1 - z)^(beta-1) at hi = 1, where nu*
+    may be singular, and QAGS in log z below 1.'''
+    c, sigma, beta = _directing_constants(spec)
+    if hi == 1.0:
+        return sci.quad(lambda z: c * z ** (-1.0 - sigma) * weight(z), lo,
+                        1.0, weight='alg', wvar=(0.0, beta - 1.0),
+                        epsabs=0.0, epsrel=1e-13, limit=200)[0]
+
+    def f(s):
+        z = math.exp(s)
+        return c * z ** -sigma * (1.0 - z) ** (beta - 1.0) * weight(z)
+
+    return sci.quad(f, math.log(lo), math.log(hi), epsabs=0.0,
+                    epsrel=1e-13, limit=200)[0]
 
 
 def _ks_p_value(cdf):
@@ -101,13 +153,16 @@ class TestTiltedDraw:
     V = np.array([0.5, 2.0])
 
     @classmethod
+    def tilt(cls, spec):
+        return lambda z: np.prod((1.0 + np.multiply.outer(cls.V, z))
+                                 ** -spec.shape, axis=0)
+
+    @classmethod
     def tilted_cdf(cls, spec, lo, hi, xs):
-        # the total is checked against _tilted_mass
-        cdf, total = _cdf_at_draws(
-            spec, lambda z: np.prod((1.0 + cls.V[:, None, None] * z)
-                                    ** -spec.shape, axis=0), lo, hi, xs)
-        assert total == pytest.approx(_tilted_mass(spec, cls.V, lo, hi),
-                                      rel=1e-8)
+        # the total is checked against QUADPACK
+        cdf, total = _cdf_at_draws(spec, cls.tilt(spec), lo, hi, xs)
+        assert total == pytest.approx(
+            _quadpack_mass(spec, cls.tilt(spec), lo, hi), rel=1e-8)
         return cdf
 
     @pytest.mark.parametrize('case', range(len(TILTED_CASES)))
@@ -126,6 +181,33 @@ class TestTiltedDraw:
         spec = CoRMSpec.from_marginal(2, phi, marginal, verify=False)
         z = sample_tilted_z(spec, lo, hi, self.V, np.random.default_rng(0))
         assert isinstance(z, float) and lo <= z <= hi
+
+
+# a negative entry (an acceptance above 1 would bias the draws), a vector
+# of the wrong length, and non-finite entries
+BAD_TILTS = [[-0.9, 0.0], [0.5, 2.0, 1.0, 1.0], [math.nan, 1.0],
+             [math.inf, 1.0]]
+BAD_TILT_IDS = ['negative', 'length', 'nan', 'inf']
+
+
+class TestTiltChecks:
+    '''sample_tilted_z and the repopulation births raise ValueError for
+    a tilt v that is not a finite, nonnegative vector of length d, before
+    drawing anything.'''
+
+    @pytest.mark.parametrize('v', BAD_TILTS, ids=BAD_TILT_IDS)
+    def test_sample_tilted_z(self, unit_gamma_2d, v, monkeypatch):
+        monkeypatch.setattr(slice_sampler, '_first_accepted', None)
+        with pytest.raises(ValueError, match='v must be'):
+            sample_tilted_z(unit_gamma_2d, 0.01, 0.5, v,
+                            np.random.default_rng(0), size=10)
+
+    @pytest.mark.parametrize('v', BAD_TILTS, ids=BAD_TILT_IDS)
+    def test_births(self, unit_gamma_2d, v):
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match='v must be'):
+            _tilted_births(unit_gamma_2d, v, 0.01, 0.5, rng)
+        assert rng.random() == np.random.default_rng(0).random()
 
 
 def _pool_state(n_jumps, low, w):
@@ -188,9 +270,7 @@ class TestJumpHeights:
         # w = 1e3 falls by e^-900 and (1 - z)^(beta-1) has its kink or
         # pole: the total is good to about 1e-5 there, far below the KS
         # resolution
-        rule = TiltRule(spec, [0.0], RuleNodes(spec, 1.0, lower=low))
-        want = math.exp(rule.log_integral(
-            lambda log_z: -w * (np.exp(log_z) - low), 0))
+        want = _quadpack_mass(spec, tilt, low, 1.0)
         assert total == pytest.approx(want, rel=1e-4)
         assert _ks_p_value(cdf) > 0.01
 
@@ -271,16 +351,17 @@ class TestJumpHeights:
         assert calls[0] == 50
 
 
-def _piece_p_values(xs, pieces, mass):
+def _piece_p_values(spec, weight, xs, pieces):
     '''For each piece (lo, hi) of an envelope's band: the KS p-value of
-    the draws inside it against the target restricted to it, whose CDF
-    is mass(lo, x) / mass(lo, hi), and the z-score of their count
-    against the piece's share of the band's mass (0 for one piece).'''
-    masses = [mass(lo, hi) for lo, hi in pieces]
+    the draws inside it against the target nu*(z) weight(z) restricted to
+    it (_cdf_at_draws), and the z-score of their count against the
+    piece's share of the band's mass by QUADPACK (0 for one piece).'''
+    masses = [_quadpack_mass(spec, weight, lo, hi) for lo, hi in pieces]
     out = []
     for (lo, hi), m in zip(pieces, masses):
         inside = np.sort(xs[(lo < xs) & (xs <= hi)])
-        cdf = np.array([mass(lo, x) for x in inside]) / m
+        cdf, total = _cdf_at_draws(spec, weight, lo, hi, inside)
+        assert total == pytest.approx(m, rel=1e-4)
         share = m / sum(masses)
         spread = math.sqrt(xs.size * share * (1.0 - share)) or 1.0
         out.append((_ks_p_value(cdf), (inside.size - xs.size * share)
@@ -305,7 +386,7 @@ TILTED_POWER_CASES = [(GAMMA, 2.0, 0.01, 0.5), (GAMMA, 0.4, 0.05, 1.0),
 class TestPowerEnvelopePieces:
     '''Every piece of the power envelope draws the target restricted to
     it, in the share of the target's mass it covers: KS tests per piece,
-    with the CDF from TiltRule integrals over sub-intervals, through
+    with the CDF from _cdf_at_draws and the shares from QUADPACK, through
     update_jump_heights on a pool and through sample_tilted_z.'''
 
     @pytest.mark.parametrize('case', range(len(POWER_CASES)))
@@ -315,16 +396,12 @@ class TestPowerEnvelopePieces:
         assert _proposals(marginal, phi, low, w).on_power[0]
         state = _pool_state(2000, low, w)
         update_jump_heights(state, spec, np.random.default_rng(3000 + case))
-
-        def mass(lo, hi):
-            rule = TiltRule(spec, [0.0], RuleNodes(spec, hi, lower=lo))
-            return math.exp(rule.log_integral(
-                lambda log_z: -w * (np.exp(log_z) - low), 0))
-
         pieces = _pieces(spec, low, 1.0)
         assert len(pieces) == (1 if phi + (marginal.sigma or 0.0) >= 1.0
                                else 2)
-        for p_value, z in _piece_p_values(state.jumps, pieces, mass):
+        for p_value, z in _piece_p_values(
+                spec, lambda z: np.exp(-w * (z - low)), state.jumps,
+                pieces):
             assert p_value > 0.01 and abs(z) < 4.0
 
     @pytest.mark.parametrize('case', range(len(TILTED_POWER_CASES)))
@@ -338,7 +415,7 @@ class TestPowerEnvelopePieces:
         assert len(pieces) == (1 if phi + (marginal.sigma or 0.0) >= 1.0
                                else 2)
         for p_value, z in _piece_p_values(
-                xs, pieces, lambda a, b: _tilted_mass(spec, v, a, b)):
+                spec, TestTiltedDraw.tilt(spec), xs, pieces):
             assert p_value > 0.01 and abs(z) < 4.0
 
 
@@ -358,9 +435,8 @@ class TestMassNearOne:
             == on_power
         state = _pool_state(4000, self.LOW, w)
         update_jump_heights(state, spec, np.random.default_rng(3200))
-        rule = TiltRule(spec, [0.0], RuleNodes(spec, 1.0, lower=self.LOW))
-        mass = math.exp(rule.log_integral(
-            lambda log_z: -w * (np.exp(log_z) - self.LOW), 0))
+        mass = _quadpack_mass(spec, lambda z: math.exp(-w * (z - self.LOW)),
+                              self.LOW, 1.0)
         # e^(-w (z - low)) is e^(-w (1 - low)) within 1e-11 above 1 - eps
         want = math.exp(-w * (1.0 - self.LOW)) \
             * float(spec.directing.tail_integral(1.0 - self.EPS)) / mass
