@@ -842,14 +842,14 @@ def marginal_from_directing(directing, shape, theta=None, sigma=None, a=None):
     raise ValueError('unsupported directing family %r' % (directing,))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoRMSpec:
     '''
     Full specification of a compound random measure: dimension, score law,
     marginal family, and the centring measure's total mass.  The directing
     intensity is not a parameter: the marginal and the score shape fix it,
-    and __post_init__ derives it (directing_from_marginal).  It is compared,
-    and each derivation is a new object, so a spec equals only itself.
+    and __post_init__ derives it (directing_from_marginal).  Each derivation
+    is a new object, so a spec equals and hashes only as itself (identity).
     `base` optionally carries the centring base distribution (an object the
     mixture layer understands); the measure-level operations below never
     touch it.
@@ -863,7 +863,7 @@ class CoRMSpec:
     score: ScoreDistribution
     marginal: MarginalFamily
     centring_mass: float = 1.0
-    base: object = field(default=None, compare=False)
+    base: object = None
     directing: LevyIntensity = field(init=False)
 
     def __post_init__(self):
@@ -973,9 +973,9 @@ class RuleNodes:
         self._terms = {}
 
     def terms(self, v_max, level=0):
-        '''(log z, z, log(h cosh(t) |dz/du| nu*(z)), h, ((T_lo, du_lo),
-        (T_hi, du_hi))) in increasing u at the nodes of the shift that
-        v_max calls for, with the reach |t| and the step in u of each end.'''
+        '''(log z, z, log w, w, h, ((T_lo, du_lo), (T_hi, du_hi))) in
+        increasing u at the nodes of the shift v_max calls for: w = h
+        cosh(t) |dz/du| nu*(z), and each end's reach |t| and step in u.'''
         shift = -round(0.5 * math.log(max(v_max * self.upper, 1.0)))
         key = shift, level
         if key not in self._terms:
@@ -985,8 +985,8 @@ class RuleNodes:
                 for pure in self._pure)
             t = h * np.arange(-n_lo, n_hi + 1)
             u, log_h = shift + np.sinh(t), np.log(h * np.cosh(t))
-            self._terms[key] = (*_sigmoid_terms(
-                self.spec.directing, log_h, u, self.upper), h,
+            terms = _sigmoid_terms(self.spec.directing, log_h, u, self.upper)
+            self._terms[key] = (*terms, np.exp(terms[2]), h,
                 tuple((n * h, h * math.cosh(n * h)) for n in (n_lo, n_hi)))
         return self._terms[key]
 
@@ -1004,6 +1004,14 @@ def _past(reach, step, rate):
     t = reach + step * np.arange(1, math.ceil((top - reach) / step) + 1)
     return float(np.sum(np.cosh(t) * np.exp(
         -rate * (np.sinh(t) - math.sinh(reach))))) / math.cosh(reach)
+
+
+@lru_cache(maxsize=64)
+def _pair_weights(n):
+    '''The read-only (2, n) weights of a rule on n nodes and its sub-rule.'''
+    pair = np.vstack((np.ones(n), 2.0 - 2.0 * (np.arange(n) % 2)))
+    pair.flags.writeable = False
+    return pair
 
 
 def _refined(method):
@@ -1027,7 +1035,7 @@ def _check_tilt(v, dimension):
     v = np.asarray(v, dtype=float)
     if v.shape != (dimension,):
         raise ValueError('v must be a vector of length %d' % dimension)
-    if not ((v >= 0.0) & (v < math.inf)).all():
+    if not all(0.0 <= x < math.inf for x in v.tolist()):
         raise ValueError('v must be finite and nonnegative: %s' % v)
     return v
 
@@ -1058,16 +1066,15 @@ class TiltRule:
     L exp(-softplus(-u)) with nu*'s gap (U - L) + (L - z).  The integrand
     decays at rate 1 in u at L < U, and at nu*'s own rate at U.
 
-    Per node the rule stores log(w nu*(z)), w the node's weight in z, log
-    z and log1p(v_j z); only the last depends on v.  log_kappa adds, on
-    its first call, the terms at zero counts and one slope in the counts
-    per group, so each later count vector costs an axpy per nonzero count
-    and one sum over the nodes.  Every value is checked against the
-    every-other-node sub-rule: above 1e-9 relative, a finite rule takes
-    it again at half the step (finer), up to _DE_HALVINGS times, and then
-    raises QuadratureError.  The end behaviour comes from the directing
-    intensity's singularity exponents, which an infinite upper end must
-    give.
+    Per node the rule stores w nu*(z) and its log, w the node's weight in
+    z, log z and log1p(v_j z); only the last depends on v.  log_kappa's
+    node terms are one matrix-vector product (_kappa_terms), and a value's
+    rule and sub-rule sums one product with the pair weights.  Every value
+    is checked against the every-other-node sub-rule: above 1e-9 relative,
+    a finite rule takes it again at half the step (finer), up to
+    _DE_HALVINGS times, and then raises QuadratureError.  The end
+    behaviour comes from the directing intensity's singularity exponents,
+    which an infinite upper end must give.
 
     A general weight z^p exp(g(log z)) (log_integral) declares its power
     p at 0 and its power at an infinite upper end, which add to nu*'s in
@@ -1094,17 +1101,17 @@ class TiltRule:
             raise ValueError('the tilt rule needs the power decay of the '
                              'intensity at an infinite upper end')
         self.spec, self.v, self.nodes, self.level = spec, v, nodes, level
-        self.positive = (v > 0.0).astype(float)
+        self.positive = tuple(float(x > 0.0) for x in v.tolist())
         self.p_lo = 0.0 if p_lo is None else float(p_lo)
-        active = v[v > 0.0]
-        v_max = float(active.max()) if active.size else 1.0
+        active = [x for x in v.tolist() if x > 0.0]
+        v_max = max(active, default=1.0)
         if self.finite:
             self.upper_rate = nodes.upper_rate
-            self.log_z, z, self.log_w, self.h, self.ends = nodes.terms(
-                v_max, level)
+            self.log_z, z, self.log_w, self.w, self.h, self.ends = \
+                nodes.terms(v_max, level)
         else:
             # z = e^u from 1e-17 / v_max to 1e17 / v_min
-            v_min = float(active.min()) if active.size else 1.0
+            v_min = min(active, default=1.0)
             # p_hi + 1, exact where the intensity gives it
             self.upper_rate = float(nu.upper_rate)
             self.h = min(_STEP, 0.2 / math.sqrt(spec.dimension * spec.shape))
@@ -1117,7 +1124,9 @@ class TiltRule:
             z = np.exp(self.log_z)
             self.log_w = math.log(self.h) + self.log_z + nu.log_density(
                 z, np.full_like(z, np.inf))
+            self.w = np.exp(self.log_w)
         self.log1p_vz = np.log1p(np.multiply.outer(v, z))
+        self._pair = _pair_weights(z.size)
 
     @cached_property
     def finer(self):
@@ -1141,15 +1150,17 @@ class TiltRule:
             raise ValueError('integral diverges in the tail')
         return rate_lo, rate_hi
 
-    def _rule_pair(self, f, rate_lo, rate_hi, extra=()):
+    def _rule_pair(self, f, sums, rate_lo, rate_hi, extra=()):
         '''The rule and its every-other-node sub-rule on the node terms
-        f, each with its terms past the ends (_past) for (f[0], rate_lo),
-        (f[-1], rate_hi) and each (c, rate, end) of extra, end 0 at small z
-        and 1 at large z (rate None: none), unless below _PURE of the rule:
-        at most c / (rate du), du the step in u at the end.'''
-        full, half = float(f.sum()), 2.0 * float(f[::2].sum())
+        f: sums, f's product with the pair weights, each plus its terms
+        past the ends (_past) for (f[0], rate_lo), (f[-1], rate_hi) and
+        each (c, rate, end) of extra, end 0 at small z and 1 at large z
+        (rate None: none), unless below _PURE of the rule: at most c /
+        (rate du), du the step in u at the end.'''
+        full, half = sums
         cut = _PURE * full
-        for c, rate, end in ((f[0], rate_lo, 0), (f[-1], rate_hi, 1), *extra):
+        for c, rate, end in ((f.item(0), rate_lo, 0),
+                             (f.item(-1), rate_hi, 1), *extra):
             reach, du = self.ends[end]
             if rate is not None and abs(c) > cut * rate * du:
                 full += c * _past(reach, self.h, rate)
@@ -1177,16 +1188,17 @@ class TiltRule:
                              rate_hi)
 
     def _log_sum(self, log_f, rate_lo, rate_hi):
-        '''log of the rule on the node terms exp(log_f), with the end
-        series of rates rate_lo (None: no series at 0) and rate_hi,
-        checked against the every-other-node sub-rule.'''
-        top = float(log_f.max())
-        f = log_f - top
+        '''log of the rule on the node terms exp(log_f), computed in place
+        of log_f, with the end series of rates rate_lo (None: no series
+        at 0) and rate_hi, checked against the every-other-node sub-rule.'''
+        top = float(np.maximum.reduce(log_f))
+        f = np.subtract(log_f, top, log_f)
         # a term below e^-700 (1e-304) cannot move a sum holding the top
         # term 1.0, and one that underflows sends exp down its slow path
         np.maximum(f, -700.0, out=f)
-        np.exp(f, out=f)
-        full, half = self._rule_pair(f, rate_lo, rate_hi)
+        np.exp(f, f)
+        full, half = self._rule_pair(f, np.dot(self._pair, f).tolist(),
+                                     rate_lo, rate_hi)
         full = math.log(full)
         half = math.log(half) if half > 0.0 else -math.inf
         if not abs(full - half) <= 1e-9:
@@ -1198,12 +1210,12 @@ class TiltRule:
 
     @cached_property
     def _kappa_terms(self):
-        '''The node terms of log_kappa at zero counts, log w - shape
-        sum_j log(1 + v_j z); the d slopes log z - log(1 + v_j z) by
-        which each count a_j moves them; and which v_j are positive.'''
-        shape = self.spec.shape
-        base = self.log_w - shape * self.log1p_vz.sum(axis=0)
-        return base, self.log_z - self.log1p_vz, self.positive.tolist()
+        '''log_kappa's node terms as the rows of a C-contiguous (d + 1, n)
+        matrix: at zero counts, log w - shape sum_j log(1 + v_j z), then
+        the slopes log z - log(1 + v_j z) that each count a_j multiplies.'''
+        return np.vstack((
+            self.log_w - self.spec.shape * self.log1p_vz.sum(axis=0),
+            self.log_z - self.log1p_vz))
 
     @_refined
     def log_kappa(self, a):
@@ -1211,51 +1223,48 @@ class TiltRule:
         log kappa_a(v) = sum_j log(Gamma(a_j + shape)/Gamma(shape))
         + log int z^(sum a) prod_j (1 + v_j z)^(-a_j - shape) nu*(z) dz.
 
-        The node terms at counts a are base + sum_j a_j slope_j, with
-        base and the slopes (_kappa_terms) built on the first call: one
-        axpy per nonzero count, and the scalar bookkeeping in Python
-        floats.  A value depends on (spec, v, a) alone, not on which
-        counts were evaluated before.
+        The node terms at counts a are (1, a_1, ..., a_d) times the
+        matrix of _kappa_terms, built on the first call: one matrix-vector
+        product, and the scalar bookkeeping in Python floats.  A value
+        depends on (spec, v, a) alone, not on which counts were evaluated
+        before.
         '''
-        base, slopes, tilted = self._kappa_terms
-        if len(a) != len(tilted):
-            raise ValueError('a must be a vector of length %d'
-                             % len(tilted))
+        if len(a) != self.v.size:
+            raise ValueError('a must be a vector of length %d' % self.v.size)
         shape = self.spec.shape
-        log_f = base
         total = decay = log_gamma = 0.0
-        for a_j, slope, positive in zip(a, slopes, tilted):
+        for a_j, positive in zip(a, self.positive):
             a_j = float(a_j)
             if a_j:
-                log_f = log_f + a_j * slope
                 total += a_j
                 log_gamma += math.lgamma(a_j + shape) - math.lgamma(shape)
             if positive:
                 decay += a_j + shape
         rate_lo, rate_hi = self._end_rates(total, total - decay)
-        return self._log_sum(log_f, rate_lo, rate_hi) + log_gamma
+        return self._log_sum(np.dot((1.0, *a), self._kappa_terms), rate_lo,
+                             rate_hi) + log_gamma
 
     @_refined
     def psi(self):
         '''psi(v) = int (1 - prod_j (1 + v_j z)^-shape) nu*(z) dz.'''
-        positive = int(self.positive.sum())
+        positive = sum(self.positive)
         if positive == 0:
             return 0.0
         # the bracket 1 - p vanishes linearly at 0 and tends to 1 at
         # infinity
         rate_lo, rate_hi = self._end_rates(1.0, 0.0)
         log_p = -self.spec.shape * self.log1p_vz.sum(axis=0)
-        w = np.exp(self.log_w)
-        f = -w * np.expm1(log_p)
+        f = self.w * -np.expm1(log_p)
         extra = ()
         if not self.finite:
             # p ~ (v z)^-(d shape) falls off slowly at a small shape, so
             # the two terms of the bracket are summed as separate series
-            extra = ((w[-1], rate_hi, 1),
-                     (-w[-1] * math.exp(log_p[-1]),
+            extra = ((self.w[-1], rate_hi, 1),
+                     (-self.w[-1] * math.exp(log_p[-1]),
                       rate_hi + positive * self.spec.shape, 1))
             rate_hi = None
-        full, half = self._rule_pair(f, rate_lo, rate_hi, extra)
+        full, half = self._rule_pair(f, np.dot(self._pair, f).tolist(),
+                                     rate_lo, rate_hi, extra)
         if not abs(full - half) <= 1e-9 * full:
             raise QuadratureError(
                 'psi(%s): trapezoid rules disagree by %.3g relative'
@@ -1270,13 +1279,14 @@ class TiltRule:
         shape = self.spec.shape
         log_g = (self.log_w + math.log(shape) + self.log_z
                  - shape * self.log1p_vz.sum(axis=0))
-        decay = shape * self.positive.sum()
+        decay = shape * sum(self.positive)
+        block = np.exp(log_g - self.log1p_vz)    # one row per integrand
         out = np.empty(self.v.size)
-        for j, log1p_vjz in enumerate(self.log1p_vz):
+        for j, (f, sums) in enumerate(zip(
+                block, np.dot(block, self._pair.T).tolist())):
             rate_lo, rate_hi = self._end_rates(
                 1.0, 1.0 - decay - self.positive[j])
-            f = np.exp(log_g - log1p_vjz)
-            full, half = self._rule_pair(f, rate_lo, rate_hi)
+            full, half = self._rule_pair(f, sums, rate_lo, rate_hi)
             if not abs(full - half) <= 1e-9 * full:
                 raise QuadratureError(
                     'd psi / d v_%d at %s: trapezoid rules disagree by '

@@ -153,8 +153,10 @@ class KappaTable:
     log kappa forms, and one group has the closed marginal exponent as
     psi; every other value comes from one TiltRule built for (spec, v).
     A value is memoised by its count tuple, and a log kappa ratio by its
-    count tuple and group.  The rule gives the same double for a count
-    tuple whatever it evaluated before, so a value does not depend on the
+    count tuple and group.  A memo miss costs the rule one matrix-vector
+    product over its node terms and one product for its sums, whose
+    rounding depends on the count tuple alone: the rule gives the same
+    double whatever it evaluated before, so a value does not depend on the
     order in which the chain reaches the counts.  evaluations counts the
     log kappa memo misses: the values computed, by the rule or in closed
     form.'''

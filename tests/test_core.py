@@ -745,6 +745,18 @@ class TestSpecConstruction:
         assert sp != CoRMSpec(2, ScoreDistribution(1.0),
                               MarginalFamily.gamma())
 
+    def test_spec_equals_and_hashes_by_identity(self):
+        # samplers key caches by spec: equality and the hash are the
+        # object's identity, never a walk over the nested fields
+        sp = CoRMSpec.from_marginal(2, 1.0, MarginalFamily.gamma())
+        twin = CoRMSpec.from_marginal(2, 1.0, MarginalFamily.gamma())
+        assert sp == sp and hash(sp) == object.__hash__(sp)
+        assert sp != twin and not sp == twin
+        assert sp.with_shape(1.0) != sp
+        cache = {sp: 'sp', twin: 'twin'}
+        assert len(cache) == 2 and cache[sp] == 'sp'
+        assert sp.with_shape(2.0) not in cache
+
     def test_marginal_family_rejects_stray_parameters(self):
         for stray in ({'sigma': 0.5}, {'a': 3.0}, {'sigma': 0.5, 'a': 3.0}):
             with pytest.raises(ValueError, match='takes no parameter'):

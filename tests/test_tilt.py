@@ -14,6 +14,10 @@ while off by 1e-12.
 '''
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -38,6 +42,8 @@ from corm.slice_sampler import (
     _tilted_births,
     residual_laplace,
 )
+
+SRC = str(Path(core.__file__).resolve().parent.parent)
 
 FAMILIES = {
     'gamma': MarginalFamily.gamma(),
@@ -566,6 +572,10 @@ class TestSlopeForm:
             rule.log_kappa((3,))
 
     def test_value_does_not_depend_on_earlier_counts(self):
+        # log kappa, psi and its gradient at one (spec, v, a) are the same
+        # doubles on a fresh rule, after the rule evaluated 50 other count
+        # tuples, and in a fresh process: neither the matrix products nor
+        # their rounding depend on history or on where the arrays lie
         spec = make_spec('gg1', 1.0)
         v = (300.0, 500.0)
         rng = np.random.default_rng(11)
@@ -573,15 +583,36 @@ class TestSlopeForm:
                 for _ in range(48)] + [(0, 1), (10000, 10000)]
         targets = [(1, 0), (60, 45), (200, 150), (0, 399)]
         fresh = [TiltRule(spec, v).log_kappa(a) for a in targets]
+        fresh_psi = TiltRule(spec, v).psi()
+        fresh_gradient = TiltRule(spec, v).psi_gradient().tolist()
         rule = TiltRule(spec, v)
         table = ms.KappaTable(spec, v)
         for a in walk:
             rule.log_kappa(a)
             table.log_kappa(a)
         assert [rule.log_kappa(a) for a in targets] == fresh
+        assert rule.psi() == fresh_psi
+        assert rule.psi_gradient().tolist() == fresh_gradient
         assert [table.log_kappa(a) for a in targets] == fresh
         assert [ms.KappaTable(spec, v).log_kappa(a) for a in targets] \
             == fresh
+        program = '\n'.join((
+            'from corm.core import CoRMSpec, MarginalFamily, TiltRule',
+            'spec = CoRMSpec.from_marginal(2, 1.0, MarginalFamily.'
+            'generalized_gamma(0.3, 1.0), verify=False)',
+            'rule = TiltRule(spec, %r)' % (v,),
+            'print([float.hex(rule.log_kappa(a)) for a in %r])' % targets,
+            'print(float.hex(rule.psi()))',
+            'print([float.hex(x) for x in rule.psi_gradient().tolist()])'))
+        env = dict(os.environ)
+        env['PYTHONPATH'] = os.pathsep.join(
+            [SRC] + [p for p in [env.get('PYTHONPATH')] if p])
+        out = subprocess.run([sys.executable, '-c', program], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.split('\n')[:3] == [
+            str([float.hex(x) for x in fresh]), float.hex(fresh_psi),
+            str([float.hex(x) for x in fresh_gradient])]
 
     def test_table_counts_rule_evaluations(self):
         # a hand-built walk: every count tuple the table has not seen is
@@ -615,7 +646,8 @@ def unclamped_log_sum(rule, log_f, rate_lo, rate_hi, low):
     f = log_f - top
     low.append(float(f.min()))
     f = np.exp(f)
-    full, half = rule._rule_pair(f, rate_lo, rate_hi)
+    full, half = rule._rule_pair(f, np.dot(rule._pair, f).tolist(), rate_lo,
+                                 rate_hi)
     assert abs(math.log(full) - math.log(half)) <= 1e-9
     return top + math.log(full)
 
