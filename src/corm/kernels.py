@@ -28,7 +28,9 @@ arrays, because the urn sampler scores one observation at a time
 against the K + 1 rows of its clusters, about ten, where numpy's fixed
 cost per call outweighs the arithmetic.  The normal-gamma row is
 (location, 1/(df scale^2), (df + 1)/2, log normaliser) of its Student-t
-predictive; the flat kernel's row is (0.0,).
+predictive; the flat kernel's row is (0.0,).  The normal-gamma kernel
+keeps the row's terms that depend on the count alone, log-gammas among
+them, in a table indexed by the count, so a row costs one log.
 
 The non-conjugate urn scores against atoms instead, which a kernel
 draws: ``atom_posterior_draw(rows, rng)`` one atom given a cluster's
@@ -38,7 +40,8 @@ kernel give both.
 '''
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
@@ -137,19 +140,41 @@ class PredictiveSnapshot:
     residual: float
 
 
+class _CountTerms(dict):
+    '''The normal-gamma row's terms that depend on the count n alone,
+    computed on the first lookup of each n: a_n + 1/2, k_n / (2 (k_n +
+    1)) and lgamma(a_n + 1/2) - lgamma(a_n) - log(2 pi (k_n + 1) / k_n)
+    / 2.'''
+
+    def __init__(self, kappa0, a0):
+        super().__init__()
+        self.kappa0, self.a0 = kappa0, a0
+
+    def __missing__(self, n):
+        kn, an = self.kappa0 + n, self.a0 + 0.5 * n
+        terms = self[n] = (an + 0.5, kn / (2.0 * (kn + 1.0)),
+                           math.lgamma(an + 0.5) - math.lgamma(an)
+                           - 0.5 * math.log(2.0 * math.pi * (kn + 1.0) / kn))
+        return terms
+
+
 class UnivariateNormalGamma:
     '''Conjugate normal kernel: y ~ N(mu, 1/tau) with centring
-    mu | tau ~ N(m0, 1/(kappa0 tau)), tau ~ Ga(a0, b0).'''
+    mu | tau ~ N(m0, 1/(kappa0 tau)), tau ~ Ga(a0, b0).  The table of
+    count terms derives from m0, kappa0, a0 and b0, which are read-only.'''
 
     conjugate = True
+
+    m0, kappa0, a0, b0 = (property(attrgetter('_' + name))
+                          for name in ('m0', 'kappa0', 'a0', 'b0'))
 
     def __init__(self, m0, kappa0, a0, b0):
         if not (kappa0 > 0.0 and a0 > 0.0 and b0 > 0.0):
             raise ValueError('kappa0, a0, b0 must be positive')
-        self.m0 = float(m0)
-        self.kappa0 = float(kappa0)
-        self.a0 = float(a0)
-        self.b0 = float(b0)
+        self._m0, self._kappa0, self._a0, self._b0 = map(
+            float, (m0, kappa0, a0, b0))
+        self._k0m0 = self._kappa0 * self._m0
+        self._terms = _CountTerms(self._kappa0, self._a0)
 
     @classmethod
     def from_data(cls, y, kappa0=0.01):
@@ -176,27 +201,20 @@ class UnivariateNormalGamma:
 
     def _posterior(self, stats):
         n, s, q = stats
-        kn = self.kappa0 + n
-        mn = (self.kappa0 * self.m0 + s) / kn
-        an = self.a0 + 0.5 * n
-        centred = q - (s * s / n if n > 0 else 0.0)
-        shift = 0.0
-        if n > 0:
-            ybar = s / n
-            shift = self.kappa0 * n * (ybar - self.m0) ** 2 / (2.0 * kn)
-        bn = self.b0 + 0.5 * max(centred, 0.0) + shift
-        return mn, kn, an, bn
+        kn = self._kappa0 + n
+        m = n or 1      # an empty set's sums are 0, and its b_n is b0
+        c, d = q - s * s / m, s / m - self._m0
+        bn = self._b0 + 0.5 * (0.0 if c < 0.0 else c) \
+            + self._kappa0 * n * (d * d) / (2.0 * kn)
+        return (self._k0m0 + s) / kn, kn, self._a0 + 0.5 * n, bn
 
     def log_marginal_stats(self, stats):
         '''log of g(y set) = int prod_i k(y_i | mu, tau) dNG(mu, tau).'''
-        n = stats[0]
-        if n == 0:
-            return 0.0
         _, kn, an, bn = self._posterior(stats)
-        return (-0.5 * n * LOG_2PI
-                + 0.5 * (math.log(self.kappa0) - math.log(kn))
-                + math.lgamma(an) - math.lgamma(self.a0)
-                + self.a0 * math.log(self.b0) - an * math.log(bn))
+        return (-0.5 * stats[0] * LOG_2PI
+                + 0.5 * (math.log(self._kappa0) - math.log(kn))
+                + math.lgamma(an) - math.lgamma(self._a0)
+                + self._a0 * math.log(self._b0) - an * math.log(bn))
 
     def log_marginal(self, rows):
         rows = np.asarray(rows, dtype=float).ravel()
@@ -206,12 +224,9 @@ class UnivariateNormalGamma:
     def predictive_row(self, stats):
         '''The cluster's Student-t posterior predictive as (location,
         1/(df scale^2), (df + 1)/2, log normaliser).'''
-        mn, kn, an, bn = self._posterior(stats)
-        scale_sq = bn * (kn + 1.0) / (an * kn)
-        df = 2.0 * an
-        return (mn, 1.0 / (df * scale_sq), 0.5 * (df + 1.0),
-                math.lgamma(0.5 * (df + 1.0)) - math.lgamma(an)
-                - 0.5 * math.log(df * math.pi * scale_sq))
+        mn, _, _, bn = self._posterior(stats)
+        half, ratio, c_n = self._terms[stats[0]]
+        return mn, ratio / bn, half, c_n - 0.5 * math.log(bn)
 
     def log_predictive(self, y, rows):
         '''Student-t log predictive of one observation y under each

@@ -26,8 +26,8 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, repeat
-from operator import add, sub
+from itertools import accumulate
+from operator import add
 
 import numpy as np
 
@@ -389,12 +389,6 @@ class _UrnRows:
         self.attach(i, k)
 
 
-def _weights_error(j, i, top, total):
-    return FloatingPointError(
-        'urn weights of observation %d of group %d: largest log weight '
-        '%r, total weight %r' % (i + 1, j + 1, top, total))
-
-
 def _relative_weights(logs, j, i):
     '''exp(l - max) for each log weight l in the list logs of observation
     i of group j.  max() passes over a NaN that is not first, so the
@@ -404,21 +398,25 @@ def _relative_weights(logs, j, i):
     weights = [math.exp(l - top) for l in logs]
     total = sum(weights)
     if not (math.isfinite(top) and 0.0 < total < math.inf):
-        raise _weights_error(j, i, top, total)
+        raise FloatingPointError(
+            'urn weights of observation %d of group %d: largest log weight '
+            '%r, total weight %r' % (i + 1, j + 1, top, total))
     return weights
 
 
 def _pick(logs, u, j, i):
     '''Index k drawn with probability proportional to exp(logs[k]) at the
-    uniform u, by bisection at u times the total on the running sums of
-    exp(l - max); the total, the last running sum, is checked as in
-    _relative_weights.'''
-    top = max(logs)
-    cum = list(accumulate(map(math.exp, map(sub, logs, repeat(top)))))
-    total = cum[-1]
-    if not (math.isfinite(top) and 0.0 < total < math.inf):
-        raise _weights_error(j, i, top, total)
-    return min(bisect_right(cum, u * total), len(cum) - 1)
+    uniform u, by bisection on the running sums of exp(l).  A total
+    outside (1e-250, 1e250), where the largest weight may not be a normal
+    double, NaN included, or an exp that overflows, falls back to the
+    sums of _relative_weights, the same law, which checks the weights.'''
+    try:
+        cum = list(accumulate(map(math.exp, logs)))
+    except OverflowError:
+        cum = [math.inf]
+    if not 1e-250 < cum[-1] < 1e250:
+        cum = list(accumulate(_relative_weights(logs, j, i)))
+    return min(bisect_right(cum, u * cum[-1]), len(cum) - 1)
 
 
 def allocation_weights(state, data, spec, kernel, j, i, table, rows=None):

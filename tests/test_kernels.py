@@ -6,8 +6,10 @@ Oracles are closed forms (Student-t predictives) or scipy quadratures,
 never the package's own integration or sampling code.
 '''
 
+import inspect
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate as sci
@@ -63,20 +65,23 @@ KERN = UnivariateNormalGamma(m0=0.5, kappa0=2.0, a0=3.0, b0=1.5)
 
 
 def brute_marginal(kernel, rows):
-    '''Direct double quadrature of the integrated likelihood.'''
-    rows = np.asarray(rows, dtype=float)
+    '''Direct double quadrature of the integrated likelihood, with the
+    normal and gamma densities written out in math.'''
+    rows = [float(y) for y in rows]
+
+    def normal_pdf(x, mean, prec):
+        return math.sqrt(prec / (2.0 * math.pi)) \
+            * math.exp(-0.5 * prec * (x - mean) ** 2)
 
     def inner(tau):
-        prec_mu = kernel.kappa0 * tau
-
         def over_mu(mu):
-            like = np.prod(stats.norm.pdf(rows, mu, 1.0 / math.sqrt(tau)))
-            prior_mu = stats.norm.pdf(mu, kernel.m0,
-                                      1.0 / math.sqrt(prec_mu))
-            return like * prior_mu
+            like = math.prod(normal_pdf(y, mu, tau) for y in rows)
+            return like * normal_pdf(mu, kernel.m0, kernel.kappa0 * tau)
 
         val, _ = sci.quad(over_mu, -30.0, 30.0, limit=200)
-        return val * stats.gamma.pdf(tau, kernel.a0, scale=1.0 / kernel.b0)
+        a, b = kernel.a0, kernel.b0
+        return val * math.exp(a * math.log(b) - math.lgamma(a)
+                              + (a - 1.0) * math.log(tau) - b * tau)
 
     val, _ = sci.quad(inner, 1e-9, 60.0, limit=200)
     return val
@@ -120,23 +125,37 @@ def _stats_of(values):
     return stats_now
 
 
-def ng_student_t(kernel, rows):
-    '''Degrees of freedom, location and scale of the normal-gamma
-    posterior predictive after the observations in rows.'''
+def ng_posterior(kernel, rows):
+    '''(m_n, k_n, a_n, b_n) of the normal-gamma posterior after the
+    observations in rows.'''
     rows = np.asarray(rows, dtype=float)
     n = rows.size
     kn = kernel.kappa0 + n
-    an = kernel.a0 + 0.5 * n
     mean = rows.mean() if n else 0.0
     bn = kernel.b0 + 0.5 * np.sum((rows - mean) ** 2) \
         + 0.5 * kernel.kappa0 * n * (mean - kernel.m0) ** 2 / kn
     loc = (kernel.kappa0 * kernel.m0 + rows.sum()) / kn
+    return loc, kn, kernel.a0 + 0.5 * n, bn
+
+
+def ng_student_t(kernel, rows):
+    '''Degrees of freedom, location and scale of the normal-gamma
+    posterior predictive after the observations in rows.'''
+    loc, kn, an, bn = ng_posterior(kernel, rows)
     return 2.0 * an, loc, math.sqrt(bn * (kn + 1.0) / (an * kn))
 
 
 def test_predictive_rows_match_student_t():
-    # K = 4 clusters, the empty one included, against 5 observations
-    clusters = [[], [0.2], [0.2, -0.7, 1.1], [3.0, 3.4, 2.9, 3.1]]
+    # clusters from empty to 5,000 members, against 5 observations; the
+    # seven equal values leave a sum of squared deviations that rounds
+    # below zero, the branch where b_n clips it to zero
+    rng = np.random.default_rng(3)
+    equal = [0.7] * 7
+    n, s, q = _stats_of(equal)
+    assert q - s * s / n < 0.0
+    clusters = [[], [0.2], [0.2, -0.7, 1.1], [3.0, 3.4, 2.9, 3.1], equal,
+                rng.normal(1.0, 0.8, 50).tolist(),
+                rng.normal(-0.5, 1.3, 5000).tolist()]
     rows = [KERN.predictive_row(_stats_of(c)) for c in clusters]
     assert all(len(row) == 4 and all(type(x) is float for x in row)
                for row in rows)
@@ -147,11 +166,49 @@ def test_predictive_rows_match_student_t():
                                 for yi in y.tolist()])
     for k, c in enumerate(clusters):
         df, loc, scale = ng_student_t(KERN, c)
-        want = stats.t.logpdf(y, df, loc=loc, scale=scale)
+        if len(c) < 1000:
+            want = stats.t.logpdf(y, df, loc=loc, scale=scale)
+        else:
+            want = [t_logpdf_40_digits(yi, df, loc, scale) for yi in y]
         assert np.allclose(got[:, k], want, rtol=1e-12, atol=0.0)
         # one row alone
         alone = [KERN.log_predictive(yi, [rows[k]])[0] for yi in y]
         assert np.allclose(alone, want, rtol=1e-12, atol=0.0)
+    # at b0 = 1e-20 and m0 on the values, b_n is b0 with the clip and
+    # negative without it
+    sharp = UnivariateNormalGamma(m0=0.7, kappa0=2.0, a0=3.0, b0=1e-20)
+    row = sharp.predictive_row(_stats_of(equal))
+    df, loc, scale = ng_student_t(sharp, equal)
+    assert np.allclose([sharp.log_predictive(yi, [row])[0] for yi in y],
+                       stats.t.logpdf(y, df, loc=loc, scale=scale),
+                       rtol=1e-12, atol=0.0)
+
+
+def t_logpdf_40_digits(y, df, loc, scale):
+    '''Student-t log density in mpmath at 40 digits.  At df near 10,000
+    scipy.stats.t.logpdf is about 2e-12 off in relative terms, as its
+    two log-gammas of about 2e4 cancel.'''
+    with mpmath.workdps(40):
+        df, z = mpmath.mpf(df), (mpmath.mpf(y) - loc) / scale
+        return float(mpmath.loggamma((df + 1) / 2) - mpmath.loggamma(df / 2)
+                     - mpmath.log(df * mpmath.pi * scale ** 2) / 2
+                     - (df + 1) / 2 * mpmath.log1p(z * z / df))
+
+
+def test_hyperparameters_are_read_only():
+    # the table of count terms derives from them, so none may change;
+    # the methods the benchmark's tracer wraps stay plain functions in
+    # the class dict
+    kern = UnivariateNormalGamma(m0=0.5, kappa0=2.0, a0=3.0, b0=1.5)
+    row = kern.predictive_row(_stats_of([0.2, -0.7]))
+    for name in ('m0', 'kappa0', 'a0', 'b0'):
+        with pytest.raises(AttributeError):
+            setattr(kern, name, 1.0)
+    assert (kern.m0, kern.kappa0, kern.a0, kern.b0) == (0.5, 2.0, 3.0, 1.5)
+    assert kern.predictive_row(_stats_of([0.2, -0.7])) == row
+    for name in ('log_predictive', 'log_density', 'atom_posterior_draw',
+                 'stats_empty', 'stats_add', 'stats_remove'):
+        assert inspect.isfunction(vars(UnivariateNormalGamma)[name])
 
 
 def test_stats_add_remove_roundtrip():
@@ -168,8 +225,7 @@ def test_stats_add_remove_roundtrip():
 def test_atom_posterior_draw_moments():
     rng = np.random.default_rng(5)
     rows = np.array([1.0, 1.4, 0.8, 1.2])
-    stats_now = (rows.size, rows.sum(), np.square(rows).sum())
-    mn, kn, an, bn = KERN._posterior(stats_now)
+    mn, _, an, bn = ng_posterior(KERN, rows)
     draws = np.array([KERN.atom_posterior_draw(rows, rng)
                       for _ in range(4000)])
     mus, taus = draws[:, 0], draws[:, 1]

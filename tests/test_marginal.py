@@ -483,7 +483,54 @@ class _NaNAtRow(FlatKernel):
         return out
 
 
+def shifted_pick(logs, u):
+    '''The index ms._pick draws, from the running sums of exp(l - max l)
+    in numpy, and the boundaries of its cells on the unit interval.'''
+    cum = np.cumsum(np.exp(np.asarray(logs) - max(logs)))
+    index = int(np.searchsorted(cum, u * cum[-1], side='right'))
+    return min(index, len(logs) - 1), cum / cum[-1]
+
+
 class TestNonFiniteWeights:
+
+    @pytest.mark.parametrize('shift', [-800.0, -740.0, -500.0, 0.0, 500.0,
+                                       800.0])
+    def test_pick_is_shift_free(self, shift):
+        # at -800 every exp underflows, at -740 the weights are
+        # subnormal, with a few digits each, and at +800 the first
+        # overflows, so the pick takes the shifted sums; at -500 and
+        # +500 the plain sums stay within range: the same index either
+        # way
+        base = [-1.3, 0.2, -4.0, 1.1, -0.5, -2.2]
+        logs = [l + shift for l in base]
+        for u in np.linspace(0.0, 1.0, 401, endpoint=False):
+            want, edges = shifted_pick(base, u)
+            if np.min(np.abs(edges - u)) > 1e-9:
+                assert ms._pick(logs, float(u), 0, 4) == want
+
+    @pytest.mark.parametrize('logs', [[-math.inf] * 3,
+                                      [0.0, math.inf, -1.0],
+                                      [math.inf, 900.0]])
+    def test_pick_names_the_observation(self, logs):
+        with pytest.raises(FloatingPointError,
+                           match='observation 5 of group 2'):
+            ms._pick(logs, 0.5, 1, 4)
+
+    def test_pick_matches_the_shifted_sums(self):
+        # a property test: hypothesis is needed here alone, so the
+        # module's other tests run without it
+        pytest.importorskip('hypothesis')
+        from hypothesis import assume, given
+        from hypothesis import strategies as st
+
+        @given(st.lists(st.floats(-60.0, 60.0), min_size=1, max_size=12),
+               st.floats(0.0, 1.0, exclude_max=True))
+        def check(logs, u):
+            want, edges = shifted_pick(logs, u)
+            assume(np.min(np.abs(edges - u)) > 1e-9)
+            assert ms._pick(logs, u, 0, 0) == want
+
+        check()
 
     @pytest.mark.parametrize('bad', [0, 1, 2])
     def test_nan_predictive_raises(self, bad):
