@@ -23,8 +23,6 @@ from .numerics import (
     QuadratureError,
     bessel_k,
     integrate,
-    kummer_u,
-    whittaker_w,
 )
 
 __all__ = [
@@ -148,7 +146,9 @@ class LevyIntensity:
 
     Integrals against the intensity run on TiltRule nodes.  tail_integral
     and inverse_tail work on arrays.  Without a tail_fn, tail_integral is
-    a QUADPACK integral in log z (numerics.integrate).  inverse_tail
+    a QUADPACK integral in log z (numerics.integrate); every intensity the
+    package builds has a tail_fn except the gamma and generalized-gamma
+    directed marginals of marginal_from_directing.  inverse_tail
     inverts U by _invert_monotone, on a support (0, inf) only: a level
     whose root lies below z = 1e-300 or above 1e300 raises ValueError, and
     so does a finite support.  log_density(z, gap) feeds the TiltRule
@@ -778,31 +778,59 @@ def marginal_intensity(marginal):
     raise ValueError('unknown marginal family %r' % (marginal.kind,))
 
 
+def _pointwise(fn):
+    '''fn, a function of one point s > 0, over an array of points (a
+    float at a float).'''
+    def vectorised(s):
+        s = np.asarray(s, dtype=float)
+        if not np.all(s > 0.0):
+            raise ValueError('the intensity needs s > 0')
+        out = np.array([fn(x) for x in s.ravel().tolist()])
+        return float(out[0]) if s.ndim == 0 else out.reshape(s.shape)
+    return vectorised
+
+
 def marginal_from_directing(directing, shape, theta=None, sigma=None, a=None):
     '''
-    Marginal Levy intensity induced by a named directing family under
-    Ga(shape) scores.
+    Marginal Levy intensity rho(s) = int z^-1 f(s / z) nu(z) dz induced
+    by a named directing family nu under Ga(shape) scores, f their density.
 
-    directing: 'beta' (parameter theta; nu*(z) = z^-1 (1-z)^(theta-1)),
+    directing: 'beta' (parameter theta; nu(z) = z^-1 (1-z)^(theta-1)),
     'gamma' (z^-1 e^-z), 'sigma-stable' (sigma/Gamma(1-sigma) z^(-1-sigma))
-    or 'generalized-gamma' (the same with an e^(-a z) factor).
+    or 'generalized-gamma' (the same with an e^(-a z) factor).  The beta
+    nu is a gamma marginal's directing intensity at score shape theta, so
+    rho and its tail (the mixture of the survival Q(shape, x / z)) run on
+    that spec's TiltRule nodes; the tests hold the closed form of rho,
+    Gamma(theta) / Gamma(shape) s^(shape-1) e^-s U(theta, shape + 1, s).
+    The other densities are closed forms, and the gamma and generalized-
+    gamma tails QUADPACK integrals (LevyIntensity).
     '''
     if not shape > 0.0:
         raise ValueError('score shape must be positive')
     if directing == 'beta':
         if theta is None or not theta > 0.0:
             raise ValueError('beta directing needs theta > 0')
-        lc = math.lgamma(theta) - math.lgamma(shape)
+        # _beta_type's c = 1, sigma = 0, a = 1 and beta = theta
+        spec = CoRMSpec.from_marginal(1, theta, MarginalFamily.gamma(),
+                                      verify=False)
 
-        def density(s):
-            s = np.asarray(s, dtype=float)
-            u = np.array([kummer_u(theta, shape + 1.0, float(x))
-                          for x in np.atleast_1d(s)])
-            u = u.reshape(s.shape) if s.shape else float(u[0])
-            return np.exp(lc + (shape - 1.0) * np.log(s) - s) * u
+        def tail(x):
+            from scipy.special import gammaincc  # on first use: see numerics
 
-        return LevyIntensity(density, (0.0, np.inf),
-                             singularity_exponents=(-1.0, None))
+            def log_weight(log_z):
+                # a survival factor underflowing to 0 is a zero weight
+                with np.errstate(divide='ignore'):
+                    return np.log(gammaincc(shape, x * np.exp(-log_z)))
+
+            # Q(shape, x / z) falls off faster than any power below its
+            # scale z = x / shape
+            return math.exp(TiltRule(spec, [shape / x]).log_integral(
+                log_weight, None))
+
+        return LevyIntensity(
+            _pointwise(lambda s: _rho_by_mixture(spec, [s], shape)),
+            (0.0, np.inf), singularity_exponents=(-1.0, None),
+            tail_fn=_pointwise(tail))
     if directing == 'gamma':
         def density(s):
             s = np.asarray(s, dtype=float)
@@ -1349,47 +1377,31 @@ def laplace_exponent_exponential_closed(psi1, lam_tilde, counts):
 def rho_density(spec, s):
     '''
     Multivariate Levy intensity rho_d at the positive vector s: the density
-    of putting scaled scores s_j on the d coordinates of one shared jump.
-    Gamma and sigma-stable marginals have it in closed form; generalized
-    gamma integrates int z^-d prod_j f(s_j / z) nu*(z) dz (_rho_by_mixture).
+    of putting scaled scores s_j on the d coordinates of one shared jump,
+    int z^-d prod_j f(s_j / z) nu*(z) dz with f the Ga(shape) density.
+    sigma-stable marginals have it in closed form; gamma and generalized
+    gamma integrate the mixture on TiltRule nodes (_rho_by_mixture).  For
+    gamma the paper's Whittaker-function form is the tests' oracle.
     '''
     s = np.asarray(s, dtype=float)
     if s.ndim != 1 or s.size != spec.dimension:
         raise ValueError('s must be a vector of length %d' % spec.dimension)
     if np.any(s <= 0.0):
         raise ValueError('all components of s must be positive')
-    kind = spec.marginal.kind
-    if kind == 'generalized-gamma':
+    if spec.marginal.kind != 'sigma-stable':
         return _rho_by_mixture(spec, s)
-    shape = spec.shape
-    d = spec.dimension
-    total = float(s.sum())
-    log_pref = ((shape - 1.0) * np.log(s).sum()
-                - (d - 1.0) * math.lgamma(shape))
-    if kind == 'gamma':
-        if shape == 1.0:
-            acc = 0.0
-            for j in range(d):
-                acc += math.exp(
-                    math.lgamma(d) - math.lgamma(d - j)
-                    - (j + 1.0) * math.log(total) - total)
-            return acc
-        k = 0.5 * ((d - 2.0) * shape + 1.0)
-        mu = 0.5 * d * shape
-        w = whittaker_w(k, mu, total)
-        return math.exp(log_pref - 0.5 * (d * shape + 1.0) * math.log(total)
-                        - 0.5 * total) * w
-    # sigma-stable
-    sigma = spec.marginal.sigma
+    shape, d, sigma = spec.shape, spec.dimension, spec.marginal.sigma
     return math.exp(
-        log_pref + math.log(sigma) + math.lgamma(sigma + d * shape)
+        (shape - 1.0) * np.log(s).sum() - (d - 1.0) * math.lgamma(shape)
+        + math.log(sigma) + math.lgamma(sigma + d * shape)
         - math.lgamma(shape + sigma) - math.lgamma(1.0 - sigma)
-        - (sigma + d * shape) * math.log(total))
+        - (sigma + d * shape) * math.log(float(s.sum())))
 
 
-def _rho_by_mixture(spec, s):
-    '''int z^-d prod_j f(s_j / z) nu*(z) dz, f the Ga(shape) density.'''
-    shape = spec.shape
+def _rho_by_mixture(spec, s, shape=None):
+    '''int z^-d prod_j f(s_j / z) nu*(z) dz, f the Ga(shape) density,
+    by default that of the spec's scores.'''
+    shape = spec.shape if shape is None else shape
     d = spec.dimension
     total = float(np.sum(s))
     log_s = float(np.log(s).sum())

@@ -2,7 +2,8 @@
 
 Importing corm loads numpy only.  A spec build, the marginal (urn)
 sampler, a prior draw, and the slice sampler's start state and sweeps
-load no scipy either.  scipy.special loads on the first call that needs
+load no scipy either, and rho_d of a gamma spec and the beta-directed
+marginal density, mixtures on TiltRule nodes, load no scipy.integrate.  scipy.special loads on the first call that needs
 one of its functions (tail inversion, the analysis functions),
 scipy.integrate (QUADPACK) on the first numerics.integrate call and
 scipy.stats on the first inverse-Wishart draw, because importing them
@@ -66,6 +67,13 @@ slice_sampler.slice_sweep(
 slice_state.check()
 out['slice'] = loaded('scipy')
 out['slice_jumps'] = int(slice_state.n_jumps)
+# rho_d of a gamma spec and the beta-directed marginal density, mixtures
+# on TiltRule nodes
+gamma_spec = core.CoRMSpec.from_marginal(2, 2.5, core.MarginalFamily.gamma())
+out['rho'] = core.rho_density(gamma_spec, [0.5, 1.5])
+out['rho_loads'] = loaded('scipy.integrate')
+out['beta'] = core.marginal_from_directing('beta', 1.3, theta=2.2)(0.8)
+out['beta_loads'] = loaded('scipy.integrate')
 # the first-use imports: a Levy copula, a quadrature and an
 # inverse-Wishart draw
 out['copula'] = core.levy_copula(spec, 0.5, 2.0)
@@ -90,6 +98,8 @@ def test_fresh_import_loads_no_heavy_scipy_subpackage():
     assert got['jumps'] > 0
     assert got['slice'] == []
     assert got['slice_jumps'] > 0
+    assert got['rho_loads'] == [] and 0.0 < got['rho'] < math.inf
+    assert got['beta_loads'] == [] and 0.0 < got['beta'] < math.inf
     # and the deferred imports work once used
     assert 0.0 < got['copula'] < 0.5
     assert abs(got['integral'] - (math.e - 1.0)) < 1e-14
