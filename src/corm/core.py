@@ -7,8 +7,12 @@ measure puts mass m_{j,i} * J_i on atom i, with the J_i driven by nu* and
 the scores Ga(shape).  Everything downstream (prior simulation, posterior
 samplers) consumes the objects defined here: the directing intensity paired
 with a requested marginal family, Laplace exponents, the multivariate
-intensity rho_d, Levy copulas, mixed moments, and the tau/kappa integrals
-of the marginal sampler.
+intensity rho_d, Levy copulas, mixed moments, the kappa integrals of the
+marginal sampler, and the paper's worked example, the marginal that a
+beta directing intensity induces.  The closed forms that only check
+these (the Bessel-K marginals of gamma and generalized-gamma directing
+intensities, and the partial-fraction exponent under exponential scores)
+are oracles in the tests.
 '''
 
 import itertools
@@ -18,12 +22,7 @@ from functools import cache, cached_property, lru_cache, wraps
 
 import numpy as np
 
-from .numerics import (
-    IntegralResult,
-    QuadratureError,
-    bessel_k,
-    integrate,
-)
+from .numerics import IntegralResult, QuadratureError, integrate
 
 __all__ = [
     'ScoreDistribution',
@@ -33,15 +32,12 @@ __all__ = [
     'EnvelopeBand',
     'CoRMSpec',
     'MomentPartition',
-    'mgf_score',
     'directing_from_marginal',
-    'marginal_from_directing',
+    'beta_directed_marginal',
     'marginal_intensity',
     'laplace_exponent',
-    'laplace_exponent_exponential_closed',
     'marginal_exponent',
     'rho_density',
-    'tau',
     'TiltRule',
     'RuleNodes',
     'log_kappa',
@@ -130,8 +126,9 @@ class LevyIntensity:
                               Given where p_upper is a rounded double and
                               the rate is exact (the beta-type
                               intensities give beta).
-    tail_fn                 : optional vectorised tail integral
-                              U(x) = int_x^upper density.
+    tail_fn                 : vectorised tail integral
+                              U(x) = int_x^upper density, required
+                              (keyword only).
     log_density             : optional vectorised callable (z, gap) ->
                               log density(z), where gap = upper - z is
                               passed exactly, so a factor vanishing at a
@@ -145,18 +142,16 @@ class LevyIntensity:
                               the marginals' own intensities do not.
 
     Integrals against the intensity run on TiltRule nodes.  tail_integral
-    and inverse_tail work on arrays.  Without a tail_fn, tail_integral is
-    a QUADPACK integral in log z (numerics.integrate); every intensity the
-    package builds has a tail_fn except the gamma and generalized-gamma
-    directed marginals of marginal_from_directing.  inverse_tail
-    inverts U by _invert_monotone, on a support (0, inf) only: a level
-    whose root lies below z = 1e-300 or above 1e300 raises ValueError, and
-    so does a finite support.  log_density(z, gap) feeds the TiltRule
-    nodes; it falls back to log(density(z)).
+    and inverse_tail work on arrays; tail_integral is tail_fn inside the
+    support.  inverse_tail inverts U by _invert_monotone, on a support
+    (0, inf) only: a level whose root lies below z = 1e-300 or above
+    1e300 raises ValueError, and so does a finite support.
+    log_density(z, gap) feeds the TiltRule nodes; it falls back to
+    log(density(z)).
     '''
 
     def __init__(self, density, support, singularity_exponents=(None, None),
-                 tail_fn=None, log_density=None, upper_rate=None,
+                 *, tail_fn, log_density=None, upper_rate=None,
                  envelope=None):
         lo, hi = support
         if math.isinf(lo) or not hi > lo:
@@ -191,23 +186,12 @@ class LevyIntensity:
         over an array of points.  One float inside the support goes to
         tail_fn as a float.'''
         lo, hi = self.support
-        if isinstance(x, float) and lo < x < hi and self._tail_fn:
+        if isinstance(x, float) and lo < x < hi:
             return float(self._tail_fn(x))
         x = np.asarray(x, dtype=float)
         out = np.where(x <= lo, np.inf, 0.0)
         inside = (x > lo) & (x < hi)
-        if self._tail_fn is not None:
-            out[inside] = self._tail_fn(x[inside])
-        else:
-            # in log z, where a power-law density is tame over the many
-            # decades above a small x
-            def g(t):
-                return float(self.density(math.exp(t))) * math.exp(t) \
-                    if t < 700.0 else 0.0
-
-            top = hi if math.isinf(hi) else math.log(hi)
-            out[inside] = [integrate(g, math.log(xi), top).value
-                           for xi in x[inside]]
+        out[inside] = self._tail_fn(x[inside])
         return float(out) if out.ndim == 0 else out
 
     def inverse_tail(self, level):
@@ -289,15 +273,6 @@ def _invert_monotone(fn, slope, level, start, upper, increasing=False):
             z = np.where(bad, mid, step)
     raise RuntimeError('%d of %d levels unconverged after %d steps'
                        % (todo.size, out.size, _SOLVER_STEPS))
-
-
-def mgf_score(z, lam, shape):
-    '''Moment generating function of a Ga(shape) score at -lam * z,
-    i.e. (1 + z lam)^(-shape).'''
-    lam = np.asarray(lam, dtype=float)
-    if np.any(lam < 0.0):
-        raise ValueError('lam must be nonnegative')
-    return np.exp(-shape * np.log1p(np.asarray(z, dtype=float) * lam))
 
 
 def _gamma_ratio(shape, sigma):
@@ -790,84 +765,41 @@ def _pointwise(fn):
     return vectorised
 
 
-def marginal_from_directing(directing, shape, theta=None, sigma=None, a=None):
+def beta_directed_marginal(shape, theta):
     '''
-    Marginal Levy intensity rho(s) = int z^-1 f(s / z) nu(z) dz induced
-    by a named directing family nu under Ga(shape) scores, f their density.
-
-    directing: 'beta' (parameter theta; nu(z) = z^-1 (1-z)^(theta-1)),
-    'gamma' (z^-1 e^-z), 'sigma-stable' (sigma/Gamma(1-sigma) z^(-1-sigma))
-    or 'generalized-gamma' (the same with an e^(-a z) factor).  The beta
+    Marginal Levy intensity rho(s) = int z^-1 f(s / z) nu(z) dz that the
+    beta directing intensity nu(z) = z^-1 (1-z)^(theta-1) induces under
+    Ga(shape) scores, f their density: the paper's worked example.  That
     nu is a gamma marginal's directing intensity at score shape theta, so
     rho and its tail (the mixture of the survival Q(shape, x / z)) run on
     that spec's TiltRule nodes; the tests hold the closed form of rho,
     Gamma(theta) / Gamma(shape) s^(shape-1) e^-s U(theta, shape + 1, s).
-    The other densities are closed forms, and the gamma and generalized-
-    gamma tails QUADPACK integrals (LevyIntensity).
     '''
     if not shape > 0.0:
         raise ValueError('score shape must be positive')
-    if directing == 'beta':
-        if theta is None or not theta > 0.0:
-            raise ValueError('beta directing needs theta > 0')
-        # _beta_type's c = 1, sigma = 0, a = 1 and beta = theta
-        spec = CoRMSpec.from_marginal(1, theta, MarginalFamily.gamma(),
-                                      verify=False)
+    if not theta > 0.0:
+        raise ValueError('beta directing needs theta > 0')
+    # _beta_type's c = 1, sigma = 0, a = 1 and beta = theta
+    spec = CoRMSpec.from_marginal(1, theta, MarginalFamily.gamma(),
+                                  verify=False)
 
-        def tail(x):
-            from scipy.special import gammaincc  # on first use: see numerics
+    def tail(x):
+        from scipy.special import gammaincc  # on first use: see numerics
 
-            def log_weight(log_z):
-                # a survival factor underflowing to 0 is a zero weight
-                with np.errstate(divide='ignore'):
-                    return np.log(gammaincc(shape, x * np.exp(-log_z)))
+        def log_weight(log_z):
+            # a survival factor underflowing to 0 is a zero weight
+            with np.errstate(divide='ignore'):
+                return np.log(gammaincc(shape, x * np.exp(-log_z)))
 
-            # Q(shape, x / z) falls off faster than any power below its
-            # scale z = x / shape
-            return math.exp(TiltRule(spec, [shape / x]).log_integral(
-                log_weight, None))
+        # Q(shape, x / z) falls off faster than any power below its
+        # scale z = x / shape
+        return math.exp(TiltRule(spec, [shape / x]).log_integral(
+            log_weight, None))
 
-        return LevyIntensity(
-            _pointwise(lambda s: _rho_by_mixture(spec, [s], shape)),
-            (0.0, np.inf), singularity_exponents=(-1.0, None),
-            tail_fn=_pointwise(tail))
-    if directing == 'gamma':
-        def density(s):
-            s = np.asarray(s, dtype=float)
-            return 2.0 / math.gamma(shape) * s ** (0.5 * shape - 1.0) \
-                * bessel_k(shape, 2.0 * np.sqrt(s))
-
-        return LevyIntensity(density, (0.0, np.inf),
-                             singularity_exponents=(-1.0, None))
-    if directing == 'sigma-stable':
-        if sigma is None or not 0.0 < sigma < 1.0:
-            raise ValueError('sigma must lie in (0, 1)')
-        c = sigma / (_gamma_ratio(shape, sigma) * math.gamma(1.0 - sigma))
-
-        def density(s):
-            return c * np.asarray(s, dtype=float) ** (-1.0 - sigma)
-
-        return LevyIntensity(
-            density, (0.0, np.inf),
-            singularity_exponents=(-1.0 - sigma, -1.0 - sigma),
-            tail_fn=lambda x: c / sigma * np.power(x, -sigma))
-    if directing == 'generalized-gamma':
-        if sigma is None or not 0.0 < sigma < 1.0:
-            raise ValueError('sigma must lie in (0, 1)')
-        if a is None or not a > 0.0:
-            raise ValueError('rate a must be positive')
-        lc = (math.log(2.0 * sigma) - math.lgamma(1.0 - sigma)
-              - math.lgamma(shape)
-              + 0.5 * (sigma + shape) * math.log(a))
-
-        def density(s):
-            s = np.asarray(s, dtype=float)
-            return np.exp(lc + (0.5 * (shape - sigma) - 1.0) * np.log(s)) \
-                * bessel_k(sigma + shape, 2.0 * np.sqrt(a * s))
-
-        return LevyIntensity(density, (0.0, np.inf),
-                             singularity_exponents=(-1.0 - sigma, None))
-    raise ValueError('unsupported directing family %r' % (directing,))
+    return LevyIntensity(
+        _pointwise(lambda s: _rho_by_mixture(spec, [s], shape)),
+        (0.0, np.inf), singularity_exponents=(-1.0, None),
+        tail_fn=_pointwise(tail))
 
 
 @dataclass(frozen=True, eq=False)
@@ -1331,49 +1263,6 @@ def laplace_exponent(spec, lam):
     return TiltRule(spec, lam).psi()
 
 
-def laplace_exponent_exponential_closed(psi1, lam_tilde, counts):
-    '''
-    Closed form of the multivariate exponent for exponential scores
-    (shape 1), from the univariate exponent psi1 by partial fractions:
-
-        psi(lam) = prod_i [1/(n_i - 1)!] d^(n_i-1)/d lam_i^(n_i-1)
-                   [ Upsilon_l(lam) prod_i lam_i^(n_i-1) ],
-        Upsilon_l(lam) = sum_i a_i psi1(lam_i),
-        a_i = lam_i^(l-1) / prod_{j != i} (lam_i - lam_j).
-
-    psi1 must be built from arithmetic and sympy functions (the `symbolic`
-    extra) to be differentiated analytically, e.g. lambda x: sympy.log(1 + x).
-    '''
-    import sympy as sp
-
-    lam = [float(v) for v in lam_tilde]
-    counts = [int(n) for n in counts]
-    if len(lam) != len(counts) or any(n < 1 for n in counts):
-        raise ValueError('counts must be positive and match lam_tilde')
-    if all(v == 0.0 for v in lam):
-        return 0.0
-    if len(set(lam)) != len(lam):
-        raise ValueError('lam_tilde values must be distinct; '
-                         'merge repeats into counts')
-    l = len(lam)
-    xs = sp.symbols('x0:%d' % l, positive=True)
-    ups = sp.Integer(0)
-    for i in range(l):
-        a_i = xs[i] ** (l - 1)
-        for j in range(l):
-            if j != i:
-                a_i = a_i / (xs[i] - xs[j])
-        ups = ups + a_i * psi1(xs[i])
-    expr = ups
-    for i in range(l):
-        expr = expr * xs[i] ** (counts[i] - 1)
-    for i in range(l):
-        if counts[i] > 1:
-            expr = sp.diff(expr, xs[i], counts[i] - 1) / math.factorial(counts[i] - 1)
-    value = expr.subs({xs[i]: sp.Rational(str(lam[i])) for i in range(l)})
-    return float(sp.N(value, 30))
-
-
 def rho_density(spec, s):
     '''
     Multivariate Levy intensity rho_d at the positive vector s: the density
@@ -1416,20 +1305,11 @@ def _rho_by_mixture(spec, s, shape=None):
     return math.exp(rule.log_integral(log_weight, None, -d * shape))
 
 
-def tau(a, z, v, shape):
-    '''Integrated score factor Gamma(a + shape)/Gamma(shape) *
-    (1 + v z)^(-a - shape) of one coordinate with a matched observations.'''
-    if a < 0:
-        raise ValueError('a must be nonnegative')
-    lc = math.lgamma(a + shape) - math.lgamma(shape)
-    z = np.asarray(z, dtype=float)
-    return np.exp(lc - (a + shape) * np.log1p(v * z))
-
-
 def log_kappa(spec, a, v):
     '''log kappa_a(v), with kappa_a(v) = int z^{sum a} prod_j
-    tau_{a_j}(z, v_j) nu*(z) dz the marginal sampler's cluster weight
-    integral; finite for counts far beyond kappa's double range.'''
+    Gamma(a_j + shape) / Gamma(shape) (1 + v_j z)^(-a_j - shape) nu*(z) dz
+    the marginal sampler's cluster weight integral; finite for counts far
+    beyond kappa's double range.'''
     a = np.asarray(a)
     if a.shape != np.shape(v) or a.ndim != 1:
         raise ValueError('a and v must be vectors of equal length')
@@ -1505,6 +1385,9 @@ def clayton_copula(gamma_par, y1, y2):
     '''Clayton Levy copula (y1^-g + y2^-g)^(-1/g).'''
     if not gamma_par > 0.0:
         raise ValueError('gamma must be positive')
+    for y in (y1, y2):
+        if not (y >= 0.0):
+            raise ValueError('tail masses must be nonnegative')
     if y1 == 0.0 or y2 == 0.0:
         return 0.0
     if math.isinf(y1):
@@ -1534,15 +1417,24 @@ def _vector_key(vec):
     return (sum(vec),) + tuple(vec)
 
 
+def _exponent_vector(q):
+    '''The exponent vector q as a tuple of ints.  Every entry must be a
+    nonnegative integer, an integral float such as 2.0 included:
+    ValueError otherwise.'''
+    x = np.asarray(q, dtype=float)
+    if x.ndim != 1 or not np.all(np.isfinite(x) & (x >= 0.0)
+                                 & (x == np.floor(x))):
+        raise ValueError('q must be a vector of nonnegative integers')
+    return tuple(int(v) for v in x)
+
+
 def enumerate_moment_partitions(q, k):
     '''
     All ways of writing the exponent vector q as sum_i eta_i * s_i with
     k = sum_i eta_i blocks: distinct nonzero integer vectors s_i (listed in
     increasing (|s|, s_1, ..., s_d) order) and positive multiplicities.
     '''
-    q = tuple(int(x) for x in q)
-    if any(x < 0 for x in q):
-        raise ValueError('q must be nonnegative')
+    q = _exponent_vector(q)
     if sum(q) > 6:
         raise ValueError('moment order above 6 is not supported')
     if k < 1 or k > sum(q):
@@ -1588,14 +1480,12 @@ def mixed_moment(spec, q, region_mass):
     E[prod_j mu_j(A)^{q_j}] for a region of centring mass region_mass,
     by the moment-partition expansion over shared jumps.
     '''
-    q = np.asarray(q)
-    if q.ndim != 1 or q.size != spec.dimension:
+    q = _exponent_vector(q)
+    if len(q) != spec.dimension:
         raise ValueError('q must be a vector of length %d' % spec.dimension)
-    if np.any(q < 0):
-        raise ValueError('q must be nonnegative')
     if not region_mass > 0.0:
         raise ValueError('region mass must be positive')
-    total_q = int(q.sum())
+    total_q = sum(q)
     if total_q == 0:
         return 1.0
     if total_q > 6:

@@ -41,7 +41,6 @@ __all__ = [
     'KappaTable',
     'MarginalState',
     'initial_state',
-    'allocation_weights',
     'update_allocation_conjugate',
     'update_allocation_nonconjugate',
     'update_atoms',
@@ -417,20 +416,6 @@ def _pick(logs, u, j, i):
     if not 1e-250 < cum[-1] < 1e250:
         cum = list(accumulate(_relative_weights(logs, j, i)))
     return min(bisect_right(cum, u * cum[-1]), len(cum) - 1)
-
-
-def allocation_weights(state, data, spec, kernel, j, i, table, rows=None):
-    '''Unnormalized urn weights for observation (j, i): one entry per
-    existing cluster plus one for a fresh cluster, the largest 1.  The
-    observation must already be detached.  rows, the _UrnRows of group j
-    kept for the state at this table, is built here when not given.
-    A NaN weight, or a largest log weight that is not finite, raises
-    FloatingPointError.'''
-    if rows is None:
-        rows = _UrnRows(state, data, spec, kernel, table, j)
-    logs = [r + p for r, p in zip(rows.log_ratios, kernel.log_predictive(
-        rows.ys[i], rows.predictive))]
-    return np.array(_relative_weights(logs, j, i))
 
 
 def update_allocation_conjugate(state, data, spec, kernel, j, i, table, rng,

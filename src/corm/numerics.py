@@ -1,28 +1,24 @@
 '''
-One-dimensional quadrature that is not against a directing intensity, and
-the modified Bessel function of the induced marginals.
+One-dimensional quadrature that is not against a directing intensity.
 
 Integrals against a directing intensity nu* run on the trapezoid nodes of
 core.TiltRule, and so do the mixtures over nu* that give rho_d and the
 beta-directed marginal intensity; the paper's closed forms of those (the
-Whittaker and Kummer functions) are oracles in the tests, not library
-code.  integrate, a thin wrapper of QUADPACK's adaptive rules
+Whittaker, Kummer and Bessel functions) are oracles in the tests, not
+library code.  integrate, a thin wrapper of QUADPACK's adaptive rules
 (scipy.integrate.quad) that turns its warnings into QuadratureError,
 stays for the integrals that have no nu* to run on: the lambda integrals
-of core.covariance_normalized, and the tail of an intensity given without
-a closed tail, which only the gamma and generalized-gamma directed
-marginals of core.marginal_from_directing reach (their nu* has no power
-tail for a TiltRule).  The benchmark's tracer wraps it as a probe.
-bessel_k gives those two marginals' densities.
+of core.covariance_normalized.  Its other user is the benchmark's
+tracer, which wraps it as a probe.
 
 Importing corm loads numpy only.  scipy is imported inside the functions
 that call it, on their first call: scipy.integrate by integrate,
 scipy.stats by the inverse-Wishart draw of kernels, and scipy.special by
-bessel_k here, and by the beta-type tail's hypergeometric branch (above
-its series switch), the marginals' own intensities, the beta-directed
-marginal's tail and levy_copula in core.  On a 2-vCPU host (python -X
-importtime) numpy takes about 0.1 s to import, scipy.special about 0.25 s
-more, and scipy.integrate, which loads scipy.optimize, scipy.linalg and
+the beta-type tail's hypergeometric branch (above its series switch),
+the marginals' own intensities, the beta-directed marginal's tail and
+levy_copula in core.  On a 2-vCPU host (python -X importtime) numpy
+takes about 0.1 s to import, scipy.special about 0.25 s more, and
+scipy.integrate, which loads scipy.optimize, scipy.linalg and
 scipy.sparse, more again.  A spec build, the marginal (urn) sampler,
 prior draws and the slice sampler (its start state and its sweeps, whose
 tail calls stay on the series branch) call none of them, so a process
@@ -32,12 +28,7 @@ that only runs them pays for numpy alone.
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-__all__ = [
-    'IntegralResult', 'QuadratureError',
-    'integrate', 'bessel_k',
-]
+__all__ = ['IntegralResult', 'QuadratureError', 'integrate']
 
 
 @dataclass(frozen=True)
@@ -79,15 +70,3 @@ def integrate(f, lower, upper, rel_tol=1e-10):
             % (lower, upper, result.value, result.error_estimate,
                out[3] if len(out) > 3 else 'non-finite value'), result)
     return result
-
-
-# ---------------------------------------------------------------------------
-# Special functions
-# ---------------------------------------------------------------------------
-
-def bessel_k(order, x):
-    '''Modified Bessel function of the second kind, K_order(x), x > 0.'''
-    if np.any(np.asarray(x) <= 0.0):
-        raise ValueError('bessel_k requires x > 0')
-    from scipy.special import kv  # on first use: see the module notes
-    return kv(abs(order), x)

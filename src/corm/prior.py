@@ -15,7 +15,6 @@ n points are kept and the n-th is the level.  Each coordinate then
 perturbs the jumps with independent Ga(shape) scores.
 '''
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass
@@ -33,8 +32,6 @@ __all__ = [
     'NormalizedWeights',
     'sample_corm',
     'normalize',
-    'score_ratio_sample',
-    'realization_to_csv',
 ]
 
 DEFAULT_TAIL_MASS = 1e-6
@@ -252,29 +249,3 @@ def normalize(realization):
     pi = weighted / totals
     pi = pi / pi.sum(axis=1, keepdims=True)
     return NormalizedWeights(pi)
-
-
-def score_ratio_sample(shape, n, rng):
-    '''n independent ratios of two Ga(shape) scores.'''
-    if n < 1:
-        raise ValueError('n must be at least 1')
-    if not shape > 0.0:
-        raise ValueError('shape must be positive')
-    return rng.gamma(shape, size=n) / rng.gamma(shape, size=n)
-
-
-def realization_to_csv(realization, path):
-    '''Dump a realization as CSV: jump_index, J, location, m_1..m_d.'''
-    loc = np.asarray(realization.locations)
-    if loc.ndim != 1:
-        raise ValueError('CSV dump needs scalar locations')
-    d = realization.scores.shape[0]
-    with open(path, 'w', newline='') as fh:
-        writer = csv.writer(fh)
-        writer.writerow(['jump_index', 'J', 'location']
-                        + ['m_%d' % (j + 1) for j in range(d)])
-        for i in range(realization.jump_count):
-            writer.writerow(
-                [i + 1, repr(float(realization.jumps[i])),
-                 repr(float(loc[i]))]
-                + [repr(float(realization.scores[j, i])) for j in range(d)])

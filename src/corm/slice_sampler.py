@@ -61,7 +61,6 @@ __all__ = [
     'update_allocations_slice',
     'update_atoms_slice',
     'update_hyperparameters_slice',
-    'slice_deviance',
     'slice_snapshots',
     'slice_sweep',
 ]
@@ -659,16 +658,6 @@ def update_hyperparameters_slice(state, spec, log_prior, step, rng,
         spec = spec_new
     step.record(accept)
     return spec
-
-
-def slice_deviance(state, data, kernel):
-    '''-2 sum of log kernel densities at the allocated atoms.'''
-    atoms = kernel.stack_atoms(state.atoms)
-    total = 0.0
-    for rows, alloc in zip(data.groups, state.allocations):
-        dens = kernel.log_density(rows, atoms)
-        total += float(dens[np.arange(alloc.size), alloc].sum())
-    return -2.0 * total
 
 
 def _residual_weights(spec, v, L):

@@ -11,7 +11,13 @@ import mpmath
 import numpy as np
 import pytest
 from scipy import integrate as sci
-from scipy.special import exp1, gammaln, kv
+from oracles import (
+    gamma_directed_marginal,
+    gg_directed_marginal,
+    laplace_exponent_exponential_closed,
+    quadpack_tail,
+)
+from scipy.special import exp1, gammaln
 
 from corm import core
 from corm.core import (
@@ -22,21 +28,18 @@ from corm.core import (
     RuleNodes,
     ScoreDistribution,
     TiltRule,
+    beta_directed_marginal,
     clayton_copula,
     covariance_normalized,
     directing_from_marginal,
     enumerate_moment_partitions,
     kappa,
     laplace_exponent,
-    laplace_exponent_exponential_closed,
     levy_copula,
     marginal_exponent,
-    marginal_from_directing,
     marginal_intensity,
-    mgf_score,
     mixed_moment,
     rho_density,
-    tau,
 )
 
 
@@ -58,21 +61,6 @@ def spec_gg(dimension=2, shape=2.0, sigma=0.3, a=1.0, mass=1.0):
 
 
 class TestScores:
-
-    def test_mgf_basic(self):
-        assert mgf_score(1.0, 1.0, 1.0) == pytest.approx(0.5, rel=1e-14)
-        assert mgf_score(1.0, 1.0, 2.0) == pytest.approx(0.25, rel=1e-14)
-        assert mgf_score(0.0, 3.0, 2.0) == 1.0
-        assert mgf_score(3.0, 0.0, 2.0) == 1.0
-
-    def test_mgf_vectorized(self):
-        lam = np.array([0.0, 1.0, 2.0])
-        got = mgf_score(1.0, lam, 1.0)
-        assert np.allclose(got, 1.0 / (1.0 + lam))
-
-    def test_mgf_rejects_negative_rate(self):
-        with pytest.raises(ValueError):
-            mgf_score(1.0, -0.5, 1.0)
 
     def test_score_density_is_gamma(self):
         sc = ScoreDistribution(2.0)
@@ -397,9 +385,8 @@ STABLE_SHAPES = (1e-4, 0.01, 0.5, 1.0, 2.5, 19.7, 100.0, 150.0)
 
 class TestStableConstants:
     '''The directing constant sigma Gamma(shape) / (Gamma(shape + sigma)
-    Gamma(1 - sigma)) of a sigma-stable marginal, and the induced
-    marginal's sigma Gamma(shape + sigma) / (Gamma(shape) Gamma(1 -
-    sigma)), against 40-digit mpmath at the exact sum shape + sigma.'''
+    Gamma(1 - sigma)) of a sigma-stable marginal against 40-digit mpmath
+    at the exact sum shape + sigma.'''
 
     @staticmethod
     def errors(sigma, shape):
@@ -407,13 +394,10 @@ class TestStableConstants:
             s, p = mpmath.mpf(sigma), mpmath.mpf(shape)
             ratio = mpmath.gamma(p) / mpmath.gamma(p + s)
             g1 = mpmath.gamma(1 - s)
-            # both densities are c z^(-1-sigma): c at z = 1
+            # the density is c z^(-1-sigma): c at z = 1
             directing = directing_from_marginal(
                 MarginalFamily.sigma_stable(sigma), shape).density(1.0)
-            induced = marginal_from_directing(
-                'sigma-stable', shape, sigma=sigma).density(1.0)
-            return max(abs(directing / (s * ratio / g1) - 1),
-                       abs(induced / (s / (ratio * g1)) - 1))
+            return abs(directing / (s * ratio / g1) - 1)
 
     @pytest.mark.parametrize('sigma', STABLE_SIGMAS)
     def test_gamma_ratio_to_a_few_ulp(self, sigma):
@@ -513,8 +497,13 @@ class TestInverseWithoutClosedForm:
                                    rtol=1e-10, atol=0.0)
 
     def test_quadrature_tail_level(self):
-        nu = marginal_from_directing('generalized-gamma', 2.0, sigma=0.3,
-                                     a=1.0)
+        # a tail known only by quadrature: the generalized-gamma directed
+        # marginal's Bessel-K density, with its QUADPACK tail
+        def density(s):
+            return gg_directed_marginal(s, 2.0, 0.3, 1.0)
+
+        nu = LevyIntensity(density, (0.0, np.inf), (-1.0 - 0.3, None),
+                           tail_fn=quadpack_tail(density))
         x = nu.inverse_tail(1.0)
         assert nu.tail_integral(x) == pytest.approx(1.0, rel=1e-10)
         ref = sci.quad(lambda s: float(nu(s)), x, 1.0)[0] \
@@ -540,6 +529,11 @@ class TestInverseWithoutClosedForm:
             nu = directing_from_marginal(marginal, 0.5)
             with pytest.raises(ValueError, match='support'):
                 nu.inverse_tail(0.01)
+
+    def test_tail_fn_is_required(self):
+        with pytest.raises(TypeError, match='tail_fn'):
+            LevyIntensity(lambda s: np.exp(-s) / s, (0.0, np.inf),
+                          (-1.0, None))
 
     def test_unconverged_level_raises(self):
         # a density 1e6 times the tail's derivative shrinks every Newton
@@ -597,9 +591,8 @@ class TestMarginalIntensities:
         lead = math.exp(math.log(sigma) + gammaln(sigma + shape)
                         - gammaln(shape) - gammaln(1.0 - sigma))
         s = 1e-6
-        nu2 = marginal_from_directing('generalized-gamma', shape,
-                                      sigma=sigma, a=a)
-        assert nu2(s) * s ** (1.0 + sigma) == pytest.approx(lead, rel=0.02)
+        nu2 = gg_directed_marginal(s, shape, sigma, a)
+        assert nu2 * s ** (1.0 + sigma) == pytest.approx(lead, rel=0.02)
 
     def test_gg_marginal_of_compound_is_tempered_stable(self):
         sigma, a = 0.3, 1.0
@@ -620,16 +613,18 @@ class TestMarginalIntensities:
             return dens / z * c * z ** (-1.0 - sigma) * math.exp(-a * z)
 
         mix = sci.quad(integrand, 0.0, np.inf, limit=200)[0]
-        nu2 = marginal_from_directing('generalized-gamma', shape,
-                                      sigma=sigma, a=a)
-        assert nu2(s) == pytest.approx(mix, rel=1e-7)
+        nu2 = gg_directed_marginal(s, shape, sigma, a)
+        assert nu2 == pytest.approx(mix, rel=1e-7)
 
 
 class TestMarginalFromDirecting:
+    '''The marginal intensities that directing intensities induce: the
+    beta-directed one of the library, and the gamma-directed Bessel-K
+    oracle, against QUADPACK mixtures.'''
 
     def test_beta_theta_equal_shape_is_gamma(self):
         # theta = shape collapses the confluent factor and leaves s^-1 e^-s
-        nu = marginal_from_directing('beta', 1.5, theta=1.5)
+        nu = beta_directed_marginal(1.5, 1.5)
         for s in (0.2, 1.0, 4.0):
             assert nu(s) == pytest.approx(math.exp(-s) / s, rel=1e-9)
 
@@ -641,7 +636,7 @@ class TestMarginalFromDirecting:
             dens = math.exp((shape - 1.0) * math.log(x) - x - gammaln(shape))
             return dens / z * (1.0 - z) ** (theta - 1.0) / z
 
-        nu = marginal_from_directing('beta', shape, theta=theta)
+        nu = beta_directed_marginal(shape, theta)
         for s in (0.3, 0.8, 2.5):
             ref = sci.quad(integrand, 0.0, 1.0, args=(s,), limit=200)[0]
             assert nu(s) == pytest.approx(ref, rel=1e-7)
@@ -654,23 +649,16 @@ class TestMarginalFromDirecting:
             dens = math.exp((shape - 1.0) * math.log(x) - x - gammaln(shape))
             return dens / z * math.exp(-z) / z
 
-        nu = marginal_from_directing('gamma', shape)
         for s in (0.4, 1.0, 3.0):
             ref = sci.quad(integrand, 0.0, np.inf, args=(s,), limit=200)[0]
-            assert nu(s) == pytest.approx(ref, rel=1e-7)
-            closed = (2.0 / math.gamma(shape) * s ** (0.5 * shape - 1.0)
-                      * kv(shape, 2.0 * math.sqrt(s)))
-            assert nu(s) == pytest.approx(closed, rel=1e-9)
+            assert gamma_directed_marginal(s, shape) == pytest.approx(
+                ref, rel=1e-7)
 
     def test_parameter_validation(self):
-        with pytest.raises(ValueError):
-            marginal_from_directing('beta', 1.0)
-        with pytest.raises(ValueError):
-            marginal_from_directing('sigma-stable', 1.0, sigma=1.5)
-        with pytest.raises(ValueError):
-            marginal_from_directing('generalized-gamma', 1.0, sigma=0.5)
-        with pytest.raises(ValueError):
-            marginal_from_directing('weibull', 1.0)
+        for shape, theta in ((1.0, 0.0), (1.0, math.nan), (0.0, 1.0),
+                             (-1.0, 1.0)):
+            with pytest.raises(ValueError):
+                beta_directed_marginal(shape, theta)
 
 
 class TestSpecConstruction:
@@ -937,10 +925,6 @@ class TestRhoDensity:
 
 class TestKappaAndG:
 
-    def test_tau_values(self):
-        assert tau(4, 1.0, 0.0, 1.0) == pytest.approx(24.0, rel=1e-13)
-        assert tau(1, 1.0, 1.0, 1.0) == pytest.approx(0.25, rel=1e-13)
-
     def test_kappa_moment_at_zero(self):
         sp = spec_gamma(dimension=1, shape=1.0)
         assert kappa(sp, [1], [0.0]) == pytest.approx(1.0, rel=1e-9)
@@ -1022,7 +1006,8 @@ class TestLevyCopula:
             core_mod, 'marginal_intensity',
             lambda m: core_mod.LevyIntensity(
                 marginal.density, marginal.support,
-                marginal.singularity_exponents))
+                marginal.singularity_exponents,
+                tail_fn=quadpack_tail(marginal.density)))
         for (y1, y2), want in zip(pairs, closed):
             assert levy_copula(sp, y1, y2) == pytest.approx(want, rel=1e-8)
 
@@ -1040,6 +1025,15 @@ class TestLevyCopula:
         assert clayton_copula(1.0, 0.3, 0.7) == pytest.approx(0.21, rel=1e-12)
         assert clayton_copula(200.0, 0.3, 0.7) == pytest.approx(0.3, rel=1e-3)
         assert clayton_copula(1e-3, 0.3, 0.7) < 1e-6
+
+    @pytest.mark.parametrize('gamma_par', [1.0, 1.5])
+    @pytest.mark.parametrize('y', [-0.3, math.nan, -math.inf])
+    def test_clayton_rejects_bad_tail_masses(self, gamma_par, y):
+        # a negative tail mass gave a negative value or a complex power,
+        # a NaN passed through, and -inf returned the other mass
+        for y1, y2 in ((y, 0.7), (0.7, y)):
+            with pytest.raises(ValueError, match='nonnegative'):
+                clayton_copula(gamma_par, y1, y2)
 
     def test_copula_needs_dimension_two(self):
         sp = spec_gamma(dimension=3)
@@ -1139,6 +1133,21 @@ class TestMixedMoments:
         sp = spec_gamma(dimension=1, shape=1.0)
         with pytest.raises(ValueError):
             mixed_moment(sp, [7], 1.0)
+
+    def test_exponents_must_be_integers(self):
+        # int() truncated q = (1.5, 0.5) to (1, 0) in the partitions while
+        # the factorials took Gamma(2.5): a wrong value, silently
+        sp = spec_gg(shape=2.0)
+        for q in ([1.5, 0.5], [1.0, math.nan], [math.inf, 1.0], [-1, 2]):
+            with pytest.raises(ValueError, match='nonnegative integers'):
+                mixed_moment(sp, q, 0.5)
+            with pytest.raises(ValueError, match='nonnegative integers'):
+                enumerate_moment_partitions(q, 1)
+        # an integral float is an integer
+        assert mixed_moment(sp, [2.0, 1.0], 0.5) == mixed_moment(
+            sp, [2, 1], 0.5)
+        assert enumerate_moment_partitions([2.0, 1.0], 2) == \
+            enumerate_moment_partitions([2, 1], 2)
 
 
 class TestCovariance:

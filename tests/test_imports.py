@@ -1,25 +1,32 @@
-'''The set of modules a fresh corm process loads.
+'''The modules a fresh corm process loads, and each module's public names.
 
 Importing corm loads numpy only.  A spec build, the marginal (urn)
 sampler, a prior draw, and the slice sampler's start state and sweeps
 load no scipy either, and rho_d of a gamma spec and the beta-directed
-marginal density, mixtures on TiltRule nodes, load no scipy.integrate.  scipy.special loads on the first call that needs
-one of its functions (tail inversion, the analysis functions),
-scipy.integrate (QUADPACK) on the first numerics.integrate call and
-scipy.stats on the first inverse-Wishart draw, because importing them
-takes longer than the rest of a fresh process's start.  The checks run
-in a fresh interpreter: pytest's warning filters import scipy.integrate
-into the test process.
+marginal density, mixtures on TiltRule nodes, load no scipy.integrate.
+scipy.special loads on the first call that needs one of its functions
+(the marginals' own tails, the beta-directed marginal's tail, Levy
+copulas), scipy.integrate (QUADPACK) on the first numerics.integrate
+call, which covariance_normalized makes, and scipy.stats on the first
+inverse-Wishart draw, because importing them takes longer than the rest
+of a fresh process's start.  The checks run in a fresh interpreter:
+pytest's warning filters import scipy.integrate into the test process.
+
+Every corm module's `from corm.<module> import *` works, so every name
+its __all__ lists exists.
 '''
 
+import importlib
 import json
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import corm
 
@@ -72,7 +79,7 @@ out['slice_jumps'] = int(slice_state.n_jumps)
 gamma_spec = core.CoRMSpec.from_marginal(2, 2.5, core.MarginalFamily.gamma())
 out['rho'] = core.rho_density(gamma_spec, [0.5, 1.5])
 out['rho_loads'] = loaded('scipy.integrate')
-out['beta'] = core.marginal_from_directing('beta', 1.3, theta=2.2)(0.8)
+out['beta'] = core.beta_directed_marginal(1.3, 2.2)(0.8)
 out['beta_loads'] = loaded('scipy.integrate')
 # the first-use imports: a Levy copula, a quadrature and an
 # inverse-Wishart draw
@@ -107,3 +114,14 @@ def test_fresh_import_loads_no_heavy_scipy_subpackage():
     assert mu.shape == (2,) and np.all(np.isfinite(mu))
     assert np.allclose(cov, cov.T)
     assert np.all(np.linalg.eigvalsh(cov) > 0.0)
+
+
+@pytest.mark.parametrize('name', sorted(
+    m.name for m in pkgutil.iter_modules(corm.__path__)))
+def test_star_import_resolves_all(name):
+    # a star import raises AttributeError on an __all__ entry the module
+    # lacks
+    namespace = {}
+    exec('from corm.%s import *' % name, namespace)
+    module = importlib.import_module('corm.' + name)
+    assert set(module.__all__) <= namespace.keys()

@@ -26,8 +26,8 @@ from corm.core import (
     MarginalFamily,
     _directing_moment,
     _rho_by_mixture,
+    beta_directed_marginal,
     levy_copula,
-    marginal_from_directing,
     marginal_intensity,
     rho_density,
 )
@@ -109,7 +109,7 @@ def _beta_marginal_closed(shape, theta, s):
 
 
 class TestBetaDirected:
-    '''marginal_from_directing('beta'), the mixture int z^-1 f(s / z)
+    '''beta_directed_marginal, the mixture int z^-1 f(s / z)
     z^-1 (1 - z)^(theta-1) dz on TiltRule nodes, against the Kummer U
     closed form.  At theta 0.001 and shape 50 the closed form's U(a, b, x)
     has a t^(a-1) pole at 0 and a peak near t = 500 in its integral
@@ -119,7 +119,7 @@ class TestBetaDirected:
         (0.05, 0.001), (0.05, 20.0), (0.3, 0.4), (1.3, 2.2), (2.0, 0.001),
         (2.0, 5.0), (5.0, 20.0), (20.0, 0.4), (50.0, 0.001), (50.0, 20.0)])
     def test_density_vs_hyperu(self, shape, theta):
-        nu = marginal_from_directing('beta', shape, theta=theta)
+        nu = beta_directed_marginal(shape, theta)
         s = np.array([1e-3, 0.1, 2.0, 20.0])
         want = [_beta_marginal_closed(shape, theta, x) for x in s]
         assert np.allclose(nu(s), want, rtol=1e-12, atol=0.0)
@@ -138,7 +138,7 @@ class TestBetaDirected:
         edges = np.linspace(math.log(x), math.log(x + 50.0), 5)
         want = sum(sci.quad(f, a, b, epsabs=0.0, epsrel=1e-12)[0]
                    for a, b in zip(edges[:-1], edges[1:]))
-        nu = marginal_from_directing('beta', shape, theta=theta)
+        nu = beta_directed_marginal(shape, theta)
         assert nu.tail_integral(x) == pytest.approx(want, rel=1e-9, abs=0.0)
 
 

@@ -7,6 +7,7 @@ integrand, and the urn conditional is checked against brute-force
 enumeration of the partition posterior on tiny datasets.
 '''
 
+import itertools
 import math
 
 import numpy as np
@@ -26,7 +27,6 @@ from corm.marginal_sampler import (
     AdaptiveStepSize,
     KappaTable,
     MarginalState,
-    allocation_weights,
     initial_state,
     marginal_sweep,
     update_allocation_conjugate,
@@ -225,13 +225,10 @@ class TestKappaTable:
 
 
 def make_state_d1(labels, v, shape, kernel, data):
-    '''Build a one-group state from labels; -1 marks a detached entry.'''
+    '''Build a one-group state from labels.'''
     labels = np.asarray(labels)
     K = int(labels.max()) + 1
-    counts = np.zeros((K, 1), dtype=int)
-    for lab in labels:
-        if lab >= 0:
-            counts[lab, 0] += 1
+    counts = np.bincount(labels, minlength=K)[:, None]
     state = MarginalState([labels.copy()], counts, np.array([float(v)]),
                           shape)
     state.stats = []
@@ -244,24 +241,49 @@ def make_state_d1(labels, v, shape, kernel, data):
     return state
 
 
+def redraw_logs(monkeypatch, state, data, spec, kernel, j, i, table):
+    '''The log urn weights that _UrnRows.redraw of the attached
+    observation i of group j hands to _pick: one per cluster of the view
+    once the observation is out (a singleton's cluster dropped, the
+    later ones shifted down), and one for a new cluster.'''
+    seen = []
+    pick = ms._pick
+
+    def record(logs, u, j, i):
+        seen.append(np.array(logs))
+        return pick(logs, u, j, i)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ms, '_pick', record)
+        ms._UrnRows(state, data, spec, kernel, table, j).redraw(i, 0.5)
+    (logs,) = seen
+    return logs
+
+
+def normalised(logs):
+    w = np.exp(logs - logs.max())
+    return w / w.sum()
+
+
 class TestUrnWeights:
 
-    def test_gamma_urn_reduces_to_classic_weights(self):
+    def test_gamma_urn_reduces_to_classic_weights(self, monkeypatch):
         # with a gamma marginal and a flat kernel the urn weights are
-        # (n_1, ..., n_K, M) up to a common factor, whatever v is
+        # (n_1, ..., n_K, M) up to a common factor, whatever v is; the
+        # observation starts in cluster 0 (which keeps 3 members) or
+        # alone in cluster 2 (which is dropped)
         kernel = FlatKernel()
         data = Dataset([np.zeros(6)])
-        for shape in (1.0, 2.3):
+        for shape, home in itertools.product((1.0, 2.3), (0, 2)):
             for mass in (0.7, 1.0, 4.0):
                 spec = gamma_spec(1, shape, mass=mass)
                 reference = None
                 for v in (0.25, 1.0, 9.0):
-                    state = make_state_d1([0, 0, 0, 1, 1, -1], v, shape,
+                    state = make_state_d1([0, 0, 0, 1, 1, home], v, shape,
                                           kernel, data)
                     table = KappaTable(spec, state.v)
-                    w = allocation_weights(state, data, spec, kernel,
-                                           0, 5, table)
-                    w = w / w.sum()
+                    w = normalised(redraw_logs(monkeypatch, state, data,
+                                               spec, kernel, 0, 5, table))
                     expected = np.array([3.0, 2.0, mass])
                     expected /= expected.sum()
                     assert np.allclose(w, expected, rtol=1e-12)
@@ -269,7 +291,7 @@ class TestUrnWeights:
                         reference = w
                     assert np.allclose(w, reference, rtol=1e-12)
 
-    def test_conditional_matches_enumeration_one_group(self):
+    def test_conditional_matches_enumeration_one_group(self, monkeypatch):
         # Gibbs weights for the last observation against the exact
         # conditional computed from the partition posterior
         shape, mass, v = 1.6, 1.3, 0.8
@@ -285,22 +307,24 @@ class TestUrnWeights:
         def m(idx):
             return math.exp(ng_log_marginal(y[list(idx)], m0, k0, a0, b0))
 
-        # first two observations share a cluster
-        state = make_state_d1([0, 0, -1], v, shape, kernel, data)
+        # first two observations share a cluster; the last, alone in
+        # cluster 0, is dropped, and their cluster becomes 0
+        state = make_state_d1([1, 1, 0], v, shape, kernel, data)
         table = KappaTable(spec, state.v)
-        w = allocation_weights(state, data, spec, kernel, 0, 2, table)
-        w = w / w.sum()
+        w = normalised(redraw_logs(monkeypatch, state, data, spec, kernel,
+                                   0, 2, table))
         joint = np.array([
             mass * kap(3) * m((0, 1, 2)),
             mass ** 2 * kap(2) * kap(1) * m((0, 1)) * m((2,)),
         ])
         assert np.allclose(w, joint / joint.sum(), rtol=1e-9)
 
-        # first two observations apart
-        state = make_state_d1([0, 1, -1], v, shape, kernel, data)
+        # first two observations apart; the last, alone in cluster 1, is
+        # dropped, and the second's cluster 2 becomes 1
+        state = make_state_d1([0, 2, 1], v, shape, kernel, data)
         table = KappaTable(spec, state.v)
-        w = allocation_weights(state, data, spec, kernel, 0, 2, table)
-        w = w / w.sum()
+        w = normalised(redraw_logs(monkeypatch, state, data, spec, kernel,
+                                   0, 2, table))
         joint = np.array([
             mass ** 2 * kap(2) * kap(1) * m((0, 2)) * m((1,)),
             mass ** 2 * kap(1) * kap(2) * m((0,)) * m((1, 2)),
@@ -308,7 +332,7 @@ class TestUrnWeights:
         ])
         assert np.allclose(w, joint / joint.sum(), rtol=1e-9)
 
-    def test_conditional_matches_enumeration_two_groups(self):
+    def test_conditional_matches_enumeration_two_groups(self, monkeypatch):
         # same check across groups, with the kappa oracle on QUADPACK
         shape, mass = 2.0, 1.0
         v = np.array([0.6, 1.4])
@@ -319,14 +343,16 @@ class TestUrnWeights:
         y1 = np.array([1.1])
         data = Dataset([y0, y1])
 
-        labels = [np.array([0, 1]), np.array([-1])]
-        counts = np.array([[1, 0], [1, 0]])
+        # y1[0] alone in cluster 1 is dropped, and y0[1]'s cluster 2
+        # becomes 1
+        labels = [np.array([0, 2]), np.array([1])]
+        counts = np.array([[1, 0], [0, 1], [1, 0]])
         state = MarginalState(labels, counts, v.copy(), shape)
-        state.stats = [kernel.stats_add(kernel.stats_empty(), y0[0]),
-                       kernel.stats_add(kernel.stats_empty(), y0[1])]
+        state.stats = [kernel.stats_add(kernel.stats_empty(), y)
+                       for y in (y0[0], y1[0], y0[1])]
         table = KappaTable(spec, state.v)
-        w = allocation_weights(state, data, spec, kernel, 1, 0, table)
-        w = w / w.sum()
+        w = normalised(redraw_logs(monkeypatch, state, data, spec, kernel,
+                                   1, 0, table))
 
         def kap(a):
             return kappa_quad_gamma_d2(a, v, shape)
@@ -344,10 +370,11 @@ class TestUrnWeights:
         ])
         assert np.allclose(w, joint / joint.sum(), rtol=1e-6)
 
-    def test_weights_with_many_clusters_match_student_t(self):
+    def test_weights_with_many_clusters_match_student_t(self, monkeypatch):
         # 6 clusters over two groups, cluster 4 occupied only in group 1:
         # each weight is the KappaTable ratio plus the Student-t log
-        # predictive that scipy gives for the cluster's members
+        # predictive that scipy gives for the cluster's members.  The
+        # observation starts in cluster 5, which keeps two members
         from test_kernels import ng_student_t
         rng = np.random.default_rng(31)
         y0 = rng.normal(-1.0, 1.0, size=10)
@@ -362,20 +389,27 @@ class TestUrnWeights:
         counts = np.array([[np.sum(c == k) for c in labels]
                            for k in range(6)])
         assert counts[4].tolist() == [0, 3]
-        state = MarginalState(labels, counts, np.array([0.7, 1.9]), 1.3)
         members = [np.concatenate([g[c == k] for g, c in
                                    zip(data.groups, labels)])
                    for k in range(6)]
+        y = y0[9]
+        attached = [labels[0].copy(), labels[1]]
+        attached[0][9] = 5
+        attached_counts = counts.copy()
+        attached_counts[5, 0] += 1
+        state = MarginalState(attached, attached_counts,
+                              np.array([0.7, 1.9]), 1.3)
         state.stats = []
-        for rows in members:
+        for k, rows in enumerate(members):
             stats_now = kernel.stats_empty()
-            for y in rows[:, 0]:
-                stats_now = kernel.stats_add(stats_now, y)
+            for x in rows[:, 0].tolist() + [y] * (k == 5):
+                stats_now = kernel.stats_add(stats_now, x)
             state.stats.append(stats_now)
         table = KappaTable(spec, state.v)
-        w = allocation_weights(state, data, spec, kernel, 0, 9, table)
-        assert isinstance(w, np.ndarray) and w.shape == (7,)
-        y = y0[9]
+        logs = redraw_logs(monkeypatch, state, data, spec, kernel, 0, 9,
+                           table)
+        assert logs.shape == (7,)
+        w = np.exp(logs - logs.max())
         want = []
         for k, rows in enumerate(members + [np.empty((0, 1))]):
             df, loc, scale = ng_student_t(kernel, rows[:, 0])
@@ -546,24 +580,21 @@ class TestNonFiniteWeights:
                            match='observation 6 of group 1'):
             update_allocation_conjugate(state, data, spec, kernel, 0, 5,
                                         table, np.random.default_rng(0))
-        state = make_state_d1([0, 0, 0, 1, 1, -1], 1.0, 1.0, kernel, data)
-        with pytest.raises(FloatingPointError,
-                           match='observation 6 of group 1'):
-            allocation_weights(state, data, spec, kernel, 0, 5, table)
 
     def test_infinite_log_weight_raises(self):
+        # the observation is alone in cluster 2, so once it is out every
+        # row left is one of the infinite ones
         kernel = FlatKernel()
         data = Dataset([np.zeros(3)])
         spec = gamma_spec(1, 1.0)
-        state = make_state_d1([0, 1, -1], 1.0, 1.0, kernel, data)
+        state = make_state_d1([0, 1, 2], 1.0, 1.0, kernel, data)
         table = KappaTable(spec, state.v)
-        rows = ms._UrnRows(state, data, spec, kernel, table, 0)
         for value in (math.inf, -math.inf):
-            rows.log_ratios = [value] * 3
+            rows = ms._UrnRows(state, data, spec, kernel, table, 0)
+            rows.log_ratios = [value] * 4
             with pytest.raises(FloatingPointError,
                                match='observation 3 of group 1'):
-                allocation_weights(state, data, spec, kernel, 0, 2, table,
-                                   rows)
+                rows.redraw(2, 0.5)
 
     @pytest.mark.parametrize('bad', [0, 1, 2])
     def test_nan_predictive_stops_a_sweep(self, bad):

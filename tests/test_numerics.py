@@ -1,8 +1,8 @@
-"""Quadrature and special-function checks against independent references.
+"""Quadrature checks against independent references.
 
 Reference values come from closed forms (polynomials, Beta and Gamma
-functions, the half-integer Bessel function).  Nothing here calls back into
-the quadrature under test to produce its own expected value.
+functions).  Nothing here calls back into the quadrature under test to
+produce its own expected value.
 """
 
 import numpy as np
@@ -12,7 +12,6 @@ from scipy.special import gamma
 from corm.numerics import (
     IntegralResult,
     QuadratureError,
-    bessel_k,
     integrate,
 )
 
@@ -98,18 +97,3 @@ class TestIntegrate:
     def test_invalid_interval(self):
         with pytest.raises(ValueError):
             integrate(lambda z: z, 1.0, 0.0)
-
-
-class TestBesselK:
-    def test_half_order_closed_form(self):
-        # K_{1/2}(x) = sqrt(pi / (2x)) exp(-x)
-        for x in [0.1, 0.5, 1.0, 2.0, 7.5]:
-            expected = np.sqrt(np.pi / (2.0 * x)) * np.exp(-x)
-            assert bessel_k(0.5, x) == pytest.approx(expected, rel=1e-12)
-
-    def test_order_symmetry(self):
-        assert bessel_k(-1.3, 0.8) == pytest.approx(bessel_k(1.3, 0.8), rel=1e-13)
-
-    def test_positive_argument_required(self):
-        with pytest.raises(ValueError):
-            bessel_k(1.0, 0.0)

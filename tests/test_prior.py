@@ -1,7 +1,6 @@
 '''Prior simulation: truncation rules, inverse-tail accuracy,
 normalisation, and Monte Carlo agreement with closed-form moments.'''
 
-import csv
 import math
 import warnings
 
@@ -22,9 +21,7 @@ from corm.prior import (
     _coverage_norm,
     _solve_residual_level,
     normalize,
-    realization_to_csv,
     sample_corm,
-    score_ratio_sample,
 )
 
 
@@ -334,29 +331,6 @@ class TestNormalize:
             normalize(r)
 
 
-class TestScoreRatios:
-    def test_unit_shape_symmetry(self):
-        rng = np.random.default_rng(11)
-        ratios = score_ratio_sample(1.0, 40_000, rng)
-        assert abs(np.mean(ratios <= 1.0) - 0.5) < 0.01
-        assert np.median(ratios) == pytest.approx(1.0, abs=0.03)
-
-    def test_distribution_is_f(self):
-        # a ratio of two unit-rate gammas with shape b is F(2b, 2b)
-        rng = np.random.default_rng(12)
-        for shape in (1.0, 2.5):
-            ratios = score_ratio_sample(shape, 5000, rng)
-            p = stats.kstest(ratios, stats.f(2 * shape, 2 * shape).cdf).pvalue
-            assert p > 0.01
-
-    def test_validation(self):
-        rng = np.random.default_rng(13)
-        with pytest.raises(ValueError):
-            score_ratio_sample(0.0, 10, rng)
-        with pytest.raises(ValueError):
-            score_ratio_sample(1.0, 0, rng)
-
-
 @pytest.fixture(scope='module')
 def masses(gamma_spec):
     rng = np.random.default_rng(14)
@@ -408,20 +382,3 @@ class TestEmpiricalCorrelation:
             shares[k] = pi[:, inside].sum(axis=1)
         got = np.corrcoef(shares[:, 0], shares[:, 1])[0, 1]
         assert got == pytest.approx(want, abs=0.02)
-
-
-class TestCsvDump:
-    def test_round_trip(self, gamma_spec, tmp_path):
-        rng = np.random.default_rng(16)
-        r = sample_corm(gamma_spec, rng, n_jumps=7)
-        path = tmp_path / 'draw.csv'
-        realization_to_csv(r, path)
-        with open(path, newline='') as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ['jump_index', 'J', 'location', 'm_1', 'm_2']
-        assert len(rows) == 8
-        jumps = np.array([float(row[1]) for row in rows[1:]])
-        scores = np.array([[float(row[3 + j]) for row in rows[1:]]
-                           for j in range(2)])
-        np.testing.assert_array_equal(jumps, r.jumps)
-        np.testing.assert_array_equal(scores, r.scores)

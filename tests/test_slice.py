@@ -19,7 +19,6 @@ from corm.slice_sampler import (
     initial_slice_state,
     residual_laplace,
     sample_tilted_z,
-    slice_deviance,
     slice_snapshots,
     slice_sweep,
     update_allocations_slice,
@@ -685,17 +684,6 @@ def test_shape_move_with_nan_prior_raises():
         update_hyperparameters_slice(state, spec, lambda phi: math.nan,
                                      step, np.random.default_rng(1))
     assert state.shape == 1.0 and step.proposed == 0
-
-
-def test_slice_deviance_matches_norm():
-    state, data, kernel = _hand_state()
-    state.check()
-    y = data.groups[0][:, 0]
-    mu = np.array([a[0] for a in state.atoms])[state.allocations[0]]
-    tau = np.array([a[1] for a in state.atoms])[state.allocations[0]]
-    want = -2.0 * stats.norm.logpdf(y, mu, 1.0 / np.sqrt(tau)).sum()
-    assert slice_deviance(state, data, kernel) == pytest.approx(want,
-                                                                rel=1e-12)
 
 
 def test_slice_snapshots_weights_and_residual():
