@@ -862,7 +862,7 @@ class CoRMSpec:
 
     @cached_property
     def rule_nodes(self):
-        '''The RuleNodes on the whole of a finite support, shared by
+        '''The RuleNodes on the whole support, finite or not, shared by
         every TiltRule(spec, v) of this spec.'''
         return RuleNodes(self, self.directing.support[1])
 
@@ -870,13 +870,11 @@ class CoRMSpec:
 # the rule is cut where log1p(v z), 1 - z/upper and the like differ from
 # their leading power by less than this relative amount
 _PURE = 1e-17
-# the largest step in u of the rule on an infinite support
-_STEP = 0.125
-# the step in t of the map u = s + sinh(t) on a finite support, halved
-# where a value fails its sub-rule check up to _DE_HALVINGS times, and
-# the least reach |t| of its nodes at either end
+# the step in t of the map u = s + sinh(t), halved where a value fails
+# its sub-rule check up to _DE_HALVINGS times, and the least reach |t| of
+# its nodes at either end
 _DE_STEP = 0.035
-_DE_HALVINGS = 3
+_DE_HALVINGS = 4
 _DE_REACH = 5.0
 
 
@@ -894,20 +892,27 @@ def _sigmoid_terms(nu, log_h, u, upper):
 
 class RuleNodes:
     '''
-    The v-independent node terms of the TiltRules on (0, upper), a
-    truncation level upper <= U of a finite support (0, U).  Built once
-    and shared by the rules at every tilt v there (CoRMSpec.rule_nodes
-    holds the spec's own, on the whole support); see TiltRule for the map
-    onto (0, upper).
+    The v-independent node terms of the TiltRules on (0, upper): the
+    whole support (0, U), finite or not, or a truncation level upper < U.
+    Built once and shared by the rules at every tilt v there
+    (CoRMSpec.rule_nodes holds the spec's own, on the whole support); see
+    TiltRule for the map onto (0, upper).
 
     The nodes are double exponential (Takahasi & Mori 1974): u = s +
-    sinh(t) at t = k h, h = _DE_STEP / 2^level.  The integer shift s =
-    round(-log(v_max upper) / 2) (0 at v_max upper <= 1) puts the densest
-    nodes between the tilt's scale 1/v_max and the upper end.  Each end
-    reaches |t| = 5 (|u - s| = 74; 289 nodes at h = 0.035), or as far as
-    the terms turn pure exponentials in u, at a multiple of 2h, so both
-    ends are sub-rule nodes.  terms lays out each (shift, level) once: a
-    value depends on spec and v only.
+    sinh(t) at t = k h, with an integer shift s from the largest and
+    smallest positive tilts v_max and v_min.  On a finite support h =
+    _DE_STEP / 2^level, and s = round(-log(v_max upper) / 2) (0 at v_max
+    upper <= 1) puts the densest nodes between the tilt's scale 1/v_max
+    and the upper end.  On (0, inf) s = round(-log v_min) puts them at
+    the scale of the last factor (1 + v_min z) to turn into a power.
+    The kappa integrand of large counts peaks up to ten units of u past
+    it (v_min z near the total count over d shape + sigma), where nodes
+    at h = 0.035 are 0.37 apart, so there h is half as large.  Each end
+    reaches |t| = 5 (|u - s| = 74; 289 nodes at h = 0.035, 573 at half
+    of it), or as far as the terms turn pure exponentials in u (v_max z
+    < 1e-17, and v_min z > 1e17 or upper - z < 1e-17 upper), at a
+    multiple of 2h, so both ends are sub-rule nodes.  terms lays out each
+    (shift, reach, level) once: a value depends on spec and v only.
     '''
 
     def __init__(self, spec, upper):
@@ -915,12 +920,16 @@ class RuleNodes:
         start, end = nu.support
         if start != 0.0:
             raise ValueError('the tilt rule needs a support starting at 0')
-        if not 0.0 < upper <= end or math.isinf(upper):
-            raise ValueError('(0, %r) is not a finite stretch of the '
-                             'support' % upper)
+        if not 0.0 < upper <= end:
+            raise ValueError('(0, %r) is not a stretch of the support'
+                             % upper)
+        p_hi = nu.singularity_exponents[1]
+        self.finite = not math.isinf(upper)
+        if not self.finite and p_hi is None:
+            raise ValueError('the tilt rule needs the power decay of the '
+                             'intensity at an infinite upper end')
         self.spec = spec
         self.upper = float(upper)
-        p_hi = nu.singularity_exponents[1]
         # the integrand keeps nu*'s power at its own end only
         self.upper_rate = float(nu.upper_rate) if (
             upper == end and p_hi is not None) else 1.0
@@ -932,20 +941,38 @@ class RuleNodes:
             0.0, math.log(upper) - math.log(end - upper)))
         self._terms = {}
 
-    def terms(self, v_max, level=0):
+    def terms(self, v_max, v_min=None, level=0):
         '''(log z, z, log w, w, h, ((T_lo, du_lo), (T_hi, du_hi))) in
-        increasing u at the nodes of the shift v_max calls for: w = h
-        cosh(t) |dz/du| nu*(z), and each end's reach |t| and step in u.'''
-        shift = -round(0.5 * math.log(max(v_max * self.upper, 1.0)))
-        key = shift, level
-        if key not in self._terms:
+        increasing u at the nodes of the shift and reach that the tilt's
+        largest and smallest positive entries (v_min None: v_max) call
+        for: w = h cosh(t) |dz/du| nu*(z), and each end's reach |t| and
+        step in u.'''
+        if self.finite:
+            shift = -round(0.5 * math.log(max(v_max * self.upper, 1.0)))
+            far = (pure - shift for pure in self._pure)
             h = _DE_STEP / 2 ** level
-            n_lo, n_hi = (2 * math.ceil(
-                max(_DE_REACH, math.asinh(pure - shift)) / (2 * h))
-                for pure in self._pure)
+        else:
+            # z = e^u, a pure power below u = -cut - log v_max and above
+            # u = cut - log v_min
+            v_min = v_max if v_min is None else v_min
+            shift = -round(math.log(v_min))
+            cut = -math.log(_PURE)
+            far = (cut + shift + math.log(v_max),
+                   cut - shift - math.log(v_min))
+            h = _DE_STEP / 2 ** (level + 1)
+        n_lo, n_hi = (2 * math.ceil(max(_DE_REACH, math.asinh(x)) / (2 * h))
+                      for x in far)
+        key = shift, n_lo, n_hi, level
+        if key not in self._terms:
             t = h * np.arange(-n_lo, n_hi + 1)
             u, log_h = shift + np.sinh(t), np.log(h * np.cosh(t))
-            terms = _sigmoid_terms(self.spec.directing, log_h, u, self.upper)
+            if self.finite:
+                terms = _sigmoid_terms(self.spec.directing, log_h, u,
+                                       self.upper)
+            else:
+                z = np.exp(u)
+                terms = u, z, log_h + u + self.spec.directing.log_density(
+                    z, np.full_like(z, np.inf))
             self._terms[key] = (*terms, np.exp(terms[2]), h,
                 tuple((n * h, h * math.cosh(n * h)) for n in (n_lo, n_hi)))
         return self._terms[key]
@@ -954,12 +981,9 @@ class RuleNodes:
 @lru_cache(maxsize=1024)
 def _past(reach, step, rate):
     '''The terms of a TiltRule of step `step` past an end, over its end
-    term, where they fall off as e^(-rate |u - u_end|): sum_{m >= 1}
-    e^(-m step rate) on nodes uniform in u (reach None), and on double-
-    exponential ones sum_m cosh(t_m) / cosh(T) e^(-rate (sinh t_m -
-    sinh T)), t_m = T + m step, T = reach, until below e^-50.'''
-    if reach is None:
-        return math.exp(-step * rate) / -math.expm1(-step * rate)
+    term, where they fall off as e^(-rate |u - u_end|): sum_m cosh(t_m) /
+    cosh(T) e^(-rate (sinh t_m - sinh T)), t_m = T + m step, T = reach,
+    until below e^-50.'''
     top = math.asinh(math.sinh(reach) + 50.0 / rate)
     t = reach + step * np.arange(1, math.ceil((top - reach) / step) + 1)
     return float(np.sum(np.cosh(t) * np.exp(
@@ -975,15 +999,15 @@ def _pair_weights(n):
 
 
 def _refined(method):
-    '''A TiltRule method whose value, where it fails its sub-rule check
-    on a finite support, is taken on the rule of half the step instead
-    (TiltRule.finer), up to _DE_HALVINGS times.'''
+    '''A TiltRule method whose value, where it fails its sub-rule check,
+    is taken on the rule of half the step instead (TiltRule.finer), up
+    to _DE_HALVINGS times.'''
     @wraps(method)
     def refined(rule, *args, **kwargs):
         try:
             return method(rule, *args, **kwargs)
         except QuadratureError:
-            if not rule.finite or rule.level == _DE_HALVINGS:
+            if rule.level == _DE_HALVINGS:
                 raise
             return getattr(rule.finer, method.__name__)(*args, **kwargs)
     return refined
@@ -1012,27 +1036,25 @@ class TiltRule:
     with power behaviour at both ends decays exponentially, where it
     converges exponentially fast (Trefethen & Weideman 2014).  On a finite
     support (0, U), z = U exp(-softplus(-u)): z ~ U e^u as u -> -inf, and
-    the gap U - z = U exp(-softplus(u)) is exact near U; the nodes are
-    double exponential in u (RuleNodes), densest between the tilt's scale
-    and U.  On an infinite support z = e^u, uniform in u with step h =
-    min(1/8, 0.2/sqrt(d shape)), a fraction of the peak width of the
-    kappa integrand in log z at large counts, from v_max z = 1e-17 to
-    v_min z = 1e17.  Past the nodes the integrand is a pure exponential
-    in u, and the rule's terms there are summed in closed form (_past).
+    the gap U - z = U exp(-softplus(u)) is exact near U.  On (0, inf),
+    z = e^u.  Either way the nodes are double exponential in u and reach
+    where the integrand is a pure exponential in u; past them the rule's
+    terms are summed in closed form (_past).
 
-    On a finite support the node terms come from a RuleNodes of the same
-    spec: the spec's own on the whole support (CoRMSpec.rule_nodes),
-    shared by its rules at every v, or given ones truncated at L < U, z =
-    L exp(-softplus(-u)) with nu*'s gap (U - L) + (L - z).  The integrand
-    decays at rate 1 in u at L < U, and at nu*'s own rate at U.
+    The node terms come from a RuleNodes of the same spec: the spec's own
+    on the whole support (CoRMSpec.rule_nodes), shared by its rules at
+    every v, or given ones truncated at L < U, z = L exp(-softplus(-u))
+    with nu*'s gap (U - L) + (L - z).  The integrand decays at rate 1 in
+    u at L < U, and at nu*'s own rate at a finite U; at an infinite end
+    its rate adds the weight's power there to nu*'s.
 
     Per node the rule stores w nu*(z) and its log, w the node's weight in
     z, log z and log1p(v_j z); only the last depends on v.  log_kappa's
     node terms are one matrix-vector product (_kappa_terms), and a value's
     rule and sub-rule sums one product with the pair weights.  Every value
     is checked against the every-other-node sub-rule: above 1e-9 relative,
-    a finite rule takes it again at half the step (finer), up to
-    _DE_HALVINGS times, and then raises QuadratureError.  The end
+    the rule takes it again at half the step (finer), up to _DE_HALVINGS
+    times, and then raises QuadratureError.  The end
     behaviour comes from the directing intensity's singularity exponents,
     which an infinite upper end must give.
 
@@ -1046,45 +1068,19 @@ class TiltRule:
     '''
 
     def __init__(self, spec, v, nodes=None, level=0):
-        nu = spec.directing
         v = _check_tilt(v, spec.dimension)
-        lo, upper = nu.support
-        if lo != 0.0:
-            raise ValueError('the tilt rule needs a support starting at 0')
-        if nodes is None and not math.isinf(upper):
+        if nodes is None:
             nodes = spec.rule_nodes
-        if nodes is not None and nodes.spec is not spec:
+        elif nodes.spec is not spec:
             raise ValueError('the nodes belong to another spec')
-        p_lo, p_hi = nu.singularity_exponents
-        self.finite = nodes is not None
-        if not self.finite and p_hi is None:
-            raise ValueError('the tilt rule needs the power decay of the '
-                             'intensity at an infinite upper end')
         self.spec, self.v, self.nodes, self.level = spec, v, nodes, level
+        self.finite, self.upper_rate = nodes.finite, nodes.upper_rate
         self.positive = tuple(float(x > 0.0) for x in v.tolist())
+        p_lo = spec.directing.singularity_exponents[0]
         self.p_lo = 0.0 if p_lo is None else float(p_lo)
         active = [x for x in v.tolist() if x > 0.0]
-        v_max = max(active, default=1.0)
-        if self.finite:
-            self.upper_rate = nodes.upper_rate
-            self.log_z, z, self.log_w, self.w, self.h, self.ends = \
-                nodes.terms(v_max, level)
-        else:
-            # z = e^u from 1e-17 / v_max to 1e17 / v_min
-            v_min = min(active, default=1.0)
-            # p_hi + 1, exact where the intensity gives it
-            self.upper_rate = float(nu.upper_rate)
-            self.h = min(_STEP, 0.2 / math.sqrt(spec.dimension * spec.shape))
-            self.ends = ((None, self.h),) * 2
-            cut = -math.log(_PURE)
-            u_lo = -cut - math.log(v_max)
-            # an even number of steps, so both ends are sub-rule nodes
-            n = 2 * math.ceil(0.5 * (cut - math.log(v_min) - u_lo) / self.h)
-            self.log_z = u_lo + self.h * np.arange(n + 1)
-            z = np.exp(self.log_z)
-            self.log_w = math.log(self.h) + self.log_z + nu.log_density(
-                z, np.full_like(z, np.inf))
-            self.w = np.exp(self.log_w)
+        self.log_z, z, self.log_w, self.w, self.h, self.ends = nodes.terms(
+            max(active, default=1.0), min(active, default=1.0), level)
         self.log1p_vz = np.log1p(np.multiply.outer(v, z))
         self._pair = _pair_weights(z.size)
 
@@ -1164,7 +1160,7 @@ class TiltRule:
         if not abs(full - half) <= 1e-9:
             raise QuadratureError(
                 'log integral at v = %s: trapezoid rules disagree by %.3g'
-                % (self.v, full - half),
+                % (self.v.tolist(), full - half),
                 IntegralResult(top + full, abs(full - half), f.size))
         return top + full
 
@@ -1228,7 +1224,7 @@ class TiltRule:
         if not abs(full - half) <= 1e-9 * full:
             raise QuadratureError(
                 'psi(%s): trapezoid rules disagree by %.3g relative'
-                % (self.v, (full - half) / full),
+                % (self.v.tolist(), (full - half) / full),
                 IntegralResult(full, abs(full - half), f.size))
         return float(full)
 
@@ -1250,7 +1246,8 @@ class TiltRule:
             if not abs(full - half) <= 1e-9 * full:
                 raise QuadratureError(
                     'd psi / d v_%d at %s: trapezoid rules disagree by '
-                    '%.3g relative' % (j, self.v, (full - half) / full),
+                    '%.3g relative'
+                    % (j, self.v.tolist(), (full - half) / full),
                     IntegralResult(full, abs(full - half), f.size))
             out[j] = full
         return out
@@ -1366,8 +1363,10 @@ def levy_copula(spec, y1, y2):
         return math.exp(TiltRule(spec, v).log_integral(log_weight, None))
     # Past top = 1e17 max x_j, 1 - Q(shape, x/z) = (x/z)^shape /
     # Gamma(shape + 1) to double precision, a correction that falls off
-    # slowly at a small shape: the rule stops at top, and the tail
-    # int_top^inf nu* prod_j (1 - q_j (top/z)^shape) dz, nu* ~ z^(-rate-1),
+    # slowly at a small shape.  The tail int_top^inf nu* prod_j (1 - q_j
+    # (top/z)^shape) dz, nu* ~ z^(-rate-1), has one rate rate + shape |S|
+    # per subset S of the x_j, which the one end series of the spec's
+    # nodes on (0, inf) cannot sum: the rule stops at top, and the tail
     # is summed term by term
     top = max(xs) / _PURE
     rule = TiltRule(spec, v, RuleNodes(spec, top))

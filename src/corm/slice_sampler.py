@@ -485,18 +485,16 @@ def birth_death_move(state, spec, kernel, rng, cache=None):
     death removes a uniformly chosen pool member; both use the untilted
     tail mass U(L) as the reference constant.  The birth's height comes
     from the directing intensity's power envelope on (L, 1), accepted by
-    nu* over it, so it follows nu* restricted above L exactly.  cache,
-    a dict, keeps U(L) and that envelope while (L, shape) is unchanged.'''
+    nu* over it, so it follows nu* restricted above L exactly.  U(L) is
+    read from cache, a dict, where the shape move of the sweep before
+    left it at this (L, shape) (update_hyperparameters_slice).'''
     L = state.threshold
     phi = spec.shape
-    key = (L, phi)
-    if cache is not None and cache.get('key') == key:
-        tail_mass, band = cache['tail_mass'], cache['band']
+    if cache is not None and cache.get('key') == (L, phi):
+        tail_mass = cache['tail_mass']
     else:
         tail_mass = spec.directing.tail_integral(L)
-        band = spec.directing.envelope.band(L, 1.0)
-        if cache is not None:
-            cache.update(key=key, tail_mass=tail_mass, band=band)
+    band = spec.directing.envelope.band(L, 1.0)
     log_const = math.log(spec.centring_mass * tail_mass)
     pool = np.flatnonzero(state.counts.sum(axis=1) == 0)
     if rng.uniform() < 0.5:
@@ -618,12 +616,14 @@ def update_atoms_slice(state, data, kernel, rng):
 
 
 def update_hyperparameters_slice(state, spec, log_prior, step, rng,
-                                 residual=None):
+                                 residual=None, cache=None):
     '''Log-scale MH on the score shape against the full truncated-state
     target: score densities, jump intensities, the untilted tail mass,
     and the sub-threshold residual, read from residual (a _Residuals at
-    the state's threshold, fresh when None).  Returns the possibly
-    updated spec.'''
+    the state's threshold, fresh when None).  The kept spec's tail mass
+    U(L) goes into cache, a dict, for the next sweep's birth_death_move,
+    which reads it at the same threshold.  Returns the possibly updated
+    spec.'''
     L = state.threshold
     if residual is None:
         residual = _Residuals(L)
@@ -632,6 +632,7 @@ def update_hyperparameters_slice(state, spec, log_prior, step, rng,
     m_sum = float(state.scores.sum())
     n_scores = state.scores.size
     gaps = spec.directing.support[1] - state.jumps
+    tail_masses = {}
 
     def log_target(sp, phi):
         total = log_prior(phi)
@@ -639,7 +640,8 @@ def update_hyperparameters_slice(state, spec, log_prior, step, rng,
             - n_scores * math.lgamma(phi)
         if state.n_jumps:
             total += float(sp.directing.log_density(state.jumps, gaps).sum())
-        total -= mass * sp.directing.tail_integral(L)
+        tail_masses[sp] = sp.directing.tail_integral(L)
+        total -= mass * tail_masses[sp]
         total -= mass * residual(sp, state.v)
         return total
 
@@ -657,6 +659,8 @@ def update_hyperparameters_slice(state, spec, log_prior, step, rng,
         state.shape = phi_new
         spec = spec_new
     step.record(accept)
+    if cache is not None:
+        cache.update(key=(L, spec.shape), tail_mass=tail_masses[spec])
     return spec
 
 
@@ -684,7 +688,9 @@ def slice_snapshots(state, spec):
 def slice_sweep(state, data, spec, kernel, rng, v_steps, shape_step=None,
                 log_prior=None, cache=None):
     '''One full sweep in the fixed update order; returns the current
-    spec (replaced when a shape move is accepted).'''
+    spec (replaced when a shape move is accepted).  cache, a dict kept
+    across sweeps, carries the shape move's tail mass U(L) to the next
+    sweep's birth-death move.'''
     update_allocations_slice(state, data, kernel, rng)
     update_atoms_slice(state, data, kernel, rng)
     update_jump_heights(state, spec, rng)
@@ -696,5 +702,5 @@ def slice_sweep(state, data, spec, kernel, rng, v_steps, shape_step=None,
         update_v_interweaving(state, spec, j, v_steps[j], rng, residual)
     if shape_step is not None:
         spec = update_hyperparameters_slice(state, spec, log_prior,
-                                            shape_step, rng, residual)
+                                            shape_step, rng, residual, cache)
     return spec

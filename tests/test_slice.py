@@ -626,6 +626,53 @@ def test_residual_evaluations_per_sweep(monkeypatch):
         assert 0 < len(calls) - before <= 2 * 2 + 2
 
 
+def _tail_chain(cache, sweeps=8):
+    '''A generalized-gamma slice chain run with the cache dict given (None:
+    none), with its tail_integral calls per sweep.'''
+    rng = np.random.default_rng(33)
+    data = _two_groups(rng, 30)
+    kernel = UnivariateNormalGamma.from_data(np.concatenate(data.groups))
+    spec = CoRMSpec.from_marginal(
+        2, 1.0, MarginalFamily.generalized_gamma(0.3, 1.0))
+    state = initial_slice_state(data, spec, kernel, rng, n_start=4)
+    v_steps = [(AdaptiveStepSize(), AdaptiveStepSize()) for _ in range(2)]
+    shape_step = AdaptiveStepSize()
+    calls, per_sweep = [], []
+    original = LevyIntensity.tail_integral
+
+    def counted(nu, x):
+        calls.append(x)
+        return original(nu, x)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(LevyIntensity, 'tail_integral', counted)
+        for _ in range(sweeps):
+            before = len(calls)
+            spec = slice_sweep(state, data, spec, kernel, rng, v_steps,
+                               shape_step, lambda phi: -phi, cache)
+            per_sweep.append(len(calls) - before)
+    return state, spec, per_sweep
+
+
+def test_birth_death_reads_the_shape_moves_tail_mass():
+    # the shape move evaluates U(L) for the kept spec at the threshold
+    # that the next sweep's birth-death move reads, since repopulation
+    # comes before it: from the second sweep on, the birth-death move
+    # takes it from the cache, and a sweep makes the shape move's two
+    # tail_integral calls instead of three.  The value is the same
+    # double, so the chain is the one run without a cache
+    state, spec, per_sweep = _tail_chain({})
+    assert per_sweep == [3] + [2] * (len(per_sweep) - 1)
+    bare, bare_spec, bare_per_sweep = _tail_chain(None)
+    assert bare_per_sweep == [3] * len(per_sweep)
+    assert spec.shape == bare_spec.shape
+    for name in ('jumps', 'scores', 'counts', 'v'):
+        np.testing.assert_array_equal(getattr(state, name),
+                                      getattr(bare, name))
+    for u, bare_u in zip(state.u, bare.u):
+        np.testing.assert_array_equal(u, bare_u)
+
+
 def _hand_state(scores=(0.8, 1.5, 0.3)):
     '''One group of four observations on three jumps; the third jump
     is an unallocated pool jump just above the threshold 0.04.'''

@@ -300,6 +300,20 @@ class TestHardCases:
         assert abs(rule.log_kappa(a) - log_kappa_oracle(spec, a, v)) <= 1e-12
         assert rule.finer.h == rule.h / 2
 
+    def test_failed_check_halves_the_step_on_an_infinite_support(self):
+        # 10000 members in each group at shape 10 put a peak of width 0.2
+        # in u at v z = 1000, seven units of u above the nodes' centre at
+        # 1/v_min, where the base nodes are 0.12 apart
+        spec = make_spec('stable', 10.0)
+        v, a = (1.0, 1.0), (10000, 10000)
+        rule = TiltRule(spec, v)
+        with pytest.raises(QuadratureError):
+            TiltRule.log_kappa.__wrapped__(rule, a)
+        # log kappa is about 1.6e5, so 1e-14 relative is about 60 ulp
+        assert rule.log_kappa(a) == pytest.approx(
+            log_kappa_oracle(spec, a, v), rel=1e-14, abs=0.0)
+        assert rule.finer.h == rule.h / 2
+
     @pytest.mark.parametrize('family, shape', SLOW_ENDS)
     def test_slow_end_rate(self, family, shape):
         spec = make_spec(family, shape)
@@ -571,12 +585,17 @@ class TestSlopeForm:
         with pytest.raises(ValueError, match='length 2'):
             rule.log_kappa((3,))
 
-    def test_value_does_not_depend_on_earlier_counts(self):
+    @pytest.mark.parametrize('family, shape', [('gg1', 1.0),
+                                               ('stable', 10.0)],
+                             ids=['gg1', 'stable'])
+    def test_value_does_not_depend_on_earlier_counts(self, family, shape):
         # log kappa, psi and its gradient at one (spec, v, a) are the same
         # doubles on a fresh rule, after the rule evaluated 50 other count
         # tuples, and in a fresh process: neither the matrix products nor
-        # their rounding depend on history or on where the arrays lie
-        spec = make_spec('gg1', 1.0)
+        # their rounding depend on history or on where the arrays lie.  On
+        # (0, inf) at shape 10 the walk's (10000, 10000) is taken on the
+        # rule of half the step, whose nodes the spec then holds
+        spec = make_spec(family, shape)
         v = (300.0, 500.0)
         rng = np.random.default_rng(11)
         walk = [tuple(int(x) for x in rng.integers(0, 400, size=2))
@@ -598,8 +617,8 @@ class TestSlopeForm:
             == fresh
         program = '\n'.join((
             'from corm.core import CoRMSpec, MarginalFamily, TiltRule',
-            'spec = CoRMSpec.from_marginal(2, 1.0, MarginalFamily.'
-            'generalized_gamma(0.3, 1.0), verify=False)',
+            'spec = CoRMSpec.from_marginal(2, %r, %r, verify=False)'
+            % (shape, FAMILIES[family]),
             'rule = TiltRule(spec, %r)' % (v,),
             'print([float.hex(rule.log_kappa(a)) for a in %r])' % targets,
             'print(float.hex(rule.psi()))',
