@@ -870,12 +870,26 @@ class CoRMSpec:
 # the rule is cut where log1p(v z), 1 - z/upper and the like differ from
 # their leading power by less than this relative amount
 _PURE = 1e-17
-# the step in t of the map u = s + sinh(t), halved where a value fails
-# its sub-rule check up to _DE_HALVINGS times, and the least reach |t| of
-# its nodes at either end
+# the step in t of the map u = s + sinh(t) (on (0, inf) at most _DE_WIDTH
+# / sqrt(d shape)), halved where a value fails its sub-rule check up to
+# _DE_HALVINGS times, and the least reach |t| of its nodes at either end
 _DE_STEP = 0.035
-_DE_HALVINGS = 4
+_DE_WIDTH = 0.06
+_DE_HALVINGS = 3
 _DE_REACH = 5.0
+
+
+@lru_cache(maxsize=64)
+def _de_grid(h, far_lo, far_hi):
+    '''sinh(t), log(h cosh(t)) and each end's (|t|, step in u) at t = k h
+    to |t| = _DE_REACH or asinh(far), a multiple of 2h: for every spec.'''
+    n_lo, n_hi = (2 * math.ceil(max(_DE_REACH, math.asinh(far)) / (2 * h))
+                  for far in (far_lo, far_hi))
+    t = h * np.arange(-n_lo, n_hi + 1)
+    sinh_t, log_h = np.sinh(t), np.log(h * np.cosh(t))
+    sinh_t.flags.writeable = log_h.flags.writeable = False
+    return sinh_t, log_h, tuple((n * h, h * math.cosh(n * h))
+                                for n in (n_lo, n_hi))
 
 
 def _sigmoid_terms(nu, log_h, u, upper):
@@ -893,24 +907,22 @@ def _sigmoid_terms(nu, log_h, u, upper):
 class RuleNodes:
     '''
     The v-independent node terms of the TiltRules on (0, upper): the
-    whole support (0, U), finite or not, or a truncation level upper < U.
-    Built once and shared by the rules at every tilt v there
-    (CoRMSpec.rule_nodes holds the spec's own, on the whole support); see
-    TiltRule for the map onto (0, upper).
+    whole support (0, U), finite or not, or a truncation level upper < U,
+    shared by the rules at every tilt v there (CoRMSpec.rule_nodes holds
+    the spec's own, on the whole support); see TiltRule for the map.
 
     The nodes are double exponential (Takahasi & Mori 1974): u = s +
-    sinh(t) at t = k h, with an integer shift s from the largest and
-    smallest positive tilts v_max and v_min.  On a finite support h =
-    _DE_STEP / 2^level, and s = round(-log(v_max upper) / 2) (0 at v_max
-    upper <= 1) puts the densest nodes between the tilt's scale 1/v_max
-    and the upper end.  On (0, inf) s = round(-log v_min) puts them at
-    the scale of the last factor (1 + v_min z) to turn into a power.
-    The kappa integrand of large counts peaks up to ten units of u past
-    it (v_min z near the total count over d shape + sigma), where nodes
-    at h = 0.035 are 0.37 apart, so there h is half as large.  Each end
-    reaches |t| = 5 (|u - s| = 74; 289 nodes at h = 0.035, 573 at half
-    of it), or as far as the terms turn pure exponentials in u (v_max z
-    < 1e-17, and v_min z > 1e17 or upper - z < 1e-17 upper), at a
+    sinh(t) at t = k h, h = _DE_STEP / 2^(k0 + level), s an integer.  On
+    a finite support k0 = 0, and s = round(-log(v_max upper) / 2) (0 at
+    v_max upper <= 1) puts the densest nodes between the scale 1/v_max
+    of the largest tilt and the upper end.  On (0, inf) s = round(-log
+    v_min), where the last factor 1 + v_min z turns into a power.  The
+    kappa integrand peaks up to ten units of u past it at large counts
+    and near 1/v_max at a large shape, within about 1/sqrt(d shape), and
+    the nodes there are h cosh(t) apart: k0 >= 1 is the least with h <=
+    _DE_WIDTH / sqrt(d shape) (at d = 2, 573 nodes up to shape 5.8, 1,145
+    up to 23).  Each end reaches |t| = 5 or where the terms turn pure
+    exponentials in u (v_max z, 1/(v_min z) or 1 - z/upper < 1e-17), at a
     multiple of 2h, so both ends are sub-rule nodes.  terms lays out each
     (shift, reach, level) once: a value depends on spec and v only.
     '''
@@ -923,13 +935,13 @@ class RuleNodes:
         if not 0.0 < upper <= end:
             raise ValueError('(0, %r) is not a stretch of the support'
                              % upper)
-        p_hi = nu.singularity_exponents[1]
+        p_lo, p_hi = nu.singularity_exponents
         self.finite = not math.isinf(upper)
         if not self.finite and p_hi is None:
             raise ValueError('the tilt rule needs the power decay of the '
                              'intensity at an infinite upper end')
-        self.spec = spec
-        self.upper = float(upper)
+        self.spec, self.upper = spec, float(upper)
+        self.p_lo = 0.0 if p_lo is None else float(p_lo)
         # the integrand keeps nu*'s power at its own end only
         self.upper_rate = float(nu.upper_rate) if (
             upper == end and p_hi is not None) else 1.0
@@ -939,42 +951,35 @@ class RuleNodes:
         cut = -math.log(_PURE)
         self._pure = (cut + 1.0, cut if upper == end else cut + max(
             0.0, math.log(upper) - math.log(end - upper)))
+        self._k0 = 0 if self.finite else max(1, math.ceil(math.log2(
+            _DE_STEP * math.sqrt(spec.dimension * spec.shape) / _DE_WIDTH)))
         self._terms = {}
 
     def terms(self, v_max, v_min=None, level=0):
         '''(log z, z, log w, w, h, ((T_lo, du_lo), (T_hi, du_hi))) in
-        increasing u at the nodes of the shift and reach that the tilt's
-        largest and smallest positive entries (v_min None: v_max) call
-        for: w = h cosh(t) |dz/du| nu*(z), and each end's reach |t| and
-        step in u.'''
+        increasing u at the nodes the tilt's largest positive entry, and
+        on (0, inf) its smallest, call for: w = h cosh(t) |dz/du| nu*(z),
+        and each end's reach |t| and step in u.  The key: s, each end's
+        reach in u from s less pure_lo or pure_hi, and the level.'''
         if self.finite:
             shift = -round(0.5 * math.log(max(v_max * self.upper, 1.0)))
-            far = (pure - shift for pure in self._pure)
-            h = _DE_STEP / 2 ** level
+            key = shift, -shift, -shift, level
         else:
-            # z = e^u, a pure power below u = -cut - log v_max and above
-            # u = cut - log v_min
-            v_min = v_max if v_min is None else v_min
+            # z = e^u is a pure power below u = -cut - log v_max and above
+            # u = cut - log v_min, at most 1/2 past the rounded ones here
             shift = -round(math.log(v_min))
-            cut = -math.log(_PURE)
-            far = (cut + shift + math.log(v_max),
-                   cut - shift - math.log(v_min))
-            h = _DE_STEP / 2 ** (level + 1)
-        n_lo, n_hi = (2 * math.ceil(max(_DE_REACH, math.asinh(x)) / (2 * h))
-                      for x in far)
-        key = shift, n_lo, n_hi, level
+            key = shift, shift + round(math.log(v_max)), 1, level
         if key not in self._terms:
-            t = h * np.arange(-n_lo, n_hi + 1)
-            u, log_h = shift + np.sinh(t), np.log(h * np.cosh(t))
+            h = _DE_STEP / 2 ** (self._k0 + level)
+            sinh_t, log_h, ends = _de_grid(h, self._pure[0] + key[1],
+                                           self._pure[1] + key[2])
+            u, nu = shift + sinh_t, self.spec.directing
             if self.finite:
-                terms = _sigmoid_terms(self.spec.directing, log_h, u,
-                                       self.upper)
+                terms = _sigmoid_terms(nu, log_h, u, self.upper)
             else:
                 z = np.exp(u)
-                terms = u, z, log_h + u + self.spec.directing.log_density(
-                    z, np.full_like(z, np.inf))
-            self._terms[key] = (*terms, np.exp(terms[2]), h,
-                tuple((n * h, h * math.cosh(n * h)) for n in (n_lo, n_hi)))
+                terms = u, z, log_h + u + nu.log_density(z, math.inf)
+            self._terms[key] = (*terms, np.exp(terms[2]), h, ends)
         return self._terms[key]
 
 
@@ -1041,12 +1046,11 @@ class TiltRule:
     where the integrand is a pure exponential in u; past them the rule's
     terms are summed in closed form (_past).
 
-    The node terms come from a RuleNodes of the same spec: the spec's own
-    on the whole support (CoRMSpec.rule_nodes), shared by its rules at
-    every v, or given ones truncated at L < U, z = L exp(-softplus(-u))
-    with nu*'s gap (U - L) + (L - z).  The integrand decays at rate 1 in
-    u at L < U, and at nu*'s own rate at a finite U; at an infinite end
-    its rate adds the weight's power there to nu*'s.
+    The node terms come from a RuleNodes of the same spec: by default the
+    spec's own (CoRMSpec.rule_nodes), or given ones truncated at L < U,
+    z = L exp(-softplus(-u)) with nu*'s gap (U - L) + (L - z), where the
+    integrand decays at rate 1 in u.  At an infinite end its rate adds
+    the weight's power there to nu*'s.
 
     Per node the rule stores w nu*(z) and its log, w the node's weight in
     z, log z and log1p(v_j z); only the last depends on v.  log_kappa's
@@ -1054,9 +1058,8 @@ class TiltRule:
     rule and sub-rule sums one product with the pair weights.  Every value
     is checked against the every-other-node sub-rule: above 1e-9 relative,
     the rule takes it again at half the step (finer), up to _DE_HALVINGS
-    times, and then raises QuadratureError.  The end
-    behaviour comes from the directing intensity's singularity exponents,
-    which an infinite upper end must give.
+    times, and then raises QuadratureError.  The end rates come from the
+    directing intensity's singularity exponents.
 
     A general weight z^p exp(g(log z)) (log_integral) declares its power
     p at 0 and its power at an infinite upper end, which add to nu*'s in
@@ -1074,10 +1077,9 @@ class TiltRule:
         elif nodes.spec is not spec:
             raise ValueError('the nodes belong to another spec')
         self.spec, self.v, self.nodes, self.level = spec, v, nodes, level
-        self.finite, self.upper_rate = nodes.finite, nodes.upper_rate
+        self.finite, self.upper_rate, self.p_lo = (
+            nodes.finite, nodes.upper_rate, nodes.p_lo)
         self.positive = tuple(float(x > 0.0) for x in v.tolist())
-        p_lo = spec.directing.singularity_exponents[0]
-        self.p_lo = 0.0 if p_lo is None else float(p_lo)
         active = [x for x in v.tolist() if x > 0.0]
         self.log_z, z, self.log_w, self.w, self.h, self.ends = nodes.terms(
             max(active, default=1.0), min(active, default=1.0), level)
@@ -1245,9 +1247,8 @@ class TiltRule:
             full, half = self._rule_pair(f, sums, rate_lo, rate_hi)
             if not abs(full - half) <= 1e-9 * full:
                 raise QuadratureError(
-                    'd psi / d v_%d at %s: trapezoid rules disagree by '
-                    '%.3g relative'
-                    % (j, self.v.tolist(), (full - half) / full),
+                    'd psi / d v_%d at %s: trapezoid rules disagree by %.3g '
+                    'relative' % (j, self.v.tolist(), (full - half) / full),
                     IntegralResult(full, abs(full - half), f.size))
             out[j] = full
         return out

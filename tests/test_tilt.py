@@ -301,18 +301,26 @@ class TestHardCases:
         assert rule.finer.h == rule.h / 2
 
     def test_failed_check_halves_the_step_on_an_infinite_support(self):
-        # 10000 members in each group at shape 10 put a peak of width 0.2
-        # in u at v z = 1000, seven units of u above the nodes' centre at
-        # 1/v_min, where the base nodes are 0.12 apart
-        spec = make_spec('stable', 10.0)
-        v, a = (1.0, 1.0), (10000, 10000)
+        # at shape 5 the kappa integrand of a few members peaks near z =
+        # 1/v_max = 1e-4, 16 units of u below the nodes' centre at 1/v_min,
+        # where the base nodes are 0.28 apart
+        spec = make_spec('stable', 5.0)
+        v, a = (1e4, 1e-3), (3, 2)
         rule = TiltRule(spec, v)
         with pytest.raises(QuadratureError):
             TiltRule.log_kappa.__wrapped__(rule, a)
-        # log kappa is about 1.6e5, so 1e-14 relative is about 60 ulp
         assert rule.log_kappa(a) == pytest.approx(
             log_kappa_oracle(spec, a, v), rel=1e-14, abs=0.0)
         assert rule.finer.h == rule.h / 2
+
+    def test_large_shape_on_an_infinite_support(self):
+        # at shape 1e4 the kappa integrand peaks near z = 1/v_max within
+        # about 0.02 in u, 16 units of u below the nodes' centre: the base
+        # step shrinks as 1/sqrt(d shape)
+        spec = make_spec('stable', 1e4)
+        v, a = (1e4, 1e-3), (300, 300)
+        assert abs(TiltRule(spec, v).log_kappa(a)
+                   - log_kappa_oracle(spec, a, v)) <= 1e-8
 
     @pytest.mark.parametrize('family, shape', SLOW_ENDS)
     def test_slow_end_rate(self, family, shape):
@@ -586,14 +594,14 @@ class TestSlopeForm:
             rule.log_kappa((3,))
 
     @pytest.mark.parametrize('family, shape', [('gg1', 1.0),
-                                               ('stable', 10.0)],
+                                               ('stable', 5.5)],
                              ids=['gg1', 'stable'])
     def test_value_does_not_depend_on_earlier_counts(self, family, shape):
         # log kappa, psi and its gradient at one (spec, v, a) are the same
         # doubles on a fresh rule, after the rule evaluated 50 other count
         # tuples, and in a fresh process: neither the matrix products nor
         # their rounding depend on history or on where the arrays lie.  On
-        # (0, inf) at shape 10 the walk's (10000, 10000) is taken on the
+        # (0, inf) at shape 5.5 the walk's (10000, 10000) is taken on the
         # rule of half the step, whose nodes the spec then holds
         spec = make_spec(family, shape)
         v = (300.0, 500.0)
