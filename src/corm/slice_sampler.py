@@ -7,14 +7,14 @@ reversible-jump birth/death move.  Auxiliary tilts v are updated by a
 two-stage interweaving scheme that alternates sufficient and ancillary
 parametrizations of the scores.
 
-Supported score marginals: gamma and unit-scale generalized gamma, whose
-directing intensities c z^(-1-sigma) (1 - z)^(beta-1) live on (0, 1).
-Every draw from nu* on a band is a rejection draw from the directing
+The directing intensity nu*(z) = c z^(-1-sigma) (1 - a z)^(beta-1)
+lives on (0, top), top = 1/a, or inf for sigma-stable (a = 0).  Every
+draw from nu* on a band is a rejection draw from the directing
 intensity's power envelope (spec.directing.envelope): a power law c
 z^(-1-sigma), at beta < 1 a power piece and a beta piece split at the
 t of least mass on the band, whose tails have closed-form inverses, so
 a proposal costs a uniform and a power and no tail inversion.  Jump k
-is redrawn from nu*(z) e^(-w_k z) on (low_k, 1) (Griffin & Walker 2011)
+is redrawn from nu*(z) e^(-w_k z) on (low_k, top) (Griffin & Walker 2011)
 from the cheaper of two exact envelopes, chosen per jump by envelope
 mass: the power envelope, accepted by nu* over it times the tilt, or a
 truncated exponential of rate w_k times a bound on nu*, accepted by nu*
@@ -24,7 +24,7 @@ v_j z)^(-shape), thin the power envelope on that band times the tilt's
 value at L_new (Lewis & Shedler 1979): a Poisson number of envelope
 points, each kept with nu* over the envelope times the tilt relative to
 that value.  The birth of the birth/death move comes from the envelope
-on (L, 1), accepted by nu* over it.  The rejection draws are batched:
+on (L, top), accepted by nu* over it.  The rejection draws are batched:
 in each round every pending draw gets m proposals, keeps its first
 accepted one (the sequential rejection sampler's draw, as proposals are
 i.i.d.), and m doubles for the draws still pending.
@@ -70,7 +70,6 @@ MAX_REJECTION_TRIES = 10_000
 # are pending (each pending draw gets at least one proposal): a round
 # holds a few float arrays of this length, about 0.5 MB each
 _ROUND_PROPOSALS = 1 << 16
-_BELOW_ONE = np.nextafter(1.0, 0.0)
 
 
 @dataclass
@@ -112,16 +111,6 @@ class SliceState:
         assert np.all(self.scores > 0.0) and np.all(self.v > 0.0)
 
 
-def _check_family(spec):
-    m = spec.marginal
-    if m.kind == 'gamma':
-        return
-    if m.kind == 'generalized-gamma' and m.a == 1.0:
-        return
-    raise ValueError('slice sampling supports gamma and unit-scale '
-                     'generalized-gamma score marginals only')
-
-
 def _obs_dimension(kernel):
     return int(np.size(getattr(kernel, 'm0', 1.0)))
 
@@ -135,12 +124,12 @@ def initial_slice_state(data, spec, kernel, rng, n_start=1):
     '''Round-robin start with n_start active jumps, Ga(shape) scores and
     consistent slice latents.  Jump k lies where the power law c
     z^(-1-sigma) of the directing intensity's envelope has mass 1 - U_k
-    above it, U_k uniform on [0, 1): z = (1 + sigma (1 - U_k) / c)^(-1 /
-    sigma), e^(-(1 - U_k)) at sigma 0 and c = 1, in closed form
-    (PowerEnvelope.power_level), so the start inverts no tail.  Every
-    jump lies strictly inside (0, 1): one that rounds up to 1 is the
-    largest double below it.'''
-    _check_family(spec)
+    above the support's end top = 1/a, U_k uniform on [0, 1): with y_k =
+    (1 - U_k) / c, z = top (1 + sigma y_k top^sigma)^(-1 / sigma), top
+    e^(-y_k) at sigma 0 and (sigma y_k)^(-1 / sigma) for sigma-stable
+    (top = inf), in closed form (PowerEnvelope.power_level), so the start
+    inverts no tail.  Every jump lies strictly inside (0, top): one that
+    rounds up to top is the largest double below it.'''
     d = data.n_groups
     allocations = [np.arange(g.shape[0]) % n_start for g in data.groups]
     counts = _tally(allocations, n_start)
@@ -247,11 +236,11 @@ def sample_tilted_z(spec, lower, upper, v, rng, size=None):
     tilt relative to its largest value, at lower (_tilted_proposals).  A
     proposal on or outside an end of the band is rejected.  All size
     draws share the rounds of _first_accepted.  v must be a finite,
-    nonnegative vector of length d.  Returns a float when size is None,
-    else an array of that shape.'''
-    _check_family(spec)
-    if not 0.0 < lower < upper <= 1.0:
-        raise ValueError('need 0 < lower < upper <= 1')
+    nonnegative vector of length d, and upper at most the end 1/a of
+    nu*'s support.  Returns a float when size is None, else an array of
+    that shape.'''
+    if not 0.0 < lower < upper <= spec.directing.envelope.top:
+        raise ValueError('need 0 < lower < upper <= 1/a')
     v = _check_tilt(v, spec.dimension)
     band = spec.directing.envelope.band(lower, upper)
     n = 1 if size is None else int(np.prod(size))
@@ -273,8 +262,8 @@ def _tilted_births(spec, v, lower, upper, rng):
     d.  Returns the kept points in the order drawn.'''
     v = _check_tilt(v, spec.dimension)
     band = spec.directing.envelope.band(lower, upper)
-    top = float(np.prod((1.0 + v * lower) ** -spec.shape))
-    n = rng.poisson(spec.centring_mass * float(band.mass) * top)
+    tilt_max = float(np.prod((1.0 + v * lower) ** -spec.shape))
+    n = rng.poisson(spec.centring_mass * float(band.mass) * tilt_max)
     z, p = _tilted_proposals(band, v, spec.shape, rng.uniform(size=n))
     return z[rng.uniform(size=n) < p]
 
@@ -332,43 +321,45 @@ def update_u_and_repopulate(state, spec, kernel, rng):
 
 class _JumpHeightProposals:
     '''Proposals for the jump-height conditionals nu*(z) e^(-w_k (z -
-    low_k)) on (low_k, 1), from the cheaper of two exact envelopes per
-    jump.  Both cover the same target, so the one of smaller mass has
-    the higher acceptance rate, and comparing masses is the whole rule.
+    low_k)) on (low_k, top), top = 1/a (inf for sigma-stable), from the
+    cheaper of two exact envelopes per jump.  Both cover the same
+    target, so the one of smaller mass has the higher acceptance rate,
+    and comparing masses is the whole rule.
 
-    power: the directing intensity's power envelope on (low_k, 1), split
-    at beta < 1 at the t_k of least mass; z by its closed-form inverse
-    at level (1 - u) times its mass, accepted with nu* over the
+    power: the directing intensity's power envelope on (low_k, top),
+    split at beta < 1 at the t_k of least mass; z by its closed-form
+    inverse at level (1 - u) times its mass, accepted with nu* over the
     envelope times e^(-w_k (z - low_k)).
 
     exponential: the truncated exponential of rate w_k on (low_k, s_k)
-    times the bound c low_k^(-1-sigma) (1 - b_k)^(beta-1) of nu* there,
-    z in closed form, accepted with nu*(z) e^(-w_k (z - low_k)) over the
-    envelope.  With beta >= 1, s_k = 1 and b_k = low_k.  With beta < 1,
-    (1 - z)^(beta-1) is unbounded at 1: b_k = s_k, and (s_k, 1) gets the
-    piece c s_k^(-1-sigma) e^(-w_k (s_k - low_k)) (1 - z)^(beta-1), drawn
-    in closed form and accepted with (z/s_k)^(-1-sigma) e^(-w_k (z -
-    s_k)); each proposal picks a piece with probability proportional to
-    its mass.
+    times the bound c low_k^(-1-sigma) (a (top - b_k))^(beta-1) of nu*
+    there, z in closed form, accepted with nu*(z) e^(-w_k (z - low_k))
+    over the envelope.  With beta >= 1, s_k = top and b_k = low_k (the
+    bound is c low_k^(-1-sigma) at beta = 1).  With beta < 1, (1 -
+    a z)^(beta-1) is unbounded at top: b_k = s_k, and (s_k, top) gets
+    the piece c s_k^(-1-sigma) e^(-w_k (s_k - low_k)) (1 - a z)^(beta-1),
+    drawn in closed form and accepted with (z/s_k)^(-1-sigma) e^(-w_k (z
+    - s_k)); each proposal picks a piece with probability proportional
+    to its mass.
 
     Calling it with draw indices (and rng) returns proposals and their
-    acceptance probabilities, 0 outside (low_k, 1), for
+    acceptance probabilities, 0 outside (low_k, top), for
     _first_accepted: one uniform and one power per proposal, and one
     more uniform for an exponential one at beta < 1.'''
 
     def __init__(self, spec, lows, weights, rng):
         envelope = spec.directing.envelope
-        c, sigma, beta = envelope.c, envelope.sigma, envelope.beta
+        c, sigma, a, beta = envelope.c, envelope.sigma, envelope.a, \
+            envelope.beta
         self.lows, self.weights, self.rng = lows, weights, rng
-        self.sigma, self.beta = sigma, beta
-        gaps = 1.0 - lows
+        self.sigma, self.beta, self.top = sigma, beta, envelope.top
+        gaps = self.top - lows
         if beta >= 1.0:
             widths = self.bound_gaps = gaps
-            self.splits = np.ones_like(lows)
         else:
-            # s - low = log1p(x^2 / (beta (1 - beta))) / w, x = w (1 - low),
-            # minimises the lower piece's excess mass (1 - beta) w (s - low)
-            # / x over its bound plus the upper piece's relative mass
+            # s - low = log1p(x^2 / (beta (1 - beta))) / w, x = w (top -
+            # low), minimises the lower piece's excess mass (1 - beta) w (s
+            # - low) / x over its bound plus the upper piece's relative mass
             # x e^(-w (s - low)) / beta once x is large; at most the gap's
             # midpoint, a cap that binds at moderate x, where that
             # expansion does not hold
@@ -378,26 +369,26 @@ class _JumpHeightProposals:
             self.splits = lows + widths
             self.bound_gaps = gaps - widths
         # the lower piece's mass is its bound times (1 - e^(-w (s - low))) / w
-        # (s - low at w = 0), the upper piece's its factor times (1 - s)^beta
-        # / beta
+        # (s - low at w = 0), the upper piece's its factor times (a (top -
+        # s))^beta / (a beta); 1 - a z = a (top - z)
         rates = weights * widths
         self.exp_scale = -np.expm1(-rates)
         spans = np.divide(self.exp_scale, weights, out=widths.copy(),
                           where=rates > 0.0)
-        log_lower = (math.log(c) - (1.0 + sigma) * np.log(lows)
-                     + (beta - 1.0) * np.log(self.bound_gaps) + np.log(spans))
+        log_lower = math.log(c) - (1.0 + sigma) * np.log(lows)
+        if beta != 1.0:
+            log_lower += (beta - 1.0) * np.log(a * self.bound_gaps)
+        log_lower += np.log(spans)
+        log_mass = log_lower
         if beta < 1.0:
             log_upper = (math.log(c) - (1.0 + sigma) * np.log(self.splits)
-                         - rates + beta * np.log(self.bound_gaps)
-                         - math.log(beta))
+                         - rates + beta * np.log(a * self.bound_gaps)
+                         - math.log(a * beta))
             # 1 / (1 + e^(log_lower - log_upper)), free of overflow
             self.upper_share = np.exp(
                 -np.logaddexp(0.0, log_lower - log_upper))
             log_mass = np.logaddexp(log_lower, log_upper)
-        else:
-            self.upper_share = np.zeros_like(lows)
-            log_mass = log_lower
-        self.power = envelope.band(lows, 1.0)
+        self.power = envelope.band(lows)
         self.on_power = np.log(self.power.mass) <= log_mass
 
     def _exponential(self, k, u):
@@ -405,21 +396,25 @@ class _JumpHeightProposals:
         z = lows - np.log1p(-u * self.exp_scale[k]) / weights
         if self.beta < 1.0:
             upper = self.rng.uniform(size=k.size) < self.upper_share[k]
-            # 1 - z rounds to 0 at a small beta: such a z is the largest
-            # double below 1, as in EnvelopeBand.points
-            z[upper] = np.minimum(1.0 - self.bound_gaps[k][upper]
+            # top - z rounds to 0 at a small beta: such a z is the largest
+            # double below top, as in EnvelopeBand.points
+            z[upper] = np.minimum(self.top - self.bound_gaps[k][upper]
                                   * (1.0 - u[upper]) ** (1.0 / self.beta),
-                                  _BELOW_ONE)
+                                  np.nextafter(self.top, 0.0))
         return z
 
     def _exponential_accept(self, z, k):
-        # piece by where z lies: the envelope is a function of z alone
-        lows, splits = self.lows[k], self.splits[k]
-        lower = -(1.0 + self.sigma) * np.log(z / lows) + (self.beta - 1.0) \
-            * np.log((1.0 - z) / self.bound_gaps[k])
-        upper = -(1.0 + self.sigma) * np.log(z / splits) \
-            - self.weights[k] * (z - splits)
-        return np.exp(np.where(z <= splits, lower, upper))
+        # piece by where z lies: the envelope is a function of z alone;
+        # no (top - z) factor at beta = 1, where top may be inf
+        log_p = -(1.0 + self.sigma) * np.log(z / self.lows[k])
+        if self.beta != 1.0:
+            log_p += (self.beta - 1.0) * np.log((self.top - z)
+                                                / self.bound_gaps[k])
+        if self.beta < 1.0:
+            s = self.splits[k]
+            log_p = np.where(z <= s, log_p, -(1.0 + self.sigma) * np.log(
+                z / s) - self.weights[k] * (z - s))
+        return np.exp(log_p)
 
     def __call__(self, idx):
         u = self.rng.uniform(size=idx.size)
@@ -435,7 +430,7 @@ class _JumpHeightProposals:
             k = idx[~power]
             zk = self._exponential(k, u[~power])
             z[~power] = zk
-            inside = (zk > self.lows[k]) & (zk < 1.0)
+            inside = (zk > self.lows[k]) & (zk < self.top)
             p[np.flatnonzero(~power)[inside]] = self._exponential_accept(
                 zk[inside], k[inside])
         return z, p
@@ -445,14 +440,15 @@ def update_jump_heights(state, spec, rng):
     '''Redraw each active jump k from nu* restricted above its members'
     largest slice low_k (the threshold for pool jumps), exponentially
     tilted by the jump's total tilted score mass w_k: the conditional
-    nu*(z) e^(-w_k z) on (low_k, 1).  Each jump is drawn by rejection
-    from the cheaper of two exact envelopes (_JumpHeightProposals): the
-    directing intensity's power envelope, accepted by nu* over it times
-    the tilt, where w_k (1 - low_k) is small, or a truncated exponential
-    times a bound on nu*, accepted by nu* over its bound, where it is
-    large.  Both propose in closed form.  All jumps share the rounds of
-    _first_accepted, each keeping its first accepted proposal, and every
-    redrawn jump lies strictly inside (low_k, 1).'''
+    nu*(z) e^(-w_k z) on (low_k, 1/a), or (low_k, inf) for sigma-stable.
+    Each jump is drawn by rejection from the cheaper of two exact
+    envelopes (_JumpHeightProposals): the directing intensity's power
+    envelope, accepted by nu* over it times the tilt, where the tilt is
+    weak, or a truncated exponential times a bound on nu*, accepted by
+    nu* over its bound, where it is strong.  Both propose in closed
+    form.  All jumps share the rounds of _first_accepted, each
+    keeping its first accepted proposal, and every redrawn jump lies
+    strictly inside (low_k, 1/a).'''
     lows = np.full(state.n_jumps, state.threshold)
     for j, c in enumerate(state.allocations):
         np.maximum.at(lows, c, state.u[j])
@@ -484,8 +480,8 @@ def birth_death_move(state, spec, kernel, rng, cache=None):
     a jump from nu* above the threshold L with fresh prior scores, a
     death removes a uniformly chosen pool member; both use the untilted
     tail mass U(L) as the reference constant.  The birth's height comes
-    from the directing intensity's power envelope on (L, 1), accepted by
-    nu* over it, so it follows nu* restricted above L exactly.  U(L) is
+    from the directing intensity's power envelope on (L, 1/a), accepted
+    by nu* over it, so it follows nu* restricted above L exactly.  U(L) is
     read from cache, a dict, where the shape move of the sweep before
     left it at this (L, shape) (update_hyperparameters_slice).'''
     L = state.threshold
@@ -494,7 +490,7 @@ def birth_death_move(state, spec, kernel, rng, cache=None):
         tail_mass = cache['tail_mass']
     else:
         tail_mass = spec.directing.tail_integral(L)
-    band = spec.directing.envelope.band(L, 1.0)
+    band = spec.directing.envelope.band(L)
     log_const = math.log(spec.centring_mass * tail_mass)
     pool = np.flatnonzero(state.counts.sum(axis=1) == 0)
     if rng.uniform() < 0.5:
@@ -631,7 +627,7 @@ def update_hyperparameters_slice(state, spec, log_prior, step, rng,
     log_m_sum = float(_log_scores(state).sum())
     m_sum = float(state.scores.sum())
     n_scores = state.scores.size
-    gaps = spec.directing.support[1] - state.jumps
+    gaps = spec.directing.envelope.top - state.jumps
     tail_masses = {}
 
     def log_target(sp, phi):

@@ -27,6 +27,13 @@ from corm.slice_sampler import (
 )
 
 
+GAMMA, GEN_GAMMA = (MarginalFamily.gamma(),
+                    MarginalFamily.generalized_gamma(0.3, 1.0))
+# nu* on (0, inf) and on (0, 1/a) = (0, 0.5)
+STABLE, GEN_GAMMA_A2 = (MarginalFamily.sigma_stable(0.5),
+                        MarginalFamily.generalized_gamma(0.3, 2.0))
+
+
 @pytest.fixture(scope='module')
 def unit_gamma_2d():
     return CoRMSpec.from_marginal(2, 1.0, MarginalFamily.gamma())
@@ -65,6 +72,27 @@ class TestSubThresholdIntegrals:
         assert total == pytest.approx(want, rel=1e-8)
         assert _ks_p_value(cdf) > 0.01
 
+    @pytest.mark.parametrize('marginal, lo, hi', [
+        (STABLE, 1e-4, 1e-2), (STABLE, 0.2, 0.9),
+        (GEN_GAMMA_A2, 1e-4, 1e-2), (GEN_GAMMA_A2, 0.1, 0.45)],
+        ids=['stable-low', 'stable-high', 'gg-a2-low', 'gg-a2-high'])
+    def test_tilted_mass_off_the_unit_support(self, marginal, lo, hi):
+        # nu* on (0, inf) and (0, 1/2): the mean count is the mass of
+        # nu*(z) / (1 + v z) on (lo, hi) by QUADPACK
+        spec = CoRMSpec.from_marginal(2, 1.0, marginal, verify=False)
+        v = self.V1
+        tilt = lambda z: 1.0 / (1.0 + v * z)
+        want = _quadpack_mass(spec, tilt, lo, hi)
+        rng = np.random.default_rng(4100)
+        births = [_tilted_births(spec, [v, 0.0], lo, hi, rng)
+                  for _ in range(2000)]
+        _check_poisson_count([z.size for z in births], want)
+        xs = np.sort(np.concatenate(births))
+        assert lo < xs[0] and xs[-1] < hi
+        cdf, total = _cdf_at_draws(spec, tilt, lo, hi, xs)
+        assert total == pytest.approx(want, rel=1e-8)
+        assert _ks_p_value(cdf) > 0.01
+
     @pytest.mark.parametrize('L', [1e-6, 0.01, 0.4, 1.0])
     def test_residual_weight(self, unit_gamma_2d, L):
         # int_0^L (1 + v z)^-2 dz = L / (1 + v L)
@@ -78,12 +106,21 @@ _GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
 def _cdf_at_draws(spec, weight, lo, hi, xs):
     '''CDF of nu*(z) weight(z) on (lo, hi) at the sorted draws xs, and
     its total: 16-point Gauss-Legendre in log z between consecutive
-    draws.'''
-    ends = np.log(np.concatenate([[lo], xs, [hi]]))
+    draws.  At hi = inf (sigma-stable, nu*(z) = c z^(-1-sigma)) the last
+    panel, above the largest draw x, is one rule in r = (z / x)^-sigma
+    on (0, 1), where nu*(z) dz = c x^-sigma / sigma dr.'''
+    edges = np.concatenate([[lo], xs, [hi]])
+    ends = np.log(edges[:-1] if math.isinf(hi) else edges)
     half = 0.5 * np.diff(ends)[:, None]
     z = np.exp(ends[:-1, None] + half * (1.0 + _GL_X))
-    cum = np.cumsum(half[:, 0] * ((spec.directing.density(z) * z
-                                   * weight(z)) @ _GL_W))
+    panels = half[:, 0] * ((spec.directing.density(z) * z * weight(z))
+                           @ _GL_W)
+    if math.isinf(hi):
+        c, sigma, _, _ = _directing_constants(spec)
+        r = 0.5 * (1.0 + _GL_X)
+        panels = np.append(panels, 0.5 * c * xs[-1] ** -sigma / sigma
+                           * (weight(xs[-1] * r ** (-1.0 / sigma)) @ _GL_W))
+    cum = np.cumsum(panels)
     return cum[:-1] / cum[-1], cum[-1]
 
 
@@ -99,30 +136,46 @@ def _check_poisson_count(counts, mean):
 
 
 def _directing_constants(spec):
-    '''(c, sigma, beta) of nu*(z) = c z^(-1-sigma) (1 - z)^(beta-1) on
-    (0, 1) for a gamma or unit generalized-gamma marginal, from their
-    formulas.'''
+    '''(c, sigma, a, beta) of nu*(z) = c z^(-1-sigma) (1 - a z)^(beta-1)
+    on (0, 1/a) for a gamma or generalized-gamma marginal, and of the
+    sigma-stable c z^(-1-sigma) on (0, inf) as a = 0, beta = 1, from
+    their formulas.'''
     phi, marginal = spec.shape, spec.marginal
     if marginal.kind == 'gamma':
-        return 1.0, 0.0, phi
+        return 1.0, 0.0, 1.0, phi
     sigma = marginal.sigma
-    return (sigma * math.exp(math.lgamma(phi) - math.lgamma(phi + sigma)
-                             - math.lgamma(1.0 - sigma)), sigma, sigma + phi)
+    c = sigma * math.exp(math.lgamma(phi) - math.lgamma(phi + sigma)
+                         - math.lgamma(1.0 - sigma))
+    if marginal.kind == 'sigma-stable':
+        return c, sigma, 0.0, 1.0
+    return c, sigma, marginal.a, sigma + phi
+
+
+def _support_end(spec):
+    '''The end 1/a of nu*'s support, inf for sigma-stable.'''
+    a = _directing_constants(spec)[2]
+    return 1.0 / a if a else math.inf
 
 
 def _quadpack_mass(spec, weight, lo, hi):
     '''int_lo^hi nu*(z) weight(z) dz by QUADPACK, weight taking a float:
-    QAWS with the algebraic weight (1 - z)^(beta-1) at hi = 1, where nu*
-    may be singular, and QAGS in log z below 1.'''
-    c, sigma, beta = _directing_constants(spec)
-    if hi == 1.0:
+    QAWS with the algebraic weight (1/a - z)^(beta-1) at hi = 1/a, where
+    nu* may be singular, QAGI at hi = inf, and QAGS in log z below
+    1/a.'''
+    c, sigma, a, beta = _directing_constants(spec)
+    if math.isinf(hi):
         return sci.quad(lambda z: c * z ** (-1.0 - sigma) * weight(z), lo,
-                        1.0, weight='alg', wvar=(0.0, beta - 1.0),
-                        epsabs=0.0, epsrel=1e-13, limit=200)[0]
+                        math.inf, epsabs=0.0, epsrel=1e-12, limit=200)[0]
+    if hi == _support_end(spec):
+        # (1 - a z)^(beta-1) = a^(beta-1) (1/a - z)^(beta-1)
+        return sci.quad(lambda z: c * a ** (beta - 1.0) * z ** (-1.0 - sigma)
+                        * weight(z), lo, hi, weight='alg',
+                        wvar=(0.0, beta - 1.0), epsabs=0.0, epsrel=1e-13,
+                        limit=200)[0]
 
     def f(s):
         z = math.exp(s)
-        return c * z ** -sigma * (1.0 - z) ** (beta - 1.0) * weight(z)
+        return c * z ** -sigma * (1.0 - a * z) ** (beta - 1.0) * weight(z)
 
     return sci.quad(f, math.log(lo), math.log(hi), epsabs=0.0,
                     epsrel=1e-13, limit=200)[0]
@@ -137,11 +190,16 @@ def _ks_p_value(cdf):
     return stats.kstwo.sf(d, n)
 
 
-TILTED_CASES = [(marginal, phi, lo, hi)
-                for marginal in (MarginalFamily.gamma(),
-                                 MarginalFamily.generalized_gamma(0.3, 1.0))
-                for phi in (0.4, 2.0)
-                for lo, hi in ((1e-4, 1e-2), (0.2, 0.9), (0.1, 0.101))]
+_UNIT_BANDS = ((1e-4, 1e-2), (0.2, 0.9), (0.1, 0.101))
+# the bands on (0, 1), scaled by min(1, 1/a) on the other supports, and on
+# (0, inf) a band without an upper end
+TILTED_CASES = (
+    [(marginal, phi, lo, hi) for marginal in (GAMMA, GEN_GAMMA)
+     for phi in (0.4, 2.0) for lo, hi in _UNIT_BANDS]
+    + [(marginal, phi, scale * lo, scale * hi)
+       for marginal, scale in ((STABLE, 1.0), (GEN_GAMMA_A2, 0.5))
+       for phi in (0.4, 2.0) for lo, hi in _UNIT_BANDS]
+    + [(STABLE, phi, 0.2, math.inf) for phi in (0.4, 2.0)])
 
 
 class TestTiltedDraw:
@@ -174,6 +232,14 @@ class TestTiltedDraw:
         xs = np.sort(xs)
         assert lo <= xs[0] and xs[-1] <= hi
         assert _ks_p_value(self.tilted_cdf(spec, lo, hi, xs)) > 0.01
+
+    def test_upper_past_the_support_raises(self, monkeypatch):
+        # nu* of generalized gamma (0.3, 2) ends at 1/a = 0.5
+        monkeypatch.setattr(slice_sampler, '_first_accepted', None)
+        spec = CoRMSpec.from_marginal(2, 1.0, GEN_GAMMA_A2)
+        with pytest.raises(ValueError, match='upper <= 1/a'):
+            sample_tilted_z(spec, 0.01, 0.8, self.V,
+                            np.random.default_rng(0), size=10)
 
     def test_size_none_returns_a_float(self):
         marginal, phi, lo, hi = TILTED_CASES[0]
@@ -222,8 +288,6 @@ def _pool_state(n_jumps, low, w):
         u=[np.array([low])], v=np.array([w]), shape=1.0)
 
 
-GAMMA, GEN_GAMMA = (MarginalFamily.gamma(),
-                    MarginalFamily.generalized_gamma(0.3, 1.0))
 # (marginal, shape, low, w); beta = sigma + shape is 2 and 1.3 in the
 # first two specs, 0.4 and 0.7 in the last two, where (1 - z)^(beta-1)
 # is unbounded at 1.  low = 0.5 gives the upper piece of the beta < 1
@@ -238,7 +302,16 @@ JUMP_HEIGHT_CASES = (
     + [(marginal, phi, 1e-3, w) for marginal, phi in (
         (GAMMA, 2.0), (GEN_GAMMA, 1.0), (GAMMA, 0.4), (GEN_GAMMA, 0.4))
        for w in (0.1, 10.0, 1e3)]
-    + [(marginal, 0.4, 0.5, 10.0) for marginal in (GAMMA, GEN_GAMMA)])
+    + [(marginal, 0.4, 0.5, 10.0) for marginal in (GAMMA, GEN_GAMMA)]
+    # off (0, 1): low = 0.05 min(1, 1/a) and 1e-3, beta = 1 (sigma-stable),
+    # 1.3 and, at shape 0.4, 0.7 (generalized gamma with a = 2); the last
+    # case is (0.5, 10) of the unit support scaled to 1/a = 0.5, with the
+    # same upper piece share
+    + [(marginal, phi, low, w) for marginal, phi, low in (
+        (STABLE, 1.0, 0.05), (STABLE, 1.0, 1e-3), (GEN_GAMMA_A2, 1.0, 0.025),
+        (GEN_GAMMA_A2, 1.0, 1e-3), (GEN_GAMMA_A2, 0.4, 0.025))
+       for w in (0.1, 10.0, 1e3)]
+    + [(GEN_GAMMA_A2, 0.4, 0.25, 20.0)])
 
 
 def _proposals(marginal, phi, low, w):
@@ -249,9 +322,10 @@ def _proposals(marginal, phi, low, w):
 
 class TestJumpHeights:
     '''update_jump_heights: the redrawn heights follow the conditional
-    nu*(z) e^(-w z) on (low, 1) whichever envelope draws them, the
-    rejection budget still raises, proposals per jump stay bounded, and
-    power-envelope jumps share one array points call per round.'''
+    nu*(z) e^(-w z) on (low, 1/a), or (low, inf) for sigma-stable,
+    whichever envelope draws them, the rejection budget still raises,
+    proposals per jump stay bounded, and power-envelope jumps share one
+    array points call per round.'''
 
     LOW = 0.05
 
@@ -262,14 +336,15 @@ class TestJumpHeights:
         state = _pool_state(2000, low, w)
         update_jump_heights(state, spec, np.random.default_rng(2000 + case))
         xs = np.sort(state.jumps)
-        assert low < xs[0] and xs[-1] < 1.0
+        top = _support_end(spec)
+        assert low < xs[0] and xs[-1] < top
         tilt = lambda z: np.exp(-w * (z - low))
-        cdf, total = _cdf_at_draws(spec, tilt, low, 1.0, xs)
-        # one 16-point panel covers (largest draw, 1), where the tilt at
-        # w = 1e3 falls by e^-900 and (1 - z)^(beta-1) has its kink or
+        cdf, total = _cdf_at_draws(spec, tilt, low, top, xs)
+        # one 16-point panel covers (largest draw, 1/a), where the tilt at
+        # w = 1e3 falls by e^-900 and (1 - a z)^(beta-1) has its kink or
         # pole: the total is good to about 1e-5 there, far below the KS
         # resolution
-        want = _quadpack_mass(spec, tilt, low, 1.0)
+        want = _quadpack_mass(spec, tilt, low, top)
         assert total == pytest.approx(want, rel=1e-4)
         assert _ks_p_value(cdf) > 0.01
 
@@ -279,12 +354,39 @@ class TestJumpHeights:
         power, exponential, upper_shares = set(), set(), []
         for marginal, phi, low, w in JUMP_HEIGHT_CASES:
             proposals = _proposals(marginal, phi, low, w)
-            below_one = phi + (marginal.sigma or 0.0) < 1.0
+            spec = CoRMSpec.from_marginal(1, phi, marginal, verify=False)
+            below_one = _directing_constants(spec)[3] < 1.0
             (power if proposals.on_power[0] else exponential).add(below_one)
             if below_one and not proposals.on_power[0]:
                 upper_shares.append(float(proposals.upper_share[0]))
         assert power == exponential == {False, True}
         assert max(upper_shares) > 0.1 and min(upper_shares) < 0.01
+
+    @pytest.mark.parametrize('marginal, low, w', [
+        (GAMMA, 0.5, 10.0), (GEN_GAMMA_A2, 0.25, 20.0)],
+        ids=['gamma', 'gg-a2'])
+    def test_exponential_pieces_take_the_target_shares(self, marginal, low,
+                                                       w):
+        # at shape 0.4 (beta 0.4 and 0.7) the exponential envelope splits
+        # at s: the share of the draws above s is the target's share of
+        # mass there by QUADPACK, within 4 standard errors.  A wrong piece
+        # mass moves it: at a = 2, dropping the a from the lower piece's
+        # bound (a (1/a - s))^(beta-1), from the upper piece's (a (1/a -
+        # s))^beta or from its 1 / (a beta) moves it by about 5, 12 and
+        # 30 standard errors
+        n = 16000
+        spec = CoRMSpec.from_marginal(1, 0.4, marginal, verify=False)
+        proposals = _proposals(marginal, 0.4, low, w)
+        assert not proposals.on_power[0]
+        split, top = float(proposals.splits[0]), _support_end(spec)
+        tilt = lambda z: math.exp(-w * (z - low))
+        upper = _quadpack_mass(spec, tilt, split, top)
+        share = upper / (upper + _quadpack_mass(spec, tilt, low, split))
+        state = _pool_state(n, low, w)
+        update_jump_heights(state, spec, np.random.default_rng(2100))
+        spread = math.sqrt(n * share * (1.0 - share))
+        assert abs(np.count_nonzero(state.jumps > split) - n * share) \
+            < 4.0 * spread
 
     def test_rejection_budget_raises(self, monkeypatch):
         # at w (1 - low) = 9.5 the better envelope accepts 46% of its
@@ -468,8 +570,8 @@ class TestStartJumps:
     '''The start jumps of initial_slice_state sit at uniform levels of the
     power law c z^(-1-sigma) of the directing intensity's envelope
     (PowerEnvelope.power_level), in closed form, strictly inside the
-    support (0, 1/a): a level that rounds up to 1/a gives the largest
-    double below it.'''
+    support (0, 1/a), or (0, inf) for sigma-stable: a level that rounds
+    up to 1/a gives the largest double below it.'''
 
     # the lowest level 1 - U takes, U uniform on [0, 1), and two more
     LEVELS = np.concatenate([[2.0 ** -53, 2.0 ** -52, 1e-12],
@@ -507,7 +609,8 @@ class TestStartJumps:
         (MarginalFamily.gamma(), 0.05),
         (MarginalFamily.generalized_gamma(0.3, 1.0), 1.0),
         (MarginalFamily.generalized_gamma(0.3, 1.0), 0.01),
-    ], ids=['gamma-0.05', 'gg-1', 'gg-0.01'])
+        (STABLE, 1.0), (GEN_GAMMA_A2, 1.0),
+    ], ids=['gamma-0.05', 'gg-1', 'gg-0.01', 'stable', 'gg-a2'])
     def test_initial_state_takes_the_power_levels(self, monkeypatch,
                                                   marginal, shape):
         def inverse_tail(self, level):
@@ -524,13 +627,14 @@ class TestStartJumps:
         u = np.random.default_rng(32).uniform(size=40)
         np.testing.assert_array_equal(
             state.jumps, spec.directing.envelope.power_level(1.0 - u))
-        assert np.all((state.jumps > 0.0) & (state.jumps < 1.0))
+        assert np.all((state.jumps > 0.0)
+                      & (state.jumps < _support_end(spec)))
 
 
-@pytest.mark.parametrize('marginal', [
-    MarginalFamily.gamma(),
-    MarginalFamily.generalized_gamma(0.3, 1.0),
-], ids=['gamma', 'generalized-gamma'])
+@pytest.mark.parametrize('marginal', [GAMMA, GEN_GAMMA, STABLE,
+                                      GEN_GAMMA_A2],
+                         ids=['gamma', 'generalized-gamma', 'sigma-stable',
+                              'gg-a2'])
 def test_sweeps_keep_invariants(marginal):
     rng = np.random.default_rng(21)
     data = _two_groups(rng, 30)
@@ -549,11 +653,14 @@ def test_sweeps_keep_invariants(marginal):
         assert state.counts.sum() == 60
 
 
-@pytest.mark.parametrize('marginal', [GAMMA, GEN_GAMMA],
-                         ids=['gamma', 'generalized-gamma'])
+@pytest.mark.parametrize('marginal', [GAMMA, GEN_GAMMA, STABLE,
+                                      GEN_GAMMA_A2],
+                         ids=['gamma', 'generalized-gamma', 'sigma-stable',
+                              'gg-a2'])
 def test_sweeps_at_a_small_shape_keep_jumps_inside(monkeypatch, marginal):
-    # at shape 0.3, beta = 0.3 or 0.6 < 1: every redrawn jump lies
-    # strictly between its largest slice latent (or the threshold) and 1
+    # at shape 0.3, beta = 0.3 or 0.6 < 1 (1 for sigma-stable): every
+    # redrawn jump lies strictly between its largest slice latent (or the
+    # threshold) and the end 1/a of the support, inf for sigma-stable
     redraw = slice_sampler.update_jump_heights
     redrawn = []
 
@@ -562,7 +669,8 @@ def test_sweeps_at_a_small_shape_keep_jumps_inside(monkeypatch, marginal):
         for j, c in enumerate(state.allocations):
             np.maximum.at(lows, c, state.u[j])
         redraw(state, spec, rng)
-        assert np.all((lows < state.jumps) & (state.jumps < 1.0))
+        assert np.all((lows < state.jumps)
+                      & (state.jumps < _support_end(spec)))
         redrawn.append(state.n_jumps)
         return state
 
