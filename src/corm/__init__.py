@@ -1,1 +1,25 @@
-'''Compound random measures.'''
+'''Compound random measures.
+
+Entry points, with the options they still take:
+- core.CoRMSpec(dimension, shape, marginal, centring_mass=1.0, base=None):
+  Ga(shape) scores, a core.MarginalFamily marginal (gamma, sigma_stable,
+  generalized_gamma).  CoRMSpec.from_marginal, on the same arguments,
+  checks the directing intensity against the marginal; with_shape does not.
+- core.laplace_exponent, rho_density, kappa, levy_copula, mixed_moment
+  and the like take a spec and points; covariance_normalized also takes
+  its quadrature's rel_tol=1e-6.
+- prior.sample_corm(spec, rng, n_jumps=None, tail_mass=None,
+  max_jumps=100_000), then prior.normalize(draw).
+- kernels.Dataset(groups); FlatKernel(); UnivariateNormalGamma and
+  MultivariateNormalNIW by their constructors or .from_data(observations);
+  predictive_density(snapshots, kernel, group, points).
+- marginal_sampler.initial_state(data, spec, kernel, rng, n_start=1) and
+  marginal_sweep(state, data, spec, kernel, rng, v_steps, shape_step=None,
+  log_prior=None, table=None), which returns the next (spec, table).
+- slice_sampler.initial_slice_state(..., n_start=1) and slice_sweep(...,
+  v_steps, shape_step=None, log_prior=None, cache=None), which returns the
+  next spec; slice_snapshots(state, spec) for predictive_density.
+- marginal_sampler.AdaptiveStepSize(log_step=log 0.5, frozen=False):
+  v_steps holds one a group, a pair for the slice sampler; the score shape
+  moves only given a shape_step and its log_prior.
+'''

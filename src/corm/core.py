@@ -25,7 +25,6 @@ import numpy as np
 from .numerics import IntegralResult, QuadratureError, integrate
 
 __all__ = [
-    'ScoreDistribution',
     'MarginalFamily',
     'LevyIntensity',
     'PowerEnvelope',
@@ -48,23 +47,6 @@ __all__ = [
     'mixed_moment',
     'covariance_normalized',
 ]
-
-
-@dataclass(frozen=True)
-class ScoreDistribution:
-    '''Gamma score law Ga(shape, 1); scores rescale the shared jumps.'''
-    shape: float
-
-    def __post_init__(self):
-        if not self.shape > 0.0:
-            raise ValueError('score shape must be positive')
-
-    def log_density(self, m):
-        m = np.asarray(m, dtype=float)
-        return (self.shape - 1.0) * np.log(m) - m - math.lgamma(self.shape)
-
-    def density(self, m):
-        return np.exp(self.log_density(m))
 
 
 @dataclass(frozen=True)
@@ -114,18 +96,19 @@ class LevyIntensity:
 
     density                 : vectorised callable
     support                 : (lower, upper); upper may be numpy.inf
-    singularity_exponents   : endpoint power behaviour (p_lower, p_upper),
-                              None where regular (at an infinite upper
-                              end: decaying faster than any power).  They
-                              give the TiltRule's end-series rates, p + 1
-                              at each end; p_lower <= -1 encodes the
-                              infinite activity at the lower endpoint, and
-                              an infinite upper end needs p_upper.
-    upper_rate              : p_upper + 1, the TiltRule's end-series rate
-                              at the upper end; defaults to that sum.
-                              Given where p_upper is a rounded double and
-                              the rate is exact (the beta-type
-                              intensities give beta).
+    lower_exponent          : the power p of density ~ s^p at the lower
+                              end; p <= -1 encodes infinite activity
+                              there.  The TiltRule's end-series rate
+                              there is p + 1.
+    upper_rate              : the TiltRule's end-series rate p + 1 at
+                              the upper end (keyword only), for density
+                              ~ (upper - s)^p at a finite end (beta for
+                              the factor (1 - a s)^(beta-1)) or ~ s^p at
+                              an infinite one (-sigma for s^(-1-sigma)).
+                              None where the end is regular: a finite end
+                              then takes rate 1, and an infinite one
+                              decays faster than any power, which a
+                              TiltRule cannot sum.
     tail_fn                 : vectorised tail integral
                               U(x) = int_x^upper density, required
                               (keyword only).
@@ -141,27 +124,23 @@ class LevyIntensity:
                               (directing_from_marginal) all carry one;
                               the marginals' own intensities do not.
 
-    Integrals against the intensity run on TiltRule nodes.  tail_integral
-    and inverse_tail work on arrays; tail_integral is tail_fn inside the
-    support.  inverse_tail inverts U by _invert_monotone, on a support
-    (0, inf) only: a level whose root lies below z = 1e-300 or above
-    1e300 raises ValueError, and so does a finite support.
-    log_density(z, gap) feeds the TiltRule nodes; it falls back to
-    log(density(z)).
+    The density is evaluated as .density(s).  Integrals against the
+    intensity run on TiltRule nodes.  tail_integral and inverse_tail work
+    on arrays; tail_integral is tail_fn inside the support.  inverse_tail
+    inverts U by _invert_monotone, on a support (0, inf) only: a level
+    whose root lies below z = 1e-300 or above 1e300 raises ValueError, and
+    so does a finite support.  log_density(z, gap) feeds the TiltRule
+    nodes; it falls back to log(density(z)).
     '''
 
-    def __init__(self, density, support, singularity_exponents=(None, None),
-                 *, tail_fn, log_density=None, upper_rate=None,
-                 envelope=None):
+    def __init__(self, density, support, lower_exponent, *, tail_fn,
+                 upper_rate=None, log_density=None, envelope=None):
         lo, hi = support
         if math.isinf(lo) or not hi > lo:
             raise ValueError('support must be a nonempty interval with finite lower end')
         self.density = density
         self.support = (float(lo), float(hi))
-        self.singularity_exponents = tuple(singularity_exponents)
-        p_hi = self.singularity_exponents[1]
-        if upper_rate is None and p_hi is not None:
-            upper_rate = p_hi + 1.0
+        self.lower_exponent = float(lower_exponent)
         self.upper_rate = upper_rate
         self._tail_fn = tail_fn
         self._log_density = log_density
@@ -169,9 +148,6 @@ class LevyIntensity:
         # prior truncation by tail_mass (the level and what a draw needs
         # there), filled by prior.sample_corm
         self._truncations = {}
-
-    def __call__(self, s):
-        return self.density(s)
 
     def log_density(self, z, gap):
         '''log density(z) at points z with gap = upper - z.'''
@@ -623,8 +599,7 @@ def directing_from_marginal(marginal, shape):
             return c * np.asarray(z, dtype=float) ** (-1.0 - sigma)
 
         return LevyIntensity(
-            density, (0.0, np.inf),
-            singularity_exponents=(-1.0 - sigma, -1.0 - sigma),
+            density, (0.0, np.inf), -1.0 - sigma, upper_rate=-sigma,
             tail_fn=lambda x: c / sigma * np.power(x, -sigma),
             log_density=lambda z, gap: (math.log(c)
                                         - (1.0 + sigma) * np.log(z)),
@@ -701,10 +676,9 @@ def directing_from_marginal(marginal, shape):
             out[~low] = beta_tail(x[~low])
         return scale * out.reshape(z.shape)
 
-    return LevyIntensity(density, (0.0, 1.0 / a),
-                         singularity_exponents=(-1.0 - sigma, beta - 1.0),
-                         tail_fn=tail, log_density=log_density,
-                         upper_rate=beta,
+    return LevyIntensity(density, (0.0, 1.0 / a), -1.0 - sigma,
+                         tail_fn=tail, upper_rate=beta,
+                         log_density=log_density,
                          envelope=PowerEnvelope(c, sigma, a, beta))
 
 
@@ -716,9 +690,7 @@ def marginal_intensity(marginal):
             s = np.asarray(s, dtype=float)
             return np.exp(-s) / s
 
-        return LevyIntensity(density, (0.0, np.inf),
-                             singularity_exponents=(-1.0, None),
-                             tail_fn=exp1)
+        return LevyIntensity(density, (0.0, np.inf), -1.0, tail_fn=exp1)
     if marginal.kind == 'sigma-stable':
         sigma = marginal.sigma
         c = sigma / math.gamma(1.0 - sigma)
@@ -727,8 +699,7 @@ def marginal_intensity(marginal):
             return c * np.asarray(s, dtype=float) ** (-1.0 - sigma)
 
         return LevyIntensity(
-            density, (0.0, np.inf),
-            singularity_exponents=(-1.0 - sigma, -1.0 - sigma),
+            density, (0.0, np.inf), -1.0 - sigma, upper_rate=-sigma,
             tail_fn=lambda x: np.power(x, -sigma) / math.gamma(1.0 - sigma))
     if marginal.kind == 'generalized-gamma':
         sigma, a = marginal.sigma, marginal.a
@@ -747,8 +718,7 @@ def marginal_intensity(marginal):
             return a ** sigma * (y ** -sigma * np.exp(-y)
                                  - g1 * gammaincc(1.0 - sigma, y)) / g1
 
-        return LevyIntensity(density, (0.0, np.inf),
-                             singularity_exponents=(-1.0 - sigma, None),
+        return LevyIntensity(density, (0.0, np.inf), -1.0 - sigma,
                              tail_fn=tail)
     raise ValueError('unknown marginal family %r' % (marginal.kind,))
 
@@ -780,8 +750,7 @@ def beta_directed_marginal(shape, theta):
     if not theta > 0.0:
         raise ValueError('beta directing needs theta > 0')
     # _beta_type's c = 1, sigma = 0, a = 1 and beta = theta
-    spec = CoRMSpec.from_marginal(1, theta, MarginalFamily.gamma(),
-                                  verify=False)
+    spec = CoRMSpec(1, theta, MarginalFamily.gamma())
 
     def tail(x):
         from scipy.special import gammaincc  # on first use: see numerics
@@ -798,29 +767,31 @@ def beta_directed_marginal(shape, theta):
 
     return LevyIntensity(
         _pointwise(lambda s: _rho_by_mixture(spec, [s], shape)),
-        (0.0, np.inf), singularity_exponents=(-1.0, None),
-        tail_fn=_pointwise(tail))
+        (0.0, np.inf), -1.0, tail_fn=_pointwise(tail))
 
 
 @dataclass(frozen=True, eq=False)
 class CoRMSpec:
     '''
-    Full specification of a compound random measure: dimension, score law,
-    marginal family, and the centring measure's total mass.  The directing
-    intensity is not a parameter: the marginal and the score shape fix it,
-    and __post_init__ derives it (directing_from_marginal).  Each derivation
-    is a new object, so a spec equals and hashes only as itself (identity).
-    `base` optionally carries the centring base distribution (an object the
-    mixture layer understands); the measure-level operations below never
-    touch it.
+    Full specification of a compound random measure: dimension, the shape
+    of the Ga(shape, 1) scores, marginal family, and the centring
+    measure's total mass.  The directing intensity is not a parameter: the
+    marginal and the score shape fix it, and __post_init__ derives it
+    (directing_from_marginal, which raises ValueError at a shape <= 0).
+    Each derivation is a new object, so a spec equals and hashes only as
+    itself (identity).  `base` optionally carries the centring base
+    distribution (an object the mixture layer understands); the
+    measure-level operations below never touch it.
 
-    from_marginal() also verifies the directing intensity numerically: the
-    Laplace exponent of one coordinate must match the marginal's closed
-    form.  with_shape() rebuilds for a new score shape without the
-    re-verification, for use inside samplers.
+    CoRMSpec(...) builds a spec without checks beyond these;
+    from_marginal() takes the same arguments and also verifies the
+    directing intensity numerically: the Laplace exponent of one
+    coordinate must match the marginal's closed form.  with_shape()
+    rebuilds for a new score shape without the re-verification, for use
+    inside samplers.
     '''
     dimension: int
-    score: ScoreDistribution
+    shape: float
     marginal: MarginalFamily
     centring_mass: float = 1.0
     base: object = None
@@ -836,29 +807,23 @@ class CoRMSpec:
 
     @classmethod
     def from_marginal(cls, dimension, shape, marginal, centring_mass=1.0,
-                      base=None, verify=True):
-        spec = cls(dimension, ScoreDistribution(shape), marginal,
-                   centring_mass, base)
-        if verify:
-            # the first coordinate's Laplace exponent, by the tilt rule on
-            # the directing intensity, against the marginal's closed form
-            first = np.eye(dimension)[0]
-            for lam in (0.1, 1.0, 10.0):
-                got = TiltRule(spec, lam * first).psi()
-                want = float(marginal_exponent(marginal, lam))
-                if not abs(got - want) <= 1e-9 * want:
-                    raise ValueError(
-                        'directing intensity is inconsistent with the '
-                        'requested marginal at lam=%g (%.17g vs %.17g)'
-                        % (lam, got, want))
+                      base=None):
+        spec = cls(dimension, shape, marginal, centring_mass, base)
+        # the first coordinate's Laplace exponent, by the tilt rule on the
+        # directing intensity, against the marginal's closed form
+        first = np.eye(dimension)[0]
+        for lam in (0.1, 1.0, 10.0):
+            got = TiltRule(spec, lam * first).psi()
+            want = float(marginal_exponent(marginal, lam))
+            if not abs(got - want) <= 1e-9 * want:
+                raise ValueError(
+                    'directing intensity is inconsistent with the '
+                    'requested marginal at lam=%g (%.17g vs %.17g)'
+                    % (lam, got, want))
         return spec
 
     def with_shape(self, shape):
-        return replace(self, score=ScoreDistribution(shape))
-
-    @property
-    def shape(self):
-        return self.score.shape
+        return replace(self, shape=shape)
 
     @cached_property
     def rule_nodes(self):
@@ -935,16 +900,15 @@ class RuleNodes:
         if not 0.0 < upper <= end:
             raise ValueError('(0, %r) is not a stretch of the support'
                              % upper)
-        p_lo, p_hi = nu.singularity_exponents
         self.finite = not math.isinf(upper)
-        if not self.finite and p_hi is None:
+        if not self.finite and nu.upper_rate is None:
             raise ValueError('the tilt rule needs the power decay of the '
                              'intensity at an infinite upper end')
         self.spec, self.upper = spec, float(upper)
-        self.p_lo = 0.0 if p_lo is None else float(p_lo)
+        self.p_lo = nu.lower_exponent
         # the integrand keeps nu*'s power at its own end only
         self.upper_rate = float(nu.upper_rate) if (
-            upper == end and p_hi is not None) else 1.0
+            upper == end and nu.upper_rate is not None) else 1.0
         # the terms are pure exponentials in u below 2 s - pure_lo, where
         # v_max z < _PURE (1 more for the rounding of s), and above pure_hi,
         # where upper - z < _PURE of upper and of end - upper
@@ -1059,7 +1023,7 @@ class TiltRule:
     is checked against the every-other-node sub-rule: above 1e-9 relative,
     the rule takes it again at half the step (finer), up to _DE_HALVINGS
     times, and then raises QuadratureError.  The end rates come from the
-    directing intensity's singularity exponents.
+    directing intensity's lower_exponent and upper_rate.
 
     A general weight z^p exp(g(log z)) (log_integral) declares its power
     p at 0 and its power at an infinite upper end, which add to nu*'s in

@@ -189,13 +189,13 @@ class UnivariateNormalGamma:
         self._terms = _CountTerms(self._kappa0, self._a0)
 
     @classmethod
-    def from_data(cls, y, kappa0=0.01):
-        '''Empirical centring: prior mean at the data mean, expected
-        variance tied to the sample variance.'''
+    def from_data(cls, y):
+        '''Empirical centring: m0 the data mean, kappa0 = 0.01, a0 = 5.5,
+        b0 (2/9) of the sample variance.  Others go through cls(...).'''
         y = np.asarray(y, dtype=float).ravel()
         if y.size < 2:
             raise ValueError('need at least two observations')
-        return cls(y.mean(), kappa0, 5.5, (2.0 / 9.0) * y.var(ddof=1))
+        return cls(y.mean(), 0.01, 5.5, (2.0 / 9.0) * y.var(ddof=1))
 
     # sufficient statistics are (count, sum, sum of squares)
     def stats_empty(self):
@@ -311,16 +311,16 @@ class MultivariateNormalNIW:
             raise ValueError('psi0 must be positive definite') from None
 
     @classmethod
-    def from_data(cls, rows, lambda0=0.01):
-        '''Empirical centring mirroring the univariate recipe: mean at
-        the data mean, df = p + 10, scale (4/9) of the sample
-        covariance.'''
+    def from_data(cls, rows):
+        '''Empirical centring: m0 the data mean, lambda0 = 0.01, nu0 = p +
+        10, psi0 (4/9) of the sample covariance.  Others go through
+        cls(...).'''
         rows = np.atleast_2d(np.asarray(rows, dtype=float))
         p = rows.shape[1]
         if rows.shape[0] < p + 1:
             raise ValueError('need more observations than dimensions')
         cov = np.cov(rows, rowvar=False, ddof=1).reshape(p, p)
-        return cls(rows.mean(axis=0), lambda0, p + 10, (4.0 / 9.0) * cov)
+        return cls(rows.mean(axis=0), 0.01, p + 10, (4.0 / 9.0) * cov)
 
     def _posterior(self, rows):
         '''(m_n, lambda_n, nu_n, Psi_n) given the (n, p) rows.'''

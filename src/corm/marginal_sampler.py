@@ -49,14 +49,19 @@ __all__ = [
     'marginal_sweep',
 ]
 
+# fresh prior atoms a non-conjugate redraw offers (Neal 2000, Algorithm 8)
+N_AUX = 3
+
 
 @dataclass
 class AdaptiveStepSize:
-    '''Random-walk scale adapted toward a target acceptance rate by a
-    decaying stochastic approximation, freezable after burn-in.'''
+    '''Random-walk scale exp(log_step), adapted toward the acceptance
+    rate TARGET by a stochastic approximation whose gain decays as
+    proposed^-DECAY, with log_step kept in [-12, 6]; frozen (set after
+    burn-in) stops the adaptation and keeps the tally.'''
+    TARGET = 0.44
+    DECAY = 0.6
     log_step: float = math.log(0.5)
-    target: float = 0.44
-    decay: float = 0.6
     accepted: float = 0.0
     proposed: int = 0
     frozen: bool = False
@@ -73,8 +78,8 @@ class AdaptiveStepSize:
         self.proposed += 1
         self.accepted += accept_prob
         if not self.frozen:
-            gain = self.proposed ** -self.decay
-            self.log_step += gain * (accept_prob - self.target)
+            gain = self.proposed ** -self.DECAY
+            self.log_step += gain * (accept_prob - self.TARGET)
             self.log_step = min(max(self.log_step, -12.0), 6.0)
 
 
@@ -433,9 +438,9 @@ def update_allocation_conjugate(state, data, spec, kernel, j, i, table, rng,
 
 
 def update_allocation_nonconjugate(state, data, spec, kernel, j, i, table,
-                                   rng, n_aux=3, rows=None):
+                                   rng, rows=None):
     '''Auxiliary-atom reassignment of c_{j,i}: existing clusters compete
-    with n_aux fresh atoms, a removed singleton recycling its atom into
+    with N_AUX fresh atoms, a removed singleton recycling its atom into
     the first slot; rows as in update_allocation_conjugate, but every
     pick draws its own rng.random() after the redraw's prior draws.'''
     view = rows
@@ -444,11 +449,11 @@ def update_allocation_nonconjugate(state, data, spec, kernel, j, i, table,
     home = view.labels[i]
     ratio = view.log_ratios[home]
     recycled = view.detach(i)
-    aux = kernel.prior_draws(n_aux, rng)
+    aux = kernel.prior_draws(N_AUX, rng)
     if recycled is not None:
         aux[0] = recycled
     K = len(view.counts)
-    fresh = [view.log_ratios[K] - math.log(n_aux)] * n_aux
+    fresh = [view.log_ratios[K] - math.log(N_AUX)] * N_AUX
     logs = np.add(view.log_ratios[:K] + fresh, kernel.log_density(
         view.ys[i], kernel.stack_atoms(view.atoms + aux)))
     k = _pick(logs.tolist(), rng.random(), j, i)
@@ -534,7 +539,7 @@ def update_shape_marginal(state, spec, log_prior, step, rng, table):
 
 
 def marginal_sweep(state, data, spec, kernel, rng, v_steps, shape_step=None,
-                   log_prior=None, n_aux=3, table=None):
+                   log_prior=None, table=None):
     '''One full sweep: allocations, atoms (non-conjugate), auxiliaries,
     and optionally the score shape.  Returns the current spec and kappa
     table (both may be replaced by a shape move).'''
@@ -548,7 +553,7 @@ def marginal_sweep(state, data, spec, kernel, rng, v_steps, shape_step=None,
                                             table, rng, rows)
             else:
                 update_allocation_nonconjugate(state, data, spec, kernel, j,
-                                               i, table, rng, n_aux, rows)
+                                               i, table, rng, rows)
         rows.write_back()
     if not kernel.conjugate:
         update_atoms(state, data, kernel, rng)

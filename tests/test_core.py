@@ -26,7 +26,6 @@ from corm.core import (
     MarginalFamily,
     MomentPartition,
     RuleNodes,
-    ScoreDistribution,
     TiltRule,
     beta_directed_marginal,
     clayton_copula,
@@ -62,40 +61,40 @@ def spec_gg(dimension=2, shape=2.0, sigma=0.3, a=1.0, mass=1.0):
 
 class TestScores:
 
-    def test_score_density_is_gamma(self):
-        sc = ScoreDistribution(2.0)
-        assert sc.density(1.0) == pytest.approx(math.exp(-1.0), rel=1e-13)
-        assert sc.density(3.0) == pytest.approx(3.0 * math.exp(-3.0), rel=1e-13)
-
     def test_score_shape_positive(self):
-        with pytest.raises(ValueError):
-            ScoreDistribution(0.0)
+        # the spec and with_shape raise the ValueError the samplers'
+        # shape moves catch
+        for shape in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError, match='score shape'):
+                CoRMSpec(2, shape, MarginalFamily.gamma())
+            with pytest.raises(ValueError, match='score shape'):
+                spec_gamma().with_shape(shape)
 
 
 class TestDirectingIntensities:
 
     def test_gamma_directing_density(self):
         nu = directing_from_marginal(MarginalFamily.gamma(), 2.0)
-        assert nu(0.5) == pytest.approx(1.0, rel=1e-13)
+        assert nu.density(0.5) == pytest.approx(1.0, rel=1e-13)
         assert nu.support == (0.0, 1.0)
 
     def test_stable_directing_coefficient(self):
         # normalised so the induced marginal exponent is exactly lambda^sigma;
         # for shape 1, sigma 1/2 the constant collapses to 1/pi
         nu = directing_from_marginal(MarginalFamily.sigma_stable(0.5), 1.0)
-        assert nu(1.0) == pytest.approx(1.0 / math.pi, rel=1e-12)
+        assert nu.density(1.0) == pytest.approx(1.0 / math.pi, rel=1e-12)
 
     def test_stable_directing_general_coefficient(self):
         shape, sigma = 2.0, 0.3
         nu = directing_from_marginal(MarginalFamily.sigma_stable(sigma), shape)
         c = math.exp(math.log(sigma) + gammaln(shape)
                      - gammaln(shape + sigma) - gammaln(1.0 - sigma))
-        assert nu(2.0) == pytest.approx(c * 2.0 ** (-1.0 - sigma), rel=1e-12)
+        assert nu.density(2.0) == pytest.approx(c * 2.0 ** (-1.0 - sigma), rel=1e-12)
 
     def test_stable_tail_and_inverse(self):
         nu = directing_from_marginal(MarginalFamily.sigma_stable(0.5), 1.0)
         got = nu.tail_integral(1.0)
-        ref = sci.quad(lambda z: nu(z), 1.0, np.inf)[0]
+        ref = sci.quad(lambda z: nu.density(z), 1.0, np.inf)[0]
         assert got == pytest.approx(ref, rel=1e-9)
         assert nu.inverse_tail(got) == pytest.approx(1.0, rel=1e-9)
 
@@ -104,13 +103,13 @@ class TestDirectingIntensities:
         gg = directing_from_marginal(
             MarginalFamily.generalized_gamma(sigma, 1e-8), shape)
         st = directing_from_marginal(MarginalFamily.sigma_stable(sigma), shape)
-        assert gg(0.25) == pytest.approx(st(0.25), rel=1e-6)
+        assert gg.density(0.25) == pytest.approx(st.density(0.25), rel=1e-6)
 
     def test_gg_directing_support(self):
         nu = directing_from_marginal(
             MarginalFamily.generalized_gamma(0.3, 2.0), 1.0)
         assert nu.support == (0.0, 0.5)
-        assert nu(0.49999) > 0.0
+        assert nu.density(0.49999) > 0.0
 
     def test_compound_reproduces_stable_marginal(self):
         # int f(s/z | shape) z^-1 nu*(dz) must return the marginal intensity
@@ -120,7 +119,7 @@ class TestDirectingIntensities:
         def integrand(z):
             x = s / z
             dens = math.exp((shape - 1.0) * math.log(x) - x - gammaln(shape))
-            return dens / z * nu(z)
+            return dens / z * nu.density(z)
 
         mix = sci.quad(integrand, 0.0, np.inf, limit=200)[0]
         # the score shape cancels: the compound coordinate is always the
@@ -128,7 +127,7 @@ class TestDirectingIntensities:
         closed = sigma / math.gamma(1.0 - sigma) * s ** (-1.0 - sigma)
         assert mix == pytest.approx(closed, rel=1e-8)
         ref = marginal_intensity(MarginalFamily.sigma_stable(sigma))
-        assert ref(s) == pytest.approx(closed, rel=1e-12)
+        assert ref.density(s) == pytest.approx(closed, rel=1e-12)
 
     def test_compound_reproduces_gamma_marginal(self):
         shape, s = 2.0, 0.9
@@ -137,7 +136,7 @@ class TestDirectingIntensities:
         def integrand(z):
             x = s / z
             dens = math.exp((shape - 1.0) * math.log(x) - x - gammaln(shape))
-            return dens / z * nu(z)
+            return dens / z * nu.density(z)
 
         mix = sci.quad(integrand, 0.0, 1.0, limit=200)[0]
         assert mix == pytest.approx(math.exp(-s) / s, rel=1e-8)
@@ -502,19 +501,19 @@ class TestInverseWithoutClosedForm:
         def density(s):
             return gg_directed_marginal(s, 2.0, 0.3, 1.0)
 
-        nu = LevyIntensity(density, (0.0, np.inf), (-1.0 - 0.3, None),
+        nu = LevyIntensity(density, (0.0, np.inf), -1.0 - 0.3,
                            tail_fn=quadpack_tail(density))
         x = nu.inverse_tail(1.0)
         assert nu.tail_integral(x) == pytest.approx(1.0, rel=1e-10)
-        ref = sci.quad(lambda s: float(nu(s)), x, 1.0)[0] \
-            + sci.quad(lambda s: float(nu(s)), 1.0, np.inf)[0]
+        ref = sci.quad(lambda s: float(nu.density(s)), x, 1.0)[0] \
+            + sci.quad(lambda s: float(nu.density(s)), 1.0, np.inf)[0]
         assert ref == pytest.approx(1.0, rel=1e-8)
 
     def test_root_above_the_ceiling_raises(self):
         # the sigma-stable tail z^(-1/2) / Gamma(1/2) without its closed
         # inverse: level 1e-200 has its root near 3e399
         nu = LevyIntensity(lambda s: 0.5 / math.sqrt(math.pi) * s ** -1.5,
-                           (0.0, np.inf), (-1.5, -1.5),
+                           (0.0, np.inf), -1.5, upper_rate=-0.5,
                            tail_fn=lambda x: x ** -0.5 / math.sqrt(math.pi))
         assert nu.inverse_tail(1e-100) == pytest.approx(1e200 / math.pi,
                                                         rel=1e-10)
@@ -532,14 +531,13 @@ class TestInverseWithoutClosedForm:
 
     def test_tail_fn_is_required(self):
         with pytest.raises(TypeError, match='tail_fn'):
-            LevyIntensity(lambda s: np.exp(-s) / s, (0.0, np.inf),
-                          (-1.0, None))
+            LevyIntensity(lambda s: np.exp(-s) / s, (0.0, np.inf), -1.0)
 
     def test_unconverged_level_raises(self):
         # a density 1e6 times the tail's derivative shrinks every Newton
         # step by 1e6, so the level is still unsolved when the steps run out
         nu = LevyIntensity(lambda s: 1e6 * np.exp(-s) / s, (0.0, np.inf),
-                           (-1.0, None), tail_fn=exp1)
+                           -1.0, tail_fn=exp1)
         with pytest.raises(RuntimeError, match='unconverged'):
             nu.inverse_tail(5.0)
 
@@ -548,7 +546,7 @@ class TestMarginalIntensities:
 
     def test_gamma_intensity(self):
         nu = marginal_intensity(MarginalFamily.gamma())
-        assert nu(1.0) == pytest.approx(math.exp(-1.0), rel=1e-13)
+        assert nu.density(1.0) == pytest.approx(math.exp(-1.0), rel=1e-13)
         ref = sci.quad(lambda s: math.exp(-s) / s, 2.0, np.inf)[0]
         assert nu.tail_integral(2.0) == pytest.approx(ref, rel=1e-10)
 
@@ -556,7 +554,7 @@ class TestMarginalIntensities:
         # sigma / Gamma(1-sigma), the constant that makes the exponent
         # exactly lambda^sigma
         nu = marginal_intensity(MarginalFamily.sigma_stable(0.5))
-        assert nu(1.0) == pytest.approx(0.5 / math.gamma(0.5), rel=1e-12)
+        assert nu.density(1.0) == pytest.approx(0.5 / math.gamma(0.5), rel=1e-12)
 
     def test_inverse_tail_round_trip(self):
         for fam in (MarginalFamily.gamma(), MarginalFamily.sigma_stable(0.7)):
@@ -599,7 +597,7 @@ class TestMarginalIntensities:
         nu = marginal_intensity(MarginalFamily.generalized_gamma(sigma, a))
         c = sigma / math.gamma(1.0 - sigma)
         for s in (0.2, 1.0, 4.0):
-            assert nu(s) == pytest.approx(
+            assert nu.density(s) == pytest.approx(
                 c * s ** (-1.0 - sigma) * math.exp(-a * s), rel=1e-12)
 
     def test_gg_intensity_vs_mixture(self):
@@ -626,7 +624,7 @@ class TestMarginalFromDirecting:
         # theta = shape collapses the confluent factor and leaves s^-1 e^-s
         nu = beta_directed_marginal(1.5, 1.5)
         for s in (0.2, 1.0, 4.0):
-            assert nu(s) == pytest.approx(math.exp(-s) / s, rel=1e-9)
+            assert nu.density(s) == pytest.approx(math.exp(-s) / s, rel=1e-9)
 
     def test_beta_general_vs_mixture(self):
         shape, theta = 1.3, 2.2
@@ -639,7 +637,7 @@ class TestMarginalFromDirecting:
         nu = beta_directed_marginal(shape, theta)
         for s in (0.3, 0.8, 2.5):
             ref = sci.quad(integrand, 0.0, 1.0, args=(s,), limit=200)[0]
-            assert nu(s) == pytest.approx(ref, rel=1e-7)
+            assert nu.density(s) == pytest.approx(ref, rel=1e-7)
 
     def test_gamma_directing_bessel_form(self):
         shape = 1.7
@@ -724,14 +722,12 @@ class TestSpecConstruction:
         # is a new intensity, so equal inputs give distinct specs
         nu = directing_from_marginal(MarginalFamily.gamma(), 1.0)
         with pytest.raises(TypeError):
-            CoRMSpec(2, ScoreDistribution(1.0), MarginalFamily.gamma(), nu)
+            CoRMSpec(2, 1.0, MarginalFamily.gamma(), nu)
         with pytest.raises(TypeError):
-            CoRMSpec(2, ScoreDistribution(1.0), MarginalFamily.gamma(),
-                     directing=nu)
-        sp = CoRMSpec(2, ScoreDistribution(1.0), MarginalFamily.gamma())
+            CoRMSpec(2, 1.0, MarginalFamily.gamma(), directing=nu)
+        sp = CoRMSpec(2, 1.0, MarginalFamily.gamma())
         assert sp == sp
-        assert sp != CoRMSpec(2, ScoreDistribution(1.0),
-                              MarginalFamily.gamma())
+        assert sp != CoRMSpec(2, 1.0, MarginalFamily.gamma())
 
     def test_spec_equals_and_hashes_by_identity(self):
         # samplers key caches by spec: equality and the hash are the
@@ -1005,9 +1001,9 @@ class TestLevyCopula:
         monkeypatch.setattr(
             core_mod, 'marginal_intensity',
             lambda m: core_mod.LevyIntensity(
-                marginal.density, marginal.support,
-                marginal.singularity_exponents,
-                tail_fn=quadpack_tail(marginal.density)))
+                marginal.density, marginal.support, marginal.lower_exponent,
+                tail_fn=quadpack_tail(marginal.density),
+                upper_rate=marginal.upper_rate))
         for (y1, y2), want in zip(pairs, closed):
             assert levy_copula(sp, y1, y2) == pytest.approx(want, rel=1e-8)
 

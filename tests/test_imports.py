@@ -79,7 +79,7 @@ out['slice_jumps'] = int(slice_state.n_jumps)
 gamma_spec = core.CoRMSpec.from_marginal(2, 2.5, core.MarginalFamily.gamma())
 out['rho'] = core.rho_density(gamma_spec, [0.5, 1.5])
 out['rho_loads'] = loaded('scipy.integrate')
-out['beta'] = core.beta_directed_marginal(1.3, 2.2)(0.8)
+out['beta'] = core.beta_directed_marginal(1.3, 2.2).density(0.8)
 out['beta_loads'] = loaded('scipy.integrate')
 # the first-use imports: a Levy copula, a quadrature and an
 # inverse-Wishart draw

@@ -36,7 +36,7 @@ from corm.slice_sampler import SliceState, update_jump_heights
 
 
 def make_spec(marginal, shape, dimension=2):
-    return CoRMSpec.from_marginal(dimension, shape, marginal, verify=False)
+    return CoRMSpec(dimension, shape, marginal)
 
 
 def _gamma_rho_closed(shape, s):
@@ -122,8 +122,8 @@ class TestBetaDirected:
         nu = beta_directed_marginal(shape, theta)
         s = np.array([1e-3, 0.1, 2.0, 20.0])
         want = [_beta_marginal_closed(shape, theta, x) for x in s]
-        assert np.allclose(nu(s), want, rtol=1e-12, atol=0.0)
-        assert [nu(x) for x in s.tolist()] == nu(s).tolist()
+        assert np.allclose(nu.density(s), want, rtol=1e-12, atol=0.0)
+        assert [nu.density(x) for x in s.tolist()] == nu.density(s).tolist()
 
     @pytest.mark.parametrize('shape, theta, x', [
         (0.05, 0.4, 1e-3), (1.3, 2.2, 0.5), (2.0, 0.001, 0.1),

@@ -489,7 +489,7 @@ class TestUrnWeights:
         hits = np.zeros(3)
         for t in range(n_iter):
             update_allocation_nonconjugate(state, data, spec, kernel, 0, 3,
-                                           table, rng, n_aux=3)
+                                           table, rng)
             c = state.allocations[0]
             if c[3] == c[0]:
                 hits[0] += 1
@@ -1119,7 +1119,7 @@ def _one_off_sweep(state, data, spec, kernel, rng, v_steps, shape_step,
                                             table, rng)
             else:
                 update_allocation_nonconjugate(state, data, spec, kernel, j,
-                                               i, table, rng, n_aux=3)
+                                               i, table, rng)
         state.check()
     if not kernel.conjugate:
         update_atoms(state, data, kernel, rng)

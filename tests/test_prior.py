@@ -165,8 +165,7 @@ class TestThinnedLaw:
     @pytest.mark.parametrize('marginal, shape', LAW_CASES, ids=LAW_IDS)
     def test_tail_mass_jumps_are_uniform_in_the_tail(self, marginal,
                                                      shape):
-        spec = CoRMSpec.from_marginal(2, shape, marginal, centring_mass=50.0,
-                                      verify=False)
+        spec = CoRMSpec(2, shape, marginal, centring_mass=50.0)
         directing = spec.directing
         rng = np.random.default_rng(31)
         draws = [sample_corm(spec, rng) for _ in range(8)]
@@ -185,8 +184,7 @@ class TestThinnedLaw:
     @pytest.mark.parametrize('marginal, shape', LAW_CASES, ids=LAW_IDS)
     def test_count_jumps_have_gamma_arrival_times(self, marginal, shape):
         n, draws = 12, 800
-        spec = CoRMSpec.from_marginal(2, shape, marginal, centring_mass=3.0,
-                                      verify=False)
+        spec = CoRMSpec(2, shape, marginal, centring_mass=3.0)
         directing = spec.directing
         rng = np.random.default_rng(32)
         first, last = np.empty(draws), np.empty(draws)
@@ -206,8 +204,7 @@ class TestThinnedLaw:
         # gamma at shape 0.05: beta = 0.05, and the envelope proposes
         # about 56 points above the default level to keep about 31 jumps.
         # A budget between the two is too small: it bounds proposals
-        spec = CoRMSpec.from_marginal(2, 0.05, MarginalFamily.gamma(),
-                                      verify=False)
+        spec = CoRMSpec(2, 0.05, MarginalFamily.gamma())
         rng = np.random.default_rng(34)
         r = sample_corm(spec, rng)
         want = spec.directing.tail_integral(r.truncation_level)
@@ -223,8 +220,7 @@ class TestThinnedLaw:
         # at beta = 0.05 the beta piece's gap (y a beta / coef)^(1/beta)
         # underflows to 0 for the smallest levels: the point, below 1/a
         # exactly, becomes the largest double below it and is kept
-        spec = CoRMSpec.from_marginal(2, 0.05, MarginalFamily.gamma(),
-                                      verify=False)
+        spec = CoRMSpec(2, 0.05, MarginalFamily.gamma())
         band = spec.directing.envelope.band(1e-3)
         z = band.points(np.array([1e-300, 1e-30, 0.5 * band.beta_mass]))
         top = np.nextafter(1.0, 0.0)
@@ -238,8 +234,7 @@ class TestThinnedLaw:
         # and the mean total mass int_level^1 z nu*(z) dz = (1 - level)^phi
         # / phi, both within 4 standard errors over 2,000 draws
         phi = 0.05
-        spec = CoRMSpec.from_marginal(2, phi, MarginalFamily.gamma(),
-                                      verify=False)
+        spec = CoRMSpec(2, phi, MarginalFamily.gamma())
         rng = np.random.default_rng(35)
         rs = [sample_corm(spec, rng) for _ in range(2000)]
         level = rs[0].truncation_level
@@ -264,7 +259,7 @@ class TestResidualLevel:
         (MarginalFamily.generalized_gamma(0.5, 2.5), 0.7)])
     def test_level_solves_weighted_mass(self, monkeypatch, marginal, shape):
         import corm.prior as prior_mod
-        spec = CoRMSpec.from_marginal(2, shape, marginal, verify=False)
+        spec = CoRMSpec(2, shape, marginal)
         target = 1e-6 * _coverage_norm(spec)
         calls = []
         weighted_mass = prior_mod._weighted_mass

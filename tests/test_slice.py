@@ -79,7 +79,7 @@ class TestSubThresholdIntegrals:
     def test_tilted_mass_off_the_unit_support(self, marginal, lo, hi):
         # nu* on (0, inf) and (0, 1/2): the mean count is the mass of
         # nu*(z) / (1 + v z) on (lo, hi) by QUADPACK
-        spec = CoRMSpec.from_marginal(2, 1.0, marginal, verify=False)
+        spec = CoRMSpec(2, 1.0, marginal)
         v = self.V1
         tilt = lambda z: 1.0 / (1.0 + v * z)
         want = _quadpack_mass(spec, tilt, lo, hi)
@@ -225,7 +225,7 @@ class TestTiltedDraw:
     @pytest.mark.parametrize('case', range(len(TILTED_CASES)))
     def test_kolmogorov_smirnov(self, case):
         marginal, phi, lo, hi = TILTED_CASES[case]
-        spec = CoRMSpec.from_marginal(2, phi, marginal, verify=False)
+        spec = CoRMSpec(2, phi, marginal)
         rng = np.random.default_rng(1000 + case)
         xs = sample_tilted_z(spec, lo, hi, self.V, rng, size=2000)
         assert xs.shape == (2000,)
@@ -243,7 +243,7 @@ class TestTiltedDraw:
 
     def test_size_none_returns_a_float(self):
         marginal, phi, lo, hi = TILTED_CASES[0]
-        spec = CoRMSpec.from_marginal(2, phi, marginal, verify=False)
+        spec = CoRMSpec(2, phi, marginal)
         z = sample_tilted_z(spec, lo, hi, self.V, np.random.default_rng(0))
         assert isinstance(z, float) and lo <= z <= hi
 
@@ -315,7 +315,7 @@ JUMP_HEIGHT_CASES = (
 
 
 def _proposals(marginal, phi, low, w):
-    spec = CoRMSpec.from_marginal(1, phi, marginal, verify=False)
+    spec = CoRMSpec(1, phi, marginal)
     return slice_sampler._JumpHeightProposals(
         spec, np.array([low]), np.array([w]), np.random.default_rng(0))
 
@@ -332,7 +332,7 @@ class TestJumpHeights:
     @pytest.mark.parametrize('case', range(len(JUMP_HEIGHT_CASES)))
     def test_kolmogorov_smirnov(self, case):
         marginal, phi, low, w = JUMP_HEIGHT_CASES[case]
-        spec = CoRMSpec.from_marginal(1, phi, marginal, verify=False)
+        spec = CoRMSpec(1, phi, marginal)
         state = _pool_state(2000, low, w)
         update_jump_heights(state, spec, np.random.default_rng(2000 + case))
         xs = np.sort(state.jumps)
@@ -354,7 +354,7 @@ class TestJumpHeights:
         power, exponential, upper_shares = set(), set(), []
         for marginal, phi, low, w in JUMP_HEIGHT_CASES:
             proposals = _proposals(marginal, phi, low, w)
-            spec = CoRMSpec.from_marginal(1, phi, marginal, verify=False)
+            spec = CoRMSpec(1, phi, marginal)
             below_one = _directing_constants(spec)[3] < 1.0
             (power if proposals.on_power[0] else exponential).add(below_one)
             if below_one and not proposals.on_power[0]:
@@ -375,7 +375,7 @@ class TestJumpHeights:
         # s))^beta or from its 1 / (a beta) moves it by about 5, 12 and
         # 30 standard errors
         n = 16000
-        spec = CoRMSpec.from_marginal(1, 0.4, marginal, verify=False)
+        spec = CoRMSpec(1, 0.4, marginal)
         proposals = _proposals(marginal, 0.4, low, w)
         assert not proposals.on_power[0]
         split, top = float(proposals.splits[0]), _support_end(spec)
@@ -421,7 +421,7 @@ class TestJumpHeights:
 
         first_accepted = slice_sampler._first_accepted
         monkeypatch.setattr(slice_sampler, '_first_accepted', counted)
-        spec = CoRMSpec.from_marginal(1, phi, marginal, verify=False)
+        spec = CoRMSpec(1, phi, marginal)
         assert not _proposals(marginal, phi, low, 1e3).on_power[0]
         state = _pool_state(2000, low, 1e3)
         update_jump_heights(state, spec, np.random.default_rng(4))
@@ -493,7 +493,7 @@ class TestPowerEnvelopePieces:
     @pytest.mark.parametrize('case', range(len(POWER_CASES)))
     def test_jump_heights(self, case):
         marginal, phi, low, w = POWER_CASES[case]
-        spec = CoRMSpec.from_marginal(1, phi, marginal, verify=False)
+        spec = CoRMSpec(1, phi, marginal)
         assert _proposals(marginal, phi, low, w).on_power[0]
         state = _pool_state(2000, low, w)
         update_jump_heights(state, spec, np.random.default_rng(3000 + case))
@@ -508,7 +508,7 @@ class TestPowerEnvelopePieces:
     @pytest.mark.parametrize('case', range(len(TILTED_POWER_CASES)))
     def test_tilted_draws(self, case):
         marginal, phi, lo, hi = TILTED_POWER_CASES[case]
-        spec = CoRMSpec.from_marginal(2, phi, marginal, verify=False)
+        spec = CoRMSpec(2, phi, marginal)
         v = TestTiltedDraw.V
         xs = sample_tilted_z(spec, lo, hi, v, np.random.default_rng(
             3100 + case), size=2000)
@@ -531,7 +531,7 @@ class TestMassNearOne:
 
     @pytest.mark.parametrize('w, on_power', [(0.1, True), (10.0, False)])
     def test_jump_heights(self, w, on_power):
-        spec = CoRMSpec.from_marginal(1, self.PHI, GAMMA, verify=False)
+        spec = CoRMSpec(1, self.PHI, GAMMA)
         assert _proposals(GAMMA, self.PHI, self.LOW, w).on_power[0] \
             == on_power
         state = _pool_state(4000, self.LOW, w)
@@ -544,7 +544,7 @@ class TestMassNearOne:
         self._check_share(state.jumps, want)
 
     def test_tilted_draws(self):
-        spec = CoRMSpec.from_marginal(2, self.PHI, GAMMA, verify=False)
+        spec = CoRMSpec(2, self.PHI, GAMMA)
         xs = sample_tilted_z(spec, self.LOW, 1.0, [0.0, 0.0],
                              np.random.default_rng(3201), size=4000)
         tail = spec.directing.tail_integral
@@ -653,6 +653,49 @@ def test_sweeps_keep_invariants(marginal):
         assert state.counts.sum() == 60
 
 
+# the update stages of slice_sweep in its order, one update_v_interweaving
+# a group
+SWEEP_STAGES = ('update_allocations_slice', 'update_atoms_slice',
+                'update_jump_heights', 'update_scores', 'birth_death_move',
+                'update_u_and_repopulate', 'update_v_interweaving',
+                'update_v_interweaving', 'update_hyperparameters_slice')
+
+
+@pytest.mark.parametrize('marginal', [GAMMA, GEN_GAMMA, STABLE,
+                                      GEN_GAMMA_A2],
+                         ids=['gamma', 'generalized-gamma', 'sigma-stable',
+                              'gg-a2'])
+def test_every_stage_keeps_invariants(monkeypatch, marginal):
+    # each stage the sweep calls is wrapped to check the state after it,
+    # so a stage that breaks an invariant is named, not the sweep
+    ran = []
+
+    def checked(name, stage):
+        def run(state, *args):
+            out = stage(state, *args)
+            state.check()
+            ran.append(name)
+            return out
+        return run
+
+    rng = np.random.default_rng(23)
+    data = _two_groups(rng, 20)
+    kernel = UnivariateNormalGamma.from_data(data.stacked())
+    spec = CoRMSpec.from_marginal(2, 1.0, marginal)
+    # the start calls update_atoms_slice before its slice latents exist
+    state = initial_slice_state(data, spec, kernel, rng, n_start=4)
+    for name in set(SWEEP_STAGES):
+        monkeypatch.setattr(slice_sampler, name,
+                            checked(name, getattr(slice_sampler, name)))
+    v_steps = [(AdaptiveStepSize(), AdaptiveStepSize()) for _ in range(2)]
+    shape_step, cache = AdaptiveStepSize(), {}
+    for _ in range(20):
+        ran.clear()
+        spec = slice_sweep(state, data, spec, kernel, rng, v_steps,
+                           shape_step, lambda phi: -phi, cache)
+        assert tuple(ran) == SWEEP_STAGES
+
+
 @pytest.mark.parametrize('marginal', [GAMMA, GEN_GAMMA, STABLE,
                                       GEN_GAMMA_A2],
                          ids=['gamma', 'generalized-gamma', 'sigma-stable',
@@ -700,7 +743,7 @@ def test_tilted_draw_rejects_proposals_outside_its_band(monkeypatch):
         return z
 
     monkeypatch.setattr(EnvelopeBand, 'points', spoiled)
-    spec = CoRMSpec.from_marginal(2, 0.4, GAMMA, verify=False)
+    spec = CoRMSpec(2, 0.4, GAMMA)
     z = sample_tilted_z(spec, lower, upper, [0.5, 2.0],
                         np.random.default_rng(0), size=500)
     assert np.all((lower < z) & (z < upper))

@@ -55,8 +55,7 @@ FAMILIES = {
 
 
 def make_spec(family, shape, dimension=2):
-    return CoRMSpec.from_marginal(dimension, shape, FAMILIES[family],
-                                  verify=False)
+    return CoRMSpec(dimension, shape, FAMILIES[family])
 
 
 def directing_log_density(marginal, shape):
@@ -421,8 +420,7 @@ class TestSubThresholdRule:
         # (1 + v_j z)^-shape: the mean and variance of their count on the
         # widest band, over 1,000 repeats at the largest tilt, are each
         # within 4 standard errors of M times its integral
-        spec = CoRMSpec.from_marginal(2, shape, FAMILIES[family],
-                                      centring_mass=2.0, verify=False)
+        spec = CoRMSpec(2, shape, FAMILIES[family], centring_mass=2.0)
         v, (lo, hi) = SUB_TILTS[1], SUB_BANDS[0]
         (mass,) = stretch_oracle(
             spec, v, lo, hi, lambda z: [mpmath.exp(_log_tilt(v, shape, z))])
@@ -625,7 +623,7 @@ class TestSlopeForm:
             == fresh
         program = '\n'.join((
             'from corm.core import CoRMSpec, MarginalFamily, TiltRule',
-            'spec = CoRMSpec.from_marginal(2, %r, %r, verify=False)'
+            'spec = CoRMSpec(2, %r, %r)'
             % (shape, FAMILIES[family]),
             'rule = TiltRule(spec, %r)' % (v,),
             'print([float.hex(rule.log_kappa(a)) for a in %r])' % targets,
