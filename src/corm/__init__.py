@@ -1,15 +1,18 @@
 '''Compound random measures.
 
 Entry points, with the options they still take:
-- core.CoRMSpec(dimension, shape, marginal, centring_mass=1.0, base=None):
+- core.CoRMSpec(dimension, shape, marginal, centring_mass=1.0):
   Ga(shape) scores, a core.MarginalFamily marginal (gamma, sigma_stable,
-  generalized_gamma).  CoRMSpec.from_marginal, on the same arguments,
-  checks the directing intensity against the marginal; with_shape does not.
-- core.laplace_exponent, rho_density, kappa, levy_copula, mixed_moment
-  and the like take a spec and points; covariance_normalized also takes
-  its quadrature's rel_tol=1e-6.
+  generalized_gamma) and a centring measure centring_mass times
+  Uniform(0, 1).  CoRMSpec.from_marginal, on the same arguments, checks
+  the directing intensity against the marginal; with_shape does not.
+- core.laplace_exponent, rho_density, kappa, levy_copula and the like
+  take a spec and points; mixed_moment takes an exponent vector of any
+  integer order and a region mass; covariance_normalized also takes its
+  quadrature's rel_tol=1e-6.
 - prior.sample_corm(spec, rng, n_jumps=None, tail_mass=None,
-  max_jumps=100_000), then prior.normalize(draw).
+  max_jumps=100_000), then prior.normalize(draw); the jumps' locations
+  are Uniform(0, 1).
 - kernels.Dataset(groups); FlatKernel(); UnivariateNormalGamma and
   MultivariateNormalNIW by their constructors or .from_data(observations);
   predictive_density(snapshots, kernel, group, points).

@@ -30,7 +30,6 @@ __all__ = [
     'PowerEnvelope',
     'EnvelopeBand',
     'CoRMSpec',
-    'MomentPartition',
     'directing_from_marginal',
     'beta_directed_marginal',
     'marginal_intensity',
@@ -43,7 +42,6 @@ __all__ = [
     'kappa',
     'levy_copula',
     'clayton_copula',
-    'enumerate_moment_partitions',
     'mixed_moment',
     'covariance_normalized',
 ]
@@ -779,9 +777,10 @@ class CoRMSpec:
     marginal and the score shape fix it, and __post_init__ derives it
     (directing_from_marginal, which raises ValueError at a shape <= 0).
     Each derivation is a new object, so a spec equals and hashes only as
-    itself (identity).  `base` optionally carries the centring base
-    distribution (an object the mixture layer understands); the
-    measure-level operations below never touch it.
+    itself (identity).  The centring measure is centring_mass times
+    Uniform(0, 1): prior draws place their atoms uniformly, and a caller
+    with another centring distribution maps the locations through its
+    inverse CDF.
 
     CoRMSpec(...) builds a spec without checks beyond these;
     from_marginal() takes the same arguments and also verifies the
@@ -794,7 +793,6 @@ class CoRMSpec:
     shape: float
     marginal: MarginalFamily
     centring_mass: float = 1.0
-    base: object = None
     directing: LevyIntensity = field(init=False)
 
     def __post_init__(self):
@@ -806,9 +804,8 @@ class CoRMSpec:
                            directing_from_marginal(self.marginal, self.shape))
 
     @classmethod
-    def from_marginal(cls, dimension, shape, marginal, centring_mass=1.0,
-                      base=None):
-        spec = cls(dimension, shape, marginal, centring_mass, base)
+    def from_marginal(cls, dimension, shape, marginal, centring_mass=1.0):
+        spec = cls(dimension, shape, marginal, centring_mass)
         # the first coordinate's Laplace exponent, by the tilt rule on the
         # directing intensity, against the marginal's closed form
         first = np.eye(dimension)[0]
@@ -1202,20 +1199,9 @@ class TiltRule:
         log_g = (self.log_w + math.log(shape) + self.log_z
                  - shape * self.log1p_vz.sum(axis=0))
         decay = shape * sum(self.positive)
-        block = np.exp(log_g - self.log1p_vz)    # one row per integrand
-        out = np.empty(self.v.size)
-        for j, (f, sums) in enumerate(zip(
-                block, np.dot(block, self._pair.T).tolist())):
-            rate_lo, rate_hi = self._end_rates(
-                1.0, 1.0 - decay - self.positive[j])
-            full, half = self._rule_pair(f, sums, rate_lo, rate_hi)
-            if not abs(full - half) <= 1e-9 * full:
-                raise QuadratureError(
-                    'd psi / d v_%d at %s: trapezoid rules disagree by %.3g '
-                    'relative' % (j, self.v.tolist(), (full - half) / full),
-                    IntegralResult(full, abs(full - half), f.size))
-            out[j] = full
-        return out
+        return np.array([math.exp(self._log_sum(
+            log_g - row, *self._end_rates(1.0, 1.0 - decay - positive)))
+            for row, positive in zip(self.log1p_vz, self.positive)])
 
 
 def laplace_exponent(spec, lam):
@@ -1229,24 +1215,18 @@ def rho_density(spec, s):
     '''
     Multivariate Levy intensity rho_d at the positive vector s: the density
     of putting scaled scores s_j on the d coordinates of one shared jump,
-    int z^-d prod_j f(s_j / z) nu*(z) dz with f the Ga(shape) density.
-    sigma-stable marginals have it in closed form; gamma and generalized
-    gamma integrate the mixture on TiltRule nodes (_rho_by_mixture).  For
-    gamma the paper's Whittaker-function form is the tests' oracle.
+    int z^-d prod_j f(s_j / z) nu*(z) dz with f the Ga(shape) density,
+    integrated on TiltRule nodes (_rho_by_mixture) for every family.  The
+    tests hold the closed forms: the paper's Whittaker-function form for
+    gamma and the power law of sigma-stable.
     '''
     s = np.asarray(s, dtype=float)
     if s.ndim != 1 or s.size != spec.dimension:
         raise ValueError('s must be a vector of length %d' % spec.dimension)
-    if np.any(s <= 0.0):
-        raise ValueError('all components of s must be positive')
-    if spec.marginal.kind != 'sigma-stable':
-        return _rho_by_mixture(spec, s)
-    shape, d, sigma = spec.shape, spec.dimension, spec.marginal.sigma
-    return math.exp(
-        (shape - 1.0) * np.log(s).sum() - (d - 1.0) * math.lgamma(shape)
-        + math.log(sigma) + math.lgamma(sigma + d * shape)
-        - math.lgamma(shape + sigma) - math.lgamma(1.0 - sigma)
-        - (sigma + d * shape) * math.log(float(s.sum())))
+    if not np.all((s > 0.0) & (s < math.inf)):
+        raise ValueError('all components of s must be positive and finite: '
+                         '%s' % s)
+    return _rho_by_mixture(spec, s)
 
 
 def _rho_by_mixture(spec, s, shape=None):
@@ -1361,26 +1341,6 @@ def clayton_copula(gamma_par, y1, y2):
     return float((y1 ** -gamma_par + y2 ** -gamma_par) ** (-1.0 / gamma_par))
 
 
-@dataclass(frozen=True)
-class MomentPartition:
-    '''One term of the mixed-moment sum: distinct score-exponent vectors
-    (the blocks) with their multiplicities.'''
-    vectors: tuple
-    multiplicities: tuple
-
-    @property
-    def block_count(self):
-        return len(self.vectors)
-
-    @property
-    def k(self):
-        return int(sum(self.multiplicities))
-
-
-def _vector_key(vec):
-    return (sum(vec),) + tuple(vec)
-
-
 def _exponent_vector(q):
     '''The exponent vector q as a tuple of ints.  Every entry must be a
     nonnegative integer, an integral float such as 2.0 included:
@@ -1392,46 +1352,6 @@ def _exponent_vector(q):
     return tuple(int(v) for v in x)
 
 
-def enumerate_moment_partitions(q, k):
-    '''
-    All ways of writing the exponent vector q as sum_i eta_i * s_i with
-    k = sum_i eta_i blocks: distinct nonzero integer vectors s_i (listed in
-    increasing (|s|, s_1, ..., s_d) order) and positive multiplicities.
-    '''
-    q = _exponent_vector(q)
-    if sum(q) > 6:
-        raise ValueError('moment order above 6 is not supported')
-    if k < 1 or k > sum(q):
-        return []
-    d = len(q)
-    ranges = [range(x + 1) for x in q]
-    candidates = sorted(
-        (vec for vec in itertools.product(*ranges) if any(vec)),
-        key=_vector_key)
-    results = []
-
-    def recurse(start, remaining, blocks_left, chosen):
-        if blocks_left == 0:
-            if all(r == 0 for r in remaining):
-                vectors = tuple(v for v, _ in chosen)
-                etas = tuple(e for _, e in chosen)
-                results.append(MomentPartition(vectors, etas))
-            return
-        for idx in range(start, len(candidates)):
-            vec = candidates[idx]
-            if any(v > r for v, r in zip(vec, remaining)):
-                continue
-            max_eta = min(blocks_left,
-                          min(r // v for v, r in zip(vec, remaining) if v))
-            for eta in range(1, max_eta + 1):
-                rem = tuple(r - eta * v for v, r in zip(vec, remaining))
-                recurse(idx + 1, rem, blocks_left - eta,
-                        chosen + [(vec, eta)])
-
-    recurse(0, q, k, [])
-    return results
-
-
 def _directing_moment(spec, m):
     '''int z^m nu*(z) dz for integer m >= 1, kappa at v = 0 without its
     score factor.'''
@@ -1441,8 +1361,14 @@ def _directing_moment(spec, m):
 
 def mixed_moment(spec, q, region_mass):
     '''
-    E[prod_j mu_j(A)^{q_j}] for a region of centring mass region_mass,
-    by the moment-partition expansion over shared jumps.
+    E[prod_j mu_j(A)^{q_j}] for a region A of centring mass region_mass,
+    at any integer order.  log E[e^(-lam . mu(A))] = -region_mass psi(lam)
+    gives the joint cumulants in closed form: kappa_r = region_mass prod_j
+    (shape)_{r_j} int z^|r| nu*(z) dz.  With k_r = kappa_r / r! and a_p =
+    E[prod_j mu_j(A)^{p_j}] / p!, the moment-cumulant recursion (Smith
+    1995) is p_i a_p = sum_{0 < r <= p, r_i >= 1} r_i k_r a_{p-r}, for i
+    the first coordinate with p_i >= 1, over the sub-vectors p of q in
+    increasing order |p|.
     '''
     q = _exponent_vector(q)
     if len(q) != spec.dimension:
@@ -1452,27 +1378,24 @@ def mixed_moment(spec, q, region_mass):
     total_q = sum(q)
     if total_q == 0:
         return 1.0
-    if total_q > 6:
-        raise ValueError('moment order above 6 is not supported')
     if spec.marginal.kind == 'sigma-stable':
         raise ValueError('mixed moments diverge for sigma-stable marginals: '
                          'the directing intensity has no finite moments')
     shape = spec.shape
     moments = {m: _directing_moment(spec, m) for m in range(1, total_q + 1)}
-    total = 0.0
-    for k in range(1, total_q + 1):
-        level = 0.0
-        for part in enumerate_moment_partitions(q, k):
-            term = 1.0
-            for vec, eta in zip(part.vectors, part.multiplicities):
-                log_c = sum(math.lgamma(shape + sl) - math.lgamma(shape)
-                            - math.lgamma(sl + 1.0) for sl in vec)
-                block = math.exp(log_c) * moments[sum(vec)]
-                term *= block ** eta / math.factorial(eta)
-            level += term
-        total += region_mass ** k * level
-    log_qfact = sum(math.lgamma(x + 1.0) for x in q)
-    return math.exp(log_qfact) * total
+    # the zero vector first, then every other p <= q by |p|
+    zero, *subs = sorted(itertools.product(*(range(x + 1) for x in q)),
+                         key=sum)
+    k = {r: region_mass * moments[sum(r)] * math.exp(sum(
+        math.lgamma(shape + x) - math.lgamma(shape) - math.lgamma(x + 1.0)
+        for x in r)) for r in subs}
+    a = {zero: 1.0}
+    for p in subs:
+        i = next(j for j, x in enumerate(p) if x)
+        a[p] = sum(r[i] * k_r * a[tuple(x - y for x, y in zip(p, r))]
+                   for r, k_r in k.items()
+                   if r[i] and all(y <= x for x, y in zip(p, r))) / p[i]
+    return math.exp(sum(math.lgamma(x + 1.0) for x in q)) * a[q]
 
 
 def marginal_exponent(marginal, lam):

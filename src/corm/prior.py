@@ -186,7 +186,8 @@ def _mass_truncation(spec, eps, rng, max_jumps):
 def sample_corm(spec, rng, n_jumps=None, tail_mass=None, max_jumps=100_000):
     '''
     Draw a truncated realization.  Exactly one truncation rule applies:
-    a fixed jump count n_jumps, or a residual directing mass tail_mass
+    a fixed jump count n_jumps (a nonnegative integer, an integral float
+    included: ValueError otherwise), or a residual directing mass tail_mass
     relative to int min(1,z) nu* (default 1e-6).  A sigma-stable spec
     given neither rule truncates at STABLE_DEFAULT_JUMPS jumps, with a
     warning: its count above the tail_mass level grows as
@@ -194,7 +195,7 @@ def sample_corm(spec, rng, n_jumps=None, tail_mass=None, max_jumps=100_000):
     proposals at sigma 0.5, shape 1, over the default max_jumps.
     max_jumps bounds the points a draw proposes before thinning, which
     can be several times the jumps it keeps; a draw that would propose
-    more raises ValueError.
+    more raises ValueError.  The jumps' locations are Uniform(0, 1).
     '''
     if n_jumps is not None and tail_mass is not None:
         raise ValueError('give either n_jumps or tail_mass, not both')
@@ -210,9 +211,11 @@ def sample_corm(spec, rng, n_jumps=None, tail_mass=None, max_jumps=100_000):
         n_jumps = STABLE_DEFAULT_JUMPS
 
     if n_jumps is not None:
-        n = int(n_jumps)
-        if n < 0:
-            raise ValueError('n_jumps must be nonnegative')
+        n = float(n_jumps)
+        if not (n >= 0.0 and n.is_integer()):
+            raise ValueError('n_jumps must be a nonnegative integer, not %r'
+                             % (n_jumps,))
+        n = int(n)
         if n > max_jumps:
             raise ValueError('n_jumps exceeds the proposal budget %d'
                              % max_jumps)
@@ -227,13 +230,7 @@ def sample_corm(spec, rng, n_jumps=None, tail_mass=None, max_jumps=100_000):
         jumps, level = _mass_truncation(spec, eps, rng, max_jumps)
 
     _break_ties(jumps)
-    base = spec.base
-    if base is None:
-        locations = rng.uniform(size=jumps.size)
-    elif hasattr(base, 'sample'):
-        locations = np.asarray(base.sample(rng, jumps.size))
-    else:
-        raise TypeError('centring base must provide sample(rng, n)')
+    locations = rng.uniform(size=jumps.size)
     scores = rng.gamma(spec.shape, size=(spec.dimension, jumps.size))
     return CoRMRealization(jumps, locations, scores, float(level))
 

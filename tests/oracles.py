@@ -3,13 +3,16 @@ references for the tests.
 
 The marginals that gamma and generalized-gamma directing intensities
 induce under Ga(shape) scores are Bessel-K densities, and their tails
-have no closed form: quadpack_tail gives one by QUADPACK.  Under
-exponential scores the Laplace exponent has a partial-fraction form in
-the univariate exponent, differentiated here by sympy.
+have no closed form: quadpack_tail gives one by QUADPACK.  The
+multivariate intensity rho_d of a sigma-stable marginal is a power law of
+|s|.  Under exponential scores the Laplace exponent has a
+partial-fraction form in the univariate exponent, differentiated here by
+sympy.
 '''
 
 import math
 
+import mpmath
 import numpy as np
 from scipy import integrate
 from scipy.special import kv
@@ -35,6 +38,23 @@ def gg_directed_marginal(s, shape, sigma, a):
           - math.lgamma(shape) + 0.5 * (sigma + shape) * math.log(a))
     return np.exp(lc + (0.5 * (shape - sigma) - 1.0) * np.log(s)) \
         * kv(sigma + shape, 2.0 * np.sqrt(a * s))
+
+
+def stable_rho(s, shape, sigma):
+    '''rho_d(s) of a sigma-stable marginal under Ga(shape) scores, by
+    30-digit mpmath: prod_j s_j^(shape-1) / Gamma(shape)^(d-1) sigma
+    Gamma(sigma + d shape) / (Gamma(shape + sigma) Gamma(1 - sigma))
+    |s|^-(sigma + d shape).'''
+    d = len(s)
+    with mpmath.workdps(30):
+        s = [mpmath.mpf(float(x)) for x in s]
+        phi, sig = mpmath.mpf(shape), mpmath.mpf(sigma)
+        return float(mpmath.exp(
+            (phi - 1) * mpmath.fsum(mpmath.log(x) for x in s)
+            - (d - 1) * mpmath.loggamma(phi) + mpmath.log(sig)
+            + mpmath.loggamma(sig + d * phi) - mpmath.loggamma(phi + sig)
+            - mpmath.loggamma(1 - sig)
+            - (sig + d * phi) * mpmath.log(mpmath.fsum(s))))
 
 
 def quadpack_tail(density):

@@ -1,7 +1,9 @@
-'''The benchmark's tracer must find every library attribute it wraps.
+'''The benchmark's tracer must find every library attribute it wraps,
+and its workloads must build and step on the library's current calls.
 
-perfbench/tracing.py wraps corm functions and methods by name; a renamed
-or deleted target would otherwise only fail the benchmark's traced run.
+perfbench/tracing.py wraps corm functions and methods by name, and
+perfbench/workloads.py calls the samplers with fixed arguments; a renamed
+or deleted target would otherwise only fail the benchmark run.
 '''
 
 import pathlib
@@ -13,6 +15,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1]
 import numpy as np  # noqa: E402
 
 import tracing  # noqa: E402
+import workloads  # noqa: E402
 from corm import marginal_sampler, prior, slice_sampler  # noqa: E402
 from corm.core import CoRMSpec, MarginalFamily  # noqa: E402
 from corm.kernels import Dataset, UnivariateNormalGamma  # noqa: E402
@@ -131,3 +134,22 @@ def test_traced_spec_builds_count_directing_derivations():
     finally:
         uninstall()
     assert tracer.calls['core.directing_from_marginal'] == 2
+
+
+def test_every_workload_takes_two_checked_steps():
+    # perfbench is frozen against the library's calls: marginal_sweep's
+    # table=, slice_sweep's positional cache, from_marginal's
+    # centring_mass= and initial_state's n_start=.  A change to any of
+    # them would otherwise only fail the benchmark run.  Each workload,
+    # at its smallest size, takes two sweeps of every chain or two prior
+    # draws, each followed by its correctness check
+    for name in sorted(workloads.WORKLOADS):
+        wl = workloads.prepare(name, 1, 0.05)
+        assert wl.chains, name
+        for chain in wl.chains:
+            for _ in range(2):
+                if wl.kind == 'prior':
+                    chain.check(*chain.draw())
+                else:
+                    chain.sweep()
+                    chain.check()

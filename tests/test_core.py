@@ -5,6 +5,7 @@ Reference values are either exact closed forms, independent scipy
 quadratures (QUADPACK) or mpmath, never the package's own integrator.
 '''
 
+import itertools
 import math
 
 import mpmath
@@ -16,6 +17,7 @@ from oracles import (
     gg_directed_marginal,
     laplace_exponent_exponential_closed,
     quadpack_tail,
+    stable_rho,
 )
 from scipy.special import exp1, gammaln
 
@@ -24,14 +26,12 @@ from corm.core import (
     CoRMSpec,
     LevyIntensity,
     MarginalFamily,
-    MomentPartition,
     RuleNodes,
     TiltRule,
     beta_directed_marginal,
     clayton_copula,
     covariance_normalized,
     directing_from_marginal,
-    enumerate_moment_partitions,
     kappa,
     laplace_exponent,
     levy_copula,
@@ -688,11 +688,10 @@ class TestSpecConstruction:
             assert sp.shape == shape
 
     def test_with_shape(self):
-        # a new score shape keeps the dimension, centring mass and base,
+        # a new score shape keeps the dimension and centring mass,
         # and the directing envelope's (c, sigma, a, beta) become those
         # of the new shape: c z^(-1-sigma) (1 - a z)^(beta-1) with beta =
         # sigma + shape, and c z^(-1-sigma) (a = 0, beta = 1) for stable
-        base = object()
 
         def stable_c(shape, sigma):
             return sigma * math.gamma(shape) / (
@@ -705,12 +704,11 @@ class TestSpecConstruction:
             (MarginalFamily.sigma_stable(0.5),
              lambda phi: (stable_c(phi, 0.5), 0.5, 0.0, 1.0))]
         for marginal, params in cases:
-            sp = CoRMSpec.from_marginal(3, 1.0, marginal, centring_mass=4.0,
-                                        base=base)
+            sp = CoRMSpec.from_marginal(3, 1.0, marginal, centring_mass=4.0)
             sp2 = sp.with_shape(2.0)
             assert (sp.shape, sp2.shape) == (1.0, 2.0)
             assert sp2.dimension == 3 and sp2.centring_mass == 4.0
-            assert sp2.marginal == marginal and sp2.base is base
+            assert sp2.marginal == marginal
             assert sp2 != sp
             for spec, phi in ((sp, 1.0), (sp2, 2.0)):
                 e = spec.directing.envelope
@@ -895,10 +893,17 @@ class TestRhoDensity:
                 assert rho_density(sp, s) == pytest.approx(mix, rel=1e-7)
 
     def test_closed_matches_mixture_stable(self):
-        sp = spec_stable(shape=1.0, sigma=0.5)
-        closed = rho_density(sp, [1.0, 1.0])
-        mix = core._rho_by_mixture(sp, np.array([1.0, 1.0]))
-        assert closed == pytest.approx(mix, rel=1e-7)
+        # the mixture on TiltRule nodes against the power-law closed form,
+        # over eight decades of |s| either way and unequal components
+        for sigma, shape, d in itertools.product(
+                (0.1, 0.5, 0.9), (1e-3, 1.0, 50.0), (1, 3)):
+            sp = CoRMSpec(d, shape, MarginalFamily.sigma_stable(sigma))
+            for x, ratio in itertools.product((1e-8, 1.0, 1e8), (1.0, 1e-3)):
+                s = np.full(d, x)
+                s[0] *= ratio
+                assert rho_density(sp, s) == pytest.approx(
+                    stable_rho(s, shape, sigma), rel=1e-12, abs=0.0), (
+                        sigma, shape, s)
 
     def test_stable_closed_coefficient(self):
         shape, sigma, d = 1.0, 0.5, 2
@@ -917,6 +922,11 @@ class TestRhoDensity:
             rho_density(sp, [1.0, -1.0])
         with pytest.raises(ValueError):
             rho_density(sp, [1.0])
+        # a non-finite component is named as such, not as a bad tilt or
+        # a failed quadrature
+        for s in ([1.0, math.nan], [math.inf, 1.0]):
+            with pytest.raises(ValueError, match='components of s'):
+                rho_density(sp, s)
 
 
 class TestKappaAndG:
@@ -1037,60 +1047,6 @@ class TestLevyCopula:
             levy_copula(sp, 1.0, 1.0)
 
 
-class TestMomentPartitions:
-
-    @staticmethod
-    def brute_force(q, k):
-        '''All multisets of nonzero integer vectors with multiplicity whose
-        weighted componentwise sum is q and total multiplicity is k.'''
-        from itertools import product
-        d = len(q)
-        cells = [v for v in product(*(range(x + 1) for x in q))
-                 if any(x > 0 for x in v)]
-        found = set()
-
-        def rec(i, remaining, used, chosen):
-            if used == k:
-                if all(r == 0 for r in remaining):
-                    found.add(tuple(sorted(chosen)))
-                return
-            if i == len(cells):
-                return
-            v = cells[i]
-            max_eta = k - used
-            for eta in range(max_eta + 1):
-                new_rem = tuple(r - eta * x for r, x in zip(remaining, v))
-                if any(r < 0 for r in new_rem):
-                    break
-                rec(i + 1, new_rem, used + eta,
-                    chosen + ([(v, eta)] if eta else []))
-
-        rec(0, tuple(q), 0, [])
-        return found
-
-    def test_matches_brute_force(self):
-        for q in ([2], [3], [1, 1], [2, 1], [2, 2]):
-            for k in range(1, sum(q) + 1):
-                got = {
-                    tuple(sorted(zip(map(tuple, p.vectors), p.multiplicities)))
-                    for p in enumerate_moment_partitions(q, k)}
-                assert got == self.brute_force(q, k), (q, k)
-
-    def test_simple_counts(self):
-        assert len(enumerate_moment_partitions([2], 1)) == 1
-        assert len(enumerate_moment_partitions([2], 2)) == 1
-        assert len(enumerate_moment_partitions([1, 1], 2)) == 1
-        assert enumerate_moment_partitions([1, 1], 3) == []
-        assert enumerate_moment_partitions([2], 0) == []
-
-    def test_partition_accessors(self):
-        parts = enumerate_moment_partitions([2, 1], 2)
-        for p in parts:
-            assert isinstance(p, MomentPartition)
-            assert p.k == 2
-            assert p.block_count == len(p.vectors)
-
-
 class TestMixedMoments:
 
     def test_exponential_first_and_second(self):
@@ -1125,25 +1081,27 @@ class TestMixedMoments:
         with pytest.raises(ValueError):
             mixed_moment(sp, [1], 1.0)
 
-    def test_order_guard(self):
+    @pytest.mark.parametrize('mass', [0.5, 2.0])
+    @pytest.mark.parametrize('n', [7, 8, 12])
+    def test_gamma_rising_factorial_at_high_order(self, n, mass):
+        # mu(A) is Ga(mass, 1) at d = 1, whose n-th moment is the rising
+        # factorial (mass)_n = Gamma(mass + n) / Gamma(mass); orders past 6
+        # need the moment-cumulant recursion, which has no order cap
         sp = spec_gamma(dimension=1, shape=1.0)
-        with pytest.raises(ValueError):
-            mixed_moment(sp, [7], 1.0)
+        want = math.exp(math.lgamma(mass + n) - math.lgamma(mass))
+        assert mixed_moment(sp, [n], mass) == pytest.approx(
+            want, rel=1e-13, abs=0.0)
 
     def test_exponents_must_be_integers(self):
-        # int() truncated q = (1.5, 0.5) to (1, 0) in the partitions while
-        # the factorials took Gamma(2.5): a wrong value, silently
+        # int() would truncate q = (1.5, 0.5) to (1, 0) in the recursion
+        # while the factorials took Gamma(2.5): a wrong value, silently
         sp = spec_gg(shape=2.0)
         for q in ([1.5, 0.5], [1.0, math.nan], [math.inf, 1.0], [-1, 2]):
             with pytest.raises(ValueError, match='nonnegative integers'):
                 mixed_moment(sp, q, 0.5)
-            with pytest.raises(ValueError, match='nonnegative integers'):
-                enumerate_moment_partitions(q, 1)
         # an integral float is an integer
         assert mixed_moment(sp, [2.0, 1.0], 0.5) == mixed_moment(
             sp, [2, 1], 0.5)
-        assert enumerate_moment_partitions([2.0, 1.0], 2) == \
-            enumerate_moment_partitions([2, 1], 2)
 
 
 class TestCovariance:

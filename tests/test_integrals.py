@@ -17,6 +17,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from oracles import stable_rho
 from scipy import integrate as sci
 from scipy import special
 from scipy.special import gammaincc
@@ -65,8 +66,8 @@ def _gamma_rho_closed(shape, s):
 class TestRhoMixture:
     '''rho_d by the mixture integral, whose weight peaks at z = |s| / (d
     shape), near or beyond the end of a finite support, against the closed
-    forms: the gamma marginal's in mpmath, the sigma-stable one's in
-    rho_density.'''
+    forms in mpmath: the gamma marginal's Whittaker form and the
+    sigma-stable power law.'''
 
     @pytest.mark.parametrize('marginal', [MarginalFamily.gamma(),
                                           MarginalFamily.sigma_stable(0.5)])
@@ -75,7 +76,7 @@ class TestRhoMixture:
     def test_mixture_matches_closed(self, marginal, shape, s):
         spec = make_spec(marginal, shape)
         closed = (_gamma_rho_closed(shape, s) if marginal.kind == 'gamma'
-                  else rho_density(spec, s))
+                  else stable_rho(s, shape, marginal.sigma))
         # abs=0: pytest.approx's default 1e-12 floor would pass anything
         assert _rho_by_mixture(spec, np.asarray(s)) == pytest.approx(
             closed, rel=1e-12, abs=0.0)

@@ -78,6 +78,16 @@ class TestTruncation:
         assert r.locations.shape == (25,)
         assert r.scores.shape == (2, 25)
 
+    def test_count_must_be_a_nonnegative_integer(self, gamma_spec):
+        # int() truncated n_jumps = 2.7 to 2 jumps, silently
+        for n in (2.7, -1, math.nan, math.inf):
+            with pytest.raises(ValueError, match='nonnegative integer'):
+                sample_corm(gamma_spec, np.random.default_rng(2), n_jumps=n)
+        # an integral float and a numpy integer are integers
+        for n in (3.0, np.int64(3)):
+            r = sample_corm(gamma_spec, np.random.default_rng(2), n_jumps=n)
+            assert r.jump_count == 3
+
     def test_zero_jumps_gives_empty_realization(self, gamma_spec):
         rng = np.random.default_rng(3)
         r = sample_corm(gamma_spec, rng, n_jumps=0)
