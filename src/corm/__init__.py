@@ -7,9 +7,8 @@ Entry points, with the options they still take:
   Uniform(0, 1).  CoRMSpec.from_marginal, on the same arguments, checks
   the directing intensity against the marginal; with_shape does not.
 - core.laplace_exponent, rho_density, kappa, levy_copula and the like
-  take a spec and points; mixed_moment takes an exponent vector of any
-  integer order and a region mass; covariance_normalized also takes its
-  quadrature's rel_tol=1e-6.
+  take a spec and points, mixed_moment an exponent vector of any integer
+  order and a region mass, and covariance_normalized four region masses.
 - prior.sample_corm(spec, rng, n_jumps=None, tail_mass=None,
   max_jumps=100_000), then prior.normalize(draw); the jumps' locations
   are Uniform(0, 1).

@@ -1,28 +1,21 @@
 '''
 One-dimensional quadrature that is not against a directing intensity.
 
-Integrals against a directing intensity nu* run on the trapezoid nodes of
-core.TiltRule, and so do the mixtures over nu* that give rho_d and the
-beta-directed marginal intensity; the paper's closed forms of those (the
-Whittaker, Kummer and Bessel functions) are oracles in the tests, not
-library code.  integrate, a thin wrapper of QUADPACK's adaptive rules
-(scipy.integrate.quad) that turns its warnings into QuadratureError,
-stays for the integrals that have no nu* to run on: the lambda integrals
-of core.covariance_normalized.  Its other user is the benchmark's
-tracer, which wraps it as a probe.
+Every integral in the package runs on the trapezoid nodes of
+core.TiltRule, the correlation of the normalised measures included (one
+TiltRule a node of its product rule).  integrate, a thin wrapper of
+QUADPACK's adaptive rules (scipy.integrate.quad) that turns its warnings
+into QuadratureError, has no library caller: the benchmark's tracer
+wraps it as a probe.
 
 Importing corm loads numpy only.  scipy is imported inside the functions
-that call it, on their first call: scipy.integrate by integrate,
-scipy.stats by the inverse-Wishart draw of kernels, and scipy.special by
-the beta-type tail's hypergeometric branch (above its series switch),
-the marginals' own intensities, the beta-directed marginal's tail and
-levy_copula in core.  On a 2-vCPU host (python -X importtime) numpy
-takes about 0.1 s to import, scipy.special about 0.25 s more, and
-scipy.integrate, which loads scipy.optimize, scipy.linalg and
-scipy.sparse, more again.  A spec build, the marginal (urn) sampler,
-prior draws and the slice sampler (its start state and its sweeps, whose
-tail calls stay on the series branch) call none of them, so a process
-that only runs them pays for numpy alone.
+that call it, on their first call: scipy.integrate (which loads
+scipy.optimize, scipy.linalg and scipy.sparse) by integrate, scipy.stats
+by the inverse-Wishart draw of kernels, and scipy.special (about 0.25 s
+on a 2-vCPU host, against numpy's 0.1 s) by the beta-type tail above its
+series switch, the marginals' own intensities, the beta-directed
+marginal's tail and levy_copula.  A spec build, the samplers and prior
+draws call none of them.
 '''
 
 import math

@@ -80,16 +80,18 @@ def _coverage_norm(spec):
 
 def _solve_residual_level(spec, target):
     '''z with W(z) = int_0^z s nu*(s) ds = target, by the shared inverse
-    with W'(z) = z nu*(z); capped at half the support (half of 1 on an
-    infinite one).'''
-    directing = spec.directing
-    hi = directing.support[1]
-    upper = 0.5 * (1.0 if math.isinf(hi) else hi)
+    with W'(z) = z nu*(z), started at the root of the envelope's power law
+    W(z) ~ c z^(1-sigma) / (1-sigma) near 0, whence the steps move
+    monotonically to the root; a start past half the support raises.'''
+    directing, env = spec.directing, spec.directing.envelope
+    start = ((1.0 - env.sigma) * target / env.c) ** (1.0 / (1.0 - env.sigma))
+    if not start < 0.5 * env.top:
+        raise ValueError('a level near %g is past half the support' % start)
     weighted_mass = np.vectorize(partial(_weighted_mass, spec),
                                  otypes=[float])
     return float(_invert_monotone(
         weighted_mass, lambda z: z * directing.density(z), target,
-        lambda y: np.full_like(y, upper), upper, increasing=True))
+        lambda y: np.full_like(y, start), increasing=True))
 
 
 def _break_ties(jumps):

@@ -7,15 +7,23 @@ have no closed form: quadpack_tail gives one by QUADPACK.  The
 multivariate intensity rho_d of a sigma-stable marginal is a power law of
 |s|.  Under exponential scores the Laplace exponent has a
 partial-fraction form in the univariate exponent, differentiated here by
-sympy.
+sympy.  The correlation of the normalised measures has a second rule,
+nested QUADPACK over the tilts (correlation_quadpack): `PYTHONPATH=src
+python tests/oracles.py` writes its values at rel_tol 1e-9 to
+tests/correlation_oracle.json.
 '''
 
+import json
 import math
+import sys
+from pathlib import Path
 
 import mpmath
 import numpy as np
 from scipy import integrate
 from scipy.special import kv
+
+from corm.core import CoRMSpec, MarginalFamily, TiltRule, marginal_exponent
 
 
 def gamma_directed_marginal(s, shape):
@@ -115,3 +123,95 @@ def laplace_exponent_exponential_closed(psi1, lam_tilde, counts):
             expr = sp.diff(expr, xs[i], counts[i] - 1) / math.factorial(counts[i] - 1)
     value = expr.subs({xs[i]: sp.Rational(str(lam[i])) for i in range(l)})
     return float(sp.N(value, 30))
+
+
+def tilted_second_moment(marginal, lam):
+    '''m2(lam) = int s^2 e^(-lam s) rho(s) ds over the marginal intensity
+    rho.'''
+    lam = np.asarray(lam, dtype=float)
+    if marginal.kind == 'gamma':
+        return (1.0 + lam) ** -2.0
+    s = marginal.sigma
+    if marginal.kind == 'sigma-stable':
+        return s * (1.0 - s) * lam ** (s - 2.0)
+    return s * (1.0 - s) * (marginal.a + lam) ** (s - 2.0)
+
+
+def _quad(f, lower, upper, rel_tol):
+    out = integrate.quad(f, lower, upper, epsabs=0.0, epsrel=rel_tol,
+                         full_output=1)
+    # with full_output quad returns its warning as a fourth item
+    if len(out) > 3 or not math.isfinite(out[0]):
+        raise RuntimeError('quadrature on (%r, %r) failed: %s'
+                           % (lower, upper, out[3:]))
+    return out[0]
+
+
+def correlation_quadpack(spec, mass_a, mass_b, mass_ab, total_mass,
+                         rel_tol=1e-9):
+    '''Corr(P_1(A), P_2(B)) of a two-dimensional spec by nested QUADPACK
+    rules at relative tolerance rel_tol: the cross term 2 int_0^inf
+    int_0^l1 kappa_(1,1)(l) e^(-total_mass psi(l)) dl2 dl1 over the
+    wedge l2 < l1, each point on the spec's TiltRule, and the variance
+    kernel int lam m2(lam) e^(-total_mass psi_1(lam)) dlam in closed
+    form.  A QUADPACK warning raises RuntimeError.'''
+    marginal = spec.marginal
+    bracket = mass_ab - mass_a * mass_b / total_mass
+
+    def outer(l1):
+        # psi(l1, l2) >= psi_1(l1): past e^-745 the inner integral is 0
+        if total_mass * marginal_exponent(marginal, l1) > 745.0:
+            return 0.0
+
+        def inner(l2):
+            rule = TiltRule(spec, [l1, l2])
+            return math.exp(rule.log_kappa((1, 1))
+                            - total_mass * rule.psi())
+
+        return _quad(inner, 0.0, l1, rel_tol)
+
+    cross = 2.0 * _quad(outer, 0.0, np.inf, rel_tol)
+
+    def variance(lam):
+        return (lam * tilted_second_moment(marginal, lam) * math.exp(
+            -total_mass * marginal_exponent(marginal, lam)))
+
+    kernel = _quad(variance, 0.0, np.inf, rel_tol)
+    var_a = (mass_a - mass_a ** 2 / total_mass) * kernel
+    var_b = (mass_b - mass_b ** 2 / total_mass) * kernel
+    return bracket * cross / math.sqrt(var_a * var_b)
+
+
+# the points of tests/correlation_oracle.json: each family at masses
+# (A, B, A and B, total) = (0.5, 0.5, 0.5, 1) over the score shapes, and
+# at shape 1 on three more sets of masses
+CORRELATION_FAMILIES = {
+    'gamma': MarginalFamily.gamma(),
+    'gg': MarginalFamily.generalized_gamma(0.3, 1.0),
+    'stable': MarginalFamily.sigma_stable(0.5),
+}
+CORRELATION_POINTS = (
+    [(family, shape, (0.5, 0.5, 0.5, 1.0)) for family in CORRELATION_FAMILIES
+     for shape in (0.05, 0.3, 1.0, 3.0, 10.0, 30.0, 100.0)]
+    + [(family, 1.0, masses) for family in CORRELATION_FAMILIES
+       for masses in ((0.4, 0.4, 0.0, 1.0), (0.3, 0.6, 0.2, 2.0),
+                      (0.05, 0.1, 0.05, 0.2))])
+
+
+def correlation_spec(family, shape):
+    return CoRMSpec(2, shape, CORRELATION_FAMILIES[family])
+
+
+def write_correlation_table(path):
+    rows = []
+    for family, shape, masses in CORRELATION_POINTS:
+        value = correlation_quadpack(correlation_spec(family, shape), *masses)
+        rows.append({'family': family, 'shape': shape, 'masses': masses,
+                     'correlation': value})
+        print(family, shape, masses, repr(value), flush=True)
+    Path(path).write_text('[\n%s\n]\n' % ',\n'.join(map(json.dumps, rows)))
+
+
+if __name__ == '__main__':
+    write_correlation_table(Path(__file__).with_name(
+        'correlation_oracle.json') if len(sys.argv) < 2 else sys.argv[1])

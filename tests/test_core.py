@@ -6,13 +6,18 @@ quadratures (QUADPACK) or mpmath, never the package's own integrator.
 '''
 
 import itertools
+import json
 import math
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
 from scipy import integrate as sci
 from oracles import (
+    CORRELATION_FAMILIES,
+    correlation_quadpack,
+    correlation_spec,
     gamma_directed_marginal,
     gg_directed_marginal,
     laplace_exponent_exponential_closed,
@@ -40,6 +45,7 @@ from corm.core import (
     mixed_moment,
     rho_density,
 )
+from corm.numerics import QuadratureError
 
 
 def spec_gamma(dimension=2, shape=1.0, mass=1.0):
@@ -1104,6 +1110,16 @@ class TestMixedMoments:
             sp, [2, 1], 0.5)
 
 
+CORRELATION_TABLE = json.loads(
+    Path(__file__).with_name('correlation_oracle.json').read_text())
+
+
+def correlation_row(family, shape, masses=(0.5, 0.5, 0.5, 1.0)):
+    (row,) = [r for r in CORRELATION_TABLE if r['family'] == family
+              and r['shape'] == shape and tuple(r['masses']) == masses]
+    return row
+
+
 class TestCovariance:
 
     def test_full_overlap_is_uncorrelated_bracket(self):
@@ -1112,24 +1128,55 @@ class TestCovariance:
 
     def test_disjoint_is_negative(self):
         sp = spec_gamma(shape=1.0)
-        got = covariance_normalized(sp, 0.4, 0.4, 0.0, 1.0, rel_tol=1e-3)
+        got = covariance_normalized(sp, 0.4, 0.4, 0.0, 1.0)
         assert got < 0.0
 
     def test_exponential_half_overlap_value(self):
         sp = spec_gamma(shape=1.0)
-        got = covariance_normalized(sp, 0.5, 0.5, 0.5, 1.0, rel_tol=1e-4)
-        assert got == pytest.approx(0.7536397, abs=2e-4)
+        got = covariance_normalized(sp, 0.5, 0.5, 0.5, 1.0)
+        assert got == pytest.approx(
+            correlation_row('gamma', 1.0)['correlation'], abs=1e-8)
+
+    @pytest.mark.parametrize('family, shape, masses', [
+        (family, shape, (0.5, 0.5, 0.5, 1.0))
+        for family in CORRELATION_FAMILIES for shape in (0.05, 100.0)] + [
+        (family, 1.0, (0.05, 0.1, 0.05, 0.2))
+        for family in CORRELATION_FAMILIES])
+    def test_matches_quadpack_table(self, family, shape, masses):
+        # the table holds nested QUADPACK at rel_tol 1e-9
+        # (oracles.correlation_quadpack); the product rule matches all 30
+        # of its points to 1.5e-9, and these are the ends of its range
+        got = covariance_normalized(correlation_spec(family, shape), *masses)
+        want = correlation_row(family, shape, masses)['correlation']
+        assert got == pytest.approx(want, abs=1e-8)
+
+    def test_table_is_the_quadpack_oracle(self):
+        spec = correlation_spec('gamma', 3.0)
+        assert correlation_quadpack(spec, 0.5, 0.5, 0.5, 1.0) \
+            == pytest.approx(correlation_row('gamma', 3.0)['correlation'],
+                             abs=1e-10)
 
     def test_estimate_outside_unit_interval_raises(self, monkeypatch):
         # an inaccurate variance kernel pushes the estimate past 1; it
         # must be reported, not clamped
-        from corm import core
-        second_moment = core._tilted_second_moment
-        monkeypatch.setattr(core, '_tilted_second_moment',
-                            lambda m, lam: 0.1 * second_moment(m, lam))
+        log_kappa = TiltRule.log_kappa
+
+        def low_variance(rule, a):
+            shift = math.log(0.1) if tuple(a) == (2, 0) else 0.0
+            return log_kappa(rule, a) + shift
+
+        monkeypatch.setattr(TiltRule, 'log_kappa', low_variance)
         sp = spec_gamma(shape=1.0)
-        with pytest.raises(ValueError, match='rel_tol'):
-            covariance_normalized(sp, 0.5, 0.5, 0.5, 1.0, rel_tol=1e-3)
+        with pytest.raises(ValueError, match='outside'):
+            covariance_normalized(sp, 0.5, 0.5, 0.5, 1.0)
+
+    def test_coarse_step_raises(self, monkeypatch):
+        # the product rule fails its sub-rule check, carrying its value
+        from corm import core
+        monkeypatch.setattr(core, '_CORR_STEP', 0.5)
+        with pytest.raises(QuadratureError, match='disagree') as err:
+            covariance_normalized(spec_gamma(shape=1.0), 0.5, 0.5, 0.5, 1.0)
+        assert err.value.best.value > 0.0
 
     def test_mass_validation(self):
         sp = spec_gamma()

@@ -2,12 +2,14 @@
 
 Importing corm loads numpy only.  A spec build, the marginal (urn)
 sampler, a prior draw, and the slice sampler's start state and sweeps
-load no scipy either, and rho_d of a gamma spec and the beta-directed
-marginal density, mixtures on TiltRule nodes, load no scipy.integrate.
-scipy.special loads on the first call that needs one of its functions
-(the marginals' own tails, the beta-directed marginal's tail, Levy
-copulas), scipy.integrate (QUADPACK) on the first numerics.integrate
-call, which covariance_normalized makes, and scipy.stats on the first
+load no scipy either, and rho_d of a gamma spec, the beta-directed
+marginal density (mixtures on TiltRule nodes) and the correlation of the
+normalised measures (a product rule on TiltRules) load no
+scipy.integrate: no library function calls QUADPACK.  scipy.special
+loads on the first call that needs one of its functions (the marginals'
+own tails, the beta-directed marginal's tail, Levy copulas),
+scipy.integrate on the first numerics.integrate call, which only the
+benchmark's tracer and the tests make, and scipy.stats on the first
 inverse-Wishart draw, because importing them takes longer than the rest
 of a fresh process's start.  The checks run in a fresh interpreter:
 pytest's warning filters import scipy.integrate into the test process.
@@ -81,6 +83,9 @@ out['rho'] = core.rho_density(gamma_spec, [0.5, 1.5])
 out['rho_loads'] = loaded('scipy.integrate')
 out['beta'] = core.beta_directed_marginal(1.3, 2.2).density(0.8)
 out['beta_loads'] = loaded('scipy.integrate')
+# the correlation of the normalised measures, a product rule on TiltRules
+out['corr'] = core.covariance_normalized(gamma_spec, 0.5, 0.5, 0.5, 1.0)
+out['corr_loads'] = loaded('scipy.integrate')
 # the first-use imports: a Levy copula, a quadrature and an
 # inverse-Wishart draw
 out['copula'] = core.levy_copula(spec, 0.5, 2.0)
@@ -107,6 +112,7 @@ def test_fresh_import_loads_no_heavy_scipy_subpackage():
     assert got['slice_jumps'] > 0
     assert got['rho_loads'] == [] and 0.0 < got['rho'] < math.inf
     assert got['beta_loads'] == [] and 0.0 < got['beta'] < math.inf
+    assert got['corr_loads'] == [] and 0.0 < got['corr'] < 1.0
     # and the deferred imports work once used
     assert 0.0 < got['copula'] < 0.5
     assert abs(got['integral'] - (math.e - 1.0)) < 1e-14

@@ -179,7 +179,9 @@ class TestTiltRuleOracle:
                 v ** 0.5, rel=1e-12)
 
     def test_coarse_step_raises(self, monkeypatch):
+        # a wide peak width keeps the first step at _DE_STEP
         monkeypatch.setattr(core, '_DE_STEP', 1.0)
+        monkeypatch.setattr(core, '_DE_WIDTH', 1.0)
         monkeypatch.setattr(core, '_DE_HALVINGS', 0)
         spec = make_spec('gg1', 0.01)
         rule = TiltRule(spec, [300.0, 500.0])
@@ -290,8 +292,9 @@ class TestHardCases:
 
     def test_failed_check_halves_the_step(self):
         # 400 members of the group at v = 1.5 put the peak near z = 1,
-        # far from the nodes' centre at the large v = 3000 of the other
-        spec = make_spec('gg1', 3.0)
+        # far from the nodes' centre at the large v = 3000 of the other;
+        # at d shape <= 2.9 the first step is _DE_STEP itself
+        spec = make_spec('gg1', 1.0)
         v, a = (1.5, 3000.0), (400, 0)
         rule = TiltRule(spec, v)
         with pytest.raises(QuadratureError):
@@ -330,6 +333,40 @@ class TestHardCases:
             assert abs(rule.log_kappa(a)
                        - log_kappa_oracle(spec, a, v)) <= 1e-12
         assert rule.psi() == pytest.approx(psi_oracle(spec, v), rel=1e-12)
+
+
+class TestLargeShapes:
+    '''Finite supports at score shapes up to 1e4, where the kappa
+    integrand's peak is about 1/sqrt(d shape) wide in u: the first step
+    shrinks with it, as on (0, inf).'''
+
+    @pytest.mark.parametrize('family', ['gamma', 'gg1'])
+    @pytest.mark.parametrize('dimension', [1, 2])
+    def test_no_cell_raises(self, family, dimension):
+        # at a first step of _DE_STEP on a finite support, 52 of these 384
+        # calls raise QuadratureError
+        for shape in (30.0, 100.0, 177.0, 300.0, 1e3, 3e3):
+            spec = make_spec(family, shape, dimension)
+            for v in (1e2, 1e4, 1e6, 1e8):
+                rule = TiltRule(spec, [v] * dimension)
+                for first in (200, 5, 1000):
+                    counts = [first] + [0 if first == 200 else first] * (
+                        dimension - 1)
+                    assert math.isfinite(rule.log_kappa(counts))
+                assert 0.0 < rule.psi() < math.inf
+
+    @pytest.mark.parametrize('shape', [0.3, 3.0, 30.0, 300.0, 3e3, 1e4])
+    def test_gamma_closed_form(self, shape):
+        # one coordinate of a gamma marginal: kappa_a(v) = Gamma(a) (1 +
+        # v)^-a.  log kappa is a sum of terms up to 5e4, where a double's
+        # ulp is 7e-12, so the bound grows by 1e-15 of them
+        spec = make_spec('gamma', shape, dimension=1)
+        for v in (1e-3, 1.0, 1e3, 1e6, 1e8):
+            rule = TiltRule(spec, [v])
+            for a in (1, 30, 1000, 5000):
+                terms = math.lgamma(a), a * math.log1p(v)
+                assert abs(rule.log_kappa((a,)) - (terms[0] - terms[1])) \
+                    <= 1e-11 + 1e-15 * max(terms)
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
