@@ -20,8 +20,11 @@ Entry points, with the options they still take:
   log_prior=None, table=None), which returns the next (spec, table).
 - slice_sampler.initial_slice_state(..., n_start=1) and slice_sweep(...,
   v_steps, shape_step=None, log_prior=None, cache=None), which returns the
-  next spec; slice_snapshots(state, spec) for predictive_density.
+  next spec; slice_snapshots(state, spec) for predictive_density.  cache
+  holds values at the slice threshold L (U(L), rule nodes, residuals);
+  kept across sweeps it saves a tail mass a sweep, with the same chain.
 - marginal_sampler.AdaptiveStepSize(log_step=log 0.5, frozen=False):
   v_steps holds one a group, a pair for the slice sampler; the score shape
-  moves only given a shape_step and its log_prior.
+  moves only given a shape_step and its log_prior.  Its propose(x, rng)
+  and accept(log_ratio, x_new, x, rng) make every v and shape move.
 '''

@@ -173,17 +173,18 @@ class LevyIntensity:
 
     def inverse_tail(self, level):
         '''Solve U(x) = level for x, elementwise over an array of
-        levels; U is strictly decreasing.  Only on a support (0, inf): the
-        points of a directing intensity on (0, 1/a) are drawn by thinning
-        its envelope, which inverts nothing.'''
+        levels, solved one at a time; U is strictly decreasing.  Only on
+        a support (0, inf): the points of a directing intensity on (0,
+        1/a) are drawn by thinning its envelope, which inverts nothing.'''
         if not math.isinf(self.support[1]):
             raise ValueError('inverse_tail needs a support (0, inf), not '
                              '%r' % (self.support,))
         levels = np.asarray(level, dtype=float)
         if not np.all(levels > 0.0):
             raise ValueError('tail level must be positive')
-        x = _invert_monotone(self.tail_integral, self.density, levels,
-                             np.ones_like)
+        x = np.reshape([_invert_monotone(self.tail_integral, self.density,
+                                         y, 1.0)
+                        for y in levels.ravel().tolist()], levels.shape)
         return float(x) if x.ndim == 0 else x
 
 
@@ -193,60 +194,47 @@ _SOLVER_STEPS = 100
 
 def _invert_monotone(fn, slope, level, start, increasing=False):
     '''
-    Solve fn(z) = level elementwise on (0, inf) for a positive strictly
-    monotone fn with |fn'| = slope.  Newton steps on log fn against log
-    z, exact for a power law, inside a bracket kept per element; a step
-    that leaves the bracket is replaced by geometric bisection, and of
-    the two bracket ends the one with the smaller level residual is
-    returned.  Only unconverged elements are iterated.  A root below z =
-    1e-300 or above 1e300 raises ValueError, and an element unconverged
-    after _SOLVER_STEPS steps raises RuntimeError.
+    Solve fn(z) = level on (0, inf), from z = start, for one positive
+    level and a positive strictly monotone fn with |fn'| = slope.  Newton
+    steps on log fn against log z, exact for a power law, inside a
+    bracket; a step that leaves the bracket is replaced by geometric
+    bisection, and of the two bracket ends the one with the smaller level
+    residual is returned.  A root below z = 1e-300 or above 1e300 raises
+    ValueError, and a level unconverged after _SOLVER_STEPS steps raises
+    RuntimeError.
     '''
-    level = np.asarray(level, dtype=float)
-    y = level.ravel()
-    log_y = np.log(y)
-    z = np.clip(np.asarray(start(y), dtype=float), _Z_FLOOR, _Z_CEIL)
-    todo = np.arange(z.size)
-    lo, hi = np.zeros_like(z), np.full_like(z, np.inf)
+    log_y = np.log(level)
+    z = np.clip(np.float64(start), _Z_FLOOR, _Z_CEIL)
+    lo, hi = 0.0, math.inf
     # level residuals |g| at the bracket ends
-    r_lo, r_hi = np.full_like(z, np.inf), np.full_like(z, np.inf)
-    out = np.empty_like(z)
+    r_lo = r_hi = math.inf
     with np.errstate(divide='ignore', invalid='ignore', over='ignore'):
         for _ in range(_SOLVER_STEPS):
-            f = np.asarray(fn(z), dtype=float)
-            g = np.log(f) - log_y[todo]
+            f = np.float64(fn(z))
+            g = np.log(f) - log_y
             above = (g > 0.0) != increasing
             # Newton correction of log z; f = 0 or slope = 0 give nan/inf
             dt = (-g if increasing else g) * f / (z * slope(z))
-            # a step past the representable range stops at its edge
-            step = np.minimum(np.maximum(z * np.exp(dt), _Z_FLOOR), _Z_CEIL)
-            lo = np.where(above, z, lo)
-            hi = np.where(above, hi, z)
-            r_lo = np.where(above, np.abs(g), r_lo)
-            r_hi = np.where(above, r_hi, np.abs(g))
+            if above:
+                lo, r_lo = z, abs(g)
+            else:
+                hi, r_hi = z, abs(g)
             # a steep fn may never bring the level residual to 1e-11, but
             # its steps shrink below 1e-13, or its bracket closes to 1e-13
-            done = (np.abs(g) <= 1e-11) | (np.abs(dt) <= 1e-13) \
-                | (hi <= lo * (1.0 + 1e-13))
-            lost = ~done & ((~above & (z <= _Z_FLOOR))
-                            | (above & (z >= _Z_CEIL)))
-            if lost.any():
-                raise ValueError('level %r has its root outside (%g, %g)'
-                                 % (y[todo][lost][0], _Z_FLOOR, _Z_CEIL))
-            if done.any():
+            if abs(g) <= 1e-11 or abs(dt) <= 1e-13 \
+                    or hi <= lo * (1.0 + 1e-13):
                 # z is one end of the bracket; keep the closer end
-                out[todo[done]] = np.where(r_lo < r_hi, lo, hi)[done]
-                if done.all():
-                    return out.reshape(level.shape)
-                keep = ~done
-                todo, step, lo, hi, r_lo, r_hi = (
-                    x[keep] for x in (todo, step, lo, hi, r_lo, r_hi))
-            bad = np.isnan(step) | (step <= lo) | (step >= hi)
-            mid = np.sqrt(np.maximum(lo, _Z_FLOOR)) \
-                * np.sqrt(np.minimum(hi, _Z_CEIL))
-            z = np.where(bad, mid, step)
-    raise RuntimeError('%d of %d levels unconverged after %d steps'
-                       % (todo.size, out.size, _SOLVER_STEPS))
+                return lo if r_lo < r_hi else hi
+            # z sits on the edge of the range that the root lies past
+            if z == (_Z_CEIL if above else _Z_FLOOR):
+                raise ValueError('level %r has its root outside (%g, %g)'
+                                 % (level, _Z_FLOOR, _Z_CEIL))
+            # a step past the representable range stops at its edge
+            z = np.clip(z * np.exp(dt), _Z_FLOOR, _Z_CEIL)
+            if not lo < z < hi:     # nan included
+                z = np.sqrt(max(lo, _Z_FLOOR)) * np.sqrt(min(hi, _Z_CEIL))
+    raise RuntimeError('level %r unconverged after %d steps'
+                       % (level, _SOLVER_STEPS))
 
 
 def _gamma_ratio(shape, sigma):
@@ -1414,8 +1402,9 @@ def marginal_exponent(marginal, lam):
 
 
 # the step in t of the correlation's nodes m = s + sinh(t) and w = sinh(t),
-# and the largest relative gap to the every-other-node rule that passes
+# its halvings, and the largest relative gap to the sub-rule that passes
 _CORR_STEP = 0.125
+_CORR_HALVINGS = 2
 _CORR_CHECK = 1e-4
 
 
@@ -1430,7 +1419,9 @@ def covariance_normalized(spec, mass_a, mass_b, mass_ab, total_mass):
     product with w = sinh(t), t >= 0, in m = log sqrt(lam_1 lam_2) and w =
     log(lam_2 / lam_1): dlam = e^(2m) dm dw, and the integrand is even in
     w.  Its value on the every-other-node rules, with about the square
-    root of their error, must agree to _CORR_CHECK: QuadratureError else.
+    root of their error, must agree to _CORR_CHECK, else the step in t
+    is halved (QuadratureError after _CORR_HALVINGS halvings), as a small
+    T needs: the plateau from lam = 1 to T psi_1(lam) = 1 bends sharply.
     '''
     if spec.dimension != 2:
         raise ValueError('defined for dimension 2')
@@ -1440,7 +1431,13 @@ def covariance_normalized(spec, mass_a, mass_b, mass_ab, total_mass):
     bracket = mass_ab - mass_a * mass_b / total_mass
     if bracket == 0.0:
         return 0.0
+    return _correlation(spec, mass_a, mass_b, total_mass, bracket,
+                        _CORR_STEP)
 
+
+def _correlation(spec, mass_a, mass_b, total_mass, bracket, step):
+    '''covariance_normalized's estimate on the rules of step `step` in
+    t, or on the rules of half that step where it fails its check.'''
     def log_f(a, m, w=None):
         # log(e^(2m) kappa_a(lam) e^(-T psi(lam))), lam = (e^(m - w/2),
         # e^(m + w/2)), or (e^m, 0) without w
@@ -1451,7 +1448,7 @@ def covariance_normalized(spec, mass_a, mass_b, mass_ab, total_mass):
     # s: midway between the integrands' rise, lam = 1, and T psi_1(lam) = 1
     below = np.sum(total_mass * marginal_exponent(
         spec.marginal, np.exp(np.arange(-40.0, 41.0))) < 1.0)
-    sinh_t, log_h, ends = _de_grid(_CORR_STEP, 0.0, 0.0)
+    sinh_t, log_h, ends = _de_grid(step, 0.0, 0.0)
     m = (round(0.5 * below) - 20 + sinh_t).tolist()
     m_pair = np.exp(log_h) * _pair_weights(len(m))
     # past the ends of m, exponentials of rate 2 (kappa finite at 0), sigma
@@ -1462,7 +1459,7 @@ def covariance_normalized(spec, mass_a, mass_b, mass_ab, total_mass):
     for (reach, _), rate, k in zip(ends, rates, (0, -1)):
         if rate is not None:
             m_pair[:, k] *= 1.0 + np.array([_past(reach, h, rate) for h in (
-                _CORR_STEP, 2.0 * _CORR_STEP)])
+                step, 2.0 * step)])
     var = [log_f((2, 0), x) for x in m]
     diagonal = [log_f((1, 1), x, 0.0) for x in m]
     peak = max(diagonal + var)
@@ -1472,17 +1469,20 @@ def covariance_normalized(spec, mass_a, mass_b, mass_ab, total_mass):
         # an even node where it and the one before it are below -42
         terms = [log_diagonal - peak]
         while len(terms) % 2 == 0 or max(terms[-2:]) > -42.0:
-            t = len(terms) * _CORR_STEP
+            t = len(terms) * step
             terms.append(math.log(2.0 * math.cosh(t)) - peak
                          + log_f((1, 1), x, math.sinh(t)))
         evaluations += len(terms) - 1
-        columns.append(_CORR_STEP * _pair_weights(len(terms)) @ np.exp(terms))
+        columns.append(step * _pair_weights(len(terms)) @ np.exp(terms))
     cross = np.sum(m_pair * np.transpose(columns), axis=1)
     kernel = m_pair @ np.exp(np.subtract(var, peak))
     corr, sub = (bracket * cross / (kernel * math.sqrt(
         (mass_a - mass_a ** 2 / total_mass)
         * (mass_b - mass_b ** 2 / total_mass)))).tolist()
     if not abs(corr - sub) <= _CORR_CHECK * abs(corr):
+        if step > _CORR_STEP / 2 ** _CORR_HALVINGS:
+            return _correlation(spec, mass_a, mass_b, total_mass, bracket,
+                                0.5 * step)
         raise QuadratureError(
             'correlation %r: trapezoid rules disagree by %.3g relative'
             % (corr, (corr - sub) / corr),

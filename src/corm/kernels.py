@@ -35,8 +35,8 @@ them, in a table indexed by the count, so a row costs one log.
 The non-conjugate urn scores against atoms instead, which a kernel
 draws: ``atom_posterior_draw(rows, rng)`` one atom given a cluster's
 rows, and ``prior_draws(size, rng)`` a list of size independent atoms
-from the centring, drawn as one batch.  The NIW kernel and the flat
-kernel give both.
+from the centring, which also gives the slice sampler's new jumps their
+atoms.  Every kernel gives both.
 '''
 
 import math
@@ -254,6 +254,11 @@ class UnivariateNormalGamma:
         tau = rng.gamma(an) / bn
         mu = rng.normal(mn, 1.0 / math.sqrt(kn * tau))
         return (mu, tau)
+
+    def prior_draws(self, size, rng):
+        '''size independent atoms from the centring, as a list: one
+        posterior draw given no rows each.'''
+        return [self.atom_posterior_draw((), rng) for _ in range(size)]
 
     def stack_atoms(self, atoms):
         mu, tau = np.asarray(atoms, dtype=float).reshape(-1, 2).T

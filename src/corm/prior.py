@@ -87,11 +87,9 @@ def _solve_residual_level(spec, target):
     start = ((1.0 - env.sigma) * target / env.c) ** (1.0 / (1.0 - env.sigma))
     if not start < 0.5 * env.top:
         raise ValueError('a level near %g is past half the support' % start)
-    weighted_mass = np.vectorize(partial(_weighted_mass, spec),
-                                 otypes=[float])
     return float(_invert_monotone(
-        weighted_mass, lambda z: z * directing.density(z), target,
-        lambda y: np.full_like(y, start), increasing=True))
+        partial(_weighted_mass, spec), lambda z: z * directing.density(z),
+        target, start, increasing=True))
 
 
 def _break_ties(jumps):

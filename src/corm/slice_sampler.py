@@ -31,10 +31,12 @@ i.i.d.), and m doubles for the draws still pending.
 
 The integrals against nu* that the kept jumps leave out are trapezoid
 rules (core.TiltRule) truncated at L: the residual Laplace exponent
-below L and its v-gradient (the snapshots' residual mass).  L stays
-fixed from repopulation to the end of a sweep, so the v and shape moves
-share one RuleNodes per spec, and each MH ratio reuses the residual at
-the current state: 2d + 2 residual evaluations a sweep.
+below L and its v-gradient (the snapshots' residual mass).  The moves
+keep the values at L in one memo (_at_threshold): per spec RuleNodes
+and the tail mass U(L), per (spec, v) the residual.  L stays fixed from
+repopulation to the next sweep's birth/death move, so each MH ratio
+reuses the residual at the current state (2d + 2 evaluations a sweep),
+and the birth/death move the shape move's U(L).
 '''
 
 import math
@@ -43,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import RuleNodes, TiltRule, _check_tilt
-from .marginal_sampler import _accept_probability, _members, _tally
+from .marginal_sampler import _members, _shape_move, _tally
 # not called here: kept bound so the benchmark's tracer, which wraps
 # corm.slice_sampler.integrate, still finds it
 from .numerics import integrate  # noqa: F401
@@ -94,9 +96,6 @@ class SliceState:
     def threshold(self):
         return min(float(u.min()) for u in self.u)
 
-    def group_sizes(self):
-        return np.array([len(c) for c in self.allocations])
-
     def check(self):
         L = self.threshold
         for j, c in enumerate(self.allocations):
@@ -109,15 +108,6 @@ class SliceState:
         assert np.array_equal(_tally(self.allocations, K), self.counts), \
             'counts out of sync'
         assert np.all(self.scores > 0.0) and np.all(self.v > 0.0)
-
-
-def _obs_dimension(kernel):
-    return int(np.size(getattr(kernel, 'm0', 1.0)))
-
-
-def _prior_atom(kernel, rng):
-    return kernel.atom_posterior_draw(
-        np.empty((0, _obs_dimension(kernel))), rng)
 
 
 def initial_slice_state(data, spec, kernel, rng, n_start=1):
@@ -164,26 +154,25 @@ def residual_laplace(spec, v, L, nodes=None):
     return TiltRule(spec, v, nodes).psi()
 
 
-class _Residuals:
-    '''residual_laplace at the threshold L of the moves that follow
-    repopulation in a sweep, which leave L fixed: the node terms are
-    built once per spec and each value once per (spec, v).  A value
-    depends on (spec, v, L) alone, so reusing it changes no draw.'''
+def _at_threshold(cache, L, key, compute):
+    '''The value under key in cache, the dict of values at the slice
+    threshold L (emptied first if it holds another L), or compute()'s,
+    stored there.  A value depends on its key and L alone.'''
+    if cache.get('L') != L:
+        cache.clear()
+        cache['L'] = L
+    if key not in cache:
+        cache[key] = compute()
+    return cache[key]
 
-    def __init__(self, L):
-        self.L = L
-        self._nodes = {}
-        self._values = {}
 
-    def __call__(self, spec, v):
-        v = np.asarray(v, dtype=float)
-        key = (spec, v.tobytes())
-        if key not in self._values:
-            if spec not in self._nodes:
-                self._nodes[spec] = RuleNodes(spec, self.L)
-            self._values[key] = residual_laplace(spec, v, self.L,
-                                                 self._nodes[spec])
-        return self._values[key]
+def _residual(cache, spec, v, L):
+    '''residual_laplace(spec, v, L) on the memo's RuleNodes(spec, L).'''
+    v = np.asarray(v, dtype=float)
+    nodes = _at_threshold(cache, L, ('nodes', spec),
+                          lambda: RuleNodes(spec, L))
+    return _at_threshold(cache, L, ('residual', spec, v.tobytes()),
+                         lambda: residual_laplace(spec, v, L, nodes))
 
 
 def _first_accepted(n, propose, describe, rng):
@@ -314,8 +303,7 @@ def update_u_and_repopulate(state, spec, kernel, rng):
         if z.size:
             scores = rng.gamma(spec.shape, size=(z.size, state.v.size)) \
                 / (1.0 + np.outer(z, state.v))
-            _append_jumps(state, z, scores,
-                          [_prior_atom(kernel, rng) for _ in range(z.size)])
+            _append_jumps(state, z, scores, kernel.prior_draws(z.size, rng))
     return state
 
 
@@ -471,25 +459,20 @@ def update_scores(state, spec, rng):
     return state
 
 
-def _log_tilt(state, k):
-    return float(state.jumps[k] * (state.scores[k] @ state.v))
-
-
 def birth_death_move(state, spec, kernel, rng, cache=None):
     '''One reversible-jump move on the unallocated pool: a birth draws
-    a jump from nu* above the threshold L with fresh prior scores, a
-    death removes a uniformly chosen pool member; both use the untilted
-    tail mass U(L) as the reference constant.  The birth's height comes
-    from the directing intensity's power envelope on (L, 1/a), accepted
-    by nu* over it, so it follows nu* restricted above L exactly.  U(L) is
-    read from cache, a dict, where the shape move of the sweep before
-    left it at this (L, shape) (update_hyperparameters_slice).'''
+    a jump from nu* above the threshold L with fresh prior scores and a
+    prior atom, a death removes a uniformly chosen pool member; both use
+    the untilted tail mass U(L) as the reference constant.  The birth's
+    height comes from the directing intensity's power envelope on (L,
+    1/a), accepted by nu* over it, so it follows nu* restricted above L
+    exactly.  U(L) comes through cache (_at_threshold; a fresh dict when
+    None), where the shape move of the sweep before left it.'''
     L = state.threshold
     phi = spec.shape
-    if cache is not None and cache.get('key') == (L, phi):
-        tail_mass = cache['tail_mass']
-    else:
-        tail_mass = spec.directing.tail_integral(L)
+    cache = {} if cache is None else cache
+    tail_mass = _at_threshold(cache, L, ('tail', spec),
+                              lambda: spec.directing.tail_integral(L))
     band = spec.directing.envelope.band(L)
     log_const = math.log(spec.centring_mass * tail_mass)
     pool = np.flatnonzero(state.counts.sum(axis=1) == 0)
@@ -502,25 +485,26 @@ def birth_death_move(state, spec, kernel, rng, cache=None):
             - math.log(pool.size + 1.0)
         if math.log(rng.uniform()) < log_alpha:
             _append_jumps(state, [z], scores[None],
-                          [_prior_atom(kernel, rng)])
+                          kernel.prior_draws(1, rng))
     elif pool.size > 0:
         k = int(pool[rng.integers(pool.size)])
-        log_alpha = _log_tilt(state, k) + math.log(pool.size) - log_const
+        log_alpha = float(state.jumps[k] * (state.scores[k] @ state.v)) \
+            + math.log(pool.size) - log_const
         if math.log(rng.uniform()) < log_alpha:
             _remove_jumps(state, [k])
     return state
 
 
-def update_v_interweaving(state, spec, j, steps, rng, residual=None):
+def update_v_interweaving(state, spec, j, steps, rng, cache=None):
     '''Two-stage update of v_j: a move holding the rescaled scores
     m~ = v_j m fixed (ancillary stage), then a move holding the scores
     themselves fixed (sufficient stage).  Each stage is a log-scale
-    random walk against its exact conditional.  residual, a _Residuals at
-    the state's threshold, carries the residual values of earlier moves
-    at the same L; a fresh one is made when None.'''
+    random walk against its exact conditional.  The residuals come
+    through cache (_at_threshold; a fresh dict when None), which holds
+    those of the earlier moves at the same threshold.'''
     stage1, stage2 = steps
-    if residual is None:
-        residual = _Residuals(state.threshold)
+    L = state.threshold
+    cache = {} if cache is None else cache
     mass = spec.centring_mass
     n_j = float(state.allocations[j].size)
     phi = spec.shape
@@ -529,7 +513,7 @@ def update_v_interweaving(state, spec, j, steps, rng, residual=None):
     def residual_at(vj):
         v = state.v.copy()
         v[j] = vj
-        return residual(spec, v)
+        return _residual(cache, spec, v, L)
 
     if K > 0:
         score_sum = float(state.scores[:, j].sum())
@@ -539,14 +523,11 @@ def update_v_interweaving(state, spec, j, steps, rng, residual=None):
             return -(K * phi + 1.0) * math.log(vj) - tilde_sum / vj \
                 - mass * residual_at(vj)
 
-        vj_new = state.v[j] * math.exp(stage1.step * rng.normal())
-        log_alpha = log_target1(vj_new) - log_target1(state.v[j]) \
-            + math.log(vj_new) - math.log(state.v[j])
-        accept = _accept_probability(log_alpha)
-        if rng.uniform() < accept:
+        vj_new = stage1.propose(state.v[j], rng)
+        if stage1.accept(log_target1(vj_new) - log_target1(state.v[j]),
+                         vj_new, state.v[j], rng):
             state.scores[:, j] *= state.v[j] / vj_new
             state.v[j] = vj_new
-        stage1.record(accept)
 
     total = float(state.scores[:, j] @ state.jumps) if K else 0.0
 
@@ -554,13 +535,10 @@ def update_v_interweaving(state, spec, j, steps, rng, residual=None):
         return (n_j - 1.0) * math.log(vj) - vj * total \
             - mass * residual_at(vj)
 
-    vj_new = state.v[j] * math.exp(stage2.step * rng.normal())
-    log_alpha = log_target2(vj_new) - log_target2(state.v[j]) \
-        + math.log(vj_new) - math.log(state.v[j])
-    accept = _accept_probability(log_alpha)
-    if rng.uniform() < accept:
+    vj_new = stage2.propose(state.v[j], rng)
+    if stage2.accept(log_target2(vj_new) - log_target2(state.v[j]), vj_new,
+                     state.v[j], rng):
         state.v[j] = vj_new
-    stage2.record(accept)
     return state
 
 
@@ -612,52 +590,34 @@ def update_atoms_slice(state, data, kernel, rng):
 
 
 def update_hyperparameters_slice(state, spec, log_prior, step, rng,
-                                 residual=None, cache=None):
-    '''Log-scale MH on the score shape against the full truncated-state
-    target: score densities, jump intensities, the untilted tail mass,
-    and the sub-threshold residual, read from residual (a _Residuals at
-    the state's threshold, fresh when None).  The kept spec's tail mass
-    U(L) goes into cache, a dict, for the next sweep's birth_death_move,
-    which reads it at the same threshold.  Returns the possibly updated
-    spec.'''
+                                 cache=None):
+    '''Log-scale MH on the score shape (_shape_move) against the full
+    truncated-state target: score densities, jump intensities, the
+    untilted tail mass U(L) and the sub-threshold residual, both through
+    cache (_at_threshold; a fresh dict when None), where the kept spec's
+    U(L) stays for the next sweep's birth_death_move.  Returns the
+    possibly updated spec.'''
     L = state.threshold
-    if residual is None:
-        residual = _Residuals(L)
+    cache = {} if cache is None else cache
     mass = spec.centring_mass
     log_m_sum = float(_log_scores(state).sum())
     m_sum = float(state.scores.sum())
     n_scores = state.scores.size
     gaps = spec.directing.envelope.top - state.jumps
-    tail_masses = {}
 
-    def log_target(sp, phi):
+    def log_target(sp):
+        phi = sp.shape
         total = log_prior(phi)
         total += (phi - 1.0) * log_m_sum - m_sum \
             - n_scores * math.lgamma(phi)
         if state.n_jumps:
             total += float(sp.directing.log_density(state.jumps, gaps).sum())
-        tail_masses[sp] = sp.directing.tail_integral(L)
-        total -= mass * tail_masses[sp]
-        total -= mass * residual(sp, state.v)
+        total -= mass * _at_threshold(cache, L, ('tail', sp),
+                                      lambda: sp.directing.tail_integral(L))
+        total -= mass * _residual(cache, sp, state.v, L)
         return total
 
-    phi_new = state.shape * math.exp(step.step * rng.normal())
-    try:
-        spec_new = spec.with_shape(phi_new)
-    except ValueError:
-        step.record(0.0)
-        return spec
-    log_alpha = log_target(spec_new, phi_new) \
-        - log_target(spec, state.shape) \
-        + math.log(phi_new) - math.log(state.shape)
-    accept = _accept_probability(log_alpha)
-    if rng.uniform() < accept:
-        state.shape = phi_new
-        spec = spec_new
-    step.record(accept)
-    if cache is not None:
-        cache.update(key=(L, spec.shape), tail_mass=tail_masses[spec])
-    return spec
+    return _shape_move(state, spec, step, rng, log_target)
 
 
 def _residual_weights(spec, v, L):
@@ -684,19 +644,20 @@ def slice_snapshots(state, spec):
 def slice_sweep(state, data, spec, kernel, rng, v_steps, shape_step=None,
                 log_prior=None, cache=None):
     '''One full sweep in the fixed update order; returns the current
-    spec (replaced when a shape move is accepted).  cache, a dict kept
-    across sweeps, carries the shape move's tail mass U(L) to the next
-    sweep's birth-death move.'''
+    spec (replaced when a shape move is accepted).  The moves share
+    cache (_at_threshold), a fresh dict a sweep when None; one kept
+    across sweeps carries the shape move's U(L) to the next sweep's
+    birth-death move.'''
+    cache = {} if cache is None else cache
     update_allocations_slice(state, data, kernel, rng)
     update_atoms_slice(state, data, kernel, rng)
     update_jump_heights(state, spec, rng)
     update_scores(state, spec, rng)
     birth_death_move(state, spec, kernel, rng, cache)
     update_u_and_repopulate(state, spec, kernel, rng)
-    residual = _Residuals(state.threshold)
     for j in range(data.n_groups):
-        update_v_interweaving(state, spec, j, v_steps[j], rng, residual)
+        update_v_interweaving(state, spec, j, v_steps[j], rng, cache)
     if shape_step is not None:
         spec = update_hyperparameters_slice(state, spec, log_prior,
-                                            shape_step, rng, residual, cache)
+                                            shape_step, rng, cache)
     return spec

@@ -1156,6 +1156,28 @@ class TestCovariance:
             == pytest.approx(correlation_row('gamma', 3.0)['correlation'],
                              abs=1e-10)
 
+    @pytest.mark.parametrize('family, masses', [
+        ('gg', (0.02, 0.03, 0.01, 0.05)),
+        ('stable', (0.02, 0.03, 0.01, 0.05)),
+        ('stable', (0.05, 0.05, 0.05, 0.1))])
+    def test_small_total_mass(self, family, masses):
+        # at a small total mass T the integrand is flat from lam = 1 to T
+        # psi_1(lam) = 1 and bends sharply at both ends: the base step's
+        # rules fail their check at gg's point and stable's at T = 0.1,
+        # and the halved steps hold
+        got = covariance_normalized(correlation_spec(family, 1.0), *masses)
+        assert 0.0 < abs(got) < 1.0
+
+    @pytest.mark.parametrize('masses, want', [
+        ((0.02, 0.03, 0.01, 0.05), -0.163203665625),
+        ((0.01, 0.01, 0.01, 0.02), 0.991518028271)])
+    def test_small_total_mass_matches_quadpack(self, masses, want):
+        # nested QUADPACK at rel_tol 1e-9 (oracles.correlation_quadpack),
+        # which does not converge for gg at these masses; the base step
+        # fails at both points, and T = 0.02 needs the finest step
+        got = covariance_normalized(correlation_spec('gamma', 1.0), *masses)
+        assert got == pytest.approx(want, abs=1e-8)
+
     def test_estimate_outside_unit_interval_raises(self, monkeypatch):
         # an inaccurate variance kernel pushes the estimate past 1; it
         # must be reported, not clamped
@@ -1171,9 +1193,11 @@ class TestCovariance:
             covariance_normalized(sp, 0.5, 0.5, 0.5, 1.0)
 
     def test_coarse_step_raises(self, monkeypatch):
-        # the product rule fails its sub-rule check, carrying its value
+        # the product rule fails its sub-rule check, carrying its value,
+        # when no halving of its step is allowed
         from corm import core
         monkeypatch.setattr(core, '_CORR_STEP', 0.5)
+        monkeypatch.setattr(core, '_CORR_HALVINGS', 0)
         with pytest.raises(QuadratureError, match='disagree') as err:
             covariance_normalized(spec_gamma(shape=1.0), 0.5, 0.5, 0.5, 1.0)
         assert err.value.best.value > 0.0

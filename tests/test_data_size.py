@@ -73,3 +73,28 @@ def test_slice_sweeps(per_group, n_groups):
         assert spec.shape == state.shape
         assert state.counts.sum(axis=0).tolist() == [per_group] * n_groups
         assert state.threshold > 0.0
+
+
+def test_marginal_chain_on_shared_components():
+    # both groups come from one mixture at -2, 2 and 5: under a weak prior
+    # on the score shape the chain reaches shapes in the hundreds, where
+    # every log kappa on a finite support must pass its rule's check
+    rng = np.random.default_rng(1)
+    means = np.array([-2.0, 2.0, 5.0])
+    data = Dataset([means[rng.integers(3, size=500)]
+                    + 0.5 * rng.standard_normal(500) for _ in range(2)])
+    kernel = UnivariateNormalGamma.from_data(data.stacked())
+    spec = CoRMSpec.from_marginal(
+        2, 1.0, MarginalFamily.generalized_gamma(0.3, 1.0))
+    state = marginal_sampler.initial_state(data, spec, kernel, rng,
+                                           n_start=4)
+    steps = [AdaptiveStepSize() for _ in range(2)]
+    shape_step, table, shapes = AdaptiveStepSize(), None, []
+    for _ in range(300):
+        spec, table = marginal_sampler.marginal_sweep(
+            state, data, spec, kernel, rng, steps, shape_step,
+            lambda phi: -0.01 * phi, table=table)
+        state.check()
+        shapes.append(state.shape)
+    assert spec.shape == state.shape
+    assert max(shapes) > 100.0

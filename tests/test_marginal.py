@@ -983,6 +983,27 @@ class TestAdaptiveStepSize:
         s.record(0.0)
         assert s.log_step >= -12.0
 
+    def test_propose_and_accept(self):
+        # the normal of the proposal, then the uniform of the decision,
+        # at the probability of the log ratio plus log x_new - log x
+        x, log_ratio = 0.7, -0.3
+        s = AdaptiveStepSize(log_step=-0.2)
+        rng, ref = np.random.default_rng(3), np.random.default_rng(3)
+        x_new = s.propose(x, rng)
+        accepted = s.accept(log_ratio, x_new, x, rng)
+        assert x_new == x * math.exp(math.exp(-0.2) * ref.normal())
+        prob = math.exp(min(log_ratio + math.log(x_new) - math.log(x), 0.0))
+        assert accepted == (ref.uniform() < prob)
+        assert s.proposed == 1 and s.accepted == prob
+        assert rng.random() == ref.random()
+
+    def test_nan_ratio_raises_before_recording_or_drawing(self):
+        s = AdaptiveStepSize()
+        rng, ref = np.random.default_rng(4), np.random.default_rng(4)
+        with pytest.raises(FloatingPointError, match='nan'):
+            s.accept(math.nan, 1.2, 1.0, rng)
+        assert s.proposed == 0 and rng.random() == ref.random()
+
 
 class TestStateAndSweep:
 

@@ -24,6 +24,7 @@ from corm.slice_sampler import (
     update_allocations_slice,
     update_hyperparameters_slice,
     update_jump_heights,
+    update_v_interweaving,
 )
 
 
@@ -871,6 +872,25 @@ def test_shape_move_with_a_jump_one_ulp_below_one():
                                        np.random.default_rng(1))
     assert got is spec and state.shape == 20.0
     assert step.proposed == 1 and step.accepted < 1e-20
+
+
+def test_threshold_memo_is_emptied_when_the_threshold_moves():
+    # the birth-death move leaves U(L) in the memo; a v move at a lower
+    # threshold empties it and keeps its own residuals there
+    state, _, kernel = _hand_state()
+    spec = CoRMSpec.from_marginal(1, 1.0, MarginalFamily.gamma())
+    rng, cache = np.random.default_rng(5), {}
+    L = state.threshold
+    slice_sampler.birth_death_move(state, spec, kernel, rng, cache)
+    assert cache['L'] == L
+    assert cache[('tail', spec)] == spec.directing.tail_integral(L)
+    state.u[0][0] = 0.03
+    update_v_interweaving(state, spec, 0, (AdaptiveStepSize(),
+                                           AdaptiveStepSize()), rng, cache)
+    assert cache['L'] == 0.03 and ('tail', spec) not in cache
+    v = state.v.tobytes()
+    assert cache[('residual', spec, v)] == residual_laplace(spec, state.v,
+                                                            0.03)
 
 
 def test_shape_move_with_nan_prior_raises():
