@@ -7,22 +7,15 @@ integrals times marginal-likelihood ratios; a unit-score-shape gamma
 marginal in one group reduces them to the classic urn weights.
 
 A sweep redraws each group's allocations in one pass on a working copy
-of the state, _UrnRows: the count table, the group's labels, the
-cluster statistics or atoms, and the group's observations, as Python
-lists, ints and floats.  The copy is written back into the
-MarginalState once, when the group's pass ends, so the state is not
-current during a pass.  An allocation update called without a pass's
-copy makes its own and writes it back, so the state is current after
-every public call.
-
-A conjugate redraw is one _UrnRows.redraw at a uniform.  A pass draws
-its n_j uniforms with one rng.random(n_j), which gives the doubles of
-n_j rng.random() calls, so a sweep and one-off redraws make the same
-chain.  The log kappa ratios of the weights come from the KappaTable's
-ratio memo, one dict lookup each.
+of the state (_UrnRows), written back once, when the pass ends; an
+allocation update called without a pass's copy makes its own, so the
+state is current after every public call.  The weights' log kappa
+ratios come from the KappaTable's ratio memo, and v and the score shape
+move by AdaptiveStepSize.move.
 '''
 
 import math
+import numbers
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
@@ -55,20 +48,17 @@ N_AUX = 3
 
 @dataclass
 class AdaptiveStepSize:
-    '''Random-walk scale exp(log_step), adapted toward the acceptance
-    rate TARGET by a stochastic approximation whose gain decays as
-    proposed^-DECAY, with log_step kept in [-12, 6]; frozen (set after
-    burn-in) stops the adaptation and keeps the tally.'''
+    '''Scale exp(log_step) of the log-scale random walk (move) that
+    makes every v and score-shape step of both samplers, adapted toward
+    the acceptance rate TARGET with a gain decaying as proposed^-DECAY
+    (Roberts & Rosenthal 2009), log_step kept in [-12, 6]; frozen (set
+    after burn-in) stops the adaptation and keeps the tally.'''
     TARGET = 0.44
     DECAY = 0.6
     log_step: float = math.log(0.5)
     accepted: float = 0.0
     proposed: int = 0
     frozen: bool = False
-
-    @property
-    def step(self):
-        return math.exp(self.log_step)
 
     @property
     def acceptance_rate(self):
@@ -82,18 +72,24 @@ class AdaptiveStepSize:
             self.log_step += gain * (accept_prob - self.TARGET)
             self.log_step = min(max(self.log_step, -12.0), 6.0)
 
-    def propose(self, x, rng):
-        '''The log-scale random walk's proposal x exp(step N(0, 1)).'''
-        return x * math.exp(self.step * rng.normal())
-
-    def accept(self, log_ratio, x_new, x, rng):
-        '''Whether x_new is accepted over x given log_ratio, the log
-        target at x_new less that at x: the probability at log_ratio + log
-        x_new - log x is recorded, then one rng.uniform() falls below it.'''
+    def move(self, x, log_target, rng):
+        '''The kept value of one Metropolis-Hastings step from x > 0 to x
+        exp(step N(0, 1)) against log_target.  A proposal that is not a
+        positive finite double is refused: probability 0 is recorded and
+        no uniform drawn.  Otherwise the probability at log_target(x_new) -
+        log_target(x) + log x_new - log x (a NaN raises) is recorded and
+        one rng.uniform() decides.'''
+        try:
+            x_new = x * math.exp(math.exp(self.log_step) * rng.normal())
+        except OverflowError:
+            x_new = math.inf
+        if not 0.0 < x_new < math.inf:
+            self.record(0.0)
+            return x
         accept_prob = _accept_probability(
-            log_ratio + math.log(x_new) - math.log(x))
+            log_target(x_new) - log_target(x) + math.log(x_new) - math.log(x))
         self.record(accept_prob)
-        return rng.uniform() < accept_prob
+        return x_new if rng.uniform() < accept_prob else x
 
 
 @dataclass
@@ -145,9 +141,21 @@ def _members(data, allocations, n_labels):
     return np.split(data.stacked()[order], ends[:-1])
 
 
+def _round_robin(data, n_start):
+    '''Each group's labels 0, 1, ..., n_start - 1, 0, 1, ... in order.'''
+    if not isinstance(n_start, numbers.Integral) or n_start < 1:
+        raise ValueError('n_start must be an integer of at least 1, not %r'
+                         % (n_start,))
+    return [np.arange(y.shape[0]) % n_start for y in data.groups]
+
+
 def initial_state(data, spec, kernel, rng, n_start=1):
-    '''All observations in n_start clusters split round-robin.'''
-    allocations = [np.arange(y.shape[0]) % n_start for y in data.groups]
+    '''All observations in n_start clusters split round-robin; n_start
+    is an integer from 1 to the largest group's size.'''
+    allocations = _round_robin(data, n_start)
+    if n_start > max(c.size for c in allocations):
+        raise ValueError('n_start %d exceeds the largest group: a start '
+                         'cluster would be empty' % n_start)
     state = MarginalState(allocations, _tally(allocations, n_start),
                           np.ones(data.n_groups), spec.shape)
     members = _members(data, allocations, n_start)
@@ -234,19 +242,19 @@ class KappaTable:
             self._ratios[key] = val
         return val
 
+    def log_target(self, counts, total):
+        '''total - M psi plus log kappa at each row of counts, added one
+        cluster at a time: the rounding reaches the adaptive step sizes
+        through the acceptance probabilities, so the order is fixed.'''
+        total -= self.spec.centring_mass * self.psi
+        for a in counts.tolist():
+            total += self.log_kappa(tuple(a))
+        return total
+
     def log_new_cluster(self, j):
         '''log kappa_r(v) for r = e_j: the new-cluster integral.'''
         r = tuple(1 if m == j else 0 for m in range(self.spec.dimension))
         return self.log_kappa(r)
-
-
-def _add_log_kappa(total, table, counts):
-    '''total plus log kappa at every cluster's count vector, added one
-    cluster at a time: the rounding reaches the adaptive step sizes
-    through the acceptance probabilities, so the order is kept fixed.'''
-    for a in counts.tolist():
-        total += table.log_kappa(tuple(a))
-    return total
 
 
 class _UrnRows:
@@ -500,66 +508,54 @@ def _accept_probability(log_alpha):
     return math.exp(min(log_alpha, 0.0))
 
 
-def _log_target_v(state, spec, table, n_sizes):
-    v = table.v
-    total = float(np.sum((n_sizes - 1.0) * np.log(v)))
-    total -= spec.centring_mass * table.psi
-    return _add_log_kappa(total, table, state.counts)
-
-
 def update_v_marginal(state, spec, j, step, rng, table):
-    '''Log-scale random-walk update of v_j; returns the (possibly new)
-    kappa table.'''
+    '''Log-scale random-walk update of v_j (AdaptiveStepSize.move) from
+    table, the KappaTable at (spec, state.v); returns the kept v's table.'''
     n_sizes = state.group_sizes().astype(float)
-    current = _log_target_v(state, spec, table, n_sizes)
-    proposal = state.v.copy()
-    proposal[j] = step.propose(state.v[j], rng)
-    new_table = KappaTable(spec, proposal)
-    candidate = _log_target_v(state, spec, new_table, n_sizes)
-    if step.accept(candidate - current, proposal[j], state.v[j], rng):
-        state.v = proposal
-        table = new_table
+    tables = {state.v[j]: table}
+
+    def log_target(vj):
+        if vj not in tables:
+            v = state.v.copy()
+            v[j] = vj
+            tables[vj] = KappaTable(spec, v)
+        tab = tables[vj]
+        return tab.log_target(state.counts,
+                              float(np.sum((n_sizes - 1.0) * np.log(tab.v))))
+
+    table = tables[step.move(state.v[j], log_target, rng)]
+    state.v = table.v
     return table
 
 
-def _shape_move(state, spec, step, rng, log_target):
-    '''Both samplers' move of the score shape against log_target(sp) at
-    spec sp; a shape with_shape rejects is refused.  Returns the kept spec.'''
-    phi_new = step.propose(state.shape, rng)
-    try:
-        spec_new = spec.with_shape(phi_new)
-    except ValueError:
-        step.record(0.0)
-        return spec
-    if step.accept(log_target(spec_new) - log_target(spec), phi_new,
-                   state.shape, rng):
-        state.shape = phi_new
-        return spec_new
-    return spec
-
-
 def update_shape_marginal(state, spec, log_prior, step, rng, table):
-    '''Update of the score shape (_shape_move); both the score density
-    and the directing intensity move with it.  Returns the (possibly new)
-    spec and its kappa table.'''
-    tables = {spec: table}
+    '''Log-scale random-walk update of the score shape
+    (AdaptiveStepSize.move), which moves both the score density and the
+    directing intensity; returns the kept shape's spec and kappa table.'''
+    kept = {state.shape: (spec, table)}
 
-    def log_target(sp):
-        if sp not in tables:
-            tables[sp] = KappaTable(sp, state.v)
-        tab = tables[sp]
-        total = log_prior(sp.shape) - sp.centring_mass * tab.psi
-        return _add_log_kappa(total, tab, state.counts)
+    def log_target(phi):
+        if phi not in kept:
+            sp = spec.with_shape(phi)
+            kept[phi] = sp, KappaTable(sp, state.v)
+        return kept[phi][1].log_target(state.counts, log_prior(phi))
 
-    spec = _shape_move(state, spec, step, rng, log_target)
-    return spec, tables[spec]
+    state.shape = step.move(state.shape, log_target, rng)
+    return kept[state.shape]
+
+
+def _check_shape_prior(shape_step, log_prior):
+    if shape_step is not None and log_prior is None:
+        raise ValueError('a shape_step needs the log_prior of the score '
+                         'shape')
 
 
 def marginal_sweep(state, data, spec, kernel, rng, v_steps, shape_step=None,
                    log_prior=None, table=None):
     '''One full sweep: allocations, atoms (non-conjugate), auxiliaries,
     and optionally the score shape.  Returns the current spec and kappa
-    table (both may be replaced by a shape move).'''
+    table (both may be replaced by a shape move, which needs log_prior).'''
+    _check_shape_prior(shape_step, log_prior)
     if table is None:
         table = KappaTable(spec, state.v)
     for j in range(data.n_groups):

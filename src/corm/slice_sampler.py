@@ -45,7 +45,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import RuleNodes, TiltRule, _check_tilt
-from .marginal_sampler import _members, _shape_move, _tally
+from .marginal_sampler import (_check_shape_prior, _members, _round_robin,
+                               _tally)
 # not called here: kept bound so the benchmark's tracer, which wraps
 # corm.slice_sampler.integrate, still finds it
 from .numerics import integrate  # noqa: F401
@@ -119,9 +120,10 @@ def initial_slice_state(data, spec, kernel, rng, n_start=1):
     e^(-y_k) at sigma 0 and (sigma y_k)^(-1 / sigma) for sigma-stable
     (top = inf), in closed form (PowerEnvelope.power_level), so the start
     inverts no tail.  Every jump lies strictly inside (0, top): one that
-    rounds up to top is the largest double below it.'''
+    rounds up to top is the largest double below it.  n_start >= 1 is
+    an integer.'''
     d = data.n_groups
-    allocations = [np.arange(g.shape[0]) % n_start for g in data.groups]
+    allocations = _round_robin(data, n_start)
     counts = _tally(allocations, n_start)
     jumps = spec.directing.envelope.power_level(
         1.0 - rng.uniform(size=n_start))
@@ -499,9 +501,9 @@ def update_v_interweaving(state, spec, j, steps, rng, cache=None):
     '''Two-stage update of v_j: a move holding the rescaled scores
     m~ = v_j m fixed (ancillary stage), then a move holding the scores
     themselves fixed (sufficient stage).  Each stage is a log-scale
-    random walk against its exact conditional.  The residuals come
-    through cache (_at_threshold; a fresh dict when None), which holds
-    those of the earlier moves at the same threshold.'''
+    random walk (AdaptiveStepSize.move) against its exact conditional.
+    The residuals come through cache (_at_threshold; a fresh dict when
+    None), which holds those of the earlier moves at the same threshold.'''
     stage1, stage2 = steps
     L = state.threshold
     cache = {} if cache is None else cache
@@ -523,11 +525,9 @@ def update_v_interweaving(state, spec, j, steps, rng, cache=None):
             return -(K * phi + 1.0) * math.log(vj) - tilde_sum / vj \
                 - mass * residual_at(vj)
 
-        vj_new = stage1.propose(state.v[j], rng)
-        if stage1.accept(log_target1(vj_new) - log_target1(state.v[j]),
-                         vj_new, state.v[j], rng):
-            state.scores[:, j] *= state.v[j] / vj_new
-            state.v[j] = vj_new
+        vj_new = stage1.move(state.v[j], log_target1, rng)
+        state.scores[:, j] *= state.v[j] / vj_new  # by 1.0 if v_j is kept
+        state.v[j] = vj_new
 
     total = float(state.scores[:, j] @ state.jumps) if K else 0.0
 
@@ -535,10 +535,7 @@ def update_v_interweaving(state, spec, j, steps, rng, cache=None):
         return (n_j - 1.0) * math.log(vj) - vj * total \
             - mass * residual_at(vj)
 
-    vj_new = stage2.propose(state.v[j], rng)
-    if stage2.accept(log_target2(vj_new) - log_target2(state.v[j]), vj_new,
-                     state.v[j], rng):
-        state.v[j] = vj_new
+    state.v[j] = stage2.move(state.v[j], log_target2, rng)
     return state
 
 
@@ -591,12 +588,12 @@ def update_atoms_slice(state, data, kernel, rng):
 
 def update_hyperparameters_slice(state, spec, log_prior, step, rng,
                                  cache=None):
-    '''Log-scale MH on the score shape (_shape_move) against the full
-    truncated-state target: score densities, jump intensities, the
-    untilted tail mass U(L) and the sub-threshold residual, both through
-    cache (_at_threshold; a fresh dict when None), where the kept spec's
-    U(L) stays for the next sweep's birth_death_move.  Returns the
-    possibly updated spec.'''
+    '''Log-scale MH on the score shape (AdaptiveStepSize.move) against
+    the full truncated-state target: score densities, jump intensities,
+    the untilted tail mass U(L) and the sub-threshold residual, both
+    through cache (_at_threshold; a fresh dict when None), where the kept
+    spec's U(L) stays for the next sweep's birth_death_move.  Returns the
+    kept shape's spec.'''
     L = state.threshold
     cache = {} if cache is None else cache
     mass = spec.centring_mass
@@ -605,8 +602,12 @@ def update_hyperparameters_slice(state, spec, log_prior, step, rng,
     n_scores = state.scores.size
     gaps = spec.directing.envelope.top - state.jumps
 
-    def log_target(sp):
-        phi = sp.shape
+    specs = {state.shape: spec}
+
+    def log_target(phi):
+        if phi not in specs:
+            specs[phi] = spec.with_shape(phi)
+        sp = specs[phi]
         total = log_prior(phi)
         total += (phi - 1.0) * log_m_sum - m_sum \
             - n_scores * math.lgamma(phi)
@@ -617,7 +618,8 @@ def update_hyperparameters_slice(state, spec, log_prior, step, rng,
         total -= mass * _residual(cache, sp, state.v, L)
         return total
 
-    return _shape_move(state, spec, step, rng, log_target)
+    state.shape = step.move(state.shape, log_target, rng)
+    return specs[state.shape]
 
 
 def _residual_weights(spec, v, L):
@@ -647,7 +649,8 @@ def slice_sweep(state, data, spec, kernel, rng, v_steps, shape_step=None,
     spec (replaced when a shape move is accepted).  The moves share
     cache (_at_threshold), a fresh dict a sweep when None; one kept
     across sweeps carries the shape move's U(L) to the next sweep's
-    birth-death move.'''
+    birth-death move.  A shape_step needs log_prior.'''
+    _check_shape_prior(shape_step, log_prior)
     cache = {} if cache is None else cache
     update_allocations_slice(state, data, kernel, rng)
     update_atoms_slice(state, data, kernel, rng)

@@ -821,16 +821,20 @@ class TestAuxiliaryUpdate:
         kernel = FlatKernel()
         data = Dataset([np.zeros(5)])
         state = make_state_d1([0, 0, 1, 1, 1], 1.0, shape, kernel, data)
-        n_sizes = state.group_sizes().astype(float)
         shift = None
         for v in (0.3, 1.0, 5.0):
-            state.v = np.array([v])
-            table = KappaTable(spec, state.v)
-            got = ms._log_target_v(state, spec, table, n_sizes)
+            table = KappaTable(spec, np.array([v]))
+            # the total update_v_marginal passes: sum_j (n_j - 1) log v_j
+            got = table.log_target(state.counts, 4.0 * math.log(v))
             closed = 4.0 * math.log(v) - (mass + 5.0) * math.log1p(v)
             if shift is None:
                 shift = got - closed
             assert got - closed == pytest.approx(shift, abs=1e-10)
+            # total - M psi, then log kappa cluster by cluster
+            want = 4.0 * math.log(v) - mass * table.psi
+            for a in state.counts.tolist():
+                want += table.log_kappa(tuple(a))
+            assert got == want
 
     def test_v_chain_matches_beta_transform(self):
         # at a fixed partition, v/(1+v) is Beta(n, M); run the
@@ -984,26 +988,58 @@ class TestAdaptiveStepSize:
         assert s.log_step >= -12.0
 
     def test_propose_and_accept(self):
-        # the normal of the proposal, then the uniform of the decision,
-        # at the probability of the log ratio plus log x_new - log x
-        x, log_ratio = 0.7, -0.3
+        # move: the normal of the proposal, then the uniform of the
+        # decision, at the probability of the log target's difference
+        # plus log x_new - log x
+        x = 0.7
         s = AdaptiveStepSize(log_step=-0.2)
         rng, ref = np.random.default_rng(3), np.random.default_rng(3)
-        x_new = s.propose(x, rng)
-        accepted = s.accept(log_ratio, x_new, x, rng)
-        assert x_new == x * math.exp(math.exp(-0.2) * ref.normal())
-        prob = math.exp(min(log_ratio + math.log(x_new) - math.log(x), 0.0))
-        assert accepted == (ref.uniform() < prob)
+        seen = []
+
+        def log_target(y):
+            seen.append(y)
+            return -2.5 * y
+
+        kept = s.move(x, log_target, rng)
+        x_new = x * math.exp(math.exp(-0.2) * ref.normal())
+        assert sorted(seen) == sorted([x, x_new])
+        log_alpha = -2.5 * x_new + 2.5 * x + math.log(x_new) - math.log(x)
+        prob = math.exp(min(log_alpha, 0.0))
+        assert 0.0 < prob < 1.0
+        assert kept == (x_new if ref.uniform() < prob else x)
         assert s.proposed == 1 and s.accepted == prob
         assert rng.random() == ref.random()
 
     def test_nan_ratio_raises_before_recording_or_drawing(self):
+        # the proposal's normal is drawn, but no uniform, and nothing is
+        # recorded
         s = AdaptiveStepSize()
         rng, ref = np.random.default_rng(4), np.random.default_rng(4)
         with pytest.raises(FloatingPointError, match='nan'):
-            s.accept(math.nan, 1.2, 1.0, rng)
-        assert s.proposed == 0 and rng.random() == ref.random()
+            s.move(1.0, lambda y: math.nan, rng)
+        ref.normal()
+        assert s.proposed == 0 and s.log_step == math.log(0.5)
+        assert rng.random() == ref.random()
 
+    @pytest.mark.parametrize('z', [2.0, -2.0])
+    def test_refuses_a_proposal_that_over_or_underflows(self, z):
+        # at the step cap exp(6) a normal of +2 overflows exp, and one of
+        # -2 rounds x exp(...) to 0.0; log_target is never called
+        s = AdaptiveStepSize(log_step=6.0)
+
+        class StubNormal:
+            def normal(self):
+                return z
+
+            def uniform(self):
+                raise AssertionError('a refused move drew a uniform')
+
+        def log_target(y):
+            raise AssertionError('log_target called at %r' % y)
+
+        assert s.move(1.3, log_target, StubNormal()) == 1.3
+        assert s.proposed == 1 and s.accepted == 0.0
+        assert s.log_step < 6.0
 
 class TestStateAndSweep:
 
@@ -1021,6 +1057,30 @@ class TestStateAndSweep:
         # stats tally the right members
         n_in_stats = sum(s[0] for s in state.stats)
         assert n_in_stats == 9
+
+    @pytest.mark.parametrize('n_start', [0, 2.5, -1, 5],
+                             ids=['zero', 'fraction', 'negative',
+                                  'above-the-largest-group'])
+    def test_initial_state_rejects_n_start(self, n_start):
+        # 3 + 3 observations: 5 start clusters would leave 2 empty
+        data = Dataset([np.zeros(3), np.zeros(3)])
+        with pytest.raises(ValueError, match='n_start'):
+            initial_state(data, gamma_spec(2, 1.0), FlatKernel(),
+                          np.random.default_rng(0), n_start=n_start)
+
+    def test_shape_step_needs_a_log_prior(self):
+        data = Dataset([np.zeros(3), np.zeros(3)])
+        spec, kernel = gamma_spec(2, 1.0), FlatKernel()
+        rng = np.random.default_rng(6)
+        state = initial_state(data, spec, kernel, rng, n_start=2)
+        generator = rng.bit_generator.state
+        v_steps = [AdaptiveStepSize(), AdaptiveStepSize()]
+        with pytest.raises(ValueError, match='log_prior'):
+            marginal_sweep(state, data, spec, kernel, rng, v_steps,
+                           shape_step=AdaptiveStepSize())
+        # raised up front: nothing was drawn or moved
+        assert rng.bit_generator.state == generator
+        assert [s.proposed for s in v_steps] == [0, 0]
 
     def test_initial_state_nonconjugate(self):
         kernel = MultivariateNormalNIW(np.zeros(2), 0.01, 12.0, np.eye(2))

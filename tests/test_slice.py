@@ -10,7 +10,7 @@ from scipy import stats
 
 from corm import slice_sampler
 from corm.core import CoRMSpec, EnvelopeBand, LevyIntensity, MarginalFamily
-from corm.kernels import Dataset, UnivariateNormalGamma
+from corm.kernels import Dataset, FlatKernel, UnivariateNormalGamma
 from corm.marginal_sampler import AdaptiveStepSize
 from corm.slice_sampler import (
     SliceState,
@@ -630,6 +630,39 @@ class TestStartJumps:
             state.jumps, spec.directing.envelope.power_level(1.0 - u))
         assert np.all((state.jumps > 0.0)
                       & (state.jumps < _support_end(spec)))
+
+
+@pytest.mark.parametrize('n_start', [0, 2.5, -1],
+                         ids=['zero', 'fraction', 'negative'])
+def test_initial_state_rejects_n_start(n_start):
+    data = Dataset([np.zeros(3), np.zeros(3)])
+    spec = CoRMSpec.from_marginal(2, 1.0, GEN_GAMMA)
+    with pytest.raises(ValueError, match='n_start'):
+        initial_slice_state(data, spec, FlatKernel(),
+                            np.random.default_rng(0), n_start=n_start)
+
+
+def test_start_jumps_past_the_largest_group_are_pool_jumps():
+    data = Dataset([np.zeros(3), np.zeros(3)])
+    spec = CoRMSpec.from_marginal(2, 1.0, GEN_GAMMA)
+    state = initial_slice_state(data, spec, FlatKernel(),
+                                np.random.default_rng(0), n_start=5)
+    state.check()
+    assert state.counts.sum(axis=1).tolist() == [2, 2, 2, 0, 0]
+
+
+def test_shape_step_needs_a_log_prior():
+    data = Dataset([np.zeros(3), np.zeros(3)])
+    spec = CoRMSpec.from_marginal(2, 1.0, GEN_GAMMA)
+    rng = np.random.default_rng(6)
+    state = initial_slice_state(data, spec, FlatKernel(), rng, n_start=2)
+    generator = rng.bit_generator.state
+    with pytest.raises(ValueError, match='log_prior'):
+        slice_sweep(state, data, spec, FlatKernel(), rng,
+                    [(AdaptiveStepSize(), AdaptiveStepSize())] * 2,
+                    shape_step=AdaptiveStepSize())
+    # raised up front: nothing was drawn
+    assert rng.bit_generator.state == generator
 
 
 @pytest.mark.parametrize('marginal', [GAMMA, GEN_GAMMA, STABLE,
