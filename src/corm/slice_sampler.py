@@ -29,14 +29,21 @@ in each round every pending draw gets m proposals, keeps its first
 accepted one (the sequential rejection sampler's draw, as proposals are
 i.i.d.), and m doubles for the draws still pending.
 
-The integrals against nu* that the kept jumps leave out are trapezoid
-rules (core.TiltRule) truncated at L: the residual Laplace exponent
-below L and its v-gradient (the snapshots' residual mass).  The moves
-keep the values at L in one memo (_at_threshold): per spec RuleNodes
-and the tail mass U(L), per (spec, v) the residual.  L stays fixed from
-repopulation to the next sweep's birth/death move, so each MH ratio
-reuses the residual at the current state (2d + 2 evaluations a sweep),
-and the birth/death move the shape move's U(L).
+The kept jumps leave out the integrals against nu* below L: the
+residual Laplace exponent psi_L(v) and its v-gradient (the snapshots'
+residual mass).  Since nu*(z) = c z^(-1-sigma) (1 - a z)^(beta-1) for
+every family, psi_L is a power series in z, c sum_n g_n L^(n-sigma) /
+(n - sigma) with g_n the z^n coefficient of (1 - prod_j (1 + v_j
+z)^(-shape)) (1 - a z)^(beta-1), and residual_laplace sums it to 40
+terms where its rate max(shape sum_j v_j, max_j v_j, a max(1, |beta -
+1|)) L is at most 0.4.  Above that rate, and for the gradient, it is a
+trapezoid rule (core.TiltRule) truncated at L.  The moves keep the
+values at L in one memo (_at_threshold): per spec the tail mass U(L),
+the series' v-free terms and the RuleNodes(spec, L), per (spec, v) the
+residual.  L stays fixed from repopulation to the next sweep's
+birth/death move, so each MH ratio reuses the residual at the current
+state (2d + 2 evaluations a sweep), and the birth/death move the shape
+move's U(L).
 '''
 
 import math
@@ -73,6 +80,12 @@ MAX_REJECTION_TRIES = 10_000
 # are pending (each pending draw gets at least one proposal): a round
 # holds a few float arrays of this length, about 0.5 MB each
 _ROUND_PROPOSALS = 1 << 16
+# psi_L is its power series in z at a series rate (_series_rate) up to
+# _SERIES_RATE, cut after the term in z^_SERIES_TERMS: the first term
+# left out is of order 0.4^40, about 1e-16 of the sum
+_SERIES_RATE = 0.4
+_SERIES_TERMS = 40
+_POWERS = np.arange(_SERIES_TERMS + 1.0)
 
 
 @dataclass
@@ -141,25 +154,79 @@ def _slice_draw(rng, size):
     return np.maximum(rng.uniform(size=size), 2.3e-16)
 
 
-def residual_laplace(spec, v, L, nodes=None):
+def _series_rate(spec, v, L):
+    '''The rate rho = max(shape sum_j v_j, max_j v_j, a max(1, |beta -
+    1|)) L at which the terms of psi_L's power series in z fall off, at a
+    tilt v given as a list.'''
+    envelope = spec.directing.envelope
+    return max(spec.shape * sum(v), max(v),
+               envelope.a * max(1.0, abs(envelope.beta - 1.0))) * L
+
+
+def _ratio_products(ratios):
+    '''1, ratios[0], ratios[0] ratios[1], ...: the coefficients of a
+    binomial series from the ratios of consecutive ones.'''
+    out = np.empty(ratios.size + 1)
+    out[0] = 1.0
+    out[1:] = ratios
+    return out.cumprod()
+
+
+def _series_terms(spec, L):
+    '''(b, r), the v-free parts of psi_L's power series: b_k, k <= N =
+    _SERIES_TERMS, the coefficients of (1 + x)^(-shape), and r_k, 1 <= k
+    <= N, the integral over (0, 1) of t^k nu*(L t) L dt less the terms of
+    total degree past N, so that psi_L(v) = -sum_k P_k r_k with P_k the
+    t^k coefficients of prod_j (1 + v_j L t)^(-shape).  With nu*(z) = c
+    z^(-1-sigma) (1 - a z)^(beta-1) and e_m the coefficients of (1 - a L
+    t)^(beta-1), r_k = sum_m e_m p_(k+m), p_n = c L^(-sigma) / (n -
+    sigma): one correlation.  In t = z / L every term is of order rho^k,
+    free of the overflow of v^k and the underflow of L^k.'''
+    envelope = spec.directing.envelope
+    n = _POWERS[1:]
+    b = _ratio_products((1.0 - spec.shape - n) / n)
+    e = _ratio_products((n[:-1] - envelope.beta) * (envelope.a * L)
+                        / n[:-1])
+    p = envelope.c * L ** -envelope.sigma / (n - envelope.sigma)
+    return b, np.correlate(p, e, 'full')[_SERIES_TERMS - 1:]
+
+
+def residual_laplace(spec, v, L, nodes=None, series=None):
     '''Contribution of jumps below L to the Laplace exponent at v:
-    integral over (0, L) of (1 - prod_j (1+v_j z)^(-shape)) nu*(z) dz,
-    the psi of a TiltRule truncated at L.  nodes, the RuleNodes(spec, L)
-    of that rule, is built here when not given.'''
-    v = np.asarray(v, dtype=float)
-    if L == 0.0 or not np.any(v > 0.0):
-        return 0.0
-    if nodes is None:
-        nodes = RuleNodes(spec, L)
-    elif nodes.upper != L:
+    psi_L(v), the integral over (0, L) of (1 - prod_j (1+v_j z)^(-shape))
+    nu*(z) dz.  v must be a finite, nonnegative vector of length d.  Where
+    the series rate (_series_rate) is at most _SERIES_RATE, psi_L is its
+    power series in z to the term in z^_SERIES_TERMS, on series, the
+    _series_terms(spec, L): the d binomial series of the tilt, multiplied
+    by d - 1 convolutions, and one dot product with r.  Above it, psi_L is
+    the psi of a TiltRule truncated at L on nodes, the RuleNodes(spec, L).
+    Either is built here when needed and not given; the path depends on
+    (spec, v, L) alone.'''
+    v = _check_tilt(v, spec.dimension)
+    if nodes is not None and nodes.upper != L:
         raise ValueError('the nodes are not truncated at L = %r' % L)
-    return TiltRule(spec, v, nodes).psi()
+    vs = v.tolist()
+    if L == 0.0 or max(vs) == 0.0:
+        return 0.0
+    if _series_rate(spec, vs, L) > _SERIES_RATE:
+        return TiltRule(spec, v, RuleNodes(spec, L) if nodes is None
+                        else nodes).psi()
+    b, r = _series_terms(spec, L) if series is None else series
+    tilt = None
+    for x in vs:
+        row = b * np.power(x * L, _POWERS)
+        tilt = row if tilt is None else np.convolve(
+            tilt, row)[:_SERIES_TERMS + 1]
+    return -float(tilt[1:] @ r)
 
 
 def _at_threshold(cache, L, key, compute):
     '''The value under key in cache, the dict of values at the slice
     threshold L (emptied first if it holds another L), or compute()'s,
-    stored there.  A value depends on its key and L alone.'''
+    stored there.  A value depends on its key and L alone: per spec the
+    tail mass U(L) and what every residual there shares (the series terms
+    and the RuleNodes(spec, L), whose node terms are laid out on the first
+    rule), per (spec, v) the residual.'''
     if cache.get('L') != L:
         cache.clear()
         cache['L'] = L
@@ -169,12 +236,14 @@ def _at_threshold(cache, L, key, compute):
 
 
 def _residual(cache, spec, v, L):
-    '''residual_laplace(spec, v, L) on the memo's RuleNodes(spec, L).'''
+    '''residual_laplace(spec, v, L) on the memo's series terms and
+    RuleNodes at (spec, L).'''
     v = np.asarray(v, dtype=float)
-    nodes = _at_threshold(cache, L, ('nodes', spec),
-                          lambda: RuleNodes(spec, L))
+    series, nodes = _at_threshold(
+        cache, L, ('threshold', spec),
+        lambda: (_series_terms(spec, L), RuleNodes(spec, L)))
     return _at_threshold(cache, L, ('residual', spec, v.tobytes()),
-                         lambda: residual_laplace(spec, v, L, nodes))
+                         lambda: residual_laplace(spec, v, L, nodes, series))
 
 
 def _first_accepted(n, propose, describe, rng):
@@ -625,8 +694,9 @@ def update_hyperparameters_slice(state, spec, log_prior, step, rng,
 def _residual_weights(spec, v, L):
     '''Expected mass of each group j carried by jumps below L given the
     tilts: integral over (0, L) of z E[m e^(-v_j m z)] prod_{l!=j}
-    (1+v_l z)^(-shape) nu*(z) dz, which is d residual_laplace / d v_j.'''
-    v = np.asarray(v, dtype=float)
+    (1+v_l z)^(-shape) nu*(z) dz, which is d residual_laplace / d v_j.
+    v must be a finite, nonnegative vector of length d.'''
+    v = _check_tilt(v, spec.dimension)
     if L <= 0.0:
         return np.zeros(v.size)
     return TiltRule(spec, v, RuleNodes(spec, L)).psi_gradient()

@@ -9,7 +9,8 @@ from scipy import integrate as sci
 from scipy import stats
 
 from corm import slice_sampler
-from corm.core import CoRMSpec, EnvelopeBand, LevyIntensity, MarginalFamily
+from corm.core import (CoRMSpec, EnvelopeBand, LevyIntensity, MarginalFamily,
+                       RuleNodes, TiltRule)
 from corm.kernels import Dataset, FlatKernel, UnivariateNormalGamma
 from corm.marginal_sampler import AdaptiveStepSize
 from corm.slice_sampler import (
@@ -26,6 +27,7 @@ from corm.slice_sampler import (
     update_jump_heights,
     update_v_interweaving,
 )
+from oracles import residual_laplace_mpmath
 
 
 GAMMA, GEN_GAMMA = (MarginalFamily.gamma(),
@@ -99,6 +101,97 @@ class TestSubThresholdIntegrals:
         # int_0^L (1 + v z)^-2 dz = L / (1 + v L)
         got = _residual_weights(unit_gamma_2d, [self.V1, 0.0], L)[0]
         assert got == pytest.approx(L / (1.0 + self.V1 * L), rel=1e-13)
+
+
+SERIES_FAMILIES = {'gamma': GAMMA, 'gg(0.3, 1)': GEN_GAMMA,
+                   'gg(0.5, 2)': MarginalFamily.generalized_gamma(0.5, 2.0),
+                   'stable(0.5)': STABLE}
+SERIES_SHAPES, SERIES_LEVELS = (0.05, 1.0, 30.0), (1e-8, 1e-3, 0.1)
+# per d, a direction of v with every entry positive, and one with zeros
+# (at d = 1 the positive one again: v = 0 is psi_L = 0)
+SERIES_DIRECTIONS = {1: ((1.0,), (1.0,)), 2: ((1.0, 3.0), (1.0, 0.0)),
+                     3: ((1.0, 3.0, 0.5), (0.0, 2.0, 0.0))}
+# (family, d, shape, L): each shape meets each level over d = 1, 2, 3
+SERIES_CELLS = [(family, d, shape, SERIES_LEVELS[(k + d) % 3])
+                for family in SERIES_FAMILIES for d in (1, 2, 3)
+                for k, shape in enumerate(SERIES_SHAPES)]
+
+
+def _tilt_at_rate(spec, direction, L, rate):
+    '''The largest v along direction whose own part of the series rate,
+    max(shape sum_j v_j, max_j v_j) L, is at most rate.'''
+    def own(v):
+        return max(spec.shape * v.sum(), v.max()) * L
+
+    direction = np.asarray(direction)
+    v = direction * (rate / own(direction))
+    while own(v) > rate:
+        v = np.nextafter(v, 0.0)
+    return v
+
+
+class TestResidualSeries:
+    '''residual_laplace sums psi_L as its power series in z up to the
+    series rate _SERIES_RATE and takes the TiltRule above it: each path
+    within 1e-13 of mpmath, on both sides of the switch and at it.'''
+
+    @pytest.mark.parametrize('family, d, shape, L', SERIES_CELLS)
+    def test_both_paths_match_mpmath(self, monkeypatch, family, d, shape, L):
+        # v at a tenth of the switch rate with zero entries (d > 1), at the
+        # switch, and at ten times it; where nu*'s own factor puts the rate
+        # past the switch (a |beta - 1| L > 0.4) every cell takes the rule
+        rules = []
+        monkeypatch.setattr(
+            slice_sampler, 'TiltRule',
+            lambda *args: rules.append(args) or TiltRule(*args))
+        spec = CoRMSpec.from_marginal(d, shape, SERIES_FAMILIES[family])
+        positive, zeros = SERIES_DIRECTIONS[d]
+        switch = slice_sampler._SERIES_RATE
+        for direction, rate in ((zeros, 0.1 * switch), (positive, switch),
+                                (positive, 10.0 * switch)):
+            v = _tilt_at_rate(spec, direction, L, rate)
+            want = residual_laplace_mpmath(spec, v, L)
+            rule = TiltRule(spec, v, RuleNodes(spec, L)).psi()
+            assert rule == pytest.approx(want, rel=1e-13, abs=0.0)
+            before = len(rules)
+            assert residual_laplace(spec, v, L) == pytest.approx(
+                want, rel=1e-13, abs=0.0)
+            series = slice_sampler._series_rate(spec, v.tolist(), L) \
+                <= switch
+            assert len(rules) - before == (not series)
+
+    def test_series_matches_the_rule(self):
+        # a denser grid below the switch, without the oracle
+        worst = 0.0
+        for marginal in SERIES_FAMILIES.values():
+            for d, directions in SERIES_DIRECTIONS.items():
+                for shape in (0.05, 0.3, 1.0, 5.0, 30.0):
+                    spec = CoRMSpec.from_marginal(d, shape, marginal)
+                    for L in (1e-8, 1e-5, 1e-3, 0.03, 0.1):
+                        for direction in directions:
+                            for rate in (1e-3, 0.04, 0.2, 0.4):
+                                v = _tilt_at_rate(spec, direction, L, rate)
+                                if slice_sampler._series_rate(
+                                        spec, v.tolist(), L) \
+                                        > slice_sampler._SERIES_RATE:
+                                    continue
+                                rule = TiltRule(spec, v,
+                                                RuleNodes(spec, L)).psi()
+                                got = residual_laplace(spec, v, L)
+                                worst = max(worst, abs(got / rule - 1.0))
+        assert worst <= 1e-13
+
+    def test_value_does_not_depend_on_given_terms(self):
+        # the path and the double depend on (spec, v, L) alone: given
+        # nodes, given series terms, both or neither
+        spec = CoRMSpec.from_marginal(2, 1.0, GEN_GAMMA)
+        L = 0.01
+        nodes = RuleNodes(spec, L)
+        series = slice_sampler._series_terms(spec, L)
+        for v in ((0.5, 2.0), (300.0, 30.0)):
+            want = residual_laplace(spec, v, L)
+            for given in ((nodes,), (None, series), (nodes, series)):
+                assert residual_laplace(spec, v, L, *given) == want
 
 
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
@@ -257,9 +350,9 @@ BAD_TILT_IDS = ['negative', 'length', 'nan', 'inf']
 
 
 class TestTiltChecks:
-    '''sample_tilted_z and the repopulation births raise ValueError for
-    a tilt v that is not a finite, nonnegative vector of length d, before
-    drawing anything.'''
+    '''sample_tilted_z, the repopulation births and residual_laplace
+    raise ValueError for a tilt v that is not a finite, nonnegative
+    vector of length d, before drawing or computing anything.'''
 
     @pytest.mark.parametrize('v', BAD_TILTS, ids=BAD_TILT_IDS)
     def test_sample_tilted_z(self, unit_gamma_2d, v, monkeypatch):
@@ -267,6 +360,18 @@ class TestTiltChecks:
         with pytest.raises(ValueError, match='v must be'):
             sample_tilted_z(unit_gamma_2d, 0.01, 0.5, v,
                             np.random.default_rng(0), size=10)
+
+    @pytest.mark.parametrize(
+        'v', BAD_TILTS + [[math.nan, math.nan], [-1.0, -2.0]],
+        ids=BAD_TILT_IDS + ['all-nan', 'all-negative'])
+    @pytest.mark.parametrize('L', [0.0, 0.01])
+    def test_residual_laplace(self, unit_gamma_2d, v, L):
+        # checked before the shortcuts for L = 0 and for a tilt without a
+        # positive entry
+        with pytest.raises(ValueError, match='v must be'):
+            residual_laplace(unit_gamma_2d, v, L)
+        with pytest.raises(ValueError, match='v must be'):
+            _residual_weights(unit_gamma_2d, v, L)
 
     @pytest.mark.parametrize('v', BAD_TILTS, ids=BAD_TILT_IDS)
     def test_births(self, unit_gamma_2d, v):
@@ -809,6 +914,42 @@ def test_residual_evaluations_per_sweep(monkeypatch):
         spec = slice_sweep(state, data, spec, kernel, rng, v_steps,
                            shape_step, lambda phi: -phi, {})
         assert 0 < len(calls) - before <= 2 * 2 + 2
+
+
+
+def test_chain_across_the_series_switch():
+    # from shape 50 under the weak log prior -0.01 shape, the v and shape
+    # moves evaluate psi_L on both sides of the series rate: each residual
+    # in the memo matches a rule on fresh nodes, the memo's RuleNodes of a
+    # spec lay out node terms only where one of its residuals took the
+    # rule, and the state keeps its invariants after every sweep
+    rng = np.random.default_rng(40)
+    data = _two_groups(rng, 15)
+    kernel = UnivariateNormalGamma.from_data(data.stacked())
+    spec = CoRMSpec.from_marginal(2, 50.0, GEN_GAMMA)
+    state = initial_slice_state(data, spec, kernel, rng, n_start=4)
+    v_steps = [(AdaptiveStepSize(), AdaptiveStepSize()) for _ in range(2)]
+    shape_step, cache = AdaptiveStepSize(), {}
+    paths = []
+    for _ in range(30):
+        spec = slice_sweep(state, data, spec, kernel, rng, v_steps,
+                           shape_step, lambda phi: -0.01 * phi, cache)
+        state.check()
+        L = cache['L']
+        ruled = {}
+        for key, value in cache.items():
+            if key[0] == 'residual':
+                _, sp, v = key
+                v = np.frombuffer(v)
+                assert value == pytest.approx(
+                    TiltRule(sp, v, RuleNodes(sp, L)).psi(), rel=1e-13)
+                rule = slice_sampler._series_rate(sp, v.tolist(), L) \
+                    > slice_sampler._SERIES_RATE
+                ruled[sp] = ruled.get(sp, False) or rule
+                paths.append(rule)
+        for sp, rule in ruled.items():
+            assert bool(cache[('threshold', sp)][1]._terms) == rule
+    assert 0 < sum(paths) < len(paths)
 
 
 def _tail_chain(cache, sweeps=8):
