@@ -36,7 +36,15 @@ The non-conjugate urn scores against atoms instead, which a kernel
 draws: ``atom_posterior_draw(rows, rng)`` one atom given a cluster's
 rows, and ``prior_draws(size, rng)`` a list of size independent atoms
 from the centring, which also gives the slice sampler's new jumps their
-atoms.  Every kernel gives both.
+atoms.  ``atom_posterior_draws(y, labels, n_labels, rng)`` redraws every
+atom of a labelling at once: given the (n, p) rows y and their labels,
+it returns one atom per label 0..n_labels-1, in label order, from the
+random draws atom_posterior_draw would make label by label (a prior draw
+for a label no row carries).  The normal-gamma kernel takes every
+label's sufficient statistics from three bincount calls, so its atoms
+may differ from atom_posterior_draw's in the last bits, the sums being
+taken in another order; the others split the rows by label.  Every
+kernel gives all three.
 '''
 
 import math
@@ -69,6 +77,14 @@ def _univariate(y, stacked):
 
 def _batch_shape(y):
     return np.shape(y)[:1] if np.ndim(y) == 2 else ()
+
+
+def _members(y, labels, n_labels):
+    '''The rows of y carrying each label 0..n_labels-1, from one argsort
+    and bincount pass, in the order of y within a label.'''
+    order = np.argsort(labels, kind='stable')
+    ends = np.cumsum(np.bincount(labels, minlength=n_labels))
+    return np.split(y[order], ends[:-1])
 
 
 @dataclass
@@ -247,13 +263,26 @@ class UnivariateNormalGamma:
         return [log_norm - half * math.log1p((y - loc) * (y - loc) * inv)
                 for loc, inv, half, log_norm in rows]
 
-    def atom_posterior_draw(self, rows, rng):
-        rows = np.asarray(rows, dtype=float).ravel()
-        stats = (rows.size, float(rows.sum()), float(np.square(rows).sum()))
-        mn, kn, an, bn = self._posterior(stats)
+    @staticmethod
+    def _draw(posterior, rng):
+        mn, kn, an, bn = posterior
         tau = rng.gamma(an) / bn
         mu = rng.normal(mn, 1.0 / math.sqrt(kn * tau))
         return (mu, tau)
+
+    def atom_posterior_draw(self, rows, rng):
+        rows = np.asarray(rows, dtype=float).ravel()
+        stats = (rows.size, float(rows.sum()), float(np.square(rows).sum()))
+        return self._draw(self._posterior(stats), rng)
+
+    def atom_posterior_draws(self, y, labels, n_labels, rng):
+        '''One posterior draw per label, each label's (n, sum y, sum y^2)
+        from a bincount over the rows y.'''
+        y = np.asarray(y, dtype=float).ravel()
+        stats = zip(np.bincount(labels, minlength=n_labels).tolist(),
+                    np.bincount(labels, y, n_labels).tolist(),
+                    np.bincount(labels, y * y, n_labels).tolist())
+        return [self._draw(self._posterior(s), rng) for s in stats]
 
     def prior_draws(self, size, rng):
         '''size independent atoms from the centring, as a list: one
@@ -358,6 +387,11 @@ class MultivariateNormalNIW:
     def atom_posterior_draw(self, rows, rng):
         return self._draws(*self._posterior(rows), 1, rng)[0]
 
+    def atom_posterior_draws(self, y, labels, n_labels, rng):
+        '''One posterior draw per label, given the rows of y carrying it.'''
+        return [self.atom_posterior_draw(rows, rng)
+                for rows in _members(y, labels, n_labels)]
+
     def prior_draws(self, size, rng):
         '''size independent atoms from the centring, as a list.'''
         return self._draws(self.m0, self.lambda0, self.nu0, self.psi0, size,
@@ -422,6 +456,9 @@ class FlatKernel:
 
     def atom_posterior_draw(self, rows, rng):
         return float(rng.uniform())
+
+    def atom_posterior_draws(self, y, labels, n_labels, rng):
+        return self.prior_draws(n_labels, rng)
 
     def prior_draws(self, size, rng):
         return rng.uniform(size=size).tolist()

@@ -132,15 +132,6 @@ def _tally(allocations, n_labels):
                      for c in allocations], axis=1)
 
 
-def _members(data, allocations, n_labels):
-    '''The rows carrying each label 0..n_labels-1, from one argsort and
-    bincount pass: group by group, in data order within a group.'''
-    labels = np.concatenate(allocations)
-    order = np.argsort(labels, kind='stable')
-    ends = np.cumsum(np.bincount(labels, minlength=n_labels))
-    return np.split(data.stacked()[order], ends[:-1])
-
-
 def _round_robin(data, n_start):
     '''Each group's labels 0, 1, ..., n_start - 1, 0, 1, ... in order.'''
     if not isinstance(n_start, numbers.Integral) or n_start < 1:
@@ -158,17 +149,15 @@ def initial_state(data, spec, kernel, rng, n_start=1):
                          'cluster would be empty' % n_start)
     state = MarginalState(allocations, _tally(allocations, n_start),
                           np.ones(data.n_groups), spec.shape)
-    members = _members(data, allocations, n_start)
+    labels = np.concatenate(allocations)
     if kernel.conjugate:
-        state.stats = []
-        for rows in members:
-            stats = kernel.stats_empty()
-            for y in rows[:, 0]:
-                stats = kernel.stats_add(stats, y)
-            state.stats.append(stats)
+        # each cluster's statistics gather its rows in data order
+        state.stats = [kernel.stats_empty() for _ in range(n_start)]
+        for k, y in zip(labels.tolist(), data.stacked()[:, 0].tolist()):
+            state.stats[k] = kernel.stats_add(state.stats[k], y)
     else:
-        state.atoms = [kernel.atom_posterior_draw(rows, rng)
-                       for rows in members]
+        state.atoms = kernel.atom_posterior_draws(data.stacked(), labels,
+                                                  n_start, rng)
     return state
 
 
@@ -495,8 +484,9 @@ def update_allocation_nonconjugate(state, data, spec, kernel, j, i, table,
 
 def update_atoms(state, data, kernel, rng):
     '''Conjugate redraw of every cluster atom given its members.'''
-    state.atoms = [kernel.atom_posterior_draw(rows, rng) for rows in
-                   _members(data, state.allocations, state.n_clusters)]
+    state.atoms = kernel.atom_posterior_draws(
+        data.stacked(), np.concatenate(state.allocations), state.n_clusters,
+        rng)
 
 
 def _accept_probability(log_alpha):

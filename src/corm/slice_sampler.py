@@ -27,7 +27,16 @@ that value.  The birth of the birth/death move comes from the envelope
 on (L, top), accepted by nu* over it.  The rejection draws are batched:
 in each round every pending draw gets m proposals, keeps its first
 accepted one (the sequential rejection sampler's draw, as proposals are
-i.i.d.), and m doubles for the draws still pending.
+i.i.d.), and m doubles for the draws still pending.  A round holds at
+least 32 proposals in all, so the draws of a pool of a few jumps mostly
+finish in one round: below a few dozen proposals a round's cost is
+numpy's fixed cost per call.
+
+Each group's allocations are scored jump-major, as a (jumps, rows)
+matrix, so the max, running sum and count of the inverse-CDF pick run
+across the few jumps as whole-row operations; every atom is redrawn in
+one kernel.atom_posterior_draws pass over the pooled rows and their
+allocations.
 
 The kept jumps leave out the integrals against nu* below L: the
 residual Laplace exponent psi_L(v) and its v-gradient (the snapshots'
@@ -52,8 +61,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import RuleNodes, TiltRule, _check_tilt
-from .marginal_sampler import (_check_shape_prior, _members, _round_robin,
-                               _tally)
+from .marginal_sampler import _check_shape_prior, _round_robin, _tally
 # not called here: kept bound so the benchmark's tracer, which wraps
 # corm.slice_sampler.integrate, still finds it
 from .numerics import integrate  # noqa: F401
@@ -80,6 +88,11 @@ MAX_REJECTION_TRIES = 10_000
 # are pending (each pending draw gets at least one proposal): a round
 # holds a few float arrays of this length, about 0.5 MB each
 _ROUND_PROPOSALS = 1 << 16
+# proposals a rejection round holds at least (within each draw's
+# MAX_REJECTION_TRIES): a round's cost is mostly numpy's fixed cost per
+# call up to a few dozen proposals, so a few pending draws take more
+# than one proposal each from the first round on
+_ROUND_LEAST = 32
 # psi_L is its power series in z at a series rate (_series_rate) up to
 # _SERIES_RATE, cut after the term in z^_SERIES_TERMS: the first term
 # left out is of order 0.4^40, about 1e-16 of the sum
@@ -253,10 +266,13 @@ def _first_accepted(n, propose, describe, rng):
     proposal outside the draw's support, which is never clamped).  Each
     round gives every pending index m proposals through one propose call
     and one uniform array for the acceptances; an index keeps its first
-    accepted proposal in order, which is the rejection sampler itself,
-    and m doubles for the indices still pending (while a round stays
-    within _ROUND_PROPOSALS).  Raises RuntimeError, naming describe(i),
-    once a draw has used MAX_REJECTION_TRIES proposals.'''
+    accepted proposal in order, which is the rejection sampler itself.
+    m starts at 1 and doubles for the indices still pending, but a round
+    holds at least _ROUND_LEAST proposals, ceil(_ROUND_LEAST / pending)
+    each, and at most _ROUND_PROPOSALS (or one each), and no index is
+    given more than MAX_REJECTION_TRIES in all.  Raises RuntimeError,
+    naming describe(i), once a draw has used MAX_REJECTION_TRIES
+    proposals.'''
     out = np.empty(n)
     pending = np.arange(n)
     used, m = 0, 1
@@ -264,6 +280,7 @@ def _first_accepted(n, propose, describe, rng):
         if used >= MAX_REJECTION_TRIES:
             raise RuntimeError('%s exceeded %d rejection tries'
                                % (describe(pending[0]), MAX_REJECTION_TRIES))
+        m = max(m, -(-_ROUND_LEAST // pending.size))
         m = max(1, min(m, MAX_REJECTION_TRIES - used,
                        _ROUND_PROPOSALS // pending.size))
         z, p = propose(np.repeat(pending, m))
@@ -437,7 +454,14 @@ class _JumpHeightProposals:
         log_lower = math.log(c) - (1.0 + sigma) * np.log(lows)
         if beta != 1.0:
             log_lower += (beta - 1.0) * np.log(a * self.bound_gaps)
-        log_lower += np.log(spans)
+        log_spans = np.log(np.where(spans > 0.0, spans, 1.0))
+        if beta < 1.0:
+            # where x^2 underflows, so do the split width and the span; both
+            # tend to x^2 / (w beta (1 - beta)), whose log is taken instead
+            small = spans == 0.0
+            log_spans[small] = (2.0 * log_x[small] - math.log(
+                beta * (1.0 - beta)) - np.log(weights[small]))
+        log_lower += log_spans
         log_mass = log_lower
         if beta < 1.0:
             log_upper = (math.log(c) - (1.0 + sigma) * np.log(self.splits)
@@ -624,34 +648,37 @@ def _log_scores(state):
 def update_allocations_slice(state, data, kernel, rng):
     '''Reassign every observation among the jumps above its slice,
     with weights score times kernel density at the jump's atom.  Each
-    group is scored at once: an (n_j, K) log-weight matrix, -inf where
-    the jump is not above the slice, one uniform per row, and the
-    inverse-CDF pick of np.searchsorted(..., side='right').  A row's
-    u * total stays below total, so the pick is an eligible jump.'''
+    group is scored at once, jump-major: a (K, n_j) log-weight matrix,
+    -inf where the jump is not above the slice, so that its column max,
+    running sum and count each take K - 1 operations on rows of n_j; one
+    uniform per observation, and the inverse-CDF pick of
+    np.searchsorted(..., side='right') as the count of running sums at
+    or below u * total.  That stays below total, so the pick is an
+    eligible jump.'''
     K = state.n_jumps
     log_scores = _log_scores(state)
     atoms = kernel.stack_atoms(state.atoms)
     for j, rows in enumerate(data.groups):
-        eligible = state.jumps > state.u[j][:, None]
-        if not eligible.any(axis=1).all():
+        eligible = state.jumps[:, None] > state.u[j]
+        if not eligible.any(axis=0).all():
             raise RuntimeError('no jump above a slice latent; '
                                'state invariant violated')
-        logs = np.where(eligible, log_scores[:, j]
-                        + kernel.log_density(rows, atoms), -np.inf)
-        logs -= logs.max(axis=1, keepdims=True)
-        cum = np.cumsum(np.exp(logs), axis=1)
-        target = rng.uniform(size=rows.shape[0]) * cum[:, -1]
-        state.allocations[j] = np.count_nonzero(cum <= target[:, None],
-                                                axis=1)
+        logs = np.where(eligible, kernel.log_density(rows, atoms).T
+                        + log_scores[:, j, None], -np.inf)
+        logs -= logs.max(axis=0)
+        cum = np.cumsum(np.exp(logs), axis=0)
+        target = rng.uniform(size=rows.shape[0]) * cum[-1]
+        state.allocations[j] = np.count_nonzero(cum <= target, axis=0)
     state.counts = _tally(state.allocations, K)
     return state
 
 
 def update_atoms_slice(state, data, kernel, rng):
     '''Posterior redraw of every atom from its members (the prior for
-    pool jumps).'''
-    state.atoms = [kernel.atom_posterior_draw(rows, rng) for rows in
-                   _members(data, state.allocations, state.n_jumps)]
+    pool jumps), in one kernel.atom_posterior_draws pass over the pooled
+    rows and their allocations, in jump order.'''
+    state.atoms = kernel.atom_posterior_draws(
+        data.stacked(), np.concatenate(state.allocations), state.n_jumps, rng)
     return state
 
 

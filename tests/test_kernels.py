@@ -21,6 +21,7 @@ from corm.kernels import (
     MultivariateNormalNIW,
     PredictiveSnapshot,
     UnivariateNormalGamma,
+    _members,
     predictive_density,
 )
 
@@ -235,6 +236,53 @@ def test_atom_posterior_draw_moments():
     mus, taus = draws[:, 0], draws[:, 1]
     assert mus.mean() == pytest.approx(mn, abs=4.0 * mus.std() / 63.0)
     assert taus.mean() == pytest.approx(an / bn, abs=4.0 * taus.std() / 63.0)
+
+
+def test_members_group_rows_by_label():
+    rng = np.random.default_rng(3)
+    data = Dataset([rng.normal(size=(7, 2)), rng.normal(size=(5, 2))])
+    allocations = [rng.integers(4, size=7), rng.integers(4, size=5)]
+    got = _members(data.stacked(), np.concatenate(allocations), 5)
+    assert len(got) == 5
+    for k in range(5):
+        want = np.concatenate([g[c == k] for g, c in
+                               zip(data.groups, allocations)])
+        assert np.array_equal(got[k], want)
+
+
+def _labelled_rows(p, rng):
+    '''40 (40, p) rows under 6 labels, two of which (1 and 4) no row
+    carries, and one (5) a single row.'''
+    labels = rng.choice([0, 2, 3], size=40)
+    labels[17] = 5
+    return rng.normal(1.0, 2.0, size=(40, p)), labels
+
+
+@pytest.mark.parametrize('name', ['normal-gamma', 'niw', 'flat'])
+def test_atom_posterior_draws_match_label_by_label(name):
+    # the batched redraw makes atom_posterior_draw's random draws, label
+    # by label, with a prior draw for an empty label: the same atoms, and
+    # the generator left in the same state.  Normal-gamma sums each
+    # label's rows by bincount, in another order than atom_posterior_draw's
+    # sums, so its atoms agree to rounding
+    p = 2 if name == 'niw' else 1
+    kern = {'normal-gamma': KERN, 'flat': FlatKernel(),
+            'niw': MultivariateNormalNIW(np.zeros(2), 0.5, 6.0,
+                                         np.eye(2))}[name]
+    y, labels = _labelled_rows(p, np.random.default_rng(11))
+    batched, single = np.random.default_rng(12), np.random.default_rng(12)
+    got = kern.atom_posterior_draws(y, labels, 6, batched)
+    want = [kern.atom_posterior_draw(y[labels == k], single)
+            for k in range(6)]
+    assert batched.bit_generator.state == single.bit_generator.state
+    assert len(got) == 6
+    for g, w in zip(got, want):
+        if name == 'normal-gamma':
+            assert np.allclose(g, w, rtol=1e-12, atol=0.0)
+        elif name == 'niw':
+            assert np.array_equal(g[0], w[0]) and np.array_equal(g[1], w[1])
+        else:
+            assert g == w
 
 
 def test_log_density_matches_norm():

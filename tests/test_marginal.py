@@ -799,17 +799,6 @@ class TestUrnRows:
             == rngs[2].bit_generator.state
         states[0].check()
 
-    def test_members_group_rows_by_label(self):
-        rng = np.random.default_rng(3)
-        data = Dataset([rng.normal(size=(7, 2)), rng.normal(size=(5, 2))])
-        allocations = [rng.integers(4, size=7), rng.integers(4, size=5)]
-        got = ms._members(data, allocations, 5)
-        assert len(got) == 5
-        for k in range(5):
-            want = np.concatenate([g[c == k] for g, c in
-                                   zip(data.groups, allocations)])
-            assert np.array_equal(got[k], want)
-
 
 class TestAuxiliaryUpdate:
 

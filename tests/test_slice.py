@@ -2,6 +2,7 @@
 short chains that keep the state invariants.'''
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -426,6 +427,22 @@ def _proposals(marginal, phi, low, w):
         spec, np.array([low]), np.array([w]), np.random.default_rng(0))
 
 
+def _proposal_sizes(monkeypatch):
+    '''The list to which every propose call of _first_accepted appends
+    the number of proposals asked for, from now on.'''
+    sizes = []
+    first_accepted = slice_sampler._first_accepted
+
+    def counted(n, propose, describe, rng):
+        def propose_counted(idx):
+            sizes.append(idx.size)
+            return propose(idx)
+        return first_accepted(n, propose_counted, describe, rng)
+
+    monkeypatch.setattr(slice_sampler, '_first_accepted', counted)
+    return sizes
+
+
 class TestJumpHeights:
     '''update_jump_heights: the redrawn heights follow the conditional
     nu*(z) e^(-w z) on (low, 1/a), or (low, inf) for sigma-stable,
@@ -556,6 +573,79 @@ class TestJumpHeights:
         assert 1 < len(calls) <= math.ceil(
             math.log2(slice_sampler.MAX_REJECTION_TRIES)) + 1
         assert calls[0] == 50
+
+    @pytest.mark.parametrize('n, first', [(5, 35), (50, 50)])
+    def test_first_round_holds_at_least_32(self, monkeypatch, n, first):
+        # a round holds at least _ROUND_LEAST = 32 proposals: 7 each for 5
+        # pending jumps, and one each for 32 or more, as before
+        sizes = _proposal_sizes(monkeypatch)
+        spec = CoRMSpec.from_marginal(1, 1.0, GEN_GAMMA)
+        update_jump_heights(_pool_state(n, self.LOW, 10.0), spec,
+                            np.random.default_rng(5))
+        assert sizes[0] == first
+
+    @pytest.mark.parametrize('marginal, phi, w', [
+        (GEN_GAMMA, 1.0, 0.1), (GAMMA, 2.0, 1e3)],
+        ids=['power', 'exponential'])
+    def test_small_pools(self, monkeypatch, marginal, phi, w):
+        # 3,000 redraws of a 3-jump pool, each starting with a round of 11
+        # proposals a jump, draw the conditional: pooled, the heights pass
+        # a KS test against it
+        sizes = _proposal_sizes(monkeypatch)
+        low = self.LOW
+        assert _proposals(marginal, phi, low, w).on_power[0] == (w < 1.0)
+        spec = CoRMSpec(1, phi, marginal)
+        rng = np.random.default_rng(2300)
+        heights = []
+        for _ in range(3000):
+            del sizes[:]
+            state = _pool_state(3, low, w)
+            update_jump_heights(state, spec, rng)
+            assert sizes[0] == 33
+            heights.append(state.jumps)
+        xs = np.sort(np.concatenate(heights))
+        top = _support_end(spec)
+        assert low < xs[0] and xs[-1] < top
+        cdf, _ = _cdf_at_draws(spec, lambda z: np.exp(-w * (z - low)), low,
+                               top, xs)
+        assert _ks_p_value(cdf) > 0.01
+
+    @pytest.mark.parametrize('w', [1e-100, 1e-170, 1e-300])
+    def test_tiny_weights(self, w):
+        # gg(0.3, 1) at shape 0.3 (beta 0.6): from w = 1e-170, x = w (1/a -
+        # low) is so small that x^2, the split width and the lower
+        # piece's span underflow to 0, and the span's log comes from its
+        # small-weight limit, with no warning.  The tilt is 1 to double
+        # precision, so the heights follow nu* on (low, 1/a)
+        spec, low = CoRMSpec(1, 0.3, GEN_GAMMA), 1e-3
+        state = _pool_state(2000, low, w)
+        with warnings.catch_warnings():
+            warnings.simplefilter('error')
+            update_jump_heights(state, spec, np.random.default_rng(2400))
+        xs = np.sort(state.jumps)
+        top = _support_end(spec)
+        assert low < xs[0] and xs[-1] < top
+        cdf, _ = _cdf_at_draws(spec, np.ones_like, low, top, xs)
+        assert _ks_p_value(cdf) > 0.01
+
+    def test_tiny_weight_exponential_envelope(self):
+        # at w = 1e-300 the exponential envelope's lower piece has width 0
+        # and its upper piece covers (low, 1/a) alone: forced onto it, the
+        # draws still follow nu* there
+        spec, low = CoRMSpec(1, 0.3, GEN_GAMMA), 0.3
+        rng = np.random.default_rng(2500)
+        with warnings.catch_warnings():
+            warnings.simplefilter('error')
+            proposals = slice_sampler._JumpHeightProposals(
+                spec, np.full(2000, low), np.full(2000, 1e-300), rng)
+            assert proposals.splits[0] == low
+            proposals.on_power[:] = False
+            xs = np.sort(slice_sampler._first_accepted(
+                2000, proposals, str, rng))
+        assert low < xs[0] and xs[-1] < _support_end(spec)
+        cdf, _ = _cdf_at_draws(spec, np.ones_like, low, _support_end(spec),
+                               xs)
+        assert _ks_p_value(cdf) > 0.01
 
 
 def _piece_p_values(spec, weight, xs, pieces):

@@ -369,6 +369,37 @@ class TestLargeShapes:
                     <= 1e-11 + 1e-15 * max(terms)
 
 
+class TestLargeEqualTilts:
+    '''The failing grid of a gamma log kappa at phi = 1, d = 2 and counts
+    (1, 1), recorded before any fix: at v = (10^e, 10^e) log kappa is
+    finite up to e = 66 and raises QuadratureError from e = 68, while psi
+    stays finite.  With one entry of v at 1 it stays finite to e = 100.
+    No chain reaches such v; a fix turns the raising cells finite.'''
+
+    COUNTS = (1, 1)
+
+    @pytest.mark.parametrize('e', [40, 60, 66])
+    def test_finite_below_the_failure(self, e):
+        rule = TiltRule(make_spec('gamma', 1.0), [10.0 ** e] * 2)
+        assert math.isfinite(rule.log_kappa(self.COUNTS))
+        assert math.isfinite(rule.psi())
+
+    @pytest.mark.parametrize('e', [68, 70, 80, 100])
+    def test_raises_from_e_68(self, e):
+        rule = TiltRule(make_spec('gamma', 1.0), [10.0 ** e] * 2)
+        with pytest.raises(QuadratureError):
+            rule.log_kappa(self.COUNTS)
+        assert math.isfinite(rule.psi())
+
+    @pytest.mark.parametrize('e', [40, 60, 66, 68, 70, 80, 100])
+    def test_one_large_entry_stays_finite(self, e):
+        spec = make_spec('gamma', 1.0)
+        for v in ((10.0 ** e, 1.0), (1.0, 10.0 ** e)):
+            rule = TiltRule(spec, v)
+            assert math.isfinite(rule.log_kappa(self.COUNTS))
+            assert math.isfinite(rule.psi())
+
+
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
 
 
